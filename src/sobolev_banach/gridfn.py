@@ -300,8 +300,12 @@ def finite_difference(u: GridFunction, scheme: str = "central") -> DerivativeFie
             raise GridError(f"axis {j} has {nj} cells; stencils need >= 3")
         dv = np.empty_like(v)
         S = lambda a, b: _axis_slices(d, j, slice(a, b))
+        # Interior stencils are written straight into dv and divided in
+        # place: the same operations as (a - b) / step, without temporaries.
         if scheme == "central":
-            dv[S(1, -1)] = (v[S(2, None)] - v[S(0, -2)]) / (2.0 * h[j])
+            inner = dv[S(1, -1)]
+            np.subtract(v[S(2, None)], v[S(0, -2)], out=inner)
+            inner /= 2.0 * h[j]
             dv[S(0, 1)] = (-3.0 * v[S(0, 1)] + 4.0 * v[S(1, 2)] - v[S(2, 3)]) / (
                 2.0 * h[j]
             )
@@ -309,10 +313,14 @@ def finite_difference(u: GridFunction, scheme: str = "central") -> DerivativeFie
                 3.0 * v[S(-1, None)] - 4.0 * v[S(-2, -1)] + v[S(-3, -2)]
             ) / (2.0 * h[j])
         elif scheme == "forward":
-            dv[S(0, -1)] = (v[S(1, None)] - v[S(0, -1)]) / h[j]
+            inner = dv[S(0, -1)]
+            np.subtract(v[S(1, None)], v[S(0, -1)], out=inner)
+            inner /= h[j]
             dv[S(-1, None)] = (v[S(-1, None)] - v[S(-2, -1)]) / h[j]
         else:
-            dv[S(1, None)] = (v[S(1, None)] - v[S(0, -1)]) / h[j]
+            inner = dv[S(1, None)]
+            np.subtract(v[S(1, None)], v[S(0, -1)], out=inner)
+            inner /= h[j]
             dv[S(0, 1)] = (v[S(1, 2)] - v[S(0, 1)]) / h[j]
         fields.append(u.like(dv))
     return DerivativeField(source=u, ds=fields, scheme=scheme, h=h)

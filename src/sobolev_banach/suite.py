@@ -102,14 +102,21 @@ class SampleBlueprint:
     def realize(self, n: int) -> GridFunction:
         dom = unit_box(self.d)
         grid = GridSpec((n,) * self.d)
-        xi = grid_centers(dom, grid)
+        axes = grid.axes(dom)
         dim, K = self.amp_sin.shape[:2]
         vals = np.broadcast_to(self.const, grid.n + (dim,)).copy()
         for k in range(K):
             for j in range(self.d):
-                s = np.sin((k + 1) * np.pi * xi[..., j])[..., None]
-                c = np.cos((k + 1) * np.pi * xi[..., j])[..., None]
-                vals = vals + s * self.amp_sin[:, k, j] + c * self.amp_cos[:, k, j]
+                # Each term depends on one coordinate only: evaluate it on the
+                # axis and broadcast along axis j.  The two in-place additions
+                # keep the order (vals + s*a) + c*b of the full-mesh formula.
+                shape = [1] * (self.d + 1)
+                shape[j] = n
+                arg = (k + 1) * np.pi * axes[j]
+                s = np.sin(arg).reshape(shape)
+                c = np.cos(arg).reshape(shape)
+                vals += s * self.amp_sin[:, k, j]
+                vals += c * self.amp_cos[:, k, j]
         return GridFunction(dom, grid, self.space, vals)
 
 

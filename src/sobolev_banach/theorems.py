@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
 
 from . import _kernels, banach
 from .banach import SpaceDescriptor, scalar_space
@@ -215,6 +214,10 @@ def dirichlet_eigenvalue(n: int, length: float = 1.0) -> float:
     """Smallest eigenvalue of the cell-centered second-difference operator
     with zero boundary values (odd-reflection ghost cells); converges to
     (pi/length)^2 at second order."""
+    # scipy.linalg is imported here, its only use, so that importing the
+    # package (and every CLI run that never reaches this oracle) skips it.
+    from scipy.linalg import eigh_tridiagonal
+
     h = length / n
     diag = np.full(n, 2.0 / h**2)
     diag[0] = diag[-1] = 3.0 / h**2

@@ -1,0 +1,131 @@
+"""Bit-for-bit equivalence of the fast numeric paths with the plain
+expressions they replace.
+
+Each fast path performs the same floating-point operations in the same
+order as a simpler formula (or reuses a value that formula computes), so
+results are compared with ``np.array_equal``, never with a tolerance.
+"""
+
+import math
+
+import numpy as np
+import pytest
+
+from sobolev_banach import banach, counterexamples, gridfn, suite
+
+SPACES = [space for _, space in suite.KIND_SPECS] + [
+    banach.SpaceDescriptor("FiniteLr", 3, exponent=math.inf),
+    banach.SpaceDescriptor("GridLr", 4, exponent=2.5, weights=[0.1, 0.2, 0.3, 0.4]),
+]
+
+
+def _blueprint(space, d, seed):
+    rng = np.random.default_rng(seed)
+    shape = (space.dim, 2, d)
+    return suite.SampleBlueprint(
+        space=space,
+        d=d,
+        const=rng.normal(size=space.dim),
+        amp_sin=rng.normal(size=shape),
+        amp_cos=rng.normal(size=shape),
+    )
+
+
+def _realize_on_mesh(bp, n):
+    """The blueprint formula evaluated on the full cell-center mesh."""
+    dom = gridfn.unit_box(bp.d)
+    grid = gridfn.GridSpec((n,) * bp.d)
+    xi = gridfn.grid_centers(dom, grid)
+    dim, K = bp.amp_sin.shape[:2]
+    vals = np.broadcast_to(bp.const, grid.n + (dim,)).copy()
+    for k in range(K):
+        for j in range(bp.d):
+            s = np.sin((k + 1) * np.pi * xi[..., j])[..., None]
+            c = np.cos((k + 1) * np.pi * xi[..., j])[..., None]
+            vals = vals + s * bp.amp_sin[:, k, j] + c * bp.amp_cos[:, k, j]
+    return vals
+
+
+@pytest.mark.parametrize("d", [1, 2])
+@pytest.mark.parametrize("n", [3, 32, 512])
+@pytest.mark.parametrize("kind", [name for name, _ in suite.KIND_SPECS])
+def test_realize_matches_mesh_formula(kind, n, d):
+    space = dict(suite.KIND_SPECS)[kind]
+    bp = _blueprint(space, d, seed=n + 10 * d)
+    assert np.array_equal(bp.realize(n).values, _realize_on_mesh(bp, n))
+
+
+@pytest.mark.parametrize("space", SPACES, ids=lambda s: f"{s.kind}-{s.exponent}")
+def test_pairing_batch_hnorm_is_direction_norm(space):
+    rng = np.random.default_rng(3)
+    X = rng.normal(size=(257, space.dim))
+    X[:5] = 0.0
+    H = rng.normal(size=(257, space.dim))
+    plus, minus, unique, hnorm = banach._pairing_batch(space, X, H)
+    assert np.array_equal(hnorm, banach.norm(space, H))
+    for got, want in zip((plus, minus, unique),
+                         banach.one_sided_norm_derivative_batch(space, X, H)):
+        assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("d,n", [(1, 64), (2, 33), (3, 9)])
+@pytest.mark.parametrize("space", SPACES, ids=lambda s: f"{s.kind}-{s.exponent}")
+def test_row_norms_reshaped_match_pointwise_norms(space, d, n):
+    # norm_derivative_field builds its pointwise-norm function from the
+    # row norms it already has; they must be the pointwise norms exactly.
+    u = _blueprint(space, d, seed=d).realize(n)
+    nx = np.asarray(banach.norm(space, u.values.reshape(-1, space.dim)))
+    assert np.array_equal(nx.reshape(u.grid.n), gridfn.pointwise_norms(u))
+
+
+def _difference_expressions(u, scheme):
+    """Interior stencils of ``finite_difference`` as plain expressions."""
+    d = u.domain.d
+    h = u.grid.spacing(u.domain)
+    v = u.values
+    out = []
+    for j in range(d):
+        S = lambda a, b: gridfn._axis_slices(d, j, slice(a, b))
+        if scheme == "central":
+            out.append((S(1, -1), (v[S(2, None)] - v[S(0, -2)]) / (2.0 * h[j])))
+        elif scheme == "forward":
+            out.append((S(0, -1), (v[S(1, None)] - v[S(0, -1)]) / h[j]))
+        else:
+            out.append((S(1, None), (v[S(1, None)] - v[S(0, -1)]) / h[j]))
+    return out
+
+
+@pytest.mark.parametrize("scheme", ["central", "forward", "backward"])
+@pytest.mark.parametrize("d,n", [(1, 3), (1, 100), (2, 17), (3, 6)])
+def test_finite_difference_interior_matches_expression(scheme, d, n):
+    u = _blueprint(suite.KIND_SPECS[3][1], d, seed=n).realize(n)
+    field = gridfn.finite_difference(u, scheme)
+    for j, (inner, want) in enumerate(_difference_expressions(u, scheme)):
+        assert np.array_equal(field[j].values[inner], want)
+
+
+@pytest.mark.parametrize("N", [1, 511, 512, 513, 1500, 10000])
+def test_blocked_c0_lipschitz_matches_dense(N):
+    ts = np.linspace(0.0, 3.0, 601)
+    n = np.arange(1, N + 1)
+    dense = np.max(np.abs(np.diff(np.sin(np.outer(ts, n)) / n, axis=0)))
+    assert counterexamples._path_lipschitz(ts, N) == dense
+
+
+def test_ck_contrast_matches_separate_buffers():
+    shape = (40, 70)
+    w = counterexamples.ck_pospart_witness(contrast_shape=shape)
+    n_t, m = shape
+    tc = (np.arange(n_t) + 0.5) / n_t
+    rc = (np.arange(m) + 0.5) / m
+    U = rc[None, :] - tc[:, None]
+    u = gridfn.GridFunction(
+        gridfn.unit_box(1), gridfn.GridSpec((n_t,)),
+        banach.SpaceDescriptor("GridLr", m, exponent=2.0), U,
+    )
+    D = gridfn.finite_difference(u)[0].values
+    pos_field = np.where(U > 0.0, D, 0.0)
+    fd_pos = gridfn.finite_difference(u.like(np.maximum(U, 0.0)))[0].values
+    diff = pos_field - fd_pos
+    per_t = np.sqrt(np.mean(diff * diff, axis=1))
+    assert w.notes["l2_contrast_error"] == float(np.sqrt(np.mean(per_t[1:-1] ** 2)))

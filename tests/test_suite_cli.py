@@ -203,3 +203,22 @@ def test_cli_list_and_describe(capsys):
     assert "statement:" in desc and "check:" in desc
     assert cli.main(["describe", "bogus"]) == cli.EXIT_ERROR
     assert "unknown entry" in capsys.readouterr().err
+
+
+def test_norm_chain_rule_passes_at_refine_1():
+    rows, details = suite.run_entry("norm_chain_rule", 42, refine=1)
+    assert details["ladder"] == [64, 128, 256, 512]
+    assert rows and all(r.passed for r in rows)
+
+
+def test_cli_refine_1_identical_across_worker_counts(tmp_path):
+    cfg = _write_config(tmp_path, {"schema_version": 1, "seed": 42})
+    outs = []
+    for workers in (1, 2):
+        out = tmp_path / f"w{workers}"
+        code = cli.main(
+            ["run", cfg, "--out", str(out), "--refine", "1", "--workers", str(workers)]
+        )
+        assert code == cli.EXIT_OK
+        outs.append((out / "summary.csv").read_bytes())
+    assert outs[0] == outs[1]
