@@ -1,102 +1,24 @@
-"""Hot numeric kernels, with numba-jitted and pure-numpy implementations.
-
-The backend is chosen once at import time from the environment variable
-``SOBOLEV_BANACH_KERNELS``:
-
-* ``auto`` (default) - use numba when importable, else numpy
-* ``numba``          - require numba, fail loudly if missing
-* ``numpy``          - force the pure-numpy fallbacks
-
-Both implementations of every kernel are kept importable (``*_np`` /
-``*_nb``) so the benchmark and the parity tests can compare them directly.
+"""Hot numeric kernels, vectorized with numpy.
 
 Norm encoding used by the kernels: ``rcode == -1.0`` means the sup norm,
 any other value is the exponent of a (weighted) power-sum norm.
 """
 from __future__ import annotations
 
-import os
-
 import numpy as np
-
-_MODE = os.environ.get("SOBOLEV_BANACH_KERNELS", "auto").strip().lower()
-if _MODE not in ("auto", "numba", "numpy"):
-    raise ValueError(
-        f"SOBOLEV_BANACH_KERNELS must be auto, numba or numpy, got {_MODE!r}"
-    )
-
-_HAVE_NUMBA = False
-if _MODE != "numpy":
-    try:
-        from numba import njit
-
-        _HAVE_NUMBA = True
-    except ImportError:
-        if _MODE == "numba":
-            raise
-
-if not _HAVE_NUMBA:
-
-    def njit(*args, **kwargs):  # type: ignore[misc]
-        if args and callable(args[0]):
-            return args[0]
-        return lambda f: f
 
 
 def backend() -> str:
-    """Name of the kernel backend actually in use."""
-    return "numba" if _HAVE_NUMBA else "numpy"
+    """Name of the kernel backend in use (always numpy)."""
+    return "numpy"
 
 
-# ---------------------------------------------------------------------------
-# pairwise Holder quotient sup:  max_{i<j} ||V_i - V_j||_X / |P_i - P_j|^alpha
-# ---------------------------------------------------------------------------
-
-
-def _holder_max_loop(V, P, alpha, rcode, w):
-    n = V.shape[0]
-    k = V.shape[1]
-    d = P.shape[1]
-    best = 0.0
-    for i in range(n - 1):
-        for j in range(i + 1, n):
-            dist2 = 0.0
-            for a in range(d):
-                t = P[i, a] - P[j, a]
-                dist2 += t * t
-            if dist2 <= 0.0:
-                continue
-            if rcode == -1.0:
-                dn = 0.0
-                for b in range(k):
-                    t = abs(V[i, b] - V[j, b])
-                    if t > dn:
-                        dn = t
-            elif rcode == 1.0:
-                dn = 0.0
-                for b in range(k):
-                    dn += w[b] * abs(V[i, b] - V[j, b])
-            elif rcode == 2.0:
-                s = 0.0
-                for b in range(k):
-                    t = V[i, b] - V[j, b]
-                    s += w[b] * t * t
-                dn = np.sqrt(s)
-            else:
-                s = 0.0
-                for b in range(k):
-                    s += w[b] * abs(V[i, b] - V[j, b]) ** rcode
-                dn = s ** (1.0 / rcode)
-            q = dn / dist2 ** (0.5 * alpha)
-            if q > best:
-                best = q
-    return best
-
-
-_holder_max_nb = njit(cache=True)(_holder_max_loop)
-
-
-def holder_max_np(V, P, alpha, rcode, w):
+def holder_max(V, P, alpha, rcode, w):
+    """Pairwise Hölder quotient sup: max_{i<j} ||V_i - V_j||_X / |P_i - P_j|^alpha."""
+    V = np.ascontiguousarray(V, dtype=np.float64)
+    P = np.ascontiguousarray(P, dtype=np.float64)
+    w = np.ascontiguousarray(w, dtype=np.float64)
+    alpha, rcode = float(alpha), float(rcode)
     n = V.shape[0]
     best = 0.0
     for i in range(n - 1):
@@ -119,42 +41,14 @@ def holder_max_np(V, P, alpha, rcode, w):
     return best
 
 
-def holder_max(V, P, alpha, rcode, w):
-    V = np.ascontiguousarray(V, dtype=np.float64)
-    P = np.ascontiguousarray(P, dtype=np.float64)
-    w = np.ascontiguousarray(w, dtype=np.float64)
-    if _HAVE_NUMBA:
-        return float(_holder_max_nb(V, P, float(alpha), float(rcode), w))
-    return float(holder_max_np(V, P, float(alpha), float(rcode), w))
+def greedy_radii(D):
+    """Covering radii of the farthest-point traversal started at index 0.
 
-
-# ---------------------------------------------------------------------------
-# greedy farthest-point net: covering radii after 1..M centers
-# ---------------------------------------------------------------------------
-
-
-def _greedy_radii_loop(D):
-    m = D.shape[0]
-    radii = np.empty(m)
-    mind = D[0].copy()
-    for k in range(m):
-        far = 0
-        best = mind[0]
-        for i in range(1, m):
-            if mind[i] > best:
-                best = mind[i]
-                far = i
-        radii[k] = best
-        for i in range(m):
-            if D[far, i] < mind[i]:
-                mind[i] = D[far, i]
-    return radii
-
-
-_greedy_radii_nb = njit(cache=True)(_greedy_radii_loop)
-
-
-def greedy_radii_np(D):
+    ``radii[k]`` is the covering radius once k+1 centers are placed; it is
+    nonincreasing and hits 0 at k = M-1.  N(eps) = 1 + first index with
+    radius <= eps.
+    """
+    D = np.ascontiguousarray(D, dtype=np.float64)
     m = D.shape[0]
     radii = np.empty(m)
     mind = D[0].copy()
@@ -165,62 +59,13 @@ def greedy_radii_np(D):
     return radii
 
 
-def greedy_radii(D):
-    """Covering radii of the farthest-point traversal started at index 0.
-
-    ``radii[k]`` is the covering radius once k+1 centers are placed; it is
-    nonincreasing and hits 0 at k = M-1.  N(eps) = 1 + first index with
-    radius <= eps.
-    """
-    D = np.ascontiguousarray(D, dtype=np.float64)
-    if _HAVE_NUMBA:
-        return np.asarray(_greedy_radii_nb(D))
-    return greedy_radii_np(D)
-
-
-# ---------------------------------------------------------------------------
-# batched sup-norm one-sided pairing (norming-functional extremes)
-# ---------------------------------------------------------------------------
-
-
-def _sup_pairing_loop(X, H, tie_rel):
-    n, k = X.shape
-    plus = np.empty(n)
-    minus = np.empty(n)
-    for i in range(n):
-        nx = 0.0
-        for b in range(k):
-            t = abs(X[i, b])
-            if t > nx:
-                nx = t
-        if nx == 0.0:
-            hn = 0.0
-            for b in range(k):
-                t = abs(H[i, b])
-                if t > hn:
-                    hn = t
-            plus[i] = hn
-            minus[i] = -hn
-            continue
-        thr = nx * (1.0 - tie_rel)
-        hi = -np.inf
-        lo = np.inf
-        for b in range(k):
-            if abs(X[i, b]) >= thr:
-                c = H[i, b] if X[i, b] > 0.0 else -H[i, b]
-                if c > hi:
-                    hi = c
-                if c < lo:
-                    lo = c
-        plus[i] = hi
-        minus[i] = lo
-    return plus, minus
-
-
-_sup_pairing_nb = njit(cache=True)(_sup_pairing_loop)
-
-
-def sup_pairing_np(X, H, tie_rel):
+def sup_pairing(X, H, tie_rel=1e-12):
+    """Batched sup-norm one-sided pairing: extremes of <h, x'> over the
+    norming functionals x' of each row of X (the coordinates within
+    ``tie_rel`` of the max), and +-|h|_inf on zero rows."""
+    X = np.ascontiguousarray(X, dtype=np.float64)
+    H = np.ascontiguousarray(H, dtype=np.float64)
+    tie_rel = float(tie_rel)
     ax = np.abs(X)
     nx = ax.max(axis=1)
     tie = ax >= (nx * (1.0 - tie_rel))[:, None]
@@ -235,48 +80,14 @@ def sup_pairing_np(X, H, tie_rel):
     return plus, minus
 
 
-def sup_pairing(X, H, tie_rel=1e-12):
+def lr_pairing(X, H, r, w):
+    """Batched smooth-Lr pairing (1 < r < inf): the gradient of the weighted
+    power-sum norm at each row of X applied to the row of H (0 on zero rows),
+    together with the row norms."""
     X = np.ascontiguousarray(X, dtype=np.float64)
     H = np.ascontiguousarray(H, dtype=np.float64)
-    if _HAVE_NUMBA:
-        plus, minus = _sup_pairing_nb(X, H, float(tie_rel))
-        return np.asarray(plus), np.asarray(minus)
-    return sup_pairing_np(X, H, float(tie_rel))
-
-
-# ---------------------------------------------------------------------------
-# batched smooth-Lr pairing (1 < r < inf): gradient of the power-sum norm
-# ---------------------------------------------------------------------------
-
-
-def _lr_pairing_loop(X, H, r, w):
-    n, k = X.shape
-    val = np.empty(n)
-    nx = np.empty(n)
-    for i in range(n):
-        s = 0.0
-        for b in range(k):
-            s += w[b] * abs(X[i, b]) ** r
-        nrm = s ** (1.0 / r)
-        nx[i] = nrm
-        if nrm == 0.0:
-            val[i] = 0.0
-            continue
-        acc = 0.0
-        for b in range(k):
-            x = X[i, b]
-            if x > 0.0:
-                acc += w[b] * x ** (r - 1.0) * H[i, b]
-            elif x < 0.0:
-                acc -= w[b] * (-x) ** (r - 1.0) * H[i, b]
-        val[i] = acc / nrm ** (r - 1.0)
-    return val, nx
-
-
-_lr_pairing_nb = njit(cache=True)(_lr_pairing_loop)
-
-
-def lr_pairing_np(X, H, r, w):
+    w = np.ascontiguousarray(w, dtype=np.float64)
+    r = float(r)
     ax = np.abs(X)
     nx = (ax**r @ w) ** (1.0 / r)
     num = (ax ** (r - 1.0) * np.sign(X) * H) @ w
@@ -284,13 +95,3 @@ def lr_pairing_np(X, H, r, w):
     nz = nx > 0.0
     val[nz] = num[nz] / nx[nz] ** (r - 1.0)
     return val, nx
-
-
-def lr_pairing(X, H, r, w):
-    X = np.ascontiguousarray(X, dtype=np.float64)
-    H = np.ascontiguousarray(H, dtype=np.float64)
-    w = np.ascontiguousarray(w, dtype=np.float64)
-    if _HAVE_NUMBA:
-        val, nx = _lr_pairing_nb(X, H, float(r), w)
-        return np.asarray(val), np.asarray(nx)
-    return lr_pairing_np(X, H, float(r), w)

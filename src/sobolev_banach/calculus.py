@@ -8,7 +8,6 @@ recording what was compared and how well it agreed.
 """
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -23,8 +22,8 @@ from .errors import (
     OrderContinuityError,
 )
 from .gridfn import (
-    DerivativeField,
     GridFunction,
+    _lp,
     finite_difference,
     from_scalar,
     grid_centers,
@@ -32,7 +31,7 @@ from .gridfn import (
     pointwise_norms,
     shift_difference_norm,
 )
-from .reports import ConsistencyReport, fit_loglog, to_jsonable, write_csv_rows
+from .reports import ConsistencyReport, fit_loglog
 
 ZERO_TOL = banach.ZERO_TOL
 
@@ -70,12 +69,6 @@ class CriterionReport:
     @property
     def divergent(self) -> bool:
         return self.verdict == "DIVERGENT"
-
-    def to_json(self) -> str:
-        return json.dumps(to_jsonable(self), indent=2, sort_keys=True)
-
-    def to_csv(self) -> str:
-        return write_csv_rows(["h", "value"], [[r[2], r[3]] for r in self.rows])
 
 
 def dq_criterion(
@@ -330,14 +323,14 @@ def gateaux_chain_field(
         gap = np.asarray(banach.norm(F.target, plus - minus))
         dnorm = np.asarray(banach.norm(u.space, V))
         unique = gap <= PAIR_TOL * (1.0 + dnorm)
-        gap_lp = _lp_of(gap, vol, p)
+        gap_lp = _lp(gap, vol, p)
         frac = float(np.mean(~unique))
         fd = dv[j].values.reshape(-1, F.target.dim)
         ok = unique & inner
-        err_plus = _lp_of(
+        err_plus = _lp(
             np.asarray(banach.norm(F.target, plus - fd))[ok], vol, p
         )
-        err_minus = _lp_of(
+        err_minus = _lp(
             np.asarray(banach.norm(F.target, minus - fd))[ok], vol, p
         )
         table.append((f"pm_gap_lp[{j}]", gap_lp))
@@ -352,14 +345,6 @@ def gateaux_chain_field(
         name=f"gateaux_chain[{F.name}]", table=table, verdict="PASS", details=details
     )
     return ChainRuleField(plus=plus_fields, minus=minus_fields, report=report)
-
-
-def _lp_of(g: np.ndarray, vol: float, p: float) -> float:
-    if g.size == 0:
-        return 0.0
-    if math.isinf(p):
-        return float(np.max(g))
-    return float((np.sum(np.abs(g) ** p) * vol) ** (1.0 / p))
 
 
 # ---------------------------------------------------------------------------

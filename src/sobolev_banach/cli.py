@@ -144,14 +144,14 @@ def execute_suite(specs, seed: int, workers: int, refine_override=None):
         return [f.result() for f in futures]
 
 
+def _csv_row(row) -> str:
+    return f"{row.metric},{row.value!r},{row.threshold!r},{str(row.passed).lower()}"
+
+
 def summary_lines(results) -> list[str]:
     lines = ["entry,metric,value,threshold,pass"]
     for res in results:
-        for row in res["rows"]:
-            lines.append(
-                f"{res['entry']},{row.metric},{row.value!r},{row.threshold!r},"
-                f"{str(row.passed).lower()}"
-            )
+        lines.extend(f"{res['entry']},{_csv_row(row)}" for row in res["rows"])
     return lines
 
 
@@ -180,11 +180,7 @@ def write_outputs(outdir: Path, results, fmt: str, meta: dict):
             )
         if fmt in ("csv", "both"):
             rows_text = "\n".join(
-                ["metric,value,threshold,pass"]
-                + [
-                    f"{r.metric},{r.value!r},{r.threshold!r},{str(r.passed).lower()}"
-                    for r in res["rows"]
-                ]
+                ["metric,value,threshold,pass"] + [_csv_row(r) for r in res["rows"]]
             )
             (outdir / f"{res['entry']}.csv").write_text(
                 rows_text + "\n", encoding="utf-8"

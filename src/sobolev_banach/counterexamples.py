@@ -18,7 +18,6 @@ measured/oracle ratios sit inside the expected band.  The three families:
 """
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -34,7 +33,6 @@ from .gridfn import (
     finite_difference,
     unit_box,
 )
-from .reports import to_jsonable, write_csv_rows
 
 
 @dataclass
@@ -54,25 +52,6 @@ class WitnessTable:
     @property
     def confirms(self) -> bool:
         return self.verdict == "CONFIRMS_FAILURE"
-
-    def to_json(self) -> str:
-        payload = {
-            "name": self.name,
-            "band": list(self.band),
-            "rows": [
-                {"param": p, "measured": m, "oracle": o, "ratio": r}
-                for p, m, o, r in self.rows
-            ],
-            "verdict": self.verdict,
-            "notes": to_jsonable(self.notes),
-        }
-        return json.dumps(payload, indent=2, sort_keys=True)
-
-    def to_csv(self) -> str:
-        return write_csv_rows(
-            ["param", "measured", "oracle", "ratio"],
-            [list(row) for row in self.rows],
-        )
 
 
 def _finish(name, rows, band, notes, extra_ok=True) -> WitnessTable:

@@ -14,7 +14,7 @@ import io
 import itertools
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -217,12 +217,13 @@ def sample(
 # ---------------------------------------------------------------------------
 
 
-def _scalar_lp(node_values: np.ndarray, cell_volume: float, p: float) -> float:
+def _lp(g: np.ndarray, vol: float, p: float) -> float:
+    """Midpoint-quadrature L^p norm of the values g, each weighing vol."""
+    if g.size == 0:
+        return 0.0
     if math.isinf(p):
-        return float(np.max(node_values))
-    if p == 1.0:
-        return float(np.sum(node_values) * cell_volume)
-    return float((np.sum(node_values**p) * cell_volume) ** (1.0 / p))
+        return float(np.max(np.abs(g)))
+    return float((np.sum(np.abs(g) ** p) * vol) ** (1.0 / p))
 
 
 def bochner_norm(u: GridFunction, p: float) -> float:
@@ -235,7 +236,7 @@ def bochner_norm(u: GridFunction, p: float) -> float:
         raise ValueError(f"p must be >= 1 or inf, got {p}")
     g = pointwise_norms(u)
     vol = float(np.prod(u.grid.spacing(u.domain)))
-    return _scalar_lp(g, vol, p)
+    return _lp(g, vol, p)
 
 
 # ---------------------------------------------------------------------------
@@ -364,7 +365,7 @@ def shift_difference_norm(u: GridFunction, j: int, steps: int, p: float) -> floa
     )
     g = np.asarray(banach.norm(u.space, diff))
     vol = float(np.prod(u.grid.spacing(u.domain)))
-    return _scalar_lp(g, vol, p)
+    return _lp(g, vol, p)
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,7 @@
 """Shared report plumbing: log-log fits, a generic consistency report,
-and JSON/CSV serialization helpers used by every checking module."""
+and the conversion of results to JSON-ready values."""
 from __future__ import annotations
 
-import csv
-import io
-import json
 import math
 from dataclasses import asdict, dataclass, field, is_dataclass
 
@@ -49,23 +46,6 @@ class ConsistencyReport:
     def passed(self) -> bool:
         return self.verdict in ("PASS", "BOUNDED", "STABLE", "CONFIRMS_FAILURE")
 
-    def to_json(self) -> str:
-        return json.dumps(to_jsonable(self), indent=2, sort_keys=True)
-
-    def to_csv(self) -> str:
-        buf = io.StringIO()
-        w = csv.writer(buf, lineterminator="\n")
-        w.writerow(["h", "value"])
-        for row in self.table:
-            w.writerow([repr(_plain(c)) if isinstance(c, float) else _plain(c) for c in row])
-        return buf.getvalue()
-
-
-def _plain(x):
-    if isinstance(x, (np.floating, np.integer)):
-        return x.item()
-    return x
-
 
 def to_jsonable(obj):
     """Recursively convert dataclasses/ndarrays/numpy scalars for json.dumps."""
@@ -82,12 +62,3 @@ def to_jsonable(obj):
     if isinstance(obj, float) and not math.isfinite(obj):
         return repr(obj)
     return obj
-
-
-def write_csv_rows(header: list[str], rows: list[list]) -> str:
-    buf = io.StringIO()
-    w = csv.writer(buf, lineterminator="\n")
-    w.writerow(header)
-    for row in rows:
-        w.writerow([repr(_plain(c)) if isinstance(_plain(c), float) else _plain(c) for c in row])
-    return buf.getvalue()

@@ -15,13 +15,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import _kernels, banach
-from .banach import SpaceDescriptor, scalar_space
+from .banach import SpaceDescriptor
 from .calculus import dq_criterion, holder_beta
 from .errors import CapabilityError, ContractError, DimensionMismatchError
 from .gridfn import (
     BoxDomain,
     GridFunction,
     GridSpec,
+    _lp,
     bochner_norm,
     boundary_lp_norm,
     finite_difference,
@@ -35,39 +36,6 @@ from .gridfn import (
     w_norm,
 )
 from .reports import ConsistencyReport, fit_loglog
-
-
-@dataclass
-class ConvergenceReport:
-    """(h, error) ladder with the fitted order err ~ C h^order."""
-
-    name: str
-    points: list[tuple[float, float]]
-    fitted_order: float
-    residual: float
-    threshold: float | None = None
-    verdict: str = "PASS"
-
-    @property
-    def passed(self) -> bool:
-        return self.verdict == "PASS"
-
-
-def convergence_report(name, hs, errs, order_min=None, floor=0.0) -> ConvergenceReport:
-    hs = np.asarray(hs, dtype=np.float64)
-    errs = np.asarray(errs, dtype=np.float64)
-    if np.all(errs <= floor):
-        return ConvergenceReport(
-            name, list(zip(hs.tolist(), errs.tolist())), math.inf, 1.0, order_min, "PASS"
-        )
-    pos = errs > 0.0
-    order, r2 = fit_loglog(hs[pos], errs[pos])
-    verdict = "PASS"
-    if order_min is not None and not (order >= order_min):
-        verdict = "FAIL"
-    return ConvergenceReport(
-        name, list(zip(hs.tolist(), errs.tolist())), order, r2, order_min, verdict
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -568,15 +536,9 @@ class TensorExtension:
         return self.T @ U
 
 
-def _lp_vec(a: np.ndarray, p: float) -> float:
-    if math.isinf(p):
-        return float(np.max(np.abs(a)))
-    return float(np.sum(np.abs(a) ** p) ** (1.0 / p))
-
-
 def _tensor_lp(U: np.ndarray, p: float) -> float:
     g = np.sqrt((U * U).sum(axis=1))
-    return _lp_vec(g, p)
+    return _lp(g, 1.0, p)
 
 
 def _power_iteration_tensor(T: np.ndarray, h_dim: int, rng, tol=1e-12, max_iter=50_000):
@@ -605,22 +567,22 @@ def _boyd_p_norm(T: np.ndarray, p: float, rng, starts=3, iters=200) -> float:
     n = T.shape[1]
     for _ in range(starts):
         x = rng.normal(size=n)
-        x /= _lp_vec(x, p)
+        x /= _lp(x, 1.0, p)
         for _ in range(iters):
             y = T @ x
-            ny = _lp_vec(y, p)
+            ny = _lp(y, 1.0, p)
             if ny == 0.0:
                 break
             best = max(best, ny)
             z = T.T @ (np.abs(y) ** (p - 1.0) * np.sign(y))
             x = np.abs(z) ** (q - 1.0) * np.sign(z)
-            nx = _lp_vec(x, p)
+            nx = _lp(x, 1.0, p)
             if nx == 0.0:
                 break
             x /= nx
     for _ in range(200):
         x = rng.normal(size=n)
-        best = max(best, _lp_vec(T @ x, p) / _lp_vec(x, p))
+        best = max(best, _lp(T @ x, 1.0, p) / _lp(x, 1.0, p))
     return best
 
 
@@ -665,10 +627,10 @@ def tensor_extend(
             z = T.T @ (np.abs(y) ** (p - 1.0) * np.sign(y))
             qq = p / (p - 1.0)
             f = np.abs(z) ** (qq - 1.0) * np.sign(z)
-            f /= _lp_vec(f, p)
+            f /= _lp(f, 1.0, p)
         x = rng.normal(size=h_dim)
         tensor_quot = _tensor_lp(T @ np.outer(f, x), p) / _tensor_lp(np.outer(f, x), p)
-        norm_scalar = max(norm_scalar, _lp_vec(T @ f, p))
+        norm_scalar = max(norm_scalar, _lp(T @ f, 1.0, p))
         norm_tensor = max(worst, tensor_quot)
         gap = norm_tensor - norm_scalar
         ok = gap <= 1e-8 * max(1.0, norm_scalar)

@@ -5,10 +5,7 @@ Every test pulls the measured values out of the verification-suite entries
 ``[A-k] ... PASS``/``FAIL`` line with the key numbers.
 """
 
-import math
 import time
-
-import numpy as np
 
 from sobolev_banach import cli, counterexamples as cx, suite
 

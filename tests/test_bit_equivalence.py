@@ -129,3 +129,73 @@ def test_ck_contrast_matches_separate_buffers():
     diff = pos_field - fd_pos
     per_t = np.sqrt(np.mean(diff * diff, axis=1))
     assert w.notes["l2_contrast_error"] == float(np.sqrt(np.mean(per_t[1:-1] ** 2)))
+
+
+# The three Lp helpers folded into ``gridfn._lp``, as they were written.
+
+
+def _old_scalar_lp(node_values, cell_volume, p):
+    if math.isinf(p):
+        return float(np.max(node_values))
+    if p == 1.0:
+        return float(np.sum(node_values) * cell_volume)
+    return float((np.sum(node_values**p) * cell_volume) ** (1.0 / p))
+
+
+def _old_lp_of(g, vol, p):
+    if g.size == 0:
+        return 0.0
+    if math.isinf(p):
+        return float(np.max(g))
+    return float((np.sum(np.abs(g) ** p) * vol) ** (1.0 / p))
+
+
+def _old_lp_vec(a, p):
+    if math.isinf(p):
+        return float(np.max(np.abs(a)))
+    return float(np.sum(np.abs(a) ** p) ** (1.0 / p))
+
+
+LP_EXPONENTS = [1.0, 2.0, 3.5, math.inf]
+
+
+@pytest.mark.parametrize("p", LP_EXPONENTS)
+@pytest.mark.parametrize("d,n", [(1, 2), (1, 1000), (2, 33), (3, 9)])
+@pytest.mark.parametrize("space", SPACES, ids=lambda s: f"{s.kind}-{s.exponent}")
+def test_lp_matches_quadrature_forms(space, d, n, p):
+    u = _blueprint(space, d, seed=n + d).realize(n)
+    g = gridfn.pointwise_norms(u)
+    vol = float(np.prod(u.grid.spacing(u.domain)))
+    assert gridfn._lp(g, vol, p) == _old_scalar_lp(g, vol, p)
+    assert gridfn._lp(g, vol, p) == _old_lp_of(g, vol, p)
+    # calculus applied it to norms selected by a node mask
+    kept = g[g > np.median(g)]
+    assert gridfn._lp(kept, vol, p) == _old_lp_of(kept, vol, p)
+
+
+@pytest.mark.parametrize("p", LP_EXPONENTS)
+@pytest.mark.parametrize("size", [1, 7, 200, 5000])
+def test_lp_matches_counting_form(size, p):
+    a = np.random.default_rng(size).normal(size=size)
+    a[0] = -abs(a[0])
+    assert gridfn._lp(a, 1.0, p) == _old_lp_vec(a, p)
+
+
+def test_lp_of_nothing_is_zero():
+    empty = np.zeros(0)
+    for p in LP_EXPONENTS:
+        assert gridfn._lp(empty, 0.5, p) == _old_lp_of(empty, 0.5, p) == 0.0
+
+
+def test_bump_of_square_matches_unsquared_form():
+    x = np.concatenate([
+        np.linspace(-1.5, 1.5, 30001),
+        [np.nextafter(1.0, 0.0), -np.nextafter(1.0, 0.0), 1.0, -1.0, 0.0],
+        np.nextafter(1.0, 0.0) - np.arange(1, 50) * 2.0**-53,
+    ])
+    old = np.zeros_like(x)
+    m = np.abs(x) < 1.0
+    old[m] = np.exp(-1.0 / (1.0 - x[m] ** 2))
+    assert np.array_equal(gridfn._bump(x * x), old)
+    # the supports agree: |x| < 1 exactly when x*x < 1
+    assert np.array_equal(x * x < 1.0, m)

@@ -1,6 +1,5 @@
 """Difference-quotient criterion, Lipschitz composition, chain rules."""
 
-import json
 import math
 
 import numpy as np
@@ -62,9 +61,6 @@ def test_dq_criterion_constant_and_validation():
     # oversized shifts are dropped, not an error
     rep2 = calculus.dq_criterion(u, 2.0, steps_list=(1, 1000))
     assert [r[1] for r in rep2.rows] == [1]
-    parsed = json.loads(rep.to_json())
-    assert parsed["verdict"] == "BOUNDED"
-    assert rep.to_csv().startswith("h,value")
 
 
 def test_validate_lipschitz_catches_understated_constant():

@@ -1,9 +1,7 @@
 """Quantitative witnesses for the negative results measure what they claim."""
 
-import json
 import math
 
-import numpy as np
 import pytest
 
 from sobolev_banach import counterexamples as cx
@@ -39,17 +37,6 @@ def test_indicator_witness_validation():
         cx.indicator_path_witness(r=0.5)
     with pytest.raises(ContractError, match="grid resolution"):
         cx.indicator_path_witness(n=64, steps_list=(1, 64))
-
-
-def test_witness_table_serialization():
-    w = cx.indicator_path_witness(r=2.0, n=64, steps_list=(1, 2, 4, 8))
-    parsed = json.loads(w.to_json())
-    assert parsed["verdict"] == "CONFIRMS_FAILURE"
-    assert len(parsed["rows"]) == 4
-    assert {"param", "measured", "oracle", "ratio"} <= set(parsed["rows"][0])
-    lines = w.to_csv().strip().split("\n")
-    assert lines[0] == "param,measured,oracle,ratio"
-    assert len(lines) == 5
 
 
 def test_witness_table_band_enforcement():

@@ -1,40 +1,164 @@
-"""Backend parity and properties of the compiled kernels."""
-
-import os
-import subprocess
-import sys
+"""The numpy kernels against plain-Python reference loops, plus properties."""
 
 import numpy as np
 
 from sobolev_banach import _kernels
 
+# ---------------------------------------------------------------------------
+# reference implementations: one scalar operation at a time
+# ---------------------------------------------------------------------------
 
-def test_backend_name_is_known():
-    assert _kernels.backend() in ("numba", "numpy")
+
+def holder_max_ref(V, P, alpha, rcode, w):
+    n = V.shape[0]
+    k = V.shape[1]
+    d = P.shape[1]
+    best = 0.0
+    for i in range(n - 1):
+        for j in range(i + 1, n):
+            dist2 = 0.0
+            for a in range(d):
+                t = P[i, a] - P[j, a]
+                dist2 += t * t
+            if dist2 <= 0.0:
+                continue
+            if rcode == -1.0:
+                dn = 0.0
+                for b in range(k):
+                    t = abs(V[i, b] - V[j, b])
+                    if t > dn:
+                        dn = t
+            elif rcode == 1.0:
+                dn = 0.0
+                for b in range(k):
+                    dn += w[b] * abs(V[i, b] - V[j, b])
+            elif rcode == 2.0:
+                s = 0.0
+                for b in range(k):
+                    t = V[i, b] - V[j, b]
+                    s += w[b] * t * t
+                dn = np.sqrt(s)
+            else:
+                s = 0.0
+                for b in range(k):
+                    s += w[b] * abs(V[i, b] - V[j, b]) ** rcode
+                dn = s ** (1.0 / rcode)
+            q = dn / dist2 ** (0.5 * alpha)
+            if q > best:
+                best = q
+    return best
+
+
+def greedy_radii_ref(D):
+    m = D.shape[0]
+    radii = np.empty(m)
+    mind = D[0].copy()
+    for k in range(m):
+        far = 0
+        best = mind[0]
+        for i in range(1, m):
+            if mind[i] > best:
+                best = mind[i]
+                far = i
+        radii[k] = best
+        for i in range(m):
+            if D[far, i] < mind[i]:
+                mind[i] = D[far, i]
+    return radii
+
+
+def sup_pairing_ref(X, H, tie_rel):
+    n, k = X.shape
+    plus = np.empty(n)
+    minus = np.empty(n)
+    for i in range(n):
+        nx = 0.0
+        for b in range(k):
+            t = abs(X[i, b])
+            if t > nx:
+                nx = t
+        if nx == 0.0:
+            hn = 0.0
+            for b in range(k):
+                t = abs(H[i, b])
+                if t > hn:
+                    hn = t
+            plus[i] = hn
+            minus[i] = -hn
+            continue
+        thr = nx * (1.0 - tie_rel)
+        hi = -np.inf
+        lo = np.inf
+        for b in range(k):
+            if abs(X[i, b]) >= thr:
+                c = H[i, b] if X[i, b] > 0.0 else -H[i, b]
+                if c > hi:
+                    hi = c
+                if c < lo:
+                    lo = c
+        plus[i] = hi
+        minus[i] = lo
+    return plus, minus
+
+
+def lr_pairing_ref(X, H, r, w):
+    n, k = X.shape
+    val = np.empty(n)
+    nx = np.empty(n)
+    for i in range(n):
+        s = 0.0
+        for b in range(k):
+            s += w[b] * abs(X[i, b]) ** r
+        nrm = s ** (1.0 / r)
+        nx[i] = nrm
+        if nrm == 0.0:
+            val[i] = 0.0
+            continue
+        acc = 0.0
+        for b in range(k):
+            x = X[i, b]
+            if x > 0.0:
+                acc += w[b] * x ** (r - 1.0) * H[i, b]
+            elif x < 0.0:
+                acc -= w[b] * (-x) ** (r - 1.0) * H[i, b]
+        val[i] = acc / nrm ** (r - 1.0)
+    return val, nx
+
+
+# ---------------------------------------------------------------------------
+# kernels against the references
+# ---------------------------------------------------------------------------
 
 
 def test_holder_max_parity():
     rng = np.random.default_rng(11)
-    V = rng.normal(size=(120, 5))
-    P = rng.random(size=(120, 2))
-    w = np.full(5, 0.2)
+    V = rng.normal(size=(60, 5))
+    P = rng.random(size=(60, 2))
+    # two coincident points with different values: the pair is skipped,
+    # not turned into an infinite quotient
+    P[7] = P[31]
+    w = rng.random(5) + 0.1
     for rcode in (-1.0, 1.0, 2.0, 3.5):
-        a = _kernels.holder_max(V, P, 0.5, rcode, w)
-        b = _kernels.holder_max_np(V, P, 0.5, rcode, w)
-        assert abs(a - b) <= 1e-12 * (1.0 + abs(b))
+        for alpha in (0.5, 1.0):
+            a = _kernels.holder_max(V, P, alpha, rcode, w)
+            b = holder_max_ref(V, P, alpha, rcode, w)
+            assert np.isfinite(a)
+            assert abs(a - b) <= 1e-12 * abs(b)
+    # only coincident points: no admissible pair at all
+    same = np.zeros((4, 2))
+    assert _kernels.holder_max(V[:4], same, 0.5, 2.0, w) == 0.0
 
 
 def test_greedy_radii_parity_and_shape():
     rng = np.random.default_rng(5)
     pts = rng.normal(size=(40, 3))
     D = np.sqrt(((pts[:, None] - pts[None]) ** 2).sum(-1))
-    r1 = _kernels.greedy_radii(D)
-    r2 = _kernels.greedy_radii_np(D)
-    assert np.allclose(r1, r2, rtol=0, atol=1e-12)
-    assert r1.shape == (40,)
+    radii = _kernels.greedy_radii(D)
+    assert np.array_equal(radii, greedy_radii_ref(D))
+    assert radii.shape == (40,)
     # covering radii shrink as centers are added and hit zero at the end
-    assert np.all(np.diff(r1) <= 1e-15)
-    assert r1[-1] == 0.0
+    assert np.all(np.diff(radii) <= 1e-15)
+    assert radii[-1] == 0.0
 
 
 def test_greedy_radii_three_clusters():
@@ -45,6 +169,7 @@ def test_greedy_radii_three_clusters():
     pts = np.concatenate([c + 0.01 * rng.normal(size=(15, 2)) for c in centers])
     D = np.sqrt(((pts[:, None] - pts[None]) ** 2).sum(-1))
     radii = _kernels.greedy_radii(D)
+    assert np.array_equal(radii, greedy_radii_ref(D))
     assert radii[1] > 5.0
     assert radii[2] < 0.1
 
@@ -53,42 +178,28 @@ def test_sup_pairing_parity_and_zero_rows():
     rng = np.random.default_rng(7)
     X = rng.normal(size=(300, 6))
     X[17] = 0.0
+    # a tied maximum |x_1| = |x_4| with opposite signs: the one-sided
+    # derivatives are the extremes of h_1 and -h_4
+    X[42] = [0.3, 2.0, -0.1, 0.5, -2.0, 1.0]
     H = rng.normal(size=(300, 6))
-    p1, m1 = _kernels.sup_pairing(X, H, 1e-12)
-    p2, m2 = _kernels.sup_pairing_np(X, H, 1e-12)
-    assert np.array_equal(p1, p2) and np.array_equal(m1, m2)
-    assert p1[17] == np.abs(H[17]).max()
-    assert m1[17] == -np.abs(H[17]).max()
+    plus, minus = _kernels.sup_pairing(X, H, 1e-12)
+    ref_plus, ref_minus = sup_pairing_ref(X, H, 1e-12)
+    assert np.array_equal(plus, ref_plus) and np.array_equal(minus, ref_minus)
+    assert plus[17] == np.abs(H[17]).max()
+    assert minus[17] == -np.abs(H[17]).max()
+    assert plus[42] == max(H[42, 1], -H[42, 4])
+    assert minus[42] == min(H[42, 1], -H[42, 4])
 
 
 def test_lr_pairing_parity():
     rng = np.random.default_rng(9)
     X = rng.normal(size=(300, 4))
+    X[5] = 0.0
     H = rng.normal(size=(300, 4))
-    w = np.full(4, 0.25)
+    w = rng.random(4) + 0.1
     for r in (1.5, 2.0, 3.0):
-        v1, n1 = _kernels.lr_pairing(X, H, r, w)
-        v2, n2 = _kernels.lr_pairing_np(X, H, r, w)
-        assert np.allclose(v1, v2, rtol=1e-12, atol=1e-14)
-        assert np.allclose(n1, n2, rtol=1e-12, atol=1e-14)
-
-
-def test_forced_numpy_backend_subprocess():
-    env = dict(os.environ, SOBOLEV_BANACH_KERNELS="numpy")
-    out = subprocess.run(
-        [sys.executable, "-c",
-         "from sobolev_banach import _kernels; print(_kernels.backend())"],
-        capture_output=True, text=True, env=env,
-    )
-    assert out.returncode == 0
-    assert out.stdout.strip() == "numpy"
-
-
-def test_invalid_backend_subprocess():
-    env = dict(os.environ, SOBOLEV_BANACH_KERNELS="cuda")
-    out = subprocess.run(
-        [sys.executable, "-c", "import sobolev_banach._kernels"],
-        capture_output=True, text=True, env=env,
-    )
-    assert out.returncode != 0
-    assert "SOBOLEV_BANACH_KERNELS" in out.stderr
+        val, nx = _kernels.lr_pairing(X, H, r, w)
+        ref_val, ref_nx = lr_pairing_ref(X, H, r, w)
+        assert np.allclose(val, ref_val, rtol=1e-12, atol=1e-14)
+        assert np.allclose(nx, ref_nx, rtol=1e-12, atol=0.0)
+        assert val[5] == 0.0 and nx[5] == 0.0

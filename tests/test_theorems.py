@@ -27,18 +27,6 @@ def _sin_member(n, dim=2):
     )
 
 
-def test_convergence_report_orders():
-    hs = [0.1, 0.05, 0.025, 0.0125]
-    errs = [3.0 * h**2 for h in hs]
-    rep = theorems.convergence_report("quad", hs, errs, order_min=1.9)
-    assert rep.passed and rep.fitted_order == pytest.approx(2.0, abs=1e-12)
-    rep2 = theorems.convergence_report("quad", hs, errs, order_min=2.5)
-    assert not rep2.passed
-    # all-zero error ladders count as converged at infinite order
-    rep3 = theorems.convergence_report("flat", hs, [0.0] * 4, order_min=1.0)
-    assert rep3.passed and math.isinf(rep3.fitted_order)
-
-
 def test_scalar_probe_corpus_contents():
     rng = np.random.default_rng(40)
     corpus = theorems.scalar_probe_corpus(BOX1, gridfn.GridSpec((64,)), rng, count=8)
