@@ -9,9 +9,11 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import time
+import traceback
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
@@ -61,6 +63,17 @@ CONFIG_SCHEMA = {
                         },
                     },
                 },
+                # each entry's params as declared in the catalog
+                "allOf": [
+                    {
+                        "if": {
+                            "required": ["name"],
+                            "properties": {"name": {"const": name}},
+                        },
+                        "then": {"properties": {"params": entry.params_schema()}},
+                    }
+                    for name, entry in suite.CATALOG.items()
+                ],
             },
         },
     },
@@ -123,15 +136,19 @@ def _apply_require(name: str, rows, require: dict):
 def _run_one(spec: dict, seed: int, refine_override: int | None):
     name = spec["name"]
     refine = refine_override if refine_override is not None else spec.get("refine", 0)
-    rows, details = suite.run_entry(name, seed, refine, spec.get("params"))
-    if spec.get("require"):
-        rows = _apply_require(name, rows, spec["require"])
-    return {
-        "entry": name,
-        "anchor": suite.CATALOG[name].anchor,
-        "rows": rows,
-        "details": details,
-    }
+    result = {"entry": name, "anchor": suite.CATALOG[name].anchor}
+    try:
+        rows, details = suite.run_entry(name, seed, refine, spec.get("params"))
+    except Exception as e:  # one entry's blow-up must not lose the others' reports
+        traceback.print_exc()
+        result["error"] = f"{type(e).__name__}: {e}"
+        rows, details = [suite.Row("raised", math.nan, math.nan, False)], {}
+    else:
+        if spec.get("require"):
+            rows = _apply_require(name, rows, spec["require"])
+    result["rows"] = rows
+    result["details"] = details
+    return result
 
 
 def execute_suite(specs, seed: int, workers: int, refine_override=None):
@@ -174,6 +191,8 @@ def write_outputs(outdir: Path, results, fmt: str, meta: dict):
             ],
             "details": to_jsonable(res["details"]),
         }
+        if "error" in res:
+            payload["error"] = res["error"]
         if fmt in ("json", "both"):
             (outdir / f"{res['entry']}.json").write_text(
                 json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8"
@@ -216,9 +235,6 @@ def cmd_run(args) -> int:
     except ConfigError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_ERROR
-    except Exception as e:  # entry blow-ups are runtime errors, not failures
-        print(f"error: entry raised {type(e).__name__}: {e}", file=sys.stderr)
-        return EXIT_ERROR
     meta = {
         "started_unix": started,
         "elapsed_seconds": time.time() - started,
@@ -233,7 +249,11 @@ def cmd_run(args) -> int:
     for res in results:
         ok = all(row.passed for row in res["rows"])
         print(f"{'PASS' if ok else 'FAIL'} {res['entry']} ({len(res['rows'])} rows)")
+        if "error" in res:
+            print(f"error: entry {res['entry']} raised {res['error']}", file=sys.stderr)
     print(f"summary: {total - failed}/{total} rows passed -> {outdir / 'summary.csv'}")
+    if any("error" in res for res in results):
+        return EXIT_ERROR  # entry blow-ups are runtime errors, not failures
     return EXIT_OK if failed == 0 else EXIT_FAIL
 
 
@@ -252,6 +272,9 @@ def cmd_describe(args) -> int:
     print(entry.name)
     print(f"  statement: {entry.anchor}")
     print(f"  check: {entry.summary}")
+    print("  params:" if entry.params else "  params: none")
+    for key, (default, low) in entry.params.items():
+        print(f"    {key}: default {json.dumps(default)}, minimum {low}")
     return EXIT_OK
 
 

@@ -223,7 +223,9 @@ def _lp(g: np.ndarray, vol: float, p: float) -> float:
         return 0.0
     if math.isinf(p):
         return float(np.max(np.abs(g)))
-    return float((np.sum(np.abs(g) ** p) * vol) ** (1.0 / p))
+    a = np.abs(g)
+    a **= p  # in place: one temporary, not two
+    return float((np.sum(a) * vol) ** (1.0 / p))
 
 
 def bochner_norm(u: GridFunction, p: float) -> float:

@@ -4,7 +4,9 @@ CLI tests drive ``main`` in-process with throwaway configs; the quick
 catalog entries keep each run under a second.
 """
 
+import dataclasses
 import json
+from pathlib import Path
 
 import pytest
 
@@ -222,3 +224,147 @@ def test_cli_refine_1_identical_across_worker_counts(tmp_path):
         assert code == cli.EXIT_OK
         outs.append((out / "summary.csv").read_bytes())
     assert outs[0] == outs[1]
+
+
+def test_extension_reflection_passes_at_refine_3():
+    rows, _ = suite.run_entry("extension_reflection", 42, refine=3)
+    assert rows and all(r.passed for r in rows)
+
+
+def test_cli_raising_entry_keeps_other_reports(tmp_path, capsys, monkeypatch):
+    def boom(rng, refine, n):
+        raise RuntimeError("boom")
+
+    entry = suite.CATALOG["extension_reflection"]
+    monkeypatch.setitem(
+        suite.CATALOG, entry.name, dataclasses.replace(entry, builder=boom)
+    )
+    cfg = _basic_config(tmp_path)
+    out = tmp_path / "reports"
+    assert cli.main(["run", cfg, "--out", str(out), "--workers", "2"]) == cli.EXIT_ERROR
+    assert "error: entry extension_reflection raised RuntimeError: boom" in (
+        capsys.readouterr().err
+    )
+    summary = (out / "summary.csv").read_text().strip().split("\n")
+    assert "extension_reflection,raised,nan,nan,false" in summary
+    assert [s for s in summary if s.startswith("stampacchia_disjointness,")]
+    report = json.loads((out / "extension_reflection.json").read_text())
+    assert report["error"] == "RuntimeError: boom"
+    other = json.loads((out / "stampacchia_disjointness.json").read_text())
+    assert "error" not in other and all(r["pass"] for r in other["rows"])
+
+
+@pytest.mark.parametrize(
+    "spec, pointer, message",
+    [
+        ({"name": "norm_chain_rule", "params": {"lader": [32, 64]}},
+         "/suite/0/params", "'lader' was unexpected"),
+        ({"name": "embedding_constants", "params": {"n": "abc"}},
+         "/suite/0/params/n", "is not of type 'integer'"),
+        ({"name": "tensor_extension_norms", "params": {"matrices": 0}},
+         "/suite/0/params/matrices", "less than the minimum of 1"),
+        ({"name": "extension_reflection", "params": {"n": -4}},
+         "/suite/0/params/n", "less than the minimum of 4"),
+        ({"name": "dq_criterion", "params": {"p": 0.5}},
+         "/suite/0/params/p", "less than the minimum of 1"),
+        ({"name": "quotient_rule", "params": {"ladder": [64]}},
+         "/suite/0/params/ladder", "is too short"),
+        ({"name": "quotient_rule", "params": {"ladder": [64, 64]}},
+         "/suite/0/params/ladder", "non-unique elements"),
+        ({"name": "witness_c0_sine", "params": {"n": 256}},
+         "/suite/0/params", "'n' was unexpected"),
+    ],
+)
+def test_cli_rejects_bad_params_before_running(
+    tmp_path, capsys, spec, pointer, message
+):
+    cfg = _write_config(tmp_path, {"schema_version": 1, "suite": [spec]})
+    out = tmp_path / "reports"
+    assert cli.main(["run", cfg, "--out", str(out)]) == cli.EXIT_ERROR
+    err = capsys.readouterr().err
+    assert f"{pointer}: " in err and message in err
+    assert not out.exists()
+
+
+def test_integral_floats_run_like_integers(tmp_path):
+    summaries = []
+    for n, ladder in ((256, [64, 128, 256]), (256.0, [64.0, 128.0, 256.0])):
+        cfg = _write_config(
+            tmp_path,
+            {
+                "schema_version": 1,
+                "suite": [
+                    {"name": "stampacchia_disjointness", "params": {"n": n}},
+                    {"name": "quotient_rule", "params": {"ladder": ladder}},
+                ],
+                "format": "both",
+            },
+        )
+        out = tmp_path / f"out_{type(n).__name__}"
+        assert cli.main(["run", cfg, "--out", str(out)]) == cli.EXIT_OK
+        summaries.append(
+            [(out / f).read_bytes() for f in ("summary.csv", "quotient_rule.json")]
+        )
+    assert summaries[0] == summaries[1]
+    with pytest.raises(TypeError, match="lader"):
+        suite.run_entry("quotient_rule", 42, params={"lader": [64, 128]})
+
+
+def test_spelled_out_defaults_match_the_bare_config(tmp_path):
+    suite_specs = [
+        {
+            "name": name,
+            "params": {
+                key: list(default) if isinstance(default, tuple) else default
+                for key, (default, _) in entry.params.items()
+            },
+        }
+        for name, entry in suite.CATALOG.items()
+    ]
+    outs = []
+    for body in ({"schema_version": 1}, {"schema_version": 1, "suite": suite_specs}):
+        cfg = _write_config(tmp_path, dict(body, seed=42))
+        out = tmp_path / f"out{len(outs)}"
+        code = cli.main(["run", cfg, "--out", str(out), "--workers", "2"])
+        assert code == cli.EXIT_OK
+        outs.append((out / "summary.csv").read_bytes())
+    assert outs[0] == outs[1]
+
+
+@pytest.mark.parametrize(
+    "name", [name for name, entry in suite.CATALOG.items() if entry.params]
+)
+def test_entry_passes_at_declared_minimum(tmp_path, name):
+    params = {
+        key: [low, 2 * low] if isinstance(default, tuple) else low
+        for key, (default, low) in suite.CATALOG[name].params.items()
+    }
+    spec = {"name": name, "params": params}
+    cli.load_config(_write_config(tmp_path, {"schema_version": 1, "suite": [spec]}))
+    rows, _ = suite.run_entry(name, 42, 0, params)
+    assert rows and all(r.passed for r in rows), rows
+
+
+def test_schema_and_describe_read_the_declarations(capsys):
+    rules = cli.CONFIG_SCHEMA["properties"]["suite"]["items"]["allOf"]
+    names = [r["if"]["properties"]["name"]["const"] for r in rules]
+    assert names == list(suite.CATALOG)
+    for name, rule in zip(names, rules):
+        entry = suite.CATALOG[name]
+        assert rule["then"]["properties"]["params"] == entry.params_schema()
+        assert set(entry.params_schema()["properties"]) == set(entry.params)
+        assert cli.main(["describe", entry.name]) == cli.EXIT_OK
+        desc = capsys.readouterr().out
+        for key, (default, low) in entry.params.items():
+            assert f"    {key}: default {json.dumps(default)}, minimum {low}" in desc
+        if not entry.params:
+            assert "params: none" in desc
+
+
+def test_readme_full_config_loads(tmp_path):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text("utf-8")
+    block = readme.split("Full form:", 1)[1].split("```json\n", 1)[1].split("```", 1)[0]
+    path = tmp_path / "readme.json"
+    path.write_text(block, encoding="utf-8")
+    cfg = cli.load_config(str(path))
+    assert any("params" in spec for spec in cfg["suite"])
