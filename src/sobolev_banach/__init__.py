@@ -14,7 +14,6 @@ from .banach import (
 )
 from .gridfn import (
     BoxDomain,
-    DerivativeField,
     GridFunction,
     GridSpec,
     apply_functional,
@@ -35,7 +34,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BoxDomain",
-    "DerivativeField",
     "GridFunction",
     "GridSpec",
     "PairingResult",

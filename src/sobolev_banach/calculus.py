@@ -9,7 +9,7 @@ recording what was compared and how well it agreed.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -31,7 +31,7 @@ from .gridfn import (
     pointwise_norms,
     shift_difference_norm,
 )
-from .reports import ConsistencyReport, fit_loglog
+from .reports import Report, fit_loglog
 
 ZERO_TOL = banach.ZERO_TOL
 
@@ -42,44 +42,39 @@ DIVERGENCE_MIN_STEPS = 4
 DIVERGENCE_MIN_R2 = 0.99
 
 
+@dataclass
+class FieldResult:
+    """Derivative fields D_j (one per axis) with the report that checked them.
+
+    ``flags[j]`` marks the nodes of direction j that the report left out of
+    its comparison (beyond the boundary ring, which every check masks).
+    """
+
+    fields: list[GridFunction]
+    flags: list[np.ndarray]
+    report: Report
+
+
 # ---------------------------------------------------------------------------
 # difference-quotient membership criterion
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class CriterionReport:
-    """Shift-quotient table with the fitted verdict.
-
-    rows: (direction j, steps, h, quotient) with
-    quotient = |u(.+ steps*h_j e_j) - u|_{L^p(omega)} / (steps*h_j).
-    ``c_est`` is the largest quotient (the best lower bound for the
-    directional-derivative norm maximum); the slope/residual belong to the
-    most divergent direction's log-log fit.
-    """
-
-    p: float
-    rows: list[tuple[int, int, float, float]]
-    c_est: float
-    slope: float
-    residual: float
-    verdict: str
-    per_direction: dict = field(default_factory=dict)
-
-    @property
-    def divergent(self) -> bool:
-        return self.verdict == "DIVERGENT"
-
-
 def dq_criterion(
     u: GridFunction, p: float, steps_list: tuple[int, ...] = (1, 2, 4, 8, 16)
-) -> CriterionReport:
+) -> Report:
     """Bounded-shift-quotient test for Sobolev membership.
 
     A function with an L^p derivative field has quotients bounded by
     max_j |D_j u|_{L^p}; quotients blowing up like a negative power of h
     certify non-membership.  DIVERGENT requires slope < -0.1 with R^2 >=
     0.99 over at least 4 step sizes (in some direction).
+
+    rows: (direction j, steps, h, quotient) with
+    quotient = |u(.+ steps*h_j e_j) - u|_{L^p(omega)} / (steps*h_j).
+    details: ``c_est``, the largest quotient (the best lower bound for the
+    directional-derivative norm maximum); ``slope`` and ``residual``, the
+    most divergent direction's log-log fit; ``per_direction``; ``p``.
     """
     steps_list = tuple(sorted(set(int(s) for s in steps_list)))
     if any(s < 1 for s in steps_list):
@@ -118,14 +113,17 @@ def dq_criterion(
     if math.isnan(slope):
         slope = 0.0
         r2 = 1.0
-    return CriterionReport(
-        p=p,
+    return Report(
+        name="dq_criterion",
         rows=rows,
-        c_est=float(c_est),
-        slope=float(slope),
-        residual=float(r2),
         verdict=verdict,
-        per_direction=per_direction,
+        details={
+            "p": p,
+            "c_est": float(c_est),
+            "slope": float(slope),
+            "residual": float(r2),
+            "per_direction": per_direction,
+        },
     )
 
 
@@ -224,7 +222,7 @@ def compose_lipschitz(
     u: GridFunction,
     rng: np.random.Generator | None = None,
     validation_pairs: int = 10_000,
-) -> tuple[GridFunction, ConsistencyReport]:
+) -> tuple[GridFunction, Report]:
     """F composed with u, plus the difference-quotient bound report.
 
     The composed field's difference quotients are bounded by L times the
@@ -252,9 +250,9 @@ def compose_lipschitz(
         for j in range(u.domain.d)
     )
     tol = 1e-9 * scale
-    report = ConsistencyReport(
+    report = Report(
         name=f"compose_lipschitz[{F.name}]",
-        table=[("max_excess", max_excess), ("empirical_quotient", qmax)],
+        rows=[("max_excess", max_excess), ("empirical_quotient", qmax)],
         verdict="PASS" if max_excess <= tol else "FAIL",
         details={
             "L": F.L,
@@ -270,18 +268,9 @@ def compose_lipschitz(
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class ChainRuleField:
-    """Plus/minus one-sided chain-rule fields with the agreement report."""
-
-    plus: list[GridFunction]
-    minus: list[GridFunction]
-    report: ConsistencyReport
-
-
 def gateaux_chain_field(
     F: LipschitzMap, u: GridFunction, p: float = 2.0
-) -> ChainRuleField:
+) -> FieldResult:
     """Nodewise one-sided derivatives of F along the difference-quotient
     derivative directions of u, compared against the direct quotients of
     F(u).
@@ -290,6 +279,7 @@ def gateaux_chain_field(
     discretely as a plus/minus gap whose p-norm (per unit measure) shrinks
     under refinement; both fields are also compared with
     finite_difference(F(u)) away from non-unique and boundary nodes.
+    The result holds the plus fields, flagged at the non-unique nodes.
     """
     if F.onesided_batch is None:
         raise CapabilityError(f"{F.name} carries no one-sided derivative data")
@@ -306,8 +296,7 @@ def gateaux_chain_field(
     dv = finite_difference(v)
     vol = float(np.prod(u.grid.spacing(u.domain)))
     inner = interior_mask(u.grid).ravel()
-    plus_fields, minus_fields = [], []
-    table = []
+    plus_fields, flags, table = [], [], []
     details: dict = {"directions": {}}
     for j in range(u.domain.d):
         V = du[j].values.reshape(-1, u.space.dim)
@@ -317,12 +306,10 @@ def gateaux_chain_field(
         plus_fields.append(
             GridFunction(u.domain, u.grid, F.target, plus.reshape(v.values.shape))
         )
-        minus_fields.append(
-            GridFunction(u.domain, u.grid, F.target, minus.reshape(v.values.shape))
-        )
         gap = np.asarray(banach.norm(F.target, plus - minus))
         dnorm = np.asarray(banach.norm(u.space, V))
         unique = gap <= PAIR_TOL * (1.0 + dnorm)
+        flags.append(~unique.reshape(u.grid.n))
         gap_lp = _lp(gap, vol, p)
         frac = float(np.mean(~unique))
         fd = dv[j].values.reshape(-1, F.target.dim)
@@ -341,10 +328,10 @@ def gateaux_chain_field(
             "err_plus": err_plus,
             "err_minus": err_minus,
         }
-    report = ConsistencyReport(
-        name=f"gateaux_chain[{F.name}]", table=table, verdict="PASS", details=details
+    report = Report(
+        name=f"gateaux_chain[{F.name}]", rows=table, verdict="PASS", details=details
     )
-    return ChainRuleField(plus=plus_fields, minus=minus_fields, report=report)
+    return FieldResult(fields=plus_fields, flags=flags, report=report)
 
 
 # ---------------------------------------------------------------------------
@@ -352,29 +339,16 @@ def gateaux_chain_field(
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class NormDerivativeResult:
-    """Scalar fields D_j|u(.)|_X with flags and the consistency report.
-
-    Flagged nodes (non-unique pairing, or |u| at/near zero) store the
-    midpoint of the one-sided interval and are excluded from every check;
-    exact zeros store the conventional value 0.
-    """
-
-    fields: list[GridFunction]
-    flags: list[np.ndarray]
-    intervals: list[tuple[np.ndarray, np.ndarray]]
-    report: ConsistencyReport
-
-
-def norm_derivative_field(u: GridFunction) -> NormDerivativeResult:
+def norm_derivative_field(u: GridFunction) -> FieldResult:
     """Chain-rule field of the norm map along each axis.
 
     Values come from the extreme norming-functional pairing against the
     difference-quotient derivative of u; the report compares them with the
     direct difference quotients of the scalar pointwise-norm function in
     the discrete L^1 norm over non-flagged interior nodes, and records the
-    worst nodewise excess of |D_j|u|| over |D_j u|_X.
+    worst nodewise excess of |D_j|u|| over |D_j u|_X.  Flagged nodes
+    (non-unique pairing, or |u| at/near zero) store the midpoint of the
+    one-sided interval; exact zeros store the conventional value 0.
     """
     du = finite_difference(u)
     X = u.values.reshape(-1, u.space.dim)
@@ -385,8 +359,7 @@ def norm_derivative_field(u: GridFunction) -> NormDerivativeResult:
     dg = finite_difference(g)
     vol = float(np.prod(u.grid.spacing(u.domain)))
     inner = interior_mask(u.grid).ravel()
-    fields, flags, intervals = [], [], []
-    table = []
+    fields, flags, table = [], [], []
     err_total = 0.0
     max_margin = -math.inf
     for j in range(u.domain.d):
@@ -397,7 +370,6 @@ def norm_derivative_field(u: GridFunction) -> NormDerivativeResult:
         flagged = (~unique) | near_zero
         fields.append(from_scalar(u.domain, u.grid, value.reshape(u.grid.n)))
         flags.append(flagged.reshape(u.grid.n))
-        intervals.append((plus.reshape(u.grid.n), minus.reshape(u.grid.n)))
         ok = (~flagged) & inner
         fdj = dg[j].values.reshape(-1)
         err = float(np.sum(np.abs(value - fdj)[ok]) * vol)
@@ -410,9 +382,9 @@ def norm_derivative_field(u: GridFunction) -> NormDerivativeResult:
             max_margin = max(max_margin, rel)
         table.append((f"l1_err[{j}]", err))
         table.append((f"flagged_fraction[{j}]", float(np.mean(flagged))))
-    report = ConsistencyReport(
+    report = Report(
         name="norm_derivative_field",
-        table=table,
+        rows=table,
         verdict="PASS",
         details={
             "l1_err_total": err_total,
@@ -420,21 +392,12 @@ def norm_derivative_field(u: GridFunction) -> NormDerivativeResult:
             "cell_volume": vol,
         },
     )
-    return NormDerivativeResult(
-        fields=fields, flags=flags, intervals=intervals, report=report
-    )
+    return FieldResult(fields=fields, flags=flags, report=report)
 
 
 # ---------------------------------------------------------------------------
 # lattice chain rules: modulus and positive part
 # ---------------------------------------------------------------------------
-
-
-@dataclass
-class LatticeDerivativeResult:
-    fields: list[GridFunction]
-    flags: list[np.ndarray]
-    report: ConsistencyReport
 
 
 def _require_order_continuous(space: SpaceDescriptor, what: str):
@@ -447,7 +410,7 @@ def _require_order_continuous(space: SpaceDescriptor, what: str):
         )
 
 
-def _lattice_field(u: GridFunction, kind: str) -> LatticeDerivativeResult:
+def _lattice_field(u: GridFunction, kind: str) -> FieldResult:
     _require_order_continuous(u.space, f"{kind}_derivative_field")
     du = finite_difference(u)
     U = u.values
@@ -478,22 +441,22 @@ def _lattice_field(u: GridFunction, kind: str) -> LatticeDerivativeResult:
         err_total += err
         table.append((f"l1_err[{j}]", err))
     table.append(("flagged_fraction", float(np.mean(node_flag))))
-    report = ConsistencyReport(
+    report = Report(
         name=f"{kind}_derivative_field",
-        table=table,
+        rows=table,
         verdict="PASS",
         details={"l1_err_total": err_total},
     )
-    return LatticeDerivativeResult(fields=fields, flags=flags, report=report)
+    return FieldResult(fields=fields, flags=flags, report=report)
 
 
-def abs_derivative_field(u: GridFunction) -> LatticeDerivativeResult:
+def abs_derivative_field(u: GridFunction) -> FieldResult:
     """Modulus chain rule D_j|u| = (sign u) D_j u, checked against the direct
     difference quotients of |u|; requires an order continuous lattice norm."""
     return _lattice_field(u, "abs")
 
 
-def pos_derivative_field(u: GridFunction) -> LatticeDerivativeResult:
+def pos_derivative_field(u: GridFunction) -> FieldResult:
     """Positive-part chain rule D_j u+ = 1_{u>0} D_j u (band projection onto
     the support of u+), same hypotheses and comparison as the modulus rule."""
     return _lattice_field(u, "pos")
@@ -504,7 +467,7 @@ def pos_derivative_field(u: GridFunction) -> LatticeDerivativeResult:
 # ---------------------------------------------------------------------------
 
 
-def stampacchia_check(u: GridFunction, w) -> ConsistencyReport:
+def stampacchia_check(u: GridFunction, w) -> Report:
     """|u| ∧ w = 0 forces |D_j u| ∧ w = 0.
 
     The precondition is checked at every node within the zero tolerance;
@@ -537,9 +500,9 @@ def stampacchia_check(u: GridFunction, w) -> ConsistencyReport:
         if m > worst:
             worst = m
             witness = (j, np.unravel_index(int(np.argmax(viol.max(axis=-1).ravel())), u.grid.n))
-    return ConsistencyReport(
+    return Report(
         name="stampacchia_check",
-        table=[("precondition_max", pre_max), ("derivative_max", worst)],
+        rows=[("precondition_max", pre_max), ("derivative_max", worst)],
         verdict="PASS" if worst <= tol else "FAIL",
         details={"tolerance": tol, "witness": witness},
     )
@@ -550,19 +513,15 @@ def stampacchia_check(u: GridFunction, w) -> ConsistencyReport:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class QuotientRuleResult:
-    v: GridFunction
-    fields: list[GridFunction]
-    report: ConsistencyReport
-
-
-def quotient_rule_field(u: GridFunction, phi_hat: GridFunction) -> QuotientRuleResult:
+def quotient_rule_field(
+    u: GridFunction, phi_hat: GridFunction
+) -> tuple[GridFunction, FieldResult]:
     """Derivative field of v = (u/|u|) * (phi_hat ∧ |u|), zero on {u = 0}.
 
     D_j v = ((D_j u)|u| - u D_j|u|)/|u|^2 * phi + (u/|u|) D_j phi away from
     the zero set, with D_j|u| taken from norm_derivative_field; the report
-    compares against the direct quotients of v off {|u| <= tau_zero}.
+    compares against the direct quotients of v off {|u| <= tau_zero} and
+    the nodes that norm_derivative_field flags.
     """
     if phi_hat.space.dim != 1:
         raise DimensionMismatchError("phi_hat must be a scalar grid function")
@@ -581,7 +540,7 @@ def quotient_rule_field(u: GridFunction, phi_hat: GridFunction) -> QuotientRuleR
     dv = finite_difference(v)
     vol = float(np.prod(u.grid.spacing(u.domain)))
     inner = interior_mask(u.grid)
-    fields, table = [], []
+    fields, flags, table = [], [], []
     err_total = 0.0
     for j in range(u.domain.d):
         dnorm = nd.fields[j].values[..., 0]
@@ -591,22 +550,23 @@ def quotient_rule_field(u: GridFunction, phi_hat: GridFunction) -> QuotientRuleR
         ) * dphi[j].values
         formula = np.where(safe[..., None], formula, 0.0)
         fields.append(u.like(formula))
-        ok = safe & (~nd.flags[j]) & inner
+        flags.append(~safe | nd.flags[j])
+        ok = ~flags[j] & inner
         err = float(
             np.sum(np.asarray(banach.norm(u.space, formula - dv[j].values))[ok]) * vol
         )
         err_total += err
         table.append((f"l1_err[{j}]", err))
-    report = ConsistencyReport(
+    report = Report(
         name="quotient_rule_field",
-        table=table,
+        rows=table,
         verdict="PASS",
         details={"l1_err_total": err_total, "zero_fraction": float(np.mean(~safe))},
     )
-    return QuotientRuleResult(v=v, fields=fields, report=report)
+    return v, FieldResult(fields=fields, flags=flags, report=report)
 
 
-def product_rule_check(u: GridFunction, psi: GridFunction) -> ConsistencyReport:
+def product_rule_check(u: GridFunction, psi: GridFunction) -> Report:
     """D_j(psi u) = (D_j psi) u + psi D_j u, compared in the Bochner 1-norm
     at interior nodes (central differences make the defect O(h) for C^1
     scalar factors)."""
@@ -629,9 +589,9 @@ def product_rule_check(u: GridFunction, psi: GridFunction) -> ConsistencyReport:
         )
         table.append((float(h[j]), err))
         err_max = max(err_max, err)
-    return ConsistencyReport(
+    return Report(
         name="product_rule_check",
-        table=table,
+        rows=table,
         verdict="PASS",
         details={"err_max": err_max, "err_max_over_h": err_max / float(np.min(h))},
     )

@@ -21,7 +21,6 @@ import jsonschema
 
 from . import __version__, suite
 from .errors import ConfigError
-from .reports import to_jsonable
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -189,7 +188,7 @@ def write_outputs(outdir: Path, results, fmt: str, meta: dict):
                 }
                 for r in res["rows"]
             ],
-            "details": to_jsonable(res["details"]),
+            "details": res["details"],
         }
         if "error" in res:
             payload["error"] = res["error"]

@@ -19,12 +19,11 @@ measured/oracle ratios sit inside the expected band.  The three families:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
-from .banach import SpaceDescriptor
-from .calculus import dq_criterion
+from .banach import SpaceDescriptor, norm as xnorm
+from .calculus import dq_criterion, pos_derivative_field
 from .errors import ContractError, OrderContinuityError
 from .gridfn import (
     GridFunction,
@@ -33,37 +32,24 @@ from .gridfn import (
     finite_difference,
     unit_box,
 )
+from .reports import Report
 
 
-@dataclass
-class WitnessTable:
-    """(parameter, measured, oracle, ratio) rows plus side evidence.
+def _finish(name, rows, band, notes, extra_ok=True) -> Report:
+    """The witness report: (parameter, measured, oracle, ratio) rows, with
+    the side evidence ``notes`` and the agreement ``band`` in its details.
 
     The verdict is CONFIRMS_FAILURE exactly when every ratio lies inside
-    ``band`` (defaults to the 10% agreement band) and UNEXPECTED otherwise.
+    the band and ``extra_ok`` holds, and UNEXPECTED otherwise.
     """
-
-    name: str
-    rows: list[tuple[float, float, float, float]]
-    verdict: str
-    band: tuple[float, float] = (0.9, 1.1)
-    notes: dict = field(default_factory=dict)
-
-    @property
-    def confirms(self) -> bool:
-        return self.verdict == "CONFIRMS_FAILURE"
-
-
-def _finish(name, rows, band, notes, extra_ok=True) -> WitnessTable:
     ok = extra_ok and all(
         band[0] - 1e-12 <= r <= band[1] + 1e-12 for *_, r in rows
     )
-    return WitnessTable(
+    return Report(
         name=name,
         rows=rows,
         verdict="CONFIRMS_FAILURE" if ok else "UNEXPECTED",
-        band=band,
-        notes=notes,
+        details={**notes, "band": band},
     )
 
 
@@ -77,7 +63,7 @@ def indicator_path_witness(
     n: int = 256,
     steps_list: tuple[int, ...] = (1, 2, 4, 8, 16, 32),
     p: float = 2.0,
-) -> WitnessTable:
+) -> Report:
     """Difference-quotient blow-up of t -> 1_(0,t) as a path into L^r(0,1).
 
     The value grid matches the time grid, so the sup-over-t quotient at lag
@@ -103,8 +89,6 @@ def indicator_path_witness(
     u = GridFunction(dom, grid, space, values)
 
     h_cell = 1.0 / n
-    from .banach import norm as xnorm
-
     rows = []
     for k in steps_list:
         diff = values[k:] - values[:-k]
@@ -125,16 +109,18 @@ def indicator_path_witness(
     pair_crit = dq_criterion(g, p)
 
     if r > 1.0:
-        divergence_as_expected = crit.divergent and abs(crit.slope - expected_slope) <= 0.05
+        divergence_as_expected = (
+            not crit.passed and abs(crit.details["slope"] - expected_slope) <= 0.05
+        )
     else:
         divergence_as_expected = crit.verdict == "BOUNDED"
     notes = {
         "r": r,
         "criterion_verdict": crit.verdict,
-        "criterion_slope": crit.slope,
+        "criterion_slope": crit.details["slope"],
         "expected_slope": expected_slope,
         "pairing_verdict": pair_crit.verdict,
-        "pairing_c_est": pair_crit.c_est,
+        "pairing_c_est": pair_crit.details["c_est"],
         "interpretation": (
             "bounded quotients without a derivative (target lacks the "
             "Radon-Nikodym property)"
@@ -147,7 +133,7 @@ def indicator_path_witness(
         rows,
         (0.9, 1.1),
         notes,
-        extra_ok=divergence_as_expected and not pair_crit.divergent,
+        extra_ok=divergence_as_expected and pair_crit.passed,
     )
 
 
@@ -173,7 +159,7 @@ def c0_sine_witness(
     N_list: tuple[int, ...] = (100, 400, 1600, 6400, 10000),
     t_samples: tuple[float, ...] = (0.5, 1.0, 1.7, 2.3, 3.1),
     coord_check: int = 100,
-) -> WitnessTable:
+) -> Report:
     """u(t) = (sin(nt)/n)_n is 1-Lipschitz into c_0, every coordinate of
     the quotient converges to cos(nt), yet the candidate derivative never
     decays: its tail sup over n in (N/2, N] stays >= 0.99 at every truncation.
@@ -228,7 +214,7 @@ def ck_pospart_witness(
     sup_samples: int = 100_000,
     t: float = 1.0 / 3.0,
     contrast_shape: tuple[int, int] = (1000, 2000),
-) -> WitnessTable:
+) -> Report:
     """(u(t))(r) = r - t is affine, yet u(t)^+ has no derivative in the sup
     norm: the quotient sits at uniform distance ~1 from the only candidate
     -1_(r > t).  Oracle per h: 1 - d*/h with d* the first sample point past
@@ -270,8 +256,6 @@ def ck_pospart_witness(
     l2_contrast = float(np.sqrt(np.mean(per_t[1:-1] ** 2)))
 
     sup_space = SpaceDescriptor("SampledSup", m)
-    from .calculus import pos_derivative_field
-
     sup_raises = False
     try:
         pos_derivative_field(GridFunction(dom, grid, sup_space, U))

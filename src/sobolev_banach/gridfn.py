@@ -9,10 +9,7 @@ operate on this representation.
 """
 from __future__ import annotations
 
-import csv
-import io
 import itertools
-import json
 import math
 from dataclasses import dataclass
 
@@ -47,9 +44,6 @@ class BoxDomain:
     @property
     def volume(self) -> float:
         return float(np.prod(self.hi - self.lo))
-
-    def to_dict(self) -> dict:
-        return {"lo": self.lo.tolist(), "hi": self.hi.tolist()}
 
 
 def unit_box(d: int) -> BoxDomain:
@@ -115,46 +109,6 @@ class GridFunction:
 
     def like(self, values: np.ndarray) -> "GridFunction":
         return GridFunction(self.domain, self.grid, self.space, values)
-
-    def to_dict(self) -> dict:
-        return {
-            "domain": self.domain.to_dict(),
-            "grid": {"n": list(self.grid.n)},
-            "space": self.space.to_dict(),
-            "values": np.ravel(self.values).tolist(),
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "GridFunction":
-        domain = BoxDomain(np.asarray(d["domain"]["lo"]), np.asarray(d["domain"]["hi"]))
-        grid = GridSpec(tuple(d["grid"]["n"]))
-        space = SpaceDescriptor.from_dict(d["space"])
-        values = np.asarray(d["values"], dtype=np.float64).reshape(
-            grid.n + (space.dim,)
-        )
-        return cls(domain, grid, space, values)
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict())
-
-    @classmethod
-    def from_json(cls, s: str) -> "GridFunction":
-        return cls.from_dict(json.loads(s))
-
-    def to_csv(self) -> str:
-        """One row per node: node coordinates, then value coordinates."""
-        buf = io.StringIO()
-        w = csv.writer(buf, lineterminator="\n")
-        d = self.domain.d
-        w.writerow([f"x{j}" for j in range(d)] + [f"v{s}" for s in range(self.space.dim)])
-        coords = grid_centers(self.domain, self.grid).reshape(-1, d)
-        vals = self.values.reshape(-1, self.space.dim)
-        for row in range(coords.shape[0]):
-            w.writerow(
-                [repr(float(c)) for c in coords[row]]
-                + [repr(float(v)) for v in vals[row]]
-            )
-        return buf.getvalue()
 
 
 def from_scalar(domain: BoxDomain, grid: GridSpec, values: np.ndarray) -> GridFunction:
@@ -252,28 +206,6 @@ def _axis_slices(d: int, j: int, s: slice) -> tuple:
     return tuple(out)
 
 
-@dataclass
-class DerivativeField:
-    """Per-direction difference-quotient fields D[j] of a grid function.
-
-    ``scheme`` records the stencil; with the central scheme the first and
-    last layer along each axis use the matching second-order one-sided
-    stencil, and checks that need interior accuracy should mask the ring
-    via :func:`interior_mask`.
-    """
-
-    source: GridFunction
-    ds: list[GridFunction]
-    scheme: str
-    h: np.ndarray
-
-    def __getitem__(self, j: int) -> GridFunction:
-        return self.ds[j]
-
-    def __len__(self) -> int:
-        return len(self.ds)
-
-
 def interior_mask(grid: GridSpec, width: int = 1) -> np.ndarray:
     """Boolean node mask, True away from the boundary ring of given width."""
     mask = np.ones(grid.n, dtype=bool)
@@ -284,12 +216,13 @@ def interior_mask(grid: GridSpec, width: int = 1) -> np.ndarray:
     return mask
 
 
-def finite_difference(u: GridFunction, scheme: str = "central") -> DerivativeField:
-    """Difference-quotient derivative fields along every axis.
+def finite_difference(u: GridFunction, scheme: str = "central") -> list[GridFunction]:
+    """Difference-quotient derivative fields D_j u, one per axis.
 
     central: second-order interior stencil, second-order one-sided at the
-    two boundary layers.  forward/backward: first-order one-sided, falling
-    back to the mirrored stencil on the last (first) layer.
+    two boundary layers (checks that need interior accuracy mask that ring
+    via :func:`interior_mask`).  forward/backward: first-order one-sided,
+    falling back to the mirrored stencil on the last (first) layer.
     """
     if scheme not in ("central", "forward", "backward"):
         raise ValueError(f"unknown scheme {scheme!r}")
@@ -326,14 +259,14 @@ def finite_difference(u: GridFunction, scheme: str = "central") -> DerivativeFie
             inner /= h[j]
             dv[S(0, 1)] = (v[S(1, 2)] - v[S(0, 1)]) / h[j]
         fields.append(u.like(dv))
-    return DerivativeField(source=u, ds=fields, scheme=scheme, h=h)
+    return fields
 
 
 def w_norm(u: GridFunction, p: float, scheme: str = "central") -> float:
     """Discrete W^{1,p} norm: Bochner p-norm of u plus the sum over axes of
     the Bochner p-norms of the difference-quotient fields."""
     total = bochner_norm(u, p)
-    for dj in finite_difference(u, scheme).ds:
+    for dj in finite_difference(u, scheme):
         total += bochner_norm(dj, p)
     return total
 

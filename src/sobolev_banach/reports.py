@@ -1,5 +1,5 @@
-"""Shared report plumbing: log-log fits, a generic consistency report,
-and the conversion of results to JSON-ready values."""
+"""Shared report plumbing: log-log fits, the one report type, and the
+conversion of results to JSON-ready values."""
 from __future__ import annotations
 
 import math
@@ -28,18 +28,16 @@ def fit_loglog(xs, ys) -> tuple[float, float]:
 
 
 @dataclass
-class ConsistencyReport:
-    """Generic table-plus-verdict report.
+class Report:
+    """A measured table and its verdict: the one result shape of every check.
 
-    ``table`` rows are (label, value) pairs; when the rows form an
-    (h, error) ladder the fitted log-log slope and its R^2 are recorded.
+    The layout of each row belongs to the producer (its docstring says what
+    a row holds); everything else it measured goes in ``details``.
     """
 
     name: str
-    table: list[tuple] = field(default_factory=list)
-    fitted_slope: float | None = None
-    residual: float | None = None
-    verdict: str = "PASS"
+    rows: list
+    verdict: str
     details: dict = field(default_factory=dict)
 
     @property

@@ -57,6 +57,10 @@ class Row:
     passed: bool
 
 
+#: Largest grid size a ladder level may take, declared or refined.
+LADDER_CAP = 512
+
+
 @dataclass(frozen=True)
 class CatalogEntry:
     name: str
@@ -71,7 +75,8 @@ class CatalogEntry:
         for key, (default, low) in self.params.items():
             if isinstance(default, tuple):
                 props[key] = {"type": "array", "minItems": 2, "uniqueItems": True,
-                              "items": {"type": "integer", "minimum": low}}
+                              "items": {"type": "integer", "minimum": low,
+                                        "maximum": LADDER_CAP}}
             else:
                 kind = "number" if isinstance(default, float) else "integer"
                 props[key] = {"type": kind, "minimum": low}
@@ -87,7 +92,8 @@ def _entry(anchor: str, summary: str, **params):
     Each keyword declares a param as ``(default, smallest accepted value)``
     and reaches the builder as a keyword after ``(rng, refine)``.  The
     default's type is the param's type: a tuple is a ladder of grid sizes,
-    each at least the minimum; a float is a real number; an int an integer.
+    each at least the minimum and at most ``LADDER_CAP``, run in ascending
+    order; a float is a real number; an int an integer.
     """
 
     def register(builder):
@@ -200,8 +206,8 @@ def circle_sample(n: int = 128) -> GridFunction:
     return GridFunction(dom, grid, SpaceDescriptor("Hilbert", 2), vals)
 
 
-def _ladder(base: tuple[int, ...], refine: int, cap: int = 512) -> tuple[int, ...]:
-    return tuple(min(n * 2**refine, cap) for n in base)
+def _ladder(base: tuple[int, ...], refine: int) -> tuple[int, ...]:
+    return tuple(min(n * 2**refine, LADDER_CAP) for n in base)
 
 
 def _fit_order(ns, errs) -> float:
@@ -351,10 +357,10 @@ def _dq_criterion(rng, refine, ladder, p):
         for bp in bps:
             u = bp.realize(n)
             rep = dq_criterion(u, p, steps_list=(1, 2, 4, 8))
-            bounded &= not rep.divergent
+            bounded &= rep.passed
             du = finite_difference(u)
             ref = max(bochner_norm(du[j], p) for j in range(u.domain.d))
-            total += abs(rep.c_est - ref)
+            total += abs(rep.details["c_est"] - ref)
         errs.append(total)
     rows = [
         _row("c_est_fitted_order", _fit_order(ladder, errs), 1.0, mode="ge"),
@@ -374,13 +380,13 @@ def _dq_criterion(rng, refine, ladder, p):
 def _dq_criterion_indicator(rng, refine, n):
     n *= 2**refine
     w = counterexamples.indicator_path_witness(r=2.0, n=n)
-    slope = w.notes["criterion_slope"]
+    slope = w.details["criterion_slope"]
     w1 = counterexamples.indicator_path_witness(r=1.0, n=n)
     rows = [
         _row("slope_gap_r2", abs(slope + 0.5), 0.05),
-        _holds("divergent_r2", w.notes["criterion_verdict"] == "DIVERGENT"),
-        _holds("bounded_r1", w1.notes["criterion_verdict"] == "BOUNDED"),
-        _holds("pairing_bounded", w.notes["pairing_verdict"] == "BOUNDED"),
+        _holds("divergent_r2", w.details["criterion_verdict"] == "DIVERGENT"),
+        _holds("bounded_r1", w1.details["criterion_verdict"] == "BOUNDED"),
+        _holds("pairing_bounded", w.details["pairing_verdict"] == "BOUNDED"),
     ]
     return rows, {"slope": slope, "verdict": w.verdict}
 
@@ -454,7 +460,7 @@ def _w0_equivalences(rng, refine, ladder):
                 total += 1
                 agree += int(direct == expect and weak == expect and scalar == expect)
             if expect:
-                level_norm = max(level_norm, rep.table[0][1])
+                level_norm = max(level_norm, rep.rows[0][1])
         member_boundary.append(level_norm)
     order = _fit_order(ladder, member_boundary)
     rows = [
@@ -531,15 +537,13 @@ def _aubin_lions_compact(rng, refine, members, levels):
         fams.append([GridFunction(dom, grid, X, f.values * scale) for f in fam])
         yspaces.append(Y)
     prof = theorems.aubin_lions_probe(fams, yspaces, p=2.0, certify=True)
-    base = prof.counts[0]
-    worst = max(
-        max(c[k] for c in prof.counts) / base[k] for k in range(len(prof.eps_list))
-    )
+    counts, eps = prof.rows, prof.details["eps_list"]
+    worst = max(max(c[k] for c in counts) / counts[0][k] for k in range(len(eps)))
     rows = [
         _row("max_count_growth", worst, 2.0),
-        _holds("stable_verdict", prof.stable),
+        _holds("stable_verdict", prof.passed),
     ]
-    return rows, {"counts": prof.counts, "eps": list(prof.eps_list)}
+    return rows, {"counts": counts, "eps": list(eps)}
 
 
 @_entry(
@@ -563,13 +567,13 @@ def _aubin_lions_control(rng, refine, members):
             fam.append(from_scalar(dom, grid, g / math.sqrt(np.mean(g * g))))
         fams.append(fam)
     prof = theorems.aubin_lions_probe(fams, None, p=2.0, certify=False)
-    n01 = [c[1] for c in prof.counts]
+    n01 = [c[1] for c in prof.rows]
     growth = n01[-1] / n01[0]
     rows = [
         _row("n_eps01_growth", growth, 4.0, mode="ge"),
         _holds("growing_verdict", prof.verdict == "GROWING"),
     ]
-    return rows, {"counts": prof.counts, "eps": list(prof.eps_list)}
+    return rows, {"counts": prof.rows, "eps": list(prof.details["eps_list"])}
 
 
 @_entry(
@@ -585,17 +589,19 @@ def _tensor_extension_norms(rng, refine, matrices):
         size = int(rng.integers(2, 33))
         hd = int(rng.integers(1, 9))
         T = rng.normal(size=(size, size))
-        te = theorems.tensor_extend(T, hd, p=2.0, seed=seed_of(rng))
+        (_, norm_scalar), (_, norm_tensor) = theorems.tensor_extend(
+            T, hd, p=2.0, seed=seed_of(rng)
+        ).rows
         worst_gap = max(
-            worst_gap,
-            abs(te.norm_tensor - te.norm_scalar) / max(1.0, te.norm_scalar),
+            worst_gap, abs(norm_tensor - norm_scalar) / max(1.0, norm_scalar)
         )
-    # defining identity, bit-exact: integer T and f, power-of-two x
+    # defining identity, bit-exact: integer T and f, power-of-two x; T x I_H
+    # acts on a (node, H-coordinate) array U as T @ U
     T = rng.integers(-4, 5, size=(16, 16)).astype(np.float64)
     te = theorems.tensor_extend(T, 5, p=2.0, seed=seed_of(rng))
     f = rng.integers(-6, 7, size=16).astype(np.float64)
     x = np.ldexp(1.0, rng.integers(-2, 3, size=5)) * rng.choice([-1.0, 1.0], size=5)
-    exact = bool(np.array_equal(te.apply(np.outer(f, x)), np.outer(T @ f, x)))
+    exact = te.passed and bool(np.array_equal(T @ np.outer(f, x), np.outer(T @ f, x)))
     rows = [
         _row("max_norm_gap", worst_gap, 1e-8),
         _holds("tensor_identity_exact", exact),
@@ -604,14 +610,20 @@ def _tensor_extension_norms(rng, refine, matrices):
 
 
 def _witness_rows(w) -> list[Row]:
+    band = w.details["band"]
     return [
-        _holds("verdict_confirms", w.confirms),
+        _holds("verdict_confirms", w.passed),
         _row(
             "worst_ratio_gap",
             max(abs(r - 1.0) for *_, r in w.rows) if w.rows else 0.0,
-            max(w.band[1] - 1.0, 1.0 - w.band[0]),
+            max(band[1] - 1.0, 1.0 - band[0]),
         ),
     ]
+
+
+def _notes(w) -> dict:
+    """A witness's side evidence, without its prose and its band."""
+    return {k: v for k, v in w.details.items() if k not in ("interpretation", "band")}
 
 
 @_entry(
@@ -629,11 +641,10 @@ def _witness_indicator_path(rng, refine, n):
         w = counterexamples.indicator_path_witness(r=r, n=n)
         tag = "inf" if math.isinf(r) else f"{r:g}"
         expected = -1.0 if math.isinf(r) else 1.0 / r - 1.0
-        rows.append(
-            _row(f"slope_gap_r{tag}", abs(w.notes["criterion_slope"] - expected), 0.05)
-        )
-        rows.append(_holds(f"confirms_r{tag}", w.confirms))
-        details[f"r{tag}"] = {"slope": w.notes["criterion_slope"], "verdict": w.verdict}
+        slope = w.details["criterion_slope"]
+        rows.append(_row(f"slope_gap_r{tag}", abs(slope - expected), 0.05))
+        rows.append(_holds(f"confirms_r{tag}", w.passed))
+        details[f"r{tag}"] = {"slope": slope, "verdict": w.verdict}
     return rows, details
 
 
@@ -648,9 +659,9 @@ def _witness_c0_sine(rng, refine):
     rows = _witness_rows(w)
     rows.append(_row("min_tail_sup", min(m for _, m, *_ in w.rows), 0.99, mode="ge"))
     rows.append(
-        _row("path_lipschitz", w.notes["path_lipschitz_constant"], 1.0 + 1e-6)
+        _row("path_lipschitz", w.details["path_lipschitz_constant"], 1.0 + 1e-6)
     )
-    return rows, {"notes": {k: v for k, v in w.notes.items() if k != "interpretation"}}
+    return rows, {"notes": _notes(w)}
 
 
 @_entry(
@@ -662,12 +673,12 @@ def _witness_c0_sine(rng, refine):
 def _witness_ck_pospart(rng, refine):
     w = counterexamples.ck_pospart_witness()
     rows = _witness_rows(w)
-    rows.append(_row("distance_at_finest", w.notes["distance_at_finest"], 0.98,
+    rows.append(_row("distance_at_finest", w.details["distance_at_finest"], 0.98,
                      mode="ge"))
-    rows.append(_row("l2_contrast_error", w.notes["l2_contrast_error"], 0.05))
-    rejected = w.notes["sup_norm_raises_order_continuity"]
+    rows.append(_row("l2_contrast_error", w.details["l2_contrast_error"], 0.05))
+    rejected = w.details["sup_norm_raises_order_continuity"]
     rows.append(_holds("sup_norm_rejected", rejected))
-    return rows, {"notes": {k: v for k, v in w.notes.items() if k != "interpretation"}}
+    return rows, {"notes": _notes(w)}
 
 
 @_entry(
@@ -683,7 +694,7 @@ def _lipschitz_composition(rng, refine, n):
     F = norm_lipschitz_map(u.space)
     _, rep = compose_lipschitz(F, u, rng=np.random.default_rng(seed_of(rng)))
     rows = [
-        _row("norm_map_excess", dict(rep.table)["max_excess"], rep.details["tolerance"]),
+        _row("norm_map_excess", dict(rep.rows)["max_excess"], rep.details["tolerance"]),
         _holds("pass_verdict", rep.passed),
     ]
     # a generic linear contraction between different spaces
@@ -702,7 +713,7 @@ def _lipschitz_composition(rng, refine, n):
         )
         _, rep2 = compose_lipschitz(lin, u, rng=np.random.default_rng(seed_of(rng)))
         rows.append(
-            _row("linear_excess", dict(rep2.table)["max_excess"], rep2.details["tolerance"])
+            _row("linear_excess", dict(rep2.rows)["max_excess"], rep2.details["tolerance"])
         )
     return rows, {"n": n}
 
@@ -767,9 +778,9 @@ def _mollifier_uniformity(rng, refine, n):
     rows = [
         _holds("uniform_bound_ok", rep.details["bound_ok"]),
         _holds("sup_error_monotone", rep.details["monotone_ok"]),
-        _row("decay_order", rep.fitted_slope, 0.9, mode="ge"),
+        _row("decay_order", rep.details["fitted_slope"], 0.9, mode="ge"),
     ]
-    return rows, {"table": rep.table, "c_family": rep.details["c_family"]}
+    return rows, {"table": rep.rows, "c_family": rep.details["c_family"]}
 
 
 @_entry(
@@ -788,7 +799,7 @@ def _extension_reflection(rng, refine, n):
         u = bp.realize(n if bp.d == 1 else min(n, 64))
         pad = min(max(2, n // 8), min(u.grid.n))
         rep = theorems.reflection_extension_report(u, pad=pad)
-        worst = max(worst, dict(rep.table)["w_norm_ratio"] / rep.details["bound"])
+        worst = max(worst, dict(rep.rows)["w_norm_ratio"] / rep.details["bound"])
         all_exact &= rep.details["restriction_exact"]
     rows = [
         _holds("restriction_exact", all_exact),
@@ -817,7 +828,7 @@ def _stampacchia_disjointness(rng, refine, n):
     rep = stampacchia_check(u, w)
     rows = [
         _holds("disjoint_pass", rep.passed),
-        _row("derivative_overlap", dict(rep.table)["derivative_max"],
+        _row("derivative_overlap", dict(rep.rows)["derivative_max"],
              rep.details["tolerance"]),
     ]
     return rows, {"n": n}
@@ -840,7 +851,7 @@ def _quotient_rule(rng, refine, ladder):
         )
         s = (t - 0.5) / 0.4
         phi = from_scalar(dom, grid, _bump(s * s))
-        res = quotient_rule_field(u, phi)
+        _, res = quotient_rule_field(u, phi)
         errs.append(res.report.details["l1_err_total"])
     rows = [_row("fitted_order", _fit_order(ladder, errs), 0.9, mode="ge")]
     return rows, {"ladder": list(ladder), "errors": errs}
@@ -886,10 +897,10 @@ def _norm_map_continuity(rng, refine, n):
     seq = [GridFunction(dom, grid, space, base + pert / 2.0**k) for k in range(1, 7)]
     rep = theorems.norm_map_continuity_check(seq, u)
     rows = [
-        _row("scalar_tracking_order", rep.fitted_slope, 0.9, mode="ge"),
+        _row("scalar_tracking_order", rep.details["fitted_slope"], 0.9, mode="ge"),
         _holds("pass_verdict", rep.passed),
     ]
-    return rows, {"pairs": rep.table}
+    return rows, {"pairs": rep.rows}
 
 
 def run_entry(name: str, seed: int, refine: int = 0, params: dict | None = None):
@@ -899,7 +910,7 @@ def run_entry(name: str, seed: int, refine: int = 0, params: dict | None = None)
     kwargs = dict(params or {})  # an undeclared key fails in the builder call
     for key, (default, _) in entry.params.items():
         value = kwargs.get(key, default)  # JSON lets 256.0 stand for 256
-        kwargs[key] = (tuple(map(int, value)) if isinstance(default, tuple)
+        kwargs[key] = (tuple(sorted(map(int, value))) if isinstance(default, tuple)
                        else type(default)(value))
     rows, details = entry.builder(entry_rng(name, seed), refine, **kwargs)
     return rows, to_jsonable(details)

@@ -10,7 +10,6 @@ extension of scalar operators to Hilbert-valued functions.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -23,8 +22,10 @@ from .gridfn import (
     GridFunction,
     GridSpec,
     _lp,
+    apply_functional,
     bochner_norm,
     boundary_lp_norm,
+    extend_reflect,
     finite_difference,
     from_scalar,
     gf_sub,
@@ -35,7 +36,7 @@ from .gridfn import (
     trace_boundary,
     w_norm,
 )
-from .reports import ConsistencyReport, fit_loglog
+from .reports import Report, fit_loglog
 
 
 # ---------------------------------------------------------------------------
@@ -89,7 +90,7 @@ def embedding_check(
     r: float,
     corpus_size: int = 8,
     seed: int = 0,
-) -> ConsistencyReport:
+) -> Report:
     """The vector L^r-vs-W^{1,p} ratio never beats the scalar one.
 
     The scalar constant is measured on a seeded probe corpus plus the
@@ -110,9 +111,9 @@ def embedding_check(
     wn_u = w_norm(u, p)
     ratio_u = bochner_norm(u, r) / wn_u if wn_u > 0.0 else 0.0
     ok = ratio_u <= c_scalar * (1.0 + 1e-6)
-    return ConsistencyReport(
+    return Report(
         name="embedding_check",
-        table=[("vector_ratio", ratio_u), ("scalar_constant", c_scalar)],
+        rows=[("vector_ratio", ratio_u), ("scalar_constant", c_scalar)],
         verdict="PASS" if ok else "FAIL",
         details={"p": p, "r": r, "ratio_of_ratios": ratio_u / c_scalar if c_scalar else 0.0},
     )
@@ -129,7 +130,7 @@ def morrey_check(
     corpus_size: int = 8,
     seed: int = 0,
     max_nodes: int = 4096,
-) -> ConsistencyReport:
+) -> Report:
     """Hölder seminorm of exponent 1 - d/p against C_scalar * |u|_W.
 
     C_scalar is the largest Hölder-to-W ratio over the scalar probe corpus
@@ -151,9 +152,9 @@ def morrey_check(
     wn_u = w_norm(u, p)
     subsampled = u.node_count > max_nodes
     ok = beta <= c_scalar * wn_u * (1.0 + 1e-6)
-    return ConsistencyReport(
+    return Report(
         name="morrey_check",
-        table=[("holder_beta", beta), ("w_norm", wn_u), ("scalar_constant", c_scalar)],
+        rows=[("holder_beta", beta), ("w_norm", wn_u), ("scalar_constant", c_scalar)],
         verdict="PASS" if ok else "FAIL",
         details={"alpha": alpha, "p": p, "subsampled": subsampled},
     )
@@ -200,7 +201,7 @@ def poincare_check(
     j: int,
     eps: float = 0.01,
     w0_tol: float | None = None,
-) -> ConsistencyReport:
+) -> Report:
     """|D_j u|_{L^p} >= C |u|_{L^p} for zero-trace u, with the sharp
     directional constant of the box; requires w0_membership first."""
     member, _ = w0_membership(u, tol=w0_tol, p=p)
@@ -212,9 +213,9 @@ def poincare_check(
     dn = bochner_norm(finite_difference(u)[j], p)
     ratio = dn / un if un > 0.0 else math.inf
     ok = ratio >= c * (1.0 - eps)
-    return ConsistencyReport(
+    return Report(
         name="poincare_check",
-        table=[("derivative_norm", dn), ("function_norm", un), ("constant", c)],
+        rows=[("derivative_norm", dn), ("function_norm", un), ("constant", c)],
         verdict="PASS" if ok else "FAIL",
         details={"ratio": ratio, "direction": j, "p": p, "eps": eps},
     )
@@ -227,7 +228,7 @@ def poincare_check(
 
 def w0_membership(
     u: GridFunction, tol: float | None = None, p: float = 2.0
-) -> tuple[bool, ConsistencyReport]:
+) -> tuple[bool, Report]:
     """Zero-trace verdict from the boundary norm of the pointwise-norm
     function, thresholded at tol*(1 + |u|_W); tol defaults to 10 h^2."""
     h = float(np.max(u.grid.spacing(u.domain)))
@@ -238,9 +239,9 @@ def w0_membership(
     wn = w_norm(u, p)
     threshold = tol * (1.0 + wn)
     member = bnorm <= threshold
-    report = ConsistencyReport(
+    report = Report(
         name="w0_membership",
-        table=[(h, bnorm)],
+        rows=[(h, bnorm)],
         verdict="MEMBER" if member else "NOT_MEMBER",
         details={"threshold": threshold, "tol": tol, "p": p, "w_norm": wn},
     )
@@ -252,7 +253,7 @@ def weak_w0_check(
     functionals,
     p: float = 2.0,
     tol: float | None = None,
-) -> ConsistencyReport:
+) -> Report:
     """Zero trace through separating functionals: u has zero trace exactly
     when every scalar pairing <u, x'> does.  The functionals must span the
     dual (full rank)."""
@@ -263,21 +264,19 @@ def weak_w0_check(
         )
     if np.linalg.matrix_rank(F) < u.space.dim:
         raise ContractError("functionals do not separate points (rank deficient)")
-    from .gridfn import apply_functional
-
     verdicts = []
     table = []
     for i in range(F.shape[0]):
         g = apply_functional(u, F[i])
         m, rep = w0_membership(g, tol=tol, p=p)
         verdicts.append(m)
-        table.append((f"functional[{i}]", rep.table[0][1]))
+        table.append((f"functional[{i}]", rep.rows[0][1]))
     weak_member = all(verdicts)
     direct_member, _ = w0_membership(u, tol=tol, p=p)
     agree = weak_member == direct_member
-    return ConsistencyReport(
+    return Report(
         name="weak_w0_check",
-        table=table,
+        rows=table,
         verdict="MEMBER" if weak_member else "NOT_MEMBER",
         details={"direct_member": direct_member, "agrees_with_direct": agree},
     )
@@ -288,7 +287,7 @@ def ideal_property_check(
     v: GridFunction,
     tol: float | None = None,
     p: float = 2.0,
-) -> ConsistencyReport:
+) -> Report:
     """Pointwise domination |v| <= |u| passes zero trace from u to v.
 
     u and v may take values in different spaces; the domination is between
@@ -306,11 +305,11 @@ def ideal_property_check(
     if not member_u:
         raise ContractError("ideal_property_check requires u with zero trace")
     member_v, rep_v = w0_membership(v, tol=tol, p=p)
-    return ConsistencyReport(
+    return Report(
         name="ideal_property_check",
-        table=rep_v.table,
+        rows=rep_v.rows,
         verdict="PASS" if member_v else "FAIL",
-        details={"v_boundary_norm": rep_v.table[0][1], "threshold": rep_v.details["threshold"]},
+        details={"v_boundary_norm": rep_v.rows[0][1], "threshold": rep_v.details["threshold"]},
     )
 
 
@@ -324,7 +323,7 @@ def norm_map_continuity_check(
     u: GridFunction,
     p: float = 2.0,
     order_min: float = 0.9,
-) -> ConsistencyReport:
+) -> Report:
     """u_k -> u in W^{1,p}(Omega, X) forces |u_k(.)| -> |u(.)| in scalar
     W^{1,p}; measured as the scalar W-distance tracking the vector one."""
     gu = pointwise_norm_function(u)
@@ -340,34 +339,22 @@ def norm_map_continuity_check(
     else:
         slope, r2 = fit_loglog([v for v, _ in above], [s for _, s in above])
         verdict = "PASS" if (len(above) < 2 or slope >= order_min) else "FAIL"
-    return ConsistencyReport(
+    return Report(
         name="norm_map_continuity_check",
-        table=pairs,
-        fitted_slope=slope,
-        residual=r2,
+        rows=pairs,
         verdict=verdict,
-        details={"floor": floor, "sequence_length": len(seq)},
+        details={
+            "fitted_slope": slope,
+            "residual": r2,
+            "floor": floor,
+            "sequence_length": len(seq),
+        },
     )
 
 
 # ---------------------------------------------------------------------------
 # compactness probe via covering numbers
 # ---------------------------------------------------------------------------
-
-
-@dataclass
-class CoveringProfile:
-    """Greedy-net covering counts N(eps) per refinement level."""
-
-    eps_list: tuple[float, ...]
-    counts: list[list[int]]
-    member_count: int
-    verdict: str
-    details: dict = field(default_factory=dict)
-
-    @property
-    def stable(self) -> bool:
-        return self.verdict == "STABLE"
 
 
 def covering_counts(members: list[GridFunction], p: float, eps_list) -> list[int]:
@@ -399,7 +386,7 @@ def aubin_lions_probe(
     certify: bool = True,
     bound_tol: float = 1e-6,
     growth_cap: float = 2.0,
-) -> CoveringProfile:
+) -> Report:
     """Covering-count stability of a W-and-Y bounded family under joint
     grid/value-space refinement.
 
@@ -407,6 +394,8 @@ def aubin_lions_probe(
     (Y the compactly-embedded weighted companion) keep N(eps) within a
     factor growth_cap of the coarsest level; families bounded only in
     L^p(Omega, X) are free to grow and earn the GROWING verdict.
+
+    rows: the greedy-net covering counts N(eps) of each level, one per eps.
     """
     if not level_families or not level_families[0]:
         raise ContractError("need at least one level with at least one member")
@@ -434,12 +423,17 @@ def aubin_lions_probe(
     stable = all(
         max(c[k] for c in counts) <= growth_cap * base[k] for k in range(len(eps_list))
     )
-    return CoveringProfile(
-        eps_list=tuple(eps_list),
-        counts=counts,
-        member_count=len(level_families[0]),
+    return Report(
+        name="aubin_lions_probe",
+        rows=counts,
         verdict="STABLE" if stable else "GROWING",
-        details={"p": p, "certified": certify, "growth_cap": growth_cap},
+        details={
+            "eps_list": tuple(eps_list),
+            "member_count": len(level_families[0]),
+            "p": p,
+            "certified": certify,
+            "growth_cap": growth_cap,
+        },
     )
 
 
@@ -453,7 +447,7 @@ def mollifier_family_check(
     levels: tuple[int, ...],
     p: float = 2.0,
     slack: float = 1.25,
-) -> ConsistencyReport:
+) -> Report:
     """sup over a shift-bounded family of |mollify(f, n) - f|_{L^p} decays
     like C/n uniformly; the constant comes from the family's own
     difference-quotient criterion."""
@@ -463,9 +457,9 @@ def mollifier_family_check(
     c_family = 0.0
     for f in family:
         rep = dq_criterion(f, p)
-        if rep.divergent:
+        if not rep.passed:
             raise ContractError("family member fails the shift-quotient bound")
-        c_family = max(c_family, rep.c_est)
+        c_family = max(c_family, rep.details["c_est"])
     sups = []
     for n in sorted(levels):
         worst = max(bochner_norm(gf_sub(mollify(f, n), f), p) for f in family)
@@ -475,13 +469,17 @@ def mollifier_family_check(
     )
     mono_ok = all(sups[i + 1][1] <= sups[i][1] * (1.0 + 1e-9) for i in range(len(sups) - 1))
     order, r2 = fit_loglog([1.0 / n for n, _ in sups], [max(e, 1e-300) for _, e in sups])
-    return ConsistencyReport(
+    return Report(
         name="mollifier_family_check",
-        table=sups,
-        fitted_slope=order,
-        residual=r2,
+        rows=sups,
         verdict="PASS" if (bound_ok and mono_ok) else "FAIL",
-        details={"c_family": c_family, "bound_ok": bound_ok, "monotone_ok": mono_ok},
+        details={
+            "fitted_slope": order,
+            "residual": r2,
+            "c_family": c_family,
+            "bound_ok": bound_ok,
+            "monotone_ok": mono_ok,
+        },
     )
 
 
@@ -490,11 +488,9 @@ def mollifier_family_check(
 # ---------------------------------------------------------------------------
 
 
-def reflection_extension_report(u: GridFunction, pad: int, p: float = 2.0) -> ConsistencyReport:
+def reflection_extension_report(u: GridFunction, pad: int, p: float = 2.0) -> Report:
     """Even reflection restricts back exactly and grows the W-norm by at
     most 3^d (crude volume bound)."""
-    from .gridfn import extend_reflect
-
     ext = extend_reflect(u, pad)
     d = u.domain.d
     sl = tuple(slice(pad, pad + n) for n in u.grid.n)
@@ -503,9 +499,9 @@ def reflection_extension_report(u: GridFunction, pad: int, p: float = 2.0) -> Co
     we = w_norm(ext, p)
     ratio = we / wu if wu > 0.0 else 1.0
     ok = exact and ratio <= 3.0**d + 1e-9
-    return ConsistencyReport(
+    return Report(
         name="reflection_extension",
-        table=[("w_norm_ratio", ratio)],
+        rows=[("w_norm_ratio", ratio)],
         verdict="PASS" if ok else "FAIL",
         details={"restriction_exact": exact, "bound": 3.0**d, "pad": pad},
     )
@@ -514,26 +510,6 @@ def reflection_extension_report(u: GridFunction, pad: int, p: float = 2.0) -> Co
 # ---------------------------------------------------------------------------
 # tensor extension to Hilbert-valued functions
 # ---------------------------------------------------------------------------
-
-
-@dataclass
-class TensorExtension:
-    """T x I_H acting on (node, H-coordinate) arrays, with the norm report."""
-
-    T: np.ndarray
-    h_dim: int
-    p: float
-    norm_scalar: float
-    norm_tensor: float
-    report: ConsistencyReport
-
-    def apply(self, U: np.ndarray) -> np.ndarray:
-        U = np.asarray(U, dtype=np.float64)
-        if U.shape != (self.T.shape[1], self.h_dim):
-            raise DimensionMismatchError(
-                f"expected {(self.T.shape[1], self.h_dim)} array, got {U.shape}"
-            )
-        return self.T @ U
 
 
 def _tensor_lp(U: np.ndarray, p: float) -> float:
@@ -592,13 +568,16 @@ def tensor_extend(
     p: float = 2.0,
     seed: int = 0,
     samples: int = 10_000,
-) -> TensorExtension:
-    """Extend a scalar grid operator to H-valued functions coordinatewise.
+) -> Report:
+    """Norm of a scalar grid operator T extended to H-valued functions
+    coordinatewise: T x I_H maps a (node, H-coordinate) array U to T @ U.
 
     At p=2 the extension's operator norm (hand-rolled power iteration on the
     block operator) is compared against the scalar spectral norm (SVD); for
     other exponents the certification is empirical: seeded H-valued samples
     never beat the scalar norm estimate, and tensors f (x) x attain it.
+
+    rows: ("norm_scalar", |T|) and ("norm_tensor", |T x I_H|).
     """
     T = np.asarray(T, dtype=np.float64)
     if T.ndim != 2 or T.shape[0] != T.shape[1]:
@@ -639,12 +618,9 @@ def tensor_extend(
             "method": "boyd_plus_seeded_samples",
             "attainment_gap": abs(tensor_quot - norm_scalar),
         }
-    report = ConsistencyReport(
+    return Report(
         name="tensor_extend",
-        table=[("norm_scalar", norm_scalar), ("norm_tensor", norm_tensor)],
+        rows=[("norm_scalar", norm_scalar), ("norm_tensor", norm_tensor)],
         verdict="PASS" if ok else "FAIL",
         details={**details, "p": p, "h_dim": h_dim, "size": n},
-    )
-    return TensorExtension(
-        T=T, h_dim=h_dim, p=p, norm_scalar=norm_scalar, norm_tensor=norm_tensor, report=report
     )

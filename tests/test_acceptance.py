@@ -170,7 +170,7 @@ def test_a10_counterexample_witnesses():
 
     c0 = cx.c0_sine_witness()
     c0_ok = (
-        c0.confirms
+        c0.passed
         and max(int(p) for p, *_ in c0.rows) == 10_000
         and all(measured >= 0.99 for _, measured, _, _ in c0.rows)
     )
@@ -178,18 +178,18 @@ def test_a10_counterexample_witnesses():
     ck = cx.ck_pospart_witness()
     finest = min(ck.rows, key=lambda r: r[0])
     ck_ok = (
-        ck.confirms
+        ck.passed
         and finest[0] == 1e-3
         and finest[1] >= 0.98
-        and ck.notes["l2_contrast_error"] <= 0.05
+        and ck.details["l2_contrast_error"] <= 0.05
     )
     ok = slopes_ok and confirms_ok and c0_ok and ck_ok
     _line(
         "[A-10] witnesses: indicator slopes, c0 tails, C(K) pos-part",
         ok,
         f"slopes<=0.05 c0_tail={min(m for _, m, _, _ in c0.rows):.4f} "
-        f"ck_dist={finest[1]:.4f} contrast={ck.notes['l2_contrast_error']:.4f} "
-        f"all_confirm={confirms_ok and c0.confirms and ck.confirms}",
+        f"ck_dist={finest[1]:.4f} contrast={ck.details['l2_contrast_error']:.4f} "
+        f"all_confirm={confirms_ok and c0.passed and ck.passed}",
     )
 
 

@@ -128,7 +128,7 @@ def test_ck_contrast_matches_separate_buffers():
     fd_pos = gridfn.finite_difference(u.like(np.maximum(U, 0.0)))[0].values
     diff = pos_field - fd_pos
     per_t = np.sqrt(np.mean(diff * diff, axis=1))
-    assert w.notes["l2_contrast_error"] == float(np.sqrt(np.mean(per_t[1:-1] ** 2)))
+    assert w.details["l2_contrast_error"] == float(np.sqrt(np.mean(per_t[1:-1] ** 2)))
 
 
 # The three Lp helpers folded into ``gridfn._lp``, as they were written.

@@ -11,25 +11,25 @@ from sobolev_banach.errors import ContractError
 def test_indicator_witness_exact_ratios():
     # the value grid matches the time grid, so measured == oracle exactly
     w = cx.indicator_path_witness(r=2.0, n=128, steps_list=(1, 2, 4, 8, 16))
-    assert w.confirms
+    assert w.passed
     for h, measured, oracle, ratio in w.rows:
         assert oracle == h ** (-0.5)
         assert ratio == pytest.approx(1.0, abs=1e-12)
-    assert w.notes["criterion_verdict"] == "DIVERGENT"
-    assert abs(w.notes["criterion_slope"] - (-0.5)) <= 0.05
-    assert w.notes["pairing_verdict"] == "BOUNDED"
+    assert w.details["criterion_verdict"] == "DIVERGENT"
+    assert abs(w.details["criterion_slope"] - (-0.5)) <= 0.05
+    assert w.details["pairing_verdict"] == "BOUNDED"
 
 
 def test_indicator_witness_exponent_family():
     # slope tracks 1/r - 1 across exponents; r = 1 is the bounded boundary case
     for r, want in ((4.0, -0.75), (math.inf, -1.0)):
         w = cx.indicator_path_witness(r=r, n=128, steps_list=(1, 2, 4, 8, 16))
-        assert w.confirms
-        assert abs(w.notes["criterion_slope"] - want) <= 0.05
+        assert w.passed
+        assert abs(w.details["criterion_slope"] - want) <= 0.05
     w1 = cx.indicator_path_witness(r=1.0, n=128, steps_list=(1, 2, 4, 8, 16))
-    assert w1.confirms
-    assert w1.notes["criterion_verdict"] == "BOUNDED"
-    assert "Radon-Nikodym" in w1.notes["interpretation"]
+    assert w1.passed
+    assert w1.details["criterion_verdict"] == "BOUNDED"
+    assert "Radon-Nikodym" in w1.details["interpretation"]
 
 
 def test_indicator_witness_validation():
@@ -40,43 +40,41 @@ def test_indicator_witness_validation():
 
 
 def test_witness_table_band_enforcement():
-    bad = cx.WitnessTable(
-        name="x", rows=[(1.0, 2.0, 1.0, 2.0)], verdict="CONFIRMS_FAILURE"
-    )
     # verdicts come from _finish in real witnesses; a ratio of 2 with the
-    # default band through the same gate flips to UNEXPECTED
-    again = cx._finish("x", bad.rows, bad.band, {})
+    # 10% band through that gate is UNEXPECTED, a ratio of 1 confirms
+    again = cx._finish("x", [(1.0, 2.0, 1.0, 2.0)], (0.9, 1.1), {})
     assert again.verdict == "UNEXPECTED"
-    assert not again.confirms
+    assert not again.passed
+    assert cx._finish("x", [(1.0, 1.0, 1.0, 1.0)], (0.9, 1.1), {}).passed
 
 
 def test_c0_witness_tail_never_decays():
     w = cx.c0_sine_witness()
-    assert w.confirms
+    assert w.passed
     assert all(measured >= 0.99 for _, measured, _, _ in w.rows)
     assert [int(p) for p, *_ in w.rows] == [100, 400, 1600, 6400, 10000]
-    assert w.notes["path_lipschitz_constant"] <= 1.0 + 1e-6
-    assert w.notes["pairing_quotient_bound"] <= 1.0
-    assert w.notes["coordinatewise_limit_error"] <= 1e-4
+    assert w.details["path_lipschitz_constant"] <= 1.0 + 1e-6
+    assert w.details["pairing_quotient_bound"] <= 1.0
+    assert w.details["coordinatewise_limit_error"] <= 1e-4
 
 
 def test_c0_witness_small_configuration():
     w = cx.c0_sine_witness(N_list=(100, 400), t_samples=(1.0, 2.3), coord_check=50)
     assert len(w.rows) == 2
-    assert w.band == (1.0, 1.1)
+    assert w.details["band"] == (1.0, 1.1)
 
 
 def test_ck_witness_oracle_is_sharp():
     w = cx.ck_pospart_witness()
-    assert w.confirms
-    d_star = w.notes["first_sample_gap"]
+    assert w.passed
+    d_star = w.details["first_sample_gap"]
     for h, measured, oracle, ratio in w.rows:
         assert oracle == 1.0 - d_star / h
         assert ratio == pytest.approx(1.0, abs=1e-12)
     # at the finest lag the quotient is still a unit-size distance away
-    assert w.notes["distance_at_finest"] >= 0.98
-    assert w.notes["l2_contrast_error"] <= 0.05
-    assert w.notes["sup_norm_raises_order_continuity"] is True
+    assert w.details["distance_at_finest"] >= 0.98
+    assert w.details["l2_contrast_error"] <= 0.05
+    assert w.details["sup_norm_raises_order_continuity"] is True
 
 
 def test_ck_witness_rejects_coarse_sampling():

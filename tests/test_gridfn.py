@@ -129,7 +129,7 @@ def test_finite_difference_2d_directions():
         dom, g, HIL2, lambda x: np.array([x[0] * 2.0 + x[1], x[1] * 5.0])
     )
     df = gridfn.finite_difference(u)
-    assert len(df) == 2
+    assert isinstance(df, list) and len(df) == 2
     assert np.allclose(df[0].values[..., 0], 2.0, atol=1e-12)
     assert np.allclose(df[0].values[..., 1], 0.0, atol=1e-12)
     assert np.allclose(df[1].values[..., 0], 1.0, atol=1e-12)
@@ -249,22 +249,6 @@ def test_apply_functional_carries_quadrature_weights():
     out = gridfn.apply_functional(u, f)
     assert out.space == banach.scalar_space()
     assert np.allclose(out.values[:, 0], u.values @ (w * f), atol=1e-14)
-
-
-def test_gridfunction_serialization_roundtrip():
-    rng = np.random.default_rng(24)
-    u = gridfn.GridFunction(
-        gridfn.unit_box(2),
-        gridfn.GridSpec((3, 4)),
-        banach.SpaceDescriptor("SampledSup", 2),
-        rng.normal(size=(3, 4, 2)),
-    )
-    back = gridfn.GridFunction.from_json(u.to_json())
-    assert np.array_equal(back.values, u.values)
-    assert back.space == u.space and back.grid.n == u.grid.n
-    lines = u.to_csv().strip().split("\n")
-    assert lines[0] == "x0,x1,v0,v1"
-    assert len(lines) == 1 + u.node_count
 
 
 def test_gridfunction_shape_validation():

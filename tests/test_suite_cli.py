@@ -273,6 +273,8 @@ def test_cli_raising_entry_keeps_other_reports(tmp_path, capsys, monkeypatch):
          "/suite/0/params/ladder", "non-unique elements"),
         ({"name": "witness_c0_sine", "params": {"n": 256}},
          "/suite/0/params", "'n' was unexpected"),
+        ({"name": "quotient_rule", "params": {"ladder": [256, 1024]}},
+         "/suite/0/params/ladder/1", "greater than the maximum of 512"),
     ],
 )
 def test_cli_rejects_bad_params_before_running(
@@ -284,6 +286,13 @@ def test_cli_rejects_bad_params_before_running(
     err = capsys.readouterr().err
     assert f"{pointer}: " in err and message in err
     assert not out.exists()
+
+
+def test_descending_ladder_runs_ascending():
+    down, _ = suite.run_entry("norm_chain_rule", 42, 0, {"ladder": [256, 128, 64, 32]})
+    up, _ = suite.run_entry("norm_chain_rule", 42, 0, {"ladder": [32, 64, 128, 256]})
+    assert down and all(r.passed for r in down), down
+    assert down == up
 
 
 def test_integral_floats_run_like_integers(tmp_path):

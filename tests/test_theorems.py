@@ -70,8 +70,8 @@ def test_morrey_check_and_regime():
     rep = theorems.morrey_check(u, p=2.0)
     assert rep.passed
     assert rep.details["alpha"] == 0.5
-    beta = dict(rep.table)["holder_beta"]
-    assert beta <= dict(rep.table)["scalar_constant"] * dict(rep.table)["w_norm"] * (
+    beta = dict(rep.rows)["holder_beta"]
+    assert beta <= dict(rep.rows)["scalar_constant"] * dict(rep.rows)["w_norm"] * (
         1 + 1e-6
     )
     with pytest.raises(ContractError):
@@ -161,10 +161,10 @@ def test_norm_map_continuity_perturbations():
     seq = [u.like(base + pert / 2.0**k) for k in range(1, 7)]
     rep = theorems.norm_map_continuity_check(seq, u)
     assert rep.passed
-    assert rep.fitted_slope >= 0.9
+    assert rep.details["fitted_slope"] >= 0.9
     # a sequence already sitting at u passes through the floor branch
     rep2 = theorems.norm_map_continuity_check([u.like(base)] * 3, u)
-    assert rep2.passed and math.isinf(rep2.fitted_slope)
+    assert rep2.passed and math.isinf(rep2.details["fitted_slope"])
 
 
 def test_covering_counts_clusters():
@@ -195,8 +195,9 @@ def test_aubin_lions_probe_stable_and_growing():
     levels = [level(32, 1), level(64, 1), level(128, 1)]
     ys = [HIL2] * 3
     prof = theorems.aubin_lions_probe(levels, ys, eps_list=(0.05, 0.2))
-    assert prof.stable and prof.member_count == 6
-    assert len(prof.counts) == 3
+    assert prof.verdict == "STABLE" and prof.passed
+    assert prof.details["member_count"] == 6
+    assert len(prof.rows) == 3
 
     # without certification a spreading family is free to grow
     grow = [level(32, 0), level(64, 2), level(128, 4)]
@@ -229,7 +230,7 @@ def test_mollifier_family_check():
     rep = theorems.mollifier_family_check(fam, levels=(8, 16, 32))
     assert rep.passed
     assert rep.details["bound_ok"] and rep.details["monotone_ok"]
-    assert rep.fitted_slope >= 0.9
+    assert rep.details["fitted_slope"] >= 0.9
     jump = gridfn.from_scalar(BOX1, g, (t > 0.5).astype(float))
     with pytest.raises(ContractError, match="shift-quotient"):
         theorems.mollifier_family_check([jump], levels=(8,))
@@ -242,7 +243,7 @@ def test_reflection_extension_report():
     rep = theorems.reflection_extension_report(u, pad=8)
     assert rep.passed
     assert rep.details["restriction_exact"] is True
-    assert dict(rep.table)["w_norm_ratio"] <= 3.0
+    assert dict(rep.rows)["w_norm_ratio"] <= 3.0
 
 
 def test_tensor_extend_hilbert_case():
@@ -250,31 +251,35 @@ def test_tensor_extend_hilbert_case():
     for _ in range(10):
         n = int(rng.integers(2, 12))
         T = rng.normal(size=(n, n))
-        te = theorems.tensor_extend(T, h_dim=int(rng.integers(1, 5)), seed=3)
-        assert te.report.passed
-        assert te.norm_scalar == pytest.approx(np.linalg.norm(T, 2), rel=1e-12)
-        assert abs(te.norm_tensor - te.norm_scalar) <= 1e-8 * max(1.0, te.norm_scalar)
+        rep = theorems.tensor_extend(T, h_dim=int(rng.integers(1, 5)), seed=3)
+        assert rep.passed
+        norms = dict(rep.rows)
+        norm_scalar, norm_tensor = norms["norm_scalar"], norms["norm_tensor"]
+        assert norm_scalar == pytest.approx(np.linalg.norm(T, 2), rel=1e-12)
+        assert abs(norm_tensor - norm_scalar) <= 1e-8 * max(1.0, norm_scalar)
 
 
-def test_tensor_extend_apply_exact_on_integer_data():
+def test_tensor_extend_exact_on_integer_data():
     rng = np.random.default_rng(42)
     T = rng.integers(-3, 4, size=(8, 8)).astype(float)
-    te = theorems.tensor_extend(T, h_dim=3)
+    rep = theorems.tensor_extend(T, h_dim=3)
+    assert rep.passed and rep.details["size"] == 8 and rep.details["h_dim"] == 3
     f = rng.integers(-5, 6, size=8).astype(float)
     x = np.array([1.0, -2.0, 0.5])
-    # T acts on the scalar factor of a pure tensor
-    assert np.array_equal(te.apply(np.outer(f, x)), np.outer(T @ f, x))
-    with pytest.raises(DimensionMismatchError):
-        te.apply(np.ones((8, 4)))
+    # T x I_H is T @ U on (node, H-coordinate) arrays: on a pure tensor T
+    # acts on the scalar factor, bit-exactly for integer data
+    assert np.array_equal(T @ np.outer(f, x), np.outer(T @ f, x))
 
 
 def test_tensor_extend_general_exponent():
     rng = np.random.default_rng(43)
     T = rng.normal(size=(6, 6))
-    te = theorems.tensor_extend(T, h_dim=4, p=3.0, seed=5, samples=2000)
-    assert te.report.passed
-    assert te.norm_tensor <= te.norm_scalar * (1.0 + 1e-8)
-    assert te.report.details["attainment_gap"] <= 1e-6 * max(1.0, te.norm_scalar)
+    rep = theorems.tensor_extend(T, h_dim=4, p=3.0, seed=5, samples=2000)
+    assert rep.passed
+    norms = dict(rep.rows)
+    norm_scalar, norm_tensor = norms["norm_scalar"], norms["norm_tensor"]
+    assert norm_tensor <= norm_scalar * (1.0 + 1e-8)
+    assert rep.details["attainment_gap"] <= 1e-6 * max(1.0, norm_scalar)
 
 
 def test_tensor_extend_validation():
