@@ -108,18 +108,6 @@ class SpaceDescriptor:
             "weights": None if self.weights is None else self.weights.tolist(),
         }
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "SpaceDescriptor":
-        e = d.get("exponent", 2.0)
-        if e == "inf":
-            e = math.inf
-        return cls(
-            kind=d["kind"],
-            dim=int(d["dim"]),
-            exponent=float(e),
-            weights=d.get("weights"),
-        )
-
 
 def scalar_space() -> SpaceDescriptor:
     """The space scalar-valued grid functions live in.

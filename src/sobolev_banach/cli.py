@@ -2,8 +2,9 @@
 
 ``run`` executes catalog entries from a JSON config and writes a summary
 CSV plus per-entry reports; ``list-entries`` and ``describe`` expose the
-catalog.  Reports are deterministic for a fixed seed — wall-clock metadata
-lives only in a sidecar file.
+catalog.  Entries run in forked worker processes, or in this process when
+one worker is used.  Reports are deterministic for a fixed seed — wall-clock
+and per-entry resource metadata live only in a sidecar file.
 """
 from __future__ import annotations
 
@@ -11,10 +12,10 @@ import argparse
 import json
 import math
 import os
+import resource
 import sys
 import time
 import traceback
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import jsonschema
@@ -133,6 +134,7 @@ def _apply_require(name: str, rows, require: dict):
 
 
 def _run_one(spec: dict, seed: int, refine_override: int | None):
+    wall0, ru0 = time.perf_counter(), resource.getrusage(resource.RUSAGE_SELF)
     name = spec["name"]
     refine = refine_override if refine_override is not None else spec.get("refine", 0)
     result = {"entry": name, "anchor": suite.CATALOG[name].anchor}
@@ -147,13 +149,42 @@ def _run_one(spec: dict, seed: int, refine_override: int | None):
             rows = _apply_require(name, rows, spec["require"])
     result["rows"] = rows
     result["details"] = details
+    ru = resource.getrusage(resource.RUSAGE_SELF)
+    result["usage"] = {  # measured in the process that ran the entry
+        "name": name,
+        "pid": os.getpid(),
+        "wall_s": time.perf_counter() - wall0,
+        "cpu_s": ru.ru_utime + ru.ru_stime - ru0.ru_utime - ru0.ru_stime,
+        "max_rss_mb": ru.ru_maxrss / 1024,  # Linux reports kilobytes
+    }
     return result
 
 
+def available_cpus() -> int:
+    """CPUs this process may run on; 1 where workers cannot be forked."""
+    import multiprocessing
+
+    if "fork" not in multiprocessing.get_all_start_methods():
+        return 1
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
 def execute_suite(specs, seed: int, workers: int, refine_override=None):
-    if not specs:
-        return []
-    with ThreadPoolExecutor(max_workers=workers) as pool:
+    """Run ``specs`` on ``workers`` forked processes, or in this process
+    when ``workers`` is 1; results come back in spec order."""
+    if workers <= 1:
+        return [_run_one(spec, seed, refine_override) for spec in specs]
+    # Imported here, so that importing this module and one-worker runs do
+    # not pay for them.
+    import multiprocessing
+    from concurrent.futures.process import ProcessPoolExecutor
+
+    # Fork, so workers inherit the imported package (and a patched CATALOG).
+    ctx = multiprocessing.get_context("fork")
+    with ProcessPoolExecutor(max_workers=workers, mp_context=ctx) as pool:
         futures = [
             pool.submit(_run_one, spec, seed, refine_override) for spec in specs
         ]
@@ -225,7 +256,9 @@ def cmd_run(args) -> int:
     if unknown:
         print(f"error: unknown entries: {', '.join(unknown)}", file=sys.stderr)
         return EXIT_ERROR
-    workers = args.workers or cfg.get("workers") or min(8, os.cpu_count() or 1)
+    cpus = available_cpus()
+    requested = args.workers or cfg.get("workers") or cpus
+    workers = min(requested, len(specs), cpus)
     outdir = Path(args.out or cfg.get("output_dir", "reports"))
     fmt = args.format or cfg.get("format", "json")
     started = time.time()
@@ -234,13 +267,24 @@ def cmd_run(args) -> int:
     except ConfigError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_ERROR
+    except RuntimeError as e:
+        # BrokenProcessPool is a RuntimeError; its module is imported only
+        # by the pool, so it is imported here only once something raised.
+        from concurrent.futures.process import BrokenProcessPool
+
+        if not isinstance(e, BrokenProcessPool):
+            raise
+        print(f"error: worker process died: {e}", file=sys.stderr)
+        return EXIT_ERROR
     meta = {
         "started_unix": started,
         "elapsed_seconds": time.time() - started,
         "seed": seed,
+        "workers_requested": requested,
         "workers": workers,
         "package_version": __version__,
         "entry_count": len(results),
+        "entries": [res["usage"] for res in results],
     }
     write_outputs(outdir, results, fmt, meta)
     total = sum(len(r["rows"]) for r in results)
@@ -277,6 +321,13 @@ def cmd_describe(args) -> int:
     return EXIT_OK
 
 
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="sobolev-banach",
@@ -295,7 +346,8 @@ def build_parser() -> argparse.ArgumentParser:
     runp.add_argument("--entry", help="run a single catalog entry")
     runp.add_argument("--refine", type=int, choices=range(0, 4),
                       help="override the refinement level for all entries")
-    runp.add_argument("--workers", type=int, help="worker pool size")
+    runp.add_argument("--workers", type=_positive_int,
+                      help="worker processes (default and cap: CPUs available)")
     runp.set_defaults(func=cmd_run)
 
     listp = sub.add_parser("list-entries", help="list catalog entries")

@@ -206,18 +206,6 @@ def test_pairing_vector_weights():
     assert np.array_equal(banach.pairing_vector(flat, f), f)
 
 
-def test_descriptor_roundtrip():
-    rng = np.random.default_rng(110)
-    for sp in _spaces(rng):
-        back = banach.SpaceDescriptor.from_dict(sp.to_dict())
-        assert back.kind == sp.kind and back.dim == sp.dim
-        assert back.exponent == sp.exponent
-        if sp.weights is None:
-            assert back.weights is None
-        else:
-            assert np.array_equal(back.weights, sp.weights)
-
-
 def test_descriptor_validation():
     with pytest.raises(CapabilityError):
         banach.SpaceDescriptor("Sobolev", 3)

@@ -6,6 +6,8 @@ catalog entries keep each run under a second.
 
 import dataclasses
 import json
+import os
+import warnings
 from pathlib import Path
 
 import pytest
@@ -14,6 +16,12 @@ from sobolev_banach import cli, suite
 from sobolev_banach.errors import ConfigError
 
 FAST = ["stampacchia_disjointness", "extension_reflection"]
+# a few tens of milliseconds each, so that two workers both get work
+MEDIUM = ["w0_equivalences", "aubin_lions_compact", "embedding_constants",
+          "norm_gradient_bound"]
+two_cpus = pytest.mark.skipif(
+    cli.available_cpus() < 2, reason="needs two CPUs to fork two workers"
+)
 
 
 def _write_config(tmp_path, body):
@@ -377,3 +385,127 @@ def test_readme_full_config_loads(tmp_path):
     path.write_text(block, encoding="utf-8")
     cfg = cli.load_config(str(path))
     assert any("params" in spec for spec in cfg["suite"])
+
+
+def _count_forks(monkeypatch):
+    forked = []
+    real_fork = os.fork
+
+    def fork():
+        pid = real_fork()
+        if pid:
+            forked.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", fork)
+    return forked
+
+
+def _run_names(tmp_path, names, *flags):
+    cfg = _write_config(
+        tmp_path, {"schema_version": 1, "suite": [{"name": n} for n in names]}
+    )
+    out = tmp_path / "reports"
+    code = cli.main(["run", cfg, "--out", str(out), *flags])
+    meta_path = out / "run_metadata.json"
+    return code, json.loads(meta_path.read_text()) if meta_path.exists() else None
+
+
+def test_sidecar_records_each_entry_in_process(tmp_path):
+    code, meta = _run_names(tmp_path, MEDIUM, "--workers", "1")
+    assert code == cli.EXIT_OK
+    assert meta["workers"] == meta["workers_requested"] == 1
+    assert [e["name"] for e in meta["entries"]] == MEDIUM
+    for e in meta["entries"]:
+        assert set(e) == {"name", "pid", "wall_s", "cpu_s", "max_rss_mb"}
+        assert e["pid"] == os.getpid()
+        assert e["wall_s"] > 0 and e["cpu_s"] >= 0 and e["max_rss_mb"] > 0
+
+
+@two_cpus
+def test_sidecar_records_each_entry_in_workers(tmp_path):
+    code, meta = _run_names(tmp_path, MEDIUM, "--workers", "2")
+    assert code == cli.EXIT_OK
+    assert meta["workers"] == 2
+    assert [e["name"] for e in meta["entries"]] == MEDIUM
+    pids = {e["pid"] for e in meta["entries"]}
+    assert len(pids) >= 2 and os.getpid() not in pids
+
+
+def test_workers_capped_at_available_cpus(tmp_path, monkeypatch):
+    forked = _count_forks(monkeypatch)
+    names = FAST * 12
+    code, meta = _run_names(tmp_path, names, "--workers", "64")
+    assert code == cli.EXIT_OK
+    cpus = cli.available_cpus()
+    assert meta["workers_requested"] == 64
+    assert meta["workers"] == min(64, len(names), cpus)
+    assert len(forked) <= cpus
+    assert len({e["pid"] for e in meta["entries"]}) <= cpus
+
+
+def test_single_entry_forks_nothing(tmp_path, monkeypatch):
+    forked = _count_forks(monkeypatch)
+    cfg = _write_config(tmp_path, {"schema_version": 1})
+    out = tmp_path / "solo"
+    args = ["run", cfg, "--entry", "extension_reflection", "--out", str(out)]
+    assert cli.main(args + ["--workers", "2"]) == cli.EXIT_OK
+    meta = json.loads((out / "run_metadata.json").read_text())
+    assert forked == []
+    assert meta["workers_requested"] == 2 and meta["workers"] == 1
+    assert [e["pid"] for e in meta["entries"]] == [os.getpid()]
+
+
+@pytest.mark.parametrize("value", ["0", "-2"])
+def test_workers_flag_must_be_positive(tmp_path, capsys, value):
+    cfg = _basic_config(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["run", cfg, "--out", str(tmp_path / "r"), "--workers", value])
+    assert exc.value.code == 2
+    assert "must be at least 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("workers", ["1", pytest.param("2", marks=two_cpus)])
+def test_require_error_crosses_process_boundary(tmp_path, capsys, workers):
+    cfg = _write_config(
+        tmp_path,
+        {
+            "schema_version": 1,
+            "suite": [
+                {"name": "stampacchia_disjointness"},
+                {"name": "extension_reflection", "require": {"nope": {"max": 1.0}}},
+            ],
+        },
+    )
+    out = tmp_path / "r"
+    assert cli.main(["run", cfg, "--out", str(out), "--workers", workers]) == (
+        cli.EXIT_ERROR
+    )
+    assert capsys.readouterr().err == (
+        "error: entry extension_reflection: require references unknown metric "
+        "'nope'\n"
+    )
+    assert not out.exists()
+
+
+@two_cpus
+def test_dead_worker_is_reported(tmp_path, capsys, monkeypatch):
+    def die(rng, refine, n):
+        os._exit(3)
+
+    entry = suite.CATALOG["extension_reflection"]
+    monkeypatch.setitem(
+        suite.CATALOG, entry.name, dataclasses.replace(entry, builder=die)
+    )
+    code, meta = _run_names(tmp_path, FAST, "--workers", "2")
+    assert code == cli.EXIT_ERROR and meta is None
+    assert "error: worker process died: " in capsys.readouterr().err
+
+
+@two_cpus
+def test_forking_workers_warns_nothing(tmp_path):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, meta = _run_names(tmp_path, FAST, "--workers", "2")
+    assert code == cli.EXIT_OK and meta["workers"] == 2
+    assert not [w for w in caught if issubclass(w.category, DeprecationWarning)]
