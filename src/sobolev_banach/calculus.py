@@ -40,6 +40,8 @@ DIVERGENCE_SLOPE = -0.1
 #: ... over at least this many step sizes with at least this R^2
 DIVERGENCE_MIN_STEPS = 4
 DIVERGENCE_MIN_R2 = 0.99
+#: seeded node-value pairs on which a Lipschitz constant is validated
+LIPSCHITZ_PAIRS = 10_000
 
 
 @dataclass
@@ -136,8 +138,7 @@ def dq_criterion(
 class LipschitzMap:
     """A Lipschitz map between value spaces, with optional one-sided data.
 
-    ``rule`` maps a single source vector to a target vector; ``rule_batch``
-    (optional) maps (N, source.dim) to (N, target.dim) and is preferred.
+    ``rule`` maps a batch (N, source.dim) to (N, target.dim).
     ``onesided_batch``, when provided, returns the one-sided directional
     derivative pair (plus, minus), each (N, target.dim), at points X along
     directions V.
@@ -147,17 +148,11 @@ class LipschitzMap:
     source: SpaceDescriptor
     target: SpaceDescriptor
     L: float
-    rule_batch: object = None
     onesided_batch: object = None
     name: str = "F"
 
     def apply_batch(self, X: np.ndarray) -> np.ndarray:
-        if self.rule_batch is not None:
-            out = np.asarray(self.rule_batch(X), dtype=np.float64)
-        else:
-            out = np.stack(
-                [np.asarray(self.rule(X[i]), dtype=np.float64) for i in range(len(X))]
-            )
+        out = np.asarray(self.rule(X), dtype=np.float64)
         if out.shape != (X.shape[0], self.target.dim):
             raise DimensionMismatchError(
                 f"{self.name} returned shape {out.shape}, "
@@ -169,7 +164,7 @@ class LipschitzMap:
 def norm_lipschitz_map(space: SpaceDescriptor) -> LipschitzMap:
     """The norm of `space` as a 1-Lipschitz scalar map with one-sided data."""
 
-    def _batch(X):
+    def _rule(X):
         return np.asarray(banach.norm(space, X))[:, None]
 
     def _onesided(X, V):
@@ -177,8 +172,7 @@ def norm_lipschitz_map(space: SpaceDescriptor) -> LipschitzMap:
         return plus[:, None], minus[:, None]
 
     return LipschitzMap(
-        rule=lambda x: np.array([banach.norm(space, x)]),
-        rule_batch=_batch,
+        rule=_rule,
         onesided_batch=_onesided,
         source=space,
         target=scalar_space(),
@@ -187,17 +181,16 @@ def norm_lipschitz_map(space: SpaceDescriptor) -> LipschitzMap:
     )
 
 
-def validate_lipschitz(
-    F: LipschitzMap, u: GridFunction, rng: np.random.Generator, pairs: int = 10_000
-) -> float:
-    """Empirical Lipschitz quotient of F over seeded node-value pairs.
+def validate_lipschitz(F: LipschitzMap, u: GridFunction, rng: np.random.Generator) -> float:
+    """Empirical Lipschitz quotient of F over LIPSCHITZ_PAIRS seeded
+    node-value pairs.
 
     Raises with the witness pair when the quotient exceeds L*(1+1e-9).
     """
     X = u.values.reshape(-1, u.space.dim)
     n = X.shape[0]
-    ii = rng.integers(0, n, size=pairs)
-    jj = rng.integers(0, n, size=pairs)
+    ii = rng.integers(0, n, size=LIPSCHITZ_PAIRS)
+    jj = rng.integers(0, n, size=LIPSCHITZ_PAIRS)
     keep = ii != jj
     ii, jj = ii[keep], jj[keep]
     a, b = X[ii], X[jj]
@@ -218,10 +211,7 @@ def validate_lipschitz(
 
 
 def compose_lipschitz(
-    F: LipschitzMap,
-    u: GridFunction,
-    rng: np.random.Generator | None = None,
-    validation_pairs: int = 10_000,
+    F: LipschitzMap, u: GridFunction, rng: np.random.Generator | None = None
 ) -> tuple[GridFunction, Report]:
     """F composed with u, plus the difference-quotient bound report.
 
@@ -232,7 +222,7 @@ def compose_lipschitz(
     if u.space.to_dict() != F.source.to_dict():
         raise DimensionMismatchError("u does not live in F's source space")
     rng = rng if rng is not None else np.random.default_rng(0)
-    qmax = validate_lipschitz(F, u, rng, validation_pairs)
+    qmax = validate_lipschitz(F, u, rng)
     flat = F.apply_batch(u.values.reshape(-1, u.space.dim))
     v = GridFunction(
         u.domain, u.grid, F.target, flat.reshape(u.grid.n + (F.target.dim,))
@@ -375,7 +365,6 @@ def norm_derivative_field(u: GridFunction) -> FieldResult:
         err = float(np.sum(np.abs(value - fdj)[ok]) * vol)
         err_total += err
         if np.any(~flagged):
-            margin = float(np.max((np.abs(value) - dnorm)[~flagged]))
             rel = float(
                 np.max(((np.abs(value) - dnorm) / (1.0 + dnorm))[~flagged])
             )

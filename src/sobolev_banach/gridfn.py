@@ -41,10 +41,6 @@ class BoxDomain:
     def d(self) -> int:
         return self.lo.shape[0]
 
-    @property
-    def volume(self) -> float:
-        return float(np.prod(self.hi - self.lo))
-
 
 def unit_box(d: int) -> BoxDomain:
     return BoxDomain(np.zeros(d), np.ones(d))
@@ -73,9 +69,6 @@ class GridSpec:
             domain.lo[j] + (np.arange(self.n[j]) + 0.5) * h[j]
             for j in range(domain.d)
         ]
-
-    def refine(self, factor: int = 2) -> "GridSpec":
-        return GridSpec(tuple(k * factor for k in self.n))
 
 
 def grid_centers(domain: BoxDomain, grid: GridSpec) -> np.ndarray:
@@ -131,33 +124,18 @@ def pointwise_norm_function(u: GridFunction) -> GridFunction:
 # ---------------------------------------------------------------------------
 
 
-def sample(
-    domain: BoxDomain,
-    grid: GridSpec,
-    space: SpaceDescriptor,
-    f,
-    vectorized: bool = False,
-) -> GridFunction:
+def sample(domain: BoxDomain, grid: GridSpec, space: SpaceDescriptor, f) -> GridFunction:
     """Evaluate a rule at the cell centers.
 
     ``f`` maps a coordinate vector of length d to a value vector of length
-    space.dim; with ``vectorized=True`` it must accept an (N, d) array and
-    return (N, dim).  Non-finite values are rejected with the offending
+    space.dim.  Non-finite values are rejected with the offending
     multi-index in the message.
     """
     centers = grid_centers(domain, grid)
     flat = centers.reshape(-1, domain.d)
-    if vectorized:
-        vals = np.asarray(f(flat), dtype=np.float64)
-        if vals.shape != (flat.shape[0], space.dim):
-            raise DimensionMismatchError(
-                f"vectorized rule returned shape {vals.shape}, "
-                f"expected {(flat.shape[0], space.dim)}"
-            )
-    else:
-        vals = np.empty((flat.shape[0], space.dim))
-        for i in range(flat.shape[0]):
-            vals[i] = np.asarray(f(flat[i]), dtype=np.float64)
+    vals = np.empty((flat.shape[0], space.dim))
+    for i in range(flat.shape[0]):
+        vals[i] = np.asarray(f(flat[i]), dtype=np.float64)
     bad = ~np.isfinite(vals)
     if bad.any():
         i = int(np.argwhere(bad.any(axis=1))[0][0])
@@ -206,26 +184,21 @@ def _axis_slices(d: int, j: int, s: slice) -> tuple:
     return tuple(out)
 
 
-def interior_mask(grid: GridSpec, width: int = 1) -> np.ndarray:
-    """Boolean node mask, True away from the boundary ring of given width."""
-    mask = np.ones(grid.n, dtype=bool)
-    d = len(grid.n)
-    for j in range(d):
-        mask[_axis_slices(d, j, slice(0, width))] = False
-        mask[_axis_slices(d, j, slice(-width, None))] = False
+def interior_mask(grid: GridSpec) -> np.ndarray:
+    """Boolean node mask, False on the one-node boundary ring where
+    :func:`finite_difference` uses its one-sided stencils."""
+    mask = np.zeros(grid.n, dtype=bool)
+    mask[(slice(1, -1),) * len(grid.n)] = True
     return mask
 
 
-def finite_difference(u: GridFunction, scheme: str = "central") -> list[GridFunction]:
+def finite_difference(u: GridFunction) -> list[GridFunction]:
     """Difference-quotient derivative fields D_j u, one per axis.
 
-    central: second-order interior stencil, second-order one-sided at the
-    two boundary layers (checks that need interior accuracy mask that ring
-    via :func:`interior_mask`).  forward/backward: first-order one-sided,
-    falling back to the mirrored stencil on the last (first) layer.
+    Second-order central stencil in the interior, second-order one-sided at
+    the two boundary layers (checks that need interior accuracy mask that
+    ring via :func:`interior_mask`).
     """
-    if scheme not in ("central", "forward", "backward"):
-        raise ValueError(f"unknown scheme {scheme!r}")
     d = u.domain.d
     h = u.grid.spacing(u.domain)
     v = u.values
@@ -236,37 +209,24 @@ def finite_difference(u: GridFunction, scheme: str = "central") -> list[GridFunc
             raise GridError(f"axis {j} has {nj} cells; stencils need >= 3")
         dv = np.empty_like(v)
         S = lambda a, b: _axis_slices(d, j, slice(a, b))
-        # Interior stencils are written straight into dv and divided in
+        # The interior stencil is written straight into dv and divided in
         # place: the same operations as (a - b) / step, without temporaries.
-        if scheme == "central":
-            inner = dv[S(1, -1)]
-            np.subtract(v[S(2, None)], v[S(0, -2)], out=inner)
-            inner /= 2.0 * h[j]
-            dv[S(0, 1)] = (-3.0 * v[S(0, 1)] + 4.0 * v[S(1, 2)] - v[S(2, 3)]) / (
-                2.0 * h[j]
-            )
-            dv[S(-1, None)] = (
-                3.0 * v[S(-1, None)] - 4.0 * v[S(-2, -1)] + v[S(-3, -2)]
-            ) / (2.0 * h[j])
-        elif scheme == "forward":
-            inner = dv[S(0, -1)]
-            np.subtract(v[S(1, None)], v[S(0, -1)], out=inner)
-            inner /= h[j]
-            dv[S(-1, None)] = (v[S(-1, None)] - v[S(-2, -1)]) / h[j]
-        else:
-            inner = dv[S(1, None)]
-            np.subtract(v[S(1, None)], v[S(0, -1)], out=inner)
-            inner /= h[j]
-            dv[S(0, 1)] = (v[S(1, 2)] - v[S(0, 1)]) / h[j]
+        inner = dv[S(1, -1)]
+        np.subtract(v[S(2, None)], v[S(0, -2)], out=inner)
+        inner /= 2.0 * h[j]
+        dv[S(0, 1)] = (-3.0 * v[S(0, 1)] + 4.0 * v[S(1, 2)] - v[S(2, 3)]) / (2.0 * h[j])
+        dv[S(-1, None)] = (3.0 * v[S(-1, None)] - 4.0 * v[S(-2, -1)] + v[S(-3, -2)]) / (
+            2.0 * h[j]
+        )
         fields.append(u.like(dv))
     return fields
 
 
-def w_norm(u: GridFunction, p: float, scheme: str = "central") -> float:
+def w_norm(u: GridFunction, p: float) -> float:
     """Discrete W^{1,p} norm: Bochner p-norm of u plus the sum over axes of
     the Bochner p-norms of the difference-quotient fields."""
     total = bochner_norm(u, p)
-    for dj in finite_difference(u, scheme):
+    for dj in finite_difference(u):
         total += bochner_norm(dj, p)
     return total
 

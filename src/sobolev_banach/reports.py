@@ -3,7 +3,7 @@ conversion of results to JSON-ready values."""
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field, is_dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -46,9 +46,7 @@ class Report:
 
 
 def to_jsonable(obj):
-    """Recursively convert dataclasses/ndarrays/numpy scalars for json.dumps."""
-    if is_dataclass(obj) and not isinstance(obj, type):
-        return {k: to_jsonable(v) for k, v in asdict(obj).items()}
+    """Recursively convert containers/ndarrays/numpy scalars for json.dumps."""
     if isinstance(obj, dict):
         return {str(k): to_jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):

@@ -67,8 +67,7 @@ def test_validate_lipschitz_catches_understated_constant():
     rng = np.random.default_rng(30)
     u = _sample1(64, lambda x: np.array([math.sin(x[0]), x[0]]))
     doubler = calculus.LipschitzMap(
-        rule=lambda x: 2.0 * x,
-        rule_batch=lambda X: 2.0 * X,
+        rule=lambda X: 2.0 * X,
         source=HIL2,
         target=HIL2,
         L=1.0,
@@ -77,8 +76,7 @@ def test_validate_lipschitz_catches_understated_constant():
     with pytest.raises(ContractError, match="doubler"):
         calculus.validate_lipschitz(doubler, u, rng)
     doubler_honest = calculus.LipschitzMap(
-        rule=doubler.rule, rule_batch=doubler.rule_batch,
-        source=HIL2, target=HIL2, L=2.0,
+        rule=doubler.rule, source=HIL2, target=HIL2, L=2.0,
     )
     q = calculus.validate_lipschitz(doubler_honest, u, rng)
     assert q <= 2.0 * (1.0 + 1e-9)
@@ -116,7 +114,7 @@ def test_gateaux_chain_field_smooth_case():
 def test_gateaux_chain_needs_onesided_data():
     u = _sample1(16, lambda x: np.array([1.0, 0.0]))
     bare = calculus.LipschitzMap(
-        rule=lambda x: x, rule_batch=lambda X: X, source=HIL2, target=HIL2, L=1.0
+        rule=lambda X: X, source=HIL2, target=HIL2, L=1.0
     )
     with pytest.raises(CapabilityError):
         calculus.gateaux_chain_field(bare, u)

