@@ -111,14 +111,12 @@ def resolve_seed(cfg: dict, cli_seed: int | None) -> int:
     return int(cfg.get("seed", 42))
 
 
-def _apply_require(name: str, rows, require: dict):
+def _apply_require(rows, require: dict):
     by_metric = {r.metric: r for r in rows}
     extra = []
     for metric, bounds in require.items():
         if metric not in by_metric:
-            raise ConfigError(
-                f"entry {name}: require references unknown metric {metric!r}"
-            )
+            raise ConfigError(f"require references unknown metric {metric!r}")
         value = by_metric[metric].value
         if "max" in bounds:
             extra.append(
@@ -140,13 +138,11 @@ def _run_one(spec: dict, seed: int, refine_override: int | None):
     result = {"entry": name, "anchor": suite.CATALOG[name].anchor}
     try:
         rows, details = suite.run_entry(name, seed, refine, spec.get("params"))
+        rows = _apply_require(rows, spec.get("require", {}))
     except Exception as e:  # one entry's blow-up must not lose the others' reports
         traceback.print_exc()
         result["error"] = f"{type(e).__name__}: {e}"
         rows, details = [suite.Row("raised", math.nan, math.nan, False)], {}
-    else:
-        if spec.get("require"):
-            rows = _apply_require(name, rows, spec["require"])
     result["rows"] = rows
     result["details"] = details
     ru = resource.getrusage(resource.RUSAGE_SELF)
@@ -264,9 +260,6 @@ def cmd_run(args) -> int:
     started = time.time()
     try:
         results = execute_suite(specs, seed, workers, args.refine)
-    except ConfigError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_ERROR
     except RuntimeError as e:
         # BrokenProcessPool is a RuntimeError; its module is imported only
         # by the pool, so it is imported here only once something raised.

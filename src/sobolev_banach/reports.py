@@ -42,7 +42,9 @@ class Report:
 
     @property
     def passed(self) -> bool:
-        return self.verdict in ("PASS", "BOUNDED", "STABLE", "CONFIRMS_FAILURE")
+        return self.verdict in (
+            "PASS", "BOUNDED", "STABLE", "CONFIRMS_FAILURE", "MEMBER"
+        )
 
 
 def to_jsonable(obj):

@@ -93,7 +93,8 @@ def _entry(anchor: str, summary: str, **params):
     and reaches the builder as a keyword after ``(rng, refine)``.  The
     default's type is the param's type: a tuple is a ladder of grid sizes,
     each at least the minimum and at most ``LADDER_CAP``, run in ascending
-    order; a float is a real number; an int an integer.
+    order and refined by ``_ladder``; a float is a real number; an int an
+    integer.
     """
 
     def register(builder):
@@ -207,7 +208,11 @@ def circle_sample(n: int = 128) -> GridFunction:
 
 
 def _ladder(base: tuple[int, ...], refine: int) -> tuple[int, ...]:
-    return tuple(min(n * 2**refine, LADDER_CAP) for n in base)
+    """The levels of ``base`` scaled by 2**r, for the largest r <= refine
+    that keeps the top level within LADDER_CAP, so no level repeats."""
+    while refine and max(base) * 2**refine > LADDER_CAP:
+        refine -= 1
+    return tuple(n * 2**refine for n in base)
 
 
 def _fit_order(ns, errs) -> float:
@@ -453,9 +458,10 @@ def _w0_equivalences(rng, refine, ladder):
         for u, expect in [(m, True) for m in members] + [
             (s, False) for s in non_members
         ]:
-            direct, rep = theorems.w0_membership(u)
-            weak = theorems.weak_w0_check(u, F).verdict == "MEMBER"
-            scalar, _ = theorems.w0_membership(pointwise_norm_function(u))
+            rep = theorems.w0_membership(u)
+            direct = rep.passed
+            weak = theorems.weak_w0_check(u, F).passed
+            scalar = theorems.w0_membership(pointwise_norm_function(u)).passed
             if n == ladder[-1]:
                 total += 1
                 agree += int(direct == expect and weak == expect and scalar == expect)

@@ -196,8 +196,7 @@ def poincare_check(u: GridFunction, p: float, j: int) -> Report:
     """|D_j u|_{L^p} >= C |u|_{L^p} (1 - POINCARE_EPS) for zero-trace u,
     with the sharp directional constant of the box; requires w0_membership
     first."""
-    member, _ = w0_membership(u, p=p)
-    if not member:
+    if not w0_membership(u, p=p).passed:
         raise ContractError("poincare_check requires a zero-trace function")
     length = float(u.domain.hi[j] - u.domain.lo[j])
     c = poincare_constant(p, length)
@@ -218,11 +217,10 @@ def poincare_check(u: GridFunction, p: float, j: int) -> Report:
 # ---------------------------------------------------------------------------
 
 
-def w0_membership(
-    u: GridFunction, tol: float | None = None, p: float = 2.0
-) -> tuple[bool, Report]:
-    """Zero-trace verdict from the boundary norm of the pointwise-norm
-    function, thresholded at tol*(1 + |u|_W); tol defaults to 10 h^2."""
+def w0_membership(u: GridFunction, tol: float | None = None, p: float = 2.0) -> Report:
+    """Zero-trace verdict (MEMBER or NOT_MEMBER) from the boundary norm of
+    the pointwise-norm function, thresholded at tol*(1 + |u|_W); tol
+    defaults to 10 h^2.  rows: one (h, boundary norm)."""
     h = float(np.max(u.grid.spacing(u.domain)))
     if tol is None:
         tol = 10.0 * h * h
@@ -230,14 +228,12 @@ def w0_membership(
     bnorm = boundary_lp_norm(trace_boundary(g), p)
     wn = w_norm(u, p)
     threshold = tol * (1.0 + wn)
-    member = bnorm <= threshold
-    report = Report(
+    return Report(
         name="w0_membership",
         rows=[(h, bnorm)],
-        verdict="MEMBER" if member else "NOT_MEMBER",
+        verdict="MEMBER" if bnorm <= threshold else "NOT_MEMBER",
         details={"threshold": threshold, "tol": tol, "p": p, "w_norm": wn},
     )
-    return member, report
 
 
 def weak_w0_check(
@@ -260,11 +256,11 @@ def weak_w0_check(
     table = []
     for i in range(F.shape[0]):
         g = apply_functional(u, F[i])
-        m, rep = w0_membership(g, tol=tol, p=p)
-        verdicts.append(m)
+        rep = w0_membership(g, tol=tol, p=p)
+        verdicts.append(rep.passed)
         table.append((f"functional[{i}]", rep.rows[0][1]))
     weak_member = all(verdicts)
-    direct_member, _ = w0_membership(u, tol=tol, p=p)
+    direct_member = w0_membership(u, tol=tol, p=p).passed
     agree = weak_member == direct_member
     return Report(
         name="weak_w0_check",
@@ -293,14 +289,13 @@ def ideal_property_check(
     if np.any(excess > 0.0):
         idx = np.unravel_index(int(np.argmax(excess)), u.grid.n)
         raise ContractError(f"domination fails at node {idx}: |v|={gv[idx]} > |u|={gu[idx]}")
-    member_u, _ = w0_membership(u, tol=tol, p=p)
-    if not member_u:
+    if not w0_membership(u, tol=tol, p=p).passed:
         raise ContractError("ideal_property_check requires u with zero trace")
-    member_v, rep_v = w0_membership(v, tol=tol, p=p)
+    rep_v = w0_membership(v, tol=tol, p=p)
     return Report(
         name="ideal_property_check",
         rows=rep_v.rows,
-        verdict="PASS" if member_v else "FAIL",
+        verdict="PASS" if rep_v.passed else "FAIL",
         details={"v_boundary_norm": rep_v.rows[0][1], "threshold": rep_v.details["threshold"]},
     )
 

@@ -15,7 +15,7 @@ from sobolev_banach.reports import Report
 
 HIL2 = banach.SpaceDescriptor("Hilbert", 2)
 BOX1 = gridfn.unit_box(1)
-PASSING = {"PASS", "BOUNDED", "STABLE", "CONFIRMS_FAILURE"}
+PASSING = {"PASS", "BOUNDED", "STABLE", "CONFIRMS_FAILURE", "MEMBER"}
 
 
 def _smooth(n=64):
@@ -102,7 +102,8 @@ CASES = {
     ),
     "embedding_check": (lambda: theorems.embedding_check(_smooth(), 2.0, 4.0), "PASS"),
     "poincare_check": (lambda: theorems.poincare_check(_zero_trace(), 2.0, 0), "PASS"),
-    "w0_membership member": (lambda: theorems.w0_membership(_zero_trace())[1], "MEMBER"),
+    "w0_membership member": (lambda: theorems.w0_membership(_zero_trace()), "MEMBER"),
+    "w0_membership non-member": (lambda: theorems.w0_membership(_smooth()), "NOT_MEMBER"),
     "norm_map_continuity order 0.9": (lambda: _norm_sequence(0.9), "PASS"),
     "norm_map_continuity order 5": (lambda: _norm_sequence(5.0), "FAIL"),
     "aubin_lions_probe certified": (_stable_probe, "STABLE"),

@@ -303,6 +303,21 @@ def test_descending_ladder_runs_ascending():
     assert down == up
 
 
+def test_refine_lowers_until_the_top_level_fits():
+    assert suite._ladder((64, 128, 256), 3) == (128, 256, 512)
+    assert suite._ladder((64, 128, 256, 512), 2) == (64, 128, 256, 512)
+    rows, details = suite.run_entry("quotient_rule", 42, 1, {"ladder": [256, 512]})
+    assert details["ladder"] == [256, 512]
+    assert rows and all(r.passed for r in rows), rows
+
+
+def test_full_catalog_passes_at_refine_3(tmp_path):
+    cfg = _write_config(tmp_path, {"schema_version": 1})
+    assert cli.main(["run", cfg, "--out", str(tmp_path / "r"), "--refine", "3"]) == (
+        cli.EXIT_OK
+    )
+
+
 def test_integral_floats_run_like_integers(tmp_path):
     summaries = []
     for n, ladder in ((256, [64, 128, 256]), (256.0, [64.0, 128.0, 256.0])):
@@ -481,11 +496,13 @@ def test_require_error_crosses_process_boundary(tmp_path, capsys, workers):
     assert cli.main(["run", cfg, "--out", str(out), "--workers", workers]) == (
         cli.EXIT_ERROR
     )
-    assert capsys.readouterr().err == (
-        "error: entry extension_reflection: require references unknown metric "
-        "'nope'\n"
+    message = "ConfigError: require references unknown metric 'nope'"
+    assert capsys.readouterr().err.endswith(
+        f"error: entry extension_reflection raised {message}\n"
     )
-    assert not out.exists()
+    assert json.loads((out / "extension_reflection.json").read_text())["error"] == message
+    other = json.loads((out / "stampacchia_disjointness.json").read_text())
+    assert "error" not in other and all(r["pass"] for r in other["rows"])
 
 
 @two_cpus

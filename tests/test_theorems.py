@@ -116,14 +116,14 @@ def test_poincare_check_sharp_profile():
 
 
 def test_w0_membership_verdicts():
-    member, rep = theorems.w0_membership(_sin_member(128))
-    assert member and rep.verdict == "MEMBER"
+    rep = theorems.w0_membership(_sin_member(128))
+    assert rep.passed and rep.verdict == "MEMBER"
     flat = gridfn.sample(BOX1, gridfn.GridSpec((128,)), HIL2, lambda x: np.array([2.0, 0.0]))
-    member2, rep2 = theorems.w0_membership(flat)
-    assert not member2 and rep2.verdict == "NOT_MEMBER"
+    rep2 = theorems.w0_membership(flat)
+    assert not rep2.passed and rep2.verdict == "NOT_MEMBER"
     # explicit tolerance overrides the default 10 h^2
-    member3, rep3 = theorems.w0_membership(flat, tol=10.0)
-    assert member3 and rep3.details["tol"] == 10.0
+    rep3 = theorems.w0_membership(flat, tol=10.0)
+    assert rep3.passed and rep3.details["tol"] == 10.0
 
 
 def test_weak_w0_agreement_and_rank():
