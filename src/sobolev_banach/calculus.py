@@ -181,7 +181,9 @@ def norm_lipschitz_map(space: SpaceDescriptor) -> LipschitzMap:
     )
 
 
-def validate_lipschitz(F: LipschitzMap, u: GridFunction, rng: np.random.Generator) -> float:
+def validate_lipschitz(
+    F: LipschitzMap, u: GridFunction, rng: np.random.Generator
+) -> float:
     """Empirical Lipschitz quotient of F over LIPSCHITZ_PAIRS seeded
     node-value pairs.
 

@@ -214,10 +214,12 @@ def finite_difference(u: GridFunction) -> list[GridFunction]:
         inner = dv[S(1, -1)]
         np.subtract(v[S(2, None)], v[S(0, -2)], out=inner)
         inner /= 2.0 * h[j]
-        dv[S(0, 1)] = (-3.0 * v[S(0, 1)] + 4.0 * v[S(1, 2)] - v[S(2, 3)]) / (2.0 * h[j])
-        dv[S(-1, None)] = (3.0 * v[S(-1, None)] - 4.0 * v[S(-2, -1)] + v[S(-3, -2)]) / (
+        dv[S(0, 1)] = (-3.0 * v[S(0, 1)] + 4.0 * v[S(1, 2)] - v[S(2, 3)]) / (
             2.0 * h[j]
         )
+        dv[S(-1, None)] = (
+            3.0 * v[S(-1, None)] - 4.0 * v[S(-2, -1)] + v[S(-3, -2)]
+        ) / (2.0 * h[j])
         fields.append(u.like(dv))
     return fields
 

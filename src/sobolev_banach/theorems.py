@@ -48,6 +48,7 @@ MOLLIFIER_SLACK = 1.25
 #: relative slack of the Poincaré inequality against the sharp constant
 POINCARE_EPS = 0.01
 
+
 # ---------------------------------------------------------------------------
 # scalar probe corpus (empirical scalar constants)
 # ---------------------------------------------------------------------------
@@ -127,7 +128,9 @@ def embedding_check(u: GridFunction, p: float, r: float, seed: int = 0) -> Repor
 # ---------------------------------------------------------------------------
 
 
-def morrey_check(u: GridFunction, p: float, seed: int = 0, max_nodes: int = 4096) -> Report:
+def morrey_check(
+    u: GridFunction, p: float, seed: int = 0, max_nodes: int = 4096
+) -> Report:
     """Hölder seminorm of exponent 1 - d/p against C_scalar * |u|_W.
 
     C_scalar is the largest Hölder-to-W ratio over the scalar probe corpus
