@@ -13,31 +13,158 @@ def backend() -> str:
     return "numpy"
 
 
+BLOCK = 16  # consecutive nodes per block of holder_max's branch and bound
+MARGIN = 1.0 + 1e-9  # safety factor on a block-pair bound, absorbs rounding
+CHUNK = 1 << 18  # floats per work buffer of holder_max: bounds its memory
+
+
+def _row_norms(X, rcode, w):
+    """Norms of the rows of the 2-D array ``X``, which is overwritten.
+
+    The expressions of the encoded norms: abs-max, ``|x| @ w``,
+    ``sqrt(x*x @ w)`` or ``(|x|**r @ w)**(1/r)``.
+    """
+    if rcode == 2.0:
+        np.multiply(X, X, out=X)
+        return np.sqrt(X @ w)
+    np.abs(X, out=X)
+    if rcode == -1.0:
+        return X.max(axis=1)
+    if rcode == 1.0:
+        return X @ w
+    X **= rcode
+    out = X @ w
+    out **= 1.0 / rcode
+    return out
+
+
 def holder_max(V, P, alpha, rcode, w):
-    """Pairwise Hölder quotient sup: max_{i<j} ||V_i - V_j||_X / |P_i - P_j|^alpha."""
+    """Pairwise Hölder quotient sup: max_{i<j} ||V_i - V_j||_X / |P_i - P_j|^alpha.
+
+    Coincident positions are skipped; with no other pair the result is 0.
+
+    Exact branch and bound over blocks of ``BLOCK`` consecutive nodes.  Each
+    block has a value centre c (midpoint of its coordinate box), a radius r
+    (the largest ||V_i - c||) and a position box.  For blocks I, J the
+    triangle inequality gives, for every i in I and j in J,
+
+        ||V_i - V_j|| / |P_i - P_j|^alpha <= (||c_I - c_J|| + r_I + r_J) / gap^alpha,
+
+    with gap the distance between the boxes.  Block pairs are taken in
+    decreasing order of this bound, a chunk at a time, and the rest are
+    dropped once their bound times ``MARGIN`` is below the best quotient
+    found.  Every pair of an evaluated block pair gets the float expression
+    of the all-pairs scan (``V_j - V_i``, the norm of ``_row_norms``,
+    ``dist2 ** (alpha / 2)``, the ``dist2 > 0`` skip), so the maximum is the
+    scan's, bit for bit.  The work is O(N^2) when nothing can be dropped
+    (rough values, scattered positions) and far less on smooth data.
+
+    Rounding cannot make a dropped pair the maximum.  Box gaps are float
+    subtractions of box corners: rounding is monotone, so no computed pair
+    separation is below the computed gap of its boxes.  The computed norms
+    and powers carry relative errors of a few units in the last place for
+    value dimensions below about 10**6, which ``MARGIN`` covers; ``slack``
+    covers the absolute error of underflow in the power sums.  Values and
+    positions must be finite, with squared distances and power sums that do
+    not overflow.
+
+    Bit identity with the scan also needs each pair's arithmetic to be the
+    scan's.  Squared separations are summed axis by axis, as numpy sums an
+    axis of fewer than 8 terms.  OpenBLAS rounds a row of a matrix-vector
+    product the same wherever the row sits, for value dimensions below 8,
+    but numpy computes a one-row product, the scan's last row (n-2, n-1),
+    as a dot product.  So that pair is evaluated alone, node n-1 against
+    all other nodes, and the blocks cover nodes 0..n-2 with chunks of at
+    least two pairs.
+    """
     V = np.ascontiguousarray(V, dtype=np.float64)
     P = np.ascontiguousarray(P, dtype=np.float64)
     w = np.ascontiguousarray(w, dtype=np.float64)
     alpha, rcode = float(alpha), float(rcode)
-    n = V.shape[0]
-    best = 0.0
-    for i in range(n - 1):
-        diff = V[i + 1 :] - V[i]
-        if rcode == -1.0:
-            dn = np.abs(diff).max(axis=1)
-        elif rcode == 1.0:
-            dn = np.abs(diff) @ w
-        elif rcode == 2.0:
-            dn = np.sqrt((diff * diff) @ w)
-        else:
-            dn = (np.abs(diff) ** rcode @ w) ** (1.0 / rcode)
-        sep = P[i + 1 :] - P[i]
-        dist2 = (sep * sep).sum(axis=1)
+    (n, k), d = V.shape, P.shape[1]
+    if n < 2:
+        return 0.0
+    power = 0.5 * alpha
+    pairs = max(BLOCK * BLOCK, CHUNK // max(k, d))  # node pairs per chunk
+    diff = np.empty((pairs, k))
+    dist, tmp = np.empty(pairs), np.empty(pairs)
+
+    def chunk_max(Vr, Pr, Vc, Pc):
+        """Largest quotient over the pairs of node ``Vr[s, i]`` with node
+        ``Vc[s, j]``, for every set s of the batch."""
+        shape = Vr.shape[:2] + Vc.shape[1:2]
+        m = shape[0] * shape[1] * shape[2]
+        D = diff[:m].reshape(shape + (k,))
+        for b in range(k):
+            np.subtract(Vc[:, None, :, b], Vr[:, :, None, b], out=D[..., b])
+        dn = _row_norms(diff[:m], rcode, w)
+        # squared separations summed axis by axis, in the order numpy sums
+        # an axis of fewer than 8 terms
+        dist2 = dist[:m]
+        S, T = dist2.reshape(shape), tmp[:m].reshape(shape)
+        np.subtract(Pc[:, None, :, 0], Pr[:, :, None, 0], out=S)
+        S *= S
+        for a in range(1, d):
+            np.subtract(Pc[:, None, :, a], Pr[:, :, None, a], out=T)
+            T *= T
+            S += T
         ok = dist2 > 0.0
-        if ok.any():
-            q = (dn[ok] / dist2[ok] ** (0.5 * alpha)).max()
-            if q > best:
-                best = float(q)
+        if not ok.all():
+            dn, dist2 = dn[ok], dist2[ok]
+        if dn.size == 0:
+            return 0.0
+        dist2 **= power
+        dn /= dist2
+        return float(dn.max())
+
+    last = V[None, n - 1 :], P[None, n - 1 :]
+    best = chunk_max(V[None, n - 2 : n - 1], P[None, n - 2 : n - 1], *last)
+    # node n-1 against every node but n-2, in pieces that each include node
+    # n-1 itself, so that every piece holds two pairs (the self pair is skipped)
+    for s in range(0, n - 2, pairs - 1):
+        cols = np.r_[s : min(s + pairs - 1, n - 2), n - 1]
+        best = max(best, chunk_max(*last, V[None, cols], P[None, cols]))
+
+    # blocks over nodes 0..n-2; the last block is filled up with copies of
+    # node n-2, which repeat pairs but add none
+    nb = -(-(n - 1) // BLOCK)
+    fill = np.minimum(np.arange(nb * BLOCK), n - 2)
+    Vb, Pb = V[fill].reshape(nb, BLOCK, k), P[fill].reshape(nb, BLOCK, d)
+    lo, hi = Pb.min(axis=1), Pb.max(axis=1)
+    centre = 0.5 * (Vb.min(axis=1) + Vb.max(axis=1))
+    radius = _row_norms((Vb - centre[:, None]).reshape(-1, k), rcode, w)
+    radius = radius.reshape(nb, BLOCK).max(axis=1)
+    # underflow leaves each of the k weighted power terms of a norm off by
+    # less than (1 + w) * 2**-1074, which the 1/r power turns into an
+    # absolute error; a bound and the pair it covers hold four norms
+    slack = 4.0 * (k * (1.0 + w.max()) * 2.0**-1070) ** (1.0 / max(rcode, 1.0))
+
+    per_chunk = pairs // (BLOCK * BLOCK)  # block pairs per chunk
+    group = max(1, pairs // nb)  # row blocks whose bounds are formed at once
+    for i0 in range(0, nb, group):
+        rows = np.arange(i0, min(i0 + group, nb))[:, None]
+        gap = np.maximum(lo - hi[rows], lo[rows] - hi)
+        np.maximum(gap, 0.0, out=gap)
+        gap *= gap
+        bound = _row_norms((centre - centre[rows]).reshape(-1, k), rcode, w)
+        bound = bound.reshape(len(rows), nb)
+        bound += radius
+        bound += radius[rows] + slack
+        with np.errstate(divide="ignore", invalid="ignore"):
+            bound /= gap.sum(axis=2) ** power
+        bound *= MARGIN
+        I, J = np.nonzero(np.arange(nb) >= rows)  # block pairs J >= I
+        bound = bound[I, J]
+        order = np.argsort(-bound)  # most promising first
+        I, J, bound = I[order] + i0, J[order], bound[order]
+        while True:
+            keep = ~(bound < best)
+            I, J, bound = I[keep], J[keep], bound[keep]
+            if not len(I):
+                break
+            c = slice(0, per_chunk)
+            best = max(best, chunk_max(Vb[I[c]], Pb[I[c]], Vb[J[c]], Pb[J[c]]))
+            I, J, bound = I[per_chunk:], J[per_chunk:], bound[per_chunk:]
     return best
 
 

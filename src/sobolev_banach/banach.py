@@ -164,14 +164,14 @@ def norm(space: SpaceDescriptor, x) -> np.ndarray | float:
         return float(out) if scalar else out
     r = space.exponent
     w = space.weights
-    ax = np.abs(x)
     if r == 1.0:
+        ax = np.abs(x)
         out = ax @ w if w is not None else ax.sum(axis=-1)
     elif r == 2.0:
         sq = x * x
         out = np.sqrt(sq @ w if w is not None else sq.sum(axis=-1))
     else:
-        p = ax**r
+        p = np.abs(x) ** r
         out = (p @ w if w is not None else p.sum(axis=-1)) ** (1.0 / r)
     return float(out) if scalar else out
 

@@ -601,11 +601,16 @@ def holder_beta(
 ) -> float:
     """sup over node pairs of |u(xi)-u(eta)|_X / |xi-eta|^alpha.
 
-    Exact over all pairs by default (O(N^2) in the node count); pass
-    ``max_nodes`` to evaluate on a seeded deterministic subsample.
+    Exact over all pairs by default; pass ``max_nodes`` to evaluate on a
+    seeded deterministic subsample.  Non-finite values are rejected with
+    the first offending multi-index in the message.
     """
     if not (0.0 < alpha <= 1.0):
         raise ValueError(f"alpha must be in (0, 1], got {alpha}")
+    bad = ~np.isfinite(u.values).all(axis=-1)
+    if bad.any():
+        idx = tuple(int(k) for k in np.argwhere(bad)[0])
+        raise ValueError(f"holder_beta: non-finite value at node {idx}")
     P = grid_centers(u.domain, u.grid).reshape(-1, u.domain.d)
     V = u.values.reshape(-1, u.space.dim)
     if max_nodes is not None and P.shape[0] > max_nodes:

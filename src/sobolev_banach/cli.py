@@ -242,12 +242,13 @@ def cmd_run(args) -> int:
     except ConfigError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_ERROR
-    if args.entry is not None:
-        specs = [{"name": args.entry}]
-    elif "suite" in cfg:
+    if "suite" in cfg:
         specs = cfg["suite"]
     else:
         specs = [{"name": name} for name in suite.CATALOG]
+    if args.entry is not None:
+        # the config's own specs for the entry keep its params, refine and require
+        specs = [s for s in specs if s["name"] == args.entry] or [{"name": args.entry}]
     unknown = [s["name"] for s in specs if s["name"] not in suite.CATALOG]
     if unknown:
         print(f"error: unknown entries: {', '.join(unknown)}", file=sys.stderr)

@@ -11,7 +11,7 @@ import math
 import numpy as np
 import pytest
 
-from sobolev_banach import banach, counterexamples, gridfn, suite
+from sobolev_banach import _kernels, banach, counterexamples, gridfn, suite
 
 SPACES = [space for _, space in suite.KIND_SPECS] + [
     banach.SpaceDescriptor("FiniteLr", 3, exponent=math.inf),
@@ -123,6 +123,51 @@ def test_ck_contrast_matches_separate_buffers():
     diff = pos_field - fd_pos
     per_t = np.sqrt(np.mean(diff * diff, axis=1))
     assert w.details["l2_contrast_error"] == float(np.sqrt(np.mean(per_t[1:-1] ** 2)))
+
+
+def _holder_scan(V, P, alpha, rcode, w):
+    """``_kernels.holder_max`` before its branch and bound, as it was
+    written: one numpy row per node, over all pairs."""
+    n = V.shape[0]
+    best = 0.0
+    for i in range(n - 1):
+        diff = V[i + 1 :] - V[i]
+        if rcode == -1.0:
+            dn = np.abs(diff).max(axis=1)
+        elif rcode == 1.0:
+            dn = np.abs(diff) @ w
+        elif rcode == 2.0:
+            dn = np.sqrt((diff * diff) @ w)
+        else:
+            dn = (np.abs(diff) ** rcode @ w) ** (1.0 / rcode)
+        sep = P[i + 1 :] - P[i]
+        dist2 = (sep * sep).sum(axis=1)
+        ok = dist2 > 0.0
+        if ok.any():
+            q = (dn[ok] / dist2[ok] ** (0.5 * alpha)).max()
+            if q > best:
+                best = float(q)
+    return best
+
+
+@pytest.mark.parametrize("refine", [0, 2])
+@pytest.mark.parametrize("kind", [name for name, _ in suite.KIND_SPECS])
+def test_holder_max_matches_scan_on_members(kind, refine):
+    # morrey_d1's sizes: corpus members on 512 * 2**refine nodes, the
+    # seminorm on a 1024-node subsample and on the full grid
+    n = 512 * 2**refine
+    space = dict(suite.KIND_SPECS)[kind]
+    rng = np.random.default_rng(refine)
+    bp = next(bp for bp in suite.corpus_blueprints(rng) if bp.d == 1 and bp.space == space)
+    rcode = -1.0 if space.sup_like else float(space.exponent)
+    w = space.weights if space.weights is not None else np.ones(space.dim)
+    u = bp.realize(n)
+    P = gridfn.grid_centers(u.domain, u.grid).reshape(-1, 1)
+    V = u.values.reshape(-1, space.dim)
+    sub = np.sort(rng.choice(n, size=min(n, 1024), replace=False))
+    for idx in (sub, slice(None)):
+        got = _kernels.holder_max(V[idx], P[idx], 0.5, rcode, w)
+        assert got == _holder_scan(V[idx], P[idx], 0.5, rcode, w)
 
 
 # The three Lp helpers folded into ``gridfn._lp``, as they were written.

@@ -278,6 +278,25 @@ def test_holder_beta_linear_and_subsample():
         calculus.holder_beta(u, 1.5)
 
 
+@pytest.mark.parametrize("node", [10, 62])
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_holder_beta_rejects_non_finite_values(node, bad):
+    # a NaN used to drop rows of the scan: at node 62 of 64 the seminorm
+    # came out 0.0, so a "seminorm below bound" check passed vacuously
+    vals = np.sin(np.arange(64.0))
+    vals[node] = bad
+    u = gridfn.from_scalar(BOX1, gridfn.GridSpec((64,)), vals)
+    with pytest.raises(ValueError, match=rf"non-finite value at node \({node},\)"):
+        calculus.holder_beta(u, 0.5)
+    box2 = gridfn.unit_box(2)
+    vals2 = np.ones((8, 8))
+    vals2[3, 5] = bad
+    vals2[6, 1] = bad
+    u2 = gridfn.from_scalar(box2, gridfn.GridSpec((8, 8)), vals2)
+    with pytest.raises(ValueError, match=r"non-finite value at node \(3, 5\)"):
+        calculus.holder_beta(u2, 0.5, max_nodes=4)
+
+
 def test_holder_beta_sqrt_profile():
     # t -> sqrt(t) has Hölder-1/2 seminorm exactly 1 on [0, 1]
     n = 256

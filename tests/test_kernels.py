@@ -1,15 +1,46 @@
-"""The numpy kernels against plain-Python reference loops, plus properties."""
+"""The numpy kernels against reference loops, plus properties.
+
+The references are plain Python, one scalar operation at a time, except
+for ``holder_max``: its result must equal the all-pairs scan it replaced
+bit for bit, and that scan is its reference."""
 
 import numpy as np
 
 from sobolev_banach import _kernels
 
 # ---------------------------------------------------------------------------
-# reference implementations: one scalar operation at a time
+# reference implementations
 # ---------------------------------------------------------------------------
 
 
 def holder_max_ref(V, P, alpha, rcode, w):
+    """The all-pairs scan that the branch and bound replaced, one numpy row
+    per node: its float expressions are the ones the kernel must reproduce."""
+    n = V.shape[0]
+    best = 0.0
+    for i in range(n - 1):
+        diff = V[i + 1 :] - V[i]
+        if rcode == -1.0:
+            dn = np.abs(diff).max(axis=1)
+        elif rcode == 1.0:
+            dn = np.abs(diff) @ w
+        elif rcode == 2.0:
+            dn = np.sqrt((diff * diff) @ w)
+        else:
+            dn = (np.abs(diff) ** rcode @ w) ** (1.0 / rcode)
+        sep = P[i + 1 :] - P[i]
+        dist2 = (sep * sep).sum(axis=1)
+        ok = dist2 > 0.0
+        if ok.any():
+            q = (dn[ok] / dist2[ok] ** (0.5 * alpha)).max()
+            if q > best:
+                best = float(q)
+    return best
+
+
+def holder_max_loop(V, P, alpha, rcode, w):
+    """The definition, one scalar operation at a time.  Its sums run in
+    another order than BLAS's, so it agrees with the kernel to rounding."""
     n = V.shape[0]
     k = V.shape[1]
     d = P.shape[1]
@@ -130,23 +161,89 @@ def lr_pairing_ref(X, H, r, w):
 # ---------------------------------------------------------------------------
 
 
+def _trig(x, k):
+    """A smooth blend of low-order trig terms per coordinate."""
+    freq = np.arange(1, k + 1)
+    return np.sin(np.pi * np.outer(x, freq)) + 0.5 * np.cos(3.0 * np.outer(x, freq) + 1.0)
+
+
+def _holder_case(name, rng):
+    """(V, P, w) of one test case."""
+    k = 5
+    if name.startswith("n="):
+        n = int(name[2:])
+        V, P = rng.normal(size=(n, k)), rng.random((n, 1))
+    elif name == "noise-2d":
+        V, P = rng.normal(size=(300, k)), rng.random((300, 2))
+    elif name == "trig-1d":
+        x = np.sort(rng.random(600))
+        V, P = _trig(x, k), x[:, None]
+    elif name == "trig-unsorted-2d":
+        P = rng.random((400, 2))
+        V = _trig(P[:, 0], k) + _trig(P[:, 1], k)[:, ::-1]
+    elif name == "coincident":
+        V, P = rng.normal(size=(100, k)), rng.random((100, 2))
+        # coincident points with different values: the pairs are skipped,
+        # not turned into infinite quotients
+        P[[7, 40, 41, 99]] = P[31]
+    elif name == "all-coincident":
+        # no admissible pair at all: the result is 0
+        V, P = rng.normal(size=(20, k)), np.zeros((20, 2))
+    elif name == "tie-across-blocks":
+        # the values repeat every block on integer positions, so shifted
+        # block pairs hold exactly the same quotients
+        P = np.arange(160.0)[:, None]
+        V = np.tile(rng.normal(size=(16, k)), (10, 1))
+    elif name == "max-at-last-pair":
+        # the scan evaluated the last pair alone
+        x = np.linspace(0.0, 1.0, 200)
+        V, P = _trig(x, k), x[:, None]
+        V[-1] += 5.0
+    return V, P, rng.random(k) + 0.1
+
+
+HOLDER_CASES = [
+    "n=1", "n=2", "n=7", "n=16", "n=37", "noise-2d", "trig-1d",
+    "trig-unsorted-2d", "coincident", "all-coincident", "tie-across-blocks",
+    "max-at-last-pair",
+]
+
+
 def test_holder_max_parity():
-    rng = np.random.default_rng(11)
-    V = rng.normal(size=(60, 5))
-    P = rng.random(size=(60, 2))
-    # two coincident points with different values: the pair is skipped,
-    # not turned into an infinite quotient
-    P[7] = P[31]
-    w = rng.random(5) + 0.1
-    for rcode in (-1.0, 1.0, 2.0, 3.5):
-        for alpha in (0.5, 1.0):
-            a = _kernels.holder_max(V, P, alpha, rcode, w)
-            b = holder_max_ref(V, P, alpha, rcode, w)
-            assert np.isfinite(a)
-            assert abs(a - b) <= 1e-12 * abs(b)
-    # only coincident points: no admissible pair at all
-    same = np.zeros((4, 2))
-    assert _kernels.holder_max(V[:4], same, 0.5, 2.0, w) == 0.0
+    for case in HOLDER_CASES:
+        V, P, w = _holder_case(case, np.random.default_rng(11))
+        for rcode in (-1.0, 1.0, 2.0, 3.5):
+            for alpha in (0.5, 1.0):
+                a = _kernels.holder_max(V, P, alpha, rcode, w)
+                b = holder_max_ref(V, P, alpha, rcode, w)
+                assert a == b, (case, rcode, alpha)
+                if len(V) <= 100:
+                    c = holder_max_loop(V, P, alpha, rcode, w)
+                    assert abs(b - c) <= 1e-12 * abs(c), (case, rcode, alpha)
+
+
+def _pairs_normed(monkeypatch, V, P):
+    """Rows the kernel hands to the norm: bounds plus evaluated pairs."""
+    rows = []
+    row_norms = _kernels._row_norms
+
+    def counting(X, rcode, w):
+        rows.append(len(X))
+        return row_norms(X, rcode, w)
+
+    monkeypatch.setattr(_kernels, "_row_norms", counting)
+    _kernels.holder_max(V, P, 0.5, 2.0, np.ones(V.shape[1]))
+    return sum(rows)
+
+
+def test_holder_max_skips_blocks_on_smooth_data(monkeypatch):
+    n = 3072
+    x = (np.arange(n) + 0.5) / n
+    smooth = _pairs_normed(monkeypatch, _trig(x, 3), x[:, None])
+    assert smooth < 0.1 * n * (n - 1) // 2
+    rng = np.random.default_rng(2)
+    noise = _pairs_normed(monkeypatch, rng.normal(size=(512, 3)), rng.random((512, 2)))
+    assert noise >= 512 * 511 // 2
 
 
 def test_greedy_radii_parity_and_shape():

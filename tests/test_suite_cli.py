@@ -202,6 +202,21 @@ def test_cli_single_entry_flag(tmp_path, capsys):
     )
 
 
+@pytest.mark.parametrize("flag", [[], ["--entry", "quotient_rule"]])
+def test_single_entry_flag_keeps_config_spec(tmp_path, flag):
+    spec = {
+        "name": "quotient_rule",
+        "params": {"ladder": [32, 64]},
+        "require": {"fitted_order": {"min": 5.0}},
+    }
+    cfg = _write_config(tmp_path, {"schema_version": 1, "suite": [spec]})
+    out = tmp_path / "reports"
+    args = ["run", cfg, "--workers", "1", "--out", str(out), *flag]
+    assert cli.main(args) == cli.EXIT_FAIL
+    report = json.loads((out / "quotient_rule.json").read_text())
+    assert report["details"]["ladder"] == [32, 64]
+
+
 def test_cli_list_and_describe(capsys):
     assert cli.main(["list-entries"]) == cli.EXIT_OK
     listed = capsys.readouterr().out
