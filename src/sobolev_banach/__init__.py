@@ -4,13 +4,9 @@ from ._kernels import backend as kernel_backend
 from .banach import (
     PairingResult,
     SpaceDescriptor,
-    band_projection_disjoint,
-    lattice_abs,
-    lattice_pos,
     norm,
     one_sided_norm_derivative,
     scalar_space,
-    sign_apply,
 )
 from .gridfn import (
     BoxDomain,
@@ -18,14 +14,13 @@ from .gridfn import (
     GridSpec,
     apply_functional,
     bochner_norm,
-    boundary_lp_norm,
+    boundary_norm,
     extend_reflect,
     finite_difference,
     from_scalar,
     mollify,
     sample,
     shift_difference_norm,
-    trace_boundary,
     unit_box,
     w_norm,
 )
@@ -39,23 +34,18 @@ __all__ = [
     "PairingResult",
     "SpaceDescriptor",
     "apply_functional",
-    "band_projection_disjoint",
     "bochner_norm",
-    "boundary_lp_norm",
+    "boundary_norm",
     "extend_reflect",
     "finite_difference",
     "from_scalar",
     "kernel_backend",
-    "lattice_abs",
-    "lattice_pos",
     "mollify",
     "norm",
     "one_sided_norm_derivative",
     "sample",
     "scalar_space",
     "shift_difference_norm",
-    "sign_apply",
-    "trace_boundary",
     "unit_box",
     "w_norm",
 ]

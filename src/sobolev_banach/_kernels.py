@@ -186,7 +186,7 @@ def greedy_radii(D):
     return radii
 
 
-def sup_pairing(X, H, tie_rel=1e-12):
+def sup_pairing(X, H, tie_rel):
     """Batched sup-norm one-sided pairing: extremes of <h, x'> over the
     norming functionals x' of each row of X (the coordinates within
     ``tie_rel`` of the max), and +-|h|_inf on zero rows."""

@@ -1,8 +1,9 @@
 """Concrete sampled Banach spaces.
 
 Four families of finite-dimensional value spaces, each carrying its norm,
-its one-sided norm derivatives (computed from extreme norming functionals),
-and, where the order structure allows it, lattice operations:
+its one-sided norm derivatives (computed from extreme norming functionals)
+and flags for the order structure it has (lattice order, order continuous
+norm):
 
 * ``FiniteLr``   - R^dim with the unweighted ell^r norm (r = inf -> sup norm)
 * ``SampledSup`` - continuous functions sampled on dim points, sup norm
@@ -239,50 +240,6 @@ def one_sided_norm_derivative(space: SpaceDescriptor, x, h) -> PairingResult:
         raise DimensionMismatchError("x and h must be single vectors")
     plus, minus, unique = one_sided_norm_derivative_batch(space, x[None], h[None])
     return PairingResult(float(plus[0]), float(minus[0]), bool(unique[0]))
-
-
-# ---------------------------------------------------------------------------
-# lattice operations
-# ---------------------------------------------------------------------------
-
-
-def _require_lattice(space: SpaceDescriptor):
-    if not space.lattice_capable:
-        raise CapabilityError(
-            f"{space.kind} carries no lattice order; modulus/positive part undefined"
-        )
-
-
-def lattice_abs(space: SpaceDescriptor, v) -> np.ndarray:
-    """Coordinatewise modulus |v|."""
-    _require_lattice(space)
-    return np.abs(_conform(space, v))
-
-
-def lattice_pos(space: SpaceDescriptor, v) -> np.ndarray:
-    """Coordinatewise positive part v+ = v ∨ 0."""
-    _require_lattice(space)
-    return np.maximum(_conform(space, v), 0.0)
-
-
-def sign_apply(space: SpaceDescriptor, v, w) -> np.ndarray:
-    """(sign v)·w coordinatewise, with sign 0 on the zero set of v.
-
-    This is the multiplication by the signum of v that shows up in the
-    modulus chain rule; coordinates where v vanishes are annihilated.
-    """
-    _require_lattice(space)
-    v = _conform(space, v)
-    w = _conform(space, w)
-    return np.sign(v) * w
-
-
-def band_projection_disjoint(space: SpaceDescriptor, v, w) -> np.ndarray:
-    """Projection of w onto the band where v vanishes (coordinatewise)."""
-    _require_lattice(space)
-    v = _conform(space, v)
-    w = _conform(space, w)
-    return np.where(v == 0.0, w, 0.0)
 
 
 def pairing_vector(space: SpaceDescriptor, functional) -> np.ndarray:

@@ -213,7 +213,7 @@ def validate_lipschitz(
 
 
 def compose_lipschitz(
-    F: LipschitzMap, u: GridFunction, rng: np.random.Generator | None = None
+    F: LipschitzMap, u: GridFunction, rng: np.random.Generator
 ) -> tuple[GridFunction, Report]:
     """F composed with u, plus the difference-quotient bound report.
 
@@ -223,7 +223,6 @@ def compose_lipschitz(
     """
     if u.space.to_dict() != F.source.to_dict():
         raise DimensionMismatchError("u does not live in F's source space")
-    rng = rng if rng is not None else np.random.default_rng(0)
     qmax = validate_lipschitz(F, u, rng)
     flat = F.apply_batch(u.values.reshape(-1, u.space.dim))
     v = GridFunction(
@@ -321,7 +320,7 @@ def gateaux_chain_field(
             "err_minus": err_minus,
         }
     report = Report(
-        name=f"gateaux_chain[{F.name}]", rows=table, verdict="PASS", details=details
+        name=f"gateaux_chain[{F.name}]", rows=table, verdict="MEASURED", details=details
     )
     return FieldResult(fields=plus_fields, flags=flags, report=report)
 
@@ -364,7 +363,7 @@ def norm_derivative_field(u: GridFunction) -> FieldResult:
         flags.append(flagged.reshape(u.grid.n))
         ok = (~flagged) & inner
         fdj = dg[j].values.reshape(-1)
-        err = float(np.sum(np.abs(value - fdj)[ok]) * vol)
+        err = _lp(np.abs(value - fdj)[ok], vol, 1.0)
         err_total += err
         if np.any(~flagged):
             rel = float(
@@ -376,7 +375,7 @@ def norm_derivative_field(u: GridFunction) -> FieldResult:
     report = Report(
         name="norm_derivative_field",
         rows=table,
-        verdict="PASS",
+        verdict="MEASURED",
         details={
             "l1_err_total": err_total,
             "max_norm_estimate_margin": max_margin,
@@ -426,16 +425,14 @@ def _lattice_field(u: GridFunction, kind: str) -> FieldResult:
         fields.append(u.like(vals))
         flags.append(node_flag)
         ok = (~node_flag) & inner
-        err = float(
-            np.sum(np.asarray(banach.norm(u.space, vals - dt[j].values))[ok]) * vol
-        )
+        err = _lp(np.asarray(banach.norm(u.space, vals - dt[j].values))[ok], vol, 1.0)
         err_total += err
         table.append((f"l1_err[{j}]", err))
     table.append(("flagged_fraction", float(np.mean(node_flag))))
     report = Report(
         name=f"{kind}_derivative_field",
         rows=table,
-        verdict="PASS",
+        verdict="MEASURED",
         details={"l1_err_total": err_total},
     )
     return FieldResult(fields=fields, flags=flags, report=report)
@@ -543,15 +540,14 @@ def quotient_rule_field(
         fields.append(u.like(formula))
         flags.append(~safe | nd.flags[j])
         ok = ~flags[j] & inner
-        err = float(
-            np.sum(np.asarray(banach.norm(u.space, formula - dv[j].values))[ok]) * vol
-        )
+        defect = np.asarray(banach.norm(u.space, formula - dv[j].values))
+        err = _lp(defect[ok], vol, 1.0)
         err_total += err
         table.append((f"l1_err[{j}]", err))
     report = Report(
         name="quotient_rule_field",
         rows=table,
-        verdict="PASS",
+        verdict="MEASURED",
         details={"l1_err_total": err_total, "zero_fraction": float(np.mean(~safe))},
     )
     return v, FieldResult(fields=fields, flags=flags, report=report)
@@ -574,16 +570,14 @@ def product_rule_check(u: GridFunction, psi: GridFunction) -> Report:
     err_max = 0.0
     for j in range(u.domain.d):
         rhs = dpsi[j].values * u.values + psi.values * du[j].values
-        err = float(
-            np.sum(np.asarray(banach.norm(u.space, dprod[j].values - rhs))[inner])
-            * vol
-        )
+        defect = np.asarray(banach.norm(u.space, dprod[j].values - rhs))
+        err = _lp(defect[inner], vol, 1.0)
         table.append((float(h[j]), err))
         err_max = max(err_max, err)
     return Report(
         name="product_rule_check",
         rows=table,
-        verdict="PASS",
+        verdict="MEASURED",
         details={"err_max": err_max, "err_max_over_h": err_max / float(np.min(h))},
     )
 

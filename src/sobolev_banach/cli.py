@@ -27,8 +27,6 @@ EXIT_OK = 0
 EXIT_ERROR = 1
 EXIT_FAIL = 2
 
-SEED_ENV = "SOBOLEV_BANACH_SEED"
-
 CONFIG_SCHEMA = {
     "type": "object",
     "required": ["schema_version"],
@@ -102,12 +100,6 @@ def load_config(path: str) -> dict:
 def resolve_seed(cfg: dict, cli_seed: int | None) -> int:
     if cli_seed is not None:
         return cli_seed
-    env = os.environ.get(SEED_ENV)
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError as e:
-            raise ConfigError(f"{SEED_ENV} must be an integer, got {env!r}") from e
     return int(cfg.get("seed", 42))
 
 
@@ -238,10 +230,10 @@ def write_outputs(outdir: Path, results, fmt: str, meta: dict):
 def cmd_run(args) -> int:
     try:
         cfg = load_config(args.config)
-        seed = resolve_seed(cfg, args.seed)
     except ConfigError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_ERROR
+    seed = resolve_seed(cfg, args.seed)
     if "suite" in cfg:
         specs = cfg["suite"]
     else:
@@ -310,8 +302,9 @@ def cmd_describe(args) -> int:
     print(f"  statement: {entry.anchor}")
     print(f"  check: {entry.summary}")
     print("  params:" if entry.params else "  params: none")
-    for key, (default, low) in entry.params.items():
-        print(f"    {key}: default {json.dumps(default)}, minimum {low}")
+    for key, (default, low, *high) in entry.params.items():
+        largest = f", maximum {high[0]}" if high else ""
+        print(f"    {key}: default {json.dumps(default)}, minimum {low}{largest}")
     return EXIT_OK
 
 

@@ -34,6 +34,22 @@ from .gridfn import (
 )
 from .reports import Report
 
+#: lags k (in cells) of the indicator path's quotients, h = k/n
+INDICATOR_LAGS = (1, 2, 4, 8, 16, 32)
+#: truncations N of the c_0 path, and the times t its tail sups are taken at
+C0_TRUNCATIONS = (100, 400, 1600, 6400, 10000)
+C0_TIMES = (0.5, 1.0, 1.7, 2.3, 3.1)
+#: coordinates n <= C0_COORDS on which the coordinatewise limit is checked
+C0_COORDS = 100
+#: lags h of the C(K) positive-part quotients, on CK_SAMPLES sample points
+#: of K (fine enough for the smallest lag: 10 / CK_SAMPLES <= min h)
+CK_LAGS = (1e-1, 3e-2, 1e-2, 3e-3, 1e-3)
+CK_SAMPLES = 100_000
+#: the time t at which the path r -> r - t is differentiated
+CK_TIME = 1.0 / 3.0
+#: (time nodes, sample points) of the L^2(K) contrast
+CK_CONTRAST_SHAPE = (1000, 2000)
+
 
 def _finish(name, rows, band, notes, extra_ok=True) -> Report:
     """The witness report: (parameter, measured, oracle, ratio) rows, with
@@ -58,24 +74,19 @@ def _finish(name, rows, band, notes, extra_ok=True) -> Report:
 # ---------------------------------------------------------------------------
 
 
-def indicator_path_witness(
-    r: float = 2.0,
-    n: int = 256,
-    steps_list: tuple[int, ...] = (1, 2, 4, 8, 16, 32),
-    p: float = 2.0,
-) -> Report:
+def indicator_path_witness(r: float = 2.0, n: int = 256, p: float = 2.0) -> Report:
     """Difference-quotient blow-up of t -> 1_(0,t) as a path into L^r(0,1).
 
     The value grid matches the time grid, so the sup-over-t quotient at lag
-    h = k/n is exactly h^(1/r) / h; the oracle h^(1/r - 1) is hit with ratio
-    1.  Side table: the shift-quotient criterion verdict (DIVERGENT for
-    r > 1, slope 1/r - 1; BOUNDED for r = 1 where quotients stay unit size
-    yet no derivative exists), and a scalar pairing path that stays
-    1-Lipschitz regardless.
+    h = k/n (k in INDICATOR_LAGS) is exactly h^(1/r) / h; the oracle
+    h^(1/r - 1) is hit with ratio 1.  Side table: the shift-quotient
+    criterion verdict (DIVERGENT for r > 1, slope 1/r - 1; BOUNDED for
+    r = 1 where quotients stay unit size yet no derivative exists), and a
+    scalar pairing path that stays 1-Lipschitz regardless.
     """
     if r < 1.0:
         raise ContractError(f"need r >= 1, got {r}")
-    bad = [k for k in steps_list if k < 1 or k >= n]
+    bad = [k for k in INDICATOR_LAGS if k >= n]
     if bad:
         raise ContractError(f"lags {bad} fall outside the grid resolution (n={n})")
     dom = unit_box(1)
@@ -90,7 +101,7 @@ def indicator_path_witness(
 
     h_cell = 1.0 / n
     rows = []
-    for k in steps_list:
+    for k in INDICATOR_LAGS:
         diff = values[k:] - values[:-k]
         h = k * h_cell
         measured = float(np.max(xnorm(space, diff))) / h
@@ -155,14 +166,11 @@ def _path_lipschitz(ts: np.ndarray, N: int) -> float:
     return lip
 
 
-def c0_sine_witness(
-    N_list: tuple[int, ...] = (100, 400, 1600, 6400, 10000),
-    t_samples: tuple[float, ...] = (0.5, 1.0, 1.7, 2.3, 3.1),
-    coord_check: int = 100,
-) -> Report:
+def c0_sine_witness() -> Report:
     """u(t) = (sin(nt)/n)_n is 1-Lipschitz into c_0, every coordinate of
     the quotient converges to cos(nt), yet the candidate derivative never
-    decays: its tail sup over n in (N/2, N] stays >= 0.99 at every truncation.
+    decays: its tail sup over n in (N/2, N] stays >= 0.99 at every
+    truncation N in C0_TRUNCATIONS.
 
     Rows carry min-over-t tail sups against the 0.99 floor (band [1, 1.1]:
     a row fails only by dropping below the floor).  Notes certify the
@@ -170,20 +178,20 @@ def c0_sine_witness(
     pairing with a bounded quotient.
     """
     rows = []
-    for N in N_list:
+    for N in C0_TRUNCATIONS:
         n = np.arange(N // 2 + 1, N + 1)
-        tail = min(float(np.max(np.abs(np.cos(n * t)))) for t in t_samples)
+        tail = min(float(np.max(np.abs(np.cos(n * t)))) for t in C0_TIMES)
         rows.append((float(N), tail, 0.99, tail / 0.99))
 
     # coordinatewise limit: |(sin(n(t+h)) - sin(nt))/h - n cos(nt)| <= n^2 h / 2
     t0, h0 = 1.0, 1e-6
-    n = np.arange(1, coord_check + 1)
+    n = np.arange(1, C0_COORDS + 1)
     quot = (np.sin(n * (t0 + h0)) - np.sin(n * t0)) / h0
     coord_err = float(np.max(np.abs(quot - n * np.cos(n * t0)) / n))
 
     # Lipschitz into the sup norm: sup_n |sin(nt) - sin(nt'))/n| <= |t - t'|
     ts = np.linspace(0.0, 3.0, 601)
-    lip = _path_lipschitz(ts, N_list[-1]) / float(ts[1] - ts[0])
+    lip = _path_lipschitz(ts, C0_TRUNCATIONS[-1]) / float(ts[1] - ts[0])
 
     # pairing with the summable functional (2^-n): derivative <= 1
     weights = 0.5 ** np.arange(1, 51)
@@ -209,29 +217,21 @@ def c0_sine_witness(
 # ---------------------------------------------------------------------------
 
 
-def ck_pospart_witness(
-    h_list: tuple[float, ...] = (1e-1, 3e-2, 1e-2, 3e-3, 1e-3),
-    sup_samples: int = 100_000,
-    t: float = 1.0 / 3.0,
-    contrast_shape: tuple[int, int] = (1000, 2000),
-) -> Report:
+def ck_pospart_witness() -> Report:
     """(u(t))(r) = r - t is affine, yet u(t)^+ has no derivative in the sup
     norm: the quotient sits at uniform distance ~1 from the only candidate
-    -1_(r > t).  Oracle per h: 1 - d*/h with d* the first sample point past
-    t.  The L^2(K) contrast runs the lattice positive-part rule on the same
-    path and lands within 5% of the finite-difference field; the sup-norm
-    space itself refuses the rule with an order-continuity error.
+    -1_(r > t).  Oracle per h in CK_LAGS: 1 - d*/h with d* the first sample
+    point past t = CK_TIME.  The L^2(K) contrast runs the lattice
+    positive-part rule on the same path and lands within 5% of the
+    finite-difference field; the sup-norm space itself refuses the rule
+    with an order-continuity error.
     """
-    if 10.0 / sup_samples > min(h_list):
-        raise ContractError(
-            f"sample grid 1/{sup_samples} is too coarse for the smallest lag "
-            f"{min(h_list)}"
-        )
-    rs = (np.arange(sup_samples) + 0.5) / sup_samples
+    t = CK_TIME
+    rs = (np.arange(CK_SAMPLES) + 0.5) / CK_SAMPLES
     past = rs[rs > t]
     d_star = float(past[0] - t)
     rows = []
-    for h in h_list:
+    for h in CK_LAGS:
         qh = (np.maximum(rs - (t + h), 0.0) - np.maximum(rs - t, 0.0)) / h
         cand = -(rs > t).astype(np.float64)
         measured = float(np.max(np.abs(qh - cand)))
@@ -239,7 +239,7 @@ def ck_pospart_witness(
         rows.append((h, measured, oracle, measured / oracle))
 
     # L^2 contrast on the same path: positive-part chain rule holds
-    n_t, m = contrast_shape
+    n_t, m = CK_CONTRAST_SHAPE
     dom = unit_box(1)
     grid = GridSpec((n_t,))
     tc = (np.arange(n_t) + 0.5) / n_t
@@ -264,7 +264,7 @@ def ck_pospart_witness(
 
     notes = {
         "first_sample_gap": d_star,
-        "distance_at_finest": rows[-1][1] if rows else math.nan,
+        "distance_at_finest": rows[-1][1],
         "l2_contrast_error": l2_contrast,
         "l2_contrast_h": 1.0 / n_t,
         "sup_norm_raises_order_continuity": sup_raises,
@@ -273,6 +273,6 @@ def ck_pospart_witness(
             "chain rule fails in C(K) while holding in L^2(K)"
         ),
     }
-    floor_ok = all(m >= 1.0 - 10.0 * h - 1.0 / sup_samples for h, m, *_ in rows)
-    extra_ok = sup_raises and l2_contrast <= 0.05 and bool(rows) and floor_ok
+    floor_ok = all(m >= 1.0 - 10.0 * h - 1.0 / CK_SAMPLES for h, m, *_ in rows)
+    extra_ok = sup_raises and l2_contrast <= 0.05 and floor_ok
     return _finish("ck_pospart_witness", rows, (0.9, 1.1), notes, extra_ok)

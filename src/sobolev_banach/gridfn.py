@@ -4,8 +4,8 @@ Values live on the midpoints of a uniform subdivision of an open box, stored
 as an array of shape ``grid.n + (space.dim,)`` (row-major over the node
 multi-index).  Midpoint quadrature, central finite differences with a
 second-order one-sided boundary ring, shift-difference norms, mollification,
-even reflection extension, boundary traces and functional pairings all
-operate on this representation.
+even reflection extension, boundary norms of the trace and functional
+pairings all operate on this representation.
 """
 from __future__ import annotations
 
@@ -355,55 +355,31 @@ def mollify(u: GridFunction, level: int) -> GridFunction:
 
 
 # ---------------------------------------------------------------------------
-# boundary traces
+# boundary norms
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class FaceTrace:
-    axis: int
-    side: str  # "lo" | "hi"
-    values: np.ndarray  # shape n_without_axis + (dim,)
-    area_weight: float
+def boundary_norm(u: GridFunction, p: float) -> float:
+    """L^p norm over the boundary of the pointwise value-space norms of the
+    trace of u, by (d-1)-dimensional midpoint quadrature.
 
-
-@dataclass
-class BoundaryTrace:
-    space: SpaceDescriptor
-    faces: list[FaceTrace]
-
-
-def trace_boundary(u: GridFunction) -> BoundaryTrace:
-    """Linear extrapolation of u to each face from the two nearest layers."""
+    The trace on each face is the linear extrapolation of u from the two
+    nearest node layers; the faces are taken lo then hi along each axis.
+    """
     d = u.domain.d
     h = u.grid.spacing(u.domain)
-    faces = []
+    faces = []  # (pointwise norms of the trace, area weight) per face
     for j in range(d):
-        if u.grid.n[j] < 2:
-            raise GridError("trace extrapolation needs two layers per axis")
         area = float(np.prod(np.delete(h, j))) if d > 1 else 1.0
-        first = u.values[_axis_slices(d, j, slice(0, 1))]
-        second = u.values[_axis_slices(d, j, slice(1, 2))]
-        lo_vals = (1.5 * first - 0.5 * second).squeeze(axis=j)
-        last = u.values[_axis_slices(d, j, slice(-1, None))]
-        prev = u.values[_axis_slices(d, j, slice(-2, -1))]
-        hi_vals = (1.5 * last - 0.5 * prev).squeeze(axis=j)
-        faces.append(FaceTrace(j, "lo", lo_vals, area))
-        faces.append(FaceTrace(j, "hi", hi_vals, area))
-    return BoundaryTrace(space=u.space, faces=faces)
-
-
-def boundary_lp_norm(trace: BoundaryTrace, p: float) -> float:
-    """(d-1)-dimensional quadrature of the pointwise value-space norms."""
+        layer = lambda a, b: u.values[_axis_slices(d, j, slice(a, b))]
+        for near, far in ((layer(0, 1), layer(1, 2)), (layer(-1, None), layer(-2, -1))):
+            trace = (1.5 * near - 0.5 * far).squeeze(axis=j)
+            faces.append((np.asarray(banach.norm(u.space, trace)), area))
     if math.isinf(p):
-        return max(
-            float(np.max(np.asarray(banach.norm(trace.space, f.values))))
-            for f in trace.faces
-        )
+        return max(float(np.max(g)) for g, _ in faces)
     total = 0.0
-    for f in trace.faces:
-        g = np.asarray(banach.norm(trace.space, f.values))
-        total += float(np.sum(g**p) * f.area_weight)
+    for g, area in faces:
+        total += float(np.sum(g**p) * area)
     return total ** (1.0 / p)
 
 

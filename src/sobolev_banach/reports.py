@@ -32,7 +32,9 @@ class Report:
     """A measured table and its verdict: the one result shape of every check.
 
     The layout of each row belongs to the producer (its docstring says what
-    a row holds); everything else it measured goes in ``details``.
+    a row holds); everything else it measured goes in ``details``.  A
+    producer that only measures, leaving the comparison to its caller,
+    gives the verdict MEASURED, which never passes.
     """
 
     name: str

@@ -72,7 +72,7 @@ class CatalogEntry:
     def params_schema(self) -> dict:
         """JSON schema of this entry's ``params`` object."""
         props = {}
-        for key, (default, low) in self.params.items():
+        for key, (default, low, *high) in self.params.items():
             if isinstance(default, tuple):
                 props[key] = {"type": "array", "minItems": 2, "uniqueItems": True,
                               "items": {"type": "integer", "minimum": low,
@@ -80,6 +80,8 @@ class CatalogEntry:
             else:
                 kind = "number" if isinstance(default, float) else "integer"
                 props[key] = {"type": kind, "minimum": low}
+                if high:
+                    props[key]["maximum"] = high[0]
         return {"type": "object", "additionalProperties": False, "properties": props}
 
 
@@ -90,7 +92,8 @@ def _entry(anchor: str, summary: str, **params):
     """Register the decorated builder ``_<name>`` as catalog entry ``<name>``.
 
     Each keyword declares a param as ``(default, smallest accepted value)``
-    and reaches the builder as a keyword after ``(rng, refine)``.  The
+    or ``(default, smallest, largest accepted value)`` and reaches the
+    builder as a keyword after ``(rng, refine)``.  The
     default's type is the param's type: a tuple is a ladder of grid sizes,
     each at least the minimum and at most ``LADDER_CAP``, run in ascending
     order and refined by ``_ladder``; a float is a real number; an int an
@@ -196,7 +199,7 @@ def _interval(n: int):
     return dom, grid, grid_centers(dom, grid)[..., 0]
 
 
-def circle_sample(n: int = 128) -> GridFunction:
+def circle_sample(n: int) -> GridFunction:
     """Unit-speed circle scaled to radius 1/(2pi): constant pointwise norm
     with unit-norm derivative — the strictness witness for the norm
     estimate."""
@@ -517,7 +520,7 @@ def _morrey_d1(rng, refine, n):
     "covering numbers",
     "A certified family keeps N(eps) within 2x the coarsest level for "
     "eps in {0.05, 0.1, 0.2}.",
-    members=(30, 4), levels=(3, 2),
+    members=(30, 4), levels=(3, 2, 4),  # grid and value dimension double per level
 )
 def _aubin_lions_compact(rng, refine, members, levels):
     coeffs = rng.normal(size=(members, 2))
@@ -913,7 +916,7 @@ def run_entry(name: str, seed: int, refine: int = 0, params: dict | None = None)
         raise KeyError(name)
     entry = CATALOG[name]
     kwargs = dict(params or {})  # an undeclared key fails in the builder call
-    for key, (default, _) in entry.params.items():
+    for key, (default, *_) in entry.params.items():
         value = kwargs.get(key, default)  # JSON lets 256.0 stand for 256
         kwargs[key] = (tuple(sorted(map(int, value))) if isinstance(default, tuple)
                        else type(default)(value))

@@ -1,11 +1,12 @@
 """Quantitative checks of the structure theorems.
 
 Every check reduces a theorem about W^{1,p}(Omega, X) to measurable grid
-quantities: embedding and Hölder constants transfer from scalar probes,
-Poincaré against the discrete Dirichlet eigenvalue, zero-boundary-trace
-characterizations, compactness via covering-number stability, uniform
-mollifier approximation, reflection extension bounds, and the tensor
-extension of scalar operators to Hilbert-valued functions.
+quantities: embedding constants transfer from scalar probes, Poincaré
+against the discrete Dirichlet eigenvalue, zero-boundary-trace
+characterizations, continuity of the norm map, compactness via
+covering-number stability, uniform mollifier approximation, reflection
+extension bounds, and the tensor extension of scalar operators to
+Hilbert-valued functions.
 """
 from __future__ import annotations
 
@@ -15,7 +16,7 @@ import numpy as np
 
 from . import _kernels, banach
 from .banach import SpaceDescriptor
-from .calculus import dq_criterion, holder_beta
+from .calculus import dq_criterion
 from .errors import CapabilityError, ContractError, DimensionMismatchError
 from .gridfn import (
     BoxDomain,
@@ -23,7 +24,7 @@ from .gridfn import (
     GridSpec,
     apply_functional,
     bochner_norm,
-    boundary_lp_norm,
+    boundary_norm,
     extend_reflect,
     finite_difference,
     from_scalar,
@@ -31,8 +32,6 @@ from .gridfn import (
     grid_centers,
     mollify,
     pointwise_norm_function,
-    pointwise_norms,
-    trace_boundary,
     w_norm,
 )
 from .reports import Report, fit_loglog
@@ -47,6 +46,10 @@ AUBIN_LIONS_GROWTH_CAP = 2.0
 MOLLIFIER_SLACK = 1.25
 #: relative slack of the Poincaré inequality against the sharp constant
 POINCARE_EPS = 0.01
+#: the scalar W-distance must fall at least at this order in the vector one
+NORM_MAP_ORDER_MIN = 0.9
+#: covering radii at which an Aubin-Lions family's N(eps) is counted
+AUBIN_LIONS_EPS = (0.05, 0.1, 0.2)
 
 
 # ---------------------------------------------------------------------------
@@ -124,43 +127,6 @@ def embedding_check(u: GridFunction, p: float, r: float, seed: int = 0) -> Repor
 
 
 # ---------------------------------------------------------------------------
-# Morrey / Hölder embedding (p > d)
-# ---------------------------------------------------------------------------
-
-
-def morrey_check(
-    u: GridFunction, p: float, seed: int = 0, max_nodes: int = 4096
-) -> Report:
-    """Hölder seminorm of exponent 1 - d/p against C_scalar * |u|_W.
-
-    C_scalar is the largest Hölder-to-W ratio over the scalar probe corpus
-    (which includes near-extremal steep fronts and the square-root profile).
-    """
-    d = u.domain.d
-    if not (p > d):
-        raise ContractError(f"Morrey regime needs p > d, got p={p}, d={d}")
-    alpha = 1.0 - d / p
-    rng = np.random.default_rng(seed)
-    corpus = scalar_probe_corpus(u.domain, u.grid, rng)
-    corpus.append(pointwise_norm_function(u))
-    c_scalar = 0.0
-    for g in corpus:
-        wn = w_norm(g, p)
-        if wn > 0.0:
-            c_scalar = max(c_scalar, holder_beta(g, alpha, max_nodes, seed) / wn)
-    beta = holder_beta(u, alpha, max_nodes, seed)
-    wn_u = w_norm(u, p)
-    subsampled = u.node_count > max_nodes
-    ok = beta <= c_scalar * wn_u * (1.0 + 1e-6)
-    return Report(
-        name="morrey_check",
-        rows=[("holder_beta", beta), ("w_norm", wn_u), ("scalar_constant", c_scalar)],
-        verdict="PASS" if ok else "FAIL",
-        details={"alpha": alpha, "p": p, "subsampled": subsampled},
-    )
-
-
-# ---------------------------------------------------------------------------
 # Poincaré with the sharp directional constant
 # ---------------------------------------------------------------------------
 
@@ -179,15 +145,15 @@ def poincare_constant(p: float, length: float) -> float:
     return pi_p / length
 
 
-def dirichlet_eigenvalue(n: int, length: float = 1.0) -> float:
+def dirichlet_eigenvalue(n: int) -> float:
     """Smallest eigenvalue of the cell-centered second-difference operator
-    with zero boundary values (odd-reflection ghost cells); converges to
-    (pi/length)^2 at second order."""
+    on n cells of the unit interval with zero boundary values
+    (odd-reflection ghost cells); converges to pi^2 at second order."""
     # scipy.linalg is imported here, its only use, so that importing the
     # package (and every CLI run that never reaches this oracle) skips it.
     from scipy.linalg import eigh_tridiagonal
 
-    h = length / n
+    h = 1.0 / n
     diag = np.full(n, 2.0 / h**2)
     diag[0] = diag[-1] = 3.0 / h**2
     off = np.full(n - 1, -1.0 / h**2)
@@ -220,15 +186,13 @@ def poincare_check(u: GridFunction, p: float, j: int) -> Report:
 # ---------------------------------------------------------------------------
 
 
-def w0_membership(u: GridFunction, tol: float | None = None, p: float = 2.0) -> Report:
+def w0_membership(u: GridFunction, p: float = 2.0) -> Report:
     """Zero-trace verdict (MEMBER or NOT_MEMBER) from the boundary norm of
-    the pointwise-norm function, thresholded at tol*(1 + |u|_W); tol
-    defaults to 10 h^2.  rows: one (h, boundary norm)."""
+    the pointwise-norm function, thresholded at tol*(1 + |u|_W) with
+    tol = 10 h^2.  rows: one (h, boundary norm)."""
     h = float(np.max(u.grid.spacing(u.domain)))
-    if tol is None:
-        tol = 10.0 * h * h
-    g = pointwise_norm_function(u)
-    bnorm = boundary_lp_norm(trace_boundary(g), p)
+    tol = 10.0 * h * h
+    bnorm = boundary_norm(pointwise_norm_function(u), p)
     wn = w_norm(u, p)
     threshold = tol * (1.0 + wn)
     return Report(
@@ -239,12 +203,7 @@ def w0_membership(u: GridFunction, tol: float | None = None, p: float = 2.0) -> 
     )
 
 
-def weak_w0_check(
-    u: GridFunction,
-    functionals,
-    p: float = 2.0,
-    tol: float | None = None,
-) -> Report:
+def weak_w0_check(u: GridFunction, functionals, p: float = 2.0) -> Report:
     """Zero trace through separating functionals: u has zero trace exactly
     when every scalar pairing <u, x'> does.  The functionals must span the
     dual (full rank)."""
@@ -259,11 +218,11 @@ def weak_w0_check(
     table = []
     for i in range(F.shape[0]):
         g = apply_functional(u, F[i])
-        rep = w0_membership(g, tol=tol, p=p)
+        rep = w0_membership(g, p)
         verdicts.append(rep.passed)
         table.append((f"functional[{i}]", rep.rows[0][1]))
     weak_member = all(verdicts)
-    direct_member = w0_membership(u, tol=tol, p=p).passed
+    direct_member = w0_membership(u, p).passed
     agree = weak_member == direct_member
     return Report(
         name="weak_w0_check",
@@ -273,49 +232,17 @@ def weak_w0_check(
     )
 
 
-def ideal_property_check(
-    u: GridFunction,
-    v: GridFunction,
-    tol: float | None = None,
-    p: float = 2.0,
-) -> Report:
-    """Pointwise domination |v| <= |u| passes zero trace from u to v.
-
-    u and v may take values in different spaces; the domination is between
-    the pointwise norms at every node.
-    """
-    if u.grid.n != v.grid.n:
-        raise DimensionMismatchError("u and v must share a grid")
-    gu = pointwise_norms(u)
-    gv = pointwise_norms(v)
-    excess = gv - gu * (1.0 + 1e-12)
-    if np.any(excess > 0.0):
-        idx = np.unravel_index(int(np.argmax(excess)), u.grid.n)
-        raise ContractError(f"domination fails at node {idx}: |v|={gv[idx]} > |u|={gu[idx]}")
-    if not w0_membership(u, tol=tol, p=p).passed:
-        raise ContractError("ideal_property_check requires u with zero trace")
-    rep_v = w0_membership(v, tol=tol, p=p)
-    return Report(
-        name="ideal_property_check",
-        rows=rep_v.rows,
-        verdict="PASS" if rep_v.passed else "FAIL",
-        details={"v_boundary_norm": rep_v.rows[0][1], "threshold": rep_v.details["threshold"]},
-    )
-
-
 # ---------------------------------------------------------------------------
 # continuity of the norm map
 # ---------------------------------------------------------------------------
 
 
 def norm_map_continuity_check(
-    seq: list[GridFunction],
-    u: GridFunction,
-    p: float = 2.0,
-    order_min: float = 0.9,
+    seq: list[GridFunction], u: GridFunction, p: float = 2.0
 ) -> Report:
     """u_k -> u in W^{1,p}(Omega, X) forces |u_k(.)| -> |u(.)| in scalar
-    W^{1,p}; measured as the scalar W-distance tracking the vector one."""
+    W^{1,p}; measured as the scalar W-distance tracking the vector one at
+    a log-log order of at least NORM_MAP_ORDER_MIN."""
     gu = pointwise_norm_function(u)
     floor = 1e-12 * (1.0 + w_norm(u, p))
     pairs = []
@@ -328,7 +255,7 @@ def norm_map_continuity_check(
         slope, r2, verdict = math.inf, 1.0, "PASS"
     else:
         slope, r2 = fit_loglog([v for v, _ in above], [s for _, s in above])
-        verdict = "PASS" if (len(above) < 2 or slope >= order_min) else "FAIL"
+        verdict = "PASS" if (len(above) < 2 or slope >= NORM_MAP_ORDER_MIN) else "FAIL"
     return Report(
         name="norm_map_continuity_check",
         rows=pairs,
@@ -372,7 +299,6 @@ def aubin_lions_probe(
     level_families: list[list[GridFunction]],
     y_spaces: list[SpaceDescriptor] | None,
     p: float = 2.0,
-    eps_list: tuple[float, ...] = (0.05, 0.1, 0.2),
     certify: bool = True,
 ) -> Report:
     """Covering-count stability of a W-and-Y bounded family under joint
@@ -383,7 +309,8 @@ def aubin_lions_probe(
     factor AUBIN_LIONS_GROWTH_CAP of the coarsest level; families bounded only in
     L^p(Omega, X) are free to grow and earn the GROWING verdict.
 
-    rows: the greedy-net covering counts N(eps) of each level, one per eps.
+    rows: the greedy-net covering counts N(eps) of each level, one per eps
+    in AUBIN_LIONS_EPS.
     """
     if not level_families or not level_families[0]:
         raise ContractError("need at least one level with at least one member")
@@ -406,18 +333,18 @@ def aubin_lions_probe(
                     raise ContractError(
                         f"member {i} at level {lvl} is not Y-unit-bounded: {yn}"
                     )
-    counts = [covering_counts(fam, p, eps_list) for fam in level_families]
+    counts = [covering_counts(fam, p, AUBIN_LIONS_EPS) for fam in level_families]
     base = counts[0]
     stable = all(
         max(c[k] for c in counts) <= AUBIN_LIONS_GROWTH_CAP * base[k]
-        for k in range(len(eps_list))
+        for k in range(len(AUBIN_LIONS_EPS))
     )
     return Report(
         name="aubin_lions_probe",
         rows=counts,
         verdict="STABLE" if stable else "GROWING",
         details={
-            "eps_list": tuple(eps_list),
+            "eps_list": AUBIN_LIONS_EPS,
             "member_count": len(level_families[0]),
             "p": p,
             "certified": certify,

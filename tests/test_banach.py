@@ -160,34 +160,6 @@ def test_sup_norm_tie_set():
     assert res2.plus == -0.3 and res2.minus == -0.3 and res2.unique
 
 
-def test_lattice_operations():
-    rng = np.random.default_rng(107)
-    sp = banach.SpaceDescriptor("FiniteLr", 5, 2.0)
-    for _ in range(50):
-        v = rng.normal(size=5)
-        w = rng.normal(size=5)
-        assert np.array_equal(banach.lattice_abs(sp, v), np.abs(v))
-        pos = banach.lattice_pos(sp, v)
-        assert np.all(pos >= 0.0)
-        assert np.array_equal(pos - banach.lattice_pos(sp, -v), v)
-        sv = banach.sign_apply(sp, v, w)
-        assert np.array_equal(np.abs(v), banach.sign_apply(sp, v, v))
-        assert np.all(sv[v == 0.0] == 0.0)
-        proj = banach.band_projection_disjoint(sp, v, w)
-        assert np.all(proj[v != 0.0] == 0.0)
-        assert np.array_equal(proj[v == 0.0], w[v == 0.0])
-
-
-def test_lattice_requires_order():
-    hil = banach.SpaceDescriptor("Hilbert", 3)
-    with pytest.raises(CapabilityError):
-        banach.lattice_abs(hil, np.ones(3))
-    with pytest.raises(CapabilityError):
-        banach.lattice_pos(hil, np.ones(3))
-    with pytest.raises(CapabilityError):
-        banach.sign_apply(hil, np.ones(3), np.ones(3))
-
-
 def test_scalar_space_norm_is_abs():
     sp = banach.scalar_space()
     rng = np.random.default_rng(108)

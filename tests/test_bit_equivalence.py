@@ -107,9 +107,8 @@ def test_blocked_c0_lipschitz_matches_dense(N):
 
 
 def test_ck_contrast_matches_separate_buffers():
-    shape = (40, 70)
-    w = counterexamples.ck_pospart_witness(contrast_shape=shape)
-    n_t, m = shape
+    w = counterexamples.ck_pospart_witness()
+    n_t, m = counterexamples.CK_CONTRAST_SHAPE
     tc = (np.arange(n_t) + 0.5) / n_t
     rc = (np.arange(m) + 0.5) / m
     U = rc[None, :] - tc[:, None]
@@ -210,6 +209,10 @@ def test_lp_matches_quadrature_forms(space, d, n, p):
     # calculus applied it to norms selected by a node mask
     kept = g[g > np.median(g)]
     assert gridfn._lp(kept, vol, p) == _old_lp_of(kept, vol, p)
+    if p == 1.0:
+        # the L^1 errors of the derivative fields were summed inline
+        assert gridfn._lp(g, vol, p) == float(np.sum(g) * vol)
+        assert gridfn._lp(kept, vol, p) == float(np.sum(kept) * vol)
 
 
 @pytest.mark.parametrize("p", LP_EXPONENTS)

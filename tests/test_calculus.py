@@ -92,7 +92,9 @@ def test_compose_with_norm_map():
     excess = dict(rep.rows)["max_excess"]
     assert excess <= rep.details["tolerance"]
     with pytest.raises(DimensionMismatchError):
-        calculus.compose_lipschitz(F, gridfn.from_scalar(BOX1, u.grid, np.ones(128)))
+        calculus.compose_lipschitz(
+            F, gridfn.from_scalar(BOX1, u.grid, np.ones(128)), np.random.default_rng(31)
+        )
 
 
 def test_gateaux_chain_field_smooth_case():
@@ -257,7 +259,7 @@ def test_product_rule_exact_on_affine_factors():
     t = u.grid.axes(u.domain)[0]
     psi = gridfn.from_scalar(BOX1, u.grid, 2.0 * t - 0.3)
     rep = calculus.product_rule_check(u, psi)
-    assert rep.passed
+    assert rep.verdict == "MEASURED" and not rep.passed
     # psi*u is quadratic per coordinate, central quotients are exact on it
     assert rep.details["err_max"] <= 1e-12
     with pytest.raises(DimensionMismatchError):

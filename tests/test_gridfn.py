@@ -1,5 +1,5 @@
 """Grid sampling, quadrature norms, stencils, reflection, mollification,
-and boundary traces of vector-valued grid functions."""
+and boundary norms of vector-valued grid functions."""
 
 import math
 
@@ -193,24 +193,20 @@ def test_mollify_smooths_and_respects_range():
 
 
 def test_trace_linear_extrapolation_exact_on_affine():
-    u = _linear(a=2.0, b=1.0)  # first coordinate runs from 1 to 3
-    tr = gridfn.trace_boundary(u)
-    lo = next(f for f in tr.faces if f.side == "lo")
-    hi = next(f for f in tr.faces if f.side == "hi")
-    assert lo.values[0] == pytest.approx(1.0, abs=1e-13)
-    assert hi.values[0] == pytest.approx(3.0, abs=1e-13)
-    assert gridfn.boundary_lp_norm(tr, math.inf) == pytest.approx(
-        math.hypot(3.0, -0.5), abs=1e-12
-    )
+    # u(t) = (2t + 1, 0.5 - t): linear extrapolation from the two nearest
+    # layers hits the faces exactly, u(0) = (1, 0.5) and u(1) = (3, -0.5)
+    u = _linear(a=2.0, b=1.0)
+    lo, hi = math.hypot(1.0, 0.5), math.hypot(3.0, -0.5)
+    assert gridfn.boundary_norm(u, 1.0) == pytest.approx(lo + hi, abs=1e-12)
+    assert gridfn.boundary_norm(u, math.inf) == pytest.approx(hi, abs=1e-12)
 
 
 def test_trace_2d_area_weights():
     dom = gridfn.BoxDomain(np.array([0.0, 0.0]), np.array([1.0, 2.0]))
     g = gridfn.GridSpec((4, 8))
     u = gridfn.sample(dom, g, HIL2, lambda x: np.array([1.0, 0.0]))
-    tr = gridfn.trace_boundary(u)
     # the p=1 boundary integral of a unit-norm constant is the perimeter
-    assert gridfn.boundary_lp_norm(tr, 1.0) == pytest.approx(6.0, rel=1e-13)
+    assert gridfn.boundary_norm(u, 1.0) == pytest.approx(6.0, rel=1e-13)
 
 
 def test_apply_functional_carries_quadrature_weights():

@@ -13,7 +13,6 @@ from pathlib import Path
 import pytest
 
 from sobolev_banach import cli, suite
-from sobolev_banach.errors import ConfigError
 
 FAST = ["stampacchia_disjointness", "extension_reflection"]
 # a few tens of milliseconds each, so that two workers both get work
@@ -59,16 +58,11 @@ def test_run_entry_deterministic_and_unknown():
         suite.run_entry("no_such_entry", seed=42)
 
 
-def test_resolve_seed_precedence(monkeypatch):
-    monkeypatch.delenv(cli.SEED_ENV, raising=False)
+def test_resolve_seed_precedence():
     assert cli.resolve_seed({}, None) == 42
     assert cli.resolve_seed({"seed": 7}, None) == 7
-    monkeypatch.setenv(cli.SEED_ENV, "9")
-    assert cli.resolve_seed({"seed": 7}, None) == 9
     assert cli.resolve_seed({"seed": 7}, 3) == 3
-    monkeypatch.setenv(cli.SEED_ENV, "many")
-    with pytest.raises(ConfigError):
-        cli.resolve_seed({}, None)
+    assert cli.resolve_seed({}, 0) == 0
 
 
 def test_cli_run_writes_reports(tmp_path, capsys):
@@ -102,15 +96,14 @@ def test_cli_determinism_across_worker_counts(tmp_path):
     assert outs[0] == outs[1]
 
 
-def test_cli_seed_precedence_end_to_end(tmp_path, monkeypatch):
+def test_cli_seed_precedence_end_to_end(tmp_path):
+    flag = tmp_path / "flag"
     cfg = _basic_config(tmp_path, seed=5)
-    base = tmp_path / "base"
-    cli.main(["run", cfg, "--out", str(base), "--seed", "11"])
-    monkeypatch.setenv(cli.SEED_ENV, "11")
-    via_env = tmp_path / "env"
-    cli.main(["run", cfg, "--out", str(via_env)])  # env beats config seed 5
-    assert (base / "summary.csv").read_bytes() == (via_env / "summary.csv").read_bytes()
-    assert json.loads((via_env / "run_metadata.json").read_text())["seed"] == 11
+    cli.main(["run", cfg, "--out", str(flag), "--seed", "11"])  # beats config seed 5
+    config = tmp_path / "config"
+    cli.main(["run", _basic_config(tmp_path, seed=11), "--out", str(config)])
+    assert (flag / "summary.csv").read_bytes() == (config / "summary.csv").read_bytes()
+    assert json.loads((flag / "run_metadata.json").read_text())["seed"] == 11
 
 
 def test_cli_require_gate_forces_failure(tmp_path, capsys):
@@ -298,6 +291,8 @@ def test_cli_raising_entry_keeps_other_reports(tmp_path, capsys, monkeypatch):
          "/suite/0/params", "'n' was unexpected"),
         ({"name": "quotient_rule", "params": {"ladder": [256, 1024]}},
          "/suite/0/params/ladder/1", "greater than the maximum of 512"),
+        ({"name": "aubin_lions_compact", "params": {"levels": 5}},
+         "/suite/0/params/levels", "greater than the maximum of 4"),
     ],
 )
 def test_cli_rejects_bad_params_before_running(
@@ -363,7 +358,7 @@ def test_spelled_out_defaults_match_the_bare_config(tmp_path):
             "name": name,
             "params": {
                 key: list(default) if isinstance(default, tuple) else default
-                for key, (default, _) in entry.params.items()
+                for key, (default, *_) in entry.params.items()
             },
         }
         for name, entry in suite.CATALOG.items()
@@ -384,8 +379,21 @@ def test_spelled_out_defaults_match_the_bare_config(tmp_path):
 def test_entry_passes_at_declared_minimum(tmp_path, name):
     params = {
         key: [low, 2 * low] if isinstance(default, tuple) else low
-        for key, (default, low) in suite.CATALOG[name].params.items()
+        for key, (default, low, *_) in suite.CATALOG[name].params.items()
     }
+    spec = {"name": name, "params": params}
+    cli.load_config(_write_config(tmp_path, {"schema_version": 1, "suite": [spec]}))
+    rows, _ = suite.run_entry(name, 42, 0, params)
+    assert rows and all(r.passed for r in rows), rows
+
+
+@pytest.mark.parametrize(
+    "name, key",
+    [(name, key) for name, entry in suite.CATALOG.items()
+     for key, declared in entry.params.items() if len(declared) == 3],
+)
+def test_entry_passes_at_declared_maximum(tmp_path, name, key):
+    params = {key: suite.CATALOG[name].params[key][2]}
     spec = {"name": name, "params": params}
     cli.load_config(_write_config(tmp_path, {"schema_version": 1, "suite": [spec]}))
     rows, _ = suite.run_entry(name, 42, 0, params)
@@ -402,8 +410,11 @@ def test_schema_and_describe_read_the_declarations(capsys):
         assert set(entry.params_schema()["properties"]) == set(entry.params)
         assert cli.main(["describe", entry.name]) == cli.EXIT_OK
         desc = capsys.readouterr().out
-        for key, (default, low) in entry.params.items():
-            assert f"    {key}: default {json.dumps(default)}, minimum {low}" in desc
+        for key, (default, low, *high) in entry.params.items():
+            line = f"    {key}: default {json.dumps(default)}, minimum {low}"
+            assert (line + (f", maximum {high[0]}" if high else "") + "\n") in desc
+            if high:
+                assert entry.params_schema()["properties"][key]["maximum"] == high[0]
         if not entry.params:
             assert "params: none" in desc
 
