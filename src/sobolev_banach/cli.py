@@ -78,13 +78,18 @@ CONFIG_SCHEMA = {
 }
 
 
+def _reject_constant(name: str):
+    raise ValueError(f"{name} is not a JSON number")
+
+
 def load_config(path: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            cfg = json.load(fh)
+            # NaN and Infinity are Python's extension of JSON, not JSON
+            cfg = json.load(fh, parse_constant=_reject_constant)
     except OSError as e:
         raise ConfigError(f"cannot read config {path}: {e}") from e
-    except json.JSONDecodeError as e:
+    except ValueError as e:  # JSONDecodeError is a ValueError
         raise ConfigError(f"config {path} is not valid JSON: {e}") from e
     validator = jsonschema.Draft202012Validator(CONFIG_SCHEMA)
     errors = sorted(validator.iter_errors(cfg), key=lambda e: list(e.absolute_path))
@@ -128,7 +133,9 @@ def _run_one(spec: dict, seed: int, refine_override: int | None):
     name = spec["name"]
     refine = refine_override if refine_override is not None else spec.get("refine", 0)
     result = {"entry": name, "anchor": suite.CATALOG[name].anchor}
+    params = None
     try:
+        params = suite.entry_params(name, refine, spec.get("params"))
         rows, details = suite.run_entry(name, seed, refine, spec.get("params"))
         rows = _apply_require(rows, spec.get("require", {}))
     except Exception as e:  # one entry's blow-up must not lose the others' reports
@@ -140,6 +147,7 @@ def _run_one(spec: dict, seed: int, refine_override: int | None):
     ru = resource.getrusage(resource.RUSAGE_SELF)
     result["usage"] = {  # measured in the process that ran the entry
         "name": name,
+        "params": params,  # the sizes that ran: defaults filled, refined
         "pid": os.getpid(),
         "wall_s": time.perf_counter() - wall0,
         "cpu_s": ru.ru_utime + ru.ru_stime - ru0.ru_utime - ru0.ru_stime,
@@ -302,17 +310,21 @@ def cmd_describe(args) -> int:
     print(f"  statement: {entry.anchor}")
     print(f"  check: {entry.summary}")
     print("  params:" if entry.params else "  params: none")
-    for key, (default, low, *high) in entry.params.items():
-        largest = f", maximum {high[0]}" if high else ""
-        print(f"    {key}: default {json.dumps(default)}, minimum {low}{largest}")
+    for key, (default, low, high) in entry.params.items():
+        print(f"    {key}: default {json.dumps(default)}, minimum {low}, maximum {high}")
     return EXIT_OK
 
 
-def _positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
-    return value
+def _int_at_least(key: str):
+    """An argparse type: an integer at least the config schema's minimum."""
+    low = CONFIG_SCHEMA["properties"][key]["minimum"]
+
+    def integer(text: str) -> int:
+        if int(text) < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {text}")
+        return int(text)
+
+    return integer
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -327,13 +339,14 @@ def build_parser() -> argparse.ArgumentParser:
     runp = sub.add_parser("run", help="execute suite entries from a JSON config")
     runp.add_argument("config", help="path to the run config (JSON)")
     runp.add_argument("--out", help="output directory (default from config)")
-    runp.add_argument("--seed", type=int, help="override the run seed")
+    runp.add_argument("--seed", type=_int_at_least("seed"),
+                      help="override the run seed")
     runp.add_argument("--format", choices=["json", "csv", "both"],
                       help="per-entry report format")
     runp.add_argument("--entry", help="run a single catalog entry")
     runp.add_argument("--refine", type=int, choices=range(0, 4),
                       help="override the refinement level for all entries")
-    runp.add_argument("--workers", type=_positive_int,
+    runp.add_argument("--workers", type=_int_at_least("workers"),
                       help="worker processes (default and cap: CPUs available)")
     runp.set_defaults(func=cmd_run)
 

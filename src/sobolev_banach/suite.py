@@ -5,8 +5,8 @@ threshold rows: (metric, value, threshold, pass).  Entries are pure
 functions of (seed, refine, params), so a fixed seed reproduces every row
 bit-for-bit.  Each entry is declared once, by ``_entry`` on its builder:
 the anchor string names the mathematical statement the entry exercises,
-and each param has a default and a smallest accepted value.  The CLI's
-config schema and ``describe`` read the same declaration.
+and each param has a default, a smallest and a largest value.  The CLI's
+config schema, ``describe`` and ``entry_params`` read the same declaration.
 """
 from __future__ import annotations
 
@@ -57,10 +57,6 @@ class Row:
     passed: bool
 
 
-#: Largest grid size a ladder level may take, declared or refined.
-LADDER_CAP = 512
-
-
 @dataclass(frozen=True)
 class CatalogEntry:
     name: str
@@ -72,16 +68,14 @@ class CatalogEntry:
     def params_schema(self) -> dict:
         """JSON schema of this entry's ``params`` object."""
         props = {}
-        for key, (default, low, *high) in self.params.items():
+        for key, (default, low, high) in self.params.items():
             if isinstance(default, tuple):
                 props[key] = {"type": "array", "minItems": 2, "uniqueItems": True,
                               "items": {"type": "integer", "minimum": low,
-                                        "maximum": LADDER_CAP}}
+                                        "maximum": high}}
             else:
                 kind = "number" if isinstance(default, float) else "integer"
-                props[key] = {"type": kind, "minimum": low}
-                if high:
-                    props[key]["maximum"] = high[0]
+                props[key] = {"type": kind, "minimum": low, "maximum": high}
         return {"type": "object", "additionalProperties": False, "properties": props}
 
 
@@ -91,13 +85,13 @@ CATALOG: dict[str, CatalogEntry] = {}
 def _entry(anchor: str, summary: str, **params):
     """Register the decorated builder ``_<name>`` as catalog entry ``<name>``.
 
-    Each keyword declares a param as ``(default, smallest accepted value)``
-    or ``(default, smallest, largest accepted value)`` and reaches the
-    builder as a keyword after ``(rng, refine)``.  The
-    default's type is the param's type: a tuple is a ladder of grid sizes,
-    each at least the minimum and at most ``LADDER_CAP``, run in ascending
-    order and refined by ``_ladder``; a float is a real number; an int an
-    integer.
+    Each keyword declares a param as ``(default, smallest, largest accepted
+    value)`` and reaches the builder as a keyword after ``(rng, refine)``.
+    The default's type is the param's type: a tuple is a ladder, a float a
+    real number, an int an integer.  The grid rule: ladders and every param
+    named ``n`` are grid sizes, which ``entry_params`` doubles ``refine``
+    times (a ladder only while its top level stays within its largest
+    value); every other int is a count and is not refined.
     """
 
     def register(builder):
@@ -210,10 +204,10 @@ def circle_sample(n: int) -> GridFunction:
     return GridFunction(dom, grid, SpaceDescriptor("Hilbert", 2), vals)
 
 
-def _ladder(base: tuple[int, ...], refine: int) -> tuple[int, ...]:
+def _ladder(base: tuple[int, ...], refine: int, top: int) -> tuple[int, ...]:
     """The levels of ``base`` scaled by 2**r, for the largest r <= refine
-    that keeps the top level within LADDER_CAP, so no level repeats."""
-    while refine and max(base) * 2**refine > LADDER_CAP:
+    that keeps the top level within ``top``, so no level repeats."""
+    while refine and max(base) * 2**refine > top:
         refine -= 1
     return tuple(n * 2**refine for n in base)
 
@@ -222,7 +216,7 @@ def _fit_order(ns, errs) -> float:
     hs = [1.0 / n for n in ns]
     pos = [(h, e) for h, e in zip(hs, errs) if e > 0.0]
     if len(pos) < 2:
-        return math.inf
+        return math.nan  # nothing to fit, so every order row fails
     slope, _ = fit_loglog([h for h, _ in pos], [e for _, e in pos])
     return slope
 
@@ -238,10 +232,9 @@ def _fit_order(ns, errs) -> float:
     "Discrepancy between the one-sided pairing field and the finite "
     "difference of the pointwise norm decays under refinement over a "
     "30-sample corpus spanning every space kind.",
-    ladder=((32, 64, 128, 256), 16),
+    ladder=((32, 64, 128, 256), 16, 512),
 )
 def _norm_chain_rule(rng, refine, ladder):
-    ladder = _ladder(ladder, refine)
     bps = corpus_blueprints(rng)
     errs = []
     for n in ladder:
@@ -265,10 +258,9 @@ def _norm_chain_rule(rng, refine, ladder):
     "Nodewise inequality with 1e-12 relative slack on interior unflagged "
     "nodes; the constant-norm circle achieves zero left side against a "
     "unit right side.",
-    n=(128, 8),
+    n=(128, 8, 512),
 )
 def _norm_gradient_bound(rng, refine, n):
-    n *= 2**refine
     bps = corpus_blueprints(rng)
     worst = 0.0
     for bp in bps:
@@ -305,10 +297,9 @@ def _norm_gradient_bound(rng, refine, n):
     "Absolute-value and positive-part fields match finite differences at "
     "order >= 0.9; pos = (abs + D)/2 bit-exactly off the zero set; the "
     "sup norm is rejected for lacking order continuity.",
-    ladder=((32, 64, 128, 256), 32),
+    ladder=((32, 64, 128, 256), 32, 512),
 )
 def _lattice_chain_rules(rng, refine, ladder):
-    ladder = _ladder(ladder, refine)
     bps = [bp for bp in corpus_blueprints(rng) if bp.space.order_continuous
            and bp.space.lattice_capable and bp.d == 1]
     abs_errs, pos_errs = [], []
@@ -347,10 +338,9 @@ def _lattice_chain_rules(rng, refine, ladder):
     "derivative norm, with equality in the limit",
     "For smooth corpus members the criterion constant converges to "
     "max_j |D_j u|_p at first order and the verdict stays BOUNDED.",
-    ladder=((64, 128, 256, 512), 16), p=(2.0, 1),
+    ladder=((64, 128, 256, 512), 16, 512), p=(2.0, 1, 64),
 )
 def _dq_criterion(rng, refine, ladder, p):
-    ladder = _ladder(ladder, refine)
     # cosine-only blends: the derivative vanishes at the boundary, so the
     # criterion's shrinking-window deficit is negligible and the measured
     # decay isolates the quotient-vs-derivative convergence itself
@@ -383,10 +373,9 @@ def _dq_criterion(rng, refine, ladder, p):
     "The indicator path into L^2 fits slope -0.5 +/- 0.05 with verdict "
     "DIVERGENT, while the L^1 variant stays BOUNDED and scalar pairings "
     "remain Lipschitz.",
-    n=(256, 64),
+    n=(256, 64, 512),
 )
 def _dq_criterion_indicator(rng, refine, n):
-    n *= 2**refine
     w = counterexamples.indicator_path_witness(r=2.0, n=n)
     slope = w.details["criterion_slope"]
     w1 = counterexamples.indicator_path_witness(r=1.0, n=n)
@@ -422,14 +411,14 @@ def _w0_corpus(rng, n: int):
 @_entry(
     "Poincare inequality with the first Dirichlet eigenvalue as sharp "
     "constant",
-    "The discrete eigenvalue at n = 512 matches pi^2 within 1%, and every "
-    "zero-trace corpus member satisfies |u'| >= pi |u| (1 - 0.01).",
-    n=(512, 16),
+    "The discrete eigenvalue on n cells matches pi^2 within 1%, and every "
+    "zero-trace corpus member on n/2 cells satisfies |u'| >= pi |u| (1 - 0.01).",
+    n=(512, 16, 4096),
 )
 def _poincare_eigenvalue(rng, refine, n):
     ev = theorems.dirichlet_eigenvalue(n)
     gap = abs(ev - math.pi**2) / math.pi**2
-    members, _ = _w0_corpus(rng, 256 * 2**refine)
+    members, _ = _w0_corpus(rng, n // 2)
     worst = math.inf
     for u in members:
         rep = theorems.poincare_check(u, 2.0, 0)
@@ -446,10 +435,9 @@ def _poincare_eigenvalue(rng, refine, n):
     "pairings, and the scalar pointwise norm agree",
     "On 10 members and 10 non-members the three verdicts agree 20/20 and "
     "member boundary norms decay at order >= 1.9.",
-    ladder=((64, 128, 256), 4),
+    ladder=((64, 128, 256), 4, 512),
 )
 def _w0_equivalences(rng, refine, ladder):
-    ladder = _ladder(ladder, refine)
     agree = 0
     total = 0
     member_boundary = []
@@ -488,10 +476,9 @@ def seed_of(rng: np.random.Generator) -> int:
     "the W^{1,2} norm",
     "holder_beta(u, 1/2) <= |u|_W for all corpus members; the square-root "
     "profile attains its sharp Holder constant within 5%.",
-    n=(512, 256),
+    n=(512, 256, 2048),
 )
 def _morrey_d1(rng, refine, n):
-    n *= 2**refine
     bps = [bp for bp in corpus_blueprints(rng) if bp.d == 1][:12]
     ok = True
     worst = 0.0
@@ -520,7 +507,7 @@ def _morrey_d1(rng, refine, n):
     "covering numbers",
     "A certified family keeps N(eps) within 2x the coarsest level for "
     "eps in {0.05, 0.1, 0.2}.",
-    members=(30, 4), levels=(3, 2, 4),  # grid and value dimension double per level
+    members=(30, 4, 60), levels=(3, 2, 4),  # grid and value dimension double per level
 )
 def _aubin_lions_compact(rng, refine, members, levels):
     coeffs = rng.normal(size=(members, 2))
@@ -560,7 +547,7 @@ def _aubin_lions_compact(rng, refine, members, levels):
     "numbers grow",
     "Shrinking-bump families bounded only in L^2 grow N(0.1) by >= 4x "
     "from coarsest to finest level.",
-    members=(30, 4),
+    members=(30, 4, 120),
 )
 def _aubin_lions_control(rng, refine, members):
     n = 1024 * 2**refine
@@ -590,7 +577,7 @@ def _aubin_lions_control(rng, refine, members):
     "preserves the operator norm",
     "50 seeded matrices up to size 32 at p = 2: |T tensor I| = |T| within "
     "1e-8; the defining identity on elementary tensors is bit-exact.",
-    matrices=(50, 1),
+    matrices=(50, 1, 200),
 )
 def _tensor_extension_norms(rng, refine, matrices):
     worst_gap = 0.0
@@ -640,10 +627,9 @@ def _notes(w) -> dict:
     "differentiable: quotients blow up like h^(1/r - 1)",
     "Measured slopes within 0.05 of 1/r - 1 for r in {2, 4, inf}; all "
     "verdicts CONFIRMS_FAILURE; scalar pairings stay Lipschitz.",
-    n=(256, 64),
+    n=(256, 64, 512),
 )
 def _witness_indicator_path(rng, refine, n):
-    n *= 2**refine
     details = {}
     rows = []
     for r in (2.0, 4.0, math.inf):
@@ -694,10 +680,9 @@ def _witness_ck_pospart(rng, refine):
     "Lipschitz maps compose with Sobolev paths: |D_j F(u)| <= L |D_j u|",
     "Composition with the norm map and a linear contraction keeps the "
     "difference-quotient excess below the floating tolerance.",
-    n=(256, 4),
+    n=(256, 4, 4096),
 )
 def _lipschitz_composition(rng, refine, n):
-    n *= 2**refine
     bp = corpus_blueprints(rng)[0]
     u = bp.realize(n)
     F = norm_lipschitz_map(u.space)
@@ -731,10 +716,9 @@ def _lipschitz_composition(rng, refine, n):
     "differences where the one-sided derivatives coincide",
     "Plus/minus fields of the norm map agree with the composed finite "
     "difference at order >= 0.9 with negligible one-sided gap.",
-    ladder=((64, 128, 256), 4),
+    ladder=((64, 128, 256), 4, 512),
 )
 def _gateaux_chain_agreement(rng, refine, ladder):
-    ladder = _ladder(ladder, refine)
     bp = next(b for b in corpus_blueprints(rng) if b.space.kind == "Hilbert" and b.d == 1)
     errs, gaps = [], []
     for n in ladder:
@@ -755,10 +739,9 @@ def _gateaux_chain_agreement(rng, refine, ladder):
     "Vector-valued embedding constants never exceed the scalar ones",
     "The L^4-vs-W^{1,2} ratio of every corpus member is bounded by the "
     "empirical scalar constant on a probe corpus.",
-    n=(256, 4),
+    n=(256, 4, 4096),
 )
 def _embedding_constants(rng, refine, n):
-    n *= 2**refine
     bps = [bp for bp in corpus_blueprints(rng) if bp.d == 1][:10]
     worst = 0.0
     for bp in bps:
@@ -776,10 +759,9 @@ def _embedding_constants(rng, refine, n):
     "C/n uniformly over shift-bounded families",
     "Family sup errors are monotone, sit below the criterion-derived "
     "bound, and fit a decay order >= 0.9.",
-    n=(256, 64),
+    n=(256, 64, 2048),
 )
 def _mollifier_uniformity(rng, refine, n):
-    n *= 2**refine
     bps = [bp for bp in corpus_blueprints(rng) if bp.d == 1][:3]
     fam = [bp.realize(n) for bp in bps]
     rep = theorems.mollifier_family_check(fam, levels=(8, 16, 32))
@@ -796,10 +778,9 @@ def _mollifier_uniformity(rng, refine, n):
     "at most 3^d",
     "Even reflection across every face restricts back bit-exactly with "
     "controlled norm growth.",
-    n=(128, 4),
+    n=(128, 4, 4096),
 )
 def _extension_reflection(rng, refine, n):
-    n *= 2**refine
     bps = corpus_blueprints(rng)[:6]
     worst = 0.0
     all_exact = True
@@ -821,10 +802,9 @@ def _extension_reflection(rng, refine, n):
     "every D_j u",
     "A path vanishing on the support of w has derivative vanishing there "
     "up to the finite-difference tolerance.",
-    n=(256, 4),
+    n=(256, 4, 4096),
 )
 def _stampacchia_disjointness(rng, refine, n):
-    n *= 2**refine
     dom, grid, t = _interval(n)
     space = SpaceDescriptor("GridLr", 4, exponent=2.0)
     vals = np.zeros((n, 4))
@@ -846,10 +826,9 @@ def _stampacchia_disjointness(rng, refine, n):
     "Quotient rule for u / |u| against a capped cutoff",
     "The assembled formula field matches the finite difference of the "
     "normalized path at order >= 0.9 away from the zero set.",
-    ladder=((64, 128, 256), 8),
+    ladder=((64, 128, 256), 8, 512),
 )
 def _quotient_rule(rng, refine, ladder):
-    ladder = _ladder(ladder, refine)
     space = SpaceDescriptor("Hilbert", 2)
     errs = []
     for n in ladder:
@@ -870,10 +849,9 @@ def _quotient_rule(rng, refine, ladder):
     "(D_j psi) u",
     "Central differences satisfy the product rule at second order for "
     "smooth data.",
-    ladder=((64, 128, 256), 16),
+    ladder=((64, 128, 256), 16, 512),
 )
 def _product_rule(rng, refine, ladder):
-    ladder = _ladder(ladder, refine)
     bp = next(b for b in corpus_blueprints(rng) if b.space.kind == "Hilbert" and b.d == 1)
     errs = []
     for n in ladder:
@@ -891,10 +869,9 @@ def _product_rule(rng, refine, ladder):
     "scalar convergence of pointwise norms",
     "Scalar W-distances track vector W-distances at order >= 0.9 along a "
     "convergent sequence bounded away from zero.",
-    n=(128, 4),
+    n=(128, 4, 4096),
 )
 def _norm_map_continuity(rng, refine, n):
-    n *= 2**refine
     dom, grid, t = _interval(n)
     space = SpaceDescriptor("Hilbert", 3)
     base = np.stack(
@@ -911,14 +888,23 @@ def _norm_map_continuity(rng, refine, n):
     return rows, {"pairs": rep.rows}
 
 
-def run_entry(name: str, seed: int, refine: int = 0, params: dict | None = None):
-    if name not in CATALOG:
-        raise KeyError(name)
-    entry = CATALOG[name]
+def entry_params(name: str, refine: int, params: dict | None = None) -> dict:
+    """The keywords entry ``name`` runs with: ``params`` with the declared
+    defaults filled in and cast, ladders sorted, and every grid size
+    refined by the grid rule of ``_entry``."""
     kwargs = dict(params or {})  # an undeclared key fails in the builder call
-    for key, (default, *_) in entry.params.items():
+    for key, (default, _, high) in CATALOG[name].params.items():
         value = kwargs.get(key, default)  # JSON lets 256.0 stand for 256
-        kwargs[key] = (tuple(sorted(map(int, value))) if isinstance(default, tuple)
-                       else type(default)(value))
-    rows, details = entry.builder(entry_rng(name, seed), refine, **kwargs)
+        if isinstance(default, tuple):
+            kwargs[key] = _ladder(tuple(sorted(map(int, value))), refine, high)
+        elif key == "n":
+            kwargs[key] = int(value) * 2**refine
+        else:
+            kwargs[key] = type(default)(value)
+    return kwargs
+
+
+def run_entry(name: str, seed: int, refine: int = 0, params: dict | None = None):
+    kwargs = entry_params(name, refine, params)
+    rows, details = CATALOG[name].builder(entry_rng(name, seed), refine, **kwargs)
     return rows, to_jsonable(details)

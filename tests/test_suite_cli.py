@@ -6,6 +6,7 @@ catalog entries keep each run under a second.
 
 import dataclasses
 import json
+import math
 import os
 import warnings
 from pathlib import Path
@@ -293,6 +294,10 @@ def test_cli_raising_entry_keeps_other_reports(tmp_path, capsys, monkeypatch):
          "/suite/0/params/ladder/1", "greater than the maximum of 512"),
         ({"name": "aubin_lions_compact", "params": {"levels": 5}},
          "/suite/0/params/levels", "greater than the maximum of 4"),
+        ({"name": "witness_indicator_path", "params": {"n": 1000000}},
+         "/suite/0/params/n", "greater than the maximum of 512"),
+        ({"name": "dq_criterion", "params": {"p": 65.0}},
+         "/suite/0/params/p", "greater than the maximum of 64"),
     ],
 )
 def test_cli_rejects_bad_params_before_running(
@@ -306,6 +311,25 @@ def test_cli_rejects_bad_params_before_running(
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "spec",
+    [
+        {"name": "dq_criterion", "params": {"p": math.nan}},
+        {"name": "dq_criterion", "params": {"p": math.inf}},
+        {"name": "dq_criterion", "require": {"c_est_fitted_order": {"min": -math.inf}}},
+        {"name": "product_rule", "require": {"fitted_order": {"min": math.nan}}},
+    ],
+)
+def test_cli_rejects_non_json_constants(tmp_path, capsys, spec):
+    # json.dumps writes the Python extensions NaN, Infinity and -Infinity
+    cfg = _write_config(tmp_path, {"schema_version": 1, "suite": [spec]})
+    out = tmp_path / "reports"
+    assert cli.main(["run", cfg, "--out", str(out)]) == cli.EXIT_ERROR
+    err = capsys.readouterr().err
+    assert "is not valid JSON" in err and "is not a JSON number" in err
+    assert not out.exists()
+
+
 def test_descending_ladder_runs_ascending():
     down, _ = suite.run_entry("norm_chain_rule", 42, 0, {"ladder": [256, 128, 64, 32]})
     up, _ = suite.run_entry("norm_chain_rule", 42, 0, {"ladder": [32, 64, 128, 256]})
@@ -314,11 +338,26 @@ def test_descending_ladder_runs_ascending():
 
 
 def test_refine_lowers_until_the_top_level_fits():
-    assert suite._ladder((64, 128, 256), 3) == (128, 256, 512)
-    assert suite._ladder((64, 128, 256, 512), 2) == (64, 128, 256, 512)
+    assert suite._ladder((64, 128, 256), 3, 512) == (128, 256, 512)
+    assert suite._ladder((64, 128, 256, 512), 2, 512) == (64, 128, 256, 512)
     rows, details = suite.run_entry("quotient_rule", 42, 1, {"ladder": [256, 512]})
     assert details["ladder"] == [256, 512]
     assert rows and all(r.passed for r in rows), rows
+
+
+def test_refine_doubles_grid_sizes_only():
+    assert suite.entry_params("poincare_eigenvalue", 2) == {"n": 2048}
+    assert suite.entry_params("dq_criterion", 3, {"ladder": [128.0, 32], "p": 3}) == {
+        "ladder": (128, 512), "p": 3.0}
+    assert suite.entry_params("aubin_lions_compact", 3) == {"members": 30, "levels": 3}
+    assert suite.entry_params("tensor_extension_norms", 3, {"matrices": 7}) == {
+        "matrices": 7}
+
+
+def test_fit_order_is_nan_without_two_positive_errors():
+    assert math.isnan(suite._fit_order([32, 64, 128], [0.0, 0.0, 1.0]))
+    assert not suite._row("fitted_order", suite._fit_order([32, 64], [0.0, 0.0]),
+                          0.9, mode="ge").passed
 
 
 def test_full_catalog_passes_at_refine_3(tmp_path):
@@ -389,11 +428,12 @@ def test_entry_passes_at_declared_minimum(tmp_path, name):
 
 @pytest.mark.parametrize(
     "name, key",
-    [(name, key) for name, entry in suite.CATALOG.items()
-     for key, declared in entry.params.items() if len(declared) == 3],
+    [(name, key) for name, entry in suite.CATALOG.items() for key in entry.params],
 )
 def test_entry_passes_at_declared_maximum(tmp_path, name, key):
-    params = {key: suite.CATALOG[name].params[key][2]}
+    default, _, high = suite.CATALOG[name].params[key]
+    # a ladder that ends at the maximum
+    params = {key: [high // 2, high] if isinstance(default, tuple) else high}
     spec = {"name": name, "params": params}
     cli.load_config(_write_config(tmp_path, {"schema_version": 1, "suite": [spec]}))
     rows, _ = suite.run_entry(name, 42, 0, params)
@@ -410,11 +450,11 @@ def test_schema_and_describe_read_the_declarations(capsys):
         assert set(entry.params_schema()["properties"]) == set(entry.params)
         assert cli.main(["describe", entry.name]) == cli.EXIT_OK
         desc = capsys.readouterr().out
-        for key, (default, low, *high) in entry.params.items():
-            line = f"    {key}: default {json.dumps(default)}, minimum {low}"
-            assert (line + (f", maximum {high[0]}" if high else "") + "\n") in desc
-            if high:
-                assert entry.params_schema()["properties"][key]["maximum"] == high[0]
+        for key, (default, low, high) in entry.params.items():
+            line = f"    {key}: default {json.dumps(default)}, minimum {low}, maximum {high}"
+            assert line + "\n" in desc
+            prop = entry.params_schema()["properties"][key]
+            assert prop.get("items", prop)["maximum"] == high
         if not entry.params:
             assert "params: none" in desc
 
@@ -458,7 +498,7 @@ def test_sidecar_records_each_entry_in_process(tmp_path):
     assert meta["workers"] == meta["workers_requested"] == 1
     assert [e["name"] for e in meta["entries"]] == MEDIUM
     for e in meta["entries"]:
-        assert set(e) == {"name", "pid", "wall_s", "cpu_s", "max_rss_mb"}
+        assert set(e) == {"name", "params", "pid", "wall_s", "cpu_s", "max_rss_mb"}
         assert e["pid"] == os.getpid()
         assert e["wall_s"] > 0 and e["cpu_s"] >= 0 and e["max_rss_mb"] > 0
 
@@ -504,6 +544,24 @@ def test_workers_flag_must_be_positive(tmp_path, capsys, value):
         cli.main(["run", cfg, "--out", str(tmp_path / "r"), "--workers", value])
     assert exc.value.code == 2
     assert "must be at least 1" in capsys.readouterr().err
+
+
+def test_seed_flag_takes_the_schema_minimum(tmp_path, capsys):
+    cfg = _basic_config(tmp_path)
+    out = tmp_path / "r"
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["run", cfg, "--out", str(out), "--seed", "-1"])
+    assert exc.value.code == 2
+    assert "argument --seed: must be at least 0, got -1" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_sidecar_records_the_params_that_ran(tmp_path):
+    code, meta = _run_names(tmp_path, ["quotient_rule", "stampacchia_disjointness"],
+                            "--workers", "1", "--refine", "1")
+    assert code == cli.EXIT_OK
+    assert [e["params"] for e in meta["entries"]] == [
+        {"ladder": [128, 256, 512]}, {"n": 512}]
 
 
 @pytest.mark.parametrize("workers", ["1", pytest.param("2", marks=two_cpus)])

@@ -131,9 +131,22 @@ def test_norm_map_continuity_perturbations():
     rep = theorems.norm_map_continuity_check(seq, u)
     assert rep.passed
     assert rep.details["fitted_slope"] >= 0.9
-    # a sequence already sitting at u passes through the floor branch
+    # a sequence already sitting at u leaves no pair above the floor, so
+    # nothing is compared and nothing passes
     rep2 = theorems.norm_map_continuity_check([u.like(base)] * 3, u)
-    assert rep2.passed and math.isinf(rep2.details["fitted_slope"])
+    assert not rep2.passed and math.isnan(rep2.details["fitted_slope"])
+
+
+def test_norm_map_continuity_needs_two_pairs():
+    # one element whose scalar W-distance (1.20) is almost five times its
+    # vector W-distance (0.25): a single pair fits no order and must not pass
+    g = gridfn.GridSpec((64,))
+    t = g.axes(BOX1)[0]
+    u = gridfn.GridFunction(BOX1, g, HIL2, np.stack([t - 0.5, 0.0 * t], axis=-1))
+    rep = theorems.norm_map_continuity_check([u.like(u.values + [0.25, 0.0])], u)
+    ((dvec, dsca),) = rep.rows
+    assert dvec == pytest.approx(0.25) and dsca == pytest.approx(1.2045, abs=1e-4)
+    assert rep.verdict == "FAIL" and math.isnan(rep.details["fitted_slope"])
 
 
 def test_covering_counts_clusters():
