@@ -10,8 +10,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from sobolev_banach import _kernels, banach, counterexamples, gridfn, suite
+from sobolev_banach import _kernels, banach, calculus, counterexamples, gridfn, suite
 
 SPACES = [space for _, space in suite.KIND_SPECS] + [
     banach.SpaceDescriptor("FiniteLr", 3, exponent=math.inf),
@@ -241,3 +242,154 @@ def test_bump_of_square_matches_unsquared_form():
     assert np.array_equal(gridfn._bump(x * x), old)
     # the supports agree: |x| < 1 exactly when x*x < 1
     assert np.array_equal(x * x < 1.0, m)
+
+
+# The derivative-field producers compare through ``calculus._fd_errors``.
+# Each reference below is the comparison as the producer wrote it inline
+# before: its own cell volume, interior mask, finite difference and node
+# mask (flat where the producer worked on flat rows).
+
+FIELD_CASES = dict(derandomize=True, max_examples=50, deadline=None)
+LATTICE_SPACES = [s for s in SPACES if s.lattice_capable and s.order_continuous]
+
+
+@st.composite
+def field_cases(draw, spaces=SPACES):
+    space = draw(st.sampled_from(spaces))
+    d = draw(st.sampled_from([1, 2]))
+    n = draw(st.integers(3, 24 if d == 1 else 9))
+    seed = draw(st.integers(0, 2**16))
+    u = _blueprint(space, d, seed).realize(n)
+    # exact zeros exercise the flagged and zero-set branches
+    zeros = draw(st.integers(0, 2))
+    u.values.reshape(-1, space.dim)[:zeros] = 0.0
+    return u, seed
+
+
+def _scalar(u, seed):
+    return _blueprint(banach.scalar_space(), u.domain.d, seed + 1).realize(u.grid.n[0])
+
+
+def _l1_rows(rep):
+    return [v for k, v in rep.rows if k.startswith("l1_err[")]
+
+
+def _running_sum(errs):
+    total = 0.0
+    for e in errs:
+        total += e
+    return total
+
+
+@given(field_cases())
+@settings(**FIELD_CASES)
+def test_norm_derivative_errors_match_inline_form(case):
+    u, _ = case
+    res = calculus.norm_derivative_field(u)
+    g = gridfn.pointwise_norm_function(u)
+    dg = gridfn.finite_difference(g)
+    vol = float(np.prod(u.grid.spacing(u.domain)))
+    inner = gridfn.interior_mask(u.grid).ravel()
+    want = []
+    for j in range(u.domain.d):
+        ok = (~res.flags[j].ravel()) & inner
+        value = res.fields[j].values.reshape(-1)
+        want.append(gridfn._lp(np.abs(value - dg[j].values.reshape(-1))[ok], vol, 1.0))
+    assert _l1_rows(res.report) == want
+    assert res.report.details["l1_err_total"] == _running_sum(want)
+
+
+@given(field_cases(LATTICE_SPACES))
+@settings(**FIELD_CASES)
+def test_lattice_errors_match_inline_form(case):
+    u, _ = case
+    vol = float(np.prod(u.grid.spacing(u.domain)))
+    inner = gridfn.interior_mask(u.grid)
+    D = gridfn.finite_difference(u)
+    for res, target in (
+        (calculus.abs_derivative_field(u), u.like(np.abs(u.values))),
+        (calculus.pos_derivative_field(u), u.like(np.maximum(u.values, 0.0))),
+    ):
+        dt = gridfn.finite_difference(target)
+        want = []
+        for j in range(u.domain.d):
+            ok = (~res.flags[j]) & inner
+            defect = banach.norm(u.space, res.fields[j].values - dt[j].values)
+            want.append(gridfn._lp(np.asarray(defect)[ok], vol, 1.0))
+        assert _l1_rows(res.report) == want
+        assert res.report.details["l1_err_total"] == _running_sum(want)
+    # u+ field = (|u| field + D u)/2 off the zero set, bit for bit
+    av = calculus.abs_derivative_field(u).fields
+    pv = calculus.pos_derivative_field(u).fields
+    nz = u.values != 0.0
+    for j in range(u.domain.d):
+        half = 0.5 * (av[j].values + D[j].values)
+        assert np.array_equal(pv[j].values[nz], half[nz])
+
+
+@given(field_cases())
+@settings(**FIELD_CASES)
+def test_quotient_rule_errors_match_inline_form(case):
+    u, seed = case
+    phi_hat = _scalar(u, seed)
+    phi_hat = phi_hat.like(np.abs(phi_hat.values))
+    v, res = calculus.quotient_rule_field(u, phi_hat)
+    dv = gridfn.finite_difference(v)
+    vol = float(np.prod(u.grid.spacing(u.domain)))
+    inner = gridfn.interior_mask(u.grid)
+    want = []
+    for j in range(u.domain.d):
+        ok = ~res.flags[j] & inner
+        defect = np.asarray(banach.norm(u.space, res.fields[j].values - dv[j].values))
+        want.append(gridfn._lp(defect[ok], vol, 1.0))
+    assert _l1_rows(res.report) == want
+    assert res.report.details["l1_err_total"] == _running_sum(want)
+
+
+@given(field_cases(), st.sampled_from([1.0, 2.0, 3.5, math.inf]))
+@settings(**FIELD_CASES)
+def test_gateaux_errors_match_inline_form(case, p):
+    u, _ = case
+    F = calculus.norm_lipschitz_map(u.space)
+    res = calculus.gateaux_chain_field(F, u, p)
+    X = u.values.reshape(-1, u.space.dim)
+    du = gridfn.finite_difference(u)
+    v = gridfn.GridFunction(
+        u.domain, u.grid, F.target, F.apply_batch(X).reshape(u.grid.n + (1,))
+    )
+    dv = gridfn.finite_difference(v)
+    vol = float(np.prod(u.grid.spacing(u.domain)))
+    inner = gridfn.interior_mask(u.grid).ravel()
+    for j in range(u.domain.d):
+        V = du[j].values.reshape(-1, u.space.dim)
+        plus, minus = F.onesided_batch(X, V)
+        gap = np.asarray(banach.norm(F.target, plus - minus))
+        unique = gap <= banach.PAIR_TOL * (1.0 + np.asarray(banach.norm(u.space, V)))
+        assert np.array_equal(res.flags[j], ~unique.reshape(u.grid.n))
+        fd = dv[j].values.reshape(-1, F.target.dim)
+        ok = unique & inner
+        side = res.report.details["directions"][j]
+        for key, field in (("err_plus", plus), ("err_minus", minus)):
+            defect = np.asarray(banach.norm(F.target, field - fd))
+            assert side[key] == gridfn._lp(defect[ok], vol, p)
+        assert side["pm_gap_lp"] == gridfn._lp(gap, vol, p)
+
+
+@given(field_cases())
+@settings(**FIELD_CASES)
+def test_product_rule_rows_match_inline_form(case):
+    u, seed = case
+    psi = _scalar(u, seed)
+    rep = calculus.product_rule_check(u, psi)
+    dprod = gridfn.finite_difference(u.like(u.values * psi.values))
+    du = gridfn.finite_difference(u)
+    dpsi = gridfn.finite_difference(psi)
+    vol = float(np.prod(u.grid.spacing(u.domain)))
+    inner = gridfn.interior_mask(u.grid)
+    h = u.grid.spacing(u.domain)
+    want = []
+    for j in range(u.domain.d):
+        rhs = dpsi[j].values * u.values + psi.values * du[j].values
+        defect = np.asarray(banach.norm(u.space, dprod[j].values - rhs))
+        want.append((float(h[j]), gridfn._lp(defect[inner], vol, 1.0)))
+    assert rep.rows == want

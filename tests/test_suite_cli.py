@@ -230,6 +230,21 @@ def test_norm_chain_rule_passes_at_refine_1():
     assert rows and all(r.passed for r in rows)
 
 
+# Seeds at which a fitted chain-rule order falls below its 0.9 threshold
+# at refine 0: the error of a kink stencil depends on where the kink falls
+# in its cell, so the order over four levels scatters around 1.
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 1")
+@pytest.mark.parametrize("name,seed", [
+    ("lattice_chain_rules", 34),
+    ("norm_chain_rule", 285),
+    ("lattice_chain_rules", 299),
+    ("lattice_chain_rules", 924),
+])
+def test_every_seed_passes_at_refine_0(name, seed):
+    rows, _ = suite.run_entry(name, seed)
+    assert rows and all(r.passed for r in rows), [r for r in rows if not r.passed]
+
+
 def test_cli_refine_1_identical_across_worker_counts(tmp_path):
     cfg = _write_config(tmp_path, {"schema_version": 1, "seed": 42})
     outs = []
