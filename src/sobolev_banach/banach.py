@@ -190,12 +190,6 @@ def one_sided_norm_derivative_batch(space: SpaceDescriptor, X, H):
     the norm at x; at x = 0 they are (+|h|, -|h|).  ``unique`` is True when
     the two sides agree within tau_pair = 1e-9 * (1 + |h|).
     """
-    return _pairing_batch(space, X, H)[:3]
-
-
-def _pairing_batch(space: SpaceDescriptor, X, H):
-    """``one_sided_norm_derivative_batch`` plus the direction norms |h| it
-    computes on the way, as ``(plus, minus, unique, hnorm)``."""
     X = _conform(space, np.atleast_2d(X))
     H = _conform(space, np.atleast_2d(H))
     if X.shape != H.shape:
@@ -224,7 +218,7 @@ def _pairing_batch(space: SpaceDescriptor, X, H):
             plus = np.where(zero, hnorm, val)
             minus = np.where(zero, -hnorm, val)
     unique = (plus - minus) <= PAIR_TOL * (1.0 + hnorm)
-    return plus, minus, unique, hnorm
+    return plus, minus, unique
 
 
 def one_sided_norm_derivative(space: SpaceDescriptor, x, h) -> PairingResult:

@@ -24,6 +24,7 @@ from .errors import (
     OrderContinuityError,
 )
 from .gridfn import (
+    SOBOLEV_P,
     GridFunction,
     _lp,
     finite_difference,
@@ -273,15 +274,13 @@ def compose_lipschitz(
 # ---------------------------------------------------------------------------
 
 
-def gateaux_chain_field(
-    F: LipschitzMap, u: GridFunction, p: float = 2.0
-) -> FieldResult:
+def gateaux_chain_field(F: LipschitzMap, u: GridFunction) -> FieldResult:
     """Nodewise one-sided derivatives of F along the difference-quotient
     derivative directions of u, compared against the direct quotients of
     F(u).
 
     The almost-everywhere equality of the two one-sided fields shows up
-    discretely as a plus/minus gap whose p-norm (per unit measure) shrinks
+    discretely as a plus/minus gap whose L^p norm (p = SOBOLEV_P) shrinks
     under refinement; both fields are also compared with
     finite_difference(F(u)) away from non-unique and boundary nodes.
     The result holds the plus fields, flagged at the non-unique nodes.
@@ -305,9 +304,9 @@ def gateaux_chain_field(
         gap = np.asarray(banach.norm(F.target, plus - minus))
         unique = gap <= PAIR_TOL * (1.0 + np.asarray(banach.norm(u.space, V)))
         flags.append(~unique.reshape(u.grid.n))
-        gaps.append(_lp(gap, vol, p))
-    err_plus = _fd_errors(v, plus_fields, flags, p)
-    err_minus = _fd_errors(v, minus_fields, flags, p)
+        gaps.append(_lp(gap, vol, SOBOLEV_P))
+    err_plus = _fd_errors(v, plus_fields, flags, SOBOLEV_P)
+    err_minus = _fd_errors(v, minus_fields, flags, SOBOLEV_P)
     table = []
     details: dict = {"directions": {}}
     for j in range(u.domain.d):
@@ -336,8 +335,7 @@ def norm_derivative_field(u: GridFunction) -> FieldResult:
     Values come from the extreme norming-functional pairing against the
     difference-quotient derivative of u; the report compares them with the
     direct difference quotients of the scalar pointwise-norm function in
-    the discrete L^1 norm over non-flagged interior nodes, and records the
-    worst nodewise excess of |D_j|u|| over |D_j u|_X.  Flagged nodes
+    the discrete L^1 norm over non-flagged interior nodes.  Flagged nodes
     (non-unique pairing, or |u| at/near zero) store the midpoint of the
     one-sided interval; exact zeros store the conventional value 0.
     """
@@ -348,18 +346,14 @@ def norm_derivative_field(u: GridFunction) -> FieldResult:
     exact_zero = nx == 0.0
     g = from_scalar(u.domain, u.grid, nx.reshape(u.grid.n))
     fields, flags = [], []
-    max_margin = -math.inf
     for j in range(u.domain.d):
         V = du[j].values.reshape(-1, u.space.dim)
-        plus, minus, unique, dnorm = banach._pairing_batch(u.space, X, V)
+        plus, minus, unique = banach.one_sided_norm_derivative_batch(u.space, X, V)
         value = np.where(unique, plus, 0.5 * (plus + minus))
         value = np.where(exact_zero, 0.0, value)
         flagged = (~unique) | near_zero
         fields.append(from_scalar(u.domain, u.grid, value.reshape(u.grid.n)))
         flags.append(flagged.reshape(u.grid.n))
-        if np.any(~flagged):
-            rel = float(np.max(((np.abs(value) - dnorm) / (1.0 + dnorm))[~flagged]))
-            max_margin = max(max_margin, rel)
     table, err_total = [], 0.0
     for j, err in enumerate(_fd_errors(g, fields, flags)):
         err_total += err
@@ -371,7 +365,6 @@ def norm_derivative_field(u: GridFunction) -> FieldResult:
         verdict="MEASURED",
         details={
             "l1_err_total": err_total,
-            "max_norm_estimate_margin": max_margin,
             "cell_volume": float(np.prod(u.grid.spacing(u.domain))),
         },
     )

@@ -116,15 +116,9 @@ def _apply_require(rows, require: dict):
             raise ConfigError(f"require references unknown metric {metric!r}")
         value = by_metric[metric].value
         if "max" in bounds:
-            extra.append(
-                suite.Row(f"{metric}<=max", value, float(bounds["max"]),
-                          value <= bounds["max"])
-            )
+            extra.append(suite._row(f"{metric}<=max", value, bounds["max"]))
         if "min" in bounds:
-            extra.append(
-                suite.Row(f"{metric}>=min", value, float(bounds["min"]),
-                          value >= bounds["min"])
-            )
+            extra.append(suite._row(f"{metric}>=min", value, bounds["min"], mode="ge"))
     return list(rows) + extra
 
 

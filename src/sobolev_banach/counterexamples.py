@@ -26,6 +26,7 @@ from .banach import SpaceDescriptor, norm as xnorm
 from .calculus import dq_criterion, pos_derivative_field
 from .errors import ContractError, OrderContinuityError
 from .gridfn import (
+    SOBOLEV_P,
     GridFunction,
     GridSpec,
     apply_functional,
@@ -74,13 +75,13 @@ def _finish(name, rows, band, notes, extra_ok=True) -> Report:
 # ---------------------------------------------------------------------------
 
 
-def indicator_path_witness(r: float = 2.0, n: int = 256, p: float = 2.0) -> Report:
+def indicator_path_witness(r: float, n: int) -> Report:
     """Difference-quotient blow-up of t -> 1_(0,t) as a path into L^r(0,1).
 
     The value grid matches the time grid, so the sup-over-t quotient at lag
     h = k/n (k in INDICATOR_LAGS) is exactly h^(1/r) / h; the oracle
     h^(1/r - 1) is hit with ratio 1.  Side table: the shift-quotient
-    criterion verdict (DIVERGENT for r > 1, slope 1/r - 1; BOUNDED for
+    criterion verdict at p = SOBOLEV_P (DIVERGENT for r > 1, slope 1/r - 1; BOUNDED for
     r = 1 where quotients stay unit size yet no derivative exists), and a
     scalar pairing path that stays 1-Lipschitz regardless.
     """
@@ -108,7 +109,7 @@ def indicator_path_witness(r: float = 2.0, n: int = 256, p: float = 2.0) -> Repo
         oracle = 1.0 / h if math.isinf(r) else h ** (1.0 / r - 1.0)
         rows.append((h, measured, oracle, measured / oracle))
 
-    crit = dq_criterion(u, p)
+    crit = dq_criterion(u, SOBOLEV_P)
     expected_slope = -1.0 if math.isinf(r) else 1.0 / r - 1.0
     if math.isinf(r):
         pairing = np.full(n, 1.0 / n)  # the averaging functional, unit ell^1 norm
@@ -117,7 +118,7 @@ def indicator_path_witness(r: float = 2.0, n: int = 256, p: float = 2.0) -> Repo
     else:
         pairing = (i < n // 2).astype(np.float64) * (n / (n // 2)) ** (1.0 - 1.0 / r)
     g = apply_functional(u, pairing)
-    pair_crit = dq_criterion(g, p)
+    pair_crit = dq_criterion(g, SOBOLEV_P)
 
     if r > 1.0:
         divergence_as_expected = (

@@ -5,7 +5,8 @@ as an array of shape ``grid.n + (space.dim,)`` (row-major over the node
 multi-index).  Midpoint quadrature, central finite differences with a
 second-order one-sided boundary ring, shift-difference norms, mollification,
 even reflection extension, boundary norms of the trace and functional
-pairings all operate on this representation.
+pairings all operate on this representation.  W-norms and boundary norms
+are taken at the one exponent ``SOBOLEV_P`` = 2 of every theorem check.
 """
 from __future__ import annotations
 
@@ -18,6 +19,9 @@ import numpy as np
 from . import banach
 from .banach import SpaceDescriptor, scalar_space
 from .errors import DimensionMismatchError, GridError
+
+#: the exponent p of W^{1,p}: every W-norm, boundary norm and theorem check
+SOBOLEV_P = 2.0
 
 
 @dataclass(frozen=True)
@@ -224,12 +228,12 @@ def finite_difference(u: GridFunction) -> list[GridFunction]:
     return fields
 
 
-def w_norm(u: GridFunction, p: float) -> float:
-    """Discrete W^{1,p} norm: Bochner p-norm of u plus the sum over axes of
-    the Bochner p-norms of the difference-quotient fields."""
-    total = bochner_norm(u, p)
+def w_norm(u: GridFunction) -> float:
+    """Discrete W^{1,p} norm at p = SOBOLEV_P: Bochner p-norm of u plus the
+    sum over axes of the Bochner p-norms of the difference-quotient fields."""
+    total = bochner_norm(u, SOBOLEV_P)
     for dj in finite_difference(u):
-        total += bochner_norm(dj, p)
+        total += bochner_norm(dj, SOBOLEV_P)
     return total
 
 
@@ -359,8 +363,8 @@ def mollify(u: GridFunction, level: int) -> GridFunction:
 # ---------------------------------------------------------------------------
 
 
-def boundary_norm(u: GridFunction, p: float) -> float:
-    """L^p norm over the boundary of the pointwise value-space norms of the
+def boundary_norm(u: GridFunction) -> float:
+    """L^2 norm over the boundary of the pointwise value-space norms of the
     trace of u, by (d-1)-dimensional midpoint quadrature.
 
     The trace on each face is the linear extrapolation of u from the two
@@ -368,19 +372,15 @@ def boundary_norm(u: GridFunction, p: float) -> float:
     """
     d = u.domain.d
     h = u.grid.spacing(u.domain)
-    faces = []  # (pointwise norms of the trace, area weight) per face
+    total = 0.0
     for j in range(d):
         area = float(np.prod(np.delete(h, j))) if d > 1 else 1.0
         layer = lambda a, b: u.values[_axis_slices(d, j, slice(a, b))]
         for near, far in ((layer(0, 1), layer(1, 2)), (layer(-1, None), layer(-2, -1))):
             trace = (1.5 * near - 0.5 * far).squeeze(axis=j)
-            faces.append((np.asarray(banach.norm(u.space, trace)), area))
-    if math.isinf(p):
-        return max(float(np.max(g)) for g, _ in faces)
-    total = 0.0
-    for g, area in faces:
-        total += float(np.sum(g**p) * area)
-    return total ** (1.0 / p)
+            g = np.asarray(banach.norm(u.space, trace))
+            total += float(np.sum(g**SOBOLEV_P) * area)
+    return total ** (1.0 / SOBOLEV_P)
 
 
 # ---------------------------------------------------------------------------

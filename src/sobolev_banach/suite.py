@@ -421,7 +421,7 @@ def _poincare_eigenvalue(rng, refine, n):
     members, _ = _w0_corpus(rng, n // 2)
     worst = math.inf
     for u in members:
-        rep = theorems.poincare_check(u, 2.0, 0)
+        rep = theorems.poincare_check(u)
         worst = min(worst, rep.details["ratio"])
     rows = [
         _row("eigenvalue_rel_gap", gap, 0.01),
@@ -441,7 +441,6 @@ def _w0_equivalences(rng, refine, ladder):
     agree = 0
     total = 0
     member_boundary = []
-    F = np.eye(3)
     for n in ladder:
         rng_level = np.random.default_rng([seed_of(rng), n])
         members, non_members = _w0_corpus(rng_level, n)
@@ -451,7 +450,7 @@ def _w0_equivalences(rng, refine, ladder):
         ]:
             rep = theorems.w0_membership(u)
             direct = rep.passed
-            weak = theorems.weak_w0_check(u, F).passed
+            weak = theorems.weak_w0_check(u).passed
             scalar = theorems.w0_membership(pointwise_norm_function(u)).passed
             if n == ladder[-1]:
                 total += 1
@@ -485,7 +484,7 @@ def _morrey_d1(rng, refine, n):
     for bp in bps:
         u = bp.realize(n)
         beta = holder_beta(u, 0.5, max_nodes=1024, seed=seed_of(rng))
-        wn = w_norm(u, 2.0)
+        wn = w_norm(u)
         worst = max(worst, beta / wn if wn else 0.0)
         ok &= beta <= wn * (1.0 + 1e-9)
     dom, grid, t = _interval(n)
@@ -529,10 +528,10 @@ def _aubin_lions_compact(rng, refine, members, levels):
             vals[:, 0] = g * math.sqrt(m)
             fam.append(GridFunction(dom, grid, X, vals))
         if scale is None:
-            scale = 0.95 / max(w_norm(f, 2.0) for f in fam)
+            scale = 0.95 / max(w_norm(f) for f in fam)
         fams.append([GridFunction(dom, grid, X, f.values * scale) for f in fam])
         yspaces.append(Y)
-    prof = theorems.aubin_lions_probe(fams, yspaces, p=2.0, certify=True)
+    prof = theorems.aubin_lions_probe(fams, yspaces)
     counts, eps = prof.rows, prof.details["eps_list"]
     worst = max(max(c[k] for c in counts) / counts[0][k] for k in range(len(eps)))
     rows = [
@@ -562,7 +561,7 @@ def _aubin_lions_control(rng, refine, members):
             g = _bump(s * s)
             fam.append(from_scalar(dom, grid, g / math.sqrt(np.mean(g * g))))
         fams.append(fam)
-    prof = theorems.aubin_lions_probe(fams, None, p=2.0, certify=False)
+    prof = theorems.aubin_lions_probe(fams, None)
     n01 = [c[1] for c in prof.rows]
     growth = n01[-1] / n01[0]
     rows = [
@@ -746,7 +745,7 @@ def _embedding_constants(rng, refine, n):
     worst = 0.0
     for bp in bps:
         u = bp.realize(n)
-        rep = theorems.embedding_check(u, 2.0, 4.0, seed=seed_of(rng))
+        rep = theorems.embedding_check(u, seed=seed_of(rng))
         worst = max(worst, rep.details["ratio_of_ratios"])
         if not rep.passed:
             worst = math.inf
@@ -764,7 +763,7 @@ def _embedding_constants(rng, refine, n):
 def _mollifier_uniformity(rng, refine, n):
     bps = [bp for bp in corpus_blueprints(rng) if bp.d == 1][:3]
     fam = [bp.realize(n) for bp in bps]
-    rep = theorems.mollifier_family_check(fam, levels=(8, 16, 32))
+    rep = theorems.mollifier_family_check(fam)
     rows = [
         _holds("uniform_bound_ok", rep.details["bound_ok"]),
         _holds("sup_error_monotone", rep.details["monotone_ok"]),

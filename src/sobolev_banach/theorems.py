@@ -6,7 +6,9 @@ against the discrete Dirichlet eigenvalue, zero-boundary-trace
 characterizations, continuity of the norm map, compactness via
 covering-number stability, uniform mollifier approximation, reflection
 extension bounds, and the tensor extension of scalar operators to
-Hilbert-valued functions.
+Hilbert-valued functions.  The paper states these for every p; each check
+here runs at p = ``gridfn.SOBOLEV_P`` = 2, where the sharp Poincaré
+constant is pi/L and W^{1,2} embeds in L^EMBEDDING_R up to d = 4.
 """
 from __future__ import annotations
 
@@ -17,8 +19,9 @@ import numpy as np
 from . import _kernels, banach
 from .banach import SpaceDescriptor
 from .calculus import dq_criterion
-from .errors import CapabilityError, ContractError, DimensionMismatchError
+from .errors import ContractError, DimensionMismatchError
 from .gridfn import (
+    SOBOLEV_P,
     BoxDomain,
     GridFunction,
     GridSpec,
@@ -50,6 +53,13 @@ POINCARE_EPS = 0.01
 NORM_MAP_ORDER_MIN = 0.9
 #: covering radii at which an Aubin-Lions family's N(eps) is counted
 AUBIN_LIONS_EPS = (0.05, 0.1, 0.2)
+#: the L^r space the embedding check compares W^{1,2} against
+EMBEDDING_R = 4.0
+#: mollifier levels n (support radius 1/n) of the uniform approximation check
+MOLLIFIER_LEVELS = (8, 16, 32)
+#: relative residual and iteration cap of the tensor power iteration
+POWER_TOL = 1e-12
+POWER_MAX_ITER = 50_000
 
 
 # ---------------------------------------------------------------------------
@@ -89,60 +99,40 @@ def scalar_probe_corpus(
 # ---------------------------------------------------------------------------
 
 
-def embedding_admissible(d: int, p: float, r: float) -> bool:
-    if d == 1 or p > d:
-        return True
-    if p == d:
-        return math.isfinite(r)
-    return r <= d * p / (d - p) + 1e-12
-
-
-def embedding_check(u: GridFunction, p: float, r: float, seed: int = 0) -> Report:
-    """The vector L^r-vs-W^{1,p} ratio never beats the scalar one.
+def embedding_check(u: GridFunction, seed: int = 0) -> Report:
+    """The vector L^r-vs-W^{1,p} ratio (r = EMBEDDING_R, p = SOBOLEV_P)
+    never beats the scalar one.
 
     The scalar constant is measured on a seeded probe corpus plus the
     pointwise-norm function of u itself (whose L^r norm matches u's
     bit-exactly while its W-norm can only be smaller).
     """
     d = u.domain.d
-    if not embedding_admissible(d, p, r):
-        raise ContractError(f"(p={p}, r={r}) is not an admissible embedding in d={d}")
+    if d > 4:  # the Sobolev exponent 2d/(d-2) falls below EMBEDDING_R
+        raise ContractError(f"W^{{1,2}} does not embed in L^4 in d={d}")
     rng = np.random.default_rng(seed)
     corpus = scalar_probe_corpus(u.domain, u.grid, rng)
     corpus.append(pointwise_norm_function(u))
     c_scalar = 0.0
     for g in corpus:
-        wn = w_norm(g, p)
+        wn = w_norm(g)
         if wn > 0.0:
-            c_scalar = max(c_scalar, bochner_norm(g, r) / wn)
-    wn_u = w_norm(u, p)
-    ratio_u = bochner_norm(u, r) / wn_u if wn_u > 0.0 else 0.0
+            c_scalar = max(c_scalar, bochner_norm(g, EMBEDDING_R) / wn)
+    wn_u = w_norm(u)
+    ratio_u = bochner_norm(u, EMBEDDING_R) / wn_u if wn_u > 0.0 else 0.0
     ok = ratio_u <= c_scalar * (1.0 + 1e-6)
+    ror = ratio_u / c_scalar if c_scalar else 0.0
     return Report(
         name="embedding_check",
         rows=[("vector_ratio", ratio_u), ("scalar_constant", c_scalar)],
         verdict="PASS" if ok else "FAIL",
-        details={"p": p, "r": r, "ratio_of_ratios": ratio_u / c_scalar if c_scalar else 0.0},
+        details={"p": SOBOLEV_P, "r": EMBEDDING_R, "ratio_of_ratios": ror},
     )
 
 
 # ---------------------------------------------------------------------------
 # Poincaré with the sharp directional constant
 # ---------------------------------------------------------------------------
-
-
-def poincare_constant(p: float, length: float) -> float:
-    """Sharp first-eigenvalue constant of the zero-trace inequality on an
-    interval of the given length: pi/L at p=2, 2/L at p=1, and the
-    classical pi_p/L in between."""
-    if math.isinf(p):
-        raise CapabilityError("poincare_check needs a finite exponent")
-    if p == 1.0:
-        return 2.0 / length
-    if p == 2.0:
-        return math.pi / length
-    pi_p = 2.0 * math.pi * (p - 1.0) ** (1.0 / p) / (p * math.sin(math.pi / p))
-    return pi_p / length
 
 
 def dirichlet_eigenvalue(n: int) -> float:
@@ -161,23 +151,23 @@ def dirichlet_eigenvalue(n: int) -> float:
     return float(vals[0])
 
 
-def poincare_check(u: GridFunction, p: float, j: int) -> Report:
-    """|D_j u|_{L^p} >= C |u|_{L^p} (1 - POINCARE_EPS) for zero-trace u,
-    with the sharp directional constant of the box; requires w0_membership
-    first."""
-    if not w0_membership(u, p=p).passed:
+def poincare_check(u: GridFunction) -> Report:
+    """|D_0 u|_{L^2} >= C |u|_{L^2} (1 - POINCARE_EPS) for zero-trace u,
+    with the sharp constant C = pi/L on a first axis of length L (C^2 is the
+    first Dirichlet eigenvalue); requires w0_membership first."""
+    if not w0_membership(u).passed:
         raise ContractError("poincare_check requires a zero-trace function")
-    length = float(u.domain.hi[j] - u.domain.lo[j])
-    c = poincare_constant(p, length)
-    un = bochner_norm(u, p)
-    dn = bochner_norm(finite_difference(u)[j], p)
+    length = float(u.domain.hi[0] - u.domain.lo[0])
+    c = math.pi / length
+    un = bochner_norm(u, SOBOLEV_P)
+    dn = bochner_norm(finite_difference(u)[0], SOBOLEV_P)
     ratio = dn / un if un > 0.0 else math.inf
     ok = ratio >= c * (1.0 - POINCARE_EPS)
     return Report(
         name="poincare_check",
         rows=[("derivative_norm", dn), ("function_norm", un), ("constant", c)],
         verdict="PASS" if ok else "FAIL",
-        details={"ratio": ratio, "direction": j, "p": p, "eps": POINCARE_EPS},
+        details={"ratio": ratio, "p": SOBOLEV_P, "eps": POINCARE_EPS},
     )
 
 
@@ -186,49 +176,33 @@ def poincare_check(u: GridFunction, p: float, j: int) -> Report:
 # ---------------------------------------------------------------------------
 
 
-def w0_membership(u: GridFunction, p: float = 2.0) -> Report:
+def w0_membership(u: GridFunction) -> Report:
     """Zero-trace verdict (MEMBER or NOT_MEMBER) from the boundary norm of
     the pointwise-norm function, thresholded at tol*(1 + |u|_W) with
     tol = 10 h^2.  rows: one (h, boundary norm)."""
     h = float(np.max(u.grid.spacing(u.domain)))
     tol = 10.0 * h * h
-    bnorm = boundary_norm(pointwise_norm_function(u), p)
-    wn = w_norm(u, p)
+    bnorm = boundary_norm(pointwise_norm_function(u))
+    wn = w_norm(u)
     threshold = tol * (1.0 + wn)
     return Report(
         name="w0_membership",
         rows=[(h, bnorm)],
         verdict="MEMBER" if bnorm <= threshold else "NOT_MEMBER",
-        details={"threshold": threshold, "tol": tol, "p": p, "w_norm": wn},
+        details={"threshold": threshold, "tol": tol, "p": SOBOLEV_P, "w_norm": wn},
     )
 
 
-def weak_w0_check(u: GridFunction, functionals, p: float = 2.0) -> Report:
+def weak_w0_check(u: GridFunction) -> Report:
     """Zero trace through separating functionals: u has zero trace exactly
-    when every scalar pairing <u, x'> does.  The functionals must span the
-    dual (full rank)."""
-    F = np.asarray(functionals, dtype=np.float64)
-    if F.ndim != 2 or F.shape[1] != u.space.dim:
-        raise DimensionMismatchError(
-            f"functionals must be (m, {u.space.dim}), got {F.shape}"
-        )
-    if np.linalg.matrix_rank(F) < u.space.dim:
-        raise ContractError("functionals do not separate points (rank deficient)")
-    verdicts = []
-    table = []
-    for i in range(F.shape[0]):
-        g = apply_functional(u, F[i])
-        rep = w0_membership(g, p)
-        verdicts.append(rep.passed)
-        table.append((f"functional[{i}]", rep.rows[0][1]))
-    weak_member = all(verdicts)
-    direct_member = w0_membership(u, p).passed
-    agree = weak_member == direct_member
+    when every coordinate pairing <u, e_i> does.  rows: the boundary norm
+    of each pairing."""
+    reps = [w0_membership(apply_functional(u, e)) for e in np.eye(u.space.dim)]
     return Report(
         name="weak_w0_check",
-        rows=table,
-        verdict="MEMBER" if weak_member else "NOT_MEMBER",
-        details={"direct_member": direct_member, "agrees_with_direct": agree},
+        rows=[(f"functional[{i}]", rep.rows[0][1]) for i, rep in enumerate(reps)],
+        verdict="MEMBER" if all(rep.passed for rep in reps) else "NOT_MEMBER",
+        details={},
     )
 
 
@@ -237,19 +211,17 @@ def weak_w0_check(u: GridFunction, functionals, p: float = 2.0) -> Report:
 # ---------------------------------------------------------------------------
 
 
-def norm_map_continuity_check(
-    seq: list[GridFunction], u: GridFunction, p: float = 2.0
-) -> Report:
+def norm_map_continuity_check(seq: list[GridFunction], u: GridFunction) -> Report:
     """u_k -> u in W^{1,p}(Omega, X) forces |u_k(.)| -> |u(.)| in scalar
     W^{1,p}; measured as the scalar W-distance tracking the vector one at
     a log-log order of at least NORM_MAP_ORDER_MIN.  Fewer than two pairs
     above the floor fit no order: the slope is nan and the verdict FAIL."""
     gu = pointwise_norm_function(u)
-    floor = 1e-12 * (1.0 + w_norm(u, p))
+    floor = 1e-12 * (1.0 + w_norm(u))
     pairs = []
     for uk in seq:
-        dvec = w_norm(gf_sub(uk, u), p)
-        dsca = w_norm(gf_sub(pointwise_norm_function(uk), gu), p)
+        dvec = w_norm(gf_sub(uk, u))
+        dsca = w_norm(gf_sub(pointwise_norm_function(uk), gu))
         pairs.append((dvec, dsca))
     above = [(v, s) for v, s in pairs if s > floor and v > 0.0]
     slope, r2 = fit_loglog([v for v, _ in above], [s for _, s in above])
@@ -294,10 +266,7 @@ def covering_counts(members: list[GridFunction], p: float, eps_list) -> list[int
 
 
 def aubin_lions_probe(
-    level_families: list[list[GridFunction]],
-    y_spaces: list[SpaceDescriptor] | None,
-    p: float = 2.0,
-    certify: bool = True,
+    level_families: list[list[GridFunction]], y_spaces: list[SpaceDescriptor] | None
 ) -> Report:
     """Covering-count stability of a W-and-Y bounded family under joint
     grid/value-space refinement.
@@ -305,7 +274,8 @@ def aubin_lions_probe(
     Families certified unit-bounded in W^{1,p}(Omega, X) and L^p(Omega, Y)
     (Y the compactly-embedded weighted companion) keep N(eps) within a
     factor AUBIN_LIONS_GROWTH_CAP of the coarsest level; families bounded only in
-    L^p(Omega, X) are free to grow and earn the GROWING verdict.
+    L^p(Omega, X) are free to grow and earn the GROWING verdict.  The
+    family is certified exactly when ``y_spaces`` is given; p = SOBOLEV_P.
 
     rows: the greedy-net covering counts N(eps) of each level, one per eps
     in AUBIN_LIONS_EPS.
@@ -315,23 +285,24 @@ def aubin_lions_probe(
     sizes = {len(fam) for fam in level_families}
     if len(sizes) != 1:
         raise ContractError("all levels must carry the same member count")
+    certify = y_spaces is not None
     if certify:
-        if y_spaces is None or len(y_spaces) != len(level_families):
+        if len(y_spaces) != len(level_families):
             raise ContractError("certification needs one Y space per level")
         for lvl, (fam, ys) in enumerate(zip(level_families, y_spaces)):
             for i, mem in enumerate(fam):
-                wn = w_norm(mem, p)
+                wn = w_norm(mem)
                 if wn > 1.0 + AUBIN_LIONS_BOUND_TOL:
                     raise ContractError(
                         f"member {i} at level {lvl} is not W-unit-bounded: {wn}"
                     )
                 ymem = GridFunction(mem.domain, mem.grid, ys, mem.values)
-                yn = bochner_norm(ymem, p)
+                yn = bochner_norm(ymem, SOBOLEV_P)
                 if yn > 1.0 + AUBIN_LIONS_BOUND_TOL:
                     raise ContractError(
                         f"member {i} at level {lvl} is not Y-unit-bounded: {yn}"
                     )
-    counts = [covering_counts(fam, p, AUBIN_LIONS_EPS) for fam in level_families]
+    counts = [covering_counts(fam, SOBOLEV_P, AUBIN_LIONS_EPS) for fam in level_families]
     base = counts[0]
     stable = all(
         max(c[k] for c in counts) <= AUBIN_LIONS_GROWTH_CAP * base[k]
@@ -344,7 +315,7 @@ def aubin_lions_probe(
         details={
             "eps_list": AUBIN_LIONS_EPS,
             "member_count": len(level_families[0]),
-            "p": p,
+            "p": SOBOLEV_P,
             "certified": certify,
             "growth_cap": AUBIN_LIONS_GROWTH_CAP,
         },
@@ -356,26 +327,22 @@ def aubin_lions_probe(
 # ---------------------------------------------------------------------------
 
 
-def mollifier_family_check(
-    family: list[GridFunction],
-    levels: tuple[int, ...],
-    p: float = 2.0,
-) -> Report:
-    """sup over a shift-bounded family of |mollify(f, n) - f|_{L^p} decays
-    like C/n uniformly; the constant comes from the family's own
-    difference-quotient criterion."""
+def mollifier_family_check(family: list[GridFunction]) -> Report:
+    """sup over a shift-bounded family of |mollify(f, n) - f|_{L^2} decays
+    like C/n uniformly over n in MOLLIFIER_LEVELS; the constant comes from
+    the family's own difference-quotient criterion."""
     if not family:
         raise ContractError("family is empty")
     d = family[0].domain.d
     c_family = 0.0
     for f in family:
-        rep = dq_criterion(f, p)
+        rep = dq_criterion(f, SOBOLEV_P)
         if not rep.passed:
             raise ContractError("family member fails the shift-quotient bound")
         c_family = max(c_family, rep.details["c_est"])
     sups = []
-    for n in sorted(levels):
-        worst = max(bochner_norm(gf_sub(mollify(f, n), f), p) for f in family)
+    for n in MOLLIFIER_LEVELS:
+        worst = max(bochner_norm(gf_sub(mollify(f, n), f), SOBOLEV_P) for f in family)
         sups.append((n, worst))
     bound_ok = all(
         err <= MOLLIFIER_SLACK * math.sqrt(d) * c_family / n + 1e-15 for n, err in sups
@@ -401,15 +368,15 @@ def mollifier_family_check(
 # ---------------------------------------------------------------------------
 
 
-def reflection_extension_report(u: GridFunction, pad: int, p: float = 2.0) -> Report:
+def reflection_extension_report(u: GridFunction, pad: int) -> Report:
     """Even reflection restricts back exactly and grows the W-norm by at
     most 3^d (crude volume bound)."""
     ext = extend_reflect(u, pad)
     d = u.domain.d
     sl = tuple(slice(pad, pad + n) for n in u.grid.n)
     exact = bool(np.array_equal(ext.values[sl], u.values))
-    wu = w_norm(u, p)
-    we = w_norm(ext, p)
+    wu = w_norm(u)
+    we = w_norm(ext)
     ratio = we / wu if wu > 0.0 else 1.0
     ok = exact and ratio <= 3.0**d + 1e-9
     return Report(
@@ -425,16 +392,16 @@ def reflection_extension_report(u: GridFunction, pad: int, p: float = 2.0) -> Re
 # ---------------------------------------------------------------------------
 
 
-def _power_iteration_tensor(T: np.ndarray, h_dim: int, rng, tol=1e-12, max_iter=50_000):
+def _power_iteration_tensor(T: np.ndarray, h_dim: int, rng):
     n = T.shape[1]
     V = rng.normal(size=(n, h_dim))
     V /= math.sqrt((V * V).sum())
     lam = 0.0
-    for _ in range(max_iter):
+    for _ in range(POWER_MAX_ITER):
         W = T.T @ (T @ V)
         lam = float((V * W).sum())
         res = W - lam * V
-        if math.sqrt((res * res).sum()) <= tol * max(lam, 1.0):
+        if math.sqrt((res * res).sum()) <= POWER_TOL * max(lam, 1.0):
             break
         nw = math.sqrt((W * W).sum())
         if nw == 0.0:
@@ -468,7 +435,7 @@ def tensor_extend(T, h_dim: int, seed: int = 0) -> Report:
         details={
             "gap": gap,
             "method": "svd_vs_power_iteration",
-            "p": 2.0,
+            "p": SOBOLEV_P,
             "h_dim": h_dim,
             "size": T.shape[0],
         },

@@ -58,15 +58,17 @@ def test_realize_matches_mesh_formula(kind, n, d):
 
 @pytest.mark.parametrize("space", SPACES, ids=lambda s: f"{s.kind}-{s.exponent}")
 def test_pairing_batch_hnorm_is_direction_norm(space):
+    # the direction norms |h| the batch computes are banach.norm's: they
+    # are the pairings at x = 0 and scale the uniqueness tolerance
     rng = np.random.default_rng(3)
     X = rng.normal(size=(257, space.dim))
     X[:5] = 0.0
     H = rng.normal(size=(257, space.dim))
-    plus, minus, unique, hnorm = banach._pairing_batch(space, X, H)
-    assert np.array_equal(hnorm, banach.norm(space, H))
-    for got, want in zip((plus, minus, unique),
-                         banach.one_sided_norm_derivative_batch(space, X, H)):
-        assert np.array_equal(got, want)
+    plus, minus, unique = banach.one_sided_norm_derivative_batch(space, X, H)
+    hnorm = banach.norm(space, H)
+    assert np.array_equal(plus[:5], hnorm[:5])
+    assert np.array_equal(minus[:5], -hnorm[:5])
+    assert np.array_equal(unique, (plus - minus) <= banach.PAIR_TOL * (1.0 + hnorm))
 
 
 @pytest.mark.parametrize("d,n", [(1, 64), (2, 33), (3, 9)])
@@ -346,12 +348,13 @@ def test_quotient_rule_errors_match_inline_form(case):
     assert res.report.details["l1_err_total"] == _running_sum(want)
 
 
-@given(field_cases(), st.sampled_from([1.0, 2.0, 3.5, math.inf]))
+@given(field_cases())
 @settings(**FIELD_CASES)
-def test_gateaux_errors_match_inline_form(case, p):
+def test_gateaux_errors_match_inline_form(case):
     u, _ = case
+    p = gridfn.SOBOLEV_P
     F = calculus.norm_lipschitz_map(u.space)
-    res = calculus.gateaux_chain_field(F, u, p)
+    res = calculus.gateaux_chain_field(F, u)
     X = u.values.reshape(-1, u.space.dim)
     du = gridfn.finite_difference(u)
     v = gridfn.GridFunction(

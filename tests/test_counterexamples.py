@@ -34,9 +34,9 @@ def test_indicator_witness_exponent_family():
 
 def test_indicator_witness_validation():
     with pytest.raises(ContractError):
-        cx.indicator_path_witness(r=0.5)
+        cx.indicator_path_witness(r=0.5, n=256)
     with pytest.raises(ContractError, match="grid resolution"):
-        cx.indicator_path_witness(n=32)  # the lag 32 needs n > 32
+        cx.indicator_path_witness(r=2.0, n=32)  # the lag 32 needs n > 32
 
 
 def test_witness_table_band_enforcement():

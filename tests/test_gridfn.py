@@ -122,7 +122,7 @@ def test_w_norm_constant_has_no_derivative_part():
     dom = gridfn.unit_box(1)
     g = gridfn.GridSpec((12,))
     u = gridfn.sample(dom, g, HIL2, lambda x: np.array([3.0, 4.0]))
-    assert gridfn.w_norm(u, 2.0) == gridfn.bochner_norm(u, 2.0)
+    assert gridfn.w_norm(u) == gridfn.bochner_norm(u, gridfn.SOBOLEV_P)
 
 
 def test_shift_difference_norm_linear_closed_form():
@@ -197,16 +197,18 @@ def test_trace_linear_extrapolation_exact_on_affine():
     # layers hits the faces exactly, u(0) = (1, 0.5) and u(1) = (3, -0.5)
     u = _linear(a=2.0, b=1.0)
     lo, hi = math.hypot(1.0, 0.5), math.hypot(3.0, -0.5)
-    assert gridfn.boundary_norm(u, 1.0) == pytest.approx(lo + hi, abs=1e-12)
-    assert gridfn.boundary_norm(u, math.inf) == pytest.approx(hi, abs=1e-12)
+    # the two faces of the interval are points of unit weight: the L^2 norm
+    # of the trace is sqrt(|u(0)|^2 + |u(1)|^2)
+    assert gridfn.boundary_norm(u) == pytest.approx(math.hypot(lo, hi), abs=1e-12)
 
 
 def test_trace_2d_area_weights():
     dom = gridfn.BoxDomain(np.array([0.0, 0.0]), np.array([1.0, 2.0]))
     g = gridfn.GridSpec((4, 8))
     u = gridfn.sample(dom, g, HIL2, lambda x: np.array([1.0, 0.0]))
-    # the p=1 boundary integral of a unit-norm constant is the perimeter
-    assert gridfn.boundary_norm(u, 1.0) == pytest.approx(6.0, rel=1e-13)
+    # the L^2 boundary norm of a unit-norm constant is the square root of
+    # the perimeter
+    assert gridfn.boundary_norm(u) == pytest.approx(math.sqrt(6.0), rel=1e-13)
 
 
 def test_apply_functional_carries_quadrature_weights():

@@ -133,17 +133,15 @@ CASES = {
         )[1].report,
         "MEASURED",
     ),
-    "embedding_check": (lambda: theorems.embedding_check(_smooth(), 2.0, 4.0), "PASS"),
-    "poincare_check": (lambda: theorems.poincare_check(_zero_trace(), 2.0, 0), "PASS"),
+    "embedding_check": (lambda: theorems.embedding_check(_smooth()), "PASS"),
+    "poincare_check": (lambda: theorems.poincare_check(_zero_trace()), "PASS"),
     "w0_membership member": (lambda: theorems.w0_membership(_zero_trace()), "MEMBER"),
     "w0_membership non-member": (lambda: theorems.w0_membership(_smooth()), "NOT_MEMBER"),
     "norm_map_continuity order 0.9": (_smooth_sequence, "PASS"),
     "norm_map_continuity kink": (_kink_sequence, "FAIL"),
     "aubin_lions_probe certified": (_stable_probe, "STABLE"),
     "aubin_lions_probe shrinking bumps": (
-        lambda: theorems.aubin_lions_probe(
-            _bump_levels((4.0, 0.25, 1.0 / 16.0)), None, certify=False
-        ),
+        lambda: theorems.aubin_lions_probe(_bump_levels((4.0, 0.25, 1.0 / 16.0)), None),
         "GROWING",
     ),
     "tensor_extend": (lambda: theorems.tensor_extend(np.eye(3) * 2.0, 2), "PASS"),

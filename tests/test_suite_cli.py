@@ -12,6 +12,7 @@ import warnings
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from sobolev_banach import cli, suite
 
@@ -141,6 +142,16 @@ def test_cli_require_unknown_metric(tmp_path, capsys):
     )
     assert cli.main(["run", cfg, "--out", str(tmp_path / "r")]) == cli.EXIT_ERROR
     assert "unknown metric" in capsys.readouterr().err
+
+
+def test_require_bound_equal_to_value_passes_max_and_min():
+    # the pass is decided on the float the row prints: 2**53 + 1 in the
+    # config is the float 2**53, equal to the metric's value
+    for value, bound in ((0.1, 0.1), (2.0**53, 2**53 + 1)):
+        rows = [suite.Row("m", value, 1.0, True)]
+        _, at_max, at_min = cli._apply_require(rows, {"m": {"max": bound, "min": bound}})
+        assert at_max == suite.Row("m<=max", value, value, True)
+        assert at_min == suite.Row("m>=min", value, value, True)
 
 
 def test_cli_schema_violations_report_pointers(tmp_path, capsys):
@@ -350,6 +361,25 @@ def test_descending_ladder_runs_ascending():
     up, _ = suite.run_entry("norm_chain_rule", 42, 0, {"ladder": [32, 64, 128, 256]})
     assert down and all(r.passed for r in down), down
     assert down == up
+
+
+@given(
+    st.lists(st.integers(1, 4096), min_size=2, max_size=5, unique=True),
+    st.integers(0, 3),
+    st.integers(0, 8192),
+)
+@settings(derandomize=True, max_examples=300, deadline=None)
+def test_ladder_levels_ascend_fit_and_refine_evenly(levels, refine, headroom):
+    # entry_params hands _ladder a sorted base whose levels the schema
+    # keeps within the top
+    base = tuple(sorted(levels))
+    top = base[-1] + headroom
+    out = suite._ladder(base, refine, top)
+    assert all(a < b for a, b in zip(out, out[1:]))
+    assert out[-1] <= top
+    (r,) = [r for r in range(refine + 1) if out == tuple(n * 2**r for n in base)]
+    # and r is the largest such refinement
+    assert r == refine or base[-1] * 2 ** (r + 1) > top
 
 
 def test_refine_lowers_until_the_top_level_fits():

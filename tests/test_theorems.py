@@ -6,11 +6,7 @@ import numpy as np
 import pytest
 
 from sobolev_banach import banach, gridfn, theorems
-from sobolev_banach.errors import (
-    CapabilityError,
-    ContractError,
-    DimensionMismatchError,
-)
+from sobolev_banach.errors import ContractError, DimensionMismatchError
 
 HIL2 = banach.SpaceDescriptor("Hilbert", 2)
 BOX1 = gridfn.unit_box(1)
@@ -38,43 +34,20 @@ def test_scalar_probe_corpus_contents():
     assert np.array_equal(sqrt_profile.values[:, 0], np.sqrt(t))
 
 
-def test_embedding_admissible_ranges():
-    assert theorems.embedding_admissible(1, 1.0, math.inf)
-    assert theorems.embedding_admissible(2, 3.0, math.inf)  # p > d
-    assert theorems.embedding_admissible(2, 2.0, 50.0)  # p = d, any finite r
-    assert not theorems.embedding_admissible(2, 2.0, math.inf)
-    assert theorems.embedding_admissible(3, 2.0, 6.0)  # critical r = dp/(d-p)
-    assert not theorems.embedding_admissible(3, 2.0, 6.5)
-
-
 def test_embedding_check_vector_never_beats_scalar():
     u = _sin_member(128)
-    rep = theorems.embedding_check(u, p=2.0, r=4.0)
+    rep = theorems.embedding_check(u)
     assert rep.passed
     assert rep.details["ratio_of_ratios"] <= 1.0 + 1e-6
-    with pytest.raises(ContractError):
-        theorems.embedding_check(
-            gridfn.sample(
-                gridfn.unit_box(2),
-                gridfn.GridSpec((8, 8)),
-                HIL2,
-                lambda x: np.array([1.0, 0.0]),
-            ),
-            p=2.0,
-            r=math.inf,
-        )
-
-
-def test_poincare_constant_values():
-    assert theorems.poincare_constant(2.0, 1.0) == math.pi
-    assert theorems.poincare_constant(1.0, 1.0) == 2.0
-    assert theorems.poincare_constant(2.0, 2.0) == math.pi / 2.0
-    # pi_p formula: 2 pi (p-1)^{1/p} / (p sin(pi/p))
-    p = 3.0
-    want = 2.0 * math.pi * 2.0 ** (1.0 / 3.0) / (3.0 * math.sin(math.pi / 3.0))
-    assert theorems.poincare_constant(p, 1.0) == pytest.approx(want, rel=1e-15)
-    with pytest.raises(CapabilityError):
-        theorems.poincare_constant(math.inf, 1.0)
+    assert (rep.details["p"], rep.details["r"]) == (2.0, theorems.EMBEDDING_R)
+    # W^{1,2} embeds in L^4 up to d = 4 (critical exponent 2d/(d-2) = 4)
+    # and not beyond
+    const = lambda d: gridfn.sample(
+        gridfn.unit_box(d), gridfn.GridSpec((3,) * d), HIL2, lambda x: np.array([1.0, 0.0])
+    )
+    assert theorems.embedding_check(const(4)).passed
+    with pytest.raises(ContractError, match="d=5"):
+        theorems.embedding_check(const(5))
 
 
 def test_dirichlet_eigenvalue_closed_form():
@@ -90,12 +63,20 @@ def test_dirichlet_eigenvalue_closed_form():
 
 def test_poincare_check_sharp_profile():
     u = _sin_member(256)
-    rep = theorems.poincare_check(u, p=2.0, j=0)
+    rep = theorems.poincare_check(u)
     assert rep.passed
+    assert dict(rep.rows)["constant"] == math.pi
     assert rep.details["ratio"] == pytest.approx(math.pi, rel=1e-3)
+    # the sharp constant is pi / L on an interval of length L
+    box2 = gridfn.BoxDomain(np.array([0.0]), np.array([2.0]))
+    u2 = gridfn.sample(box2, gridfn.GridSpec((256,)), HIL2,
+                       lambda x: math.sin(math.pi * x[0] / 2.0) * np.array([1.0, 0.5]))
+    rep2 = theorems.poincare_check(u2)
+    assert rep2.passed and dict(rep2.rows)["constant"] == math.pi / 2.0
+    assert rep2.details["ratio"] == pytest.approx(math.pi / 2.0, rel=1e-3)
     flat = gridfn.sample(BOX1, gridfn.GridSpec((64,)), HIL2, lambda x: np.array([1.0, 0.0]))
     with pytest.raises(ContractError, match="zero-trace"):
-        theorems.poincare_check(flat, p=2.0, j=0)
+        theorems.poincare_check(flat)
 
 
 def test_w0_membership_verdicts():
@@ -108,16 +89,17 @@ def test_w0_membership_verdicts():
     assert rep2.details["tol"] == 10.0 / 128**2
 
 
-def test_weak_w0_agreement_and_rank():
-    u = _sin_member(128)
-    rep = theorems.weak_w0_check(u, np.eye(2))
-    assert rep.verdict == "MEMBER"
-    assert rep.details["direct_member"] is True
-    assert rep.details["agrees_with_direct"] is True
-    with pytest.raises(ContractError, match="separate"):
-        theorems.weak_w0_check(u, np.array([[1.0, 0.0], [2.0, 0.0]]))
-    with pytest.raises(DimensionMismatchError):
-        theorems.weak_w0_check(u, np.eye(3))
+def test_weak_w0_agrees_with_direct():
+    # one row per coordinate functional, and the same verdict as the direct
+    # boundary-norm test, for a member and for a non-member
+    flat = gridfn.sample(BOX1, gridfn.GridSpec((128,)), HIL2, lambda x: np.array([0.0, 2.0]))
+    for u, verdict in ((_sin_member(128, dim=3), "MEMBER"), (flat, "NOT_MEMBER")):
+        rep = theorems.weak_w0_check(u)
+        assert rep.verdict == theorems.w0_membership(u).verdict == verdict
+        assert [k for k, _ in rep.rows] == [f"functional[{i}]" for i in range(u.space.dim)]
+    # the first coordinate of flat vanishes, so only the second pairing
+    # carries a boundary norm
+    assert rep.rows[0][1] == 0.0 and rep.rows[1][1] > 1.0
 
 
 def test_norm_map_continuity_perturbations():
@@ -183,21 +165,24 @@ def test_aubin_lions_probe_stable_and_growing():
 
     # without certification a spreading family is free to grow
     grow = [level(32, 0), level(64, 2), level(128, 4)]
-    prof2 = theorems.aubin_lions_probe(grow, None, certify=False)
+    prof2 = theorems.aubin_lions_probe(grow, None)
     assert prof2.verdict in ("STABLE", "GROWING")
+    assert prof.details["certified"] and not prof2.details["certified"]
 
 
 def test_aubin_lions_certification_errors():
     with pytest.raises(ContractError):
-        theorems.aubin_lions_probe([], None, certify=False)
+        theorems.aubin_lions_probe([], None)
     fam = [_sin_member(32)]
     with pytest.raises(ContractError, match="same member count"):
-        theorems.aubin_lions_probe([fam, fam + fam], None, certify=False)
+        theorems.aubin_lions_probe([fam, fam + fam], None)
     with pytest.raises(ContractError, match="one Y space per level"):
-        theorems.aubin_lions_probe([fam], None)
+        theorems.aubin_lions_probe([fam], [HIL2, HIL2])
     big = [_sin_member(32).like(5.0 * _sin_member(32).values)]
     with pytest.raises(ContractError, match="not W-unit-bounded"):
         theorems.aubin_lions_probe([big], [HIL2])
+    # without Y spaces the probe certifies nothing, so no bound is checked
+    assert not theorems.aubin_lions_probe([big], None).details["certified"]
 
 
 def test_mollifier_family_check():
@@ -209,15 +194,16 @@ def test_mollifier_family_check():
         )
         for k in (1, 2)
     ]
-    rep = theorems.mollifier_family_check(fam, levels=(8, 16, 32))
+    rep = theorems.mollifier_family_check(fam)
+    assert [n for n, _ in rep.rows] == list(theorems.MOLLIFIER_LEVELS)
     assert rep.passed
     assert rep.details["bound_ok"] and rep.details["monotone_ok"]
     assert rep.details["fitted_slope"] >= 0.9
     jump = gridfn.from_scalar(BOX1, g, (t > 0.5).astype(float))
     with pytest.raises(ContractError, match="shift-quotient"):
-        theorems.mollifier_family_check([jump], levels=(8,))
+        theorems.mollifier_family_check([jump])
     with pytest.raises(ContractError):
-        theorems.mollifier_family_check([], levels=(8,))
+        theorems.mollifier_family_check([])
 
 
 def test_reflection_extension_report():
