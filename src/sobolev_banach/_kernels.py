@@ -16,6 +16,45 @@ def backend() -> str:
 BLOCK = 16  # consecutive nodes per block of holder_max's branch and bound
 MARGIN = 1.0 + 1e-9  # safety factor on a block-pair bound, absorbs rounding
 CHUNK = 1 << 18  # floats per work buffer of holder_max: bounds its memory
+NODE_BLOCK = 1 << 15  # floats per node block (256 KiB): a pass's few such arrays fit in L2
+SHORT_AXIS = 8  # numpy reduces an axis of fewer terms one term at a time
+
+
+def row_reduce(a, op):
+    """``op.reduce(a, axis=-1)`` for the ufunc ``op``, bit for bit.
+
+    numpy reduces an axis of fewer than ``SHORT_AXIS`` terms one term at a
+    time, from the first to the last, but slowly when that axis is the
+    short last axis of many rows.  There the reduction runs column by
+    column: numpy's own reduce of the first column (which applies the
+    identity of ``op``, so -0.0 sums to 0.0 as in numpy), then each further
+    column folded in by ``op``.  Longer axes, and a single row, take
+    numpy's own reduce, whose pairwise order a column fold would not keep.
+    """
+    k = a.shape[-1]
+    if k >= SHORT_AXIS or a.ndim < 2:
+        return op.reduce(a, axis=-1)
+    out = op.reduce(a[..., :1], axis=-1)
+    for b in range(1, k):
+        op(out, a[..., b], out=out)
+    return out
+
+
+def node_blocks(n, width):
+    """Slices that split rows 0..n-1 into consecutive node blocks of at
+    most ``NODE_BLOCK`` floats, for rows of ``width`` floats.
+
+    Block lengths differ by at most one row, the longest come first, and
+    every block holds at least two rows when n >= 2: numpy computes a
+    one-row ``@ w`` as a dot product, which rounds differently from the
+    same row inside a longer matrix-vector product.  A pass that runs a
+    block at a time therefore computes every row as the whole-array
+    expression does.
+    """
+    count = max(1, -(-n // max(3, NODE_BLOCK // width)))
+    size, extra = divmod(n, count)
+    bounds = [i * size + min(i, extra) for i in range(count + 1)]
+    return [slice(a, b) for a, b in zip(bounds, bounds[1:])]
 
 
 def _row_norms(X, rcode, w):
@@ -69,13 +108,13 @@ def holder_max(V, P, alpha, rcode, w):
     not overflow.
 
     Bit identity with the scan also needs each pair's arithmetic to be the
-    scan's.  Squared separations are summed axis by axis, as numpy sums an
-    axis of fewer than 8 terms.  OpenBLAS rounds a row of a matrix-vector
-    product the same wherever the row sits, for value dimensions below 8,
-    but numpy computes a one-row product, the scan's last row (n-2, n-1),
-    as a dot product.  So that pair is evaluated alone, node n-1 against
-    all other nodes, and the blocks cover nodes 0..n-2 with chunks of at
-    least two pairs.
+    scan's.  Squared separations are summed axis by axis, in numpy's order
+    for a short axis (see ``row_reduce``).  OpenBLAS rounds a row of a
+    matrix-vector product the same wherever the row sits, for value
+    dimensions below 8, but numpy computes a one-row product, the scan's
+    last row (n-2, n-1), as a dot product.  So that pair is evaluated
+    alone, node n-1 against all other nodes, and the blocks cover nodes
+    0..n-2 with chunks of at least two pairs.
     """
     V = np.ascontiguousarray(V, dtype=np.float64)
     P = np.ascontiguousarray(P, dtype=np.float64)
@@ -98,8 +137,7 @@ def holder_max(V, P, alpha, rcode, w):
         for b in range(k):
             np.subtract(Vc[:, None, :, b], Vr[:, :, None, b], out=D[..., b])
         dn = _row_norms(diff[:m], rcode, w)
-        # squared separations summed axis by axis, in the order numpy sums
-        # an axis of fewer than 8 terms
+        # squared separations summed axis by axis, as ``row_reduce`` does
         dist2 = dist[:m]
         S, T = dist2.reshape(shape), tmp[:m].reshape(shape)
         np.subtract(Pc[:, None, :, 0], Pr[:, :, None, 0], out=S)
@@ -194,14 +232,14 @@ def sup_pairing(X, H, tie_rel):
     H = np.ascontiguousarray(H, dtype=np.float64)
     tie_rel = float(tie_rel)
     ax = np.abs(X)
-    nx = ax.max(axis=1)
+    nx = row_reduce(ax, np.maximum)
     tie = ax >= (nx * (1.0 - tie_rel))[:, None]
     cand = np.where(X > 0.0, H, -H)
-    plus = np.where(tie, cand, -np.inf).max(axis=1)
-    minus = np.where(tie, cand, np.inf).min(axis=1)
+    plus = row_reduce(np.where(tie, cand, -np.inf), np.maximum)
+    minus = row_reduce(np.where(tie, cand, np.inf), np.minimum)
     zero = nx == 0.0
     if zero.any():
-        hn = np.abs(H).max(axis=1)
+        hn = row_reduce(np.abs(H), np.maximum)
         plus = np.where(zero, hn, plus)
         minus = np.where(zero, -hn, minus)
     return plus, minus

@@ -157,23 +157,28 @@ def _conform(space: SpaceDescriptor, x) -> np.ndarray:
 
 
 def norm(space: SpaceDescriptor, x) -> np.ndarray | float:
-    """Norm of x; broadcasts over leading axes of shape (..., dim)."""
+    """Norm of x; broadcasts over leading axes of shape (..., dim).
+
+    Each row is computed on its own (unweighted sums and maxima through
+    ``_kernels.row_reduce``), so a block of two or more rows gets the norms
+    those rows get in the whole array (see ``_kernels.node_blocks``).
+    """
     x = _conform(space, x)
     scalar = x.ndim == 1
     if space.sup_like:
-        out = np.abs(x).max(axis=-1)
+        out = _kernels.row_reduce(np.abs(x), np.maximum)
         return float(out) if scalar else out
     r = space.exponent
     w = space.weights
     if r == 1.0:
         ax = np.abs(x)
-        out = ax @ w if w is not None else ax.sum(axis=-1)
+        out = ax @ w if w is not None else _kernels.row_reduce(ax, np.add)
     elif r == 2.0:
         sq = x * x
-        out = np.sqrt(sq @ w if w is not None else sq.sum(axis=-1))
+        out = np.sqrt(sq @ w if w is not None else _kernels.row_reduce(sq, np.add))
     else:
         p = np.abs(x) ** r
-        out = (p @ w if w is not None else p.sum(axis=-1)) ** (1.0 / r)
+        out = (p @ w if w is not None else _kernels.row_reduce(p, np.add)) ** (1.0 / r)
     return float(out) if scalar else out
 
 

@@ -338,20 +338,28 @@ def norm_derivative_field(u: GridFunction) -> FieldResult:
     the discrete L^1 norm over non-flagged interior nodes.  Flagged nodes
     (non-unique pairing, or |u| at/near zero) store the midpoint of the
     one-sided interval; exact zeros store the conventional value 0.
+
+    The pointwise norms and the pairing of each axis run one node block
+    (``_kernels.node_blocks``) at a time, writing into full-size arrays;
+    the finite differences and every reduction of the report (the L^1
+    errors, the flagged fractions) stay whole.
     """
     du = finite_difference(u)
     X = u.values.reshape(-1, u.space.dim)
-    nx = np.asarray(banach.norm(u.space, X))
+    blocks = _kernels.node_blocks(len(X), u.space.dim)
+    nx = np.concatenate([banach.norm(u.space, X[blk]) for blk in blocks])
     near_zero = nx <= ZERO_TOL * (1.0 + nx)
     exact_zero = nx == 0.0
     g = from_scalar(u.domain, u.grid, nx.reshape(u.grid.n))
     fields, flags = [], []
     for j in range(u.domain.d):
         V = du[j].values.reshape(-1, u.space.dim)
-        plus, minus, unique = banach.one_sided_norm_derivative_batch(u.space, X, V)
-        value = np.where(unique, plus, 0.5 * (plus + minus))
-        value = np.where(exact_zero, 0.0, value)
-        flagged = (~unique) | near_zero
+        value, flagged = np.empty(len(X)), np.empty(len(X), dtype=bool)
+        for blk in blocks:
+            plus, minus, unique = banach.one_sided_norm_derivative_batch(u.space, X[blk], V[blk])
+            mid = np.where(unique, plus, 0.5 * (plus + minus))
+            value[blk] = np.where(exact_zero[blk], 0.0, mid)
+            flagged[blk] = (~unique) | near_zero[blk]
         fields.append(from_scalar(u.domain, u.grid, value.reshape(u.grid.n)))
         flags.append(flagged.reshape(u.grid.n))
     table, err_total = [], 0.0

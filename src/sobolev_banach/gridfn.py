@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import banach
+from . import _kernels, banach
 from .banach import SpaceDescriptor, scalar_space
 from .errors import DimensionMismatchError, GridError
 
@@ -253,6 +253,10 @@ def shift_difference_norm(u: GridFunction, j: int, steps: int, p: float) -> floa
 
     Only nodes whose shifted partner stays on the grid contribute; the
     quadrature weight is the same cell volume as on the full box.
+
+    The differences and their pointwise norms are computed one node block
+    (``_kernels.node_blocks`` over the first grid axis) at a time, in one
+    reused buffer; the L^p sum stays whole, over the full array of norms.
     """
     if steps < 1:
         raise ValueError("steps must be >= 1")
@@ -260,11 +264,15 @@ def shift_difference_norm(u: GridFunction, j: int, steps: int, p: float) -> floa
     if steps >= nj:
         raise GridError(f"shift of {steps} cells exceeds axis {j} ({nj} cells)")
     d = u.domain.d
-    diff = (
-        u.values[_axis_slices(d, j, slice(steps, None))]
-        - u.values[_axis_slices(d, j, slice(0, -steps))]
-    )
-    g = np.asarray(banach.norm(u.space, diff))
+    ahead = u.values[_axis_slices(d, j, slice(steps, None))]
+    behind = u.values[_axis_slices(d, j, slice(0, -steps))]
+    blocks = _kernels.node_blocks(len(ahead), ahead[0].size)
+    diff = np.empty_like(ahead[blocks[0]])
+    g = np.empty(ahead.shape[:-1])
+    for blk in blocks:
+        part = diff[: blk.stop - blk.start]
+        np.subtract(ahead[blk], behind[blk], out=part)
+        g[blk] = banach.norm(u.space, part)
     vol = float(np.prod(u.grid.spacing(u.domain)))
     return _lp(g, vol, p)
 
@@ -341,20 +349,33 @@ def mollify(u: GridFunction, level: int) -> GridFunction:
     on the same grid.  Computed as u + sum_k w_k (shift_k u - u), which
     preserves constants bit-exactly and never pushes values outside the
     convex hull of the reflected samples.
+
+    The sum runs one node block (``_kernels.node_blocks`` over the first
+    grid axis) at a time, with all offsets inside each block, so a block
+    stays in cache while its terms accumulate.  Every node still adds its
+    terms in offset order, so each sum is the whole-array one.
     """
     h = u.grid.spacing(u.domain)
     offsets, w = mollifier_weights(h, level)
     pad = int(np.abs(offsets).max())
     ext = extend_reflect(u, pad).values
-    d = u.domain.d
     n = u.grid.n
+    # per offset: its weight, its first-axis shift and its slices of the other axes
+    terms = [
+        (wk, pad + k[0], tuple(slice(pad + k[j], pad + k[j] + n[j]) for j in range(1, len(n))))
+        for k, wk in zip(offsets, w)
+        if np.any(k)
+    ]
     out = u.values.copy()
-    center = u.values
-    for k, wk in zip(offsets, w):
-        if not np.any(k):
-            continue
-        sl = tuple(slice(pad + k[j], pad + k[j] + n[j]) for j in range(d))
-        out += wk * (ext[sl] - center)
+    blocks = _kernels.node_blocks(n[0], out[0].size)
+    term = np.empty_like(out[blocks[0]])
+    for blk in blocks:
+        center, acc = u.values[blk], out[blk]
+        part = term[: blk.stop - blk.start]
+        for wk, k0, rest in terms:
+            np.subtract(ext[(slice(k0 + blk.start, k0 + blk.stop),) + rest], center, out=part)
+            part *= wk
+            acc += part
     return u.like(out)
 
 

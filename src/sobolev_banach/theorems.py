@@ -246,21 +246,28 @@ def norm_map_continuity_check(seq: list[GridFunction], u: GridFunction) -> Repor
 
 def covering_counts(members: list[GridFunction], p: float, eps_list) -> list[int]:
     """N(eps) from one deterministic farthest-point traversal (start at the
-    first member, ties to the lowest index)."""
+    first member, ties to the lowest index).
+
+    The distances from each member to the later ones are computed for a
+    node block's worth of members (``_kernels.node_blocks``) at a time, so
+    the work arrays stay that size; each distance is a sum over the nodes
+    of one member, whole as before.
+    """
     m = len(members)
     vol = float(np.prod(members[0].grid.spacing(members[0].domain)))
     space = members[0].space
     vals = np.stack([mm.values.reshape(mm.node_count, space.dim) for mm in members])
     D = np.zeros((m, m))
     for i in range(m):
-        diff = vals[i + 1 :] - vals[i]
-        g = np.asarray(banach.norm(space, diff))
-        if math.isinf(p):
-            dd = g.max(axis=1)
-        else:
-            dd = (np.sum(g**p, axis=1) * vol) ** (1.0 / p)
-        D[i, i + 1 :] = dd
-        D[i + 1 :, i] = dd
+        for blk in _kernels.node_blocks(m - i - 1, vals[0].size):
+            rest = slice(i + 1 + blk.start, i + 1 + blk.stop)
+            g = np.asarray(banach.norm(space, vals[rest] - vals[i]))
+            if math.isinf(p):
+                dd = g.max(axis=1)
+            else:
+                dd = (np.sum(g**p, axis=1) * vol) ** (1.0 / p)
+            D[i, rest] = dd
+            D[rest, i] = dd
     radii = _kernels.greedy_radii(D)
     return [int(np.argmax(radii <= eps) + 1) for eps in eps_list]
 

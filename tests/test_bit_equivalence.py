@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sobolev_banach import _kernels, banach, calculus, counterexamples, gridfn, suite
+from sobolev_banach import _kernels, banach, calculus, counterexamples, gridfn, suite, theorems
 
 SPACES = [space for _, space in suite.KIND_SPECS] + [
     banach.SpaceDescriptor("FiniteLr", 3, exponent=math.inf),
@@ -396,3 +396,224 @@ def test_product_rule_rows_match_inline_form(case):
         defect = np.asarray(banach.norm(u.space, dprod[j].values - rhs))
         want.append((float(h[j]), gridfn._lp(defect[inner], vol, 1.0)))
     assert rep.rows == want
+
+
+# Short last axes are reduced column by column (``_kernels.row_reduce``);
+# the reference is numpy's own reduce of that axis.
+
+SHORT_AXIS_CASES = dict(derandomize=True, max_examples=200, deadline=None)
+
+
+@st.composite
+def short_axis_arrays(draw):
+    k = draw(st.integers(1, 12))
+    lead = draw(st.lists(st.integers(1, 40), min_size=0, max_size=3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    shape = tuple(lead) + (k,)
+    a = rng.uniform(-1.0, 1.0, size=shape) * 10.0 ** rng.uniform(-5.0, 5.0, size=shape)
+    zeros = rng.random(shape) < draw(st.sampled_from([0.0, 0.2, 1.0]))
+    a[zeros] = rng.choice([0.0, -0.0], size=int(zeros.sum()))
+    layout = draw(st.sampled_from(["C", "F", "strided"]))
+    if layout == "F":
+        a = np.asfortranarray(a)
+    elif layout == "strided" and a.ndim > 1:
+        a = a[::2]
+    return a
+
+
+@given(short_axis_arrays())
+@settings(**SHORT_AXIS_CASES)
+def test_row_reduce_matches_numpy_reduce(a):
+    # lengths 1-7 take the column fold, lengths 8-12 numpy's own reduce (a
+    # column fold rounds differently there); both must give numpy's values,
+    # signed zeros included
+    for op, want in (
+        (np.add, a.sum(axis=-1)),
+        (np.maximum, a.max(axis=-1)),
+        (np.minimum, a.min(axis=-1)),
+    ):
+        got = _kernels.row_reduce(a, op)
+        assert np.array_equal(got, want)
+        assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
+# The node-block passes against the whole-array expressions they replaced,
+# as they were written (numpy's own last-axis reductions, one pass over all
+# nodes), with NODE_BLOCK small so that several blocks run.
+
+BLOCK_SPACES = SPACES + [banach.SpaceDescriptor("SampledSup", 9)]
+
+
+def _whole_norm(space, x):
+    if space.sup_like:
+        return np.abs(x).max(axis=-1)
+    r, w = space.exponent, space.weights
+    if r == 1.0:
+        ax = np.abs(x)
+        return ax @ w if w is not None else ax.sum(axis=-1)
+    if r == 2.0:
+        sq = x * x
+        return np.sqrt(sq @ w if w is not None else sq.sum(axis=-1))
+    pw = np.abs(x) ** r
+    return (pw @ w if w is not None else pw.sum(axis=-1)) ** (1.0 / r)
+
+
+def _whole_pairing(space, X, H):
+    hnorm = _whole_norm(space, H)
+    if space.sup_like:
+        ax = np.abs(X)
+        nx = ax.max(axis=1)
+        tie = ax >= (nx * (1.0 - banach.TIE_REL))[:, None]
+        cand = np.where(X > 0.0, H, -H)
+        plus = np.where(tie, cand, -np.inf).max(axis=1)
+        minus = np.where(tie, cand, np.inf).min(axis=1)
+        zero = nx == 0.0
+    else:
+        w = space.weights if space.weights is not None else np.ones(space.dim)
+        if space.exponent == 1.0:
+            base = (np.sign(X) * H) @ w
+            zero_part = (np.abs(H) * (X == 0.0)) @ w
+            plus, minus, zero = base + zero_part, base - zero_part, False
+        else:
+            val, nx = _kernels.lr_pairing(X, H, space.exponent, w)
+            plus, minus, zero = val, val, nx == 0.0
+    plus, minus = np.where(zero, hnorm, plus), np.where(zero, -hnorm, minus)
+    return plus, minus, (plus - minus) <= banach.PAIR_TOL * (1.0 + hnorm)
+
+
+def _whole_norm_derivative_field(u):
+    du = gridfn.finite_difference(u)
+    X = u.values.reshape(-1, u.space.dim)
+    nx = _whole_norm(u.space, X)
+    near_zero = nx <= banach.ZERO_TOL * (1.0 + nx)
+    fields, flags = [], []
+    for j in range(u.domain.d):
+        plus, minus, unique = _whole_pairing(u.space, X, du[j].values.reshape(X.shape))
+        value = np.where(unique, plus, 0.5 * (plus + minus))
+        value = np.where(nx == 0.0, 0.0, value)
+        fields.append(value.reshape(u.grid.n))
+        flags.append(((~unique) | near_zero).reshape(u.grid.n))
+    g = gridfn.from_scalar(u.domain, u.grid, nx.reshape(u.grid.n))
+    as_fields = [gridfn.from_scalar(u.domain, u.grid, f) for f in fields]
+    return fields, flags, calculus._fd_errors(g, as_fields, flags)
+
+
+def _whole_shift_difference_norm(u, j, steps, p):
+    d = u.domain.d
+    diff = (
+        u.values[gridfn._axis_slices(d, j, slice(steps, None))]
+        - u.values[gridfn._axis_slices(d, j, slice(0, -steps))]
+    )
+    vol = float(np.prod(u.grid.spacing(u.domain)))
+    return gridfn._lp(_whole_norm(u.space, diff), vol, p)
+
+
+def _whole_mollify(u, level):
+    offsets, w = gridfn.mollifier_weights(u.grid.spacing(u.domain), level)
+    pad = int(np.abs(offsets).max())
+    ext = gridfn.extend_reflect(u, pad).values
+    n = u.grid.n
+    out = u.values.copy()
+    for k, wk in zip(offsets, w):
+        if np.any(k):
+            sl = tuple(slice(pad + k[j], pad + k[j] + n[j]) for j in range(len(n)))
+            out += wk * (ext[sl] - u.values)
+    return out
+
+
+@st.composite
+def block_cases(draw):
+    space = draw(st.sampled_from(BLOCK_SPACES))
+    d = draw(st.sampled_from([1, 2]))
+    rows = draw(st.integers(3, 6))  # rows of one node block
+    # n = rows * k + 1 leaves one row over, on each axis and in the flat
+    # node count, for a pass that cut fixed blocks of ``rows`` rows
+    n = rows * draw(st.integers(2, 8) if d == 1 else st.integers(1, 3)) + draw(st.integers(0, 2))
+    n = max(n, 4)
+    u = _blueprint(space, d, draw(st.integers(0, 2**16))).realize(n)
+    flat = u.values.reshape(-1, space.dim)
+    flat[: draw(st.integers(0, 2))] = 0.0  # exact zeros: the x = 0 pairing
+    tied = draw(st.integers(0, 3))  # ties of the sup norm's norming coordinates
+    if tied:
+        flat[-tied:, 1] = -flat[-tied:, 0]
+    return u, rows, draw(st.sampled_from(LP_EXPONENTS))
+
+
+@given(block_cases())
+@settings(**FIELD_CASES)
+def test_blocked_passes_match_whole_array_expressions(case):
+    u, rows, p = case
+    dim, n = u.space.dim, u.grid.n[0]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(_kernels, "NODE_BLOCK", rows * dim)
+        X = u.values.reshape(-1, dim)
+        blocks = _kernels.node_blocks(len(X), dim)
+        assert len(blocks) > 1
+        whole = _whole_norm(u.space, X)
+        assert np.array_equal(banach.norm(u.space, X), whole)
+        assert np.array_equal(banach.norm(u.space, u.values), whole.reshape(u.grid.n))
+        for blk in blocks:
+            assert np.array_equal(banach.norm(u.space, X[blk]), whole[blk])
+
+        for j in range(u.domain.d):
+            for steps in sorted({1, 2, n - 1}):
+                got = gridfn.shift_difference_norm(u, j, steps, p)
+                assert got == _whole_shift_difference_norm(u, j, steps, p)
+
+        level = max(1, n // 3)  # a support of two or three cells per side
+        assert np.array_equal(gridfn.mollify(u, level).values, _whole_mollify(u, level))
+
+        res = calculus.norm_derivative_field(u)
+        fields, flags, errs = _whole_norm_derivative_field(u)
+        for j in range(u.domain.d):
+            assert np.array_equal(res.fields[j].values[..., 0], fields[j])
+            assert np.array_equal(res.flags[j], flags[j])
+        rows_want = []
+        for j, err in enumerate(errs):
+            rows_want += [(f"l1_err[{j}]", err), (f"flagged_fraction[{j}]", float(np.mean(flags[j])))]
+        assert res.report.rows == rows_want
+        assert res.report.details["l1_err_total"] == _running_sum(errs)
+
+
+@pytest.mark.parametrize("members", [1, 2, 7, 16])
+@pytest.mark.parametrize("space", BLOCK_SPACES, ids=lambda s: f"{s.kind}-{s.exponent}-{s.dim}")
+def test_covering_distances_match_stacked_form(space, members, monkeypatch):
+    # covering_counts computes its distances a few members at a time; the
+    # matrix it hands to the traversal is the one of the whole stack
+    p = gridfn.SOBOLEV_P
+    fam = [_blueprint(space, 1, seed).realize(32) for seed in range(members)]
+    seen = []
+    monkeypatch.setattr(_kernels, "NODE_BLOCK", 3 * 32 * space.dim)
+    monkeypatch.setattr(_kernels, "greedy_radii", lambda D: seen.append(D) or np.zeros(len(D)))
+    theorems.covering_counts(fam, p, (0.5,))
+    vals = np.stack([f.values for f in fam])
+    vol = 1.0 / 32
+    want = np.zeros((members, members))
+    for i in range(members):
+        g = _whole_norm(space, vals[i + 1 :] - vals[i])
+        want[i, i + 1 :] = want[i + 1 :, i] = (np.sum(g**p, axis=1) * vol) ** (1.0 / p)
+    assert np.array_equal(seen[0], want)
+
+
+@pytest.mark.parametrize(
+    "space", [s for s in BLOCK_SPACES if s.kind == "GridLr"], ids=lambda s: f"r{s.exponent}"
+)
+def test_blocked_passes_leave_no_row_alone(space, monkeypatch):
+    # 16 nodes in blocks of 3 rows would leave the last row alone (and 13
+    # nodes for a shift by 3); numpy rounds a one-row ``@ w`` differently
+    # in about one row of six, so over these seeds a lone row shows
+    monkeypatch.setattr(_kernels, "NODE_BLOCK", 3 * space.dim)
+    for seed in range(24):
+        u = _blueprint(space, 1, seed).realize(16)
+        res = calculus.norm_derivative_field(u)
+        fields, flags, _ = _whole_norm_derivative_field(u)
+        assert np.array_equal(res.fields[0].values[..., 0], fields[0])
+        assert np.array_equal(res.flags[0], flags[0])
+        X = u.values.reshape(-1, space.dim)
+        assert np.array_equal(
+            np.concatenate([banach.norm(space, X[b]) for b in _kernels.node_blocks(16, space.dim)]),
+            _whole_norm(space, X),
+        )
+        for steps in (1, 2, 3):
+            got = gridfn.shift_difference_norm(u, 0, steps, 1.0)
+            assert got == _whole_shift_difference_norm(u, 0, steps, 1.0)

@@ -300,3 +300,18 @@ def test_lr_pairing_parity():
         assert np.allclose(val, ref_val, rtol=1e-12, atol=1e-14)
         assert np.allclose(nx, ref_nx, rtol=1e-12, atol=0.0)
         assert val[5] == 0.0 and nx[5] == 0.0
+
+
+def test_node_blocks_cover_rows_in_even_blocks_of_two_or_more(monkeypatch):
+    monkeypatch.setattr(_kernels, "NODE_BLOCK", 12)
+    for width in (1, 3, 4, 5, 13):
+        for n in range(0, 60):
+            blocks = _kernels.node_blocks(n, width)
+            lengths = [b.stop - b.start for b in blocks]
+            assert blocks[0].start == 0 and blocks[-1].stop == n
+            assert all(a.stop == b.start for a, b in zip(blocks, blocks[1:]))
+            assert lengths == sorted(lengths, reverse=True)
+            assert max(lengths) - min(lengths) <= 1
+            assert max(lengths) <= max(3, 12 // width)
+            if n >= 2:
+                assert min(lengths) >= 2
