@@ -245,18 +245,34 @@ def sup_pairing(X, H, tie_rel):
     return plus, minus
 
 
-def lr_pairing(X, H, r, w):
-    """Batched smooth-Lr pairing (1 < r < inf): the gradient of the weighted
-    power-sum norm at each row of X applied to the row of H (0 on zero rows),
-    together with the row norms."""
+def lr_gradient(X, r, w, nx=None):
+    """The part of ``lr_pairing`` that depends on the rows of X alone.
+
+    Returns ``(grad, nz, den, nx)``: the terms |x|^(r-1) sign(x), the mask
+    of nonzero rows, nx^(r-1) on those rows and the row norms
+    nx = (|x|^r @ w)^(1/r), computed here unless given.  Every pow runs on
+    the arrays ``lr_pairing`` used to build per call, so a caller pairing
+    the rows of X with several directions gets the same bits.
+    """
     X = np.ascontiguousarray(X, dtype=np.float64)
-    H = np.ascontiguousarray(H, dtype=np.float64)
     w = np.ascontiguousarray(w, dtype=np.float64)
     r = float(r)
     ax = np.abs(X)
-    nx = (ax**r @ w) ** (1.0 / r)
-    num = (ax ** (r - 1.0) * np.sign(X) * H) @ w
-    val = np.zeros(X.shape[0])
+    if nx is None:
+        nx = (ax**r @ w) ** (1.0 / r)
     nz = nx > 0.0
-    val[nz] = num[nz] / nx[nz] ** (r - 1.0)
+    return ax ** (r - 1.0) * np.sign(X), nz, nx[nz] ** (r - 1.0), nx
+
+
+def lr_pairing(X, H, r, w, grad=None):
+    """Batched smooth-Lr pairing (1 < r < inf): the gradient of the weighted
+    power-sum norm at each row of X applied to the row of H (0 on zero rows),
+    together with the row norms.  ``grad`` is ``lr_gradient(X, r, w)``,
+    computed here when not given."""
+    H = np.ascontiguousarray(H, dtype=np.float64)
+    w = np.ascontiguousarray(w, dtype=np.float64)
+    terms, nz, den, nx = lr_gradient(X, r, w) if grad is None else grad
+    num = (terms * H) @ w
+    val = np.zeros(H.shape[0])
+    val[nz] = num[nz] / den
     return val, nx

@@ -201,29 +201,47 @@ def one_sided_norm_derivative_batch(space: SpaceDescriptor, X, H):
         raise DimensionMismatchError(
             f"point/direction batches disagree: {X.shape} vs {H.shape}"
         )
-    hnorm = norm(space, H)
-    hnorm = np.atleast_1d(hnorm)
+    return _pairing_at(space, X)(H)
 
+
+def _pairing_at(space: SpaceDescriptor, X, nx=None):
+    """``one_sided_norm_derivative_batch(space, X, .)`` for the fixed rows
+    of the 2-D array X, as a function of the direction batch H.
+
+    The part that depends on X alone (for smooth Lr the gradient terms and
+    the row norms, see ``_kernels.lr_gradient``) is computed once, here, so
+    pairing X with one direction per axis repeats none of it.  ``nx``, the
+    rows' norms from ``norm``, feeds the weighted pairing, whose row norms
+    are ``norm``'s expression bit for bit; the unweighted pairing sums its
+    own with ``@ ones``, which can round differently from ``row_reduce``.
+    """
+    w = np.ones(space.dim) if space.weights is None else space.weights
     if space.sup_like:
-        plus, minus = _kernels.sup_pairing(X, H, TIE_REL)
-    else:
-        r = space.exponent
-        w = space.weights
-        if w is None:
-            w = np.ones(space.dim)
-        if r == 1.0:
-            sgn = np.sign(X)
+        sides = lambda H, hnorm: _kernels.sup_pairing(X, H, TIE_REL)
+    elif space.exponent == 1.0:
+        sgn, at_zero = np.sign(X), X == 0.0
+
+        def sides(H, hnorm):
             base = (sgn * H) @ w
-            zero_part = (np.abs(H) * (X == 0.0)) @ w
-            plus = base + zero_part
-            minus = base - zero_part
-        else:
-            val, nx = _kernels.lr_pairing(X, H, r, w)
-            zero = nx == 0.0
-            plus = np.where(zero, hnorm, val)
-            minus = np.where(zero, -hnorm, val)
-    unique = (plus - minus) <= PAIR_TOL * (1.0 + hnorm)
-    return plus, minus, unique
+            zero_part = (np.abs(H) * at_zero) @ w
+            return base + zero_part, base - zero_part
+
+    else:
+        if space.weights is None:
+            nx = None
+        grad = _kernels.lr_gradient(X, space.exponent, w, nx)
+        zero = grad[-1] == 0.0  # the row norms
+
+        def sides(H, hnorm):
+            val, _ = _kernels.lr_pairing(X, H, space.exponent, w, grad)
+            return np.where(zero, hnorm, val), np.where(zero, -hnorm, val)
+
+    def pair(H):
+        hnorm = np.atleast_1d(norm(space, H))
+        plus, minus = sides(H, hnorm)
+        return plus, minus, (plus - minus) <= PAIR_TOL * (1.0 + hnorm)
+
+    return pair
 
 
 def one_sided_norm_derivative(space: SpaceDescriptor, x, h) -> PairingResult:

@@ -339,29 +339,32 @@ def norm_derivative_field(u: GridFunction) -> FieldResult:
     (non-unique pairing, or |u| at/near zero) store the midpoint of the
     one-sided interval; exact zeros store the conventional value 0.
 
-    The pointwise norms and the pairing of each axis run one node block
-    (``_kernels.node_blocks``) at a time, writing into full-size arrays;
-    the finite differences and every reduction of the report (the L^1
-    errors, the flagged fractions) stay whole.
+    The pointwise norms and the pairings run one node block
+    (``_kernels.node_blocks``) at a time, all axes within a block, so the
+    part of the pairing that depends on the node alone is computed once per
+    block; they write into full-size arrays.  The finite differences and
+    every reduction of the report (the L^1 errors, the flagged fractions)
+    stay whole.
     """
     du = finite_difference(u)
     X = u.values.reshape(-1, u.space.dim)
+    V = [D.values.reshape(X.shape) for D in du]
     blocks = _kernels.node_blocks(len(X), u.space.dim)
     nx = np.concatenate([banach.norm(u.space, X[blk]) for blk in blocks])
     near_zero = nx <= ZERO_TOL * (1.0 + nx)
     exact_zero = nx == 0.0
     g = from_scalar(u.domain, u.grid, nx.reshape(u.grid.n))
-    fields, flags = [], []
-    for j in range(u.domain.d):
-        V = du[j].values.reshape(-1, u.space.dim)
-        value, flagged = np.empty(len(X)), np.empty(len(X), dtype=bool)
-        for blk in blocks:
-            plus, minus, unique = banach.one_sided_norm_derivative_batch(u.space, X[blk], V[blk])
+    values = [np.empty(len(X)) for _ in V]
+    flagged = [np.empty(len(X), dtype=bool) for _ in V]
+    for blk in blocks:
+        pair = banach._pairing_at(u.space, X[blk], nx[blk])
+        for Vj, value, flag in zip(V, values, flagged):
+            plus, minus, unique = pair(Vj[blk])
             mid = np.where(unique, plus, 0.5 * (plus + minus))
             value[blk] = np.where(exact_zero[blk], 0.0, mid)
-            flagged[blk] = (~unique) | near_zero[blk]
-        fields.append(from_scalar(u.domain, u.grid, value.reshape(u.grid.n)))
-        flags.append(flagged.reshape(u.grid.n))
+            flag[blk] = (~unique) | near_zero[blk]
+    fields = [from_scalar(u.domain, u.grid, v.reshape(u.grid.n)) for v in values]
+    flags = [f.reshape(u.grid.n) for f in flagged]
     table, err_total = [], 0.0
     for j, err in enumerate(_fd_errors(g, fields, flags)):
         err_total += err

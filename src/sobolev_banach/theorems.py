@@ -135,20 +135,45 @@ def embedding_check(u: GridFunction, seed: int = 0) -> Report:
 # ---------------------------------------------------------------------------
 
 
+def _rayleigh_eigenvalue(diag, off, v, h) -> float:
+    """Rayleigh quotient v^T A v / v^T v of the symmetric tridiagonal A
+    (diagonal ``diag``, off-diagonals ``off``) at v, checked to be an
+    eigenvalue: max|Av - lambda v| must stay within 16 eps max|v| / h^2,
+    a few times the rounding of one row of A v (entries of size 1/h^2)."""
+    av = diag * v
+    av[1:] += off * v[:-1]
+    av[:-1] += off * v[1:]
+    lam = float(np.sum(v * av) / np.sum(v * v))
+    residual = float(np.max(np.abs(av - lam * v)))
+    if residual > 16.0 * np.finfo(float).eps * float(np.max(np.abs(v))) / h**2:
+        raise ContractError(
+            f"dirichlet_eigenvalue: n={len(v)} profile is no eigenvector, "
+            f"residual max|Av - lambda v| = {residual:.3e}"
+        )
+    return lam
+
+
 def dirichlet_eigenvalue(n: int) -> float:
     """Smallest eigenvalue of the cell-centered second-difference operator
     on n cells of the unit interval with zero boundary values
-    (odd-reflection ghost cells); converges to pi^2 at second order."""
-    # scipy.linalg is imported here, its only use, so that importing the
-    # package (and every CLI run that never reaches this oracle) skips it.
-    from scipy.linalg import eigh_tridiagonal
+    (odd-reflection ghost cells); converges to pi^2 at second order.
 
+    A has diagonal 2/h^2, end entries 3/h^2 (the ghost cell -u_0 adds one
+    more 1/h^2) and off-diagonals -1/h^2.  The sampled profile
+    v_i = sin(pi (i + 1/2) h) is an eigenvector of A, and it is positive.
+    By Perron-Frobenius applied to c I - A (nonnegative and irreducible for
+    large c, since A is tridiagonal with negative off-diagonals), the one
+    eigenvector without sign change belongs to the largest eigenvalue of
+    c I - A, that is to the smallest eigenvalue of A.  So the Rayleigh
+    quotient at v is that eigenvalue; ``_rayleigh_eigenvalue`` checks that
+    v is an eigenvector up to rounding.
+    """
     h = 1.0 / n
     diag = np.full(n, 2.0 / h**2)
     diag[0] = diag[-1] = 3.0 / h**2
     off = np.full(n - 1, -1.0 / h**2)
-    vals = eigh_tridiagonal(diag, off, select="i", select_range=(0, 0))[0]
-    return float(vals[0])
+    v = np.sin(math.pi * (np.arange(n) + 0.5) * h)
+    return _rayleigh_eigenvalue(diag, off, v, h)
 
 
 def poincare_check(u: GridFunction) -> Report:

@@ -441,7 +441,13 @@ def test_row_reduce_matches_numpy_reduce(a):
 # as they were written (numpy's own last-axis reductions, one pass over all
 # nodes), with NODE_BLOCK small so that several blocks run.
 
-BLOCK_SPACES = SPACES + [banach.SpaceDescriptor("SampledSup", 9)]
+# unweighted FiniteLr with 1 < r < inf sums its pairing's row norms with
+# ``@ ones``, which from 4 coordinates on rounds differently from
+# ``banach.norm``'s row_reduce in about one row of ten
+BLOCK_SPACES = SPACES + [
+    banach.SpaceDescriptor("SampledSup", 9),
+    banach.SpaceDescriptor("FiniteLr", 4, exponent=2.5),
+]
 
 
 def _whole_norm(space, x):

@@ -8,6 +8,8 @@ import dataclasses
 import json
 import math
 import os
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
@@ -254,6 +256,24 @@ def test_norm_chain_rule_passes_at_refine_1():
 def test_every_seed_passes_at_refine_0(name, seed):
     rows, _ = suite.run_entry(name, seed)
     assert rows and all(r.passed for r in rows), [r for r in rows if not r.passed]
+
+
+def test_no_catalog_entry_imports_scipy():
+    # scipy is a test dependency only; a fresh interpreter runs every entry,
+    # so that no module this test process loaded counts
+    src = str(Path(suite.__file__).resolve().parents[1])
+    code = (
+        "import sys\n"
+        "from sobolev_banach import suite\n"
+        "for name in suite.CATALOG:\n"
+        "    suite.run_entry(name, 42)\n"
+        "print(sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy'))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    run = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert run.stdout.strip() == "[]"
 
 
 def test_cli_refine_1_identical_across_worker_counts(tmp_path):

@@ -61,6 +61,42 @@ def test_dirichlet_eigenvalue_closed_form():
     assert abs(lam - math.pi**2) <= 0.01 * math.pi**2
 
 
+def _dirichlet_operator(n):
+    h = 1.0 / n
+    diag = np.full(n, 2.0 / h**2)
+    diag[0] = diag[-1] = 3.0 / h**2
+    return diag, np.full(n - 1, -1.0 / h**2), h
+
+
+@pytest.mark.parametrize("n", [16, 512, 4096, 32768])
+def test_dirichlet_eigenvalue_matches_cancellation_free_form(n):
+    # 4 sin^2(pi h / 2) / h^2 equals (2 - 2 cos(pi h)) / h^2 without the
+    # cancellation of 2 - 2 cos at small h
+    h = 1.0 / n
+    want = 4.0 * math.sin(math.pi * h / 2.0) ** 2 / h**2
+    assert theorems.dirichlet_eigenvalue(n) == pytest.approx(want, rel=1e-11)
+
+
+@pytest.mark.parametrize("n", [16, 512, 4096])
+def test_dirichlet_eigenvalue_matches_lapack(n):
+    linalg = pytest.importorskip("scipy.linalg")
+    diag, off, _ = _dirichlet_operator(n)
+    lapack = linalg.eigh_tridiagonal(diag, off, select="i", select_range=(0, 0))[0][0]
+    assert theorems.dirichlet_eigenvalue(n) == pytest.approx(lapack, rel=1e-9)
+
+
+@pytest.mark.parametrize("n", [16, 512])
+def test_dirichlet_eigenvalue_rejects_a_profile_that_is_no_eigenvector(n):
+    # Neumann ends (end entries 1/h^2): the sine profile is no eigenvector
+    diag, off, h = _dirichlet_operator(n)
+    diag[0] = diag[-1] = 1.0 / h**2
+    v = np.sin(math.pi * (np.arange(n) + 0.5) * h)
+    with pytest.raises(ContractError, match=f"n={n} .*residual"):
+        theorems._rayleigh_eigenvalue(diag, off, v, h)
+    diag[0] = diag[-1] = 3.0 / h**2
+    assert theorems._rayleigh_eigenvalue(diag, off, v, h) == theorems.dirichlet_eigenvalue(n)
+
+
 def test_poincare_check_sharp_profile():
     u = _sin_member(256)
     rep = theorems.poincare_check(u)
