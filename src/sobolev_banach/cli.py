@@ -18,8 +18,6 @@ import time
 import traceback
 from pathlib import Path
 
-import jsonschema
-
 from . import __version__, suite
 from .errors import ConfigError
 
@@ -27,55 +25,80 @@ EXIT_OK = 0
 EXIT_ERROR = 1
 EXIT_FAIL = 2
 
-CONFIG_SCHEMA = {
-    "type": "object",
-    "required": ["schema_version"],
-    "additionalProperties": False,
-    "properties": {
-        "schema_version": {"const": 1},
-        "seed": {"type": "integer", "minimum": 0},
-        "output_dir": {"type": "string"},
-        "format": {"enum": ["json", "csv", "both"]},
-        "workers": {"type": "integer", "minimum": 1},
-        "suite": {
-            "type": "array",
-            "items": {
-                "type": "object",
-                "required": ["name"],
-                "additionalProperties": False,
-                "properties": {
-                    "name": {"type": "string"},
-                    "refine": {"type": "integer", "minimum": 0, "maximum": 3},
-                    "params": {"type": "object"},
-                    "require": {
-                        "type": "object",
-                        "minProperties": 1,
-                        "additionalProperties": {
-                            "type": "object",
-                            "minProperties": 1,
-                            "additionalProperties": False,
-                            "properties": {
-                                "max": {"type": "number"},
-                                "min": {"type": "number"},
-                            },
-                        },
-                    },
-                },
-                # each entry's params as declared in the catalog
-                "allOf": [
-                    {
-                        "if": {
-                            "required": ["name"],
-                            "properties": {"name": {"const": name}},
-                        },
-                        "then": {"properties": {"params": entry.params_schema()}},
-                    }
-                    for name, entry in suite.CATALOG.items()
-                ],
-            },
-        },
-    },
-}
+# Declared like an entry's params, as (default, smallest, largest); None is open.
+RUN_FIELDS = {"seed": (42, 0, None), "workers": (None, 1, None)}  # default: CPUs available
+SPEC_FIELDS = {"refine": (0, 0, 3)}
+BOUNDS = dict.fromkeys(["max", "min"], (0.0, None, None))  # a require bound: any number
+
+
+def _value_errors(value, decl, at: str) -> list[str]:
+    """Each way ``value`` breaks ``decl``, as ``"<at>: <message>"``.  A default asks
+    for its type: a ladder (tuple), an integer (int; 256.0 will do) or a number."""
+    if decl is str:
+        return [] if isinstance(value, str) else [f"{at}: {value!r} is not of type 'string'"]
+    default, low, high = decl
+    if isinstance(default, tuple):
+        if not isinstance(value, list):
+            return [f"{at}: {value!r} is not of type 'array'"]
+        errors = [e for i, n in enumerate(value)
+                  for e in _value_errors(n, (0, low, high), f"{at}/{i}")]
+        if len(value) < 2:
+            return errors + [f"{at}: {value!r} is too short"]
+        if errors or len(set(value)) < len(value):
+            return errors or [f"{at}: {value!r} has non-unique elements"]
+        levels = sorted(value)  # an order fitted to closer levels is noise
+        return [f"{at}: level {b} is less than twice the level {a} below it"
+                for a, b in zip(levels, levels[1:]) if b < 2 * a]
+    kind = "number" if isinstance(default, float) else "integer"
+    if value in (math.inf, -math.inf):  # a literal such as 1e400 overflows
+        return [f"{at}: {value!r} is not a finite number"]
+    if type(value) not in (int, float) or kind == "integer" and value % 1:
+        return [f"{at}: {value!r} is not of type {kind!r}"]
+    if low is not None and value < low:
+        return [f"{at}: {value!r} is less than the minimum of {low}"]
+    if high is not None and value > high:
+        return [f"{at}: {value!r} is greater than the maximum of {high}"]
+    return []
+
+
+def config_errors(cfg) -> list[str]:
+    """Each way ``cfg`` breaks the config format, as ``"<JSON pointer>:
+    <message>"``; numbers are checked against their declarations."""
+    errors = []
+
+    def fields(obj, at, decls, required=(), nonempty=False) -> bool:
+        """Whether ``obj`` is an object; reports what breaks ``decls`` (None: any key)."""
+        here = at or "/"  # the pointer of the whole config
+        if not isinstance(obj, dict) or (nonempty and not obj):
+            errors.append(f"{here}: {obj!r} is not an object{' with a key' * nonempty}")
+            return False
+        errors.extend(f"{here}: {k!r} is a required property" for k in required if k not in obj)
+        for key, value in obj.items():
+            if decls is not None and key not in decls:
+                errors.append(f"{here}: {key!r} was unexpected")
+            elif decls and decls[key]:
+                errors.extend(_value_errors(value, decls[key], f"{at}/{key}"))
+        return True
+
+    run = {"schema_version": (1, 1, 1), "output_dir": str, "format": None, "suite": None}
+    if not fields(cfg, "", run | RUN_FIELDS, ["schema_version"]):
+        return errors
+    if cfg.get("format", "json") not in ("json", "csv", "both"):
+        errors.append(f"/format: {cfg['format']!r} is not one of 'json', 'csv', 'both'")
+    if not isinstance(cfg.get("suite", []), list):
+        return errors + [f"/suite: {cfg['suite']!r} is not of type 'array'"]
+    spec_fields = {"name": str, "params": None, "require": None} | SPEC_FIELDS
+    for i, spec in enumerate(cfg.get("suite", [])):
+        at = f"/suite/{i}"
+        if not fields(spec, at, spec_fields, ["name"]):
+            continue
+        # an unknown name takes any params: the run rejects it before any work
+        entry = suite.CATALOG.get(name) if isinstance(name := spec.get("name"), str) else None
+        fields(spec.get("params", {}), f"{at}/params", entry.params if entry else None)
+        if "require" in spec and fields(spec["require"], f"{at}/require", None, nonempty=True):
+            for metric, bounds in spec["require"].items():
+                fields(bounds, f"{at}/require/{metric}", BOUNDS, nonempty=True)
+    return errors
 
 
 def _reject_constant(name: str):
@@ -91,21 +114,13 @@ def load_config(path: str) -> dict:
         raise ConfigError(f"cannot read config {path}: {e}") from e
     except ValueError as e:  # JSONDecodeError is a ValueError
         raise ConfigError(f"config {path} is not valid JSON: {e}") from e
-    validator = jsonschema.Draft202012Validator(CONFIG_SCHEMA)
-    errors = sorted(validator.iter_errors(cfg), key=lambda e: list(e.absolute_path))
-    if errors:
-        lines = []
-        for err in errors:
-            pointer = "/" + "/".join(str(p) for p in err.absolute_path)
-            lines.append(f"{pointer}: {err.message}")
-        raise ConfigError("config schema violations:\n  " + "\n  ".join(lines))
+    if errors := config_errors(cfg):
+        raise ConfigError("config schema violations:\n  " + "\n  ".join(errors))
     return cfg
 
 
 def resolve_seed(cfg: dict, cli_seed: int | None) -> int:
-    if cli_seed is not None:
-        return cli_seed
-    return int(cfg.get("seed", 42))
+    return cli_seed if cli_seed is not None else int(cfg.get("seed", RUN_FIELDS["seed"][0]))
 
 
 def _apply_require(rows, require: dict):
@@ -125,7 +140,7 @@ def _apply_require(rows, require: dict):
 def _run_one(spec: dict, seed: int, refine_override: int | None):
     wall0, ru0 = time.perf_counter(), resource.getrusage(resource.RUSAGE_SELF)
     name = spec["name"]
-    refine = refine_override if refine_override is not None else spec.get("refine", 0)
+    refine = refine_override if refine_override is not None else int(spec.get("refine", 0))
     result = {"entry": name, "anchor": suite.CATALOG[name].anchor}
     params = None
     try:
@@ -236,10 +251,7 @@ def cmd_run(args) -> int:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_ERROR
     seed = resolve_seed(cfg, args.seed)
-    if "suite" in cfg:
-        specs = cfg["suite"]
-    else:
-        specs = [{"name": name} for name in suite.CATALOG]
+    specs = cfg["suite"] if "suite" in cfg else [{"name": n} for n in suite.CATALOG]
     if args.entry is not None:
         # the config's own specs for the entry keep its params, refine and require
         specs = [s for s in specs if s["name"] == args.entry] or [{"name": args.entry}]
@@ -248,7 +260,7 @@ def cmd_run(args) -> int:
         print(f"error: unknown entries: {', '.join(unknown)}", file=sys.stderr)
         return EXIT_ERROR
     cpus = available_cpus()
-    requested = args.workers or cfg.get("workers") or cpus
+    requested = args.workers or int(cfg.get("workers", 0)) or cpus
     workers = min(requested, len(specs), cpus)
     outdir = Path(args.out or cfg.get("output_dir", "reports"))
     fmt = args.format or cfg.get("format", "json")
@@ -310,8 +322,8 @@ def cmd_describe(args) -> int:
 
 
 def _int_at_least(key: str):
-    """An argparse type: an integer at least the config schema's minimum."""
-    low = CONFIG_SCHEMA["properties"][key]["minimum"]
+    """An argparse type: an integer at least ``RUN_FIELDS``' smallest ``key``."""
+    low = RUN_FIELDS[key][1]
 
     def integer(text: str) -> int:
         if int(text) < low:

@@ -6,7 +6,7 @@ functions of (seed, refine, params), so a fixed seed reproduces every row
 bit-for-bit.  Each entry is declared once, by ``_entry`` on its builder:
 the anchor string names the mathematical statement the entry exercises,
 and each param has a default, a smallest and a largest value.  The CLI's
-config schema, ``describe`` and ``entry_params`` read the same declaration.
+config check, ``describe`` and ``entry_params`` read the same declaration.
 """
 from __future__ import annotations
 
@@ -64,19 +64,6 @@ class CatalogEntry:
     summary: str
     builder: Callable[..., tuple[list[Row], dict]]
     params: dict[str, tuple]
-
-    def params_schema(self) -> dict:
-        """JSON schema of this entry's ``params`` object."""
-        props = {}
-        for key, (default, low, high) in self.params.items():
-            if isinstance(default, tuple):
-                props[key] = {"type": "array", "minItems": 2, "uniqueItems": True,
-                              "items": {"type": "integer", "minimum": low,
-                                        "maximum": high}}
-            else:
-                kind = "number" if isinstance(default, float) else "integer"
-                props[key] = {"type": kind, "minimum": low, "maximum": high}
-        return {"type": "object", "additionalProperties": False, "properties": props}
 
 
 CATALOG: dict[str, CatalogEntry] = {}

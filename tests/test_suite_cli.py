@@ -258,20 +258,24 @@ def test_every_seed_passes_at_refine_0(name, seed):
     assert rows and all(r.passed for r in rows), [r for r in rows if not r.passed]
 
 
-def test_no_catalog_entry_imports_scipy():
-    # scipy is a test dependency only; a fresh interpreter runs every entry,
-    # so that no module this test process loaded counts
+def test_no_catalog_entry_imports_scipy(tmp_path):
+    # scipy is a test dependency only, and no run needs jsonschema; a fresh
+    # interpreter runs every entry and loads the README's full config, so
+    # that no module this test process loaded counts
     src = str(Path(suite.__file__).resolve().parents[1])
     code = (
         "import sys\n"
-        "from sobolev_banach import suite\n"
+        "from sobolev_banach import cli, suite\n"
         "for name in suite.CATALOG:\n"
         "    suite.run_entry(name, 42)\n"
-        "print(sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy'))\n"
+        "cli.load_config(sys.argv[1])\n"
+        "print(sorted(m for m in sys.modules\n"
+        "             if m.partition('.')[0] in ('scipy', 'jsonschema')))\n"
     )
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     run = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+        [sys.executable, "-c", code, _readme_full_config(tmp_path)],
+        env=env, capture_output=True, text=True, check=True,
     )
     assert run.stdout.strip() == "[]"
 
@@ -344,6 +348,17 @@ def test_cli_raising_entry_keeps_other_reports(tmp_path, capsys, monkeypatch):
          "/suite/0/params/n", "greater than the maximum of 512"),
         ({"name": "dq_criterion", "params": {"p": 65.0}},
          "/suite/0/params/p", "greater than the maximum of 64"),
+        # levels closer than a doubling give no order to fit
+        ({"name": "w0_equivalences", "params": {"ladder": [256, 257]}},
+         "/suite/0/params/ladder", "level 257 is less than twice the level 256"),
+        ({"name": "w0_equivalences", "params": {"ladder": [500, 512]}},
+         "/suite/0/params/ladder", "level 512 is less than twice the level 500"),
+        ({"name": "w0_equivalences", "params": {"ladder": [401, 386, 387]}},
+         "/suite/0/params/ladder", "level 387 is less than twice the level 386"),
+        ({"name": "dq_criterion", "params": {"ladder": [256, 257]}},
+         "/suite/0/params/ladder", "level 257 is less than twice the level 256"),
+        ({"name": "norm_chain_rule", "params": {"ladder": [512, 500]}},
+         "/suite/0/params/ladder", "level 512 is less than twice the level 500"),
     ],
 )
 def test_cli_rejects_bad_params_before_running(
@@ -376,6 +391,90 @@ def test_cli_rejects_non_json_constants(tmp_path, capsys, spec):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "spec, pointer",
+    [
+        ('{"name": "product_rule", "require": {"fitted_order": {"min": -1e400}}}',
+         "/suite/0/require/fitted_order/min"),
+        ('{"name": "dq_criterion", "params": {"p": 1e400}}', "/suite/0/params/p"),
+        ('{"name": "quotient_rule", "refine": -1e400}', "/suite/0/refine"),
+    ],
+)
+def test_cli_rejects_overflowing_numbers(tmp_path, capsys, spec, pointer):
+    # json.loads turns 1e400 into inf; written raw, since json.dumps(inf) gives Infinity
+    cfg = tmp_path / "config.json"
+    cfg.write_text('{"schema_version": 1, "suite": [%s]}' % spec, encoding="utf-8")
+    out = tmp_path / "reports"
+    assert cli.main(["run", str(cfg), "--out", str(out)]) == cli.EXIT_ERROR
+    err = capsys.readouterr().err
+    assert f"{pointer}: " in err and "is not a finite number" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "body, pointer",
+    [
+        ([{"schema_version": 1}], "/"),
+        ({"schema_version": 1, "suite": ["norm_chain_rule"]}, "/suite/0"),
+        ({"schema_version": 1, "suite": {"name": "norm_chain_rule"}}, "/suite"),
+        ({"schema_version": 1, "suite": [{"name": "dq_criterion", "params": [2.0]}]},
+         "/suite/0/params"),
+        ({"schema_version": 1, "suite": [{"name": "dq_criterion", "require": {}}]},
+         "/suite/0/require"),
+        ({"schema_version": 1, "suite": [{"name": "dq_criterion", "require": []}]},
+         "/suite/0/require"),
+        ({"schema_version": 1,
+          "suite": [{"name": "dq_criterion", "require": {"c_est_fitted_order": {}}}]},
+         "/suite/0/require/c_est_fitted_order"),
+        ({"schema_version": 1,
+          "suite": [{"name": "dq_criterion", "require": {"c_est_fitted_order": {"mx": 1}}}]},
+         "/suite/0/require/c_est_fitted_order"),
+        ({"schema_version": 1,
+          "suite": [{"name": "dq_criterion", "require": {"c_est_fitted_order": {"min": "1"}}}]},
+         "/suite/0/require/c_est_fitted_order/min"),
+        ({"schema_version": 1,
+          "suite": [{"name": "embedding_constants", "params": {"n": True}}]},
+         "/suite/0/params/n"),
+        ({"schema_version": 1,
+          "suite": [{"name": "quotient_rule", "params": {"ladder": [64, [128]]}}]},
+         "/suite/0/params/ladder/1"),
+        ({"schema_version": 1,
+          "suite": [{"name": "quotient_rule", "params": {"ladder": 64}}]},
+         "/suite/0/params/ladder"),
+        ({"schema_version": 1, "suite": [{"params": {"n": 64}}]}, "/suite/0"),
+        ({"schema_version": 1, "suite": [{"name": ["dq_criterion"]}]}, "/suite/0/name"),
+        ({"schema_version": 1, "suite": [{"name": "quotient_rule", "refine": 1.5}]},
+         "/suite/0/refine"),
+        ({"schema_version": True}, "/schema_version"),
+        ({"schema_version": 1, "seed": "42"}, "/seed"),
+        ({"schema_version": 1, "workers": 0}, "/workers"),
+        ({"schema_version": 1, "output_dir": 7}, "/output_dir"),
+        ({"schema_version": 1, "format": "xml"}, "/format"),
+        ({"seed": 42}, "/"),
+    ],
+)
+def test_cli_rejects_malformed_config_shapes(tmp_path, capsys, body, pointer):
+    cfg = _write_config(tmp_path, body)
+    out = tmp_path / "reports"
+    assert cli.main(["run", cfg, "--out", str(out)]) == cli.EXIT_ERROR
+    err = capsys.readouterr().err
+    assert err.startswith("error: config schema violations:\n")
+    assert f"\n  {pointer}: " in err and "Traceback" not in err
+    assert not out.exists()
+
+
+def test_integral_float_refine_and_workers_run_like_integers(tmp_path):
+    summaries = []
+    for refine, workers in ((1, 2), (1.0, 2.0)):
+        cfg = _write_config(tmp_path, {
+            "schema_version": 1, "workers": workers,
+            "suite": [{"name": n, "refine": refine} for n in FAST]})
+        out = tmp_path / f"out_{type(refine).__name__}"
+        assert cli.main(["run", cfg, "--out", str(out)]) == cli.EXIT_OK
+        summaries.append((out / "summary.csv").read_bytes())
+    assert summaries[0] == summaries[1]
+
+
 def test_descending_ladder_runs_ascending():
     down, _ = suite.run_entry("norm_chain_rule", 42, 0, {"ladder": [256, 128, 64, 32]})
     up, _ = suite.run_entry("norm_chain_rule", 42, 0, {"ladder": [32, 64, 128, 256]})
@@ -390,8 +489,8 @@ def test_descending_ladder_runs_ascending():
 )
 @settings(derandomize=True, max_examples=300, deadline=None)
 def test_ladder_levels_ascend_fit_and_refine_evenly(levels, refine, headroom):
-    # entry_params hands _ladder a sorted base whose levels the schema
-    # keeps within the top
+    # entry_params hands _ladder a sorted base whose levels the config
+    # check keeps within the top
     base = tuple(sorted(levels))
     top = base[-1] + headroom
     out = suite._ladder(base, refine, top)
@@ -505,31 +604,53 @@ def test_entry_passes_at_declared_maximum(tmp_path, name, key):
     assert rows and all(r.passed for r in rows), rows
 
 
-def test_schema_and_describe_read_the_declarations(capsys):
-    rules = cli.CONFIG_SCHEMA["properties"]["suite"]["items"]["allOf"]
-    names = [r["if"]["properties"]["name"]["const"] for r in rules]
-    assert names == list(suite.CATALOG)
-    for name, rule in zip(names, rules):
-        entry = suite.CATALOG[name]
-        assert rule["then"]["properties"]["params"] == entry.params_schema()
-        assert set(entry.params_schema()["properties"]) == set(entry.params)
+@pytest.mark.parametrize(
+    "name, key",
+    [(name, key) for name, entry in suite.CATALOG.items() for key in entry.params],
+)
+def test_load_config_rejects_values_just_outside_the_declarations(tmp_path, name, key):
+    default, low, high = suite.CATALOG[name].params[key]
+    pointer = f"/suite/0/params/{key}"
+    if isinstance(default, tuple):  # the offending level is the first, then the second
+        cases = [([low - 1, 2 * low], pointer + "/0"), ([high // 2, high + 1], pointer + "/1")]
+    elif isinstance(default, float):
+        cases = [(math.nextafter(low, -math.inf), pointer),
+                 (math.nextafter(high, math.inf), pointer)]
+    else:
+        cases = [(low - 1, pointer), (high + 1, pointer)]
+    for (value, at), message in zip(
+        cases, [f"less than the minimum of {low}", f"greater than the maximum of {high}"]
+    ):
+        cfg = _write_config(
+            tmp_path, {"schema_version": 1, "suite": [{"name": name, "params": {key: value}}]}
+        )
+        with pytest.raises(cli.ConfigError) as exc:
+            cli.load_config(cfg)
+        assert f"\n  {at}: " in str(exc.value) and message in str(exc.value)
+
+
+def test_describe_reads_the_declarations(capsys):
+    for entry in suite.CATALOG.values():
         assert cli.main(["describe", entry.name]) == cli.EXIT_OK
         desc = capsys.readouterr().out
         for key, (default, low, high) in entry.params.items():
             line = f"    {key}: default {json.dumps(default)}, minimum {low}, maximum {high}"
             assert line + "\n" in desc
-            prop = entry.params_schema()["properties"][key]
-            assert prop.get("items", prop)["maximum"] == high
         if not entry.params:
             assert "params: none" in desc
 
 
-def test_readme_full_config_loads(tmp_path):
+def _readme_full_config(tmp_path) -> str:
+    """Path of a file holding the README's full-form config."""
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text("utf-8")
     block = readme.split("Full form:", 1)[1].split("```json\n", 1)[1].split("```", 1)[0]
     path = tmp_path / "readme.json"
     path.write_text(block, encoding="utf-8")
-    cfg = cli.load_config(str(path))
+    return str(path)
+
+
+def test_readme_full_config_loads(tmp_path):
+    cfg = cli.load_config(_readme_full_config(tmp_path))
     assert any("params" in spec for spec in cfg["suite"])
 
 
