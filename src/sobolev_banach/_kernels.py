@@ -2,6 +2,11 @@
 
 Norm encoding used by the kernels: ``rcode == -1.0`` means the sup norm,
 any other value is the exponent of a (weighted) power-sum norm.
+
+Every power |x|**r of a power-sum norm (``banach.norm``, ``gridfn._lp``,
+``_row_norms``, ``lr_gradient``) goes through ``abs_power``, which skips
+the zeros of mostly-zero input: numpy's pow is several times slower on
+zero than on other inputs, and 0**r is +0 anyway.
 """
 from __future__ import annotations
 
@@ -18,6 +23,34 @@ MARGIN = 1.0 + 1e-9  # safety factor on a block-pair bound, absorbs rounding
 CHUNK = 1 << 18  # floats per work buffer of holder_max: bounds its memory
 NODE_BLOCK = 1 << 15  # floats per node block (256 KiB): a pass's few such arrays fit in L2
 SHORT_AXIS = 8  # numpy reduces an axis of fewer terms one term at a time
+PROBE = 1024  # elements abs_power samples to count the nonzeros of its input
+
+
+def _mostly_zero(a) -> bool:
+    """Whether fewer than half of a strided probe of about ``PROBE``
+    elements of the array ``a`` are nonzero."""
+    probe = np.ravel(a, order="K")
+    probe = probe[:: max(1, probe.size // PROBE)]
+    return 2 * np.count_nonzero(probe) < probe.size
+
+
+def abs_power(x, r, out=None):
+    """``np.abs(x) ** r`` for r > 0, bit for bit, in a fresh array (or in
+    ``out``, which may be x itself).
+
+    numpy's pow is about 4.5 times slower on a zero than on other inputs.
+    When most of the input is zero (``_mostly_zero``), the power therefore
+    runs only where |x| != 0, and the zeros keep the +0 of ``np.abs``,
+    which is what 0**r gives; otherwise the whole array is raised in
+    place.  Both branches give the same bits, so the choice depends on the
+    input alone.
+    """
+    a = np.abs(x, out=out)
+    if _mostly_zero(a):
+        np.power(a, r, out=a, where=a != 0.0)
+    else:
+        a **= r
+    return a
 
 
 def row_reduce(a, op):
@@ -66,13 +99,11 @@ def _row_norms(X, rcode, w):
     if rcode == 2.0:
         np.multiply(X, X, out=X)
         return np.sqrt(X @ w)
-    np.abs(X, out=X)
     if rcode == -1.0:
-        return X.max(axis=1)
+        return np.abs(X, out=X).max(axis=1)
     if rcode == 1.0:
-        return X @ w
-    X **= rcode
-    out = X @ w
+        return np.abs(X, out=X) @ w
+    out = abs_power(X, rcode, out=X) @ w
     out **= 1.0 / rcode
     return out
 
@@ -257,11 +288,10 @@ def lr_gradient(X, r, w, nx=None):
     X = np.ascontiguousarray(X, dtype=np.float64)
     w = np.ascontiguousarray(w, dtype=np.float64)
     r = float(r)
-    ax = np.abs(X)
     if nx is None:
-        nx = (ax**r @ w) ** (1.0 / r)
+        nx = (abs_power(X, r) @ w) ** (1.0 / r)
     nz = nx > 0.0
-    return ax ** (r - 1.0) * np.sign(X), nz, nx[nz] ** (r - 1.0), nx
+    return abs_power(X, r - 1.0) * np.sign(X), nz, nx[nz] ** (r - 1.0), nx
 
 
 def lr_pairing(X, H, r, w, grad=None):

@@ -177,7 +177,7 @@ def norm(space: SpaceDescriptor, x) -> np.ndarray | float:
         sq = x * x
         out = np.sqrt(sq @ w if w is not None else _kernels.row_reduce(sq, np.add))
     else:
-        p = np.abs(x) ** r
+        p = _kernels.abs_power(x, r)
         out = (p @ w if w is not None else _kernels.row_reduce(p, np.add)) ** (1.0 / r)
     return float(out) if scalar else out
 

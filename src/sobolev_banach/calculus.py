@@ -43,6 +43,8 @@ DIVERGENCE_SLOPE = -0.1
 #: ... over at least this many step sizes with at least this R^2
 DIVERGENCE_MIN_STEPS = 4
 DIVERGENCE_MIN_R2 = 0.99
+#: step sizes (in cells) of the criterion's shift quotients, by default
+DQ_STEPS = (1, 2, 4, 8, 16)
 #: seeded node-value pairs on which a Lipschitz constant is validated
 LIPSCHITZ_PAIRS = 10_000
 
@@ -79,9 +81,7 @@ def _fd_errors(
 # ---------------------------------------------------------------------------
 
 
-def dq_criterion(
-    u: GridFunction, p: float, steps_list: tuple[int, ...] = (1, 2, 4, 8, 16)
-) -> Report:
+def dq_criterion(u: GridFunction, p: float, steps_list: tuple[int, ...] = DQ_STEPS) -> Report:
     """Bounded-shift-quotient test for Sobolev membership.
 
     A function with an L^p derivative field has quotients bounded by
@@ -94,26 +94,36 @@ def dq_criterion(
     details: ``c_est``, the largest quotient (the best lower bound for the
     directional-derivative norm maximum); ``slope`` and ``residual``, the
     most divergent direction's log-log fit; ``per_direction``; ``p``.
+
+    The quotient pass is here; the fit and verdict are ``_dq_verdict``, so
+    a caller that already holds the shift differences' node norms
+    (``gridfn.shift_node_norms``, as ``indicator_path_witness`` does) forms
+    the same rows from them and gets the same report without norming the
+    differences again.
     """
     steps_list = tuple(sorted(set(int(s) for s in steps_list)))
     if any(s < 1 for s in steps_list):
         raise ValueError("steps must be positive")
     h = u.grid.spacing(u.domain)
     rows = []
+    for j in range(u.domain.d):
+        for s in steps_list:
+            if s < u.grid.n[j]:
+                hh = s * h[j]
+                rows.append((j, s, float(hh), float(shift_difference_norm(u, j, s, p) / hh)))
+    return _dq_verdict(rows, u.domain.d, p)
+
+
+def _dq_verdict(rows: list[tuple], d: int, p: float) -> Report:
+    """The ``dq_criterion`` report of its quotient rows (j, steps, h,
+    quotient) over d directions: a log-log fit per direction and the
+    verdict of the most divergent one."""
     per_direction: dict[int, dict] = {}
     slope, r2 = math.nan, 0.0
     verdict = "BOUNDED"
-    for j in range(u.domain.d):
-        usable = [s for s in steps_list if s < u.grid.n[j]]
-        hs, qs = [], []
-        for s in usable:
-            hh = s * h[j]
-            q = shift_difference_norm(u, j, s, p) / hh
-            rows.append((j, s, float(hh), float(q)))
-            hs.append(hh)
-            qs.append(q)
-        hs = np.asarray(hs)
-        qs = np.asarray(qs)
+    for j in range(d):
+        hs = np.array([r[2] for r in rows if r[0] == j])
+        qs = np.array([r[3] for r in rows if r[0] == j])
         pos = qs > 0.0
         if pos.sum() >= 2:
             sj, rj = fit_loglog(hs[pos], qs[pos])

@@ -61,6 +61,12 @@ def _value_errors(value, decl, at: str) -> list[str]:
     return []
 
 
+def _pointer(at: str, key: str) -> str:
+    """The JSON pointer of ``key`` in the object at ``at``, escaped as RFC 6901
+    asks: ``~`` as ``~0``, then ``/`` as ``~1``."""
+    return f"{at}/{key.replace('~', '~0').replace('/', '~1')}"
+
+
 def config_errors(cfg) -> list[str]:
     """Each way ``cfg`` breaks the config format, as ``"<JSON pointer>:
     <message>"``; numbers are checked against their declarations."""
@@ -77,7 +83,7 @@ def config_errors(cfg) -> list[str]:
             if decls is not None and key not in decls:
                 errors.append(f"{here}: {key!r} was unexpected")
             elif decls and decls[key]:
-                errors.extend(_value_errors(value, decls[key], f"{at}/{key}"))
+                errors.extend(_value_errors(value, decls[key], _pointer(at, key)))
         return True
 
     run = {"schema_version": (1, 1, 1), "output_dir": str, "format": None, "suite": None}
@@ -97,7 +103,7 @@ def config_errors(cfg) -> list[str]:
         fields(spec.get("params", {}), f"{at}/params", entry.params if entry else None)
         if "require" in spec and fields(spec["require"], f"{at}/require", None, nonempty=True):
             for metric, bounds in spec["require"].items():
-                fields(bounds, f"{at}/require/{metric}", BOUNDS, nonempty=True)
+                fields(bounds, _pointer(f"{at}/require", metric), BOUNDS, nonempty=True)
     return errors
 
 

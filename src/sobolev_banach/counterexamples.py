@@ -23,20 +23,23 @@ import math
 import numpy as np
 
 from . import _kernels
-from .banach import SpaceDescriptor, norm as xnorm
-from .calculus import dq_criterion, pos_derivative_field
+from .banach import SpaceDescriptor
+from .calculus import DQ_STEPS, _dq_verdict, dq_criterion, pos_derivative_field
 from .errors import ContractError, OrderContinuityError
 from .gridfn import (
     SOBOLEV_P,
     GridFunction,
     GridSpec,
+    _lp,
     apply_functional,
     finite_difference,
+    shift_node_norms,
     unit_box,
 )
 from .reports import Report
 
-#: lags k (in cells) of the indicator path's quotients, h = k/n
+#: lags k (in cells) of the indicator path's quotients, h = k/n; they
+#: include the criterion's steps, whose node norms the criterion reuses
 INDICATOR_LAGS = (1, 2, 4, 8, 16, 32)
 #: truncations N of the c_0 path, and the times t its tail sups are taken at
 C0_TRUNCATIONS = (100, 400, 1600, 6400, 10000)
@@ -85,6 +88,11 @@ def indicator_path_witness(r: float, n: int) -> Report:
     criterion verdict at p = SOBOLEV_P (DIVERGENT for r > 1, slope 1/r - 1; BOUNDED for
     r = 1 where quotients stay unit size yet no derivative exists), and a
     scalar pairing path that stays 1-Lipschitz regardless.
+
+    Each lag's shift difference is normed once (``shift_node_norms``): a
+    row is the max of that lag's node norms, and the criterion's quotients
+    at its steps (``DQ_STEPS``) are ``_lp`` of the same arrays, so the
+    report is ``dq_criterion``'s bit for bit.
     """
     if r < 1.0:
         raise ContractError(f"need r >= 1, got {r}")
@@ -100,17 +108,24 @@ def indicator_path_witness(r: float, n: int) -> Report:
     i = np.arange(n)
     values = (i[None, :] < i[:, None]).astype(np.float64)
     u = GridFunction(dom, grid, space, values)
+    norms = {k: shift_node_norms(u, 0, k) for k in INDICATOR_LAGS}
 
     h_cell = 1.0 / n
     rows = []
     for k in INDICATOR_LAGS:
-        diff = values[k:] - values[:-k]
         h = k * h_cell
-        measured = float(np.max(xnorm(space, diff))) / h
+        measured = float(np.max(norms[k])) / h
         oracle = 1.0 / h if math.isinf(r) else h ** (1.0 / r - 1.0)
         rows.append((h, measured, oracle, measured / oracle))
 
-    crit = dq_criterion(u, SOBOLEV_P)
+    # dq_criterion(u, SOBOLEV_P), its quotients taken from the node norms above
+    step = grid.spacing(dom)
+    vol = float(np.prod(step))
+    quotients = [
+        (0, s, float(s * step[0]), float(_lp(norms[s], vol, SOBOLEV_P) / (s * step[0])))
+        for s in DQ_STEPS
+    ]
+    crit = _dq_verdict(quotients, 1, SOBOLEV_P)
     expected_slope = -1.0 if math.isinf(r) else 1.0 / r - 1.0
     if math.isinf(r):
         pairing = np.full(n, 1.0 / n)  # the averaging functional, unit ell^1 norm

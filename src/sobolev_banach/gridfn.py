@@ -159,8 +159,7 @@ def _lp(g: np.ndarray, vol: float, p: float) -> float:
         return 0.0
     if math.isinf(p):
         return float(np.max(np.abs(g)))
-    a = np.abs(g)
-    a **= p  # in place: one temporary, not two
+    a = _kernels.abs_power(g, p)  # one temporary, raised in place
     return float((np.sum(a) * vol) ** (1.0 / p))
 
 
@@ -248,15 +247,15 @@ def gf_sub(u: GridFunction, v: GridFunction) -> GridFunction:
 # ---------------------------------------------------------------------------
 
 
-def shift_difference_norm(u: GridFunction, j: int, steps: int, p: float) -> float:
-    """L^p norm over the shrunken box of u(.+ steps*h_j e_j) - u.
+def shift_node_norms(u: GridFunction, j: int, steps: int) -> np.ndarray:
+    """Pointwise value-space norms of u(.+ steps*h_j e_j) - u, on the nodes
+    of the shrunken box whose shifted partner stays on the grid.
 
-    Only nodes whose shifted partner stays on the grid contribute; the
-    quadrature weight is the same cell volume as on the full box.
-
-    The differences and their pointwise norms are computed one node block
+    The differences and their norms are computed one node block
     (``_kernels.node_blocks`` over the first grid axis) at a time, in one
-    reused buffer; the L^p sum stays whole, over the full array of norms.
+    reused buffer, so each norm is the whole-array one bit for bit.  A
+    caller that needs several reductions of one shift difference (an L^p
+    norm, a max) takes them all from this one array.
     """
     if steps < 1:
         raise ValueError("steps must be >= 1")
@@ -273,8 +272,15 @@ def shift_difference_norm(u: GridFunction, j: int, steps: int, p: float) -> floa
         part = diff[: blk.stop - blk.start]
         np.subtract(ahead[blk], behind[blk], out=part)
         g[blk] = banach.norm(u.space, part)
+    return g
+
+
+def shift_difference_norm(u: GridFunction, j: int, steps: int, p: float) -> float:
+    """L^p norm over the shrunken box of u(.+ steps*h_j e_j) - u: ``_lp``
+    of ``shift_node_norms``, with the cell volume of the full box as the
+    quadrature weight."""
     vol = float(np.prod(u.grid.spacing(u.domain)))
-    return _lp(g, vol, p)
+    return _lp(shift_node_norms(u, j, steps), vol, p)
 
 
 # ---------------------------------------------------------------------------

@@ -623,3 +623,73 @@ def test_blocked_passes_leave_no_row_alone(space, monkeypatch):
         for steps in (1, 2, 3):
             got = gridfn.shift_difference_norm(u, 0, steps, 1.0)
             assert got == _whole_shift_difference_norm(u, 0, steps, 1.0)
+
+
+def _whole_array_indicator_witness(r, n):
+    """``indicator_path_witness`` as it was: each lag's differences normed
+    as one whole (n-k) x n array for its row, and again by ``dq_criterion``."""
+    space = banach.SpaceDescriptor("SampledSup", n) if math.isinf(r) else (
+        banach.SpaceDescriptor("GridLr", n, exponent=r)
+    )
+    i = np.arange(n)
+    values = (i[None, :] < i[:, None]).astype(np.float64)
+    u = gridfn.GridFunction(gridfn.unit_box(1), gridfn.GridSpec((n,)), space, values)
+    rows = []
+    for k in counterexamples.INDICATOR_LAGS:
+        h = k * (1.0 / n)
+        measured = float(np.max(banach.norm(space, values[k:] - values[:-k]))) / h
+        oracle = 1.0 / h if math.isinf(r) else h ** (1.0 / r - 1.0)
+        rows.append((h, measured, oracle, measured / oracle))
+    crit = calculus.dq_criterion(u, gridfn.SOBOLEV_P)
+    expected_slope = -1.0 if math.isinf(r) else 1.0 / r - 1.0
+    if math.isinf(r):
+        pairing = np.full(n, 1.0 / n)
+    elif r == 1.0:
+        pairing = np.ones(n)
+    else:
+        pairing = (i < n // 2).astype(np.float64) * (n / (n // 2)) ** (1.0 - 1.0 / r)
+    pair_crit = calculus.dq_criterion(gridfn.apply_functional(u, pairing), gridfn.SOBOLEV_P)
+    if r > 1.0:
+        expected = not crit.passed and abs(crit.details["slope"] - expected_slope) <= 0.05
+    else:
+        expected = crit.verdict == "BOUNDED"
+    notes = {
+        "r": r,
+        "criterion_verdict": crit.verdict,
+        "criterion_slope": crit.details["slope"],
+        "expected_slope": expected_slope,
+        "pairing_verdict": pair_crit.verdict,
+        "pairing_c_est": pair_crit.details["c_est"],
+        "interpretation": (
+            "bounded quotients without a derivative (target lacks the "
+            "Radon-Nikodym property)"
+            if r == 1.0
+            else "quotients blow up: the path is Lipschitz but not Sobolev"
+        ),
+    }
+    report = counterexamples._finish(
+        "indicator_path_witness", rows, (0.9, 1.1), notes,
+        extra_ok=expected and pair_crit.passed,
+    )
+    return report, crit
+
+
+@pytest.mark.parametrize("n", [64, 300, 1024])
+@pytest.mark.parametrize("r", [1.0, 2.0, 4.0, math.inf])
+def test_indicator_witness_matches_whole_array_form(r, n, monkeypatch):
+    # the witness norms each lag once and forms dq_criterion's rows from
+    # those node norms; its report and its criterion are the old ones
+    verdicts = []
+    fit = counterexamples._dq_verdict
+    monkeypatch.setattr(
+        counterexamples, "_dq_verdict", lambda *a: verdicts.append(fit(*a)) or verdicts[-1]
+    )
+    got = counterexamples.indicator_path_witness(r, n)
+    want, crit = _whole_array_indicator_witness(r, n)
+    assert got.rows == want.rows and got.verdict == want.verdict
+    assert got.details == want.details
+    (mine,) = verdicts
+    assert mine.rows == crit.rows
+    assert mine.verdict == crit.verdict
+    for key in ("slope", "c_est", "residual", "per_direction"):
+        assert mine.details[key] == crit.details[key]

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from sobolev_banach import banach, calculus, gridfn
 from sobolev_banach.errors import (
@@ -95,6 +96,61 @@ def test_compose_with_norm_map():
         calculus.compose_lipschitz(
             F, gridfn.from_scalar(BOX1, u.grid, np.ones(128)), np.random.default_rng(31)
         )
+
+
+PROPERTIES = dict(derandomize=True, max_examples=100, deadline=None)
+LIPSCHITZ_SPACES = [
+    banach.SpaceDescriptor("Hilbert", 3),
+    banach.SpaceDescriptor("FiniteLr", 4, exponent=1.0),
+    banach.SpaceDescriptor("FiniteLr", 3, exponent=3.5),
+    banach.SpaceDescriptor("SampledSup", 5),
+    banach.SpaceDescriptor("GridLr", 4, exponent=2.5, weights=[0.1, 0.2, 0.3, 0.4]),
+]
+
+
+@st.composite
+def lipschitz_cases(draw):
+    """A map F (the norm, or on a Hilbert source a random linear contraction
+    with L its operator norm), rough node values u with zero and repeated
+    nodes, and a seed for the Lipschitz validation."""
+    space = draw(st.sampled_from(LIPSCHITZ_SPACES))
+    d = draw(st.sampled_from([1, 2]))
+    n = draw(st.integers(3, 12 if d == 1 else 6))
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    values = rng.standard_normal((n,) * d + (space.dim,)) * 10.0 ** draw(st.integers(-3, 3))
+    flat = values.reshape(-1, space.dim)
+    flat[rng.random(len(flat)) < 0.2] = 0.0  # the norm's kink
+    flat[rng.random(len(flat)) < 0.2] = flat[0]  # equal neighbours: zero quotients
+    u = gridfn.GridFunction(gridfn.unit_box(d), gridfn.GridSpec((n,) * d), space, values)
+    if space.kind == "Hilbert" and draw(st.booleans()):
+        A = rng.standard_normal((2, space.dim))
+        A *= draw(st.floats(0.1, 1.0)) / np.linalg.norm(A, 2)
+        F = calculus.LipschitzMap(
+            rule=lambda X: X @ A.T, source=space, target=banach.SpaceDescriptor("Hilbert", 2),
+            L=float(np.linalg.norm(A, 2)), name="contraction",
+        )
+    else:
+        F = calculus.norm_lipschitz_map(space)
+    return F, u, seed
+
+
+@given(lipschitz_cases())
+@settings(**PROPERTIES)
+def test_composed_quotients_bounded_by_L_times_quotients(case):
+    # |D_j F(u)| <= L |D_j u| node by node, up to rounding: a central
+    # quotient is a difference of two values over 2h.  The boundary ring's
+    # one-sided stencil combines three values, so the bound does not hold
+    # there for rough u, and the ring is left out.
+    F, u, seed = case
+    v, _ = calculus.compose_lipschitz(F, u, np.random.default_rng(seed))
+    inner = gridfn.interior_mask(u.grid)
+    h = u.grid.spacing(u.domain)
+    slack = 1e-12 * (1.0 + float(np.max(gridfn.pointwise_norms(u))))
+    for j, (dv, du) in enumerate(zip(gridfn.finite_difference(v), gridfn.finite_difference(u))):
+        lhs = np.asarray(banach.norm(F.target, dv.values))[inner]
+        rhs = np.asarray(banach.norm(u.space, du.values))[inner]
+        assert np.all(lhs <= F.L * rhs * (1.0 + 1e-12) + slack / h[j])
 
 
 def test_gateaux_chain_field_smooth_case():

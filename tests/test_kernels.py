@@ -5,6 +5,8 @@ for ``holder_max``: its result must equal the all-pairs scan it replaced
 bit for bit, and that scan is its reference."""
 
 import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
 
 from sobolev_banach import _kernels
 
@@ -315,3 +317,69 @@ def test_node_blocks_cover_rows_in_even_blocks_of_two_or_more(monkeypatch):
             assert max(lengths) <= max(3, 12 // width)
             if n >= 2:
                 assert min(lengths) >= 2
+
+
+# ---------------------------------------------------------------------------
+# abs_power: the zero-skipping power against the plain one
+# ---------------------------------------------------------------------------
+
+POWER_CASES = dict(derandomize=True, max_examples=200, deadline=None)
+#: the issue's exponents, plus 0.5 and 2, for which ``**`` may take numpy's
+#: sqrt and square shortcuts (2 is the Sobolev exponent of ``_lp``)
+POWERS = (0.5, 1.5, 2.0, 2.5, 3.0, 4.0, 7.25)
+
+
+@st.composite
+def power_inputs(draw):
+    """Arrays of one row or many, with a share of zeros from none to all,
+    signed zeros, subnormals and values whose powers underflow."""
+    shape = draw(st.sampled_from([(1, 7), (1, 3000), (9, 5), (40, 130), (2500,)]))
+    zeros = draw(st.sampled_from([0.0, 0.5, 0.99, 1.0]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    x = rng.standard_normal(shape) * 10.0 ** rng.integers(-30, 30, shape)
+    x[rng.random(shape) < 0.05] = 5e-324 * rng.integers(1, 2**20)  # subnormals
+    x[rng.random(shape) < 0.05] = -1e-200  # |x|**r underflows to +0
+    x[rng.random(shape) < zeros] = 0.0
+    x[rng.random(shape) < 0.3 * zeros] = -0.0
+    return x
+
+
+def _bits(a):
+    return np.ascontiguousarray(a).view(np.uint64)
+
+
+@given(power_inputs(), st.sampled_from(POWERS))
+@settings(**POWER_CASES)
+def test_abs_power_is_the_plain_power_on_both_branches(x, r):
+    want = _bits(np.abs(x) ** r)
+    assert np.array_equal(_bits(_kernels.abs_power(x, r)), want)
+    for masked in (True, False):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(_kernels, "_mostly_zero", lambda a: masked)
+            assert np.array_equal(_bits(_kernels.abs_power(x, r)), want)
+            out = x.copy()
+            assert _kernels.abs_power(out, r, out=out) is out
+            assert np.array_equal(_bits(out), want)
+
+
+def test_abs_power_skips_zeros_when_most_are_zero(monkeypatch):
+    chosen = []
+    probe = _kernels._mostly_zero
+    monkeypatch.setattr(_kernels, "_mostly_zero", lambda a: chosen.append(probe(a)) or chosen[-1])
+    rng = np.random.default_rng(3)
+    dense = rng.standard_normal((300, 700))
+    i = np.arange(700)
+    indicator = (i[None, :] < i[:, None]).astype(np.float64)
+    cases = [
+        (dense, False),
+        (dense * (rng.random(dense.shape) < 0.7), False),
+        (dense * (rng.random(dense.shape) < 0.01), True),
+        (np.zeros((3, 5)), True),
+        (-np.zeros(4000), True),
+        (indicator[4:] - indicator[:-4], True),  # the indicator witness's differences
+        (np.empty((0, 3)), False),
+    ]
+    for x, masked in cases:
+        chosen.clear()
+        _kernels.abs_power(x, 4.0)
+        assert chosen == [masked]

@@ -451,6 +451,13 @@ def test_cli_rejects_overflowing_numbers(tmp_path, capsys, spec, pointer):
         ({"schema_version": 1, "output_dir": 7}, "/output_dir"),
         ({"schema_version": 1, "format": "xml"}, "/format"),
         ({"seed": 42}, "/"),
+        # RFC 6901: "~" is escaped as "~0" and "/" as "~1"
+        ({"schema_version": 1,
+          "suite": [{"name": "dq_criterion", "require": {"a/b": {"max": "1"}}}]},
+         "/suite/0/require/a~1b/max"),
+        ({"schema_version": 1,
+          "suite": [{"name": "dq_criterion", "require": {"m~1": {"min": "1"}}}]},
+         "/suite/0/require/m~01/min"),
     ],
 )
 def test_cli_rejects_malformed_config_shapes(tmp_path, capsys, body, pointer):
