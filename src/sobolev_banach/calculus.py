@@ -26,6 +26,7 @@ from .errors import (
 from .gridfn import (
     SOBOLEV_P,
     GridFunction,
+    _difference_rows,
     _lp,
     finite_difference,
     from_scalar,
@@ -67,13 +68,28 @@ def _fd_errors(
 ) -> list[float]:
     """Per axis j, the Bochner p-norm of fields[j] - D_j(target) over the
     interior nodes that flags[j] leaves in (the comparison every chain rule
-    check makes)."""
-    vol = float(np.prod(target.grid.spacing(target.domain)))
+    check makes).
+
+    D_j(target) and the node norms of the differences run one block of
+    first-axis rows (``_kernels.node_blocks``) at a time, in one reused
+    buffer; the node mask and ``_lp`` run once over all nodes.
+    """
+    v = target.values
+    h = target.grid.spacing(target.domain)
+    vol = float(np.prod(h))
     inner = interior_mask(target.grid)
-    return [
-        _lp(np.asarray(banach.norm(target.space, f.values - dt.values))[inner & ~flag], vol, p)
-        for f, dt, flag in zip(fields, finite_difference(target), flags)
-    ]
+    blocks = _kernels.node_blocks(len(v), v[0].size)
+    diff = np.empty_like(v[blocks[0]])
+    errs = []
+    for j, (f, flag) in enumerate(zip(fields, flags)):
+        g = np.empty(target.grid.n)
+        for blk in blocks:
+            part = diff[: blk.stop - blk.start]
+            _difference_rows(v, h, j, blk, part)
+            np.subtract(f.values[blk], part, out=part)
+            g[blk] = banach.norm(target.space, part)
+        errs.append(_lp(g[inner & ~flag], vol, p))
+    return errs
 
 
 # ---------------------------------------------------------------------------
@@ -349,31 +365,38 @@ def norm_derivative_field(u: GridFunction) -> FieldResult:
     (non-unique pairing, or |u| at/near zero) store the midpoint of the
     one-sided interval; exact zeros store the conventional value 0.
 
-    The pointwise norms and the pairings run one node block
-    (``_kernels.node_blocks``) at a time, all axes within a block, so the
-    part of the pairing that depends on the node alone is computed once per
-    block; they write into full-size arrays.  The finite differences and
-    every reduction of the report (the L^1 errors, the flagged fractions)
-    stay whole.
+    Every per-node pass runs one block of first-axis rows
+    (``_kernels.node_blocks``) at a time: the pointwise norms, and per axis
+    the difference D_j u, into one reused block buffer, and its pairing.
+    So the part of the pairing that depends on the node alone is computed
+    once per block, and no full-size derivative array is made.  The values
+    and flags are written into full-size arrays, and every reduction of the
+    report (the L^1 errors, the flagged fractions) runs over all nodes.
     """
-    du = finite_difference(u)
-    X = u.values.reshape(-1, u.space.dim)
-    V = [D.values.reshape(X.shape) for D in du]
-    blocks = _kernels.node_blocks(len(X), u.space.dim)
-    nx = np.concatenate([banach.norm(u.space, X[blk]) for blk in blocks])
-    near_zero = nx <= ZERO_TOL * (1.0 + nx)
-    exact_zero = nx == 0.0
-    g = from_scalar(u.domain, u.grid, nx.reshape(u.grid.n))
-    values = [np.empty(len(X)) for _ in V]
-    flagged = [np.empty(len(X), dtype=bool) for _ in V]
+    v, dim = u.values, u.space.dim
+    h = u.grid.spacing(u.domain)
+    per_row = v[0].size // dim  # nodes per first-axis row
+    blocks = _kernels.node_blocks(len(v), v[0].size)
+    nx = np.empty(len(v) * per_row)
+    values = [np.empty(len(nx)) for _ in range(u.domain.d)]
+    flagged = [np.empty(len(nx), dtype=bool) for _ in values]
+    diff = np.empty_like(v[blocks[0]])
     for blk in blocks:
-        pair = banach._pairing_at(u.space, X[blk], nx[blk])
-        for Vj, value, flag in zip(V, values, flagged):
-            plus, minus, unique = pair(Vj[blk])
+        at = slice(blk.start * per_row, blk.stop * per_row)
+        X = v[blk].reshape(-1, dim)
+        nx[at] = banach.norm(u.space, X)
+        near_zero = nx[at] <= ZERO_TOL * (1.0 + nx[at])
+        exact_zero = nx[at] == 0.0
+        pair = banach._pairing_at(u.space, X, nx[at])
+        part = diff[: blk.stop - blk.start]
+        for j, (value, flag) in enumerate(zip(values, flagged)):
+            _difference_rows(v, h, j, blk, part)
+            plus, minus, unique = pair(part.reshape(-1, dim))
             mid = np.where(unique, plus, 0.5 * (plus + minus))
-            value[blk] = np.where(exact_zero[blk], 0.0, mid)
-            flag[blk] = (~unique) | near_zero[blk]
-    fields = [from_scalar(u.domain, u.grid, v.reshape(u.grid.n)) for v in values]
+            value[at] = np.where(exact_zero, 0.0, mid)
+            flag[at] = (~unique) | near_zero
+    g = from_scalar(u.domain, u.grid, nx.reshape(u.grid.n))
+    fields = [from_scalar(u.domain, u.grid, val.reshape(u.grid.n)) for val in values]
     flags = [f.reshape(u.grid.n) for f in flagged]
     table, err_total = [], 0.0
     for j, err in enumerate(_fd_errors(g, fields, flags)):

@@ -195,34 +195,51 @@ def interior_mask(grid: GridSpec) -> np.ndarray:
     return mask
 
 
+def _difference_rows(v: np.ndarray, h: np.ndarray, j: int, rows: slice, out: np.ndarray):
+    """Write D_j of the node array v (grid axes, then the value axis) on
+    the first-axis rows ``rows`` into ``out``, of shape ``v[rows].shape``.
+
+    Second-order central stencil in the interior, second-order one-sided at
+    the two boundary layers of axis j.  Every node's expression is the one
+    it gets over all rows, so a pass that runs one block of rows at a time
+    gets the whole-array differences bit for bit.
+    """
+    n = v.shape[j]
+    if n < 3:
+        raise GridError(f"axis {j} has {n} cells; stencils need >= 3")
+    a, b, _ = rows.indices(v.shape[0])
+    if j > 0:  # the stencil stays inside each first-axis row
+        v, a, b = v[a:b], 0, n
+    S = lambda p, q: _axis_slices(v.ndim - 1, j, slice(p, q))
+    step = 2.0 * h[j]
+    lo, hi = max(a, 1), min(b, n - 1)
+    if lo < hi:
+        # written straight into out and divided in place: the same
+        # operations as (a - b) / step, without temporaries
+        inner = out[S(lo - a, hi - a)]
+        np.subtract(v[S(lo + 1, hi + 1)], v[S(lo - 1, hi - 1)], out=inner)
+        inner /= step
+    if a == 0:
+        out[S(0, 1)] = (-3.0 * v[S(0, 1)] + 4.0 * v[S(1, 2)] - v[S(2, 3)]) / step
+    if b == n:
+        out[S(b - a - 1, b - a)] = (
+            3.0 * v[S(n - 1, n)] - 4.0 * v[S(n - 2, n - 1)] + v[S(n - 3, n - 2)]
+        ) / step
+
+
 def finite_difference(u: GridFunction) -> list[GridFunction]:
-    """Difference-quotient derivative fields D_j u, one per axis.
+    """Difference-quotient derivative fields D_j u, one per axis:
+    ``_difference_rows`` over all rows.
 
     Second-order central stencil in the interior, second-order one-sided at
     the two boundary layers (checks that need interior accuracy mask that
     ring via :func:`interior_mask`).
     """
-    d = u.domain.d
     h = u.grid.spacing(u.domain)
-    v = u.values
     fields = []
-    for j in range(d):
-        nj = u.grid.n[j]
-        if nj < 3:
-            raise GridError(f"axis {j} has {nj} cells; stencils need >= 3")
-        dv = np.empty_like(v)
-        S = lambda a, b: _axis_slices(d, j, slice(a, b))
-        # The interior stencil is written straight into dv and divided in
-        # place: the same operations as (a - b) / step, without temporaries.
-        inner = dv[S(1, -1)]
-        np.subtract(v[S(2, None)], v[S(0, -2)], out=inner)
-        inner /= 2.0 * h[j]
-        dv[S(0, 1)] = (-3.0 * v[S(0, 1)] + 4.0 * v[S(1, 2)] - v[S(2, 3)]) / (
-            2.0 * h[j]
-        )
-        dv[S(-1, None)] = (
-            3.0 * v[S(-1, None)] - 4.0 * v[S(-2, -1)] + v[S(-3, -2)]
-        ) / (2.0 * h[j])
+    for j in range(u.domain.d):
+        dv = np.empty_like(u.values)
+        _difference_rows(u.values, h, j, slice(None), dv)
         fields.append(u.like(dv))
     return fields
 

@@ -17,7 +17,7 @@ from typing import Callable
 
 import numpy as np
 
-from . import banach, calculus, counterexamples, theorems
+from . import _kernels, banach, calculus, counterexamples, theorems
 from .banach import SpaceDescriptor
 from .calculus import (
     compose_lipschitz,
@@ -132,23 +132,33 @@ class SampleBlueprint:
     amp_cos: np.ndarray  # (dim, K, d)
 
     def realize(self, n: int) -> GridFunction:
+        """The member on the grid of n cells per axis.
+
+        Each term depends on one coordinate only, so its wave is evaluated
+        on the axis and broadcast along axis j.  The sum runs one node
+        block (``_kernels.node_blocks`` over the first grid axis) at a
+        time: a block starts from ``const`` and adds each term's product
+        for the block alone, in the order (vals + s*a) + c*b of the
+        full-mesh formula.
+        """
         dom = unit_box(self.d)
         grid = GridSpec((n,) * self.d)
         axes = grid.axes(dom)
         dim, K = self.amp_sin.shape[:2]
-        vals = np.broadcast_to(self.const, grid.n + (dim,)).copy()
+        terms = []
         for k in range(K):
             for j in range(self.d):
-                # Each term depends on one coordinate only: evaluate it on the
-                # axis and broadcast along axis j.  The two in-place additions
-                # keep the order (vals + s*a) + c*b of the full-mesh formula.
                 shape = [1] * (self.d + 1)
                 shape[j] = n
                 arg = (k + 1) * np.pi * axes[j]
-                s = np.sin(arg).reshape(shape)
-                c = np.cos(arg).reshape(shape)
-                vals += s * self.amp_sin[:, k, j]
-                vals += c * self.amp_cos[:, k, j]
+                terms.append((j, np.sin(arg).reshape(shape), self.amp_sin[:, k, j]))
+                terms.append((j, np.cos(arg).reshape(shape), self.amp_cos[:, k, j]))
+        vals = np.empty(grid.n + (dim,))
+        for blk in _kernels.node_blocks(n, vals[0].size):
+            part = vals[blk]
+            part[...] = self.const
+            for j, wave, amp in terms:
+                part += (wave[blk] if j == 0 else wave) * amp
         return GridFunction(dom, grid, self.space, vals)
 
 
@@ -227,8 +237,8 @@ def _norm_chain_rule(rng, refine, ladder):
     for n in ladder:
         total = 0.0
         for bp in bps:
-            nd = norm_derivative_field(bp.realize(n))
-            total += nd.report.details["l1_err_total"]
+            # keep only the number, so each member is freed before the next
+            total += norm_derivative_field(bp.realize(n)).report.details["l1_err_total"]
         errs.append(total)
     order = _fit_order(ladder, errs)
     rows = [
@@ -516,7 +526,9 @@ def _aubin_lions_compact(rng, refine, members, levels):
             fam.append(GridFunction(dom, grid, X, vals))
         if scale is None:
             scale = 0.95 / max(w_norm(f) for f in fam)
-        fams.append([GridFunction(dom, grid, X, f.values * scale) for f in fam])
+        for f in fam:
+            f.values *= scale
+        fams.append(fam)
         yspaces.append(Y)
     prof = theorems.aubin_lions_probe(fams, yspaces)
     counts, eps = prof.rows, prof.details["eps_list"]

@@ -109,6 +109,57 @@ def test_blocked_c0_lipschitz_matches_dense(N):
     assert counterexamples._path_lipschitz(ts, N) == dense
 
 
+def _unpruned_path_lipschitz(ts, N):
+    """``_path_lipschitz`` as it was: every block of 512 coordinates swept."""
+    lip = 0.0
+    for start in range(1, N + 1, 512):
+        n = np.arange(start, min(start + 512, N + 1))
+        vals = np.sin(np.outer(ts, n)) / n
+        lip = max(lip, float(np.max(np.abs(np.diff(vals, axis=0)))))
+    return lip
+
+
+class _CountingNumpy:
+    """numpy, with a count of the calls to ``sin`` (one per swept block)."""
+
+    def __init__(self):
+        self.sines = 0
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def sin(self, x):
+        self.sines += 1
+        return np.sin(x)
+
+
+C0_GRIDS = {
+    # the witness's own grid: the first block's maximum prunes the rest
+    "witness": np.linspace(0.0, 3.0, 601),
+    # a few wide steps: later blocks are pruned too
+    "coarse": np.sort(np.random.default_rng(5).uniform(0.0, 3.0, 40)),
+    # steps below 1e-7: every maximum stays under 2/start, nothing is pruned
+    "fine": np.linspace(1.0, 1.0 + 1e-5, 101),
+}
+
+
+@pytest.mark.parametrize("N", [1, 511, 512, 513, 10000])
+@pytest.mark.parametrize("grid", sorted(C0_GRIDS))
+def test_pruned_c0_lipschitz_matches_unpruned_sweep(grid, N, monkeypatch):
+    ts = C0_GRIDS[grid]
+    want = _unpruned_path_lipschitz(ts, N)
+    counting = _CountingNumpy()
+    monkeypatch.setattr(counterexamples, "np", counting)
+    assert counterexamples._path_lipschitz(ts, N) == want
+    blocks = -(-N // 512)
+    if grid == "fine":
+        assert counting.sines == blocks
+    elif grid == "witness":
+        assert counting.sines == 1  # the pruning is not vacuous
+    else:
+        assert counting.sines < blocks or blocks == 1
+
+
 def test_ck_contrast_matches_separate_buffers():
     w = counterexamples.ck_pospart_witness()
     n_t, m = counterexamples.CK_CONTRAST_SHAPE
@@ -487,21 +538,70 @@ def _whole_pairing(space, X, H):
     return plus, minus, (plus - minus) <= banach.PAIR_TOL * (1.0 + hnorm)
 
 
+def _whole_realize(bp, n):
+    """``SampleBlueprint.realize`` as it was: every term added to the
+    whole node array."""
+    dom = gridfn.unit_box(bp.d)
+    grid = gridfn.GridSpec((n,) * bp.d)
+    axes = grid.axes(dom)
+    dim, K = bp.amp_sin.shape[:2]
+    vals = np.broadcast_to(bp.const, grid.n + (dim,)).copy()
+    for k in range(K):
+        for j in range(bp.d):
+            shape = [1] * (bp.d + 1)
+            shape[j] = n
+            arg = (k + 1) * np.pi * axes[j]
+            vals += np.sin(arg).reshape(shape) * bp.amp_sin[:, k, j]
+            vals += np.cos(arg).reshape(shape) * bp.amp_cos[:, k, j]
+    return vals
+
+
+def _whole_finite_difference(u):
+    """``finite_difference`` as it was: each axis's stencils over the
+    whole node array."""
+    d = u.domain.d
+    h = u.grid.spacing(u.domain)
+    v = u.values
+    fields = []
+    for j in range(d):
+        dv = np.empty_like(v)
+        S = lambda a, b: gridfn._axis_slices(d, j, slice(a, b))
+        inner = dv[S(1, -1)]
+        np.subtract(v[S(2, None)], v[S(0, -2)], out=inner)
+        inner /= 2.0 * h[j]
+        dv[S(0, 1)] = (-3.0 * v[S(0, 1)] + 4.0 * v[S(1, 2)] - v[S(2, 3)]) / (2.0 * h[j])
+        dv[S(-1, None)] = (3.0 * v[S(-1, None)] - 4.0 * v[S(-2, -1)] + v[S(-3, -2)]) / (
+            2.0 * h[j]
+        )
+        fields.append(dv)
+    return fields
+
+
+def _whole_fd_errors(target, fields, flags, p=1.0):
+    """``calculus._fd_errors`` as it was: whole-array differences and norms."""
+    vol = float(np.prod(target.grid.spacing(target.domain)))
+    inner = gridfn.interior_mask(target.grid)
+    return [
+        gridfn._lp(np.asarray(banach.norm(target.space, f.values - dt))[inner & ~flag], vol, p)
+        for f, dt, flag in zip(fields, _whole_finite_difference(target), flags)
+    ]
+
+
 def _whole_norm_derivative_field(u):
-    du = gridfn.finite_difference(u)
+    du = _whole_finite_difference(u)
     X = u.values.reshape(-1, u.space.dim)
     nx = _whole_norm(u.space, X)
     near_zero = nx <= banach.ZERO_TOL * (1.0 + nx)
     fields, flags = [], []
     for j in range(u.domain.d):
-        plus, minus, unique = _whole_pairing(u.space, X, du[j].values.reshape(X.shape))
+        plus, minus, unique = _whole_pairing(u.space, X, du[j].reshape(X.shape))
         value = np.where(unique, plus, 0.5 * (plus + minus))
         value = np.where(nx == 0.0, 0.0, value)
         fields.append(value.reshape(u.grid.n))
         flags.append(((~unique) | near_zero).reshape(u.grid.n))
     g = gridfn.from_scalar(u.domain, u.grid, nx.reshape(u.grid.n))
     as_fields = [gridfn.from_scalar(u.domain, u.grid, f) for f in fields]
-    return fields, flags, calculus._fd_errors(g, as_fields, flags)
+    return fields, flags, _whole_fd_errors(g, as_fields, flags)
 
 
 def _whole_shift_difference_norm(u, j, steps, p):
@@ -623,6 +723,54 @@ def test_blocked_passes_leave_no_row_alone(space, monkeypatch):
         for steps in (1, 2, 3):
             got = gridfn.shift_difference_norm(u, 0, steps, 1.0)
             assert got == _whole_shift_difference_norm(u, 0, steps, 1.0)
+
+
+# (d, n, NODE_BLOCK as a function of the first-axis row width, the block
+# lengths it gives); a row wider than NODE_BLOCK gives blocks of 3 rows
+ROW_BLOCK_LAYOUTS = [
+    pytest.param(1, 3, lambda width: _kernels.NODE_BLOCK, [3], id="1d-n0=3"),
+    pytest.param(1, 23, lambda width: 4 * width, [4, 4, 4, 4, 4, 3], id="1d-uneven"),
+    pytest.param(2, 3, lambda width: width - 1, [3], id="2d-n0=3"),
+    pytest.param(2, 11, lambda width: width - 1, [3, 3, 3, 2], id="2d-wide-rows"),
+    pytest.param(2, 130, lambda width: _kernels.NODE_BLOCK, None, id="2d-default"),
+]
+
+
+@pytest.mark.parametrize("d,n,node_block,lengths", ROW_BLOCK_LAYOUTS)
+@pytest.mark.parametrize("kind", [name for name, _ in suite.KIND_SPECS])
+def test_row_block_passes_match_whole_array_forms(kind, d, n, node_block, lengths, monkeypatch):
+    space = dict(suite.KIND_SPECS)[kind]
+    width = n ** (d - 1) * space.dim
+    monkeypatch.setattr(_kernels, "NODE_BLOCK", node_block(width))
+    got = [b.stop - b.start for b in _kernels.node_blocks(n, width)]
+    assert got == lengths if lengths else len(got) > 1
+    bp = _blueprint(space, d, seed=n + d)
+    u = bp.realize(n)
+    assert np.array_equal(u.values, _whole_realize(bp, n))
+    u.values.reshape(-1, space.dim)[:2] = 0.0  # exact zeros: the flagged branches
+    for field, want in zip(gridfn.finite_difference(u), _whole_finite_difference(u)):
+        assert np.array_equal(field.values, want)
+
+    res = calculus.norm_derivative_field(u)
+    fields, flags, errs = _whole_norm_derivative_field(u)
+    for j in range(d):
+        assert np.array_equal(res.fields[j].values[..., 0], fields[j])
+        assert np.array_equal(res.flags[j], flags[j])
+    rows_want = []
+    for j, err in enumerate(errs):
+        rows_want += [(f"l1_err[{j}]", err), (f"flagged_fraction[{j}]", float(np.mean(flags[j])))]
+    assert res.report.rows == rows_want
+    assert res.report.details == {
+        "l1_err_total": _running_sum(errs),
+        "cell_volume": float(np.prod(u.grid.spacing(u.domain))),
+    }
+
+    # the comparison in the member's own space, as gateaux_chain_field makes it
+    rng = np.random.default_rng(n)
+    near = [u.like(D + 1e-3 * rng.normal(size=D.shape)) for D in _whole_finite_difference(u)]
+    some = [rng.random(u.grid.n) < 0.2 for _ in range(d)]
+    for p in (1.0, 2.0, math.inf):
+        assert calculus._fd_errors(u, near, some, p) == _whole_fd_errors(u, near, some, p)
 
 
 def _whole_array_indicator_witness(r, n):

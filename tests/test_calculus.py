@@ -1,6 +1,7 @@
 """Difference-quotient criterion, Lipschitz composition, chain rules."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -213,6 +214,25 @@ def test_norm_derivative_field_flags_zero_crossing():
     vals = nd.fields[0].values[:, 0]
     assert np.allclose(vals[:3], -1.0, atol=1e-12)
     assert np.allclose(vals[-3:], 1.0, atol=1e-12)
+
+
+@pytest.mark.parametrize("exponent", [1.5, 2.0, 3.0])
+def test_norm_derivative_field_memory_stays_near_its_input(exponent):
+    # the differences, pairings and comparison run one node block at a
+    # time, so no full-size derivative array is made per axis; numpy
+    # reports its buffers to tracemalloc
+    space = banach.SpaceDescriptor("GridLr", 4, exponent=exponent)
+    rng = np.random.default_rng(0)
+    u = gridfn.GridFunction(
+        gridfn.unit_box(2), gridfn.GridSpec((256, 256)), space, rng.normal(size=(256, 256, 4))
+    )
+    tracemalloc.start()
+    try:
+        calculus.norm_derivative_field(u)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * u.values.nbytes
 
 
 def test_lattice_fields_sign_rule_and_pos_identity():
