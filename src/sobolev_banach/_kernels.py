@@ -1,14 +1,16 @@
 """Hot numeric kernels, vectorized with numpy.
 
-Norm encoding used by the kernels: ``rcode == -1.0`` means the sup norm,
-any other value is the exponent of a (weighted) power-sum norm.
+``row_norms`` is the one expression of a value-space norm: ``banach.norm``,
+``holder_max`` and the pairings all take their row norms from it.
 
-Every power |x|**r of a power-sum norm (``banach.norm``, ``gridfn._lp``,
-``_row_norms``, ``lr_gradient``) goes through ``abs_power``, which skips
-the zeros of mostly-zero input: numpy's pow is several times slower on
-zero than on other inputs, and 0**r is +0 anyway.
+Every power |x|**r of a power-sum norm (``row_norms``, ``gridfn._lp``,
+``lr_gradient``) goes through ``abs_power``, which skips the zeros of
+mostly-zero input: numpy's pow is several times slower on zero than on
+other inputs, and 0**r is +0 anyway.
 """
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -54,15 +56,14 @@ def abs_power(x, r, out=None):
 
 
 def row_reduce(a, op):
-    """``op.reduce(a, axis=-1)`` for the ufunc ``op``, bit for bit.
+    """``op.reduce(a, axis=-1)`` for ``op`` = np.maximum or np.minimum, bit for bit.
 
     numpy reduces an axis of fewer than ``SHORT_AXIS`` terms one term at a
     time, from the first to the last, but slowly when that axis is the
     short last axis of many rows.  There the reduction runs column by
-    column: numpy's own reduce of the first column (which applies the
-    identity of ``op``, so -0.0 sums to 0.0 as in numpy), then each further
-    column folded in by ``op``.  Longer axes, and a single row, take
-    numpy's own reduce, whose pairwise order a column fold would not keep.
+    column, in numpy's order: the first column, then each further column
+    folded in by ``op``.  Longer axes, and a single row, take numpy's own
+    reduce.
     """
     k = a.shape[-1]
     if k >= SHORT_AXIS or a.ndim < 2:
@@ -97,41 +98,46 @@ def node_blocks(n, width):
     return [slice(a, b) for a, b in zip(bounds, bounds[1:])]
 
 
-def _row_norms(X, rcode, w):
-    """Norms of the rows of the 2-D array ``X``, which is overwritten.
+def row_norms(X, r, w=None, out=None):
+    """Norms of the rows of X (shape (..., k)) in the weighted ell^r norm.
 
-    The expressions of the encoded norms: abs-max, ``|x| @ w``,
-    ``sqrt(x*x @ w)`` or ``(|x|**r @ w)**(1/r)``.
+    The sup norm ``row_reduce(|x|, max)`` for r = inf, else
+    ``(|x|**r @ w)**(1/r)`` with w = ones when None, written ``|x| @ w``
+    and ``sqrt(x*x @ w)`` at r = 1 and 2.  The elementwise terms go to
+    ``out`` (X's shape; it may be X itself) when it is given.  For rows of
+    1-3 terms ``@ ones`` gives the bits of a left-to-right sum; from 4 terms
+    on a lone row, which numpy sums as a dot product, can round differently
+    from the same row in a batch (see ``node_blocks``).
     """
-    if rcode == 2.0:
-        np.multiply(X, X, out=X)
-        return np.sqrt(X @ w)
-    if rcode == -1.0:
-        return np.abs(X, out=X).max(axis=1)
-    if rcode == 1.0:
-        return np.abs(X, out=X) @ w
-    out = abs_power(X, rcode, out=X) @ w
-    out **= 1.0 / rcode
-    return out
+    if r == math.inf:
+        return row_reduce(np.abs(X, out=out), np.maximum)
+    if w is None:
+        w = np.ones(X.shape[-1])
+    if r == 1.0:
+        return np.abs(X, out=out) @ w
+    if r == 2.0:
+        return np.sqrt(np.multiply(X, X, out=out) @ w)
+    return (abs_power(X, r, out=out) @ w) ** (1.0 / r)
 
 
-def holder_max(V, P, alpha, rcode, w):
-    """Pairwise Hölder quotient sup: max_{i<j} ||V_i - V_j||_X / |P_i - P_j|^alpha.
+def holder_max(V, P, alpha, r, w):
+    """Pairwise Hölder quotient sup: max_{i<j} ||V_i - V_j||_X / |P_i - P_j|^alpha,
+    with the norm ``row_norms(., r, w)`` (r = inf for the sup norm).
 
     Coincident positions are skipped; with no other pair the result is 0.
 
     Exact branch and bound over blocks of ``BLOCK`` consecutive nodes.  Each
-    block has a value centre c (midpoint of its coordinate box), a radius r
-    (the largest ||V_i - c||) and a position box.  For blocks I, J the
+    block has a value centre c (midpoint of its coordinate box), a radius
+    rho (the largest ||V_i - c||) and a position box.  For blocks I, J the
     triangle inequality gives, for every i in I and j in J,
 
-        ||V_i - V_j|| / |P_i - P_j|^alpha <= (||c_I - c_J|| + r_I + r_J) / gap^alpha,
+        ||V_i - V_j|| / |P_i - P_j|^alpha <= (||c_I - c_J|| + rho_I + rho_J) / gap^alpha,
 
     with gap the distance between the boxes.  Block pairs are taken in
     decreasing order of this bound, a chunk at a time, and the rest are
     dropped once their bound times ``MARGIN`` is below the best quotient
     found.  Every pair of an evaluated block pair gets the float expression
-    of the all-pairs scan (``V_j - V_i``, the norm of ``_row_norms``,
+    of the all-pairs scan (``V_j - V_i``, its ``row_norms``,
     ``dist2 ** (alpha / 2)``, the ``dist2 > 0`` skip), so the maximum is the
     scan's, bit for bit.  The work is O(N^2) when nothing can be dropped
     (rough values, scattered positions) and far less on smooth data.
@@ -157,7 +163,7 @@ def holder_max(V, P, alpha, rcode, w):
     V = np.ascontiguousarray(V, dtype=np.float64)
     P = np.ascontiguousarray(P, dtype=np.float64)
     w = np.ascontiguousarray(w, dtype=np.float64)
-    alpha, rcode = float(alpha), float(rcode)
+    alpha, r = float(alpha), float(r)
     (n, k), d = V.shape, P.shape[1]
     if n < 2:
         return 0.0
@@ -174,7 +180,7 @@ def holder_max(V, P, alpha, rcode, w):
         D = diff[:m].reshape(shape + (k,))
         for b in range(k):
             np.subtract(Vc[:, None, :, b], Vr[:, :, None, b], out=D[..., b])
-        dn = _row_norms(diff[:m], rcode, w)
+        dn = row_norms(diff[:m], r, w, out=diff[:m])
         # squared separations summed axis by axis, as ``row_reduce`` does
         dist2 = dist[:m]
         S, T = dist2.reshape(shape), tmp[:m].reshape(shape)
@@ -208,12 +214,12 @@ def holder_max(V, P, alpha, rcode, w):
     Vb, Pb = V[fill].reshape(nb, BLOCK, k), P[fill].reshape(nb, BLOCK, d)
     lo, hi = Pb.min(axis=1), Pb.max(axis=1)
     centre = 0.5 * (Vb.min(axis=1) + Vb.max(axis=1))
-    radius = _row_norms((Vb - centre[:, None]).reshape(-1, k), rcode, w)
-    radius = radius.reshape(nb, BLOCK).max(axis=1)
+    radius = (Vb - centre[:, None]).reshape(-1, k)
+    radius = row_norms(radius, r, w, out=radius).reshape(nb, BLOCK).max(axis=1)
     # underflow leaves each of the k weighted power terms of a norm off by
     # less than (1 + w) * 2**-1074, which the 1/r power turns into an
-    # absolute error; a bound and the pair it covers hold four norms
-    slack = 4.0 * (k * (1.0 + w.max()) * 2.0**-1070) ** (1.0 / max(rcode, 1.0))
+    # absolute error (a max takes none); a bound and its pair hold four norms
+    slack = 4.0 * (k * (1.0 + w.max()) * 2.0**-1070) ** (1.0 / r if r < math.inf else 1.0)
 
     per_chunk = pairs // (BLOCK * BLOCK)  # block pairs per chunk
     group = max(1, pairs // nb)  # row blocks whose bounds are formed at once
@@ -222,8 +228,8 @@ def holder_max(V, P, alpha, rcode, w):
         gap = np.maximum(lo - hi[rows], lo[rows] - hi)
         np.maximum(gap, 0.0, out=gap)
         gap *= gap
-        bound = _row_norms((centre - centre[rows]).reshape(-1, k), rcode, w)
-        bound = bound.reshape(len(rows), nb)
+        bound = (centre - centre[rows]).reshape(-1, k)
+        bound = row_norms(bound, r, w, out=bound).reshape(len(rows), nb)
         bound += radius
         bound += radius[rows] + slack
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -262,41 +268,33 @@ def greedy_radii(D):
     return radii
 
 
-def sup_pairing(X, H, tie_rel):
+def sup_pairing(X, H, nx, tie_rel):
     """Batched sup-norm one-sided pairing: extremes of <h, x'> over the
-    norming functionals x' of each row of X (the coordinates within
-    ``tie_rel`` of the max), and +-|h|_inf on zero rows."""
+    norming functionals x' of each row of X, the coordinates within
+    ``tie_rel`` of the row's norm in ``nx``.  Rows with nx = 0 are left to
+    the caller."""
     X = np.ascontiguousarray(X, dtype=np.float64)
     H = np.ascontiguousarray(H, dtype=np.float64)
     tie_rel = float(tie_rel)
     ax = np.abs(X)
-    nx = row_reduce(ax, np.maximum)
     tie = ax >= (nx * (1.0 - tie_rel))[:, None]
     cand = np.where(X > 0.0, H, -H)
     plus = row_reduce(np.where(tie, cand, -np.inf), np.maximum)
     minus = row_reduce(np.where(tie, cand, np.inf), np.minimum)
-    zero = nx == 0.0
-    if zero.any():
-        hn = row_reduce(np.abs(H), np.maximum)
-        plus = np.where(zero, hn, plus)
-        minus = np.where(zero, -hn, minus)
     return plus, minus
 
 
-def lr_gradient(X, r, w, nx=None):
-    """The part of ``lr_pairing`` that depends on the rows of X alone.
+def lr_gradient(X, r, nx):
+    """The part of ``lr_pairing`` that depends on the rows of X alone, given
+    their norms nx (``row_norms(X, r, w)``).
 
     Returns ``(grad, nz, den, nx)``: the terms |x|^(r-1) sign(x), the mask
-    of nonzero rows, nx^(r-1) on those rows and the row norms
-    nx = (|x|^r @ w)^(1/r), computed here unless given.  Every pow runs on
-    the arrays ``lr_pairing`` used to build per call, so a caller pairing
-    the rows of X with several directions gets the same bits.
+    of nonzero rows, nx^(r-1) on those rows and nx.  Every pow runs on the
+    arrays ``lr_pairing`` used to build per call, so a caller pairing the
+    rows of X with several directions gets the same bits.
     """
     X = np.ascontiguousarray(X, dtype=np.float64)
-    w = np.ascontiguousarray(w, dtype=np.float64)
     r = float(r)
-    if nx is None:
-        nx = (abs_power(X, r) @ w) ** (1.0 / r)
     nz = nx > 0.0
     return abs_power(X, r - 1.0) * np.sign(X), nz, nx[nz] ** (r - 1.0), nx
 
@@ -304,11 +302,11 @@ def lr_gradient(X, r, w, nx=None):
 def lr_pairing(X, H, r, w, grad=None):
     """Batched smooth-Lr pairing (1 < r < inf): the gradient of the weighted
     power-sum norm at each row of X applied to the row of H (0 on zero rows),
-    together with the row norms.  ``grad`` is ``lr_gradient(X, r, w)``,
+    together with the row norms.  ``grad`` is ``lr_gradient(X, r, nx)``,
     computed here when not given."""
     H = np.ascontiguousarray(H, dtype=np.float64)
     w = np.ascontiguousarray(w, dtype=np.float64)
-    terms, nz, den, nx = lr_gradient(X, r, w) if grad is None else grad
+    terms, nz, den, nx = lr_gradient(X, r, row_norms(X, r, w)) if grad is None else grad
     num = (terms * H) @ w
     val = np.zeros(H.shape[0])
     val[nz] = num[nz] / den

@@ -159,27 +159,13 @@ def _conform(space: SpaceDescriptor, x) -> np.ndarray:
 def norm(space: SpaceDescriptor, x) -> np.ndarray | float:
     """Norm of x; broadcasts over leading axes of shape (..., dim).
 
-    Each row is computed on its own (unweighted sums and maxima through
-    ``_kernels.row_reduce``), so a block of two or more rows gets the norms
-    those rows get in the whole array (see ``_kernels.node_blocks``).
+    The rows' norms are ``_kernels.row_norms``, so a block of two or more
+    rows gets the norms those rows get in the whole array (see
+    ``_kernels.node_blocks``).
     """
     x = _conform(space, x)
-    scalar = x.ndim == 1
-    if space.sup_like:
-        out = _kernels.row_reduce(np.abs(x), np.maximum)
-        return float(out) if scalar else out
-    r = space.exponent
-    w = space.weights
-    if r == 1.0:
-        ax = np.abs(x)
-        out = ax @ w if w is not None else _kernels.row_reduce(ax, np.add)
-    elif r == 2.0:
-        sq = x * x
-        out = np.sqrt(sq @ w if w is not None else _kernels.row_reduce(sq, np.add))
-    else:
-        p = _kernels.abs_power(x, r)
-        out = (p @ w if w is not None else _kernels.row_reduce(p, np.add)) ** (1.0 / r)
-    return float(out) if scalar else out
+    out = _kernels.row_norms(x, space.exponent, space.weights)
+    return float(out) if x.ndim == 1 else out
 
 
 # ---------------------------------------------------------------------------
@@ -201,44 +187,43 @@ def one_sided_norm_derivative_batch(space: SpaceDescriptor, X, H):
         raise DimensionMismatchError(
             f"point/direction batches disagree: {X.shape} vs {H.shape}"
         )
-    return _pairing_at(space, X)(H)
+    return _pairing_at(space, X, norm(space, X))(H)
 
 
-def _pairing_at(space: SpaceDescriptor, X, nx=None):
+def _pairing_at(space: SpaceDescriptor, X, nx):
     """``one_sided_norm_derivative_batch(space, X, .)`` for the fixed rows
-    of the 2-D array X, as a function of the direction batch H.
+    of the 2-D array X with norms ``nx`` (from ``norm``), as a function of
+    the direction batch H.
 
-    The part that depends on X alone (for smooth Lr the gradient terms and
-    the row norms, see ``_kernels.lr_gradient``) is computed once, here, so
-    pairing X with one direction per axis repeats none of it.  ``nx``, the
-    rows' norms from ``norm``, feeds the weighted pairing, whose row norms
-    are ``norm``'s expression bit for bit; the unweighted pairing sums its
-    own with ``@ ones``, which can round differently from ``row_reduce``.
+    The part that depends on X alone (for smooth Lr the gradient terms, see
+    ``_kernels.lr_gradient``) is computed once, here, so pairing X with one
+    direction per axis repeats none of it.  At x = 0 every kind gives
+    (+|h|, -|h|), with |h| from ``norm``.
     """
     w = np.ones(space.dim) if space.weights is None else space.weights
     if space.sup_like:
-        sides = lambda H, hnorm: _kernels.sup_pairing(X, H, TIE_REL)
+        sides = lambda H: _kernels.sup_pairing(X, H, nx, TIE_REL)
     elif space.exponent == 1.0:
         sgn, at_zero = np.sign(X), X == 0.0
 
-        def sides(H, hnorm):
+        def sides(H):
             base = (sgn * H) @ w
             zero_part = (np.abs(H) * at_zero) @ w
             return base + zero_part, base - zero_part
 
     else:
-        if space.weights is None:
-            nx = None
-        grad = _kernels.lr_gradient(X, space.exponent, w, nx)
-        zero = grad[-1] == 0.0  # the row norms
+        grad = _kernels.lr_gradient(X, space.exponent, nx)
 
-        def sides(H, hnorm):
+        def sides(H):
             val, _ = _kernels.lr_pairing(X, H, space.exponent, w, grad)
-            return np.where(zero, hnorm, val), np.where(zero, -hnorm, val)
+            return val, val
+
+    zero = nx == 0.0
 
     def pair(H):
         hnorm = np.atleast_1d(norm(space, H))
-        plus, minus = sides(H, hnorm)
+        plus, minus = sides(H)
+        plus, minus = np.where(zero, hnorm, plus), np.where(zero, -hnorm, minus)
         return plus, minus, (plus - minus) <= PAIR_TOL * (1.0 + hnorm)
 
     return pair

@@ -18,6 +18,8 @@ import time
 import traceback
 from pathlib import Path
 
+import numpy as np
+
 from . import __version__, suite
 from .errors import ConfigError
 
@@ -250,6 +252,12 @@ def write_outputs(outdir: Path, results, fmt: str, meta: dict):
     )
 
 
+def _blas_info() -> dict:
+    """numpy's BLAS, whose rounding of the row sums ``@ w`` report bytes depend on."""
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    return {k: blas[k] for k in ("name", "version", "openblas configuration") if k in blas}
+
+
 def cmd_run(args) -> int:
     try:
         cfg = load_config(args.config)
@@ -289,6 +297,8 @@ def cmd_run(args) -> int:
         "workers_requested": requested,
         "workers": workers,
         "package_version": __version__,
+        "numpy_version": np.__version__,
+        "blas": _blas_info(),
         "entry_count": len(results),
         "entries": [res["usage"] for res in results],
     }

@@ -252,10 +252,13 @@ def test_pairing_sides_ordered_reflected_and_bounded(case):
 @settings(**PROPERTIES)
 def test_pairing_batch_matches_single_rows(case):
     # equal up to rounding: numpy's pow and the weighted matmul may round a
-    # row differently in a batch of one than in a larger batch
+    # row differently in a batch of one than in a larger batch; with at
+    # most 3 unweighted terms and no pow, ``@ ones`` rounds every row alike
     space, X, H = case
     plus, minus, unique = banach.one_sided_norm_derivative_batch(space, X, H)
     scale = 1e-14 * (1.0 + banach.norm(space, H))
+    if space.weights is None and space.dim <= 3 and space.exponent in (1.0, 2.0, math.inf):
+        scale[:] = 0.0
     for i in range(X.shape[0]):
         one = banach.one_sided_norm_derivative(space, X[i], H[i])
         assert abs(one.plus - plus[i]) <= scale[i] and abs(one.minus - minus[i]) <= scale[i]

@@ -178,21 +178,21 @@ def test_ck_contrast_matches_separate_buffers():
     assert w.details["l2_contrast_error"] == float(np.sqrt(np.mean(per_t[1:-1] ** 2)))
 
 
-def _holder_scan(V, P, alpha, rcode, w):
+def _holder_scan(V, P, alpha, r, w):
     """``_kernels.holder_max`` before its branch and bound, as it was
     written: one numpy row per node, over all pairs."""
     n = V.shape[0]
     best = 0.0
     for i in range(n - 1):
         diff = V[i + 1 :] - V[i]
-        if rcode == -1.0:
+        if r == math.inf:
             dn = np.abs(diff).max(axis=1)
-        elif rcode == 1.0:
+        elif r == 1.0:
             dn = np.abs(diff) @ w
-        elif rcode == 2.0:
+        elif r == 2.0:
             dn = np.sqrt((diff * diff) @ w)
         else:
-            dn = (np.abs(diff) ** rcode @ w) ** (1.0 / rcode)
+            dn = (np.abs(diff) ** r @ w) ** (1.0 / r)
         sep = P[i + 1 :] - P[i]
         dist2 = (sep * sep).sum(axis=1)
         ok = dist2 > 0.0
@@ -212,15 +212,15 @@ def test_holder_max_matches_scan_on_members(kind, refine):
     space = dict(suite.KIND_SPECS)[kind]
     rng = np.random.default_rng(refine)
     bp = next(bp for bp in suite.corpus_blueprints(rng) if bp.d == 1 and bp.space == space)
-    rcode = -1.0 if space.sup_like else float(space.exponent)
+    r = space.exponent
     w = space.weights if space.weights is not None else np.ones(space.dim)
     u = bp.realize(n)
     P = gridfn.grid_centers(u.domain, u.grid).reshape(-1, 1)
     V = u.values.reshape(-1, space.dim)
     sub = np.sort(rng.choice(n, size=min(n, 1024), replace=False))
     for idx in (sub, slice(None)):
-        got = _kernels.holder_max(V[idx], P[idx], 0.5, rcode, w)
-        assert got == _holder_scan(V[idx], P[idx], 0.5, rcode, w)
+        got = _kernels.holder_max(V[idx], P[idx], 0.5, r, w)
+        assert got == _holder_scan(V[idx], P[idx], 0.5, r, w)
 
 
 # The three Lp helpers folded into ``gridfn._lp``, as they were written.
@@ -492,27 +492,45 @@ def test_row_reduce_matches_numpy_reduce(a):
 # as they were written (numpy's own last-axis reductions, one pass over all
 # nodes), with NODE_BLOCK small so that several blocks run.
 
-# unweighted FiniteLr with 1 < r < inf sums its pairing's row norms with
-# ``@ ones``, which from 4 coordinates on rounds differently from
-# ``banach.norm``'s row_reduce in about one row of ten
+# two spaces beyond the catalog's: a sup norm of 9 coordinates, which
+# ``row_reduce`` leaves to numpy's own reduce, and FiniteLr of 4
+# coordinates, where ``row_norms``'s ``@ ones`` rounds differently from a
+# left-to-right sum, so a norm summed any other way shows
 BLOCK_SPACES = SPACES + [
     banach.SpaceDescriptor("SampledSup", 9),
     banach.SpaceDescriptor("FiniteLr", 4, exponent=2.5),
 ]
 
 
+@pytest.mark.parametrize("d,n", [(1, 64), (2, 8)])
+@pytest.mark.parametrize("space", BLOCK_SPACES, ids=lambda s: f"{s.kind}-{s.exponent}-{s.dim}")
+def test_holder_beta_numerators_are_banach_norms(space, d, n):
+    # the Hölder seminorm is the all-pairs scan of banach.norm's quotients;
+    # over these seeds the maximum sits on a FiniteLr dim-4 row that a
+    # left-to-right sum rounds differently
+    for seed in range(12):
+        u = _blueprint(space, d, seed).realize(n)
+        P = gridfn.grid_centers(u.domain, u.grid).reshape(-1, d)
+        V = u.values.reshape(-1, space.dim)
+        for alpha in (0.5, 1.0):
+            best = 0.0
+            for i in range(len(V) - 1):
+                dn = np.asarray(banach.norm(space, V[i + 1 :] - V[i]))
+                sep = P[i + 1 :] - P[i]
+                best = max(best, float((dn / (sep * sep).sum(axis=1) ** (0.5 * alpha)).max()))
+            assert calculus.holder_beta(u, alpha) == best, (seed, alpha)
+
+
 def _whole_norm(space, x):
     if space.sup_like:
         return np.abs(x).max(axis=-1)
-    r, w = space.exponent, space.weights
+    r = space.exponent
+    w = space.weights if space.weights is not None else np.ones(space.dim)
     if r == 1.0:
-        ax = np.abs(x)
-        return ax @ w if w is not None else ax.sum(axis=-1)
+        return np.abs(x) @ w
     if r == 2.0:
-        sq = x * x
-        return np.sqrt(sq @ w if w is not None else sq.sum(axis=-1))
-    pw = np.abs(x) ** r
-    return (pw @ w if w is not None else pw.sum(axis=-1)) ** (1.0 / r)
+        return np.sqrt((x * x) @ w)
+    return (np.abs(x) ** r @ w) ** (1.0 / r)
 
 
 def _whole_pairing(space, X, H):

@@ -99,6 +99,18 @@ def test_compose_with_norm_map():
         )
 
 
+def test_compose_lipschitz_leaves_out_the_boundary_ring():
+    # rough values: the one-sided stencil at the first node gives the norm
+    # map a quotient 5 above |D u| there, which is no Lipschitz violation
+    values = np.array([[1.0, 0.0], [0.0, 0.0], [-1.0, 0.0], [0.5, 0.3], [0.2, 0.1]])
+    u = gridfn.GridFunction(BOX1, gridfn.GridSpec((5,)), HIL2, values)
+    _, rep = calculus.compose_lipschitz(
+        calculus.norm_lipschitz_map(HIL2), u, np.random.default_rng(0)
+    )
+    assert rep.passed
+    assert dict(rep.rows)["max_excess"] <= rep.details["tolerance"]
+
+
 PROPERTIES = dict(derandomize=True, max_examples=100, deadline=None)
 LIPSCHITZ_SPACES = [
     banach.SpaceDescriptor("Hilbert", 3),
@@ -144,7 +156,8 @@ def test_composed_quotients_bounded_by_L_times_quotients(case):
     # one-sided stencil combines three values, so the bound does not hold
     # there for rough u, and the ring is left out.
     F, u, seed = case
-    v, _ = calculus.compose_lipschitz(F, u, np.random.default_rng(seed))
+    v, rep = calculus.compose_lipschitz(F, u, np.random.default_rng(seed))
+    assert rep.passed
     inner = gridfn.interior_mask(u.grid)
     h = u.grid.spacing(u.domain)
     slack = 1e-12 * (1.0 + float(np.max(gridfn.pointwise_norms(u))))

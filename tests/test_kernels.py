@@ -4,32 +4,34 @@ The references are plain Python, one scalar operation at a time, except
 for ``holder_max``: its result must equal the all-pairs scan it replaced
 bit for bit, and that scan is its reference."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sobolev_banach import _kernels
+from sobolev_banach import _kernels, banach
 
 # ---------------------------------------------------------------------------
 # reference implementations
 # ---------------------------------------------------------------------------
 
 
-def holder_max_ref(V, P, alpha, rcode, w):
+def holder_max_ref(V, P, alpha, r, w):
     """The all-pairs scan that the branch and bound replaced, one numpy row
     per node: its float expressions are the ones the kernel must reproduce."""
     n = V.shape[0]
     best = 0.0
     for i in range(n - 1):
         diff = V[i + 1 :] - V[i]
-        if rcode == -1.0:
+        if r == math.inf:
             dn = np.abs(diff).max(axis=1)
-        elif rcode == 1.0:
+        elif r == 1.0:
             dn = np.abs(diff) @ w
-        elif rcode == 2.0:
+        elif r == 2.0:
             dn = np.sqrt((diff * diff) @ w)
         else:
-            dn = (np.abs(diff) ** rcode @ w) ** (1.0 / rcode)
+            dn = (np.abs(diff) ** r @ w) ** (1.0 / r)
         sep = P[i + 1 :] - P[i]
         dist2 = (sep * sep).sum(axis=1)
         ok = dist2 > 0.0
@@ -40,7 +42,7 @@ def holder_max_ref(V, P, alpha, rcode, w):
     return best
 
 
-def holder_max_loop(V, P, alpha, rcode, w):
+def holder_max_loop(V, P, alpha, r, w):
     """The definition, one scalar operation at a time.  Its sums run in
     another order than BLAS's, so it agrees with the kernel to rounding."""
     n = V.shape[0]
@@ -55,17 +57,17 @@ def holder_max_loop(V, P, alpha, rcode, w):
                 dist2 += t * t
             if dist2 <= 0.0:
                 continue
-            if rcode == -1.0:
+            if r == math.inf:
                 dn = 0.0
                 for b in range(k):
                     t = abs(V[i, b] - V[j, b])
                     if t > dn:
                         dn = t
-            elif rcode == 1.0:
+            elif r == 1.0:
                 dn = 0.0
                 for b in range(k):
                     dn += w[b] * abs(V[i, b] - V[j, b])
-            elif rcode == 2.0:
+            elif r == 2.0:
                 s = 0.0
                 for b in range(k):
                     t = V[i, b] - V[j, b]
@@ -74,8 +76,8 @@ def holder_max_loop(V, P, alpha, rcode, w):
             else:
                 s = 0.0
                 for b in range(k):
-                    s += w[b] * abs(V[i, b] - V[j, b]) ** rcode
-                dn = s ** (1.0 / rcode)
+                    s += w[b] * abs(V[i, b] - V[j, b]) ** r
+                dn = s ** (1.0 / r)
             q = dn / dist2 ** (0.5 * alpha)
             if q > best:
                 best = q
@@ -214,38 +216,41 @@ HOLDER_CASES = [
 def test_holder_max_parity():
     for case in HOLDER_CASES:
         V, P, w = _holder_case(case, np.random.default_rng(11))
-        for rcode in (-1.0, 1.0, 2.0, 3.5):
+        for r in (math.inf, 1.0, 2.0, 3.5):
             for alpha in (0.5, 1.0):
-                a = _kernels.holder_max(V, P, alpha, rcode, w)
-                b = holder_max_ref(V, P, alpha, rcode, w)
-                assert a == b, (case, rcode, alpha)
+                a = _kernels.holder_max(V, P, alpha, r, w)
+                b = holder_max_ref(V, P, alpha, r, w)
+                assert a == b, (case, r, alpha)
                 if len(V) <= 100:
-                    c = holder_max_loop(V, P, alpha, rcode, w)
-                    assert abs(b - c) <= 1e-12 * abs(c), (case, rcode, alpha)
+                    c = holder_max_loop(V, P, alpha, r, w)
+                    assert abs(b - c) <= 1e-12 * abs(c), (case, r, alpha)
 
 
-def _pairs_normed(monkeypatch, V, P):
+def _pairs_normed(monkeypatch, V, P, r):
     """Rows the kernel hands to the norm: bounds plus evaluated pairs."""
     rows = []
-    row_norms = _kernels._row_norms
+    row_norms = _kernels.row_norms
 
-    def counting(X, rcode, w):
+    def counting(X, r, w, out=None):
         rows.append(len(X))
-        return row_norms(X, rcode, w)
+        return row_norms(X, r, w, out)
 
-    monkeypatch.setattr(_kernels, "_row_norms", counting)
-    _kernels.holder_max(V, P, 0.5, 2.0, np.ones(V.shape[1]))
+    monkeypatch.setattr(_kernels, "row_norms", counting)
+    _kernels.holder_max(V, P, 0.5, r, np.ones(V.shape[1]))
     return sum(rows)
 
 
 def test_holder_max_skips_blocks_on_smooth_data(monkeypatch):
+    # at r = inf the count also catches an underflow slack that would take
+    # the power 1/r = 0 and stop all pruning
     n = 3072
     x = (np.arange(n) + 0.5) / n
-    smooth = _pairs_normed(monkeypatch, _trig(x, 3), x[:, None])
-    assert smooth < 0.1 * n * (n - 1) // 2
     rng = np.random.default_rng(2)
-    noise = _pairs_normed(monkeypatch, rng.normal(size=(512, 3)), rng.random((512, 2)))
-    assert noise >= 512 * 511 // 2
+    V, P = rng.normal(size=(512, 3)), rng.random((512, 2))
+    for r in (2.0, math.inf):
+        smooth = _pairs_normed(monkeypatch, _trig(x, 3), x[:, None], r)
+        assert smooth < 0.1 * n * (n - 1) // 2, r
+        assert _pairs_normed(monkeypatch, V, P, r) >= 512 * 511 // 2, r
 
 
 def test_greedy_radii_parity_and_shape():
@@ -281,8 +286,14 @@ def test_sup_pairing_parity_and_zero_rows():
     # derivatives are the extremes of h_1 and -h_4
     X[42] = [0.3, 2.0, -0.1, 0.5, -2.0, 1.0]
     H = rng.normal(size=(300, 6))
-    plus, minus = _kernels.sup_pairing(X, H, 1e-12)
+    nx = np.abs(X).max(axis=1)
+    plus, minus = _kernels.sup_pairing(X, H, nx, 1e-12)
     ref_plus, ref_minus = sup_pairing_ref(X, H, 1e-12)
+    nz = nx > 0.0
+    assert np.array_equal(plus[nz], ref_plus[nz]) and np.array_equal(minus[nz], ref_minus[nz])
+    # the kernel leaves zero rows to the batch, which gives them +-|h|_inf
+    space = banach.SpaceDescriptor("SampledSup", 6)
+    plus, minus, _ = banach.one_sided_norm_derivative_batch(space, X, H)
     assert np.array_equal(plus, ref_plus) and np.array_equal(minus, ref_minus)
     assert plus[17] == np.abs(H[17]).max()
     assert minus[17] == -np.abs(H[17]).max()

@@ -13,6 +13,7 @@ import sys
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -689,6 +690,11 @@ def test_sidecar_records_each_entry_in_process(tmp_path):
     code, meta = _run_names(tmp_path, MEDIUM, "--workers", "1")
     assert code == cli.EXIT_OK
     assert meta["workers"] == meta["workers_requested"] == 1
+    # report bytes depend on numpy and on how its BLAS rounds row sums
+    assert meta["numpy_version"] == np.__version__
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    assert meta["blas"]["name"] == blas["name"]
+    assert set(meta["blas"]) <= {"name", "version", "openblas configuration"}
     assert [e["name"] for e in meta["entries"]] == MEDIUM
     for e in meta["entries"]:
         assert set(e) == {"name", "params", "pid", "wall_s", "cpu_s", "max_rss_mb"}
