@@ -136,22 +136,19 @@ class PairingResult:
 
 
 def check_vec(space: SpaceDescriptor, x) -> np.ndarray:
-    """Conform x to the space: float array, last axis == dim, all finite."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape[-1:] != (space.dim,):
-        raise DimensionMismatchError(
-            f"vector has trailing shape {x.shape[-1:]}, space dim is {space.dim}"
-        )
+    """Conform x to the space (``_conform``) and check that it is all finite."""
+    x = _conform(space, x)
     if not np.all(np.isfinite(x)):
         raise ValueError("vector contains non-finite entries")
     return x
 
 
 def _conform(space: SpaceDescriptor, x) -> np.ndarray:
+    """x as a float array whose last axis is the space's dim (a scalar has none)."""
     x = np.asarray(x, dtype=np.float64)
-    if x.shape[-1] != space.dim:
+    if x.shape[-1:] != (space.dim,):
         raise DimensionMismatchError(
-            f"vector has {x.shape[-1]} coordinates, space dim is {space.dim}"
+            f"vector has trailing shape {x.shape[-1:]}, space dim is {space.dim}"
         )
     return x
 

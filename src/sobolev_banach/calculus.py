@@ -6,7 +6,9 @@ chain rules, disjoint-support preservation, quotient and product rules,
 Hölder seminorms) into measurable quantities on a grid, each with a report
 recording what was compared and how well it agreed.  Every chain-rule
 field is checked by one rule: ``l1_err[j]`` is the Bochner 1-norm of
-fields[j] - D_j(target) over the unflagged interior nodes.
+fields[j] - D_j(target) over the unflagged interior nodes.  The norm,
+lattice and quotient rule fields report it through ``_field_result``, as
+the rows ``l1_err[j]`` and ``flagged_fraction[j]`` per axis j.
 """
 from __future__ import annotations
 
@@ -90,6 +92,23 @@ def _fd_errors(
             g[blk] = banach.norm(target.space, part)
         errs.append(_lp(g[inner & ~flag], vol, p))
     return errs
+
+
+def _field_result(
+    name: str, target: GridFunction, fields: list[GridFunction], flags: list[np.ndarray],
+    **details,
+) -> FieldResult:
+    """The chain-rule report of ``fields`` against D_j(target): per axis j
+    the rows ``l1_err[j]`` (``_fd_errors``) and ``flagged_fraction[j]``,
+    the detail ``l1_err_total`` and the caller's ``details``."""
+    errs = _fd_errors(target, fields, flags)
+    rows = []
+    for j, err in enumerate(errs):
+        rows += [(f"l1_err[{j}]", err), (f"flagged_fraction[{j}]", float(np.mean(flags[j])))]
+    report = Report(
+        name=name, rows=rows, verdict="MEASURED", details={"l1_err_total": sum(errs), **details}
+    )
+    return FieldResult(fields=fields, flags=flags, report=report)
 
 
 # ---------------------------------------------------------------------------
@@ -400,21 +419,9 @@ def norm_derivative_field(u: GridFunction) -> FieldResult:
     g = from_scalar(u.domain, u.grid, nx.reshape(u.grid.n))
     fields = [from_scalar(u.domain, u.grid, val.reshape(u.grid.n)) for val in values]
     flags = [f.reshape(u.grid.n) for f in flagged]
-    table, err_total = [], 0.0
-    for j, err in enumerate(_fd_errors(g, fields, flags)):
-        err_total += err
-        table.append((f"l1_err[{j}]", err))
-        table.append((f"flagged_fraction[{j}]", float(np.mean(flags[j]))))
-    report = Report(
-        name="norm_derivative_field",
-        rows=table,
-        verdict="MEASURED",
-        details={
-            "l1_err_total": err_total,
-            "cell_volume": float(np.prod(u.grid.spacing(u.domain))),
-        },
+    return _field_result(
+        "norm_derivative_field", g, fields, flags, cell_volume=float(np.prod(h))
     )
-    return FieldResult(fields=fields, flags=flags, report=report)
 
 
 # ---------------------------------------------------------------------------
@@ -445,19 +452,7 @@ def _lattice_field(u: GridFunction, kind: str) -> FieldResult:
     else:
         target = u.like(np.maximum(U, 0.0))
         fields = [u.like(np.where(U > 0.0, D.values, 0.0)) for D in du]
-    flags = [node_flag] * u.domain.d
-    table, err_total = [], 0.0
-    for j, err in enumerate(_fd_errors(target, fields, flags)):
-        err_total += err
-        table.append((f"l1_err[{j}]", err))
-    table.append(("flagged_fraction", float(np.mean(node_flag))))
-    report = Report(
-        name=f"{kind}_derivative_field",
-        rows=table,
-        verdict="MEASURED",
-        details={"l1_err_total": err_total},
-    )
-    return FieldResult(fields=fields, flags=flags, report=report)
+    return _field_result(f"{kind}_derivative_field", target, fields, [node_flag] * u.domain.d)
 
 
 def abs_derivative_field(u: GridFunction) -> FieldResult:
@@ -556,17 +551,9 @@ def quotient_rule_field(
         formula = np.where(safe[..., None], formula, 0.0)
         fields.append(u.like(formula))
         flags.append(~safe | nd.flags[j])
-    table, err_total = [], 0.0
-    for j, err in enumerate(_fd_errors(v, fields, flags)):
-        err_total += err
-        table.append((f"l1_err[{j}]", err))
-    report = Report(
-        name="quotient_rule_field",
-        rows=table,
-        verdict="MEASURED",
-        details={"l1_err_total": err_total, "zero_fraction": float(np.mean(~safe))},
+    return v, _field_result(
+        "quotient_rule_field", v, fields, flags, zero_fraction=float(np.mean(~safe))
     )
-    return v, FieldResult(fields=fields, flags=flags, report=report)
 
 
 def product_rule_check(u: GridFunction, psi: GridFunction) -> Report:

@@ -95,6 +95,8 @@ def config_errors(cfg) -> list[str]:
         errors.append(f"/format: {cfg['format']!r} is not one of 'json', 'csv', 'both'")
     if not isinstance(cfg.get("suite", []), list):
         return errors + [f"/suite: {cfg['suite']!r} is not of type 'array'"]
+    if cfg.get("suite") == []:  # no entry would pass vacuously
+        errors.append("/suite: [] is too short")
     spec_fields = {"name": str, "params": None, "require": None} | SPEC_FIELDS
     for i, spec in enumerate(cfg.get("suite", [])):
         at = f"/suite/{i}"
@@ -366,7 +368,8 @@ def build_parser() -> argparse.ArgumentParser:
     runp.add_argument("--format", choices=["json", "csv", "both"],
                       help="per-entry report format")
     runp.add_argument("--entry", help="run a single catalog entry")
-    runp.add_argument("--refine", type=int, choices=range(0, 4),
+    _, low, high = SPEC_FIELDS["refine"]
+    runp.add_argument("--refine", type=int, choices=range(low, high + 1),
                       help="override the refinement level for all entries")
     runp.add_argument("--workers", type=_int_at_least("workers"),
                       help="worker processes (default and cap: CPUs available)")

@@ -207,6 +207,13 @@ def test_vector_validation():
         banach.check_vec(sp, np.array([1.0, np.nan, 0.0]))
     with pytest.raises(DimensionMismatchError):
         banach.one_sided_norm_derivative_batch(sp, np.ones((4, 3)), np.ones((5, 3)))
+    # a scalar has no last axis, even for a space of dim 1
+    line = banach.SpaceDescriptor("Hilbert", 1)
+    for call in (banach.norm, banach.check_vec):
+        with pytest.raises(DimensionMismatchError, match=r"trailing shape \(\)"):
+            call(line, 3.0)
+    with pytest.raises(DimensionMismatchError, match=r"trailing shape \(\)"):
+        banach.one_sided_norm_derivative(line, 3.0, 1.0)
 
 
 # Properties over drawn batches.  Coordinates come from a small pool of

@@ -743,6 +743,24 @@ def test_blocked_passes_leave_no_row_alone(space, monkeypatch):
             assert got == _whole_shift_difference_norm(u, 0, steps, 1.0)
 
 
+def _field_errors(target, res):
+    """The errors ``calculus._fd_errors`` gives a field result, checked
+    against the whole-array form."""
+    errs = calculus._fd_errors(target, res.fields, res.flags)
+    assert errs == _whole_fd_errors(target, res.fields, res.flags)
+    return errs
+
+
+def _assert_one_row_form(res, errs, **details):
+    """A chain-rule report's one form: per axis j the rows ``l1_err[j]`` and
+    ``flagged_fraction[j]``, and ``l1_err_total`` the errors' running sum."""
+    rows = []
+    for j, err in enumerate(errs):
+        rows += [(f"l1_err[{j}]", err), (f"flagged_fraction[{j}]", float(np.mean(res.flags[j])))]
+    assert res.report.rows == rows
+    assert res.report.details == {"l1_err_total": _running_sum(errs), **details}
+
+
 # (d, n, NODE_BLOCK as a function of the first-axis row width, the block
 # lengths it gives); a row wider than NODE_BLOCK gives blocks of 3 rows
 ROW_BLOCK_LAYOUTS = [
@@ -774,14 +792,19 @@ def test_row_block_passes_match_whole_array_forms(kind, d, n, node_block, length
     for j in range(d):
         assert np.array_equal(res.fields[j].values[..., 0], fields[j])
         assert np.array_equal(res.flags[j], flags[j])
-    rows_want = []
-    for j, err in enumerate(errs):
-        rows_want += [(f"l1_err[{j}]", err), (f"flagged_fraction[{j}]", float(np.mean(flags[j])))]
-    assert res.report.rows == rows_want
-    assert res.report.details == {
-        "l1_err_total": _running_sum(errs),
-        "cell_volume": float(np.prod(u.grid.spacing(u.domain))),
-    }
+    _assert_one_row_form(res, errs, cell_volume=float(np.prod(u.grid.spacing(u.domain))))
+    # the lattice and quotient rule fields report in the same form
+    if space.lattice_capable and space.order_continuous:
+        for res, target in (
+            (calculus.abs_derivative_field(u), u.like(np.abs(u.values))),
+            (calculus.pos_derivative_field(u), u.like(np.maximum(u.values, 0.0))),
+        ):
+            _assert_one_row_form(res, _field_errors(target, res))
+    phi_hat = _scalar(u, seed=n + d)
+    v, res = calculus.quotient_rule_field(u, phi_hat.like(np.abs(phi_hat.values)))
+    g = np.asarray(banach.norm(space, u.values))
+    zero_fraction = float(np.mean(g <= banach.ZERO_TOL * (1.0 + g)))
+    _assert_one_row_form(res, _field_errors(v, res), zero_fraction=zero_fraction)
 
     # the comparison in the member's own space, as gateaux_chain_field makes it
     rng = np.random.default_rng(n)
@@ -789,6 +812,9 @@ def test_row_block_passes_match_whole_array_forms(kind, d, n, node_block, length
     some = [rng.random(u.grid.n) < 0.2 for _ in range(d)]
     for p in (1.0, 2.0, math.inf):
         assert calculus._fd_errors(u, near, some, p) == _whole_fd_errors(u, near, some, p)
+    # flags that differ from axis to axis give each axis its own fraction
+    res = calculus._field_result("near", u, near, some)
+    _assert_one_row_form(res, _field_errors(u, res))
 
 
 def _whole_array_indicator_witness(r, n):

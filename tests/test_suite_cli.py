@@ -180,11 +180,14 @@ def test_cli_bad_config_files(tmp_path, capsys):
     assert "not valid JSON" in err
 
 
-def test_cli_empty_suite_passes_vacuously(tmp_path):
+def test_cli_rejects_empty_suite(tmp_path, capsys):
+    # a suite with no entry would pass with "0/0 rows passed"
     cfg = _write_config(tmp_path, {"schema_version": 1, "suite": []})
     out = tmp_path / "reports"
-    assert cli.main(["run", cfg, "--out", str(out)]) == cli.EXIT_OK
-    assert (out / "summary.csv").read_text() == "entry,metric,value,threshold,pass\n"
+    assert cli.main(["run", cfg, "--out", str(out)]) == cli.EXIT_ERROR
+    err = capsys.readouterr().err
+    assert err == "error: config schema violations:\n  /suite: [] is too short\n"
+    assert not out.exists()
 
 
 def test_cli_unknown_entry(tmp_path, capsys):
@@ -743,6 +746,14 @@ def test_workers_flag_must_be_positive(tmp_path, capsys, value):
         cli.main(["run", cfg, "--out", str(tmp_path / "r"), "--workers", value])
     assert exc.value.code == 2
     assert "must be at least 1" in capsys.readouterr().err
+
+
+def test_refine_flag_takes_the_declared_range(monkeypatch, capsys):
+    monkeypatch.setitem(cli.SPEC_FIELDS, "refine", (1, 1, 2))
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["run", "config.json", "--refine", "0"])
+    assert exc.value.code == 2
+    assert "argument --refine: invalid choice: 0 (choose from 1, 2)" in capsys.readouterr().err
 
 
 def test_seed_flag_takes_the_schema_minimum(tmp_path, capsys):
