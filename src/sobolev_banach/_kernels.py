@@ -86,11 +86,11 @@ def node_blocks(n, width):
     expression does.
 
     The grid passes (``SampleBlueprint.realize``, ``gridfn.mollify``,
-    ``gridfn.shift_node_norms``, and the differences, pairings and
-    chain-rule comparison of ``calculus.norm_derivative_field``) take the
-    rows to be the first-axis rows of a node array, of ``width`` = nodes
-    per row times the value dimension; a block of them is a contiguous
-    slice of the nodes.
+    ``gridfn.shift_node_norms``, ``counterexamples._pos_contrast_rows``,
+    and the differences, pairings and chain-rule comparison of
+    ``calculus.norm_derivative_field``) take the rows to be the first-axis
+    rows of a node array, of ``width`` = nodes per row times the value
+    dimension; a block of them is a contiguous slice of the nodes.
     """
     count = max(1, -(-n // max(3, NODE_BLOCK // width)))
     size, extra = divmod(n, count)

@@ -98,12 +98,17 @@ def config_errors(cfg) -> list[str]:
     if cfg.get("suite") == []:  # no entry would pass vacuously
         errors.append("/suite: [] is too short")
     spec_fields = {"name": str, "params": None, "require": None} | SPEC_FIELDS
+    first = {}  # entry name -> pointer of the spec that first names it
     for i, spec in enumerate(cfg.get("suite", [])):
         at = f"/suite/{i}"
         if not fields(spec, at, spec_fields, ["name"]):
             continue
+        if isinstance(name := spec.get("name"), str):
+            if name in first:  # its report files would overwrite the first one's
+                errors.append(f"{at}/name: {name!r} repeats {first[name]}")
+            first.setdefault(name, f"{at}/name")
         # an unknown name takes any params: the run rejects it before any work
-        entry = suite.CATALOG.get(name) if isinstance(name := spec.get("name"), str) else None
+        entry = suite.CATALOG.get(name) if isinstance(name, str) else None
         fields(spec.get("params", {}), f"{at}/params", entry.params if entry else None)
         if "require" in spec and fields(spec["require"], f"{at}/require", None, nonempty=True):
             for metric, bounds in spec["require"].items():
@@ -171,6 +176,8 @@ def _run_one(spec: dict, seed: int, refine_override: int | None):
         "wall_s": time.perf_counter() - wall0,
         "cpu_s": ru.ru_utime + ru.ru_stime - ru0.ru_utime - ru0.ru_stime,
         "max_rss_mb": ru.ru_maxrss / 1024,  # Linux reports kilobytes
+        # the process's peak carries over from entry to entry; this one's rise
+        "max_rss_rise_mb": (ru.ru_maxrss - ru0.ru_maxrss) / 1024,
     }
     return result
 

@@ -160,9 +160,9 @@ def test_pruned_c0_lipschitz_matches_unpruned_sweep(grid, N, monkeypatch):
         assert counting.sines < blocks or blocks == 1
 
 
-def test_ck_contrast_matches_separate_buffers():
-    w = counterexamples.ck_pospart_witness()
-    n_t, m = counterexamples.CK_CONTRAST_SHAPE
+def _ck_contrast_reference(n_t, m):
+    """The C(K) witness's per-time-row L^2 contrast as the whole-grid
+    expression, in separate full-size buffers."""
     tc = (np.arange(n_t) + 0.5) / n_t
     rc = (np.arange(m) + 0.5) / m
     U = rc[None, :] - tc[:, None]
@@ -174,8 +174,31 @@ def test_ck_contrast_matches_separate_buffers():
     pos_field = np.where(U > 0.0, D, 0.0)
     fd_pos = gridfn.finite_difference(u.like(np.maximum(U, 0.0)))[0].values
     diff = pos_field - fd_pos
-    per_t = np.sqrt(np.mean(diff * diff, axis=1))
-    assert w.details["l2_contrast_error"] == float(np.sqrt(np.mean(per_t[1:-1] ** 2)))
+    return np.sqrt(np.mean(diff * diff, axis=1))
+
+
+def _ck_contrast_error(per_t):
+    return float(np.sqrt(np.mean(per_t[1:-1] ** 2)))
+
+
+def test_ck_contrast_matches_separate_buffers():
+    w = counterexamples.ck_pospart_witness()
+    per_t = _ck_contrast_reference(*counterexamples.CK_CONTRAST_SHAPE)
+    assert w.details["l2_contrast_error"] == _ck_contrast_error(per_t)
+
+
+@pytest.mark.parametrize("shape", [counterexamples.CK_CONTRAST_SHAPE, (3, 9), (4, 5), (7, 3)])
+def test_ck_contrast_in_three_row_blocks(monkeypatch, shape):
+    n_t, m = shape
+    want = _ck_contrast_reference(n_t, m)
+    monkeypatch.setattr(_kernels, "NODE_BLOCK", 1)  # blocks of two or three time rows
+    blocks = _kernels.node_blocks(n_t, m)
+    assert len(blocks) == -(-n_t // 3) and {b.stop - b.start for b in blocks} <= {2, 3}
+    # every row, the one-sided first and last time rows included
+    assert np.array_equal(counterexamples._pos_contrast_rows(n_t, m), want)
+    if shape == counterexamples.CK_CONTRAST_SHAPE:
+        w = counterexamples.ck_pospart_witness()
+        assert w.details["l2_contrast_error"] == _ck_contrast_error(want)
 
 
 def _holder_scan(V, P, alpha, r, w):

@@ -1,6 +1,7 @@
 """Quantitative witnesses for the negative results measure what they claim."""
 
 import math
+import tracemalloc
 
 import pytest
 
@@ -70,3 +71,16 @@ def test_ck_witness_oracle_is_sharp():
     assert w.details["distance_at_finest"] >= 0.98
     assert w.details["l2_contrast_error"] <= 0.05
     assert w.details["sup_norm_raises_order_continuity"] is True
+
+
+def test_ck_witness_peak_memory():
+    """The L^2 contrast runs a block of time rows at a time, so the peak is
+    that of the lag quotients' 0.8 MB arrays; a contrast formed over the
+    whole 1000 x 2000 grid holds two 16 MB arrays and exceeds the bound."""
+    tracemalloc.start()
+    try:
+        cx.ck_pospart_witness()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20

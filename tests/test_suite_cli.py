@@ -190,6 +190,23 @@ def test_cli_rejects_empty_suite(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_cli_rejects_repeated_entry(tmp_path, capsys):
+    # the second product_rule's report files would overwrite the first one's
+    # while summary.csv kept the rows of both
+    specs = [{"name": "product_rule"}, {"name": "quotient_rule"},
+             {"name": "product_rule", "params": {"ladder": [32, 64, 128]}},
+             {"name": "product_rule"}]
+    cfg = _write_config(tmp_path, {"schema_version": 1, "suite": specs})
+    out = tmp_path / "reports"
+    assert cli.main(["run", cfg, "--out", str(out)]) == cli.EXIT_ERROR
+    assert capsys.readouterr().err == (
+        "error: config schema violations:\n"
+        "  /suite/2/name: 'product_rule' repeats /suite/0/name\n"
+        "  /suite/3/name: 'product_rule' repeats /suite/0/name\n"
+    )
+    assert not out.exists()
+
+
 def test_cli_unknown_entry(tmp_path, capsys):
     cfg = _write_config(
         tmp_path, {"schema_version": 1, "suite": [{"name": "bogus"}]}
@@ -700,9 +717,11 @@ def test_sidecar_records_each_entry_in_process(tmp_path):
     assert set(meta["blas"]) <= {"name", "version", "openblas configuration"}
     assert [e["name"] for e in meta["entries"]] == MEDIUM
     for e in meta["entries"]:
-        assert set(e) == {"name", "params", "pid", "wall_s", "cpu_s", "max_rss_mb"}
+        assert set(e) == {"name", "params", "pid", "wall_s", "cpu_s", "max_rss_mb",
+                          "max_rss_rise_mb"}
         assert e["pid"] == os.getpid()
         assert e["wall_s"] > 0 and e["cpu_s"] >= 0 and e["max_rss_mb"] > 0
+        assert 0 <= e["max_rss_rise_mb"] <= e["max_rss_mb"]
 
 
 @two_cpus
@@ -717,7 +736,8 @@ def test_sidecar_records_each_entry_in_workers(tmp_path):
 
 def test_workers_capped_at_available_cpus(tmp_path, monkeypatch):
     forked = _count_forks(monkeypatch)
-    names = FAST * 12
+    slow = {"norm_chain_rule", "tensor_extension_norms", "morrey_d1"}
+    names = [n for n in suite.CATALOG if n not in slow]  # 20 distinct entries
     code, meta = _run_names(tmp_path, names, "--workers", "64")
     assert code == cli.EXIT_OK
     cpus = cli.available_cpus()
