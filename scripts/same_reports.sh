@@ -3,8 +3,9 @@
 #
 #   scripts/same_reports.sh REV
 #
-# Checks REV out in a temporary git worktree and runs the default catalog
-# from both trees at seeds 42 and 7, refine 0-3, --workers 1 and 2,
+# Extracts REV into a temporary directory with `git archive REV | tar -x`
+# (nothing is written under .git) and runs the default catalog from both
+# trees at seeds 42 and 7, refine 0-3, --workers 1 and 2,
 # --format both.  Each pair of output directories is compared with
 # `diff -r -x run_metadata.json` (the metadata holds timings and host facts).
 # Prints one line per run and exits non-zero if any report differs.
@@ -17,13 +18,9 @@ fi
 root=$(git rev-parse --show-toplevel)
 rev=$(git -C "$root" rev-parse --verify "$1^{commit}")
 tmp=$(mktemp -d)
-cleanup() {
-  git -C "$root" worktree remove --force "$tmp/rev" >/dev/null 2>&1 || true
-  git -C "$root" worktree prune
-  rm -rf "$tmp"
-}
-trap cleanup EXIT
-git -C "$root" worktree add --detach --quiet "$tmp/rev" "$rev"
+trap 'rm -rf "$tmp"' EXIT
+mkdir "$tmp/rev"
+git -C "$root" archive "$rev" | tar -x -C "$tmp/rev"
 echo '{"schema_version": 1}' > "$tmp/config.json"
 
 run() {  # run TREE OUT SEED REFINE WORKERS

@@ -98,21 +98,20 @@ def node_blocks(n, width):
     return [slice(a, b) for a, b in zip(bounds, bounds[1:])]
 
 
-def row_norms(X, r, w=None, out=None):
+def row_norms(X, r, w, out=None):
     """Norms of the rows of X (shape (..., k)) in the weighted ell^r norm.
 
-    The sup norm ``row_reduce(|x|, max)`` for r = inf, else
-    ``(|x|**r @ w)**(1/r)`` with w = ones when None, written ``|x| @ w``
-    and ``sqrt(x*x @ w)`` at r = 1 and 2.  The elementwise terms go to
-    ``out`` (X's shape; it may be X itself) when it is given.  For rows of
-    1-3 terms ``@ ones`` gives the bits of a left-to-right sum; from 4 terms
-    on a lone row, which numpy sums as a dot product, can round differently
-    from the same row in a batch (see ``node_blocks``).
+    The sup norm ``row_reduce(|x|, max)`` for r = inf (w unused), else
+    ``(|x|**r @ w)**(1/r)`` with the space's weights w (shape (k,); ones
+    for the unweighted kinds), written ``|x| @ w`` and ``sqrt(x*x @ w)`` at
+    r = 1 and 2.  The elementwise terms go to ``out`` (X's shape; it may
+    be X itself) when it is given.  For rows of 1-3 terms ``@ ones`` gives
+    the bits of a left-to-right sum; from 4 terms on a lone row, which
+    numpy sums as a dot product, can round differently from the same row
+    in a batch (see ``node_blocks``).
     """
     if r == math.inf:
         return row_reduce(np.abs(X, out=out), np.maximum)
-    if w is None:
-        w = np.ones(X.shape[-1])
     if r == 1.0:
         return np.abs(X, out=out) @ w
     if r == 2.0:
@@ -305,7 +304,6 @@ def lr_pairing(X, H, r, w, grad=None):
     together with the row norms.  ``grad`` is ``lr_gradient(X, r, nx)``,
     computed here when not given."""
     H = np.ascontiguousarray(H, dtype=np.float64)
-    w = np.ascontiguousarray(w, dtype=np.float64)
     terms, nz, den, nx = lr_gradient(X, r, row_norms(X, r, w)) if grad is None else grad
     num = (terms * H) @ w
     val = np.zeros(H.shape[0])

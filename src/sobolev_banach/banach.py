@@ -10,12 +10,15 @@ norm):
 * ``GridLr``     - L^r on a sampled measure space, positive quadrature weights
 * ``Hilbert``    - R^dim with the Euclidean inner product
 
+Each norm is (sum_s w_s |x_s|^r)^(1/r), or max_s |x_s| for r = inf, with
+the descriptor's weights w (ones for all kinds but GridLr).
 ``Hilbert`` norms are computed through the identical code path as
 ``FiniteLr`` with exponent 2, so the two agree bit for bit.
 """
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,16 +38,19 @@ ZERO_TOL = 1e-8
 
 @dataclass(frozen=True)
 class SpaceDescriptor:
-    """Descriptor of one concrete value space.
+    """Descriptor of one concrete value space.  Its kind, dim, exponent and
+    weights make up the space: descriptors compare and hash by all four.
 
     Parameters
     ----------
     kind : one of ``FiniteLr``, ``SampledSup``, ``GridLr``, ``Hilbert``
-    dim : number of coordinates (sample points for SampledSup/GridLr)
-    exponent : norm exponent; ``math.inf`` is allowed for FiniteLr/GridLr
-        and makes them behave exactly like SampledSup. Hilbert forces 2.
-    weights : per-coordinate positive quadrature weights, GridLr only;
-        uniform ``1/dim`` when omitted.
+    dim : integer number of coordinates (sample points for SampledSup/GridLr)
+    exponent : norm exponent, a real >= 1; ``math.inf`` is allowed for
+        FiniteLr/GridLr and makes them behave exactly like SampledSup.
+        Hilbert forces 2, SampledSup inf.
+    weights : positive finite quadrature weights, GridLr only, uniform
+        ``1/dim`` when omitted; the other kinds get ones.  Held as a
+        read-only float64 array.
     """
 
     kind: str
@@ -53,61 +59,61 @@ class SpaceDescriptor:
     weights: np.ndarray | None = None
 
     def __post_init__(self):
-        if self.kind not in KINDS:
-            raise CapabilityError(f"unknown space kind {self.kind!r}")
-        if self.dim < 1:
-            raise DimensionMismatchError(f"dim must be >= 1, got {self.dim}")
-        if self.kind == "Hilbert":
-            object.__setattr__(self, "exponent", 2.0)
-        if self.kind == "SampledSup":
-            object.__setattr__(self, "exponent", math.inf)
-        e = self.exponent
-        if not (e >= 1.0):
-            raise CapabilityError(f"exponent must be >= 1 or inf, got {e}")
-        if self.kind == "GridLr":
-            w = self.weights
-            if w is None:
-                w = np.full(self.dim, 1.0 / self.dim)
-            w = np.asarray(w, dtype=np.float64)
-            if w.shape != (self.dim,):
+        kind, dim, e = self.kind, self.dim, self.exponent
+        if kind not in KINDS:
+            raise CapabilityError(f"unknown space kind {kind!r}")
+        if isinstance(dim, bool) or not isinstance(dim, (int, np.integer)):
+            raise DimensionMismatchError(f"dim must be an integer, got {dim!r}")
+        if dim < 1:
+            raise DimensionMismatchError(f"dim must be >= 1, got {dim}")
+        if isinstance(e, bool) or not isinstance(e, numbers.Real) or not e >= 1.0:
+            raise CapabilityError(f"exponent must be a number >= 1 or inf, got {e!r}")
+        e = {"Hilbert": 2.0, "SampledSup": math.inf}.get(kind, float(e))
+        if self.weights is None:
+            w = np.full(dim, 1.0 / dim) if kind == "GridLr" else np.ones(dim)
+        elif kind != "GridLr":
+            raise CapabilityError(f"{kind} does not take weights")
+        else:
+            w = np.asarray(self.weights)
+            if w.dtype.kind not in "iuf":
+                raise CapabilityError(f"weights must be numbers, got dtype {w.dtype}")
+            w = w.astype(np.float64)
+            if w.shape != (dim,):
                 raise DimensionMismatchError(
-                    f"weights must have shape ({self.dim},), got {w.shape}"
+                    f"weights must have shape ({dim},), got {w.shape}"
                 )
-            if not np.all(w > 0.0):
-                raise CapabilityError("GridLr weights must be positive")
-            object.__setattr__(self, "weights", w)
-        elif self.weights is not None:
-            raise CapabilityError(f"{self.kind} does not take weights")
+            if not np.all((w > 0.0) & np.isfinite(w)):
+                raise CapabilityError("GridLr weights must be positive and finite")
+        w.flags.writeable = False
+        object.__setattr__(self, "dim", int(dim))
+        object.__setattr__(self, "exponent", e)
+        object.__setattr__(self, "weights", w)
+
+    def _key(self):
+        return self.kind, self.dim, self.exponent, self.weights.tobytes()
+
+    def __eq__(self, other):
+        return isinstance(other, SpaceDescriptor) and self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
 
     # -- capabilities -------------------------------------------------------
 
     @property
     def lattice_capable(self) -> bool:
         """True when the coordinatewise order makes this a Banach lattice."""
-        return self.kind in ("FiniteLr", "GridLr", "SampledSup")
+        return self.kind != "Hilbert"
 
     @property
     def order_continuous(self) -> bool:
         """True when the norm is order continuous (finite exponent;
         sup norms are the standard failure)."""
-        if self.kind == "SampledSup":
-            return False
         return math.isfinite(self.exponent)
 
     @property
     def sup_like(self) -> bool:
-        return self.kind == "SampledSup" or math.isinf(self.exponent)
-
-    # -- serialization ------------------------------------------------------
-
-    def to_dict(self) -> dict:
-        e = self.exponent
-        return {
-            "kind": self.kind,
-            "dim": self.dim,
-            "exponent": "inf" if math.isinf(e) else e,
-            "weights": None if self.weights is None else self.weights.tolist(),
-        }
+        return math.isinf(self.exponent)
 
 
 def scalar_space() -> SpaceDescriptor:
@@ -197,22 +203,21 @@ def _pairing_at(space: SpaceDescriptor, X, nx):
     direction per axis repeats none of it.  At x = 0 every kind gives
     (+|h|, -|h|), with |h| from ``norm``.
     """
-    w = np.ones(space.dim) if space.weights is None else space.weights
     if space.sup_like:
         sides = lambda H: _kernels.sup_pairing(X, H, nx, TIE_REL)
     elif space.exponent == 1.0:
         sgn, at_zero = np.sign(X), X == 0.0
 
         def sides(H):
-            base = (sgn * H) @ w
-            zero_part = (np.abs(H) * at_zero) @ w
+            base = (sgn * H) @ space.weights
+            zero_part = (np.abs(H) * at_zero) @ space.weights
             return base + zero_part, base - zero_part
 
     else:
         grad = _kernels.lr_gradient(X, space.exponent, nx)
 
         def sides(H):
-            val, _ = _kernels.lr_pairing(X, H, space.exponent, w, grad)
+            val, _ = _kernels.lr_pairing(X, H, space.exponent, space.weights, grad)
             return val, val
 
     zero = nx == 0.0
@@ -242,12 +247,7 @@ def one_sided_norm_derivative(space: SpaceDescriptor, x, h) -> PairingResult:
 
 
 def pairing_vector(space: SpaceDescriptor, functional) -> np.ndarray:
-    """Coefficient vector c so that <v, functional> = sum_s c_s v_s.
-
-    GridLr pairings carry the quadrature weights; the other kinds pair by
-    the plain dot product.
-    """
-    f = check_vec(space, functional)
-    if space.kind == "GridLr":
-        return space.weights * f
-    return f
+    """Coefficient vector c so that <v, functional> = sum_s c_s v_s: the
+    space's weights times the functional (the plain functional, bit for
+    bit, for the unweighted kinds, whose weights are ones)."""
+    return space.weights * check_vec(space, functional)

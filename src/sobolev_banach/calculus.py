@@ -284,7 +284,7 @@ def compose_lipschitz(
     both sides), so the recorded excess should sit at rounding level; the
     boundary ring's one-sided stencil need not respect a Lipschitz map.
     """
-    if u.space.to_dict() != F.source.to_dict():
+    if u.space != F.source:
         raise DimensionMismatchError("u does not live in F's source space")
     qmax = validate_lipschitz(F, u, rng)
     flat = F.apply_batch(u.values.reshape(-1, u.space.dim))
@@ -334,7 +334,7 @@ def gateaux_chain_field(F: LipschitzMap, u: GridFunction) -> FieldResult:
     """
     if F.onesided_batch is None:
         raise CapabilityError(f"{F.name} carries no one-sided derivative data")
-    if u.space.to_dict() != F.source.to_dict():
+    if u.space != F.source:
         raise DimensionMismatchError("u does not live in F's source space")
     X = u.values.reshape(-1, u.space.dim)
     du = finite_difference(u)
@@ -609,5 +609,4 @@ def holder_beta(
         rng = np.random.default_rng(seed)
         idx = np.sort(rng.choice(P.shape[0], size=max_nodes, replace=False))
         P, V = P[idx], V[idx]
-    w = u.space.weights if u.space.weights is not None else np.ones(u.space.dim)
-    return _kernels.holder_max(V, P, float(alpha), u.space.exponent, w)
+    return _kernels.holder_max(V, P, float(alpha), u.space.exponent, u.space.weights)

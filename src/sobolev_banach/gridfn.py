@@ -254,7 +254,7 @@ def w_norm(u: GridFunction) -> float:
 
 
 def gf_sub(u: GridFunction, v: GridFunction) -> GridFunction:
-    if u.grid.n != v.grid.n or u.space.dim != v.space.dim:
+    if u.grid.n != v.grid.n or u.space != v.space:
         raise DimensionMismatchError("grid functions do not conform")
     return u.like(u.values - v.values)
 

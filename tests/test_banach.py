@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from sobolev_banach import banach
+from sobolev_banach import banach, suite
 from sobolev_banach.errors import CapabilityError, DimensionMismatchError
 from test_bit_equivalence import SPACES
 
@@ -140,7 +140,7 @@ def test_l1_zero_coordinate_gap():
         banach.SpaceDescriptor("FiniteLr", 6, 1.0),
         banach.SpaceDescriptor("GridLr", 6, 1.0, rng.random(6) + 0.5),
     ):
-        w = space.weights if space.weights is not None else np.ones(6)
+        w = space.weights
         for _ in range(50):
             x = rng.normal(size=6)
             x[rng.integers(0, 6, size=2)] = 0.0
@@ -194,9 +194,37 @@ def test_descriptor_validation():
         banach.SpaceDescriptor("GridLr", 3, 2.0, -np.ones(3))
     with pytest.raises(DimensionMismatchError):
         banach.SpaceDescriptor("GridLr", 3, 2.0, np.ones(4))
+    # bad types and values are the package's own errors, naming the field
+    for kind, dim in (("GridLr", 2.5), ("Hilbert", 2.5), ("Hilbert", 2.0),
+                      ("FiniteLr", "3"), ("FiniteLr", True)):
+        with pytest.raises(DimensionMismatchError, match="dim must be an integer"):
+            banach.SpaceDescriptor(kind, dim)
+    for exponent in ("2", None, True, math.nan):
+        with pytest.raises(CapabilityError, match="exponent must be"):
+            banach.SpaceDescriptor("FiniteLr", 3, exponent)
+    for weights in ([1.0, 2.0, math.inf], [1.0, math.nan, 1.0], "abc", ["1", "2", "3"]):
+        with pytest.raises(CapabilityError, match="weights must be"):
+            banach.SpaceDescriptor("GridLr", 3, 2.0, weights)
+    assert banach.SpaceDescriptor("GridLr", np.int64(3), 2).dim == 3
     # Hilbert pins its exponent, SampledSup its sup norm
     assert banach.SpaceDescriptor("Hilbert", 3, 7.0).exponent == 2.0
     assert math.isinf(banach.SpaceDescriptor("SampledSup", 3, 2.0).exponent)
+
+
+def test_descriptors_compare_and_hash_by_value():
+    weighted = banach.SpaceDescriptor("GridLr", 4, 2.5, [0.1, 0.2, 0.3, 0.4])
+    for space in [s for _, s in suite.KIND_SPECS] + [weighted]:
+        weights = space.weights.copy() if space.kind == "GridLr" else None
+        copy = banach.SpaceDescriptor(space.kind, space.dim, space.exponent, weights)
+        assert copy is not space and copy == space and hash(copy) == hash(space)
+        assert not space.weights.flags.writeable
+    assert weighted != banach.SpaceDescriptor("GridLr", 4, 2.5, [0.4, 0.3, 0.2, 0.1])
+    assert weighted != banach.SpaceDescriptor("GridLr", 4, 2.5)
+    assert banach.SpaceDescriptor("GridLr", 4, 2) == banach.SpaceDescriptor(
+        "GridLr", 4, 2.0, [0.25] * 4
+    )
+    assert banach.SpaceDescriptor("Hilbert", 3) != banach.SpaceDescriptor("FiniteLr", 3)
+    assert len({weighted, banach.SpaceDescriptor("GridLr", 4, 2.5, weighted.weights)}) == 1
 
 
 def test_vector_validation():
@@ -255,6 +283,17 @@ def test_pairing_sides_ordered_reflected_and_bounded(case):
     assert np.all(np.abs(plus) <= bound) and np.all(np.abs(minus) <= bound)
 
 
+def _exact_batch(space):
+    """Whether a batch pairs exactly as its single rows do: at most 3
+    unit-weight terms and no pow."""
+    return space.kind != "GridLr" and space.dim <= 3 and space.exponent in (1.0, 2.0, math.inf)
+
+
+def test_exact_batch_spaces_are_drawn():
+    # the exact (scale 0) case of the next test runs for every unweighted kind
+    assert {s.kind for s in SPACES if _exact_batch(s)} == {"FiniteLr", "SampledSup", "Hilbert"}
+
+
 @given(batches())
 @settings(**PROPERTIES)
 def test_pairing_batch_matches_single_rows(case):
@@ -264,7 +303,7 @@ def test_pairing_batch_matches_single_rows(case):
     space, X, H = case
     plus, minus, unique = banach.one_sided_norm_derivative_batch(space, X, H)
     scale = 1e-14 * (1.0 + banach.norm(space, H))
-    if space.weights is None and space.dim <= 3 and space.exponent in (1.0, 2.0, math.inf):
+    if _exact_batch(space):
         scale[:] = 0.0
     for i in range(X.shape[0]):
         one = banach.one_sided_norm_derivative(space, X[i], H[i])

@@ -236,7 +236,7 @@ def test_holder_max_matches_scan_on_members(kind, refine):
     rng = np.random.default_rng(refine)
     bp = next(bp for bp in suite.corpus_blueprints(rng) if bp.d == 1 and bp.space == space)
     r = space.exponent
-    w = space.weights if space.weights is not None else np.ones(space.dim)
+    w = space.weights
     u = bp.realize(n)
     P = gridfn.grid_centers(u.domain, u.grid).reshape(-1, 1)
     V = u.values.reshape(-1, space.dim)
@@ -548,7 +548,7 @@ def _whole_norm(space, x):
     if space.sup_like:
         return np.abs(x).max(axis=-1)
     r = space.exponent
-    w = space.weights if space.weights is not None else np.ones(space.dim)
+    w = space.weights
     if r == 1.0:
         return np.abs(x) @ w
     if r == 2.0:
@@ -567,7 +567,7 @@ def _whole_pairing(space, X, H):
         minus = np.where(tie, cand, np.inf).min(axis=1)
         zero = nx == 0.0
     else:
-        w = space.weights if space.weights is not None else np.ones(space.dim)
+        w = space.weights
         if space.exponent == 1.0:
             base = (np.sign(X) * H) @ w
             zero_part = (np.abs(H) * (X == 0.0)) @ w

@@ -232,3 +232,12 @@ def test_gridfunction_shape_validation():
     u = _linear()
     with pytest.raises(DimensionMismatchError):
         gridfn.gf_sub(u, gridfn.from_scalar(u.domain, u.grid, np.zeros(16)))
+    # equal dims are not enough: Hilbert R^4 minus ell^1 R^4 does not conform
+    hil, l1 = (
+        gridfn.GridFunction(u.domain, u.grid, space, np.zeros((16, 4)))
+        for space in (banach.SpaceDescriptor("Hilbert", 4),
+                      banach.SpaceDescriptor("FiniteLr", 4, exponent=1.0))
+    )
+    with pytest.raises(DimensionMismatchError):
+        gridfn.gf_sub(hil, l1)
+    assert gridfn.gf_sub(hil, hil).space == hil.space
