@@ -74,6 +74,21 @@ def row_reduce(a, op):
     return out
 
 
+def row_sum(a, w):
+    """``a @ w``, the w-weighted sums of the rows of a, bit for bit.
+
+    A row of one term is formed as the product plus 0.0: numpy's ``@``
+    computes it as a BLAS matrix-vector product (or a dot product for a
+    lone row) that starts from +0, so it gives those bits, -0 turned to
+    +0, but costs several times more per row.
+    """
+    if a.shape[-1] != 1:
+        return a @ w
+    out = a[..., 0] * w[0]
+    out += 0.0
+    return out
+
+
 def node_blocks(n, width):
     """Slices that split rows 0..n-1 into consecutive node blocks of at
     most ``NODE_BLOCK`` floats, for rows of ``width`` floats.
@@ -104,19 +119,19 @@ def row_norms(X, r, w, out=None):
     The sup norm ``row_reduce(|x|, max)`` for r = inf (w unused), else
     ``(|x|**r @ w)**(1/r)`` with the space's weights w (shape (k,); ones
     for the unweighted kinds), written ``|x| @ w`` and ``sqrt(x*x @ w)`` at
-    r = 1 and 2.  The elementwise terms go to ``out`` (X's shape; it may
-    be X itself) when it is given.  For rows of 1-3 terms ``@ ones`` gives
-    the bits of a left-to-right sum; from 4 terms on a lone row, which
-    numpy sums as a dot product, can round differently from the same row
-    in a batch (see ``node_blocks``).
+    r = 1 and 2, each ``@ w`` a ``row_sum``.  The elementwise terms go to
+    ``out`` (X's shape; it may be X itself) when it is given.  For rows of
+    1-3 terms ``@ ones`` gives the bits of a left-to-right sum; from 4
+    terms on a lone row, which numpy sums as a dot product, can round
+    differently from the same row in a batch (see ``node_blocks``).
     """
     if r == math.inf:
         return row_reduce(np.abs(X, out=out), np.maximum)
     if r == 1.0:
-        return np.abs(X, out=out) @ w
+        return row_sum(np.abs(X, out=out), w)
     if r == 2.0:
-        return np.sqrt(np.multiply(X, X, out=out) @ w)
-    return (abs_power(X, r, out=out) @ w) ** (1.0 / r)
+        return np.sqrt(row_sum(np.multiply(X, X, out=out), w))
+    return row_sum(abs_power(X, r, out=out), w) ** (1.0 / r)
 
 
 def holder_max(V, P, alpha, r, w):
@@ -295,7 +310,9 @@ def lr_gradient(X, r, nx):
     X = np.ascontiguousarray(X, dtype=np.float64)
     r = float(r)
     nz = nx > 0.0
-    return abs_power(X, r - 1.0) * np.sign(X), nz, nx[nz] ** (r - 1.0), nx
+    terms = abs_power(X, r - 1.0)
+    terms *= np.sign(X)
+    return terms, nz, nx[nz] ** (r - 1.0), nx
 
 
 def lr_pairing(X, H, r, w, grad=None):
@@ -305,7 +322,9 @@ def lr_pairing(X, H, r, w, grad=None):
     computed here when not given."""
     H = np.ascontiguousarray(H, dtype=np.float64)
     terms, nz, den, nx = lr_gradient(X, r, row_norms(X, r, w)) if grad is None else grad
-    num = (terms * H) @ w
+    num = row_sum(terms * H, w)
+    if nz.all():  # no zero row
+        return np.divide(num, den, out=num), nx
     val = np.zeros(H.shape[0])
     val[nz] = num[nz] / den
     return val, nx

@@ -202,6 +202,11 @@ def _pairing_at(space: SpaceDescriptor, X, nx):
     ``_kernels.lr_gradient``) is computed once, here, so pairing X with one
     direction per axis repeats none of it.  At x = 0 every kind gives
     (+|h|, -|h|), with |h| from ``norm``.
+
+    For smooth Lr both sides are one value, so when every row has a
+    positive norm |h| changes nothing and is not computed: the sides agree
+    (``unique``) exactly where that value is finite.  A direction row with
+    a NaN, whose NaN |h| would make ``unique`` False, has a NaN value.
     """
     if space.sup_like:
         sides = lambda H: _kernels.sup_pairing(X, H, nx, TIE_REL)
@@ -209,8 +214,8 @@ def _pairing_at(space: SpaceDescriptor, X, nx):
         sgn, at_zero = np.sign(X), X == 0.0
 
         def sides(H):
-            base = (sgn * H) @ space.weights
-            zero_part = (np.abs(H) * at_zero) @ space.weights
+            base = _kernels.row_sum(sgn * H, space.weights)
+            zero_part = _kernels.row_sum(np.abs(H) * at_zero, space.weights)
             return base + zero_part, base - zero_part
 
     else:
@@ -219,6 +224,15 @@ def _pairing_at(space: SpaceDescriptor, X, nx):
         def sides(H):
             val, _ = _kernels.lr_pairing(X, H, space.exponent, space.weights, grad)
             return val, val
+
+        # |h| matters only on a zero row of X (the sides are +-|h|) or a NaN
+        # row (the value is 0 whatever h is, and a NaN |h| makes it not unique)
+        if np.all(nx > 0.0):
+            def pair(H):
+                plus, _ = sides(H)
+                return plus, plus.copy(), np.isfinite(plus)
+
+            return pair
 
     zero = nx == 0.0
 

@@ -74,7 +74,9 @@ def _fd_errors(
 
     D_j(target) and the node norms of the differences run one block of
     first-axis rows (``_kernels.node_blocks``) at a time, in one reused
-    buffer; the node mask and ``_lp`` run once over all nodes.
+    buffer.  Each block appends the norms of the nodes it keeps to one
+    array, which so holds them in node order, and ``_lp`` runs once over
+    that array, in place.
     """
     v = target.values
     h = target.grid.spacing(target.domain)
@@ -84,13 +86,17 @@ def _fd_errors(
     diff = np.empty_like(v[blocks[0]])
     errs = []
     for j, (f, flag) in enumerate(zip(fields, flags)):
-        g = np.empty(target.grid.n)
+        keep = inner & ~flag
+        g = np.empty(np.count_nonzero(keep))
+        at = 0
         for blk in blocks:
             part = diff[: blk.stop - blk.start]
             _difference_rows(v, h, j, blk, part)
             np.subtract(f.values[blk], part, out=part)
-            g[blk] = banach.norm(target.space, part)
-        errs.append(_lp(g[inner & ~flag], vol, p))
+            kept = banach.norm(target.space, part)[keep[blk]]
+            g[at : at + kept.size] = kept
+            at += kept.size
+        errs.append(_lp(g, vol, p, out=g))
     return errs
 
 
@@ -413,9 +419,12 @@ def norm_derivative_field(u: GridFunction) -> FieldResult:
         for j, (value, flag) in enumerate(zip(values, flagged)):
             _difference_rows(v, h, j, blk, part)
             plus, minus, unique = pair(part.reshape(-1, dim))
-            mid = np.where(unique, plus, 0.5 * (plus + minus))
-            value[at] = np.where(exact_zero, 0.0, mid)
-            flag[at] = (~unique) | near_zero
+            mid = value[at]  # the midpoint, plus where unique, 0 at zeros
+            np.add(plus, minus, out=mid)
+            mid *= 0.5
+            np.copyto(mid, plus, where=unique)
+            mid[exact_zero] = 0.0
+            np.logical_or(~unique, near_zero, out=flag[at])
     g = from_scalar(u.domain, u.grid, nx.reshape(u.grid.n))
     fields = [from_scalar(u.domain, u.grid, val.reshape(u.grid.n)) for val in values]
     flags = [f.reshape(u.grid.n) for f in flagged]

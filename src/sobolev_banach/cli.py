@@ -9,6 +9,7 @@ and per-entry resource metadata live only in a sidecar file.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -152,6 +153,35 @@ def _apply_require(rows, require: dict):
     return list(rows) + extra
 
 
+@functools.cache
+def _openblas():
+    """numpy's bundled OpenBLAS (``numpy.libs/libscipy_openblas64_*.so``)
+    through ctypes, or None where numpy carries no such library.  Loading
+    it finds the copy numpy has already loaded."""
+    import ctypes
+
+    libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
+    for path in sorted(libs.glob("libscipy_openblas64_*.so")):
+        lib = ctypes.CDLL(str(path))
+        if hasattr(lib, "scipy_openblas_set_num_threads64_"):
+            return lib
+    return None
+
+
+def blas_threads() -> int | None:
+    """The threads numpy's bundled OpenBLAS runs on; None where it is absent."""
+    lib = _openblas()
+    return None if lib is None else int(lib.scipy_openblas_get_num_threads64_())
+
+
+def _one_blas_thread():
+    """Pin a forked worker to one OpenBLAS thread (a no-op without numpy's
+    bundled OpenBLAS): the workers share the cores, and the threads of
+    each worker's small row sums would compete for them."""
+    if (lib := _openblas()) is not None:
+        lib.scipy_openblas_set_num_threads64_(1)
+
+
 def _run_one(spec: dict, seed: int, refine_override: int | None):
     wall0, ru0 = time.perf_counter(), resource.getrusage(resource.RUSAGE_SELF)
     name = spec["name"]
@@ -178,6 +208,7 @@ def _run_one(spec: dict, seed: int, refine_override: int | None):
         "max_rss_mb": ru.ru_maxrss / 1024,  # Linux reports kilobytes
         # the process's peak carries over from entry to entry; this one's rise
         "max_rss_rise_mb": (ru.ru_maxrss - ru0.ru_maxrss) / 1024,
+        "blas_threads": blas_threads(),
     }
     return result
 
@@ -195,8 +226,9 @@ def available_cpus() -> int:
 
 
 def execute_suite(specs, seed: int, workers: int, refine_override=None):
-    """Run ``specs`` on ``workers`` forked processes, or in this process
-    when ``workers`` is 1; results come back in spec order."""
+    """Run ``specs`` on ``workers`` forked processes, each pinned to one
+    BLAS thread, or in this process, with its BLAS threads left alone, when
+    ``workers`` is 1; results come back in spec order."""
     if workers <= 1:
         return [_run_one(spec, seed, refine_override) for spec in specs]
     # Imported here, so that importing this module and one-worker runs do
@@ -206,7 +238,9 @@ def execute_suite(specs, seed: int, workers: int, refine_override=None):
 
     # Fork, so workers inherit the imported package (and a patched CATALOG).
     ctx = multiprocessing.get_context("fork")
-    with ProcessPoolExecutor(max_workers=workers, mp_context=ctx) as pool:
+    with ProcessPoolExecutor(
+        max_workers=workers, mp_context=ctx, initializer=_one_blas_thread
+    ) as pool:
         futures = [
             pool.submit(_run_one, spec, seed, refine_override) for spec in specs
         ]

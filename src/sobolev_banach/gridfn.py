@@ -57,7 +57,11 @@ class GridSpec:
     n: tuple[int, ...]
 
     def __post_init__(self):
-        n = tuple(int(k) for k in np.atleast_1d(self.n))
+        n = tuple(self.n) if np.ndim(self.n) else (self.n,)
+        for k in n:
+            if isinstance(k, bool) or not isinstance(k, (int, np.integer)):
+                raise GridError(f"cell counts must be integers, got {k!r}")
+        n = tuple(int(k) for k in n)
         if any(k < 2 for k in n):
             raise GridError(f"need at least 2 cells per axis, got {n}")
         object.__setattr__(self, "n", n)
@@ -153,13 +157,14 @@ def sample(domain: BoxDomain, grid: GridSpec, space: SpaceDescriptor, f) -> Grid
 # ---------------------------------------------------------------------------
 
 
-def _lp(g: np.ndarray, vol: float, p: float) -> float:
-    """Midpoint-quadrature L^p norm of the values g, each weighing vol."""
+def _lp(g: np.ndarray, vol: float, p: float, out=None) -> float:
+    """Midpoint-quadrature L^p norm of the values g, each weighing vol; the
+    powers go to ``out`` (g's shape; it may be g itself) when it is given."""
     if g.size == 0:
         return 0.0
     if math.isinf(p):
         return float(np.max(np.abs(g)))
-    a = _kernels.abs_power(g, p)  # one temporary, raised in place
+    a = _kernels.abs_power(g, p, out=out)  # out, or one temporary, raised in place
     return float((np.sum(a) * vol) ** (1.0 / p))
 
 

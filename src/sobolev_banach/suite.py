@@ -135,30 +135,38 @@ class SampleBlueprint:
         """The member on the grid of n cells per axis.
 
         Each term depends on one coordinate only, so its wave is evaluated
-        on the axis and broadcast along axis j.  The sum runs one node
-        block (``_kernels.node_blocks`` over the first grid axis) at a
-        time: a block starts from ``const`` and adds each term's product
-        for the block alone, in the order (vals + s*a) + c*b of the
-        full-mesh formula.
+        on the axis and broadcast along axis j.  The sum runs in the order
+        (vals + s*a) + c*b of the full-mesh formula, one node block
+        (``_kernels.node_blocks`` over the first grid axis) at a time.  A
+        term along an axis j >= 1 forms its product on that axis once; one
+        along axis 0 forms it per block.  For d >= 2 the leading terms,
+        those along axis 0, are summed with ``const`` on that axis alone,
+        and each block starts as a copy of that head.
         """
         dom = unit_box(self.d)
         grid = GridSpec((n,) * self.d)
         axes = grid.axes(dom)
         dim, K = self.amp_sin.shape[:2]
-        terms = []
+        terms = []  # (wave, amp) along axis 0, (product, None) along the others
         for k in range(K):
             for j in range(self.d):
                 shape = [1] * (self.d + 1)
                 shape[j] = n
                 arg = (k + 1) * np.pi * axes[j]
-                terms.append((j, np.sin(arg).reshape(shape), self.amp_sin[:, k, j]))
-                terms.append((j, np.cos(arg).reshape(shape), self.amp_cos[:, k, j]))
+                for wave, amp in ((np.sin(arg), self.amp_sin[:, k, j]),
+                                  (np.cos(arg), self.amp_cos[:, k, j])):
+                    wave = wave.reshape(shape)
+                    terms.append((wave, amp) if j == 0 else (wave * amp, None))
+        head = self.const  # in 1-D a head on axis 0 would be the whole array
+        while self.d >= 2 and terms and terms[0][1] is not None:
+            wave, amp = terms.pop(0)
+            head = head + wave * amp
         vals = np.empty(grid.n + (dim,))
         for blk in _kernels.node_blocks(n, vals[0].size):
             part = vals[blk]
-            part[...] = self.const
-            for j, wave, amp in terms:
-                part += (wave[blk] if j == 0 else wave) * amp
+            part[...] = head[blk] if head.ndim > 1 else head
+            for wave, amp in terms:
+                part += wave if amp is None else wave[blk] * amp
         return GridFunction(dom, grid, self.space, vals)
 
 

@@ -12,9 +12,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from sobolev_banach import banach, suite
+from sobolev_banach import _kernels, banach, suite
 from sobolev_banach.errors import CapabilityError, DimensionMismatchError
-from test_bit_equivalence import SPACES
+from test_bit_equivalence import SPACES, _whole_pairing
 
 
 def _spaces(rng):
@@ -319,6 +319,60 @@ def test_norm_triangle_and_homogeneity(case, c):
     assert np.all(nx >= 0.0) and np.all((nx == 0.0) == np.all(X == 0.0, axis=-1))
     assert np.all(banach.norm(space, X + Y) <= (nx + ny) * (1.0 + 1e-12))
     assert np.allclose(banach.norm(space, c * X), abs(c) * nx, rtol=1e-12, atol=0.0)
+
+
+SMOOTH_LR = [s for s in SPACES if not s.sup_like and s.exponent != 1.0]
+#: COORDS three times in four, else a NaN or an infinity
+WILD = st.one_of(COORDS, COORDS, COORDS, st.sampled_from([math.nan, math.inf, -math.inf]))
+
+
+@st.composite
+def smooth_lr_batches(draw):
+    """A smooth-Lr space from SPACES, a point batch and a direction batch;
+    either batch may hold NaN and +-inf, and the points may hold zero rows."""
+    space = draw(st.sampled_from(SMOOTH_LR))
+    rows = draw(st.integers(1, 8))
+    X, H = (draw(arrays(np.float64, (rows, space.dim), elements=draw(st.sampled_from([COORDS, WILD]))))
+            for _ in range(2))
+    for i in draw(st.lists(st.integers(0, rows - 1), max_size=2)):
+        X[i] = 0.0
+    return space, X, H
+
+
+def _bits(a):
+    return np.ascontiguousarray(a).view(np.uint64)
+
+
+@given(smooth_lr_batches())
+@settings(**PROPERTIES)
+def test_smooth_lr_pairing_without_direction_norms_is_the_full_pairing(case):
+    # with no zero row the pairing skips |h|; it must give the bits of the
+    # pairing that forms |h| and substitutes it on zero rows
+    space, X, H = case
+    with np.errstate(all="ignore"):
+        plus, minus, unique = banach._pairing_at(space, X, banach.norm(space, X))(H)
+        want_plus, want_minus, want_unique = _whole_pairing(space, X, H)
+    assert np.array_equal(_bits(plus), _bits(want_plus))
+    assert np.array_equal(_bits(minus), _bits(want_minus))
+    assert np.array_equal(unique, want_unique)
+
+
+def test_smooth_lr_pairing_skips_direction_norms_without_zero_rows(monkeypatch):
+    space = banach.SpaceDescriptor("GridLr", 4, exponent=2.5, weights=[0.1, 0.2, 0.3, 0.4])
+    rng = np.random.default_rng(8)
+    X, H = rng.normal(size=(2, 6, 4))
+    norms = []
+    monkeypatch.setattr(banach, "norm", lambda sp, x: norms.append(x) or _kernels_norm(sp, x))
+    pair = banach._pairing_at(space, X, _kernels_norm(space, X))
+    plus, minus, unique = pair(H)
+    assert norms == [] and unique.all() and plus is not minus
+    X[2] = 0.0  # a zero row pairs to (|h|, -|h|)
+    plus, minus, _ = banach._pairing_at(space, X, _kernels_norm(space, X))(H)
+    assert len(norms) == 1 and plus[2] == -minus[2] == _kernels_norm(space, H)[2]
+
+
+def _kernels_norm(space, x):
+    return _kernels.row_norms(np.asarray(x, dtype=np.float64), space.exponent, space.weights)
 
 
 @pytest.mark.xfail(strict=True, reason="the powers of the coordinates underflow to 0")

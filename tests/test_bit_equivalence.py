@@ -56,6 +56,13 @@ def test_realize_matches_mesh_formula(kind, n, d):
     assert np.array_equal(bp.realize(n).values, _realize_on_mesh(bp, n))
 
 
+@pytest.mark.parametrize("n", [3, 16])
+def test_realize_matches_mesh_formula_in_3d(n):
+    # the head sums the axis-0 terms on that axis, the other axes broadcast
+    bp = _blueprint(dict(suite.KIND_SPECS)["gridlr3"], 3, seed=n)
+    assert np.array_equal(bp.realize(n).values, _realize_on_mesh(bp, n))
+
+
 @pytest.mark.parametrize("space", SPACES, ids=lambda s: f"{s.kind}-{s.exponent}")
 def test_pairing_batch_hnorm_is_direction_norm(space):
     # the direction norms |h| the batch computes are banach.norm's: they

@@ -48,6 +48,24 @@ def test_domain_and_grid_validation():
         gridfn.GridSpec((4, 4)).spacing(gridfn.unit_box(1))
 
 
+@pytest.mark.parametrize(
+    "n", [(8.5,), (8.0,), ("8",), (True,), (np.float64(8.0),), (None,), (8, 8.5), 8.5, "8"],
+    ids=repr,
+)
+def test_grid_rejects_non_integer_cell_counts(n):
+    # int() would truncate these to a grid of 8 (or 1) cells
+    with pytest.raises(GridError, match="cell counts must be integers"):
+        gridfn.GridSpec(n)
+
+
+def test_grid_takes_integer_cell_counts():
+    for n in [(8,), (np.int64(8),), np.array([8, 16]), 8, [4, 5]]:
+        g = gridfn.GridSpec(n)
+        assert all(type(k) is int for k in g.n)
+    assert gridfn.GridSpec(np.array([8, 16])).n == (8, 16)
+    assert gridfn.GridSpec(8).n == (8,)
+
+
 def test_sample_rejects_non_finite_with_node():
     dom = gridfn.unit_box(1)
     g = gridfn.GridSpec((8,))

@@ -394,3 +394,24 @@ def test_abs_power_skips_zeros_when_most_are_zero(monkeypatch):
         chosen.clear()
         _kernels.abs_power(x, 4.0)
         assert chosen == [masked]
+
+
+# ---------------------------------------------------------------------------
+# row_sum: a one-term row as a product, against numpy's ``@``
+# ---------------------------------------------------------------------------
+
+
+@given(power_inputs(), st.sampled_from([1.0, 0.25, 1.0 / 3.0, 7.5, 1e-300]), st.booleans())
+@settings(**POWER_CASES)
+def test_row_sum_is_matmul(x, w0, signed):
+    # one-term rows: signed zeros, subnormals, underflowing products, inf, NaN
+    a = (x if signed else np.abs(x)).reshape(-1, 1)
+    a[::13] = np.inf
+    a[::17] = np.nan
+    a[::19] = -np.inf if signed else np.inf
+    w = np.array([w0])
+    with np.errstate(all="ignore"):
+        for rows in (a, a[:1], a[0], a[: len(a) // 2 * 2].reshape(2, -1, 1)):
+            assert np.array_equal(_bits(_kernels.row_sum(rows, w)), _bits(rows @ w))
+    wide = np.stack([x.ravel()[:6], np.zeros(6)], axis=1)  # two terms: numpy's ``@`` itself
+    assert np.array_equal(_bits(_kernels.row_sum(wide, np.array([w0, 1.0]))), _bits(wide @ [w0, 1.0]))

@@ -718,20 +718,35 @@ def test_sidecar_records_each_entry_in_process(tmp_path):
     assert [e["name"] for e in meta["entries"]] == MEDIUM
     for e in meta["entries"]:
         assert set(e) == {"name", "params", "pid", "wall_s", "cpu_s", "max_rss_mb",
-                          "max_rss_rise_mb"}
+                          "max_rss_rise_mb", "blas_threads"}
         assert e["pid"] == os.getpid()
         assert e["wall_s"] > 0 and e["cpu_s"] >= 0 and e["max_rss_mb"] > 0
         assert 0 <= e["max_rss_rise_mb"] <= e["max_rss_mb"]
+        # an in-process run leaves the BLAS threads alone
+        assert e["blas_threads"] == cli.blas_threads()
 
 
 @two_cpus
 def test_sidecar_records_each_entry_in_workers(tmp_path):
+    threads = cli.blas_threads()
     code, meta = _run_names(tmp_path, MEDIUM, "--workers", "2")
     assert code == cli.EXIT_OK
     assert meta["workers"] == 2
     assert [e["name"] for e in meta["entries"]] == MEDIUM
     pids = {e["pid"] for e in meta["entries"]}
     assert len(pids) >= 2 and os.getpid() not in pids
+    # each forked worker runs on one BLAS thread; this process keeps its own
+    assert {e["blas_threads"] for e in meta["entries"]} == {None if threads is None else 1}
+    assert cli.blas_threads() == threads
+
+
+def test_blas_pin_is_a_no_op_without_numpy_openblas(tmp_path, monkeypatch):
+    # numpy without a bundled scipy-openblas: nothing is found or called
+    monkeypatch.setattr(np, "__file__", str(tmp_path / "numpy" / "__init__.py"))
+    assert cli._openblas.__wrapped__() is None
+    monkeypatch.setattr(cli, "_openblas", lambda: None)
+    assert cli.blas_threads() is None
+    cli._one_blas_thread()
 
 
 def test_workers_capped_at_available_cpus(tmp_path, monkeypatch):

@@ -250,19 +250,6 @@ def test_reflection_extension_report():
     assert dict(rep.rows)["w_norm_ratio"] <= 3.0
 
 
-def test_tensor_extend_hilbert_case():
-    rng = np.random.default_rng(41)
-    for _ in range(10):
-        n = int(rng.integers(2, 12))
-        T = rng.normal(size=(n, n))
-        rep = theorems.tensor_extend(T, h_dim=int(rng.integers(1, 5)), seed=3)
-        assert rep.passed
-        norms = dict(rep.rows)
-        norm_scalar, norm_tensor = norms["norm_scalar"], norms["norm_tensor"]
-        assert norm_scalar == pytest.approx(np.linalg.norm(T, 2), rel=1e-12)
-        assert abs(norm_tensor - norm_scalar) <= 1e-8 * max(1.0, norm_scalar)
-
-
 def test_tensor_extend_exact_on_integer_data():
     rng = np.random.default_rng(42)
     T = rng.integers(-3, 4, size=(8, 8)).astype(float)
@@ -273,6 +260,85 @@ def test_tensor_extend_exact_on_integer_data():
     # T x I_H is T @ U on (node, H-coordinate) arrays: on a pure tensor T
     # acts on the scalar factor, bit-exactly for integer data
     assert np.array_equal(T @ np.outer(f, x), np.outer(T @ f, x))
+
+
+def _svd_basis(n, seed):
+    """Two random orthogonal n x n matrices."""
+    rng = np.random.default_rng(seed)
+    return np.linalg.qr(rng.normal(size=(n, n)))[0], np.linalg.qr(rng.normal(size=(n, n)))[0]
+
+
+def _tied(rel):
+    """32 x 32 with singular values spread over [0.1, 1], the top two 1 and 1 - rel."""
+    U, W = _svd_basis(32, 1)
+    s = np.linspace(0.1, 1.0, 32)
+    s[-2] = 1.0 - rel
+    return U @ np.diag(s) @ W.T
+
+
+KRYLOV_CASES = {
+    "tied-1e-6": lambda: _tied(1e-6),  # the power iteration stopped 6.2e-7 off
+    "tied-1e-7": lambda: _tied(1e-7),  # and 6.6e-8 off, both FAIL
+    "orthogonal": lambda: _svd_basis(9, 2)[0],
+    "zero": lambda: np.zeros((6, 6)),
+    "rank-one": lambda: np.outer(np.arange(1.0, 6.0), [2.0, -1.0, 0.5, 3.0, 1.0]),
+    "one-by-one": lambda: np.array([[-3.0]]),
+    "identity": lambda: np.eye(7),
+    "shift": lambda: np.eye(12, k=1),
+    "integer": lambda: np.random.default_rng(5).integers(-4, 5, size=(16, 16)).astype(float),
+}
+
+
+def _counted_solves(monkeypatch):
+    """Record, per Krylov solve, the number of operator applications."""
+    counts = []
+    solve = theorems._top_eigenvalue
+
+    def counting(apply, V, size):
+        counts.append(0)
+
+        def counted(U):
+            counts[-1] += 1
+            return apply(U)
+
+        return solve(counted, V, size)
+
+    monkeypatch.setattr(theorems, "_top_eigenvalue", counting)
+    return counts
+
+
+def test_tensor_extend_hilbert_case(monkeypatch):
+    counts = _counted_solves(monkeypatch)
+    rng = np.random.default_rng(41)
+    sizes = []
+    for _ in range(200):
+        n = int(rng.integers(1, 33))
+        T = rng.normal(size=(n, n)) * 10.0 ** rng.integers(-3, 4)
+        rep = theorems.tensor_extend(T, h_dim=int(rng.integers(1, 9)), seed=int(rng.integers(1000)))
+        assert rep.passed
+        norms = dict(rep.rows)
+        norm_scalar, norm_tensor = norms["norm_scalar"], norms["norm_tensor"]
+        assert norm_scalar == pytest.approx(np.linalg.norm(T, 2), rel=1e-12)
+        assert abs(norm_tensor - norm_scalar) <= 1e-12 * max(1.0, norm_scalar)
+        sizes.append(n)
+    # at most n operator applications per n x n matrix
+    assert all(count <= size for count, size in zip(counts, sizes))
+
+
+@pytest.mark.parametrize("h_dim", [1, 8])
+@pytest.mark.parametrize("case", sorted(KRYLOV_CASES))
+def test_tensor_extend_krylov_norm(case, h_dim, monkeypatch):
+    T = KRYLOV_CASES[case]()
+    counts = _counted_solves(monkeypatch)
+    norm_T = np.linalg.norm(T, 2)
+    for seed in range(3):
+        rep = theorems.tensor_extend(T, h_dim, seed=seed)
+        assert rep.passed and rep.details["method"] == "svd_vs_krylov"
+        norm_tensor = dict(rep.rows)["norm_tensor"]
+        assert abs(norm_tensor - norm_T) <= 1e-12 * max(1.0, norm_T), (seed, norm_tensor)
+    # (T^T T) x I_H has at most n distinct eigenvalues: n applications span
+    # an invariant Krylov space
+    assert len(counts) == 3 and 1 <= max(counts) <= T.shape[0], counts
 
 
 def test_tensor_extend_validation():
