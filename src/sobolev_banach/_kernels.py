@@ -81,6 +81,13 @@ def row_sum(a, w):
     computes it as a BLAS matrix-vector product (or a dot product for a
     lone row) that starts from +0, so it gives those bits, -0 turned to
     +0, but costs several times more per row.
+
+    The last bits of a longer row's sum depend on the memory order of a,
+    not only on its values: numpy hands BLAS a C-ordered and an F-ordered
+    operand in different layouts, whose kernels sum in different orders.  A
+    copy of a in another order (``np.ascontiguousarray`` of an F-ordered
+    stack, say) can therefore change the sums; a pass that blocks a
+    whole-array sum keeps each block in the whole array's order.
     """
     if a.shape[-1] != 1:
         return a @ w
@@ -102,10 +109,12 @@ def node_blocks(n, width):
 
     The grid passes (``SampleBlueprint.realize``, ``gridfn.mollify``,
     ``gridfn.shift_node_norms``, ``counterexamples._pos_contrast_rows``,
-    and the differences, pairings and chain-rule comparison of
-    ``calculus.norm_derivative_field``) take the rows to be the first-axis
-    rows of a node array, of ``width`` = nodes per row times the value
-    dimension; a block of them is a contiguous slice of the nodes.
+    the norms, differences and pairings of ``calculus.norm_derivative_field``
+    and the chain-rule comparison ``calculus._Comparison``) take the rows to
+    be the first-axis rows of a node array, of ``width`` = nodes per row
+    times the value dimension; a block of them is a contiguous slice of the
+    nodes.  ``theorems.covering_counts`` takes them to be the members of a
+    family, of ``width`` = nodes times the value dimension.
     """
     count = max(1, -(-n // max(3, NODE_BLOCK // width)))
     size, extra = divmod(n, count)

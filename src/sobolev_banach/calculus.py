@@ -6,9 +6,10 @@ chain rules, disjoint-support preservation, quotient and product rules,
 Hölder seminorms) into measurable quantities on a grid, each with a report
 recording what was compared and how well it agreed.  Every chain-rule
 field is checked by one rule: ``l1_err[j]`` is the Bochner 1-norm of
-fields[j] - D_j(target) over the unflagged interior nodes.  The norm,
-lattice and quotient rule fields report it through ``_field_result``, as
-the rows ``l1_err[j]`` and ``flagged_fraction[j]`` per axis j.
+fields[j] - D_j(target) over the unflagged interior nodes, which
+``_Comparison`` forms one node block at a time.  The norm, lattice and
+quotient rule fields report it as the rows ``l1_err[j]`` and
+``flagged_fraction[j]`` per axis j.
 """
 from __future__ import annotations
 
@@ -65,55 +66,91 @@ class FieldResult:
     report: Report
 
 
+class _Comparison:
+    """The comparison every chain-rule check makes: per axis j, the Bochner
+    p-norm of fields[j] - D_j(target) over the interior nodes that
+    flags[j] leaves in, one block of first-axis rows at a time.
+
+    ``settle(blk, fields, flags)`` takes field j and its flags on the rows
+    ``blk`` (any shape that holds those nodes in order); the target must
+    be written by then on every row the stencil of D_j reads, for D_0 the
+    first row after the block.  D_j(target) and the node norms of the
+    differences run in one reused block buffer of ``rows`` first-axis
+    rows.  Each block appends the norms of the nodes it keeps to one array
+    per axis, which so holds them in node order, and ``errors`` runs
+    ``_lp`` once over each array, in place (so only once).
+    """
+
+    def __init__(self, target: GridFunction, axes: int, rows: int):
+        self.target = target
+        self.h = target.grid.spacing(target.domain)
+        self.diff = np.empty((rows,) + target.values.shape[1:])
+        inner = math.prod(k - 2 for k in target.grid.n)
+        self.kept = [np.empty(inner) for _ in range(axes)]
+        self.ends = [0] * axes
+        self.flagged = [0] * axes
+
+    def settle(self, blk: slice, fields: list[np.ndarray], flags: list[np.ndarray]):
+        t = self.target
+        part = self.diff[: blk.stop - blk.start]
+        inner = interior_mask(t.grid, blk)
+        for j, (f, flag) in enumerate(zip(fields, flags)):
+            _difference_rows(t.values, self.h, j, blk, part)
+            np.subtract(f.reshape(part.shape), part, out=part)
+            flag = flag.reshape(inner.shape)
+            kept = banach.norm(t.space, part)[inner & ~flag]
+            at = self.ends[j]
+            self.ends[j] += kept.size
+            self.kept[j][at : self.ends[j]] = kept
+            self.flagged[j] += int(np.count_nonzero(flag))
+
+    def errors(self, p: float) -> list[float]:
+        vol = float(np.prod(self.h))
+        return [_lp(g[:end], vol, p, out=g[:end]) for g, end in zip(self.kept, self.ends)]
+
+    def report(self, name: str, **details) -> Report:
+        """The chain-rule report: per axis j the rows ``l1_err[j]`` (p = 1)
+        and ``flagged_fraction[j]`` (over all nodes), the detail
+        ``l1_err_total`` and the caller's ``details``."""
+        errs = self.errors(1.0)
+        rows = []
+        for j, err in enumerate(errs):
+            frac = self.flagged[j] / self.target.node_count
+            rows += [(f"l1_err[{j}]", err), (f"flagged_fraction[{j}]", frac)]
+        return Report(
+            name=name, rows=rows, verdict="MEASURED",
+            details={"l1_err_total": sum(errs), **details},
+        )
+
+
+def _compare(
+    target: GridFunction, fields: list[GridFunction], flags: list[np.ndarray]
+) -> _Comparison:
+    """The ``_Comparison`` of whole fields and flags against the target,
+    settled over the target's node blocks (``_kernels.node_blocks``)."""
+    v = target.values
+    blocks = _kernels.node_blocks(len(v), v[0].size)
+    comparison = _Comparison(target, len(fields), blocks[0].stop)
+    for blk in blocks:
+        comparison.settle(blk, [f.values[blk] for f in fields], [flag[blk] for flag in flags])
+    return comparison
+
+
 def _fd_errors(
     target: GridFunction, fields: list[GridFunction], flags: list[np.ndarray], p: float = 1.0
 ) -> list[float]:
     """Per axis j, the Bochner p-norm of fields[j] - D_j(target) over the
-    interior nodes that flags[j] leaves in (the comparison every chain rule
-    check makes).
-
-    D_j(target) and the node norms of the differences run one block of
-    first-axis rows (``_kernels.node_blocks``) at a time, in one reused
-    buffer.  Each block appends the norms of the nodes it keeps to one
-    array, which so holds them in node order, and ``_lp`` runs once over
-    that array, in place.
-    """
-    v = target.values
-    h = target.grid.spacing(target.domain)
-    vol = float(np.prod(h))
-    inner = interior_mask(target.grid)
-    blocks = _kernels.node_blocks(len(v), v[0].size)
-    diff = np.empty_like(v[blocks[0]])
-    errs = []
-    for j, (f, flag) in enumerate(zip(fields, flags)):
-        keep = inner & ~flag
-        g = np.empty(np.count_nonzero(keep))
-        at = 0
-        for blk in blocks:
-            part = diff[: blk.stop - blk.start]
-            _difference_rows(v, h, j, blk, part)
-            np.subtract(f.values[blk], part, out=part)
-            kept = banach.norm(target.space, part)[keep[blk]]
-            g[at : at + kept.size] = kept
-            at += kept.size
-        errs.append(_lp(g, vol, p, out=g))
-    return errs
+    interior nodes that flags[j] leaves in (``_Comparison``)."""
+    return _compare(target, fields, flags).errors(p)
 
 
 def _field_result(
     name: str, target: GridFunction, fields: list[GridFunction], flags: list[np.ndarray],
     **details,
 ) -> FieldResult:
-    """The chain-rule report of ``fields`` against D_j(target): per axis j
-    the rows ``l1_err[j]`` (``_fd_errors``) and ``flagged_fraction[j]``,
-    the detail ``l1_err_total`` and the caller's ``details``."""
-    errs = _fd_errors(target, fields, flags)
-    rows = []
-    for j, err in enumerate(errs):
-        rows += [(f"l1_err[{j}]", err), (f"flagged_fraction[{j}]", float(np.mean(flags[j])))]
-    report = Report(
-        name=name, rows=rows, verdict="MEASURED", details={"l1_err_total": sum(errs), **details}
-    )
+    """``fields`` and ``flags`` with their chain-rule report against
+    D_j(target) (``_Comparison.report``)."""
+    report = _compare(target, fields, flags).report(name, **details)
     return FieldResult(fields=fields, flags=flags, report=report)
 
 
@@ -392,45 +429,72 @@ def norm_derivative_field(u: GridFunction) -> FieldResult:
     (non-unique pairing, or |u| at/near zero) store the midpoint of the
     one-sided interval; exact zeros store the conventional value 0.
 
-    Every per-node pass runs one block of first-axis rows
-    (``_kernels.node_blocks``) at a time: the pointwise norms, and per axis
-    the difference D_j u, into one reused block buffer, and its pairing.
-    So the part of the pairing that depends on the node alone is computed
-    once per block, and no full-size derivative array is made.  The values
-    and flags are written into full-size arrays, and every reduction of the
-    report (the L^1 errors, the flagged fractions) runs over all nodes.
+    The fields and flags are full-size arrays; ``norm_derivative_report``
+    gives the same report without them.
     """
-    v, dim = u.values, u.space.dim
+    return _norm_derivative(u, keep_fields=True)
+
+
+def norm_derivative_report(u: GridFunction) -> Report:
+    """``norm_derivative_field(u).report``, bit for bit, from one block
+    pass that keeps no field: the only full-size arrays are the pointwise
+    norms and, per axis, the kept nodes' errors that ``_lp`` sums."""
+    return _norm_derivative(u, keep_fields=False).report
+
+
+def _norm_derivative(u: GridFunction, keep_fields: bool) -> FieldResult:
+    """One pass over the node blocks (``_kernels.node_blocks``) of u.
+
+    Per block it forms the pointwise norms, and per axis the difference
+    D_j u, into one reused block buffer, and its pairing: the field values
+    (the midpoints) and flags.  So the part of the pairing that depends on
+    the node alone is computed once per block, and no full-size derivative
+    array is made.  The comparison (``_Comparison``) settles each block
+    one block behind, once the next block's norms give the stencil of D_0
+    the row after it.  The values and flags go to full-size arrays when
+    ``keep_fields``, else to block buffers that each block reuses once the
+    one before it is settled; the result then holds no fields.
+    """
+    v, dim, d = u.values, u.space.dim, u.domain.d
     h = u.grid.spacing(u.domain)
     per_row = v[0].size // dim  # nodes per first-axis row
     blocks = _kernels.node_blocks(len(v), v[0].size)
-    nx = np.empty(len(v) * per_row)
-    values = [np.empty(len(nx)) for _ in range(u.domain.d)]
-    flagged = [np.empty(len(nx), dtype=bool) for _ in values]
+    g = from_scalar(u.domain, u.grid, np.empty(u.grid.n))  # the norms, written per block
+    nx = g.values.reshape(-1)
+    comparison = _Comparison(g, d, blocks[0].stop)
+    size = len(nx) if keep_fields else blocks[0].stop * per_row
+    values = [np.empty(size) for _ in range(d)]
+    flagged = [np.empty(size, dtype=bool) for _ in range(d)]
     diff = np.empty_like(v[blocks[0]])
+    behind = None  # the block the comparison settles next
     for blk in blocks:
         at = slice(blk.start * per_row, blk.stop * per_row)
         X = v[blk].reshape(-1, dim)
         nx[at] = banach.norm(u.space, X)
+        if behind is not None:
+            comparison.settle(*behind)
         near_zero = nx[at] <= ZERO_TOL * (1.0 + nx[at])
         exact_zero = nx[at] == 0.0
         pair = banach._pairing_at(u.space, X, nx[at])
         part = diff[: blk.stop - blk.start]
+        out = at if keep_fields else slice(0, at.stop - at.start)
         for j, (value, flag) in enumerate(zip(values, flagged)):
             _difference_rows(v, h, j, blk, part)
             plus, minus, unique = pair(part.reshape(-1, dim))
-            mid = value[at]  # the midpoint, plus where unique, 0 at zeros
+            mid = value[out]  # the midpoint, plus where unique, 0 at zeros
             np.add(plus, minus, out=mid)
             mid *= 0.5
             np.copyto(mid, plus, where=unique)
             mid[exact_zero] = 0.0
-            np.logical_or(~unique, near_zero, out=flag[at])
-    g = from_scalar(u.domain, u.grid, nx.reshape(u.grid.n))
+            np.logical_or(~unique, near_zero, out=flag[out])
+        behind = (blk, [value[out] for value in values], [flag[out] for flag in flagged])
+    comparison.settle(*behind)
+    report = comparison.report("norm_derivative_field", cell_volume=float(np.prod(h)))
+    if not keep_fields:
+        return FieldResult(fields=[], flags=[], report=report)
     fields = [from_scalar(u.domain, u.grid, val.reshape(u.grid.n)) for val in values]
     flags = [f.reshape(u.grid.n) for f in flagged]
-    return _field_result(
-        "norm_derivative_field", g, fields, flags, cell_volume=float(np.prod(h))
-    )
+    return FieldResult(fields=fields, flags=flags, report=report)
 
 
 # ---------------------------------------------------------------------------

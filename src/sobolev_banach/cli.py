@@ -205,6 +205,7 @@ def _run_one(spec: dict, seed: int, refine_override: int | None):
         "pid": os.getpid(),
         "wall_s": time.perf_counter() - wall0,
         "cpu_s": ru.ru_utime + ru.ru_stime - ru0.ru_utime - ru0.ru_stime,
+        "minor_faults": ru.ru_minflt - ru0.ru_minflt,  # pages the entry touched fresh
         "max_rss_mb": ru.ru_maxrss / 1024,  # Linux reports kilobytes
         # the process's peak carries over from entry to entry; this one's rise
         "max_rss_rise_mb": (ru.ru_maxrss - ru0.ru_maxrss) / 1024,

@@ -118,13 +118,14 @@ def indicator_path_witness(r: float, n: int) -> Report:
         oracle = 1.0 / h if math.isinf(r) else h ** (1.0 / r - 1.0)
         rows.append((h, measured, oracle, measured / oracle))
 
-    # dq_criterion(u, SOBOLEV_P), its quotients taken from the node norms above
+    # dq_criterion(u, SOBOLEV_P), its quotients taken from the node norms
+    # above, whose powers overwrite them: no row reads them again
     step = grid.spacing(dom)
     vol = float(np.prod(step))
-    quotients = [
-        (0, s, float(s * step[0]), float(_lp(norms[s], vol, SOBOLEV_P) / (s * step[0])))
-        for s in DQ_STEPS
-    ]
+    quotients = []
+    for s in DQ_STEPS:
+        hs = float(s * step[0])
+        quotients.append((0, s, hs, float(_lp(norms[s], vol, SOBOLEV_P, out=norms[s]) / hs)))
     crit = _dq_verdict(quotients, 1, SOBOLEV_P)
     expected_slope = -1.0 if math.isinf(r) else 1.0 / r - 1.0
     if math.isinf(r):

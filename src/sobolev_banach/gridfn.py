@@ -178,7 +178,7 @@ def bochner_norm(u: GridFunction, p: float) -> float:
         raise ValueError(f"p must be >= 1 or inf, got {p}")
     g = pointwise_norms(u)
     vol = float(np.prod(u.grid.spacing(u.domain)))
-    return _lp(g, vol, p)
+    return _lp(g, vol, p, out=g)
 
 
 # ---------------------------------------------------------------------------
@@ -192,11 +192,14 @@ def _axis_slices(d: int, j: int, s: slice) -> tuple:
     return tuple(out)
 
 
-def interior_mask(grid: GridSpec) -> np.ndarray:
-    """Boolean node mask, False on the one-node boundary ring where
-    :func:`finite_difference` uses its one-sided stencils."""
-    mask = np.zeros(grid.n, dtype=bool)
-    mask[(slice(1, -1),) * len(grid.n)] = True
+def interior_mask(grid: GridSpec, rows: slice = slice(None)) -> np.ndarray:
+    """Boolean node mask of the first-axis rows ``rows`` (all by default),
+    False on the one-node boundary ring where :func:`finite_difference`
+    uses its one-sided stencils."""
+    n = grid.n
+    a, b, _ = rows.indices(n[0])
+    mask = np.zeros((b - a,) + n[1:], dtype=bool)
+    mask[(slice(max(a, 1) - a, min(b, n[0] - 1) - a),) + (slice(1, -1),) * (len(n) - 1)] = True
     return mask
 
 
@@ -302,7 +305,8 @@ def shift_difference_norm(u: GridFunction, j: int, steps: int, p: float) -> floa
     of ``shift_node_norms``, with the cell volume of the full box as the
     quadrature weight."""
     vol = float(np.prod(u.grid.spacing(u.domain)))
-    return _lp(shift_node_norms(u, j, steps), vol, p)
+    g = shift_node_norms(u, j, steps)
+    return _lp(g, vol, p, out=g)
 
 
 # ---------------------------------------------------------------------------

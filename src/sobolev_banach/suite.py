@@ -25,6 +25,7 @@ from .calculus import (
     gateaux_chain_field,
     holder_beta,
     norm_derivative_field,
+    norm_derivative_report,
     norm_lipschitz_map,
     pos_derivative_field,
     abs_derivative_field,
@@ -246,7 +247,7 @@ def _norm_chain_rule(rng, refine, ladder):
         total = 0.0
         for bp in bps:
             # keep only the number, so each member is freed before the next
-            total += norm_derivative_field(bp.realize(n)).report.details["l1_err_total"]
+            total += norm_derivative_report(bp.realize(n)).details["l1_err_total"]
         errs.append(total)
     order = _fit_order(ladder, errs)
     rows = [

@@ -270,20 +270,52 @@ def covering_counts(members: list[GridFunction], p: float, eps_list) -> list[int
     """N(eps) from one deterministic farthest-point traversal (start at the
     first member, ties to the lowest index).
 
+    Every member must share member 0's domain, grid and value space, whose
+    norm measures the distances, and p must be >= 1 (or inf); anything
+    else is rejected before any distance is formed.
+
     The distances from each member to the later ones are computed for a
     node block's worth of members (``_kernels.node_blocks``) at a time, so
-    the work arrays stay that size; each distance is a sum over the nodes
-    of one member, whole as before.
+    the work arrays stay that size and no copy of the family is made: the
+    differences of a block go straight into one buffer, member by member,
+    and are normed in place.  The buffer is a stack of members
+    (``np.stack``, grown when a block is longer), because a stack keeps
+    the memory order that the members share (F order for
+    ``(coef @ basis).T``), as a stack of the whole family does, and the
+    row sums of the norms round by that order (``_kernels.row_sum``).  Its
+    member axis is outermost, so its leading members have the strides of a
+    stack of that many.  Each distance, a sum over the nodes of one member,
+    is therefore the whole-stack one bit for bit.
     """
+    if not members:
+        raise ContractError("covering_counts needs at least one member")
+    if not (p >= 1.0):
+        raise ValueError(f"p must be >= 1 or inf, got {p}")
+    first = members[0]
+    for i, mm in enumerate(members[1:], start=1):
+        for what, same in (
+            ("domain", np.array_equal(mm.domain.lo, first.domain.lo)
+             and np.array_equal(mm.domain.hi, first.domain.hi)),
+            ("grid", mm.grid == first.grid),
+            ("space", mm.space == first.space),
+        ):
+            if not same:
+                raise DimensionMismatchError(f"member {i} differs from member 0 in its {what}")
     m = len(members)
-    vol = float(np.prod(members[0].grid.spacing(members[0].domain)))
-    space = members[0].space
-    vals = np.stack([mm.values.reshape(mm.node_count, space.dim) for mm in members])
+    vol = float(np.prod(first.grid.spacing(first.domain)))
+    space = first.space
+    vals = [mm.values.reshape(mm.node_count, space.dim) for mm in members]
     D = np.zeros((m, m))
-    for i in range(m):
+    buf = np.empty(0)  # the longest stack so far
+    for i in range(m - 1):
         for blk in _kernels.node_blocks(m - i - 1, vals[0].size):
             rest = slice(i + 1 + blk.start, i + 1 + blk.stop)
-            g = np.asarray(banach.norm(space, vals[rest] - vals[i]))
+            if len(buf) < blk.stop - blk.start:
+                buf = np.stack(vals[rest])
+            diff = buf[: blk.stop - blk.start]
+            for row, later in zip(diff, vals[rest]):
+                np.subtract(later, vals[i], out=row)
+            g = _kernels.row_norms(diff, space.exponent, space.weights, out=diff)
             if math.isinf(p):
                 dd = g.max(axis=1)
             else:

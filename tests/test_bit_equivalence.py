@@ -729,13 +729,94 @@ def test_blocked_passes_match_whole_array_expressions(case):
         assert res.report.details["l1_err_total"] == _running_sum(errs)
 
 
+@given(
+    st.sampled_from(SPACES), st.sampled_from([1, 2]), st.integers(3, 20),
+    st.sampled_from([3, 4]), st.integers(0, 2**16),
+)
+@settings(**FIELD_CASES)
+def test_norm_derivative_report_matches_field_report(space, d, n, rows, seed):
+    # the report pass keeps no field and settles each block one block
+    # behind; node blocks of 2 to 4 rows put many rows on a block edge
+    if d == 2:
+        n = 3 + n % 8
+    u = _blueprint(space, d, seed).realize(n)
+    width = u.values[0].size
+    rng = np.random.default_rng(seed)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(_kernels, "NODE_BLOCK", rows * width)
+        blocks = _kernels.node_blocks(n, width)
+        # on each edge row of each block: an exact zero, a near-zero node
+        # (flagged), or ties of the sup norm and a zero coordinate of the
+        # ell^1 norm (flagged pairings there)
+        for k, blk in enumerate(blocks):
+            for e, r in enumerate((blk.start, blk.stop - 1)):
+                node_row = u.values[r].reshape(-1, space.dim)
+                node = node_row[rng.integers(len(node_row))]
+                kind = (k + e) % 3
+                if kind == 0:
+                    node[:] = 0.0
+                elif kind == 1:
+                    node *= 1e-12
+                else:
+                    node[1] = -node[0]
+                    node[2:] = 0.0
+        want = calculus.norm_derivative_field(u)
+        got = calculus.norm_derivative_report(u)
+    assert any(f.any() for f in want.flags)
+    assert (got.name, got.verdict) == (want.report.name, want.report.verdict)
+    assert got.rows == want.report.rows
+    assert got.details == want.report.details
+    _, _, errs = _whole_norm_derivative_field(u)
+    assert _l1_rows(got) == errs
+
+
+@given(block_cases(), st.integers(0, 2**16))
+@settings(**FIELD_CASES)
+def test_streamed_fd_errors_match_whole_array_form(case, seed):
+    # the comparison settles one node block of fields and flags at a time
+    u, rows, p = case
+    rng = np.random.default_rng(seed)
+    near = [u.like(D + 1e-3 * rng.normal(size=D.shape)) for D in _whole_finite_difference(u)]
+    flags = [rng.random(u.grid.n) < 0.3 for _ in range(u.domain.d)]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(_kernels, "NODE_BLOCK", rows * u.space.dim)
+        assert len(_kernels.node_blocks(len(u.values), u.values[0].size)) > 1
+        got = calculus._fd_errors(u, near, flags, p)
+    assert got == _whole_fd_errors(u, near, flags, p)
+
+
+def _cover_family(space, members, order):
+    """Members on 32 nodes: realized blueprints (C order), or, as the
+    library-large family is built, ``(coef @ basis).T`` (F order)."""
+    if order == "C":
+        return [_blueprint(space, 1, seed).realize(32) for seed in range(members)]
+    x = (np.arange(32) + 0.5) / 32
+    basis = np.stack([np.ones_like(x), np.sin(np.pi * x), np.sin(2 * np.pi * x)])
+    coef = np.random.default_rng(members).normal(size=(members, space.dim, 3))
+    dom, grid = gridfn.unit_box(1), gridfn.GridSpec((32,))
+    return [gridfn.GridFunction(dom, grid, space, (c @ basis).T) for c in coef]
+
+
 @pytest.mark.parametrize("members", [1, 2, 7, 16])
 @pytest.mark.parametrize("space", BLOCK_SPACES, ids=lambda s: f"{s.kind}-{s.exponent}-{s.dim}")
 def test_covering_distances_match_stacked_form(space, members, monkeypatch):
+    _check_covering_distances(space, members, "C", monkeypatch)
+
+
+@pytest.mark.parametrize("members", [2, 7, 16])
+@pytest.mark.parametrize("space", BLOCK_SPACES, ids=lambda s: f"{s.kind}-{s.exponent}-{s.dim}")
+def test_covering_distances_match_stacked_form_in_f_order(space, members, monkeypatch):
+    # the row sums of F-ordered differences round differently from those of
+    # a C-ordered copy; a block stack keeps the F order, as the whole does
+    _check_covering_distances(space, members, "F", monkeypatch)
+
+
+def _check_covering_distances(space, members, order, monkeypatch):
     # covering_counts computes its distances a few members at a time; the
     # matrix it hands to the traversal is the one of the whole stack
     p = gridfn.SOBOLEV_P
-    fam = [_blueprint(space, 1, seed).realize(32) for seed in range(members)]
+    fam = _cover_family(space, members, order)
+    assert all(f.values.flags[f"{order}_CONTIGUOUS"] for f in fam)
     seen = []
     monkeypatch.setattr(_kernels, "NODE_BLOCK", 3 * 32 * space.dim)
     monkeypatch.setattr(_kernels, "greedy_radii", lambda D: seen.append(D) or np.zeros(len(D)))

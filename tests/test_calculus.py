@@ -229,11 +229,9 @@ def test_norm_derivative_field_flags_zero_crossing():
     assert np.allclose(vals[-3:], 1.0, atol=1e-12)
 
 
-@pytest.mark.parametrize("exponent", [1.5, 2.0, 3.0])
-def test_norm_derivative_field_memory_stays_near_its_input(exponent):
-    # the differences, pairings and comparison run one node block at a
-    # time, so no full-size derivative array is made per axis; numpy
-    # reports its buffers to tracemalloc
+def _peak_over_input(producer, exponent):
+    """tracemalloc's peak while ``producer`` runs on a 256 x 256 GridLr
+    member, over the member's size (numpy reports its buffers)."""
     space = banach.SpaceDescriptor("GridLr", 4, exponent=exponent)
     rng = np.random.default_rng(0)
     u = gridfn.GridFunction(
@@ -241,11 +239,26 @@ def test_norm_derivative_field_memory_stays_near_its_input(exponent):
     )
     tracemalloc.start()
     try:
-        calculus.norm_derivative_field(u)
+        producer(u)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 3 * u.values.nbytes
+    return peak / u.values.nbytes
+
+
+@pytest.mark.parametrize("exponent", [1.5, 2.0, 3.0])
+def test_norm_derivative_field_memory_stays_near_its_input(exponent):
+    # the differences, pairings and comparison run one node block at a
+    # time, so no full-size derivative array is made per axis (measured:
+    # 1.95 times the input, the fields and flags included)
+    assert _peak_over_input(calculus.norm_derivative_field, exponent) < 2.2
+
+
+@pytest.mark.parametrize("exponent", [1.5, 2.0, 3.0])
+def test_norm_derivative_report_memory_stays_near_its_input(exponent):
+    # the report keeps no field: its full-size arrays are the pointwise
+    # norms and each axis's kept errors (measured: 1.46 times the input)
+    assert _peak_over_input(calculus.norm_derivative_report, exponent) < 1.7
 
 
 def test_lattice_fields_sign_rule_and_pos_identity():

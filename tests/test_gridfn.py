@@ -259,3 +259,13 @@ def test_gridfunction_shape_validation():
     with pytest.raises(DimensionMismatchError):
         gridfn.gf_sub(hil, l1)
     assert gridfn.gf_sub(hil, hil).space == hil.space
+
+
+@pytest.mark.parametrize("n", [(2,), (3,), (9,), (2, 5), (4, 3), (6, 5, 4)])
+def test_interior_mask_of_rows_is_a_slice_of_the_whole_mask(n):
+    grid = gridfn.GridSpec(n)
+    whole = gridfn.interior_mask(grid)
+    assert whole.sum() == math.prod(k - 2 for k in n)
+    for a in range(n[0]):
+        for b in range(a + 1, n[0] + 1):
+            assert np.array_equal(gridfn.interior_mask(grid, slice(a, b)), whole[a:b])

@@ -706,6 +706,10 @@ def _run_names(tmp_path, names, *flags):
     return code, json.loads(meta_path.read_text()) if meta_path.exists() else None
 
 
+SIDECAR_KEYS = {"name", "params", "pid", "wall_s", "cpu_s", "minor_faults", "max_rss_mb",
+                "max_rss_rise_mb", "blas_threads"}
+
+
 def test_sidecar_records_each_entry_in_process(tmp_path):
     code, meta = _run_names(tmp_path, MEDIUM, "--workers", "1")
     assert code == cli.EXIT_OK
@@ -717,10 +721,10 @@ def test_sidecar_records_each_entry_in_process(tmp_path):
     assert set(meta["blas"]) <= {"name", "version", "openblas configuration"}
     assert [e["name"] for e in meta["entries"]] == MEDIUM
     for e in meta["entries"]:
-        assert set(e) == {"name", "params", "pid", "wall_s", "cpu_s", "max_rss_mb",
-                          "max_rss_rise_mb", "blas_threads"}
+        assert set(e) == SIDECAR_KEYS
         assert e["pid"] == os.getpid()
         assert e["wall_s"] > 0 and e["cpu_s"] >= 0 and e["max_rss_mb"] > 0
+        assert isinstance(e["minor_faults"], int) and e["minor_faults"] >= 0
         assert 0 <= e["max_rss_rise_mb"] <= e["max_rss_mb"]
         # an in-process run leaves the BLAS threads alone
         assert e["blas_threads"] == cli.blas_threads()
@@ -733,6 +737,9 @@ def test_sidecar_records_each_entry_in_workers(tmp_path):
     assert code == cli.EXIT_OK
     assert meta["workers"] == 2
     assert [e["name"] for e in meta["entries"]] == MEDIUM
+    for e in meta["entries"]:
+        assert set(e) == SIDECAR_KEYS
+        assert isinstance(e["minor_faults"], int) and e["minor_faults"] >= 0
     pids = {e["pid"] for e in meta["entries"]}
     assert len(pids) >= 2 and os.getpid() not in pids
     # each forked worker runs on one BLAS thread; this process keeps its own

@@ -1,6 +1,7 @@
 """Embedding, Poincaré, zero-trace, compactness, and extension checks."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -176,6 +177,57 @@ def test_covering_counts_clusters():
     counts = theorems.covering_counts(members, 2.0, [0.01, 5.0, 100.0])
     assert counts == [3, 3, 1]
     assert theorems.covering_counts(members[:1], 2.0, [0.1]) == [1]
+
+
+def _cover_member(space=HIL2, n=16, dom=BOX1):
+    return gridfn.GridFunction(dom, gridfn.GridSpec((n,)), space, np.ones((n, space.dim)))
+
+
+def test_covering_counts_rejects_an_empty_family():
+    with pytest.raises(ContractError, match="at least one member"):
+        theorems.covering_counts([], 2.0, [0.1])
+
+
+@pytest.mark.parametrize(
+    "odd, what",
+    [
+        (_cover_member(banach.SpaceDescriptor("SampledSup", 2)), "space"),
+        (_cover_member(n=32), "grid"),
+        (_cover_member(dom=gridfn.BoxDomain([0.0], [2.0])), "domain"),
+    ],
+    ids=["space", "grid", "domain"],
+)
+def test_covering_counts_rejects_a_member_that_differs_from_the_first(odd, what):
+    # a SampledSup member beside Hilbert ones would be measured in the
+    # Hilbert norm, and another grid would fail inside the stack
+    members = [_cover_member(), _cover_member(), odd]
+    with pytest.raises(DimensionMismatchError, match=f"member 2 .*{what}"):
+        theorems.covering_counts(members, 2.0, [0.1])
+
+
+@pytest.mark.parametrize("p", [0.5, 0.0, -1.0, math.nan])
+def test_covering_counts_rejects_p_below_one(p):
+    with pytest.raises(ValueError, match="p must be >= 1"):
+        theorems.covering_counts([_cover_member(), _cover_member()], p, [0.1])
+
+
+def test_covering_counts_memory_stays_below_the_stacked_family():
+    # only one node block of members is stacked at a time, never the family;
+    # numpy reports its buffers to tracemalloc
+    space = banach.SpaceDescriptor("GridLr", 4, exponent=2.0)
+    rng = np.random.default_rng(0)
+    members = [
+        gridfn.GridFunction(BOX1, gridfn.GridSpec((1024,)), space, rng.normal(size=(1024, 4)))
+        for _ in range(60)
+    ]
+    stacked = sum(m.values.nbytes for m in members)
+    tracemalloc.start()
+    try:
+        theorems.covering_counts(members, 2.0, [0.1])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.5 * stacked
 
 
 def test_aubin_lions_probe_stable_and_growing():
