@@ -8,7 +8,11 @@
 # trees at seeds 42 and 7, refine 0-3, --workers 1 and 2,
 # --format both.  Each pair of output directories is compared with
 # `diff -r -x run_metadata.json` (the metadata holds timings and host facts).
-# Prints one line per run and exits non-zero if any report differs.
+# Then each tree's own perfbench/library.py makes one library-large pass at
+# seeds 42 and 7 on one BLAS thread, `calls(Inputs(seed))`, and the `digest`
+# of each call's result is compared between the trees.
+# Prints one line per run, then the count of identical call digests, and
+# exits non-zero if any report or digest differs.
 set -euo pipefail
 
 if [ $# -ne 1 ]; then
@@ -46,4 +50,22 @@ for s in 42 7; do
   done
 done
 echo "$same/$total runs identical to ${rev:0:12}"
-[ "$same" -eq "$total" ]
+
+digests() {  # digests TREE SEED: one library-large pass, "label digest" per call
+  PYTHONPATH="$1/src:$1/perfbench" OPENBLAS_NUM_THREADS=1 OMP_NUM_THREADS=1 \
+    MKL_NUM_THREADS=1 python3 -c '
+import sys
+from library import Inputs, calls, digest
+for label, thunk, _ in calls(Inputs(int(sys.argv[1]))):
+    print(label, digest(thunk()))' "$2"
+}
+
+for s in 42 7; do
+  digests "$tmp/rev" "$s" > "$tmp/digests-rev-$s"
+  digests "$root" "$s" > "$tmp/digests-tree-$s"
+done
+calls=$(cat "$tmp"/digests-rev-* | wc -l)
+same_calls=$(for s in 42 7; do paste -d '\t' "$tmp/digests-rev-$s" "$tmp/digests-tree-$s"; done \
+  | awk -F '\t' '$1 == $2' | wc -l)
+echo "$same_calls/$calls call digests identical to ${rev:0:12}"
+[ "$same" -eq "$total" ] && [ "$same_calls" -eq "$calls" ] && [ "$calls" -gt 0 ]

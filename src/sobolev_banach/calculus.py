@@ -5,11 +5,12 @@ membership criterion, Lipschitz composition, one-sided chain rules, lattice
 chain rules, disjoint-support preservation, quotient and product rules,
 Hölder seminorms) into measurable quantities on a grid, each with a report
 recording what was compared and how well it agreed.  Every chain-rule
-field is checked by one rule: ``l1_err[j]`` is the Bochner 1-norm of
-fields[j] - D_j(target) over the unflagged interior nodes, which
-``_Comparison`` forms one node block at a time.  The norm, lattice and
-quotient rule fields report it as the rows ``l1_err[j]`` and
-``flagged_fraction[j]`` per axis j.
+field is checked by one comparison, ``_Comparison``: ``l1_err[j]`` is the
+Bochner 1-norm of fields[j] - D_j(target) over the unflagged interior
+nodes, one node block at a time (``_compare`` for whole fields; the norm
+pass writes its norms first and settles each block as it forms it).  The
+norm, lattice and quotient rule fields report it as the rows
+``l1_err[j]`` and ``flagged_fraction[j]`` per axis j.
 """
 from __future__ import annotations
 
@@ -25,6 +26,7 @@ from .errors import (
     ContractError,
     DimensionMismatchError,
     OrderContinuityError,
+    check_count,
 )
 from .gridfn import (
     SOBOLEV_P,
@@ -72,13 +74,12 @@ class _Comparison:
     flags[j] leaves in, one block of first-axis rows at a time.
 
     ``settle(blk, fields, flags)`` takes field j and its flags on the rows
-    ``blk`` (any shape that holds those nodes in order); the target must
-    be written by then on every row the stencil of D_j reads, for D_0 the
-    first row after the block.  D_j(target) and the node norms of the
-    differences run in one reused block buffer of ``rows`` first-axis
-    rows.  Each block appends the norms of the nodes it keeps to one array
-    per axis, which so holds them in node order, and ``errors`` runs
-    ``_lp`` once over each array, in place (so only once).
+    ``blk`` (any shape that holds those nodes in order), against the
+    complete target.  D_j(target) and the node norms of the differences
+    run in one reused block buffer of ``rows`` first-axis rows.  Each
+    block appends the norms of the nodes it keeps to one array per axis,
+    which so holds them in node order, and ``errors`` runs ``_lp`` once
+    over each array, in place (so only once).
     """
 
     def __init__(self, target: GridFunction, axes: int, rows: int):
@@ -136,24 +137,6 @@ def _compare(
     return comparison
 
 
-def _fd_errors(
-    target: GridFunction, fields: list[GridFunction], flags: list[np.ndarray], p: float = 1.0
-) -> list[float]:
-    """Per axis j, the Bochner p-norm of fields[j] - D_j(target) over the
-    interior nodes that flags[j] leaves in (``_Comparison``)."""
-    return _compare(target, fields, flags).errors(p)
-
-
-def _field_result(
-    name: str, target: GridFunction, fields: list[GridFunction], flags: list[np.ndarray],
-    **details,
-) -> FieldResult:
-    """``fields`` and ``flags`` with their chain-rule report against
-    D_j(target) (``_Comparison.report``)."""
-    report = _compare(target, fields, flags).report(name, **details)
-    return FieldResult(fields=fields, flags=flags, report=report)
-
-
 # ---------------------------------------------------------------------------
 # difference-quotient membership criterion
 # ---------------------------------------------------------------------------
@@ -179,9 +162,9 @@ def dq_criterion(u: GridFunction, p: float, steps_list: tuple[int, ...] = DQ_STE
     the same rows from them and gets the same report without norming the
     differences again.
     """
-    steps_list = tuple(sorted(set(int(s) for s in steps_list)))
-    if any(s < 1 for s in steps_list):
-        raise ValueError("steps must be positive")
+    if not (p >= 1.0):
+        raise ValueError(f"p must be >= 1 or inf, got {p}")
+    steps_list = tuple(sorted(set(check_count("steps", s) for s in steps_list)))
     h = u.grid.spacing(u.domain)
     rows = []
     for j in range(u.domain.d):
@@ -341,8 +324,8 @@ def compose_lipschitz(
     h = u.grid.spacing(u.domain)
     inner = interior_mask(u.grid)
     for j in range(u.domain.d):
-        lhs = np.asarray(banach.norm(F.target, dv[j].values))
-        dnorm = np.asarray(banach.norm(u.space, du[j].values))
+        lhs = pointwise_norms(dv[j])
+        dnorm = pointwise_norms(du[j])
         max_excess = max(max_excess, float(np.max((lhs - F.L * dnorm)[inner])))
         du_max.append(float(np.max(dnorm)))
     tol = 1e-9 * (1.0 + F.L * max(du_max))
@@ -395,8 +378,8 @@ def gateaux_chain_field(F: LipschitzMap, u: GridFunction) -> FieldResult:
         unique = gap <= PAIR_TOL * (1.0 + np.asarray(banach.norm(u.space, V)))
         flags.append(~unique.reshape(u.grid.n))
         gaps.append(_lp(gap, vol, SOBOLEV_P))
-    err_plus = _fd_errors(v, plus_fields, flags, SOBOLEV_P)
-    err_minus = _fd_errors(v, minus_fields, flags, SOBOLEV_P)
+    err_plus = _compare(v, plus_fields, flags).errors(SOBOLEV_P)
+    err_minus = _compare(v, minus_fields, flags).errors(SOBOLEV_P)
     table = []
     details: dict = {"directions": {}}
     for j in range(u.domain.d):
@@ -436,46 +419,43 @@ def norm_derivative_field(u: GridFunction) -> FieldResult:
 
 
 def norm_derivative_report(u: GridFunction) -> Report:
-    """``norm_derivative_field(u).report``, bit for bit, from one block
-    pass that keeps no field: the only full-size arrays are the pointwise
-    norms and, per axis, the kept nodes' errors that ``_lp`` sums."""
+    """``norm_derivative_field(u).report``, bit for bit, from the same
+    block passes keeping no field: the only full-size arrays are the
+    pointwise norms and, per axis, the kept nodes' errors that ``_lp`` sums."""
     return _norm_derivative(u, keep_fields=False).report
 
 
 def _norm_derivative(u: GridFunction, keep_fields: bool) -> FieldResult:
-    """One pass over the node blocks (``_kernels.node_blocks``) of u.
+    """Two passes over the node blocks (``_kernels.node_blocks``) of u.
 
-    Per block it forms the pointwise norms, and per axis the difference
-    D_j u, into one reused block buffer, and its pairing: the field values
-    (the midpoints) and flags.  So the part of the pairing that depends on
-    the node alone is computed once per block, and no full-size derivative
-    array is made.  The comparison (``_Comparison``) settles each block
-    one block behind, once the next block's norms give the stencil of D_0
-    the row after it.  The values and flags go to full-size arrays when
-    ``keep_fields``, else to block buffers that each block reuses once the
-    one before it is settled; the result then holds no fields.
+    The first writes the pointwise norms of every block.  The second forms
+    per block, and per axis, the difference D_j u into one reused block
+    buffer and its pairing: the field values (the midpoints) and flags,
+    which the comparison (``_Comparison``) settles at once.  So the part of
+    the pairing that depends on the node alone is computed once per block,
+    and no full-size derivative array is made.  The values and flags go to
+    full-size arrays when ``keep_fields``, else to block buffers that each
+    block reuses; the result then holds no fields.
     """
     v, dim, d = u.values, u.space.dim, u.domain.d
     h = u.grid.spacing(u.domain)
     per_row = v[0].size // dim  # nodes per first-axis row
     blocks = _kernels.node_blocks(len(v), v[0].size)
-    g = from_scalar(u.domain, u.grid, np.empty(u.grid.n))  # the norms, written per block
+    ats = [slice(blk.start * per_row, blk.stop * per_row) for blk in blocks]
+    g = from_scalar(u.domain, u.grid, np.empty(u.grid.n))  # the norms
     nx = g.values.reshape(-1)
+    for blk, at in zip(blocks, ats):
+        nx[at] = banach.norm(u.space, v[blk].reshape(-1, dim))
     comparison = _Comparison(g, d, blocks[0].stop)
     size = len(nx) if keep_fields else blocks[0].stop * per_row
     values = [np.empty(size) for _ in range(d)]
     flagged = [np.empty(size, dtype=bool) for _ in range(d)]
     diff = np.empty_like(v[blocks[0]])
-    behind = None  # the block the comparison settles next
-    for blk in blocks:
-        at = slice(blk.start * per_row, blk.stop * per_row)
-        X = v[blk].reshape(-1, dim)
-        nx[at] = banach.norm(u.space, X)
-        if behind is not None:
-            comparison.settle(*behind)
-        near_zero = nx[at] <= ZERO_TOL * (1.0 + nx[at])
-        exact_zero = nx[at] == 0.0
-        pair = banach._pairing_at(u.space, X, nx[at])
+    for blk, at in zip(blocks, ats):
+        norms = nx[at]
+        near_zero = norms <= ZERO_TOL * (1.0 + norms)
+        exact_zero = norms == 0.0
+        pair = banach._pairing_at(u.space, v[blk].reshape(-1, dim), norms)
         part = diff[: blk.stop - blk.start]
         out = at if keep_fields else slice(0, at.stop - at.start)
         for j, (value, flag) in enumerate(zip(values, flagged)):
@@ -487,8 +467,7 @@ def _norm_derivative(u: GridFunction, keep_fields: bool) -> FieldResult:
             np.copyto(mid, plus, where=unique)
             mid[exact_zero] = 0.0
             np.logical_or(~unique, near_zero, out=flag[out])
-        behind = (blk, [value[out] for value in values], [flag[out] for flag in flagged])
-    comparison.settle(*behind)
+        comparison.settle(blk, [value[out] for value in values], [flag[out] for flag in flagged])
     report = comparison.report("norm_derivative_field", cell_volume=float(np.prod(h)))
     if not keep_fields:
         return FieldResult(fields=[], flags=[], report=report)
@@ -513,10 +492,11 @@ def _require_order_continuous(space: SpaceDescriptor, what: str):
 
 
 def _lattice_field(u: GridFunction, kind: str) -> FieldResult:
-    _require_order_continuous(u.space, f"{kind}_derivative_field")
+    name = f"{kind}_derivative_field"
+    _require_order_continuous(u.space, name)
     du = finite_difference(u)
     U = u.values
-    nx = np.asarray(banach.norm(u.space, U))
+    nx = pointwise_norms(u)
     tau = ZERO_TOL * (1.0 + nx)[..., None]
     node_flag = np.any(np.abs(U) <= tau, axis=-1)
     if kind == "abs":
@@ -525,7 +505,8 @@ def _lattice_field(u: GridFunction, kind: str) -> FieldResult:
     else:
         target = u.like(np.maximum(U, 0.0))
         fields = [u.like(np.where(U > 0.0, D.values, 0.0)) for D in du]
-    return _field_result(f"{kind}_derivative_field", target, fields, [node_flag] * u.domain.d)
+    flags = [node_flag] * u.domain.d
+    return FieldResult(fields, flags, _compare(target, fields, flags).report(name))
 
 
 def abs_derivative_field(u: GridFunction) -> FieldResult:
@@ -558,7 +539,7 @@ def stampacchia_check(u: GridFunction, w) -> Report:
     if np.any(w < 0.0):
         raise ContractError("w must be a positive element")
     U = u.values
-    nx = np.asarray(banach.norm(u.space, U))
+    nx = pointwise_norms(u)
     tau = ZERO_TOL * (1.0 + float(np.max(nx, initial=0.0)))
     pre = np.minimum(np.abs(U), w)
     pre_max = float(np.max(pre))
@@ -624,9 +605,10 @@ def quotient_rule_field(
         formula = np.where(safe[..., None], formula, 0.0)
         fields.append(u.like(formula))
         flags.append(~safe | nd.flags[j])
-    return v, _field_result(
-        "quotient_rule_field", v, fields, flags, zero_fraction=float(np.mean(~safe))
+    report = _compare(v, fields, flags).report(
+        "quotient_rule_field", zero_fraction=float(np.mean(~safe))
     )
+    return v, FieldResult(fields, flags, report)
 
 
 def product_rule_check(u: GridFunction, psi: GridFunction) -> Report:
@@ -642,7 +624,7 @@ def product_rule_check(u: GridFunction, psi: GridFunction) -> Report:
     no_flags = [np.zeros(u.grid.n, dtype=bool)] * u.domain.d
     h = u.grid.spacing(u.domain)
     table, err_max = [], 0.0
-    for j, err in enumerate(_fd_errors(u.like(u.values * psi.values), rhs, no_flags)):
+    for j, err in enumerate(_compare(u.like(u.values * psi.values), rhs, no_flags).errors(1.0)):
         table.append((float(h[j]), err))
         err_max = max(err_max, err)
     return Report(
@@ -672,6 +654,8 @@ def holder_beta(
     """
     if not (0.0 < alpha <= 1.0):
         raise ValueError(f"alpha must be in (0, 1], got {alpha}")
+    if max_nodes is not None:
+        max_nodes = check_count("max_nodes", max_nodes, least=2)
     bad = ~np.isfinite(u.values).all(axis=-1)
     if bad.any():
         idx = tuple(int(k) for k in np.argwhere(bad)[0])

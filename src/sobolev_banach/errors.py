@@ -1,4 +1,7 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the check of an
+integer parameter that raises them."""
+
+import numbers
 
 
 class ContractError(ValueError):
@@ -25,3 +28,14 @@ class GridError(ContractError):
 
 class ConfigError(ValueError):
     """Suite configuration file is malformed."""
+
+
+def check_count(name: str, value, least: int = 1) -> int:
+    """``value`` as an int when it is an integer >= ``least``; a float
+    (even an integral one) or a bool raises ``ContractError`` naming
+    ``name``, as ``GridSpec`` and ``SpaceDescriptor`` treat their counts."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ContractError(f"{name} must be an integer, got {value!r}")
+    if value < least:
+        raise ContractError(f"{name} must be >= {least}, got {value}")
+    return int(value)

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import _kernels, banach
 from .banach import SpaceDescriptor, scalar_space
-from .errors import DimensionMismatchError, GridError
+from .errors import DimensionMismatchError, GridError, check_count
 
 #: the exponent p of W^{1,p}: every W-norm, boundary norm and theorem check
 SOBOLEV_P = 2.0
@@ -26,20 +26,31 @@ SOBOLEV_P = 2.0
 
 @dataclass(frozen=True)
 class BoxDomain:
-    """Open axis-aligned box (lo_1, hi_1) x ... x (lo_d, hi_d)."""
+    """Open axis-aligned box (lo_1, hi_1) x ... x (lo_d, hi_d).  Boxes
+    compare and hash by their corners, held as read-only float64 arrays."""
 
     lo: np.ndarray
     hi: np.ndarray
 
     def __post_init__(self):
-        lo = np.atleast_1d(np.asarray(self.lo, dtype=np.float64))
-        hi = np.atleast_1d(np.asarray(self.hi, dtype=np.float64))
+        lo = np.array(self.lo, dtype=np.float64, ndmin=1)
+        hi = np.array(self.hi, dtype=np.float64, ndmin=1)
         if lo.shape != hi.shape or lo.ndim != 1:
             raise DimensionMismatchError("lo and hi must be 1-d of equal length")
         if not np.all(hi > lo):
             raise GridError("box needs hi > lo on every axis")
+        lo.flags.writeable = hi.flags.writeable = False
         object.__setattr__(self, "lo", lo)
         object.__setattr__(self, "hi", hi)
+
+    def _key(self):
+        return tuple(self.lo.tolist()), tuple(self.hi.tolist())
+
+    def __eq__(self, other):
+        return isinstance(other, BoxDomain) and self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
 
     @property
     def d(self) -> int:
@@ -262,7 +273,7 @@ def w_norm(u: GridFunction) -> float:
 
 
 def gf_sub(u: GridFunction, v: GridFunction) -> GridFunction:
-    if u.grid.n != v.grid.n or u.space != v.space:
+    if u.domain != v.domain or u.grid.n != v.grid.n or u.space != v.space:
         raise DimensionMismatchError("grid functions do not conform")
     return u.like(u.values - v.values)
 
@@ -282,8 +293,7 @@ def shift_node_norms(u: GridFunction, j: int, steps: int) -> np.ndarray:
     caller that needs several reductions of one shift difference (an L^p
     norm, a max) takes them all from this one array.
     """
-    if steps < 1:
-        raise ValueError("steps must be >= 1")
+    steps = check_count("steps", steps)
     nj = u.grid.n[j]
     if steps >= nj:
         raise GridError(f"shift of {steps} cells exceeds axis {j} ({nj} cells)")
@@ -321,8 +331,7 @@ def extend_reflect(u: GridFunction, pad: int) -> GridFunction:
     exactly; the cell-centered layout makes np.pad's symmetric mode the
     exact mirror image across each face plane.
     """
-    if pad < 1:
-        raise ValueError("pad must be >= 1")
+    pad = check_count("pad", pad)
     if pad > min(u.grid.n):
         raise GridError(
             f"pad {pad} exceeds the grid ({min(u.grid.n)} cells on the shortest axis)"

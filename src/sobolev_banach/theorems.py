@@ -19,7 +19,7 @@ import numpy as np
 from . import _kernels, banach
 from .banach import SpaceDescriptor
 from .calculus import dq_criterion
-from .errors import ContractError, DimensionMismatchError
+from .errors import ContractError, DimensionMismatchError, check_count
 from .gridfn import (
     SOBOLEV_P,
     BoxDomain,
@@ -294,8 +294,7 @@ def covering_counts(members: list[GridFunction], p: float, eps_list) -> list[int
     first = members[0]
     for i, mm in enumerate(members[1:], start=1):
         for what, same in (
-            ("domain", np.array_equal(mm.domain.lo, first.domain.lo)
-             and np.array_equal(mm.domain.hi, first.domain.hi)),
+            ("domain", mm.domain == first.domain),
             ("grid", mm.grid == first.grid),
             ("space", mm.space == first.space),
         ):
@@ -508,8 +507,7 @@ def tensor_extend(T, h_dim: int, seed: int = 0) -> Report:
     T = np.asarray(T, dtype=np.float64)
     if T.ndim != 2 or T.shape[0] != T.shape[1]:
         raise DimensionMismatchError("T must be a square matrix")
-    if h_dim < 1:
-        raise ContractError("h_dim must be >= 1")
+    h_dim = check_count("h_dim", h_dim)
     rng = np.random.default_rng(seed)
     norm_scalar = float(np.linalg.norm(T, 2))
     n = T.shape[0]

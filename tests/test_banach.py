@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from sobolev_banach import _kernels, banach, suite
+from sobolev_banach import _kernels, banach, gridfn, suite
 from sobolev_banach.errors import CapabilityError, DimensionMismatchError
 from test_bit_equivalence import SPACES, _whole_pairing
 
@@ -225,6 +225,17 @@ def test_descriptors_compare_and_hash_by_value():
     )
     assert banach.SpaceDescriptor("Hilbert", 3) != banach.SpaceDescriptor("FiniteLr", 3)
     assert len({weighted, banach.SpaceDescriptor("GridLr", 4, 2.5, weighted.weights)}) == 1
+    # boxes compare and hash by their corners, and a box keeps its corners
+    box = gridfn.unit_box(2)
+    copy = gridfn.BoxDomain(np.zeros(2), [1, 1])
+    assert copy is not box and copy == box and hash(copy) == hash(box)
+    assert box != gridfn.BoxDomain([0.0, 0.0], [1.0, 3.0]) and box != gridfn.unit_box(3)
+    assert box != banach.SpaceDescriptor("Hilbert", 2)
+    assert len({box, copy, gridfn.unit_box(1)}) == 2
+    lo = np.zeros(2)
+    gridfn.BoxDomain(lo, [1.0, 1.0])
+    lo[0] = -1.0  # the box holds a copy, so the caller's array stays writeable
+    assert not box.lo.flags.writeable and not box.hi.flags.writeable
 
 
 def test_vector_validation():

@@ -327,7 +327,7 @@ def test_bump_of_square_matches_unsquared_form():
     assert np.array_equal(x * x < 1.0, m)
 
 
-# The derivative-field producers compare through ``calculus._fd_errors``.
+# The derivative-field producers compare through ``calculus._compare``.
 # Each reference below is the comparison as the producer wrote it inline
 # before: its own cell volume, interior mask, finite difference and node
 # mask (flat where the producer worked on flat rows).
@@ -626,7 +626,8 @@ def _whole_finite_difference(u):
 
 
 def _whole_fd_errors(target, fields, flags, p=1.0):
-    """``calculus._fd_errors`` as it was: whole-array differences and norms."""
+    """``calculus._compare(...).errors(p)`` as it was: whole-array
+    differences and norms."""
     vol = float(np.prod(target.grid.spacing(target.domain)))
     inner = gridfn.interior_mask(target.grid)
     return [
@@ -729,16 +730,10 @@ def test_blocked_passes_match_whole_array_expressions(case):
         assert res.report.details["l1_err_total"] == _running_sum(errs)
 
 
-@given(
-    st.sampled_from(SPACES), st.sampled_from([1, 2]), st.integers(3, 20),
-    st.sampled_from([3, 4]), st.integers(0, 2**16),
-)
-@settings(**FIELD_CASES)
-def test_norm_derivative_report_matches_field_report(space, d, n, rows, seed):
-    # the report pass keeps no field and settles each block one block
-    # behind; node blocks of 2 to 4 rows put many rows on a block edge
-    if d == 2:
-        n = 3 + n % 8
+def _check_report_matches_field(space, d, n, rows, seed):
+    """Checks the report pass, which keeps no field and settles each block
+    as it forms it, against the field pass in node blocks of about
+    ``rows`` first-axis rows; returns the block lengths."""
     u = _blueprint(space, d, seed).realize(n)
     width = u.values[0].size
     rng = np.random.default_rng(seed)
@@ -768,6 +763,28 @@ def test_norm_derivative_report_matches_field_report(space, d, n, rows, seed):
     assert got.details == want.report.details
     _, _, errs = _whole_norm_derivative_field(u)
     assert _l1_rows(got) == errs
+    return {blk.stop - blk.start for blk in blocks}
+
+
+@given(
+    st.sampled_from(SPACES), st.sampled_from([1, 2]), st.integers(3, 20),
+    st.sampled_from([3, 4]), st.integers(0, 2**16),
+)
+@settings(**FIELD_CASES)
+def test_norm_derivative_report_matches_field_report(space, d, n, rows, seed):
+    # node blocks of 2 to 4 rows put many rows on a block edge
+    if d == 2:
+        n = 3 + n % 8
+    _check_report_matches_field(space, d, n, rows, seed)
+
+
+@pytest.mark.parametrize("d", [1, 2])
+@pytest.mark.parametrize("space", SPACES, ids=lambda s: f"{s.kind}-{s.exponent}-{s.dim}")
+def test_norm_derivative_report_matches_field_report_in_every_kind(space, d):
+    # blocks of three rows over n = 5, 7, 8, no multiple of three: node_blocks
+    # evens them out into blocks of both two and three rows
+    for n in (5, 7, 8):
+        assert _check_report_matches_field(space, d, n, 3, seed=10 * n + d) == {2, 3}
 
 
 @given(block_cases(), st.integers(0, 2**16))
@@ -781,7 +798,7 @@ def test_streamed_fd_errors_match_whole_array_form(case, seed):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(_kernels, "NODE_BLOCK", rows * u.space.dim)
         assert len(_kernels.node_blocks(len(u.values), u.values[0].size)) > 1
-        got = calculus._fd_errors(u, near, flags, p)
+        got = calculus._compare(u, near, flags).errors(p)
     assert got == _whole_fd_errors(u, near, flags, p)
 
 
@@ -855,9 +872,9 @@ def test_blocked_passes_leave_no_row_alone(space, monkeypatch):
 
 
 def _field_errors(target, res):
-    """The errors ``calculus._fd_errors`` gives a field result, checked
+    """The errors ``calculus._compare`` gives a field result, checked
     against the whole-array form."""
-    errs = calculus._fd_errors(target, res.fields, res.flags)
+    errs = calculus._compare(target, res.fields, res.flags).errors(1.0)
     assert errs == _whole_fd_errors(target, res.fields, res.flags)
     return errs
 
@@ -922,9 +939,9 @@ def test_row_block_passes_match_whole_array_forms(kind, d, n, node_block, length
     near = [u.like(D + 1e-3 * rng.normal(size=D.shape)) for D in _whole_finite_difference(u)]
     some = [rng.random(u.grid.n) < 0.2 for _ in range(d)]
     for p in (1.0, 2.0, math.inf):
-        assert calculus._fd_errors(u, near, some, p) == _whole_fd_errors(u, near, some, p)
+        assert calculus._compare(u, near, some).errors(p) == _whole_fd_errors(u, near, some, p)
     # flags that differ from axis to axis give each axis its own fraction
-    res = calculus._field_result("near", u, near, some)
+    res = calculus.FieldResult(near, some, calculus._compare(u, near, some).report("near"))
     _assert_one_row_form(res, _field_errors(u, res))
 
 

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sobolev_banach import banach, calculus, gridfn
+from sobolev_banach import banach, calculus, gridfn, theorems
 from sobolev_banach.errors import (
     CapabilityError,
     ContractError,
@@ -400,6 +400,40 @@ def test_holder_beta_rejects_non_finite_values(node, bad):
     u2 = gridfn.from_scalar(box2, gridfn.GridSpec((8, 8)), vals2)
     with pytest.raises(ValueError, match=r"non-finite value at node \(3, 5\)"):
         calculus.holder_beta(u2, 0.5, max_nodes=4)
+
+
+U16 = gridfn.from_scalar(BOX1, gridfn.GridSpec((16,)), np.sin(np.arange(16.0)))
+
+
+@pytest.mark.parametrize(
+    "call,name",
+    [
+        (lambda: gridfn.extend_reflect(U16, 2.5), "pad"),
+        (lambda: gridfn.extend_reflect(U16, 2.0), "pad"),
+        (lambda: gridfn.extend_reflect(U16, True), "pad"),
+        (lambda: theorems.reflection_extension_report(U16, 2.0), "pad"),
+        (lambda: theorems.tensor_extend(np.eye(3), 2.5), "h_dim"),
+        (lambda: theorems.tensor_extend(np.eye(3), 2.0), "h_dim"),
+        (lambda: calculus.holder_beta(U16, 0.5, max_nodes=10.5), "max_nodes"),
+        (lambda: calculus.holder_beta(U16, 0.5, max_nodes=-3), "max_nodes"),
+        (lambda: calculus.holder_beta(U16, 0.5, max_nodes=1), "max_nodes"),
+        (lambda: gridfn.shift_node_norms(U16, 0, 2.5), "steps"),
+        (lambda: calculus.dq_criterion(U16, 2.0, (1.5,)), "steps"),
+        (lambda: calculus.dq_criterion(U16, 2.0, (1, 2.0)), "steps"),
+        (lambda: calculus.dq_criterion(U16, 0.5), "p"),
+    ],
+    ids=[
+        "extend_reflect-2.5", "extend_reflect-2.0", "extend_reflect-True",
+        "reflection_extension_report-2.0", "tensor_extend-2.5", "tensor_extend-2.0",
+        "holder_beta-10.5", "holder_beta-neg", "holder_beta-1", "shift_node_norms-2.5",
+        "dq_criterion-1.5", "dq_criterion-2.0", "dq_criterion-p0.5",
+    ],
+)
+def test_integer_params_raise_naming_the_param(call, name):
+    # a float (even an integral one) or a bool is no count, and an exponent
+    # below 1 no norm: each is rejected before any work, by its own name
+    with pytest.raises(ContractError if name != "p" else ValueError, match=rf"^{name} must be"):
+        call()
 
 
 def test_holder_beta_sqrt_profile():

@@ -259,6 +259,15 @@ def test_gridfunction_shape_validation():
     with pytest.raises(DimensionMismatchError):
         gridfn.gf_sub(hil, l1)
     assert gridfn.gf_sub(hil, hil).space == hil.space
+    # equal grids are not enough: functions on (0,1)^2 and (0,3)^2 do not conform
+    grid = gridfn.GridSpec((4, 4))
+    square, wide = (
+        gridfn.from_scalar(dom, grid, np.ones((4, 4)))
+        for dom in (gridfn.unit_box(2), gridfn.BoxDomain([0.0, 0.0], [3.0, 3.0]))
+    )
+    with pytest.raises(DimensionMismatchError):
+        gridfn.gf_sub(square, wide)
+    assert gridfn.gf_sub(wide, wide).domain == wide.domain
 
 
 @pytest.mark.parametrize("n", [(2,), (3,), (9,), (2, 5), (4, 3), (6, 5, 4)])

@@ -862,3 +862,41 @@ def test_forking_workers_warns_nothing(tmp_path):
         code, meta = _run_names(tmp_path, FAST, "--workers", "2")
     assert code == cli.EXIT_OK and meta["workers"] == 2
     assert not [w for w in caught if issubclass(w.category, DeprecationWarning)]
+
+
+# The config fuzz: an entry, params within their declarations, ladders whose
+# levels at least double, and a seed.  Every draw is a config that the
+# config check accepts, so every row it runs must pass at refine 0.
+FUZZ_EXAMPLES = 2000 if settings.get_current_profile_name() == "config-fuzz" else 60
+
+
+@st.composite
+def _ladders(draw, low, high):
+    levels = [draw(st.integers(low, high // 2))]
+    while 2 * levels[-1] <= high and (len(levels) < 2 or draw(st.booleans())):
+        levels.append(draw(st.integers(2 * levels[-1], high)))
+    return draw(st.permutations(levels))  # the run sorts them
+
+
+@st.composite
+def _entry_configs(draw):
+    name = draw(st.sampled_from(sorted(suite.CATALOG)))
+    params = {}
+    for key, (default, low, high) in suite.CATALOG[name].params.items():
+        if isinstance(default, tuple):
+            params[key] = draw(_ladders(low, high))
+        elif isinstance(default, float):
+            params[key] = draw(st.floats(low, high))
+        else:
+            params[key] = draw(st.integers(low, high))
+    return name, params, draw(st.integers(0, 999))
+
+
+@given(_entry_configs())
+@settings(derandomize=True, deadline=None, max_examples=FUZZ_EXAMPLES)
+def test_every_drawn_config_passes_at_refine_0(case):
+    name, params, seed = case
+    cfg = {"schema_version": 1, "seed": seed, "suite": [{"name": name, "params": params}]}
+    assert cli.config_errors(cfg) == []
+    rows, _ = suite.run_entry(name, seed, 0, params)
+    assert rows and all(r.passed for r in rows), [r for r in rows if not r.passed]
