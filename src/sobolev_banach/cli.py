@@ -182,10 +182,9 @@ def _one_blas_thread():
         lib.scipy_openblas_set_num_threads64_(1)
 
 
-def _run_one(spec: dict, seed: int, refine_override: int | None):
+def _run_one(spec: dict, seed: int):
     wall0, ru0 = time.perf_counter(), resource.getrusage(resource.RUSAGE_SELF)
-    name = spec["name"]
-    refine = refine_override if refine_override is not None else int(spec.get("refine", 0))
+    name, refine = spec["name"], int(spec.get("refine", 0))  # 2.0 is a valid level
     result = {"entry": name, "anchor": suite.CATALOG[name].anchor}
     params = None
     try:
@@ -226,12 +225,12 @@ def available_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def execute_suite(specs, seed: int, workers: int, refine_override=None):
+def execute_suite(specs, seed: int, workers: int):
     """Run ``specs`` on ``workers`` forked processes, each pinned to one
     BLAS thread, or in this process, with its BLAS threads left alone, when
     ``workers`` is 1; results come back in spec order."""
     if workers <= 1:
-        return [_run_one(spec, seed, refine_override) for spec in specs]
+        return [_run_one(spec, seed) for spec in specs]
     # Imported here, so that importing this module and one-worker runs do
     # not pay for them.
     import multiprocessing
@@ -242,9 +241,7 @@ def execute_suite(specs, seed: int, workers: int, refine_override=None):
     with ProcessPoolExecutor(
         max_workers=workers, mp_context=ctx, initializer=_one_blas_thread
     ) as pool:
-        futures = [
-            pool.submit(_run_one, spec, seed, refine_override) for spec in specs
-        ]
+        futures = [pool.submit(_run_one, spec, seed) for spec in specs]
         return [f.result() for f in futures]
 
 
@@ -297,7 +294,8 @@ def write_outputs(outdir: Path, results, fmt: str, meta: dict):
 
 
 def _blas_info() -> dict:
-    """numpy's BLAS, whose rounding of the row sums ``@ w`` report bytes depend on."""
+    """numpy's build record of its BLAS, not the core OpenBLAS picks at run
+    time; report bytes move with that core and with numpy's SIMD dispatch."""
     blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     return {k: blas[k] for k in ("name", "version", "openblas configuration") if k in blas}
 
@@ -313,6 +311,8 @@ def cmd_run(args) -> int:
     if args.entry is not None:
         # the config's own specs for the entry keep its params, refine and require
         specs = [s for s in specs if s["name"] == args.entry] or [{"name": args.entry}]
+    if args.refine is not None:
+        specs = [{**s, "refine": args.refine} for s in specs]
     unknown = [s["name"] for s in specs if s["name"] not in suite.CATALOG]
     if unknown:
         print(f"error: unknown entries: {', '.join(unknown)}", file=sys.stderr)
@@ -324,7 +324,7 @@ def cmd_run(args) -> int:
     fmt = args.format or cfg.get("format", "json")
     started = time.time()
     try:
-        results = execute_suite(specs, seed, workers, args.refine)
+        results = execute_suite(specs, seed, workers)
     except RuntimeError as e:
         # BrokenProcessPool is a RuntimeError; its module is imported only
         # by the pool, so it is imported here only once something raised.

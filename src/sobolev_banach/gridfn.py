@@ -362,10 +362,9 @@ def mollifier_weights(h: np.ndarray, level: int) -> tuple[np.ndarray, np.ndarray
 
     The kernel is the standard normalized bump scaled to support radius
     1/level, evaluated at integer cell offsets and renormalized to unit sum.
+    ``level`` must be an integer >= 1.
     """
-    if level < 1:
-        raise ValueError("level must be >= 1")
-    radius = 1.0 / level
+    radius = 1.0 / check_count("level", level)
     K = np.floor(radius / h * (1.0 - 1e-12)).astype(int)
     if np.all(K < 1):
         raise GridError(

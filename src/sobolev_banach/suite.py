@@ -1,12 +1,12 @@
 """Named verification entries behind the command line.
 
 Every entry bundles one quantitative claim into a builder that returns
-threshold rows: (metric, value, threshold, pass).  Entries are pure
-functions of (seed, refine, params), so a fixed seed reproduces every row
-bit-for-bit.  Each entry is declared once, by ``_entry`` on its builder:
-the anchor string names the mathematical statement the entry exercises,
-and each param has a default, a smallest and a largest value.  The CLI's
-config check, ``describe`` and ``entry_params`` read the same declaration.
+threshold rows: (metric, value, threshold, pass).  Builders are pure
+functions of (rng, params), and only ``entry_params`` refines, so a fixed
+seed reproduces every row bit-for-bit.  Each entry is declared once, by
+``_entry`` on its builder: the anchor names the statement the entry
+exercises, and each param has a default, a smallest and a largest value,
+which the CLI's config check, ``describe`` and ``entry_params`` all read.
 """
 from __future__ import annotations
 
@@ -69,18 +69,19 @@ class CatalogEntry:
 
 
 CATALOG: dict[str, CatalogEntry] = {}
+GRID_2D = 64  # cells per axis of a 2-D member where ``n`` sizes the 1-D ones
 
 
 def _entry(anchor: str, summary: str, **params):
     """Register the decorated builder ``_<name>`` as catalog entry ``<name>``.
 
     Each keyword declares a param as ``(default, smallest, largest accepted
-    value)`` and reaches the builder as a keyword after ``(rng, refine)``.
-    The default's type is the param's type: a tuple is a ladder, a float a
-    real number, an int an integer.  The grid rule: ladders and every param
-    named ``n`` are grid sizes, which ``entry_params`` doubles ``refine``
-    times (a ladder only while its top level stays within its largest
-    value); every other int is a count and is not refined.
+    value)`` and reaches the builder as a keyword after ``rng``.  The
+    default's type is the param's type: a tuple is a ladder, a float a real
+    number, an int an integer.  The grid rule: ladders and every param named
+    ``n`` are grid sizes, which ``entry_params`` doubles ``refine`` times (a
+    ladder only while its top level stays within its largest value); every
+    other int is a count, and ``GRID_2D`` is the one size refine leaves alone.
     """
 
     def register(builder):
@@ -241,7 +242,7 @@ def _fit_order(ns, errs) -> float:
     "30-sample corpus spanning every space kind.",
     ladder=((32, 64, 128, 256), 16, 512),
 )
-def _norm_chain_rule(rng, refine, ladder):
+def _norm_chain_rule(rng, ladder):
     bps = corpus_blueprints(rng)
     errs = []
     for n in ladder:
@@ -267,11 +268,11 @@ def _norm_chain_rule(rng, refine, ladder):
     "unit right side.",
     n=(128, 8, 512),
 )
-def _norm_gradient_bound(rng, refine, n):
+def _norm_gradient_bound(rng, n):
     bps = corpus_blueprints(rng)
     worst = 0.0
     for bp in bps:
-        u = bp.realize(n if bp.d == 1 else min(n, 64))
+        u = bp.realize(n if bp.d == 1 else min(n, GRID_2D))
         nd = norm_derivative_field(u)
         g = pointwise_norm_function(u)
         dg = finite_difference(g)
@@ -305,8 +306,9 @@ def _norm_gradient_bound(rng, refine, n):
     "sup norm is rejected for lacking order continuity.",
     ladder=((32, 64, 128, 256), 32, 512),
 )
-def _lattice_chain_rules(rng, refine, ladder):
-    bps = [bp for bp in corpus_blueprints(rng) if bp.space.order_continuous
+def _lattice_chain_rules(rng, ladder):
+    corpus = corpus_blueprints(rng)
+    bps = [bp for bp in corpus if bp.space.order_continuous
            and bp.space.lattice_capable and bp.d == 1]
     abs_errs, pos_errs = [], []
     for n in ladder:
@@ -324,7 +326,7 @@ def _lattice_chain_rules(rng, refine, ladder):
     pv = pos_derivative_field(u).fields[0].values
     nz = u.values != 0.0
     exact = bool(np.array_equal(pv[nz], (0.5 * (av + d[0].values))[nz]))
-    sup_bp = next(bp for bp in corpus_blueprints(rng) if bp.space.kind == "SampledSup")
+    sup_bp = next(bp for bp in corpus if bp.space.kind == "SampledSup")
     try:
         pos_derivative_field(sup_bp.realize(64))
         sup_raised = False
@@ -346,7 +348,7 @@ def _lattice_chain_rules(rng, refine, ladder):
     "max_j |D_j u|_p at first order and the verdict stays BOUNDED.",
     ladder=((64, 128, 256, 512), 16, 512), p=(2.0, 1, 64),
 )
-def _dq_criterion(rng, refine, ladder, p):
+def _dq_criterion(rng, ladder, p):
     # cosine-only blends: the derivative vanishes at the boundary, so the
     # criterion's shrinking-window deficit is negligible and the measured
     # decay isolates the quotient-vs-derivative convergence itself
@@ -381,7 +383,7 @@ def _dq_criterion(rng, refine, ladder, p):
     "remain Lipschitz.",
     n=(256, 64, 512),
 )
-def _dq_criterion_indicator(rng, refine, n):
+def _dq_criterion_indicator(rng, n):
     w = counterexamples.indicator_path_witness(r=2.0, n=n)
     slope = w.details["criterion_slope"]
     w1 = counterexamples.indicator_path_witness(r=1.0, n=n)
@@ -394,24 +396,31 @@ def _dq_criterion_indicator(rng, refine, n):
     return rows, {"slope": slope, "verdict": w.verdict}
 
 
-def _w0_corpus(rng, n: int):
-    """10 zero-trace members and 10 members with live boundary values."""
-    dom, grid, t = _interval(n)
-    space = SpaceDescriptor("Hilbert", 3)
-    members, non_members = [], []
-    env = np.sin(np.pi * t)
+def _w0_corpus(rng, ladder):
+    """Per level of ``ladder``, 10 zero-trace members and 10 members with
+    live boundary values: the same 20 functions on every level's grid."""
+    coeffs = []
     for i in range(10):
         a = rng.normal(scale=1.0, size=3)
         b = rng.normal(scale=0.5, size=3)
-        body = a + b * np.cos(np.pi * t)[:, None] * 0.5
-        members.append(GridFunction(dom, grid, space, env[:, None] * body))
         c = rng.normal(scale=1.0, size=3)
         c[i % 3] += 2.0  # keep the boundary value well away from zero
-        wiggle = 0.3 * np.sin(2 * np.pi * t)[:, None] * rng.normal(size=3)
-        non_members.append(
-            GridFunction(dom, grid, space, np.broadcast_to(c, (n, 3)) + wiggle)
-        )
-    return members, non_members
+        coeffs.append((a, b, c, rng.normal(size=3)))
+    space = SpaceDescriptor("Hilbert", 3)
+    levels = []
+    for n in ladder:
+        dom, grid, t = _interval(n)
+        env = np.sin(np.pi * t)
+        members, non_members = [], []
+        for a, b, c, wiggle in coeffs:
+            body = a + b * np.cos(np.pi * t)[:, None] * 0.5
+            members.append(GridFunction(dom, grid, space, env[:, None] * body))
+            wave = 0.3 * np.sin(2 * np.pi * t)[:, None] * wiggle
+            non_members.append(
+                GridFunction(dom, grid, space, np.broadcast_to(c, (n, 3)) + wave)
+            )
+        levels.append((members, non_members))
+    return levels
 
 
 @_entry(
@@ -421,10 +430,10 @@ def _w0_corpus(rng, n: int):
     "zero-trace corpus member on n/2 cells satisfies |u'| >= pi |u| (1 - 0.01).",
     n=(512, 16, 4096),
 )
-def _poincare_eigenvalue(rng, refine, n):
+def _poincare_eigenvalue(rng, n):
     ev = theorems.dirichlet_eigenvalue(n)
     gap = abs(ev - math.pi**2) / math.pi**2
-    members, _ = _w0_corpus(rng, n // 2)
+    [(members, _)] = _w0_corpus(rng, [n // 2])
     worst = math.inf
     for u in members:
         rep = theorems.poincare_check(u)
@@ -443,13 +452,11 @@ def _poincare_eigenvalue(rng, refine, n):
     "member boundary norms decay at order >= 1.9.",
     ladder=((64, 128, 256), 4, 512),
 )
-def _w0_equivalences(rng, refine, ladder):
+def _w0_equivalences(rng, ladder):
     agree = 0
     total = 0
     member_boundary = []
-    for n in ladder:
-        rng_level = np.random.default_rng([seed_of(rng), n])
-        members, non_members = _w0_corpus(rng_level, n)
+    for n, (members, non_members) in zip(ladder, _w0_corpus(rng, ladder)):
         level_norm = 0.0
         for u, expect in [(m, True) for m in members] + [
             (s, False) for s in non_members
@@ -483,7 +490,7 @@ def seed_of(rng: np.random.Generator) -> int:
     "profile attains its sharp Holder constant within 5%.",
     n=(512, 256, 2048),
 )
-def _morrey_d1(rng, refine, n):
+def _morrey_d1(rng, n):
     bps = [bp for bp in corpus_blueprints(rng) if bp.d == 1][:12]
     ok = True
     worst = 0.0
@@ -513,15 +520,15 @@ def _morrey_d1(rng, refine, n):
     "A certified family keeps N(eps) within 2x the coarsest level for "
     "eps in {0.05, 0.1, 0.2}.",
     members=(30, 4, 60), levels=(3, 2, 4),  # grid and value dimension double per level
+    n=(128, 128, 128),  # the coarsest grid, pinned: only refine changes it
 )
-def _aubin_lions_compact(rng, refine, members, levels):
+def _aubin_lions_compact(rng, members, levels, n):
     coeffs = rng.normal(size=(members, 2))
     fams, yspaces = [], []
     scale = None
     for lv in range(levels):
-        n = 128 * 2 ** (lv + refine)
-        m = 4 * 2**lv
-        dom, grid, xi = _interval(n)
+        cells, m = n * 2**lv, 4 * 2**lv
+        dom, grid, xi = _interval(cells)
         X = SpaceDescriptor("GridLr", m, exponent=2.0)
         mu = (1.0 + np.arange(m)) ** 4 / m
         Y = SpaceDescriptor("GridLr", m, exponent=2.0, weights=mu)
@@ -530,7 +537,7 @@ def _aubin_lions_compact(rng, refine, members, levels):
             g = coeffs[i, 0] * np.sin(np.pi * xi) + coeffs[i, 1] * np.sin(
                 2 * np.pi * xi
             )
-            vals = np.zeros((n, m))
+            vals = np.zeros((cells, m))
             vals[:, 0] = g * math.sqrt(m)
             fam.append(GridFunction(dom, grid, X, vals))
         if scale is None:
@@ -554,10 +561,9 @@ def _aubin_lions_compact(rng, refine, members, levels):
     "numbers grow",
     "Shrinking-bump families bounded only in L^2 grow N(0.1) by >= 4x "
     "from coarsest to finest level.",
-    members=(30, 4, 120),
+    members=(30, 4, 120), n=(1024, 1024, 1024),  # n pinned: only refine changes it
 )
-def _aubin_lions_control(rng, refine, members):
-    n = 1024 * 2**refine
+def _aubin_lions_control(rng, members, n):
     dom, grid, xi = _interval(n)
     ctr = (np.arange(members) + 0.5) / members
     fams = []
@@ -586,7 +592,7 @@ def _aubin_lions_control(rng, refine, members):
     "1e-8; the defining identity on elementary tensors is bit-exact.",
     matrices=(50, 1, 200),
 )
-def _tensor_extension_norms(rng, refine, matrices):
+def _tensor_extension_norms(rng, matrices):
     worst_gap = 0.0
     for _ in range(matrices):
         size = int(rng.integers(2, 33))
@@ -636,7 +642,7 @@ def _notes(w) -> dict:
     "verdicts CONFIRMS_FAILURE; scalar pairings stay Lipschitz.",
     n=(256, 64, 512),
 )
-def _witness_indicator_path(rng, refine, n):
+def _witness_indicator_path(rng, n):
     details = {}
     rows = []
     for r in (2.0, 4.0, math.inf):
@@ -656,7 +662,7 @@ def _witness_indicator_path(rng, refine, n):
     "Tail sups stay >= 0.99 up to N = 10^4 while every coordinate and "
     "every summable pairing is smooth.",
 )
-def _witness_c0_sine(rng, refine):
+def _witness_c0_sine(rng):
     w = counterexamples.c0_sine_witness()
     rows = _witness_rows(w)
     rows.append(_row("min_tail_sup", min(m for _, m, *_ in w.rows), 0.99, mode="ge"))
@@ -672,7 +678,7 @@ def _witness_c0_sine(rng, refine):
     "Quotient distance from the candidate -1_(r>t) stays >= 0.98 at "
     "h = 1e-3; the L^2 contrast obeys the lattice rule within 5%.",
 )
-def _witness_ck_pospart(rng, refine):
+def _witness_ck_pospart(rng):
     w = counterexamples.ck_pospart_witness()
     rows = _witness_rows(w)
     rows.append(_row("distance_at_finest", w.details["distance_at_finest"], 0.98,
@@ -689,7 +695,7 @@ def _witness_ck_pospart(rng, refine):
     "difference-quotient excess below the floating tolerance.",
     n=(256, 4, 4096),
 )
-def _lipschitz_composition(rng, refine, n):
+def _lipschitz_composition(rng, n):
     bp = next(b for b in corpus_blueprints(rng) if b.space.kind == "Hilbert" and b.d == 1)
     u = bp.realize(n)
     F = norm_lipschitz_map(u.space)
@@ -717,7 +723,7 @@ def _lipschitz_composition(rng, refine, n):
     "difference at order >= 0.9 with negligible one-sided gap.",
     ladder=((64, 128, 256), 4, 512),
 )
-def _gateaux_chain_agreement(rng, refine, ladder):
+def _gateaux_chain_agreement(rng, ladder):
     bp = next(b for b in corpus_blueprints(rng) if b.space.kind == "Hilbert" and b.d == 1)
     errs, gaps = [], []
     for n in ladder:
@@ -740,7 +746,7 @@ def _gateaux_chain_agreement(rng, refine, ladder):
     "empirical scalar constant on a probe corpus.",
     n=(256, 4, 4096),
 )
-def _embedding_constants(rng, refine, n):
+def _embedding_constants(rng, n):
     bps = [bp for bp in corpus_blueprints(rng) if bp.d == 1][:10]
     worst = 0.0
     for bp in bps:
@@ -760,7 +766,7 @@ def _embedding_constants(rng, refine, n):
     "bound, and fit a decay order >= 0.9.",
     n=(256, 64, 2048),
 )
-def _mollifier_uniformity(rng, refine, n):
+def _mollifier_uniformity(rng, n):
     bps = [bp for bp in corpus_blueprints(rng) if bp.d == 1][:3]
     fam = [bp.realize(n) for bp in bps]
     rep = theorems.mollifier_family_check(fam)
@@ -779,12 +785,12 @@ def _mollifier_uniformity(rng, refine, n):
     "controlled norm growth.",
     n=(128, 4, 4096),
 )
-def _extension_reflection(rng, refine, n):
+def _extension_reflection(rng, n):
     bps = corpus_blueprints(rng)[:6]
     worst = 0.0
     all_exact = True
     for bp in bps:
-        u = bp.realize(n if bp.d == 1 else min(n, 64))
+        u = bp.realize(n if bp.d == 1 else min(n, GRID_2D))
         pad = min(max(2, n // 8), min(u.grid.n))
         rep = theorems.reflection_extension_report(u, pad=pad)
         worst = max(worst, dict(rep.rows)["w_norm_ratio"] / rep.details["bound"])
@@ -803,7 +809,7 @@ def _extension_reflection(rng, refine, n):
     "up to the finite-difference tolerance.",
     n=(256, 4, 4096),
 )
-def _stampacchia_disjointness(rng, refine, n):
+def _stampacchia_disjointness(rng, n):
     dom, grid, t = _interval(n)
     space = SpaceDescriptor("GridLr", 4, exponent=2.0)
     vals = np.zeros((n, 4))
@@ -827,7 +833,7 @@ def _stampacchia_disjointness(rng, refine, n):
     "normalized path at order >= 0.9 away from the zero set.",
     ladder=((64, 128, 256), 8, 512),
 )
-def _quotient_rule(rng, refine, ladder):
+def _quotient_rule(rng, ladder):
     space = SpaceDescriptor("Hilbert", 2)
     errs = []
     for n in ladder:
@@ -850,7 +856,7 @@ def _quotient_rule(rng, refine, ladder):
     "smooth data.",
     ladder=((64, 128, 256), 16, 512),
 )
-def _product_rule(rng, refine, ladder):
+def _product_rule(rng, ladder):
     bp = next(b for b in corpus_blueprints(rng) if b.space.kind == "Hilbert" and b.d == 1)
     errs = []
     for n in ladder:
@@ -870,7 +876,7 @@ def _product_rule(rng, refine, ladder):
     "convergent sequence bounded away from zero.",
     n=(128, 4, 4096),
 )
-def _norm_map_continuity(rng, refine, n):
+def _norm_map_continuity(rng, n):
     dom, grid, t = _interval(n)
     space = SpaceDescriptor("Hilbert", 3)
     base = np.stack(
@@ -905,5 +911,5 @@ def entry_params(name: str, refine: int, params: dict | None = None) -> dict:
 
 def run_entry(name: str, seed: int, refine: int = 0, params: dict | None = None):
     kwargs = entry_params(name, refine, params)
-    rows, details = CATALOG[name].builder(entry_rng(name, seed), refine, **kwargs)
+    rows, details = CATALOG[name].builder(entry_rng(name, seed), **kwargs)
     return rows, to_jsonable(details)

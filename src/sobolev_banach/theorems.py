@@ -13,6 +13,7 @@ constant is pi/L and W^{1,2} embeds in L^EMBEDDING_R up to d = 4.
 from __future__ import annotations
 
 import math
+import numbers
 
 import numpy as np
 
@@ -163,9 +164,10 @@ def dirichlet_eigenvalue(n: int) -> float:
     eigenvector without sign change belongs to the largest eigenvalue of
     c I - A, that is to the smallest eigenvalue of A.  So the Rayleigh
     quotient at v is that eigenvalue; ``_rayleigh_eigenvalue`` checks that
-    v is an eigenvector up to rounding.
+    v is an eigenvector up to rounding.  n must be an integer >= 2, as for
+    ``GridSpec``: one cell has no interior node pair.
     """
-    h = 1.0 / n
+    h = 1.0 / check_count("n", n, least=2)
     diag = np.full(n, 2.0 / h**2)
     diag[0] = diag[-1] = 3.0 / h**2
     off = np.full(n - 1, -1.0 / h**2)
@@ -271,8 +273,9 @@ def covering_counts(members: list[GridFunction], p: float, eps_list) -> list[int
     first member, ties to the lowest index).
 
     Every member must share member 0's domain, grid and value space, whose
-    norm measures the distances, and p must be >= 1 (or inf); anything
-    else is rejected before any distance is formed.
+    norm measures the distances, p must be >= 1 (or inf) and every eps a
+    real >= 0 (inf included); anything else is rejected before any
+    distance is formed.
 
     The distances from each member to the later ones are computed for a
     node block's worth of members (``_kernels.node_blocks``) at a time, so
@@ -291,6 +294,9 @@ def covering_counts(members: list[GridFunction], p: float, eps_list) -> list[int
         raise ContractError("covering_counts needs at least one member")
     if not (p >= 1.0):
         raise ValueError(f"p must be >= 1 or inf, got {p}")
+    for eps in eps_list:
+        if isinstance(eps, bool) or not isinstance(eps, numbers.Real) or not eps >= 0.0:
+            raise ContractError(f"eps must be a real >= 0, got {eps!r}")
     first = members[0]
     for i, mm in enumerate(members[1:], start=1):
         for what, same in (

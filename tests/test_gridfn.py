@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from sobolev_banach import banach, gridfn
-from sobolev_banach.errors import DimensionMismatchError, GridError
+from sobolev_banach.errors import ContractError, DimensionMismatchError, GridError
 
 
 HIL2 = banach.SpaceDescriptor("Hilbert", 2)
@@ -185,6 +185,15 @@ def test_mollifier_weights_normalized_and_symmetric():
     assert np.allclose(w, w[::-1])
     with pytest.raises(ValueError):
         gridfn.mollifier_weights(np.array([0.1]), 0)
+
+
+@pytest.mark.parametrize("level", [2.5, True, math.nan])
+def test_mollifier_level_must_be_an_integer(level):
+    u = _linear(grid=gridfn.GridSpec((64,)))
+    for call in (lambda: gridfn.mollifier_weights(u.grid.spacing(u.domain), level),
+                 lambda: gridfn.mollify(u, level)):
+        with pytest.raises(ContractError, match=f"level must be an integer, got {level!r}"):
+            call()
 
 
 def test_mollify_preserves_constants_bitwise():

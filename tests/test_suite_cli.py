@@ -5,6 +5,7 @@ catalog entries keep each run under a second.
 """
 
 import dataclasses
+import inspect
 import json
 import math
 import os
@@ -51,6 +52,36 @@ def test_catalog_is_populated():
         assert entry.name == name
         assert entry.anchor and entry.summary
         assert callable(entry.builder)
+
+
+def test_builders_take_rng_and_their_declared_params_only():
+    # entry_params alone applies refine, so no builder reads it
+    for entry in suite.CATALOG.values():
+        params = inspect.signature(entry.builder).parameters
+        assert list(params) == ["rng", *entry.params], entry.name
+
+
+def test_w0_equivalences_holds_the_same_functions_on_every_level(monkeypatch):
+    # members are a sin(pi t) + (b/4) sin(2 pi t), non-members c + w sin(2 pi t),
+    # with one coefficient pair per function on every level of the ladder
+    seen = []
+    check = suite.theorems.weak_w0_check
+    monkeypatch.setattr(suite.theorems, "weak_w0_check", lambda u: seen.append(u) or check(u))
+    suite.run_entry("w0_equivalences", 42, 0, {"ladder": [16, 64]})
+    assert len(seen) == 40
+    fits = []
+    for level in (seen[:20], seen[20:]):
+        t = (np.arange(level[0].node_count) + 0.5) / level[0].node_count
+        wave = np.sin(2 * np.pi * t)
+        coefs = []
+        for i, u in enumerate(level):
+            basis = np.stack([np.sin(np.pi * t), wave / 4] if i < 10
+                             else [np.ones_like(t), wave], axis=1)
+            coef, *_ = np.linalg.lstsq(basis, u.values, rcond=None)
+            np.testing.assert_allclose(basis @ coef, u.values, atol=1e-12)
+            coefs.append(coef)
+        fits.append(np.array(coefs))
+    np.testing.assert_allclose(fits[0], fits[1], rtol=0, atol=1e-12)
 
 
 def test_run_entry_deterministic_and_unknown():
@@ -320,7 +351,7 @@ def test_extension_reflection_passes_at_refine_3():
 
 
 def test_cli_raising_entry_keeps_other_reports(tmp_path, capsys, monkeypatch):
-    def boom(rng, refine, n):
+    def boom(rng, n):
         raise RuntimeError("boom")
 
     entry = suite.CATALOG["extension_reflection"]
@@ -541,7 +572,9 @@ def test_refine_doubles_grid_sizes_only():
     assert suite.entry_params("poincare_eigenvalue", 2) == {"n": 2048}
     assert suite.entry_params("dq_criterion", 3, {"ladder": [128.0, 32], "p": 3}) == {
         "ladder": (128, 512), "p": 3.0}
-    assert suite.entry_params("aubin_lions_compact", 3) == {"members": 30, "levels": 3}
+    assert suite.entry_params("aubin_lions_compact", 3) == {
+        "members": 30, "levels": 3, "n": 1024}
+    assert suite.entry_params("aubin_lions_control", 3) == {"members": 30, "n": 8192}
     assert suite.entry_params("tensor_extension_norms", 3, {"matrices": 7}) == {
         "matrices": 7}
 
@@ -843,7 +876,7 @@ def test_require_error_crosses_process_boundary(tmp_path, capsys, workers):
 
 @two_cpus
 def test_dead_worker_is_reported(tmp_path, capsys, monkeypatch):
-    def die(rng, refine, n):
+    def die(rng, n):
         os._exit(3)
 
     entry = suite.CATALOG["extension_reflection"]

@@ -62,6 +62,13 @@ def test_dirichlet_eigenvalue_closed_form():
     assert abs(lam - math.pi**2) <= 0.01 * math.pi**2
 
 
+@pytest.mark.parametrize("n", [2.5, True, 0, -3, 1])
+def test_dirichlet_eigenvalue_rejects_a_cell_count_below_two_or_not_an_integer(n):
+    # one cell would give 3.0, not the closed form's 4 sin^2(pi/2) = 4.0
+    with pytest.raises(ContractError, match=f"n must be .*{n!r}"):
+        theorems.dirichlet_eigenvalue(n)
+
+
 def _dirichlet_operator(n):
     h = 1.0 / n
     diag = np.full(n, 2.0 / h**2)
@@ -173,9 +180,10 @@ def test_covering_counts_clusters():
     mk = lambda c: gridfn.sample(BOX1, g, HIL2, lambda x: np.array([c, 0.0]))
     members = [mk(0.0), mk(0.001), mk(10.0), mk(10.001), mk(20.0)]
     # three clusters 10 apart: eps below the cluster spread needs one center
-    # per cluster, eps above the diameter needs a single one
-    counts = theorems.covering_counts(members, 2.0, [0.01, 5.0, 100.0])
-    assert counts == [3, 3, 1]
+    # per cluster, eps above the diameter needs a single one; eps 0 needs
+    # every distinct member, and inf a single one
+    counts = theorems.covering_counts(members, 2.0, [0.0, 0.01, 5.0, 100.0, math.inf])
+    assert counts == [5, 3, 3, 1, 1]
     assert theorems.covering_counts(members[:1], 2.0, [0.1]) == [1]
 
 
@@ -209,6 +217,13 @@ def test_covering_counts_rejects_a_member_that_differs_from_the_first(odd, what)
 def test_covering_counts_rejects_p_below_one(p):
     with pytest.raises(ValueError, match="p must be >= 1"):
         theorems.covering_counts([_cover_member(), _cover_member()], p, [0.1])
+
+
+@pytest.mark.parametrize("eps", [-1.0, math.nan, "a"])
+def test_covering_counts_rejects_an_eps_that_is_no_real_at_least_zero(eps):
+    # a negative or nan eps would count one centre, vacuously
+    with pytest.raises(ContractError, match=f"eps must be a real >= 0, got {eps!r}"):
+        theorems.covering_counts([_cover_member(), _cover_member()], 2.0, [0.1, eps])
 
 
 def test_covering_counts_memory_stays_below_the_stacked_family():
