@@ -22,7 +22,10 @@ def backend() -> str:
 
 BLOCK = 16  # consecutive nodes per block of holder_max's branch and bound
 MARGIN = 1.0 + 1e-9  # safety factor on a block-pair bound, absorbs rounding
-CHUNK = 1 << 18  # floats per work buffer of holder_max: bounds its memory
+# floats per work buffer of holder_max: bounds its memory, and the pages
+# that every call faults in afresh for its buffers: at 1 << 18 they are
+# four times as many, and morrey_d1 takes about twice as long
+CHUNK = 1 << 16
 NODE_BLOCK = 1 << 15  # floats per node block (256 KiB): a pass's few such arrays fit in L2
 SHORT_AXIS = 8  # numpy reduces an axis of fewer terms one term at a time
 PROBE = 1024  # elements abs_power samples to count the nonzeros of its input

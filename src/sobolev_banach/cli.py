@@ -164,8 +164,16 @@ def _openblas():
     for path in sorted(libs.glob("libscipy_openblas64_*.so")):
         lib = ctypes.CDLL(str(path))
         if hasattr(lib, "scipy_openblas_set_num_threads64_"):
+            lib.scipy_openblas_get_corename64_.restype = ctypes.c_char_p
             return lib
     return None
+
+
+def blas_core() -> str | None:
+    """The core numpy's bundled OpenBLAS runs on (such as SkylakeX), which
+    its build record need not name; None where that library is absent."""
+    lib = _openblas()
+    return None if lib is None else lib.scipy_openblas_get_corename64_().decode()
 
 
 def blas_threads() -> int | None:
@@ -236,6 +244,10 @@ def execute_suite(specs, seed: int, workers: int):
     import multiprocessing
     from concurrent.futures.process import ProcessPoolExecutor
 
+    # Every entry draws from numpy.random, and every worker pins its BLAS
+    # threads: loaded once here, both are inherited, not loaded per worker.
+    import numpy.random  # noqa: F401
+    _openblas()
     # Fork, so workers inherit the imported package (and a patched CATALOG).
     ctx = multiprocessing.get_context("fork")
     with ProcessPoolExecutor(
@@ -295,7 +307,8 @@ def write_outputs(outdir: Path, results, fmt: str, meta: dict):
 
 def _blas_info() -> dict:
     """numpy's build record of its BLAS, not the core OpenBLAS picks at run
-    time; report bytes move with that core and with numpy's SIMD dispatch."""
+    time (``blas_core``); report bytes move with that core and with numpy's
+    SIMD dispatch."""
     blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     return {k: blas[k] for k in ("name", "version", "openblas configuration") if k in blas}
 
@@ -343,6 +356,7 @@ def cmd_run(args) -> int:
         "package_version": __version__,
         "numpy_version": np.__version__,
         "blas": _blas_info(),
+        "blas_core": blas_core(),
         "entry_count": len(results),
         "entries": [res["usage"] for res in results],
     }

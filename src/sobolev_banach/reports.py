@@ -8,6 +8,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 
+def _one_value(xs) -> bool:
+    """Whether the nonempty 1-D array ``xs`` holds fewer than two distinct
+    values, all NaNs counting as one: ``np.unique(xs).size < 2``, without
+    the import of numpy.ma that ``np.unique`` makes."""
+    return bool(np.all(xs == xs[0]) or np.all(np.isnan(xs)))
+
+
 def fit_loglog(xs, ys) -> tuple[float, float]:
     """Least-squares slope and R^2 of log(y) against log(x).
 
@@ -16,7 +23,7 @@ def fit_loglog(xs, ys) -> tuple[float, float]:
     """
     xs = np.asarray(xs, dtype=np.float64)
     ys = np.asarray(ys, dtype=np.float64)
-    if xs.size < 2 or np.unique(xs).size < 2 or np.any(xs <= 0) or np.any(ys <= 0):
+    if xs.size < 2 or _one_value(xs) or np.any(xs <= 0) or np.any(ys <= 0):
         return float("nan"), 0.0
     lx, ly = np.log(xs), np.log(ys)
     slope, intercept = np.polyfit(lx, ly, 1)

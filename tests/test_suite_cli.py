@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sobolev_banach import cli, suite
+from sobolev_banach import cli, reports, suite
 
 FAST = ["stampacchia_disjointness", "extension_reflection"]
 # a few tens of milliseconds each, so that two workers both get work
@@ -310,11 +310,19 @@ def test_every_seed_passes_at_refine_0(name, seed):
     assert rows and all(r.passed for r in rows), [r for r in rows if not r.passed]
 
 
+def _fresh_python(code: str, *args: str) -> list[str]:
+    """The lines that ``code`` prints in a fresh interpreter, where no module
+    this test process loaded counts."""
+    src = str(Path(suite.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    run = subprocess.run([sys.executable, "-c", code, *args],
+                         env=env, capture_output=True, text=True, check=True)
+    return run.stdout.splitlines()
+
+
 def test_no_catalog_entry_imports_scipy(tmp_path):
     # scipy is a test dependency only, and no run needs jsonschema; a fresh
-    # interpreter runs every entry and loads the README's full config, so
-    # that no module this test process loaded counts
-    src = str(Path(suite.__file__).resolve().parents[1])
+    # interpreter runs every entry and loads the README's full config
     code = (
         "import sys\n"
         "from sobolev_banach import cli, suite\n"
@@ -324,12 +332,47 @@ def test_no_catalog_entry_imports_scipy(tmp_path):
         "print(sorted(m for m in sys.modules\n"
         "             if m.partition('.')[0] in ('scipy', 'jsonschema')))\n"
     )
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    run = subprocess.run(
-        [sys.executable, "-c", code, _readme_full_config(tmp_path)],
-        env=env, capture_output=True, text=True, check=True,
+    assert _fresh_python(code, _readme_full_config(tmp_path)) == ["[]"]
+
+
+# numpy 1.x imports numpy.ma and numpy.random with numpy itself, numpy 2
+# on first use; the two tests below compare with what numpy alone loads.
+FRESH_NUMPY = "import sys\nimport numpy\nalone = set(sys.modules)\n"
+
+
+def test_one_worker_catalog_run_leaves_numpy_ma_unimported(tmp_path):
+    # np.unique and np.median import numpy.ma only to look for masked input
+    code = FRESH_NUMPY + (
+        "from sobolev_banach import cli\n"
+        "code = cli.main(['run', sys.argv[1], '--out', sys.argv[2], '--workers', '1'])\n"
+        "print(code, ('numpy.ma' in sys.modules) == ('numpy.ma' in alone))\n"
     )
-    assert run.stdout.strip() == "[]"
+    cfg = _write_config(tmp_path, {"schema_version": 1})
+    assert _fresh_python(code, cfg, str(tmp_path / "r"))[-1] == f"{cli.EXIT_OK} True"
+
+
+@two_cpus
+def test_forked_workers_inherit_numpy_random():
+    # importing the package leaves numpy.random to its first use; each probe
+    # entry reports whether its worker had it before drawing the entry's rng
+    code = FRESH_NUMPY + (
+        "import os\n"
+        "from sobolev_banach import cli, suite\n"
+        "had = []\n"
+        "draw = suite.entry_rng\n"
+        "def entry_rng(name, seed):\n"
+        "    had.append('numpy.random' in sys.modules)\n"
+        "    return draw(name, seed)\n"
+        "def probe(rng):\n"
+        "    return [suite._holds('inherited', had[-1])], {'pid': os.getpid()}\n"
+        "suite.entry_rng = entry_rng\n"
+        "suite.CATALOG['probe'] = suite.CatalogEntry('probe', '', '', probe, {})\n"
+        "print(('numpy.random' in sys.modules) == ('numpy.random' in alone))\n"
+        "results = cli.execute_suite([{'name': 'probe'}] * 4, 42, 2)\n"
+        "print(sorted({r['details']['pid'] != os.getpid() for r in results}))\n"
+        "print(sorted({row.passed for r in results for row in r['rows']}))\n"
+    )
+    assert _fresh_python(code) == ["True", "[True]", "[True]"]
 
 
 def test_cli_refine_1_identical_across_worker_counts(tmp_path):
@@ -579,6 +622,25 @@ def test_refine_doubles_grid_sizes_only():
         "matrices": 7}
 
 
+@given(st.lists(st.sampled_from([0.0, -0.0, 2.5, math.inf, -math.inf, math.nan])
+                | st.floats(), min_size=1, max_size=8))
+@settings(derandomize=True, max_examples=300, deadline=None)
+def test_fit_loglog_degenerate_check_matches_unique(xs):
+    # all NaNs count as one value, as np.unique's equal_nan has it
+    xs = np.array(xs)
+    assert reports._one_value(xs) == (np.unique(xs).size < 2)
+
+
+@given(st.lists(st.sampled_from([0.0, -0.0, 1.0, 2.5, math.nan]) | st.floats(),
+                min_size=1, max_size=40))
+@settings(derandomize=True, max_examples=300, deadline=None)
+def test_median_matches_numpy_bit_for_bit(xs):
+    a = np.array(xs)
+    with np.errstate(over="ignore", invalid="ignore"):  # huge or infinite middles
+        m, ref = suite._median(a), np.median(a)
+    assert (math.isnan(m) and math.isnan(ref)) or np.float64(m).tobytes() == ref.tobytes()
+
+
 def test_fit_order_is_nan_without_two_positive_errors():
     assert math.isnan(suite._fit_order([32, 64, 128], [0.0, 0.0, 1.0]))
     assert not suite._row("fitted_order", suite._fit_order([32, 64], [0.0, 0.0]),
@@ -752,6 +814,9 @@ def test_sidecar_records_each_entry_in_process(tmp_path):
     blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     assert meta["blas"]["name"] == blas["name"]
     assert set(meta["blas"]) <= {"name", "version", "openblas configuration"}
+    # and on the core OpenBLAS runs on, which the build record need not name
+    assert meta["blas_core"] == cli.blas_core()
+    assert (meta["blas_core"] is None) == (cli._openblas() is None)
     assert [e["name"] for e in meta["entries"]] == MEDIUM
     for e in meta["entries"]:
         assert set(e) == SIDECAR_KEYS
@@ -785,7 +850,7 @@ def test_blas_pin_is_a_no_op_without_numpy_openblas(tmp_path, monkeypatch):
     monkeypatch.setattr(np, "__file__", str(tmp_path / "numpy" / "__init__.py"))
     assert cli._openblas.__wrapped__() is None
     monkeypatch.setattr(cli, "_openblas", lambda: None)
-    assert cli.blas_threads() is None
+    assert cli.blas_threads() is None and cli.blas_core() is None
     cli._one_blas_thread()
 
 
