@@ -112,13 +112,17 @@ def node_blocks(n, width):
 
     The grid passes (``SampleBlueprint.realize``, ``gridfn.mollify``,
     ``gridfn.shift_node_norms``, ``counterexamples._pos_contrast_rows``,
-    the norms and then the differences and pairings of
+    the norms, differences and pairings of
     ``calculus.norm_derivative_field``, and the chain-rule comparison
     ``calculus._Comparison``, which settles each block as they form it)
     take the rows to be the first-axis rows of a node array, of ``width``
     = nodes per row times the value dimension; a block of them is a
-    contiguous slice of the nodes.  ``theorems.covering_counts`` takes them to be the members of a
-    family, of ``width`` = nodes times the value dimension.
+    contiguous slice of the nodes.  The norm pass and the C(K) contrast
+    read each block with one halo row on each side, clipped to the grid:
+    a window of at least three rows whenever n >= 3, so a halo row is
+    normed again in a batch of rows too.  ``theorems.covering_counts``
+    takes the rows to be the members of a family, of ``width`` = nodes
+    times the value dimension.
     """
     count = max(1, -(-n // max(3, NODE_BLOCK // width)))
     size, extra = divmod(n, count)

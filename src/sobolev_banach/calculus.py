@@ -8,7 +8,7 @@ recording what was compared and how well it agreed.  Every chain-rule
 field is checked by one comparison, ``_Comparison``: ``l1_err[j]`` is the
 Bochner 1-norm of fields[j] - D_j(target) over the unflagged interior
 nodes, one node block at a time (``_compare`` for whole fields; the norm
-pass writes its norms first and settles each block as it forms it).  The
+pass settles each block as it forms it, against its window's norms).  The
 norm, lattice and quotient rule fields report it as the rows
 ``l1_err[j]`` and ``flagged_fraction[j]`` per axis j.
 """
@@ -31,6 +31,7 @@ from .errors import (
 from .gridfn import (
     SOBOLEV_P,
     GridFunction,
+    GridSpec,
     _difference_rows,
     _lp,
     finite_difference,
@@ -39,6 +40,7 @@ from .gridfn import (
     interior_mask,
     pointwise_norms,
     shift_difference_norm,
+    unit_box,
 )
 from .reports import Report, fit_loglog
 
@@ -73,33 +75,42 @@ class _Comparison:
     p-norm of fields[j] - D_j(target) over the interior nodes that
     flags[j] leaves in, one block of first-axis rows at a time.
 
-    ``settle(blk, fields, flags)`` takes field j and its flags on the rows
-    ``blk`` (any shape that holds those nodes in order), against the
-    complete target.  D_j(target) and the node norms of the differences
-    run in one reused block buffer of ``rows`` first-axis rows.  Each
-    block appends the norms of the nodes it keeps to one array per axis,
-    which so holds them in node order, and ``errors`` runs ``_lp`` once
-    over each array, in place (so only once).
+    The target is a grid function of ``space`` on ``grid`` over
+    ``domain``.  ``settle(blk, window, first, fields, flags)`` takes field
+    j and its flags on the rows ``blk`` (any shape that holds those nodes
+    in order), against a window of the target: its node array's rows from
+    ``first`` on, which hold the rows of ``blk`` and, within the grid, one
+    halo row on each side (``gridfn._difference_rows``); the whole target
+    is the window at ``first`` = 0.  D_j(target) and the node norms of the
+    differences run in one reused block buffer of ``rows`` first-axis
+    rows.  Each block appends the norms of the nodes it keeps to one
+    array per axis, which so holds them in node order, and ``errors``
+    runs ``_lp`` once over each array, in place (so only once).
     """
 
-    def __init__(self, target: GridFunction, axes: int, rows: int):
-        self.target = target
-        self.h = target.grid.spacing(target.domain)
-        self.diff = np.empty((rows,) + target.values.shape[1:])
-        inner = math.prod(k - 2 for k in target.grid.n)
-        self.kept = [np.empty(inner) for _ in range(axes)]
+    def __init__(self, space: SpaceDescriptor, domain, grid, axes: int, rows: int):
+        self.space, self.grid = space, grid
+        self.h = grid.spacing(domain)
+        self.diff = np.empty((rows,) + grid.n[1:] + (space.dim,))
+        inner = math.prod(k - 2 for k in grid.n)
+        # one array for all axes: glibc gave two arrays of this size back to
+        # the system when freed, so each comparison faulted them in afresh
+        # (about 8 000 page faults per norm_chain_rule call at refine 2)
+        self.kept = np.empty((axes, inner))
         self.ends = [0] * axes
         self.flagged = [0] * axes
 
-    def settle(self, blk: slice, fields: list[np.ndarray], flags: list[np.ndarray]):
-        t = self.target
+    def settle(
+        self, blk: slice, window: np.ndarray, first: int,
+        fields: list[np.ndarray], flags: list[np.ndarray],
+    ):
         part = self.diff[: blk.stop - blk.start]
-        inner = interior_mask(t.grid, blk)
+        inner = interior_mask(self.grid, blk)
         for j, (f, flag) in enumerate(zip(fields, flags)):
-            _difference_rows(t.values, self.h, j, blk, part)
+            _difference_rows(window, first, self.grid.n[0], self.h, j, blk, part)
             np.subtract(f.reshape(part.shape), part, out=part)
             flag = flag.reshape(inner.shape)
-            kept = banach.norm(t.space, part)[inner & ~flag]
+            kept = banach.norm(self.space, part)[inner & ~flag]
             at = self.ends[j]
             self.ends[j] += kept.size
             self.kept[j][at : self.ends[j]] = kept
@@ -114,10 +125,10 @@ class _Comparison:
         and ``flagged_fraction[j]`` (over all nodes), the detail
         ``l1_err_total`` and the caller's ``details``."""
         errs = self.errors(1.0)
+        nodes = math.prod(self.grid.n)
         rows = []
         for j, err in enumerate(errs):
-            frac = self.flagged[j] / self.target.node_count
-            rows += [(f"l1_err[{j}]", err), (f"flagged_fraction[{j}]", frac)]
+            rows += [(f"l1_err[{j}]", err), (f"flagged_fraction[{j}]", self.flagged[j] / nodes)]
         return Report(
             name=name, rows=rows, verdict="MEASURED",
             details={"l1_err_total": sum(errs), **details},
@@ -127,13 +138,15 @@ class _Comparison:
 def _compare(
     target: GridFunction, fields: list[GridFunction], flags: list[np.ndarray]
 ) -> _Comparison:
-    """The ``_Comparison`` of whole fields and flags against the target,
-    settled over the target's node blocks (``_kernels.node_blocks``)."""
+    """The ``_Comparison`` of whole fields and flags against the whole
+    target, settled over the target's node blocks (``_kernels.node_blocks``)."""
     v = target.values
     blocks = _kernels.node_blocks(len(v), v[0].size)
-    comparison = _Comparison(target, len(fields), blocks[0].stop)
+    comparison = _Comparison(target.space, target.domain, target.grid, len(fields), blocks[0].stop)
     for blk in blocks:
-        comparison.settle(blk, [f.values[blk] for f in fields], [flag[blk] for flag in flags])
+        comparison.settle(
+            blk, v, 0, [f.values[blk] for f in fields], [flag[blk] for flag in flags]
+        )
     return comparison
 
 
@@ -415,51 +428,72 @@ def norm_derivative_field(u: GridFunction) -> FieldResult:
     The fields and flags are full-size arrays; ``norm_derivative_report``
     gives the same report without them.
     """
-    return _norm_derivative(u, keep_fields=True)
+    return _norm_derivative(u, None, keep_fields=True)
 
 
-def norm_derivative_report(u: GridFunction) -> Report:
+def norm_derivative_report(u, n: int | None = None) -> Report:
     """``norm_derivative_field(u).report``, bit for bit, from the same
-    block passes keeping no field: the only full-size arrays are the
-    pointwise norms and, per axis, the kept nodes' errors that ``_lp`` sums."""
-    return _norm_derivative(u, keep_fields=False).report
+    pass keeping no field, for a grid function u, or for the member that
+    the blueprint u (``suite.SampleBlueprint``) realizes at n cells per
+    axis.  A blueprint's member is never whole: the pass realizes one
+    window of rows at a time (``SampleBlueprint.row_writer``), so its only
+    full-size arrays are, per axis, the kept nodes' errors that ``_lp``
+    sums."""
+    return _norm_derivative(u, n, keep_fields=False).report
 
 
-def _norm_derivative(u: GridFunction, keep_fields: bool) -> FieldResult:
-    """Two passes over the node blocks (``_kernels.node_blocks``) of u.
+def _norm_derivative(u, n: int | None, keep_fields: bool) -> FieldResult:
+    """One pass over the node blocks (``_kernels.node_blocks``) of the grid
+    function u (n None), read through views of its values, or of the
+    member of the blueprint u at n cells per axis, realized one window at
+    a time in one reused buffer.
 
-    The first writes the pointwise norms of every block.  The second forms
-    per block, and per axis, the difference D_j u into one reused block
-    buffer and its pairing: the field values (the midpoints) and flags,
-    which the comparison (``_Comparison``) settles at once.  So the part of
-    the pairing that depends on the node alone is computed once per block,
-    and no full-size derivative array is made.  The values and flags go to
-    full-size arrays when ``keep_fields``, else to block buffers that each
-    block reuses; the result then holds no fields.
+    Per block the window is the block's first-axis rows and, within the
+    grid, one halo row on each side.  The pass norms the whole window;
+    then per axis it forms D_j u on the block into one reused buffer and
+    its pairing: the field values (the midpoints) and flags, which the
+    comparison (``_Comparison``) settles at once against the window's
+    norms.  So the part of the pairing that depends on the node alone is
+    computed once per block, and no full-size derivative or norm array is
+    made.  A halo row is normed again in its neighbour's window, which
+    holds at least three rows (``node_blocks`` makes no block of one
+    row), so it gets the bits of its own block.  The values and flags go
+    to full-size arrays when ``keep_fields``, else to block buffers that
+    each block reuses; the result then holds no fields.
     """
-    v, dim, d = u.values, u.space.dim, u.domain.d
-    h = u.grid.spacing(u.domain)
-    per_row = v[0].size // dim  # nodes per first-axis row
-    blocks = _kernels.node_blocks(len(v), v[0].size)
-    ats = [slice(blk.start * per_row, blk.stop * per_row) for blk in blocks]
-    g = from_scalar(u.domain, u.grid, np.empty(u.grid.n))  # the norms
-    nx = g.values.reshape(-1)
-    for blk, at in zip(blocks, ats):
-        nx[at] = banach.norm(u.space, v[blk].reshape(-1, dim))
-    comparison = _Comparison(g, d, blocks[0].stop)
-    size = len(nx) if keep_fields else blocks[0].stop * per_row
+    if n is None:
+        domain, grid, space = u.domain, u.grid, u.space
+    else:
+        domain, grid, space = unit_box(u.d), GridSpec((n,) * u.d), u.space
+    dim, d, rows = space.dim, domain.d, grid.n[0]
+    h = grid.spacing(domain)
+    per_row = math.prod(grid.n[1:])  # nodes per first-axis row
+    blocks = _kernels.node_blocks(rows, per_row * dim)
+    longest = blocks[0].stop - blocks[0].start
+    if n is None:
+        read = lambda a, b: u.values[a:b]
+    else:
+        buf, write = np.empty((longest + 2,) + grid.n[1:] + (dim,)), u.row_writer(n)
+        read = lambda a, b: write(a, b, buf[: b - a])
+    comparison = _Comparison(scalar_space(), domain, grid, d, longest)
+    size = math.prod(grid.n) if keep_fields else longest * per_row
     values = [np.empty(size) for _ in range(d)]
     flagged = [np.empty(size, dtype=bool) for _ in range(d)]
-    diff = np.empty_like(v[blocks[0]])
-    for blk, at in zip(blocks, ats):
-        norms = nx[at]
+    diff = np.empty((longest,) + grid.n[1:] + (dim,))
+    for blk in blocks:
+        first, last = max(blk.start - 1, 0), min(blk.stop + 1, rows)
+        w = read(first, last)
+        nw = banach.norm(space, w.reshape(-1, dim))  # the window's norms
+        own = slice(blk.start - first, blk.stop - first)  # the block's rows in w
+        norms = nw[own.start * per_row : own.stop * per_row]
         near_zero = norms <= ZERO_TOL * (1.0 + norms)
         exact_zero = norms == 0.0
-        pair = banach._pairing_at(u.space, v[blk].reshape(-1, dim), norms)
+        pair = banach._pairing_at(space, w[own].reshape(-1, dim), norms)
         part = diff[: blk.stop - blk.start]
+        at = slice(blk.start * per_row, blk.stop * per_row)
         out = at if keep_fields else slice(0, at.stop - at.start)
         for j, (value, flag) in enumerate(zip(values, flagged)):
-            _difference_rows(v, h, j, blk, part)
+            _difference_rows(w, first, rows, h, j, blk, part)
             plus, minus, unique = pair(part.reshape(-1, dim))
             mid = value[out]  # the midpoint, plus where unique, 0 at zeros
             np.add(plus, minus, out=mid)
@@ -467,12 +501,15 @@ def _norm_derivative(u: GridFunction, keep_fields: bool) -> FieldResult:
             np.copyto(mid, plus, where=unique)
             mid[exact_zero] = 0.0
             np.logical_or(~unique, near_zero, out=flag[out])
-        comparison.settle(blk, [value[out] for value in values], [flag[out] for flag in flagged])
+        comparison.settle(
+            blk, nw.reshape(w.shape[:-1] + (1,)), first,
+            [value[out] for value in values], [flag[out] for flag in flagged],
+        )
     report = comparison.report("norm_derivative_field", cell_volume=float(np.prod(h)))
     if not keep_fields:
         return FieldResult(fields=[], flags=[], report=report)
-    fields = [from_scalar(u.domain, u.grid, val.reshape(u.grid.n)) for val in values]
-    flags = [f.reshape(u.grid.n) for f in flagged]
+    fields = [from_scalar(domain, grid, val.reshape(grid.n)) for val in values]
+    flags = [f.reshape(grid.n) for f in flagged]
     return FieldResult(fields=fields, flags=flags, report=report)
 
 

@@ -237,6 +237,11 @@ def execute_suite(specs, seed: int, workers: int):
     """Run ``specs`` on ``workers`` forked processes, each pinned to one
     BLAS thread, or in this process, with its BLAS threads left alone, when
     ``workers`` is 1; results come back in spec order."""
+    # Every entry draws from numpy.random.  Imported here, before any entry
+    # runs, it is charged to no entry, and forked workers inherit it; a
+    # bare import of this module does not load it.
+    import numpy.random  # noqa: F401
+
     if workers <= 1:
         return [_run_one(spec, seed) for spec in specs]
     # Imported here, so that importing this module and one-worker runs do
@@ -244,9 +249,8 @@ def execute_suite(specs, seed: int, workers: int):
     import multiprocessing
     from concurrent.futures.process import ProcessPoolExecutor
 
-    # Every entry draws from numpy.random, and every worker pins its BLAS
-    # threads: loaded once here, both are inherited, not loaded per worker.
-    import numpy.random  # noqa: F401
+    # Every worker pins its BLAS threads: looked up once here, the handle
+    # is inherited, not loaded per worker.
     _openblas()
     # Fork, so workers inherit the imported package (and a patched CATALOG).
     ctx = multiprocessing.get_context("fork")

@@ -266,12 +266,11 @@ def _pos_contrast_rows(n_t: int, m: int) -> np.ndarray:
     per_t = np.empty(n_t)
     for block in blocks:
         lo, hi = max(block.start - 1, 0), min(block.stop + 1, n_t)
-        inner = slice(block.start - lo, block.stop - lo)
         D, D_pos = part[: block.stop - block.start], pos_part[: block.stop - block.start]
         U = np.subtract(rc[None, :], tc[lo:hi, None], out=path[: hi - lo])
-        _difference_rows(U, spacing, 0, inner, D)
-        np.copyto(D, 0.0, where=U[inner] <= 0.0)
-        _difference_rows(np.maximum(U, 0.0, out=U), spacing, 0, inner, D_pos)
+        _difference_rows(U, lo, n_t, spacing, 0, block, D)
+        np.copyto(D, 0.0, where=U[block.start - lo : block.stop - lo] <= 0.0)
+        _difference_rows(np.maximum(U, 0.0, out=U), lo, n_t, spacing, 0, block, D_pos)
         D -= D_pos
         D *= D
         np.mean(D, axis=1, out=per_t[block])

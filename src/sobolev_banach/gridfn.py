@@ -214,34 +214,40 @@ def interior_mask(grid: GridSpec, rows: slice = slice(None)) -> np.ndarray:
     return mask
 
 
-def _difference_rows(v: np.ndarray, h: np.ndarray, j: int, rows: slice, out: np.ndarray):
-    """Write D_j of the node array v (grid axes, then the value axis) on
-    the first-axis rows ``rows`` into ``out``, of shape ``v[rows].shape``.
+def _difference_rows(
+    v: np.ndarray, first: int, total: int, h: np.ndarray, j: int, rows: slice, out: np.ndarray
+):
+    """Write D_j of a node array (grid axes, then the value axis) of
+    ``total`` first-axis rows on its rows ``rows`` into ``out``, of shape
+    ``v[rows]``, reading the window ``v`` that holds its rows ``first``,
+    ``first + 1``, ...  A whole array is the window at ``first`` = 0.
 
     Second-order central stencil in the interior, second-order one-sided at
     the two boundary layers of axis j.  Every node's expression is the one
-    it gets over all rows, so a pass that runs one block of rows at a time
-    gets the whole-array differences bit for bit.
+    it gets over all rows, so a pass that runs one block of rows at a time,
+    reading the block and a halo row on each side (three rows at a grid
+    edge of axis 0), gets the whole-array differences bit for bit.
     """
-    n = v.shape[j]
+    n = total if j == 0 else v.shape[j]
     if n < 3:
         raise GridError(f"axis {j} has {n} cells; stencils need >= 3")
-    a, b, _ = rows.indices(v.shape[0])
+    a, b, _ = rows.indices(total)
     if j > 0:  # the stencil stays inside each first-axis row
-        v, a, b = v[a:b], 0, n
-    S = lambda p, q: _axis_slices(v.ndim - 1, j, slice(p, q))
+        v, a, b, first = v[a - first : b - first], 0, n, 0
+    S = lambda p, q: _axis_slices(v.ndim - 1, j, slice(p - first, q - first))
+    T = lambda p, q: _axis_slices(v.ndim - 1, j, slice(p - a, q - a))
     step = 2.0 * h[j]
     lo, hi = max(a, 1), min(b, n - 1)
     if lo < hi:
         # written straight into out and divided in place: the same
         # operations as (a - b) / step, without temporaries
-        inner = out[S(lo - a, hi - a)]
+        inner = out[T(lo, hi)]
         np.subtract(v[S(lo + 1, hi + 1)], v[S(lo - 1, hi - 1)], out=inner)
         inner /= step
     if a == 0:
-        out[S(0, 1)] = (-3.0 * v[S(0, 1)] + 4.0 * v[S(1, 2)] - v[S(2, 3)]) / step
+        out[T(0, 1)] = (-3.0 * v[S(0, 1)] + 4.0 * v[S(1, 2)] - v[S(2, 3)]) / step
     if b == n:
-        out[S(b - a - 1, b - a)] = (
+        out[T(b - 1, b)] = (
             3.0 * v[S(n - 1, n)] - 4.0 * v[S(n - 2, n - 1)] + v[S(n - 3, n - 2)]
         ) / step
 
@@ -258,7 +264,7 @@ def finite_difference(u: GridFunction) -> list[GridFunction]:
     fields = []
     for j in range(u.domain.d):
         dv = np.empty_like(u.values)
-        _difference_rows(u.values, h, j, slice(None), dv)
+        _difference_rows(u.values, 0, u.grid.n[0], h, j, slice(None), dv)
         fields.append(u.like(dv))
     return fields
 

@@ -144,21 +144,21 @@ class SampleBlueprint:
     amp_sin: np.ndarray  # (dim, K, d)
     amp_cos: np.ndarray  # (dim, K, d)
 
-    def realize(self, n: int) -> GridFunction:
-        """The member on the grid of n cells per axis.
+    def row_writer(self, n: int) -> Callable[[int, int, np.ndarray], np.ndarray]:
+        """``write(a, b, out)``, which writes the first-axis rows [a, b) of
+        the member on the grid of n cells per axis into ``out`` (shape
+        ``(b - a,) + (n,) * (d - 1) + (dim,)``) and returns it.
 
         Each term depends on one coordinate only, so its wave is evaluated
-        on the axis and broadcast along axis j.  The sum runs in the order
-        (vals + s*a) + c*b of the full-mesh formula, one node block
-        (``_kernels.node_blocks`` over the first grid axis) at a time.  A
-        term along an axis j >= 1 forms its product on that axis once; one
-        along axis 0 forms it per block.  For d >= 2 the leading terms,
+        on the axis, here, and broadcast along axis j.  The sum runs in the
+        order (vals + s*a) + c*b of the full-mesh formula, so every node
+        has the same expression whatever rows are asked for.  A term along
+        an axis j >= 1 forms its product on that axis once; one along axis
+        0 forms it on the rows asked for.  For d >= 2 the leading terms,
         those along axis 0, are summed with ``const`` on that axis alone,
-        and each block starts as a copy of that head.
+        and the rows start as a copy of that head.
         """
-        dom = unit_box(self.d)
-        grid = GridSpec((n,) * self.d)
-        axes = grid.axes(dom)
+        axes = GridSpec((n,) * self.d).axes(unit_box(self.d))
         dim, K = self.amp_sin.shape[:2]
         terms = []  # (wave, amp) along axis 0, (product, None) along the others
         for k in range(K):
@@ -174,13 +174,25 @@ class SampleBlueprint:
         while self.d >= 2 and terms and terms[0][1] is not None:
             wave, amp = terms.pop(0)
             head = head + wave * amp
-        vals = np.empty(grid.n + (dim,))
-        for blk in _kernels.node_blocks(n, vals[0].size):
-            part = vals[blk]
-            part[...] = head[blk] if head.ndim > 1 else head
+
+        def write(a: int, b: int, out: np.ndarray) -> np.ndarray:
+            out[...] = head[a:b] if head.ndim > 1 else head
             for wave, amp in terms:
-                part += wave if amp is None else wave[blk] * amp
-        return GridFunction(dom, grid, self.space, vals)
+                out += wave if amp is None else wave[a:b] * amp
+            return out
+
+        return write
+
+    def realize(self, n: int) -> GridFunction:
+        """The member on the grid of n cells per axis: its ``row_writer``
+        over its node blocks (``_kernels.node_blocks`` over the first grid
+        axis), so each block's terms are added while it stays in cache."""
+        grid = GridSpec((n,) * self.d)
+        vals = np.empty(grid.n + (self.space.dim,))
+        write = self.row_writer(n)
+        for blk in _kernels.node_blocks(n, vals[0].size):
+            write(blk.start, blk.stop, vals[blk])
+        return GridFunction(unit_box(self.d), grid, self.space, vals)
 
 
 def corpus_blueprints(
@@ -258,8 +270,8 @@ def _norm_chain_rule(rng, ladder):
     for n in ladder:
         total = 0.0
         for bp in bps:
-            # keep only the number, so each member is freed before the next
-            total += norm_derivative_report(bp.realize(n)).details["l1_err_total"]
+            # the member is realized one window of rows at a time
+            total += norm_derivative_report(bp, n).details["l1_err_total"]
         errs.append(total)
     order = _fit_order(ladder, errs)
     rows = [

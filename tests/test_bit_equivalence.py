@@ -778,6 +778,39 @@ def test_norm_derivative_report_matches_field_report(space, d, n, rows, seed):
     _check_report_matches_field(space, d, n, rows, seed)
 
 
+@given(
+    st.sampled_from(suite.KIND_SPECS), st.sampled_from([1, 2]), st.integers(3, 40),
+    st.data(), st.integers(0, 2**16),
+)
+@settings(derandomize=True, max_examples=200, deadline=None)
+def test_row_writer_writes_the_realized_rows(kind, d, n, data, seed):
+    # any rows [a, b), not only node blocks: every node has one expression
+    _, space = kind
+    bp = _blueprint(space, d, seed)
+    a = data.draw(st.integers(0, n - 1))
+    b = data.draw(st.integers(a + 1, n))
+    out = np.full((b - a,) + (n,) * (d - 1) + (space.dim,), np.nan)
+    assert bp.row_writer(n)(a, b, out) is out
+    assert np.array_equal(out, bp.realize(n).values[a:b])
+
+
+@given(st.integers(0, 2**16), st.sampled_from([2, 3, 4]))
+@settings(derandomize=True, max_examples=6, deadline=None)
+def test_norm_derivative_report_of_a_blueprint_matches_field_report(seed, rows):
+    # the member is realized one window at a time: a block of about
+    # ``rows`` first-axis rows and a halo row on each side
+    for n in (3, 4, 5, 17, 64):
+        for bp in suite.corpus_blueprints(np.random.default_rng(seed)):
+            width = n ** (bp.d - 1) * bp.space.dim
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(_kernels, "NODE_BLOCK", rows * width)
+                got = calculus.norm_derivative_report(bp, n)
+                want = calculus.norm_derivative_field(bp.realize(n)).report
+            assert (got.name, got.verdict) == (want.name, want.verdict)
+            assert got.rows == want.rows
+            assert got.details == want.details
+
+
 @pytest.mark.parametrize("d", [1, 2])
 @pytest.mark.parametrize("space", SPACES, ids=lambda s: f"{s.kind}-{s.exponent}-{s.dim}")
 def test_norm_derivative_report_matches_field_report_in_every_kind(space, d):

@@ -351,6 +351,22 @@ def test_one_worker_catalog_run_leaves_numpy_ma_unimported(tmp_path):
     assert _fresh_python(code, cfg, str(tmp_path / "r"))[-1] == f"{cli.EXIT_OK} True"
 
 
+def test_one_worker_run_imports_numpy_random_before_its_first_entry():
+    # so the first entry of a one-process run is not charged for the import
+    code = FRESH_NUMPY + (
+        "from sobolev_banach import cli\n"
+        "run_one, had = cli._run_one, []\n"
+        "def first(spec, seed):\n"
+        "    had.append('numpy.random' in sys.modules)\n"
+        "    return run_one(spec, seed)\n"
+        "cli._run_one = first\n"
+        "print(('numpy.random' in sys.modules) == ('numpy.random' in alone))\n"
+        "cli.execute_suite([{'name': 'quotient_rule'}], 42, 1)\n"
+        "print(had)\n"
+    )
+    assert _fresh_python(code) == ["True", "[True]"]
+
+
 @two_cpus
 def test_forked_workers_inherit_numpy_random():
     # importing the package leaves numpy.random to its first use; each probe
