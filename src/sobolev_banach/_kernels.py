@@ -120,9 +120,13 @@ def node_blocks(n, width):
     contiguous slice of the nodes.  The norm pass and the C(K) contrast
     read each block with one halo row on each side, clipped to the grid:
     a window of at least three rows whenever n >= 3, so a halo row is
-    normed again in a batch of rows too.  ``theorems.covering_counts``
-    takes the rows to be the members of a family, of ``width`` = nodes
-    times the value dimension.
+    normed again in a batch of rows too.  The indicator witness writes
+    the rows of each lag's shift difference one block at a time
+    (``counterexamples._band_node_norms``), so that its n x n path is
+    never formed, and the C(K) witness takes its CK_SAMPLES sample points
+    as rows of width 1.
+    ``theorems.covering_counts`` takes the rows to be the members of a
+    family, of ``width`` = nodes times the value dimension.
     """
     count = max(1, -(-n // max(3, NODE_BLOCK // width)))
     size, extra = divmod(n, count)

@@ -170,10 +170,10 @@ def dq_criterion(u: GridFunction, p: float, steps_list: tuple[int, ...] = DQ_STE
     most divergent direction's log-log fit; ``per_direction``; ``p``.
 
     The quotient pass is here; the fit and verdict are ``_dq_verdict``, so
-    a caller that already holds the shift differences' node norms
-    (``gridfn.shift_node_norms``, as ``indicator_path_witness`` does) forms
+    a caller that already holds the shift differences' node norms forms
     the same rows from them and gets the same report without norming the
-    differences again.
+    differences again: ``indicator_path_witness`` norms its bands of ones
+    with the bits of ``gridfn.shift_node_norms`` without forming the path.
     """
     if not (p >= 1.0):
         raise ValueError(f"p must be >= 1 or inf, got {p}")

@@ -363,6 +363,9 @@ def cmd_run(args) -> int:
         "blas_core": blas_core(),
         "entry_count": len(results),
         "entries": [res["usage"] for res in results],
+        # this process's own peak, read once the pool has closed: its
+        # workers' peaks are in "entries"
+        "parent_max_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
     }
     write_outputs(outdir, results, fmt, meta)
     total = sum(len(r["rows"]) for r in results)

@@ -22,7 +22,7 @@ import math
 
 import numpy as np
 
-from . import _kernels
+from . import _kernels, banach
 from .banach import SpaceDescriptor
 from .calculus import DQ_STEPS, _dq_verdict, dq_criterion, pos_derivative_field
 from .errors import ContractError, OrderContinuityError
@@ -32,8 +32,7 @@ from .gridfn import (
     GridSpec,
     _difference_rows,
     _lp,
-    apply_functional,
-    shift_node_norms,
+    from_scalar,
     unit_box,
 )
 from .reports import Report
@@ -79,6 +78,54 @@ def _finish(name, rows, band, notes, extra_ok=True) -> Report:
 # ---------------------------------------------------------------------------
 
 
+def _band_node_norms(space: SpaceDescriptor, n: int, k: int) -> np.ndarray:
+    """``gridfn.shift_node_norms`` of the indicator path at lag k, with no
+    path formed: row t of the shift difference 1_(0,t+k) - 1_(0,t) is the
+    indicator of the coordinates [t, t+k).
+
+    One ``node_blocks(n - k, n)`` block of rows at a time, the band of ones
+    is written straight into one reused buffer of zeros, through a strided
+    (rows, k) view whose row t starts at column t, and the buffer is normed.
+    The rows hold the 0.0 and 1.0 that the subtraction of the path's rows
+    gives, in the same blocks, so every norm is the path's bit for bit.
+    """
+    blocks = _kernels.node_blocks(n - k, n)
+    buf = np.empty((blocks[0].stop - blocks[0].start, n))
+    g = np.empty(n - k)
+    for blk in blocks:
+        part = buf[: blk.stop - blk.start]
+        part.fill(0.0)
+        step = part.strides[1]
+        band = np.lib.stride_tricks.as_strided(
+            part.reshape(-1)[blk.start :], (len(part), k), (part.strides[0] + step, step)
+        )
+        band.fill(1.0)
+        g[blk] = banach.norm(space, part)
+    return g
+
+
+def _path_pairing(n: int, c: np.ndarray) -> np.ndarray:
+    """``gridfn.apply_functional`` of the indicator path with coefficients
+    c, the pairings of c with 1_(0,t), formed one block of path rows at a
+    time in one reused buffer, each block paired as ``@ c``.
+
+    OpenBLAS sums the rows of a matrix-vector product four at a time, and
+    the last n % 4 rows by other kernels, which round differently.  So the
+    blocks hold a multiple of four rows (at most ``NODE_BLOCK`` floats
+    where n allows), and the last block takes what is left, never a lone
+    row, which numpy would pair as a dot product: every row is summed as
+    in the whole path's product on one BLAS thread.
+    """
+    rows = max(4, _kernels.NODE_BLOCK // n // 4 * 4)
+    bounds = list(range(0, n - 1, rows)) + [n]
+    buf = np.empty((rows + 1, n))
+    i = np.arange(n)
+    g = np.empty(n)
+    for a, b in zip(bounds, bounds[1:]):
+        g[a:b] = np.less(i, i[a:b, None], out=buf[: b - a]) @ c
+    return g
+
+
 def indicator_path_witness(r: float, n: int) -> Report:
     """Difference-quotient blow-up of t -> 1_(0,t) as a path into L^r(0,1).
 
@@ -89,10 +136,13 @@ def indicator_path_witness(r: float, n: int) -> Report:
     r = 1 where quotients stay unit size yet no derivative exists), and a
     scalar pairing path that stays 1-Lipschitz regardless.
 
-    Each lag's shift difference is normed once (``shift_node_norms``): a
+    The n x n path is never formed.  Each lag's shift difference is a band
+    of ones, normed one block of rows at a time (``_band_node_norms``): a
     row is the max of that lag's node norms, and the criterion's quotients
     at its steps (``DQ_STEPS``) are ``_lp`` of the same arrays, so the
-    report is ``dq_criterion``'s bit for bit.
+    report is ``dq_criterion``'s of the whole path bit for bit.  The
+    scalar pairing path is formed one block of path rows at a time
+    (``_path_pairing``).
     """
     if r < 1.0:
         raise ContractError(f"need r >= 1, got {r}")
@@ -105,10 +155,7 @@ def indicator_path_witness(r: float, n: int) -> Report:
         space = SpaceDescriptor("SampledSup", n)
     else:
         space = SpaceDescriptor("GridLr", n, exponent=r)
-    i = np.arange(n)
-    values = (i[None, :] < i[:, None]).astype(np.float64)
-    u = GridFunction(dom, grid, space, values)
-    norms = {k: shift_node_norms(u, 0, k) for k in INDICATOR_LAGS}
+    norms = {k: _band_node_norms(space, n, k) for k in INDICATOR_LAGS}
 
     h_cell = 1.0 / n
     rows = []
@@ -133,8 +180,8 @@ def indicator_path_witness(r: float, n: int) -> Report:
     elif r == 1.0:
         pairing = np.ones(n)  # unit sup-norm functional
     else:
-        pairing = (i < n // 2).astype(np.float64) * (n / (n // 2)) ** (1.0 - 1.0 / r)
-    g = apply_functional(u, pairing)
+        pairing = (np.arange(n) < n // 2).astype(np.float64) * (n / (n // 2)) ** (1.0 - 1.0 / r)
+    g = from_scalar(dom, grid, _path_pairing(n, banach.pairing_vector(space, pairing)))
     pair_crit = dq_criterion(g, SOBOLEV_P)
 
     if r > 1.0:
@@ -183,13 +230,25 @@ def _path_lipschitz(ts: np.ndarray, N: int) -> float:
     a tie cannot raise the maximum.
     """
     block = 512
+    # the values and their differences go to the contiguous heads of two
+    # preallocated buffers: every ufunc gets contiguous operands, and
+    # numpy picks its loops by layout
+    vals_buf = np.empty(len(ts) * block)
+    diff_buf = np.empty((len(ts) - 1) * block)
     lip = 0.0
     for start in range(1, N + 1, block):
         if 2.0 / start <= lip:
             break
-        n = np.arange(start, min(start + block, N + 1))
-        vals = np.sin(np.outer(ts, n)) / n
-        lip = max(lip, float(np.max(np.abs(np.diff(vals, axis=0)))))
+        # whole floats, as the products and quotients cast them, so that no
+        # cast needs a buffer of its own
+        n = np.arange(start, min(start + block, N + 1), dtype=np.float64)
+        vals = vals_buf[: len(ts) * len(n)].reshape(len(ts), len(n))
+        diff = diff_buf[: (len(ts) - 1) * len(n)].reshape(len(ts) - 1, len(n))
+        np.multiply(ts[:, None], n, out=vals)
+        np.sin(vals, out=vals)
+        np.divide(vals, n, out=vals)
+        np.subtract(vals[1:], vals[:-1], out=diff)
+        lip = max(lip, float(np.max(np.abs(diff, out=diff))))
     return lip
 
 
@@ -281,9 +340,13 @@ def ck_pospart_witness() -> Report:
     """(u(t))(r) = r - t is affine, yet u(t)^+ has no derivative in the sup
     norm: the quotient sits at uniform distance ~1 from the only candidate
     -1_(r > t).  Oracle per h in CK_LAGS: 1 - d*/h with d* the first sample
-    point past t = CK_TIME.  The L^2(K) contrast runs the lattice
-    positive-part rule on the same path, one block of time rows at a time,
-    and lands within 5% of the finite-difference field.
+    point past t = CK_TIME.  The quotients run over ``node_blocks(
+    CK_SAMPLES, 1)`` blocks of the sample points, each lag's distance a
+    running max over the blocks (a max is exact, so blocking moves no
+    bit), and d* is read from the first block that passes t.  The L^2(K)
+    contrast runs the lattice positive-part rule on the same path, one
+    block of time rows at a time, and lands within 5% of the
+    finite-difference field.
 
     The sup-norm space itself refuses the rule with an order-continuity
     error.  ``pos_derivative_field`` raises it from the space alone, before
@@ -293,16 +356,22 @@ def ck_pospart_witness() -> Report:
     the witness would fail.
     """
     t = CK_TIME
-    rs = (np.arange(CK_SAMPLES) + 0.5) / CK_SAMPLES
-    past = rs[rs > t]
-    d_star = float(past[0] - t)
-    cand = -(rs > t).astype(np.float64)
+    d_star = None
+    measured = [0.0] * len(CK_LAGS)  # running maxima of distances >= 0
+    for blk in _kernels.node_blocks(CK_SAMPLES, 1):
+        rs = (np.arange(blk.start, blk.stop) + 0.5) / CK_SAMPLES
+        past = rs > t
+        if d_star is None and past[-1]:
+            d_star = float(rs[past][0] - t)
+        cand = -past.astype(np.float64)
+        base = np.maximum(rs - t, 0.0)
+        for j, h in enumerate(CK_LAGS):
+            qh = (np.maximum(rs - (t + h), 0.0) - base) / h
+            measured[j] = max(measured[j], float(np.max(np.abs(qh - cand))))
     rows = []
-    for h in CK_LAGS:
-        qh = (np.maximum(rs - (t + h), 0.0) - np.maximum(rs - t, 0.0)) / h
-        measured = float(np.max(np.abs(qh - cand)))
+    for h, dist in zip(CK_LAGS, measured):
         oracle = 1.0 - d_star / h
-        rows.append((h, measured, oracle, measured / oracle))
+        rows.append((h, dist, oracle, dist / oracle))
 
     n_t, m = CK_CONTRAST_SHAPE
     dom, grid = unit_box(1), GridSpec((n_t,))

@@ -216,6 +216,24 @@ def corpus_blueprints(
     return out
 
 
+class _Levels:
+    """The ``count`` levels of an Aubin-Lions family as a sized sequence
+    whose level ``lv`` is built by ``build(lv)`` each time it is read and
+    kept by nobody here: ``theorems.aubin_lions_probe``, which reads each
+    level once, then holds one level in memory at a time."""
+
+    def __init__(self, count: int, build):
+        self.count, self.build = count, build
+
+    def __len__(self) -> int:
+        return self.count
+
+    def __getitem__(self, lv: int):
+        if not 0 <= lv < self.count:
+            raise IndexError(lv)
+        return self.build(lv)
+
+
 def _interval(n: int):
     """The unit interval, its grid of n cells and the cell centres."""
     dom = unit_box(1)
@@ -546,28 +564,28 @@ def _morrey_d1(rng, n):
 )
 def _aubin_lions_compact(rng, members, levels, n):
     coeffs = rng.normal(size=(members, 2))
-    fams, yspaces = [], []
-    scale = None
-    for lv in range(levels):
+
+    def family(lv, scale=1.0):
         cells, m = n * 2**lv, 4 * 2**lv
         dom, grid, xi = _interval(cells)
         X = SpaceDescriptor("GridLr", m, exponent=2.0)
-        mu = (1.0 + np.arange(m)) ** 4 / m
-        Y = SpaceDescriptor("GridLr", m, exponent=2.0, weights=mu)
-        fam = []
         for i in range(members):
             g = coeffs[i, 0] * np.sin(np.pi * xi) + coeffs[i, 1] * np.sin(
                 2 * np.pi * xi
             )
             vals = np.zeros((cells, m))
             vals[:, 0] = g * math.sqrt(m)
-            fam.append(GridFunction(dom, grid, X, vals))
-        if scale is None:
-            scale = 0.95 / max(w_norm(f) for f in fam)
-        for f in fam:
-            f.values *= scale
-        fams.append(fam)
-        yspaces.append(Y)
+            vals *= scale
+            yield GridFunction(dom, grid, X, vals)
+
+    # the scale of the unscaled coarsest level, taken one member at a time
+    scale = 0.95 / max(w_norm(f) for f in family(0))
+    yspaces = []
+    for lv in range(levels):
+        m = 4 * 2**lv
+        mu = (1.0 + np.arange(m)) ** 4 / m
+        yspaces.append(SpaceDescriptor("GridLr", m, exponent=2.0, weights=mu))
+    fams = _Levels(levels, lambda lv: list(family(lv, scale)))
     prof = theorems.aubin_lions_probe(fams, yspaces)
     counts, eps = prof.rows, prof.details["eps_list"]
     worst = max(max(c[k] for c in counts) / counts[0][k] for k in range(len(eps)))
@@ -588,16 +606,17 @@ def _aubin_lions_compact(rng, members, levels, n):
 def _aubin_lions_control(rng, members, n):
     dom, grid, xi = _interval(n)
     ctr = (np.arange(members) + 0.5) / members
-    fams = []
-    for lv in range(4):
+
+    def family(lv):
         width = 4.0 ** (1 - lv)
         fam = []
         for i in range(members):
             s = (xi - ctr[i]) / width
             g = _bump(s * s)
             fam.append(from_scalar(dom, grid, g / math.sqrt(np.mean(g * g))))
-        fams.append(fam)
-    prof = theorems.aubin_lions_probe(fams, None)
+        return fam
+
+    prof = theorems.aubin_lions_probe(_Levels(4, family), None)
     n01 = [c[1] for c in prof.rows]
     growth = n01[-1] / n01[0]
     rows = [

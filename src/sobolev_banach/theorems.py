@@ -14,10 +14,11 @@ from __future__ import annotations
 
 import math
 import numbers
+from collections.abc import Sequence
 
 import numpy as np
 
-from . import _kernels, banach
+from . import _kernels
 from .banach import SpaceDescriptor
 from .calculus import dq_criterion
 from .errors import ContractError, DimensionMismatchError, check_count
@@ -331,8 +332,21 @@ def covering_counts(members: list[GridFunction], p: float, eps_list) -> list[int
     return [int(np.argmax(radii <= eps) + 1) for eps in eps_list]
 
 
+def _certify_level(lvl: int, fam: list[GridFunction], ys: SpaceDescriptor):
+    """Raise unless every member of level ``lvl`` is unit-bounded in
+    W^{1,p}(Omega, X) and in L^p(Omega, ys), up to AUBIN_LIONS_BOUND_TOL."""
+    for i, mem in enumerate(fam):
+        wn = w_norm(mem)
+        if wn > 1.0 + AUBIN_LIONS_BOUND_TOL:
+            raise ContractError(f"member {i} at level {lvl} is not W-unit-bounded: {wn}")
+        ymem = GridFunction(mem.domain, mem.grid, ys, mem.values)
+        yn = bochner_norm(ymem, SOBOLEV_P)
+        if yn > 1.0 + AUBIN_LIONS_BOUND_TOL:
+            raise ContractError(f"member {i} at level {lvl} is not Y-unit-bounded: {yn}")
+
+
 def aubin_lions_probe(
-    level_families: list[list[GridFunction]], y_spaces: list[SpaceDescriptor] | None
+    level_families: Sequence[list[GridFunction]], y_spaces: list[SpaceDescriptor] | None
 ) -> Report:
     """Covering-count stability of a W-and-Y bounded family under joint
     grid/value-space refinement.
@@ -343,32 +357,38 @@ def aubin_lions_probe(
     L^p(Omega, X) are free to grow and earn the GROWING verdict.  The
     family is certified exactly when ``y_spaces`` is given; p = SOBOLEV_P.
 
+    ``level_families`` is any sized sequence of levels: only its length is
+    read up front, so the one-Y-space-per-level check runs before any
+    work.  The levels are then read by index, one at a time, and each is
+    checked against level 0's member count, certified and counted before
+    the next is read; no reference to it is kept past its count, so a
+    sequence that builds each level when it is read (as the catalog's
+    Aubin-Lions entries pass) holds one level in memory at a time.
+
     rows: the greedy-net covering counts N(eps) of each level, one per eps
     in AUBIN_LIONS_EPS.
     """
-    if not level_families or not level_families[0]:
+    if len(level_families) == 0:
         raise ContractError("need at least one level with at least one member")
-    sizes = {len(fam) for fam in level_families}
-    if len(sizes) != 1:
-        raise ContractError("all levels must carry the same member count")
     certify = y_spaces is not None
-    if certify:
-        if len(y_spaces) != len(level_families):
-            raise ContractError("certification needs one Y space per level")
-        for lvl, (fam, ys) in enumerate(zip(level_families, y_spaces)):
-            for i, mem in enumerate(fam):
-                wn = w_norm(mem)
-                if wn > 1.0 + AUBIN_LIONS_BOUND_TOL:
-                    raise ContractError(
-                        f"member {i} at level {lvl} is not W-unit-bounded: {wn}"
-                    )
-                ymem = GridFunction(mem.domain, mem.grid, ys, mem.values)
-                yn = bochner_norm(ymem, SOBOLEV_P)
-                if yn > 1.0 + AUBIN_LIONS_BOUND_TOL:
-                    raise ContractError(
-                        f"member {i} at level {lvl} is not Y-unit-bounded: {yn}"
-                    )
-    counts = [covering_counts(fam, SOBOLEV_P, AUBIN_LIONS_EPS) for fam in level_families]
+    if certify and len(y_spaces) != len(level_families):
+        raise ContractError("certification needs one Y space per level")
+    counts, size = [], None
+    # read by index, and the level dropped before the next is read: an
+    # iterator's frame or enumerate's result tuple would still hold it
+    # while the next level is built
+    for lvl in range(len(level_families)):
+        fam = level_families[lvl]
+        if size is None:
+            if not fam:
+                raise ContractError("need at least one level with at least one member")
+            size = len(fam)
+        elif len(fam) != size:
+            raise ContractError("all levels must carry the same member count")
+        if certify:
+            _certify_level(lvl, fam, y_spaces[lvl])
+        counts.append(covering_counts(fam, SOBOLEV_P, AUBIN_LIONS_EPS))
+        del fam
     base = counts[0]
     stable = all(
         max(c[k] for c in counts) <= AUBIN_LIONS_GROWTH_CAP * base[k]
@@ -380,7 +400,7 @@ def aubin_lions_probe(
         verdict="STABLE" if stable else "GROWING",
         details={
             "eps_list": AUBIN_LIONS_EPS,
-            "member_count": len(level_families[0]),
+            "member_count": size,
             "p": SOBOLEV_P,
             "certified": certify,
             "growth_cap": AUBIN_LIONS_GROWTH_CAP,

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sobolev_banach import _kernels, banach, calculus, counterexamples, gridfn, suite, theorems
+from sobolev_banach import _kernels, banach, calculus, cli, counterexamples, gridfn, suite, theorems
 
 SPACES = [space for _, space in suite.KIND_SPECS] + [
     banach.SpaceDescriptor("FiniteLr", 3, exponent=math.inf),
@@ -135,9 +135,9 @@ class _CountingNumpy:
     def __getattr__(self, name):
         return getattr(np, name)
 
-    def sin(self, x):
+    def sin(self, *args, **kwargs):
         self.sines += 1
-        return np.sin(x)
+        return np.sin(*args, **kwargs)
 
 
 C0_GRIDS = {
@@ -979,8 +979,10 @@ def test_row_block_passes_match_whole_array_forms(kind, d, n, node_block, length
 
 
 def _whole_array_indicator_witness(r, n):
-    """``indicator_path_witness`` as it was: each lag's differences normed
-    as one whole (n-k) x n array for its row, and again by ``dq_criterion``."""
+    """``indicator_path_witness`` on its whole n x n path: each lag's
+    differences normed as one whole (n-k) x n array for its row, the
+    criterion ``dq_criterion`` of the path (``shift_node_norms``), and the
+    pairing path ``apply_functional`` of it."""
     space = banach.SpaceDescriptor("SampledSup", n) if math.isinf(r) else (
         banach.SpaceDescriptor("GridLr", n, exponent=r)
     )
@@ -1027,11 +1029,12 @@ def _whole_array_indicator_witness(r, n):
     return report, crit
 
 
-@pytest.mark.parametrize("n", [64, 300, 1024])
+@pytest.mark.parametrize("n", [33, 64, 257, 300, 1024])  # 33: the least n the lag 32 allows
 @pytest.mark.parametrize("r", [1.0, 2.0, 4.0, math.inf])
 def test_indicator_witness_matches_whole_array_form(r, n, monkeypatch):
-    # the witness norms each lag once and forms dq_criterion's rows from
-    # those node norms; its report and its criterion are the old ones
+    # the witness never forms its path, norms each lag's bands once and
+    # forms dq_criterion's rows from those node norms; its report and its
+    # criterion are the whole path's
     verdicts = []
     fit = counterexamples._dq_verdict
     monkeypatch.setattr(
@@ -1046,3 +1049,85 @@ def test_indicator_witness_matches_whole_array_form(r, n, monkeypatch):
     assert mine.verdict == crit.verdict
     for key in ("slope", "c_est", "residual", "per_direction"):
         assert mine.details[key] == crit.details[key]
+
+
+@pytest.mark.parametrize("node_block", [1, 100, 5000, _kernels.NODE_BLOCK])
+@pytest.mark.parametrize("r", [1.0, 2.5, math.inf])
+def test_band_node_norms_match_path_differences(r, node_block, monkeypatch):
+    # blocks of two or three rows up to blocks of many: every block gets the
+    # rows that the subtraction of the whole path's rows gives, so the same
+    # node norms (sums of whole numbers of ones, or their max)
+    n = 257
+    space = banach.SpaceDescriptor("SampledSup", n) if math.isinf(r) else (
+        banach.SpaceDescriptor("GridLr", n, exponent=r)
+    )
+    i = np.arange(n)
+    path = (i[None, :] < i[:, None]).astype(np.float64)
+    monkeypatch.setattr(_kernels, "NODE_BLOCK", node_block)
+    for k in counterexamples.INDICATOR_LAGS:
+        want = banach.norm(space, path[k:] - path[:-k])
+        assert np.array_equal(counterexamples._band_node_norms(space, n, k), want)
+
+
+@pytest.fixture
+def one_blas_thread():
+    """numpy's bundled OpenBLAS on one thread for the test, as on a forked
+    worker: a large product splits its rows between threads, and the rows
+    at a split can round differently."""
+    lib = cli._openblas()
+    if lib is None:
+        yield
+        return
+    threads = cli.blas_threads()
+    lib.scipy_openblas_set_num_threads64_(1)
+    try:
+        yield
+    finally:
+        lib.scipy_openblas_set_num_threads64_(threads)
+
+
+@pytest.mark.parametrize("node_block", [1, 200, _kernels.NODE_BLOCK])
+@pytest.mark.parametrize("n", [33, 34, 35, 36, 257, 1023])
+def test_path_pairing_matches_whole_path_product(n, node_block, one_blas_thread, monkeypatch):
+    # blocks of four rows at NODE_BLOCK = 1: the last block holds 5, 2, 3
+    # and 4 rows at n = 33-36; any coefficients, not only the witness's
+    i = np.arange(n)
+    c = np.random.default_rng(n).normal(size=n)
+    want = (i[None, :] < i[:, None]).astype(np.float64) @ c
+    monkeypatch.setattr(_kernels, "NODE_BLOCK", node_block)
+    assert np.array_equal(counterexamples._path_pairing(n, c), want)
+
+
+def test_c0_witness_matches_fresh_array_sweep(monkeypatch):
+    # the sweep in reused buffers against fresh arrays for every block
+    got = counterexamples.c0_sine_witness()
+    monkeypatch.setattr(counterexamples, "_path_lipschitz", _unpruned_path_lipschitz)
+    want = counterexamples.c0_sine_witness()
+    assert got.rows == want.rows and got.details == want.details
+
+
+def _whole_array_ck_rows():
+    """The C(K) witness's quotient rows and d* as they were: every lag's
+    quotient formed over all CK_SAMPLES sample points at once."""
+    t = counterexamples.CK_TIME
+    rs = (np.arange(counterexamples.CK_SAMPLES) + 0.5) / counterexamples.CK_SAMPLES
+    d_star = float(rs[rs > t][0] - t)
+    cand = -(rs > t).astype(np.float64)
+    rows = []
+    for h in counterexamples.CK_LAGS:
+        qh = (np.maximum(rs - (t + h), 0.0) - np.maximum(rs - t, 0.0)) / h
+        measured = float(np.max(np.abs(qh - cand)))
+        oracle = 1.0 - d_star / h
+        rows.append((h, measured, oracle, measured / oracle))
+    return rows, d_star
+
+
+@pytest.mark.parametrize("node_block", [_kernels.NODE_BLOCK, 4096, 33334])
+def test_blocked_ck_quotients_match_whole_array(node_block, monkeypatch):
+    # 4096: 25 blocks; 33334: t falls past the first block's last point
+    monkeypatch.setattr(_kernels, "NODE_BLOCK", node_block)
+    rows, d_star = _whole_array_ck_rows()
+    w = counterexamples.ck_pospart_witness()
+    assert w.rows == rows
+    assert w.details["first_sample_gap"] == d_star
+    assert w.details["distance_at_finest"] == rows[-1][1]

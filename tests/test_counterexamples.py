@@ -5,7 +5,7 @@ import tracemalloc
 
 import pytest
 
-from sobolev_banach import counterexamples as cx
+from sobolev_banach import counterexamples as cx, suite
 from sobolev_banach.errors import ContractError
 
 
@@ -74,9 +74,9 @@ def test_ck_witness_oracle_is_sharp():
 
 
 def test_ck_witness_peak_memory():
-    """The L^2 contrast runs a block of time rows at a time, so the peak is
-    that of the lag quotients' 0.8 MB arrays; a contrast formed over the
-    whole 1000 x 2000 grid holds two 16 MB arrays and exceeds the bound."""
+    """The L^2 contrast runs a block of time rows at a time; a contrast
+    formed over the whole 1000 x 2000 grid holds two 16 MB arrays and
+    exceeds the bound."""
     tracemalloc.start()
     try:
         cx.ck_pospart_witness()
@@ -84,3 +84,27 @@ def test_ck_witness_peak_memory():
     finally:
         tracemalloc.stop()
     assert peak < 8 * 2**20
+
+
+def _traced_peak(run):
+    """tracemalloc's peak while ``run()`` runs, after one untraced call
+    has made whatever a first call makes once."""
+    run()
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_indicator_witness_never_forms_the_path():
+    # the n x n path is 8 MiB at n = 1024; its rows and its lags' bands are
+    # written one node block (256 KiB) at a time
+    assert _traced_peak(lambda: cx.indicator_path_witness(2.0, 1024)) < 2 * 2**20
+
+
+def test_ck_witness_entry_peak_memory():
+    # the lag quotients run over blocks of the sample points: whole, each
+    # lag's five temporaries of 0.8 MB took the entry to about 5 MB
+    assert _traced_peak(lambda: suite.run_entry("witness_ck_pospart", 42)) < 2.5e6

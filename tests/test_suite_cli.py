@@ -859,6 +859,15 @@ def test_sidecar_records_each_entry_in_workers(tmp_path):
     # each forked worker runs on one BLAS thread; this process keeps its own
     assert {e["blas_threads"] for e in meta["entries"]} == {None if threads is None else 1}
     assert cli.blas_threads() == threads
+    # the calling process's own peak, apart from its workers'
+    assert meta["parent_max_rss_mb"] > 0
+
+
+def test_sidecar_records_the_parent_peak(tmp_path):
+    code, meta = _run_names(tmp_path, MEDIUM, "--workers", "1")
+    assert code == cli.EXIT_OK
+    # read once every entry has run in this process: no entry's peak is above it
+    assert meta["parent_max_rss_mb"] >= max(e["max_rss_mb"] for e in meta["entries"]) > 0
 
 
 def test_blas_pin_is_a_no_op_without_numpy_openblas(tmp_path, monkeypatch):

@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -271,6 +272,55 @@ def test_aubin_lions_probe_stable_and_growing():
     prof2 = theorems.aubin_lions_probe(grow, None)
     assert prof2.verdict in ("STABLE", "GROWING")
     assert prof.details["certified"] and not prof2.details["certified"]
+
+
+def _small_level(n, members=3):
+    u = _sin_member(n)
+    return [u.like(0.1 * u.values) for _ in range(members)]
+
+
+class _LazyLevels:
+    """A sized sequence of levels of ``_small_level``, one per grid size,
+    each built when it is read; it records every build together with the
+    number of earlier levels still alive then."""
+
+    class Level(list):  # a list that can be weakly referenced
+        pass
+
+    def __init__(self, sizes):
+        self.sizes, self.builds, self.refs = sizes, [], []
+
+    def alive(self):
+        return sum(ref() is not None for ref in self.refs)
+
+    def __len__(self):
+        return len(self.sizes)
+
+    def __getitem__(self, lv):
+        self.builds.append((lv, self.alive()))
+        level = self.Level(_small_level(self.sizes[lv]))
+        self.refs.append(weakref.ref(level))
+        return level
+
+
+@pytest.mark.parametrize("certified", [False, True])
+def test_aubin_lions_probe_holds_one_level_at_a_time(certified):
+    sizes = [32, 64, 128]
+    ys = [HIL2] * 3 if certified else None
+    levels = _LazyLevels(sizes)
+    got = theorems.aubin_lions_probe(levels, ys)
+    # each level is built once, in order, when no other level is alive
+    assert levels.builds == [(0, 0), (1, 0), (2, 0)]
+    assert levels.alive() == 0
+    want = theorems.aubin_lions_probe([_small_level(n) for n in sizes], ys)
+    assert got.rows == want.rows and got.details == want.details
+
+
+def test_aubin_lions_probe_checks_y_spaces_before_any_build():
+    levels = _LazyLevels([32, 64])
+    with pytest.raises(ContractError, match="one Y space per level"):
+        theorems.aubin_lions_probe(levels, [HIL2])
+    assert levels.builds == []
 
 
 def test_aubin_lions_certification_errors():
