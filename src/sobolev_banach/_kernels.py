@@ -126,7 +126,9 @@ def node_blocks(n, width):
     never formed, and the C(K) witness takes its CK_SAMPLES sample points
     as rows of width 1.
     ``theorems.covering_counts`` takes the rows to be the members of a
-    family, of ``width`` = nodes times the value dimension.
+    family, of ``width`` = nodes times the value dimension: each block is a
+    tile of members, and it forms the distances one pair of tiles at a
+    time, reading (or building) each tile's members once per pair.
     """
     count = max(1, -(-n // max(3, NODE_BLOCK // width)))
     size, extra = divmod(n, count)

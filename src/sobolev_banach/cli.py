@@ -366,6 +366,9 @@ def cmd_run(args) -> int:
         # this process's own peak, read once the pool has closed: its
         # workers' peaks are in "entries"
         "parent_max_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
+        # without .pyc files every process compiles the package from source,
+        # which raises the peaks above
+        "dont_write_bytecode": bool(sys.flags.dont_write_bytecode),
     }
     write_outputs(outdir, results, fmt, meta)
     total = sum(len(r["rows"]) for r in results)

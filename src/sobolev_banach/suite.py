@@ -216,24 +216,6 @@ def corpus_blueprints(
     return out
 
 
-class _Levels:
-    """The ``count`` levels of an Aubin-Lions family as a sized sequence
-    whose level ``lv`` is built by ``build(lv)`` each time it is read and
-    kept by nobody here: ``theorems.aubin_lions_probe``, which reads each
-    level once, then holds one level in memory at a time."""
-
-    def __init__(self, count: int, build):
-        self.count, self.build = count, build
-
-    def __len__(self) -> int:
-        return self.count
-
-    def __getitem__(self, lv: int):
-        if not 0 <= lv < self.count:
-            raise IndexError(lv)
-        return self.build(lv)
-
-
 def _interval(n: int):
     """The unit interval, its grid of n cells and the cell centres."""
     dom = unit_box(1)
@@ -569,23 +551,24 @@ def _aubin_lions_compact(rng, members, levels, n):
         cells, m = n * 2**lv, 4 * 2**lv
         dom, grid, xi = _interval(cells)
         X = SpaceDescriptor("GridLr", m, exponent=2.0)
-        for i in range(members):
-            g = coeffs[i, 0] * np.sin(np.pi * xi) + coeffs[i, 1] * np.sin(
-                2 * np.pi * xi
-            )
+        s1, s2 = np.sin(np.pi * xi), np.sin(2 * np.pi * xi)
+
+        def member(i):
+            # the one nonzero column; the level keeps only s1 and s2
             vals = np.zeros((cells, m))
-            vals[:, 0] = g * math.sqrt(m)
-            vals *= scale
-            yield GridFunction(dom, grid, X, vals)
+            vals[:, 0] = (coeffs[i, 0] * s1 + coeffs[i, 1] * s2) * math.sqrt(m) * scale
+            return GridFunction(dom, grid, X, vals)
+
+        return theorems.Built(members, member)
 
     # the scale of the unscaled coarsest level, taken one member at a time
-    scale = 0.95 / max(w_norm(f) for f in family(0))
+    scale = 0.95 / max(map(w_norm, family(0)))
     yspaces = []
     for lv in range(levels):
         m = 4 * 2**lv
         mu = (1.0 + np.arange(m)) ** 4 / m
         yspaces.append(SpaceDescriptor("GridLr", m, exponent=2.0, weights=mu))
-    fams = _Levels(levels, lambda lv: list(family(lv, scale)))
+    fams = theorems.Built(levels, lambda lv: family(lv, scale))
     prof = theorems.aubin_lions_probe(fams, yspaces)
     counts, eps = prof.rows, prof.details["eps_list"]
     worst = max(max(c[k] for c in counts) / counts[0][k] for k in range(len(eps)))
@@ -616,7 +599,7 @@ def _aubin_lions_control(rng, members, n):
             fam.append(from_scalar(dom, grid, g / math.sqrt(np.mean(g * g))))
         return fam
 
-    prof = theorems.aubin_lions_probe(_Levels(4, family), None)
+    prof = theorems.aubin_lions_probe(theorems.Built(4, family), None)
     n01 = [c[1] for c in prof.rows]
     growth = n01[-1] / n01[0]
     rows = [

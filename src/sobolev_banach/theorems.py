@@ -269,27 +269,59 @@ def norm_map_continuity_check(seq: list[GridFunction], u: GridFunction) -> Repor
 # ---------------------------------------------------------------------------
 
 
-def covering_counts(members: list[GridFunction], p: float, eps_list) -> list[int]:
+class Built:
+    """A sized sequence of ``count`` items whose item ``k`` is ``build(k)``,
+    built each time it is read and kept by nobody here.
+
+    ``aubin_lions_probe`` takes its levels as any sized sequence, and
+    ``covering_counts`` its members; the catalog's Aubin-Lions entries
+    pass ``Built`` levels, and ``aubin_lions_compact`` ``Built`` members,
+    so that only what the probe is reading at the moment is in memory."""
+
+    def __init__(self, count: int, build):
+        self.count, self.build = count, build
+
+    def __len__(self) -> int:
+        return self.count
+
+    def __getitem__(self, k: int):
+        if not 0 <= k < self.count:
+            raise IndexError(k)
+        return self.build(k)
+
+
+def _tile(members: Sequence[GridFunction], tile: slice, shape) -> list[np.ndarray]:
+    """The node arrays, of ``shape``, of the members in ``tile``, each read once."""
+    return [members[k].values.reshape(shape) for k in range(tile.start, tile.stop)]
+
+
+def covering_counts(members: Sequence[GridFunction], p: float, eps_list) -> list[int]:
     """N(eps) from one deterministic farthest-point traversal (start at the
     first member, ties to the lowest index).
 
-    Every member must share member 0's domain, grid and value space, whose
-    norm measures the distances, p must be >= 1 (or inf) and every eps a
-    real >= 0 (inf included); anything else is rejected before any
-    distance is formed.
+    ``members`` is any sized sequence, read by index (a ``Built`` family
+    builds a member each time it is read).  Every member must share member
+    0's domain, grid and value space, whose norm measures the distances,
+    p must be >= 1 (or inf) and every eps a real >= 0 (inf included);
+    anything else is rejected, in a first pass over the members, before
+    any distance is formed.
 
-    The distances from each member to the later ones are computed for a
-    node block's worth of members (``_kernels.node_blocks``) at a time, so
-    the work arrays stay that size and no copy of the family is made: the
-    differences of a block go straight into one buffer, member by member,
-    and are normed in place.  The buffer is a stack of members
-    (``np.stack``, grown when a block is longer), because a stack keeps
-    the memory order that the members share (F order for
-    ``(coef @ basis).T``), as a stack of the whole family does, and the
-    row sums of the norms round by that order (``_kernels.row_sum``).  Its
-    member axis is outermost, so its leading members have the strides of a
-    stack of that many.  Each distance, a sum over the nodes of one member,
-    is therefore the whole-stack one bit for bit.
+    The distances are then formed one pair of member tiles at a time.  A
+    tile is a node block's worth of members (``_kernels.node_blocks`` with
+    rows of nodes times the value dimension); for each tile I its members
+    are read once, and for each tile J >= I so are J's, so at most two
+    tiles are held at once and a ``Built`` member in the t-th tile is
+    built 1 + t times here.  For each member i of I the later members of J
+    are differenced against it straight into one buffer and normed in
+    place, so no copy of the family is made.  The buffer is a stack of
+    members (``np.stack``, grown when a tile has more later members),
+    because a stack keeps the memory order that the members share (F
+    order for ``(coef @ basis).T``), as a stack of the whole family does,
+    and the row sums of the norms round by that order
+    (``_kernels.row_sum``).  Its member axis is outermost, so its leading
+    members have the strides of a stack of that many.  Each distance, a
+    sum over the nodes of one member, is therefore the whole-stack one bit
+    for bit.
     """
     if not members:
         raise ContractError("covering_counts needs at least one member")
@@ -298,41 +330,54 @@ def covering_counts(members: list[GridFunction], p: float, eps_list) -> list[int
     for eps in eps_list:
         if isinstance(eps, bool) or not isinstance(eps, numbers.Real) or not eps >= 0.0:
             raise ContractError(f"eps must be a real >= 0, got {eps!r}")
+    m = len(members)
+    # no member read here outlives its check: the tile pass holds two tiles
     first = members[0]
-    for i, mm in enumerate(members[1:], start=1):
+    domain, grid, space = first.domain, first.grid, first.space
+    shape = (first.node_count, space.dim)
+    del first
+    for i in range(1, m):
+        mm = members[i]
         for what, same in (
-            ("domain", mm.domain == first.domain),
-            ("grid", mm.grid == first.grid),
-            ("space", mm.space == first.space),
+            ("domain", mm.domain == domain),
+            ("grid", mm.grid == grid),
+            ("space", mm.space == space),
         ):
             if not same:
                 raise DimensionMismatchError(f"member {i} differs from member 0 in its {what}")
-    m = len(members)
-    vol = float(np.prod(first.grid.spacing(first.domain)))
-    space = first.space
-    vals = [mm.values.reshape(mm.node_count, space.dim) for mm in members]
+        del mm
+    vol = float(np.prod(grid.spacing(domain)))
+    tiles = _kernels.node_blocks(m, shape[0] * shape[1])
     D = np.zeros((m, m))
     buf = np.empty(0)  # the longest stack so far
-    for i in range(m - 1):
-        for blk in _kernels.node_blocks(m - i - 1, vals[0].size):
-            rest = slice(i + 1 + blk.start, i + 1 + blk.stop)
-            if len(buf) < blk.stop - blk.start:
-                buf = np.stack(vals[rest])
-            diff = buf[: blk.stop - blk.start]
-            for row, later in zip(diff, vals[rest]):
-                np.subtract(later, vals[i], out=row)
-            g = _kernels.row_norms(diff, space.exponent, space.weights, out=diff)
-            if math.isinf(p):
-                dd = g.max(axis=1)
-            else:
-                dd = (np.sum(g**p, axis=1) * vol) ** (1.0 / p)
-            D[i, rest] = dd
-            D[rest, i] = dd
+    for t, ti in enumerate(tiles):
+        rows = _tile(members, ti, shape)
+        for tj in tiles[t:]:
+            # the tile read before is dropped before this one is read
+            cols = rows if tj is ti else _tile(members, tj, shape)
+            for i in range(ti.start, ti.stop):
+                lo = max(i + 1, tj.start)
+                if lo >= tj.stop:
+                    continue
+                if len(buf) < tj.stop - lo:
+                    buf = np.stack(cols[lo - tj.start :])
+                diff = buf[: tj.stop - lo]
+                for row, j in zip(diff, range(lo - tj.start, len(cols))):
+                    np.subtract(cols[j], rows[i - ti.start], out=row)
+                g = _kernels.row_norms(diff, space.exponent, space.weights, out=diff)
+                if math.isinf(p):
+                    dd = g.max(axis=1)
+                else:
+                    dd = (np.sum(g**p, axis=1) * vol) ** (1.0 / p)
+                D[i, lo : tj.stop] = dd
+                D[lo : tj.stop, i] = dd
+            del cols
+        del rows
     radii = _kernels.greedy_radii(D)
     return [int(np.argmax(radii <= eps) + 1) for eps in eps_list]
 
 
-def _certify_level(lvl: int, fam: list[GridFunction], ys: SpaceDescriptor):
+def _certify_level(lvl: int, fam: Sequence[GridFunction], ys: SpaceDescriptor):
     """Raise unless every member of level ``lvl`` is unit-bounded in
     W^{1,p}(Omega, X) and in L^p(Omega, ys), up to AUBIN_LIONS_BOUND_TOL."""
     for i, mem in enumerate(fam):
@@ -346,7 +391,7 @@ def _certify_level(lvl: int, fam: list[GridFunction], ys: SpaceDescriptor):
 
 
 def aubin_lions_probe(
-    level_families: Sequence[list[GridFunction]], y_spaces: list[SpaceDescriptor] | None
+    level_families: Sequence[Sequence[GridFunction]], y_spaces: list[SpaceDescriptor] | None
 ) -> Report:
     """Covering-count stability of a W-and-Y bounded family under joint
     grid/value-space refinement.
@@ -357,13 +402,17 @@ def aubin_lions_probe(
     L^p(Omega, X) are free to grow and earn the GROWING verdict.  The
     family is certified exactly when ``y_spaces`` is given; p = SOBOLEV_P.
 
-    ``level_families`` is any sized sequence of levels: only its length is
-    read up front, so the one-Y-space-per-level check runs before any
-    work.  The levels are then read by index, one at a time, and each is
-    checked against level 0's member count, certified and counted before
-    the next is read; no reference to it is kept past its count, so a
-    sequence that builds each level when it is read (as the catalog's
-    Aubin-Lions entries pass) holds one level in memory at a time.
+    ``level_families`` is any sized sequence of levels, and each level any
+    sized sequence of members, such as a list or a ``Built``.  Only the
+    number of levels is read up front, so the one-Y-space-per-level check
+    runs before any work.  The levels are then read by index, one at a
+    time, and each is checked against level 0's member count, certified
+    and counted before the next is read; no reference to it is kept past
+    its count, so ``Built`` levels (as the catalog's Aubin-Lions entries
+    pass) put one level in memory at a time.  ``covering_counts`` reads a
+    level's members one tile at a time, at most two tiles at once, so a
+    level of ``Built`` members (as ``aubin_lions_compact`` passes) is never
+    whole either.
 
     rows: the greedy-net covering counts N(eps) of each level, one per eps
     in AUBIN_LIONS_EPS.

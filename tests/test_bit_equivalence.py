@@ -847,13 +847,13 @@ def _cover_family(space, members, order):
     return [gridfn.GridFunction(dom, grid, space, (c @ basis).T) for c in coef]
 
 
-@pytest.mark.parametrize("members", [1, 2, 7, 16])
+@pytest.mark.parametrize("members", [1, 2, 3, 4, 7, 16, 30])
 @pytest.mark.parametrize("space", BLOCK_SPACES, ids=lambda s: f"{s.kind}-{s.exponent}-{s.dim}")
 def test_covering_distances_match_stacked_form(space, members, monkeypatch):
     _check_covering_distances(space, members, "C", monkeypatch)
 
 
-@pytest.mark.parametrize("members", [2, 7, 16])
+@pytest.mark.parametrize("members", [1, 2, 3, 4, 7, 16, 30])
 @pytest.mark.parametrize("space", BLOCK_SPACES, ids=lambda s: f"{s.kind}-{s.exponent}-{s.dim}")
 def test_covering_distances_match_stacked_form_in_f_order(space, members, monkeypatch):
     # the row sums of F-ordered differences round differently from those of
@@ -862,22 +862,27 @@ def test_covering_distances_match_stacked_form_in_f_order(space, members, monkey
 
 
 def _check_covering_distances(space, members, order, monkeypatch):
-    # covering_counts computes its distances a few members at a time; the
-    # matrix it hands to the traversal is the one of the whole stack
+    # covering_counts computes its distances one pair of tiles of three
+    # members at a time; the matrix it hands to the traversal is the one of
+    # the whole stack, from a list or from a family built when it is read
     p = gridfn.SOBOLEV_P
     fam = _cover_family(space, members, order)
     assert all(f.values.flags[f"{order}_CONTIGUOUS"] for f in fam)
+    built = theorems.Built(members, lambda k: fam[k].like(fam[k].values.copy(order="K")))
+    assert built[0].values.flags[f"{order}_CONTIGUOUS"]
     seen = []
     monkeypatch.setattr(_kernels, "NODE_BLOCK", 3 * 32 * space.dim)
     monkeypatch.setattr(_kernels, "greedy_radii", lambda D: seen.append(D) or np.zeros(len(D)))
     theorems.covering_counts(fam, p, (0.5,))
+    theorems.covering_counts(built, p, (0.5,))
     vals = np.stack([f.values for f in fam])
     vol = 1.0 / 32
     want = np.zeros((members, members))
     for i in range(members):
         g = _whole_norm(space, vals[i + 1 :] - vals[i])
         want[i, i + 1 :] = want[i + 1 :, i] = (np.sum(g**p, axis=1) * vol) ** (1.0 / p)
-    assert np.array_equal(seen[0], want)
+    assert len(seen) == 2
+    assert np.array_equal(seen[0], want) and np.array_equal(seen[1], want)
 
 
 @pytest.mark.parametrize(

@@ -868,6 +868,8 @@ def test_sidecar_records_the_parent_peak(tmp_path):
     assert code == cli.EXIT_OK
     # read once every entry has run in this process: no entry's peak is above it
     assert meta["parent_max_rss_mb"] >= max(e["max_rss_mb"] for e in meta["entries"]) > 0
+    # whether this process compiled the package without writing .pyc files
+    assert meta["dont_write_bytecode"] is bool(sys.flags.dont_write_bytecode)
 
 
 def test_blas_pin_is_a_no_op_without_numpy_openblas(tmp_path, monkeypatch):

@@ -1,5 +1,6 @@
 """Embedding, Poincaré, zero-trace, compactness, and extension checks."""
 
+import collections
 import math
 import tracemalloc
 import weakref
@@ -7,7 +8,7 @@ import weakref
 import numpy as np
 import pytest
 
-from sobolev_banach import banach, gridfn, theorems
+from sobolev_banach import _kernels, banach, gridfn, suite, theorems
 from sobolev_banach.errors import ContractError, DimensionMismatchError
 
 HIL2 = banach.SpaceDescriptor("Hilbert", 2)
@@ -246,6 +247,53 @@ def test_covering_counts_memory_stays_below_the_stacked_family():
     assert peak < 0.5 * stacked
 
 
+class _CountedMembers:
+    """Member k of a seeded family of 32-node GridLr(4) members, built each
+    time it is read; each build records the tiles (``tile[k]`` is member
+    k's) of the members whose values are still alive then, the new one
+    included."""
+
+    def __init__(self, count, tile):
+        self.count, self.tile = count, tile
+        self.values = np.random.default_rng(count).normal(size=(count, 32, 4))
+        self.builds, self.live = [], []
+
+    def __len__(self):
+        return self.count
+
+    def __getitem__(self, k):
+        if isinstance(k, slice):
+            return [self[j] for j in range(*k.indices(self.count))]
+        if not 0 <= k < self.count:
+            raise IndexError(k)
+        self.live = [(j, ref) for j, ref in self.live if ref() is not None]
+        member = gridfn.GridFunction(BOX1, gridfn.GridSpec((32,)), SPACE4, self.values[k].copy())
+        self.live.append((k, weakref.ref(member.values)))
+        self.builds.append((k, {self.tile[j] for j, _ in self.live}))
+        return member
+
+
+SPACE4 = banach.SpaceDescriptor("GridLr", 4, exponent=2.0)
+
+
+@pytest.mark.parametrize("count", [1, 2, 3, 4, 7, 16, 30])
+def test_covering_counts_builds_each_tile_pair_once(count, monkeypatch):
+    # tiles of at most three members: the first pass reads each member
+    # once, in order; the distance pass reads a tile once for itself and
+    # once for each earlier tile, with at most two tiles alive at any build
+    monkeypatch.setattr(_kernels, "NODE_BLOCK", 3 * 32 * 4)
+    tiles = _kernels.node_blocks(count, 32 * 4)
+    tile = [t for t, blk in enumerate(tiles) for _ in range(blk.start, blk.stop)]
+    fam = _CountedMembers(count, tile)
+    got = theorems.covering_counts(fam, 2.0, [0.5, 2.0])
+    assert [k for k, _ in fam.builds[:count]] == list(range(count))
+    builds = collections.Counter(k for k, _ in fam.builds[count:])
+    assert builds == {k: 1 + tile[k] for k in range(count)}
+    assert max(len(tiles) for _, tiles in fam.builds) <= 2
+    members = [fam[k] for k in range(count)]
+    assert got == theorems.covering_counts(members, 2.0, [0.5, 2.0])
+
+
 def test_aubin_lions_probe_stable_and_growing():
     def level(n, spread):
         g = gridfn.GridSpec((n,))
@@ -314,6 +362,20 @@ def test_aubin_lions_probe_holds_one_level_at_a_time(certified):
     assert levels.alive() == 0
     want = theorems.aubin_lions_probe([_small_level(n) for n in sizes], ys)
     assert got.rows == want.rows and got.details == want.details
+
+
+def test_aubin_lions_compact_entry_peak_memory():
+    # level 2 at refine 2 is 30 members of 2048 x 16 floats (7.5 MiB);
+    # its members are built when covering_counts reads them, two tiles of
+    # three members at a time
+    suite.run_entry("aubin_lions_compact", 42, 2)
+    tracemalloc.start()
+    try:
+        suite.run_entry("aubin_lions_compact", 42, 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 5 * 2**20
 
 
 def test_aubin_lions_probe_checks_y_spaces_before_any_build():
