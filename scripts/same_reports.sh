@@ -13,14 +13,22 @@
 # between the trees.  run_metadata.json is never compared: it holds timings
 # and host facts.
 #
+# The working tree's reports must also depend neither on the worker count
+# nor on the BLAS thread count: for each seed and refine level its
+# --workers 1 run must equal its --workers 2 run, and one more --workers 2
+# run under OPENBLAS_NUM_THREADS=1 must equal the default one, whatever
+# scripts/moved_on_purpose.txt lists.
+#
 # scripts/moved_on_purpose.txt names, one per line, the catalog entries and
 # library-large call labels (such as `realize[3]`) that the change moves on
 # purpose; `#` starts a comment.  A listed entry's report files and
 # summary.csv lines may differ, and so may a listed label's digests.
 # Everything else must be identical, and every listed name must differ in
 # at least one run or digest, so that a stale list fails too.
-# Prints one line per run, then the count of identical call digests, and
-# exits non-zero on any unlisted difference or unmoved listed name.
+# Prints one line per run, then the count of identical call digests and
+# of identical worker-count and BLAS-thread comparisons, and exits non-zero
+# on any unlisted difference, unmoved listed name, or report that depends
+# on the worker or BLAS thread count.
 set -euo pipefail
 
 if [ $# -ne 1 ]; then
@@ -55,6 +63,8 @@ for s in 42 7; do
       run "$tmp/rev" "$tmp/out-rev/$s-$r-$w" "$s" "$r" "$w"
       run "$root" "$tmp/out-tree/$s-$r-$w" "$s" "$r" "$w"
     done
+    # every row sum is a BLAS matrix-vector product
+    OPENBLAS_NUM_THREADS=1 run "$root" "$tmp/out-blas1/$s-$r" "$s" "$r" 2
   done
   digests "$tmp/rev" "$s" > "$tmp/digests-rev-$s"
   digests "$root" "$s" > "$tmp/digests-tree-$s"
@@ -100,6 +110,27 @@ for s, r, w in ((s, r, w) for s in (42, 7) for r in range(4) for w in (1, 2)):
     print(f"DIFFERENT  {name}: {', '.join(bad)}" if bad else f"identical  {name}{moves}")
 print(f"{same}/{runs} runs identical to {rev} outside the listed entries")
 
+
+def changed(a, b):
+    """The files of runs a and b, run_metadata.json aside, that differ."""
+    names = {p.name for p in a.iterdir()} | {p.name for p in b.iterdir()}
+    return sorted(n for n in names - {"run_metadata.json"} if not (
+        (a / n).exists() and (b / n).exists() and (a / n).read_bytes() == (b / n).read_bytes()))
+
+
+# the working tree against itself, file by file: no difference is listed
+alike = {"worker count": 0, "BLAS thread count": 0}
+for s, r in ((s, r) for s in (42, 7) for r in range(4)):
+    one, two = (tmp / "out-tree" / f"{s}-{r}-{w}" for w in (1, 2))
+    for what, a, b in (("worker count", one, two),
+                       ("BLAS thread count", two, tmp / "out-blas1" / f"{s}-{r}")):
+        bad = changed(a, b)
+        alike[what] += not bad
+        if bad:
+            print(f"DIFFERENT  seed {s} refine {r} with the {what}: {', '.join(bad)}")
+for what, n in alike.items():
+    print(f"{n}/8 seed and refine levels independent of the {what}")
+
 calls = same_calls = 0
 bad_calls = []
 for s in ("42", "7"):
@@ -122,5 +153,5 @@ if listed:
     print(f"moved on purpose: {', '.join(sorted(moved)) or 'nothing'}")
 if stale:
     print(f"STALE  listed, but identical in every run and digest: {', '.join(stale)}")
-sys.exit(bool(same < runs or bad_calls or stale or not calls))
+sys.exit(bool(same < runs or bad_calls or stale or not calls or min(alike.values()) < 8))
 EOF

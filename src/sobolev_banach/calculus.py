@@ -25,8 +25,11 @@ from .errors import (
     CapabilityError,
     ContractError,
     DimensionMismatchError,
+    GridError,
     OrderContinuityError,
     check_count,
+    check_exponent,
+    check_real,
 )
 from .gridfn import (
     SOBOLEV_P,
@@ -161,7 +164,10 @@ def dq_criterion(u: GridFunction, p: float, steps_list: tuple[int, ...] = DQ_STE
     A function with an L^p derivative field has quotients bounded by
     max_j |D_j u|_{L^p}; quotients blowing up like a negative power of h
     certify non-membership.  DIVERGENT requires slope < -0.1 with R^2 >=
-    0.99 over at least 4 step sizes (in some direction).
+    0.99 over at least 4 step sizes (in some direction).  A step that does
+    not fit an axis is skipped there, but every axis needs at least one
+    that fits: an empty ``steps_list``, or an axis no step fits, is
+    rejected before any quotient is formed, so no verdict rests on no rows.
 
     rows: (direction j, steps, h, quotient) with
     quotient = |u(.+ steps*h_j e_j) - u|_{L^p(omega)} / (steps*h_j).
@@ -175,9 +181,16 @@ def dq_criterion(u: GridFunction, p: float, steps_list: tuple[int, ...] = DQ_STE
     differences again: ``indicator_path_witness`` norms its bands of ones
     with the bits of ``gridfn.shift_node_norms`` without forming the path.
     """
-    if not (p >= 1.0):
-        raise ValueError(f"p must be >= 1 or inf, got {p}")
+    check_exponent("p", p)
     steps_list = tuple(sorted(set(check_count("steps", s) for s in steps_list)))
+    if not steps_list:
+        raise ContractError("steps_list must be nonempty")
+    for j, nj in enumerate(u.grid.n):
+        if steps_list[0] >= nj:
+            raise GridError(
+                f"steps_list must be short enough for axis {j}: no step is below "
+                f"its {nj} cells, got {list(steps_list)}"
+            )
     h = u.grid.spacing(u.domain)
     rows = []
     for j in range(u.domain.d):
@@ -689,8 +702,8 @@ def holder_beta(
     seeded deterministic subsample.  Non-finite values are rejected with
     the first offending multi-index in the message.
     """
-    if not (0.0 < alpha <= 1.0):
-        raise ValueError(f"alpha must be in (0, 1], got {alpha}")
+    check_real("alpha", alpha, "in (0, 1]", lambda a: 0.0 < a <= 1.0)
+    seed = check_count("seed", seed, least=0)
     if max_nodes is not None:
         max_nodes = check_count("max_nodes", max_nodes, least=2)
     bad = ~np.isfinite(u.values).all(axis=-1)

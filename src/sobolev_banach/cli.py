@@ -190,9 +190,12 @@ def _one_blas_thread():
         lib.scipy_openblas_set_num_threads64_(1)
 
 
-def _run_one(spec: dict, seed: int):
+def _run_one(spec: dict):
+    """Run one spec: an entry ``name`` with its ``seed``, and its optional
+    ``refine``, ``params`` and ``require``."""
     wall0, ru0 = time.perf_counter(), resource.getrusage(resource.RUSAGE_SELF)
-    name, refine = spec["name"], int(spec.get("refine", 0))  # 2.0 is a valid level
+    name, seed = spec["name"], spec["seed"]
+    refine = int(spec.get("refine", 0))  # 2.0 is a valid level
     result = {"entry": name, "anchor": suite.CATALOG[name].anchor}
     params = None
     try:
@@ -233,17 +236,19 @@ def available_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def execute_suite(specs, seed: int, workers: int):
-    """Run ``specs`` on ``workers`` forked processes, each pinned to one
-    BLAS thread, or in this process, with its BLAS threads left alone, when
-    ``workers`` is 1; results come back in spec order."""
+def execute_suite(specs, workers: int):
+    """Run ``specs``, each of which carries its own seed (``_run_one``), on
+    ``workers`` forked processes, each pinned to one BLAS thread, or in this
+    process, with its BLAS threads left alone, when ``workers`` is 1;
+    results come back in spec order.  One call may mix entries, seeds and
+    refine levels."""
     # Every entry draws from numpy.random.  Imported here, before any entry
     # runs, it is charged to no entry, and forked workers inherit it; a
     # bare import of this module does not load it.
     import numpy.random  # noqa: F401
 
     if workers <= 1:
-        return [_run_one(spec, seed) for spec in specs]
+        return [_run_one(spec) for spec in specs]
     # Imported here, so that importing this module and one-worker runs do
     # not pay for them.
     import multiprocessing
@@ -257,7 +262,7 @@ def execute_suite(specs, seed: int, workers: int):
     with ProcessPoolExecutor(
         max_workers=workers, mp_context=ctx, initializer=_one_blas_thread
     ) as pool:
-        futures = [pool.submit(_run_one, spec, seed) for spec in specs]
+        futures = [pool.submit(_run_one, spec) for spec in specs]
         return [f.result() for f in futures]
 
 
@@ -328,8 +333,9 @@ def cmd_run(args) -> int:
     if args.entry is not None:
         # the config's own specs for the entry keep its params, refine and require
         specs = [s for s in specs if s["name"] == args.entry] or [{"name": args.entry}]
-    if args.refine is not None:
-        specs = [{**s, "refine": args.refine} for s in specs]
+    # every spec carries the run's seed, and --refine overrides its level
+    refine = {} if args.refine is None else {"refine": args.refine}
+    specs = [{**s, "seed": seed, **refine} for s in specs]
     unknown = [s["name"] for s in specs if s["name"] not in suite.CATALOG]
     if unknown:
         print(f"error: unknown entries: {', '.join(unknown)}", file=sys.stderr)
@@ -341,7 +347,7 @@ def cmd_run(args) -> int:
     fmt = args.format or cfg.get("format", "json")
     started = time.time()
     try:
-        results = execute_suite(specs, seed, workers)
+        results = execute_suite(specs, workers)
     except RuntimeError as e:
         # BrokenProcessPool is a RuntimeError; its module is imported only
         # by the pool, so it is imported here only once something raised.

@@ -25,7 +25,7 @@ import numpy as np
 from . import _kernels, banach
 from .banach import SpaceDescriptor
 from .calculus import DQ_STEPS, _dq_verdict, dq_criterion, pos_derivative_field
-from .errors import ContractError, OrderContinuityError
+from .errors import ContractError, OrderContinuityError, check_count, check_exponent
 from .gridfn import (
     SOBOLEV_P,
     GridFunction,
@@ -144,8 +144,8 @@ def indicator_path_witness(r: float, n: int) -> Report:
     scalar pairing path is formed one block of path rows at a time
     (``_path_pairing``).
     """
-    if r < 1.0:
-        raise ContractError(f"need r >= 1, got {r}")
+    check_exponent("r", r)
+    n = check_count("n", n)
     bad = [k for k in INDICATOR_LAGS if k >= n]
     if bad:
         raise ContractError(f"lags {bad} fall outside the grid resolution (n={n})")

@@ -1,5 +1,5 @@
-"""Exception types shared across the package, and the check of an
-integer parameter that raises them."""
+"""Exception types shared across the package, and the checks of an
+integer or real parameter that raise them."""
 
 import numbers
 
@@ -39,3 +39,17 @@ def check_count(name: str, value, least: int = 1) -> int:
     if value < least:
         raise ContractError(f"{name} must be >= {least}, got {value}")
     return int(value)
+
+
+def check_real(name: str, value, must: str, ok) -> None:
+    """Raise ``ContractError`` "``name`` must be ``must``" unless ``value``
+    is a real number, not a bool, that ``ok`` accepts, as ``SpaceDescriptor``
+    treats its exponent; a string or None is no number, and NaN fails
+    every comparison."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not ok(value):
+        raise ContractError(f"{name} must be {must}, got {value!r}")
+
+
+def check_exponent(name: str, value) -> None:
+    """``check_real`` for an L^p exponent: a number >= 1, inf included."""
+    check_real(name, value, ">= 1 or inf", lambda v: v >= 1.0)

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import _kernels, banach
 from .banach import SpaceDescriptor, scalar_space
-from .errors import DimensionMismatchError, GridError, check_count
+from .errors import ContractError, DimensionMismatchError, GridError, check_count, check_exponent
 
 #: the exponent p of W^{1,p}: every W-norm, boundary norm and theorem check
 SOBOLEV_P = 2.0
@@ -37,6 +37,8 @@ class BoxDomain:
         hi = np.array(self.hi, dtype=np.float64, ndmin=1)
         if lo.shape != hi.shape or lo.ndim != 1:
             raise DimensionMismatchError("lo and hi must be 1-d of equal length")
+        if not (np.all(np.isfinite(lo)) and np.all(np.isfinite(hi))):
+            raise GridError(f"lo and hi must be finite, got lo={lo} hi={hi}")
         if not np.all(hi > lo):
             raise GridError("box needs hi > lo on every axis")
         lo.flags.writeable = hi.flags.writeable = False
@@ -185,8 +187,7 @@ def bochner_norm(u: GridFunction, p: float) -> float:
     By construction this is bit-identical to the scalar Bochner norm of
     ``pointwise_norm_function(u)``.
     """
-    if not (p >= 1.0):
-        raise ValueError(f"p must be >= 1 or inf, got {p}")
+    check_exponent("p", p)
     g = pointwise_norms(u)
     vol = float(np.prod(u.grid.spacing(u.domain)))
     return _lp(g, vol, p, out=g)
@@ -299,11 +300,13 @@ def shift_node_norms(u: GridFunction, j: int, steps: int) -> np.ndarray:
     caller that needs several reductions of one shift difference (an L^p
     norm, a max) takes them all from this one array.
     """
+    d = u.domain.d
+    if check_count("j", j, least=0) >= d:
+        raise ContractError(f"j must be an axis below d={d}, got {j}")
     steps = check_count("steps", steps)
     nj = u.grid.n[j]
     if steps >= nj:
         raise GridError(f"shift of {steps} cells exceeds axis {j} ({nj} cells)")
-    d = u.domain.d
     ahead = u.values[_axis_slices(d, j, slice(steps, None))]
     behind = u.values[_axis_slices(d, j, slice(0, -steps))]
     blocks = _kernels.node_blocks(len(ahead), ahead[0].size)

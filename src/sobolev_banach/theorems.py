@@ -13,7 +13,6 @@ constant is pi/L and W^{1,2} embeds in L^EMBEDDING_R up to d = 4.
 from __future__ import annotations
 
 import math
-import numbers
 from collections.abc import Sequence
 
 import numpy as np
@@ -21,7 +20,7 @@ import numpy as np
 from . import _kernels
 from .banach import SpaceDescriptor
 from .calculus import dq_criterion
-from .errors import ContractError, DimensionMismatchError, check_count
+from .errors import ContractError, DimensionMismatchError, check_count, check_exponent, check_real
 from .gridfn import (
     SOBOLEV_P,
     BoxDomain,
@@ -109,7 +108,7 @@ def embedding_check(u: GridFunction, seed: int = 0) -> Report:
     d = u.domain.d
     if d > 4:  # the Sobolev exponent 2d/(d-2) falls below EMBEDDING_R
         raise ContractError(f"W^{{1,2}} does not embed in L^4 in d={d}")
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(check_count("seed", seed, least=0))
     corpus = scalar_probe_corpus(u.domain, u.grid, rng)
     corpus.append(pointwise_norm_function(u))
     c_scalar = 0.0
@@ -325,11 +324,9 @@ def covering_counts(members: Sequence[GridFunction], p: float, eps_list) -> list
     """
     if not members:
         raise ContractError("covering_counts needs at least one member")
-    if not (p >= 1.0):
-        raise ValueError(f"p must be >= 1 or inf, got {p}")
+    check_exponent("p", p)
     for eps in eps_list:
-        if isinstance(eps, bool) or not isinstance(eps, numbers.Real) or not eps >= 0.0:
-            raise ContractError(f"eps must be a real >= 0, got {eps!r}")
+        check_real("eps", eps, "a real >= 0", lambda e: e >= 0.0)
     m = len(members)
     # no member read here outlives its check: the tile pass holds two tiles
     first = members[0]
@@ -582,8 +579,12 @@ def tensor_extend(T, h_dim: int, seed: int = 0) -> Report:
     T = np.asarray(T, dtype=np.float64)
     if T.ndim != 2 or T.shape[0] != T.shape[1]:
         raise DimensionMismatchError("T must be a square matrix")
+    if T.size == 0:
+        raise DimensionMismatchError("T must be nonempty")
+    if not np.all(np.isfinite(T)):
+        raise ContractError("T must be finite")
     h_dim = check_count("h_dim", h_dim)
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(check_count("seed", seed, least=0))
     norm_scalar = float(np.linalg.norm(T, 2))
     n = T.shape[0]
     top = _top_eigenvalue(lambda U: T.T @ (T @ U), rng.normal(size=(n, h_dim)), n)

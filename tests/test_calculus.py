@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sobolev_banach import banach, calculus, gridfn, suite, theorems
+from sobolev_banach import banach, calculus, counterexamples as cx, gridfn, suite, theorems
 from sobolev_banach.errors import (
     CapabilityError,
     ContractError,
@@ -423,6 +423,8 @@ def test_holder_beta_rejects_non_finite_values(node, bad):
 
 
 U16 = gridfn.from_scalar(BOX1, gridfn.GridSpec((16,)), np.sin(np.arange(16.0)))
+U64 = gridfn.from_scalar(BOX1, gridfn.GridSpec((64,)), np.sin(np.arange(64.0)))
+U64x4 = gridfn.from_scalar(gridfn.unit_box(2), gridfn.GridSpec((64, 4)), np.ones((64, 4)))
 
 
 @pytest.mark.parametrize(
@@ -441,18 +443,54 @@ U16 = gridfn.from_scalar(BOX1, gridfn.GridSpec((16,)), np.sin(np.arange(16.0)))
         (lambda: calculus.dq_criterion(U16, 2.0, (1.5,)), "steps"),
         (lambda: calculus.dq_criterion(U16, 2.0, (1, 2.0)), "steps"),
         (lambda: calculus.dq_criterion(U16, 0.5), "p"),
+        # no step fits: the verdict would rest on no quotient, or on one axis
+        (lambda: calculus.dq_criterion(U64, 2.0, steps_list=()), "steps_list"),
+        (lambda: calculus.dq_criterion(U64, 2.0, steps_list=(64,)), "steps_list"),
+        (lambda: calculus.dq_criterion(U64x4, 2.0, steps_list=(4, 8)), "steps_list"),
+        # exponents that are no number
+        (lambda: calculus.dq_criterion(U16, "2"), "p"),
+        (lambda: calculus.dq_criterion(U16, None), "p"),
+        (lambda: gridfn.bochner_norm(U16, "2"), "p"),
+        (lambda: gridfn.bochner_norm(U16, None), "p"),
+        (lambda: theorems.covering_counts([U16], "2", [0.1]), "p"),
+        (lambda: theorems.covering_counts([U16], None, [0.1]), "p"),
+        (lambda: calculus.holder_beta(U16, "0.5"), "alpha"),
+        (lambda: calculus.holder_beta(U16, None), "alpha"),
+        (lambda: cx.indicator_path_witness("2", 256), "r"),
+        (lambda: cx.indicator_path_witness(None, 256), "r"),
+        # seeds below zero
+        (lambda: calculus.holder_beta(U16, 0.5, max_nodes=4, seed=-1), "seed"),
+        (lambda: theorems.embedding_check(U16, seed=-1), "seed"),
+        (lambda: theorems.tensor_extend(np.eye(3), 2, seed=-1), "seed"),
+        # a bool grid size, an axis out of range, an unusable operator or box
+        (lambda: cx.indicator_path_witness(2.0, True), "n"),
+        (lambda: gridfn.shift_difference_norm(U16, 5, 1, 2.0), "j"),
+        (lambda: gridfn.shift_difference_norm(U16, -1, 1, 2.0), "j"),
+        (lambda: theorems.tensor_extend(np.zeros((0, 0)), 2), "T"),
+        (lambda: theorems.tensor_extend([[math.nan]], 2), "T"),
+        (lambda: gridfn.BoxDomain([0.0], [math.inf]), "lo and hi"),
     ],
     ids=[
         "extend_reflect-2.5", "extend_reflect-2.0", "extend_reflect-True",
         "reflection_extension_report-2.0", "tensor_extend-2.5", "tensor_extend-2.0",
         "holder_beta-10.5", "holder_beta-neg", "holder_beta-1", "shift_node_norms-2.5",
         "dq_criterion-1.5", "dq_criterion-2.0", "dq_criterion-p0.5",
+        "dq_criterion-no-steps", "dq_criterion-64-of-64", "dq_criterion-short-axis",
+        "dq_criterion-p-str", "dq_criterion-p-None", "bochner_norm-p-str",
+        "bochner_norm-p-None", "covering_counts-p-str", "covering_counts-p-None",
+        "holder_beta-alpha-str", "holder_beta-alpha-None", "indicator-r-str",
+        "indicator-r-None", "holder_beta-seed", "embedding_check-seed",
+        "tensor_extend-seed", "indicator-n-True", "shift-axis-5", "shift-axis-neg",
+        "tensor_extend-empty", "tensor_extend-nan", "BoxDomain-inf",
     ],
 )
 def test_integer_params_raise_naming_the_param(call, name):
-    # a float (even an integral one) or a bool is no count, and an exponent
-    # below 1 no norm: each is rejected before any work, by its own name
-    with pytest.raises(ContractError if name != "p" else ValueError, match=rf"^{name} must be"):
+    # a float (even an integral one) or a bool is no count, an exponent below
+    # 1, a string or None no exponent, and a negative seed, an axis outside
+    # 0..d-1, an empty or non-finite operator or an infinite box no input:
+    # each is rejected before any work, by its own name and with the
+    # package's own error, not numpy's or Python's
+    with pytest.raises(ContractError, match=rf"^{name} must be"):
         call()
 
 

@@ -94,6 +94,51 @@ def test_run_entry_deterministic_and_unknown():
         suite.run_entry("no_such_entry", seed=42)
 
 
+# each row is one check: none of these entries' rows restates another row
+# of its entry or cannot fail
+ENTRY_METRICS = {
+    "norm_chain_rule": ["fitted_order", "final_l1_err"],
+    "morrey_d1": ["worst_ratio", "sqrt_profile_constant_gap"],
+    "aubin_lions_compact": ["max_count_growth"],
+    "aubin_lions_control": ["n_eps01_growth"],
+    "lipschitz_composition": ["norm_map_excess", "linear_excess"],
+    "stampacchia_disjointness": ["derivative_overlap"],
+    "norm_map_continuity": ["scalar_tracking_order"],
+}
+
+
+@pytest.mark.parametrize("name", list(ENTRY_METRICS))
+def test_no_row_restates_another_row_of_its_entry(name):
+    rows, _ = suite.run_entry(name, 42, 0)
+    assert [r.metric for r in rows] == ENTRY_METRICS[name]
+    assert all(r.passed for r in rows)
+
+
+def test_corpus_holds_thirty_members():
+    for seed in range(10):
+        assert len(suite.corpus_blueprints(suite.entry_rng("norm_chain_rule", seed))) == 30
+
+
+@pytest.mark.parametrize("name,metric,constant,value", [
+    ("norm_map_continuity", "scalar_tracking_order", "NORM_MAP_ORDER_MIN", 1.5),
+    ("aubin_lions_compact", "max_count_growth", "AUBIN_LIONS_GROWTH_CAP", 0.5),
+])
+def test_twin_row_takes_its_threshold_from_the_producer(monkeypatch, name, metric,
+                                                        constant, value):
+    # the row that stands for the verdict compares with the verdict's own bound
+    monkeypatch.setattr(suite.theorems, constant, value)
+    [row] = [r for r in suite.run_entry(name, 42, 0)[0] if r.metric == metric]
+    assert row.threshold == value and not row.passed
+
+
+def test_each_spec_runs_with_its_own_seed_and_refine():
+    specs = [{"name": "extension_reflection", "seed": s, "refine": r} for s, r in ((1, 0), (2, 1))]
+    results = cli.execute_suite(specs, 1)
+    for spec, res in zip(specs, results):
+        assert res["rows"] == suite.run_entry(spec["name"], spec["seed"], spec["refine"])[0]
+    assert results[0]["rows"] != results[1]["rows"]
+
+
 def test_resolve_seed_precedence():
     assert cli.resolve_seed({}, None) == 42
     assert cli.resolve_seed({"seed": 7}, None) == 7
@@ -356,12 +401,12 @@ def test_one_worker_run_imports_numpy_random_before_its_first_entry():
     code = FRESH_NUMPY + (
         "from sobolev_banach import cli\n"
         "run_one, had = cli._run_one, []\n"
-        "def first(spec, seed):\n"
+        "def first(spec):\n"
         "    had.append('numpy.random' in sys.modules)\n"
-        "    return run_one(spec, seed)\n"
+        "    return run_one(spec)\n"
         "cli._run_one = first\n"
         "print(('numpy.random' in sys.modules) == ('numpy.random' in alone))\n"
-        "cli.execute_suite([{'name': 'quotient_rule'}], 42, 1)\n"
+        "cli.execute_suite([{'name': 'quotient_rule', 'seed': 42}], 1)\n"
         "print(had)\n"
     )
     assert _fresh_python(code) == ["True", "[True]"]
@@ -384,7 +429,7 @@ def test_forked_workers_inherit_numpy_random():
         "suite.entry_rng = entry_rng\n"
         "suite.CATALOG['probe'] = suite.CatalogEntry('probe', '', '', probe, {})\n"
         "print(('numpy.random' in sys.modules) == ('numpy.random' in alone))\n"
-        "results = cli.execute_suite([{'name': 'probe'}] * 4, 42, 2)\n"
+        "results = cli.execute_suite([{'name': 'probe', 'seed': 42}] * 4, 2)\n"
         "print(sorted({r['details']['pid'] != os.getpid() for r in results}))\n"
         "print(sorted({row.passed for r in results for row in r['rows']}))\n"
     )
