@@ -329,10 +329,16 @@ def lr_gradient(X, r, nx):
     of nonzero rows, nx^(r-1) on those rows and nx.  Every pow runs on the
     arrays ``lr_pairing`` used to build per call, so a caller pairing the
     rows of X with several directions gets the same bits.
+
+    At r = 2 the terms are X + 0.0 and nx^1 is nx, bit for bit: |x|^1 is
+    |x|, and |x| sign(x) is x, but +0 at x = -0 (numpy's sign of -0 is +0),
+    which is what adding 0.0 gives.  So no abs, pow or sign pass runs.
     """
     X = np.ascontiguousarray(X, dtype=np.float64)
     r = float(r)
     nz = nx > 0.0
+    if r == 2.0:
+        return X + 0.0, nz, nx[nz], nx
     terms = abs_power(X, r - 1.0)
     terms *= np.sign(X)
     return terms, nz, nx[nz] ** (r - 1.0), nx

@@ -198,18 +198,50 @@ def _pairing_at(space: SpaceDescriptor, X, nx):
     of the 2-D array X with norms ``nx`` (from ``norm``), as a function of
     the direction batch H.
 
-    The part that depends on X alone (for smooth Lr the gradient terms, see
-    ``_kernels.lr_gradient``) is computed once, here, so pairing X with one
-    direction per axis repeats none of it.  At x = 0 every kind gives
-    (+|h|, -|h|), with |h| from ``norm``.
+    The part that depends on X alone is computed once, here, so pairing X
+    with one direction per axis repeats none of it.  The general
+    expressions (``_general``) give (+|h|, -|h|) at x = 0, with |h| from
+    ``norm``, and call the sides unique when they agree within
+    ``PAIR_TOL * (1 + |h|)``.  For a direction batch with no infinite or
+    NaN entry, where |h| is finite and so matters only at x = 0, each kind
+    has a shortcut that gives their bits without forming |h|:
 
-    For smooth Lr both sides are one value, so when every row has a
-    positive norm |h| changes nothing and is not computed: the sides agree
-    (``unique``) exactly where that value is finite.  A direction row with
-    a NaN, whose NaN |h| would make ``unique`` False, has a NaN value.
+    * sup norm: the ties (the coordinates within ``TIE_REL`` of the norm,
+      as ``_kernels.sup_pairing`` finds them) are found once.  A row with
+      x != 0 and one tie c has the single norming functional sign(x_c)
+      e_c, so plus = minus = +-h_c, which is exactly the max and min of
+      ``sup_pairing`` over that one candidate, and the sides are unique.
+      The other rows (several ties, x = 0) take the general expressions on
+      that subset.
+    * ell^1 with no zero coordinate in X and every norm positive (weights
+      below 1 can round a row of subnormal coordinates to the norm 0, and
+      x = 0 is decided by the norm): the zero-coordinate part of the
+      sides is a row sum of |h| * 0 = +0 terms, which is +0.  So
+      plus = base + 0.0 and minus = base, with base the sign pairing; they
+      differ (unique fails) exactly where base is infinite or NaN.
+
+    A direction batch with a non-finite entry takes the general path, but
+    for smooth Lr with no zero row, whose sides are one value, the
+    gradient pairing (``_kernels.lr_gradient``): |h| changes nothing
+    there, and the sides are unique exactly where that value is finite (a
+    direction with a NaN, whose NaN |h| fails the test, has a NaN value).
     """
     if space.sup_like:
-        sides = lambda H: _kernels.sup_pairing(X, H, nx, TIE_REL)
+        general = _general(space, nx, lambda H: _kernels.sup_pairing(X, H, nx, TIE_REL))
+        count, at = _ties(X, nx)
+        rest = np.flatnonzero((count != 1) | ~(nx > 0.0))
+        Xr, nr = X[rest], nx[rest]
+        on_rest = _general(space, nr, lambda H: _kernels.sup_pairing(Xr, H, nr, TIE_REL))
+        sgn = np.where(np.take(X, at) > 0.0, 1.0, -1.0)
+
+        def fast(H):
+            plus = np.take(H, at)
+            plus *= sgn
+            minus, unique = plus.copy(), np.ones(len(plus), dtype=bool)
+            if rest.size:
+                plus[rest], minus[rest], unique[rest] = on_rest(H[rest])
+            return plus, minus, unique
+
     elif space.exponent == 1.0:
         sgn, at_zero = np.sign(X), X == 0.0
 
@@ -218,6 +250,15 @@ def _pairing_at(space: SpaceDescriptor, X, nx):
             zero_part = _kernels.row_sum(np.abs(H) * at_zero, space.weights)
             return base + zero_part, base - zero_part
 
+        general = _general(space, nx, sides)
+        if at_zero.any() or not np.all(nx > 0.0):
+            return general
+
+        def fast(H):
+            minus = _kernels.row_sum(sgn * H, space.weights)
+            plus = minus + 0.0
+            return plus, minus, np.isfinite(plus)
+
     else:
         grad = _kernels.lr_gradient(X, space.exponent, nx)
 
@@ -225,15 +266,38 @@ def _pairing_at(space: SpaceDescriptor, X, nx):
             val, _ = _kernels.lr_pairing(X, H, space.exponent, space.weights, grad)
             return val, val
 
-        # |h| matters only on a zero row of X (the sides are +-|h|) or a NaN
-        # row (the value is 0 whatever h is, and a NaN |h| makes it not unique)
-        if np.all(nx > 0.0):
-            def pair(H):
-                plus, _ = sides(H)
-                return plus, plus.copy(), np.isfinite(plus)
+        if not np.all(nx > 0.0):
+            return _general(space, nx, sides)
 
-            return pair
+        def pair(H):
+            plus, _ = sides(H)
+            return plus, plus.copy(), np.isfinite(plus)
 
+        return pair
+
+    return lambda H: fast(H) if np.isfinite(H).all() else general(H)
+
+
+def _ties(X, nx):
+    """Per row of the 2-D array X with sup norms nx: the number of its ties
+    (the coordinates that ``_kernels.sup_pairing`` takes as norming, within
+    ``TIE_REL`` of the norm), and the flat index in X of one of them (of
+    the row's first coordinate if it has none, or of its last tie if it
+    has several).  The value axis is read column by column."""
+    tie = np.abs(X) >= (nx * (1.0 - TIE_REL))[:, None]
+    k = X.shape[1]
+    first = k * np.arange(len(X))
+    count, at = tie[:, 0].astype(np.intp), first.copy()
+    for b in range(1, k):
+        count += tie[:, b]
+        np.add(first, b, out=at, where=tie[:, b])
+    return count, at
+
+
+def _general(space: SpaceDescriptor, nx, sides):
+    """The pairing of rows with norms ``nx`` whose sides away from x = 0
+    are ``sides(H)``: (+|h|, -|h|) at x = 0, unique within
+    ``PAIR_TOL * (1 + |h|)``."""
     zero = nx == 0.0
 
     def pair(H):

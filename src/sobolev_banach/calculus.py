@@ -29,6 +29,7 @@ from .errors import (
     OrderContinuityError,
     check_count,
     check_exponent,
+    check_list,
     check_real,
 )
 from .gridfn import (
@@ -88,12 +89,16 @@ class _Comparison:
     differences run in one reused block buffer of ``rows`` first-axis
     rows.  Each block appends the norms of the nodes it keeps to one
     array per axis, which so holds them in node order, and ``errors``
-    runs ``_lp`` once over each array, in place (so only once).
+    runs ``_lp`` once over each array, in place (so only once).  In a
+    space of dim 1, exponent 1 and weight 1 (``scalar_space``) the norm
+    |x| * 1.0 + 0.0 is |x|, bit for bit, and ``_lp`` takes |.| of the
+    values it sums, so there the differences are kept as they are.
     """
 
     def __init__(self, space: SpaceDescriptor, domain, grid, axes: int, rows: int):
         self.space, self.grid = space, grid
         self.h = grid.spacing(domain)
+        self.signed = space.dim == 1 and space.exponent == 1.0 and space.weights[0] == 1.0
         self.diff = np.empty((rows,) + grid.n[1:] + (space.dim,))
         inner = math.prod(k - 2 for k in grid.n)
         # one array for all axes: glibc gave two arrays of this size back to
@@ -113,7 +118,8 @@ class _Comparison:
             _difference_rows(window, first, self.grid.n[0], self.h, j, blk, part)
             np.subtract(f.reshape(part.shape), part, out=part)
             flag = flag.reshape(inner.shape)
-            kept = banach.norm(self.space, part)[inner & ~flag]
+            norms = part[..., 0] if self.signed else banach.norm(self.space, part)
+            kept = norms[inner & ~flag]
             at = self.ends[j]
             self.ends[j] += kept.size
             self.kept[j][at : self.ends[j]] = kept
@@ -182,6 +188,7 @@ def dq_criterion(u: GridFunction, p: float, steps_list: tuple[int, ...] = DQ_STE
     with the bits of ``gridfn.shift_node_norms`` without forming the path.
     """
     check_exponent("p", p)
+    steps_list = check_list("steps_list", steps_list)
     steps_list = tuple(sorted(set(check_count("steps", s) for s in steps_list)))
     if not steps_list:
         raise ContractError("steps_list must be nonempty")
@@ -462,17 +469,27 @@ def _norm_derivative(u, n: int | None, keep_fields: bool) -> FieldResult:
     a time in one reused buffer.
 
     Per block the window is the block's first-axis rows and, within the
-    grid, one halo row on each side.  The pass norms the whole window;
-    then per axis it forms D_j u on the block into one reused buffer and
-    its pairing: the field values (the midpoints) and flags, which the
+    grid, one halo row on each side.  The pass norms the window; then per
+    axis it forms D_j u on the block into one reused buffer and its
+    pairing: the field values (the midpoints) and flags, which the
     comparison (``_Comparison``) settles at once against the window's
     norms.  So the part of the pairing that depends on the node alone is
-    computed once per block, and no full-size derivative or norm array is
-    made.  A halo row is normed again in its neighbour's window, which
-    holds at least three rows (``node_blocks`` makes no block of one
-    row), so it gets the bits of its own block.  The values and flags go
-    to full-size arrays when ``keep_fields``, else to block buffers that
-    each block reuses; the result then holds no fields.
+    computed once per block (``banach._pairing_at``), and no full-size
+    derivative or norm array is made.
+
+    Each node's values and norm are formed once.  A window after the
+    first opens with the last two rows of the window before, which end
+    that window and begin this one: their values (a blueprint's, in the
+    reused buffer) and their norms are carried over, and only the rest of
+    the window is realized and normed.  The norms of a row are the same
+    in any batch of two or more rows, but a lone 1-D row would be normed
+    as a dot product, which rounds differently; a window with only one
+    new row is therefore normed whole, a batch of at least three rows
+    (``node_blocks`` makes no block of one row).  The midpoint
+    (plus + minus) / 2 is formed only in a block with a node whose sides
+    are not unique; elsewhere the field is plus, its value there.  The
+    values and flags go to full-size arrays when ``keep_fields``, else to
+    block buffers that each block reuses; the result then holds no fields.
     """
     if n is None:
         domain, grid, space = u.domain, u.grid, u.space
@@ -483,24 +500,34 @@ def _norm_derivative(u, n: int | None, keep_fields: bool) -> FieldResult:
     per_row = math.prod(grid.n[1:])  # nodes per first-axis row
     blocks = _kernels.node_blocks(rows, per_row * dim)
     longest = blocks[0].stop - blocks[0].start
-    if n is None:
-        read = lambda a, b: u.values[a:b]
-    else:
+    if n is not None:
         buf, write = np.empty((longest + 2,) + grid.n[1:] + (dim,)), u.row_writer(n)
-        read = lambda a, b: write(a, b, buf[: b - a])
+    nbuf = np.empty((longest + 2) * per_row)  # the window's norms
     comparison = _Comparison(scalar_space(), domain, grid, d, longest)
     size = math.prod(grid.n) if keep_fields else longest * per_row
     values = [np.empty(size) for _ in range(d)]
     flagged = [np.empty(size, dtype=bool) for _ in range(d)]
     diff = np.empty((longest,) + grid.n[1:] + (dim,))
+    held = 0  # rows of the window before
     for blk in blocks:
         first, last = max(blk.start - 1, 0), min(blk.stop + 1, rows)
-        w = read(first, last)
-        nw = banach.norm(space, w.reshape(-1, dim))  # the window's norms
+        carry = 2 if blk.start else 0  # rows first, first + 1 closed the window before
+        if n is None:
+            w = u.values[first:last]
+        else:
+            w = buf[: last - first]
+            w[:carry] = buf[held - carry : held]
+            write(first + carry, last, w[carry:])
+        if last - first - carry < 2:  # a lone 1-D row is normed as a dot product
+            carry = 0
+        nw = nbuf[: w.size // dim]
+        nw[: carry * per_row] = nbuf[(held - carry) * per_row : held * per_row]
+        nw[carry * per_row :] = banach.norm(space, w[carry:].reshape(-1, dim))
+        held = last - first
         own = slice(blk.start - first, blk.stop - first)  # the block's rows in w
         norms = nw[own.start * per_row : own.stop * per_row]
         near_zero = norms <= ZERO_TOL * (1.0 + norms)
-        exact_zero = norms == 0.0
+        exact_zero = np.flatnonzero(norms == 0.0)
         pair = banach._pairing_at(space, w[own].reshape(-1, dim), norms)
         part = diff[: blk.stop - blk.start]
         at = slice(blk.start * per_row, blk.stop * per_row)
@@ -509,9 +536,12 @@ def _norm_derivative(u, n: int | None, keep_fields: bool) -> FieldResult:
             _difference_rows(w, first, rows, h, j, blk, part)
             plus, minus, unique = pair(part.reshape(-1, dim))
             mid = value[out]  # the midpoint, plus where unique, 0 at zeros
-            np.add(plus, minus, out=mid)
-            mid *= 0.5
-            np.copyto(mid, plus, where=unique)
+            if unique.all():
+                np.copyto(mid, plus)
+            else:
+                np.add(plus, minus, out=mid)
+                mid *= 0.5
+                np.copyto(mid, plus, where=unique)
             mid[exact_zero] = 0.0
             np.logical_or(~unique, near_zero, out=flag[out])
         comparison.settle(

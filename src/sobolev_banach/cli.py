@@ -314,12 +314,20 @@ def write_outputs(outdir: Path, results, fmt: str, meta: dict):
     )
 
 
-def _blas_info() -> dict:
-    """numpy's build record of its BLAS, not the core OpenBLAS picks at run
-    time (``blas_core``); report bytes move with that core and with numpy's
-    SIMD dispatch."""
-    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
-    return {k: blas[k] for k in ("name", "version", "openblas configuration") if k in blas}
+def _build_info() -> dict:
+    """numpy's build record: its BLAS, not the core OpenBLAS picks at run
+    time (``blas_core``), and its SIMD targets, the baseline it was built
+    for and the dispatch targets it enabled on this CPU (each None where
+    numpy records none).  Report bytes move with that core and with
+    numpy's SIMD dispatch."""
+    config = np.show_config(mode="dicts")
+    blas = config["Build Dependencies"]["blas"]
+    simd = config.get("SIMD Extensions", {})
+    return {
+        "blas": {k: blas[k] for k in ("name", "version", "openblas configuration") if k in blas},
+        "simd_baseline": simd.get("baseline"),
+        "simd_dispatch": simd.get("found"),
+    }
 
 
 def cmd_run(args) -> int:
@@ -365,7 +373,7 @@ def cmd_run(args) -> int:
         "workers": workers,
         "package_version": __version__,
         "numpy_version": np.__version__,
-        "blas": _blas_info(),
+        **_build_info(),
         "blas_core": blas_core(),
         "entry_count": len(results),
         "entries": [res["usage"] for res in results],

@@ -1,7 +1,8 @@
 """Exception types shared across the package, and the checks of an
-integer or real parameter that raise them."""
+integer or real parameter, or of a list of them, that raise them."""
 
 import numbers
+from collections.abc import Iterable
 
 
 class ContractError(ValueError):
@@ -53,3 +54,12 @@ def check_real(name: str, value, must: str, ok) -> None:
 def check_exponent(name: str, value) -> None:
     """``check_real`` for an L^p exponent: a number >= 1, inf included."""
     check_real(name, value, ">= 1 or inf", lambda v: v >= 1.0)
+
+
+def check_list(name: str, value) -> tuple:
+    """``value`` as a tuple when it is an iterable other than a string;
+    anything else (None, a number, a string, which would be read one
+    character at a time) raises ``ContractError`` naming ``name``."""
+    if isinstance(value, (str, bytes)) or not isinstance(value, Iterable):
+        raise ContractError(f"{name} must be a list, got {value!r}")
+    return tuple(value)

@@ -228,6 +228,12 @@ def _difference_rows(
     it gets over all rows, so a pass that runs one block of rows at a time,
     reading the block and a halo row on each side (three rows at a grid
     edge of axis 0), gets the whole-array differences bit for bit.
+
+    When the step 2h is a power of two (every unit-box grid of
+    power-of-two n) with a finite reciprocal, the differences are
+    multiplied by 1/step instead of divided by step: 1/step is then exact,
+    so both round the same real quotient, and give the same bits, at about
+    half the cost.
     """
     n = total if j == 0 else v.shape[j]
     if n < 3:
@@ -237,20 +243,34 @@ def _difference_rows(
         v, a, b, first = v[a - first : b - first], 0, n, 0
     S = lambda p, q: _axis_slices(v.ndim - 1, j, slice(p - first, q - first))
     T = lambda p, q: _axis_slices(v.ndim - 1, j, slice(p - a, q - a))
-    step = 2.0 * h[j]
+    step = float(2.0 * h[j])
+    if math.frexp(step)[0] == 0.5 and math.isfinite(inv := 1.0 / step):
+        quotient = lambda x: np.multiply(x, inv, out=x)
+    else:
+        quotient = lambda x: np.divide(x, step, out=x)
     lo, hi = max(a, 1), min(b, n - 1)
-    if lo < hi:
+    if j > 0 and v.flags.c_contiguous and out.flags.c_contiguous:
+        # the central stencil over the flat arrays, in which the neighbours
+        # along axis j lie ``gap`` floats apart: each interior node gets its
+        # own expression, about twice as fast as over the strided slices,
+        # and the one-sided stencils below overwrite the nodes on the
+        # boundary layers of axis j, which get a difference of other nodes
+        gap = out.strides[j] // out.itemsize
+        inner, flat = out.reshape(-1)[gap:-gap], v.reshape(-1)
+        np.subtract(flat[2 * gap :], flat[: -2 * gap], out=inner)
+        quotient(inner)
+    elif lo < hi:
         # written straight into out and divided in place: the same
         # operations as (a - b) / step, without temporaries
         inner = out[T(lo, hi)]
         np.subtract(v[S(lo + 1, hi + 1)], v[S(lo - 1, hi - 1)], out=inner)
-        inner /= step
+        quotient(inner)
     if a == 0:
-        out[T(0, 1)] = (-3.0 * v[S(0, 1)] + 4.0 * v[S(1, 2)] - v[S(2, 3)]) / step
+        out[T(0, 1)] = -3.0 * v[S(0, 1)] + 4.0 * v[S(1, 2)] - v[S(2, 3)]
+        quotient(out[T(0, 1)])
     if b == n:
-        out[T(b - 1, b)] = (
-            3.0 * v[S(n - 1, n)] - 4.0 * v[S(n - 2, n - 1)] + v[S(n - 3, n - 2)]
-        ) / step
+        out[T(b - 1, b)] = 3.0 * v[S(n - 1, n)] - 4.0 * v[S(n - 2, n - 1)] + v[S(n - 3, n - 2)]
+        quotient(out[T(b - 1, b)])
 
 
 def finite_difference(u: GridFunction) -> list[GridFunction]:
@@ -323,6 +343,7 @@ def shift_difference_norm(u: GridFunction, j: int, steps: int, p: float) -> floa
     """L^p norm over the shrunken box of u(.+ steps*h_j e_j) - u: ``_lp``
     of ``shift_node_norms``, with the cell volume of the full box as the
     quadrature weight."""
+    check_exponent("p", p)
     vol = float(np.prod(u.grid.spacing(u.domain)))
     g = shift_node_norms(u, j, steps)
     return _lp(g, vol, p, out=g)

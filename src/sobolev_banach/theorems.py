@@ -20,7 +20,14 @@ import numpy as np
 from . import _kernels
 from .banach import SpaceDescriptor
 from .calculus import dq_criterion
-from .errors import ContractError, DimensionMismatchError, check_count, check_exponent, check_real
+from .errors import (
+    ContractError,
+    DimensionMismatchError,
+    check_count,
+    check_exponent,
+    check_list,
+    check_real,
+)
 from .gridfn import (
     SOBOLEV_P,
     BoxDomain,
@@ -325,6 +332,7 @@ def covering_counts(members: Sequence[GridFunction], p: float, eps_list) -> list
     if not members:
         raise ContractError("covering_counts needs at least one member")
     check_exponent("p", p)
+    eps_list = check_list("eps_list", eps_list)
     for eps in eps_list:
         check_real("eps", eps, "a real >= 0", lambda e: e >= 0.0)
     m = len(members)

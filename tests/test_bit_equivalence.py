@@ -1136,3 +1136,228 @@ def test_blocked_ck_quotients_match_whole_array(node_block, monkeypatch):
     assert w.rows == rows
     assert w.details["first_sample_gap"] == d_star
     assert w.details["distance_at_finest"] == rows[-1][1]
+
+
+# The norm pass's shortcuts (``banach._pairing_at``, ``_kernels.lr_gradient``,
+# the midpoint, the carried window rows, ``gridfn._difference_rows``'s
+# reciprocal) against the general expressions they stand for, bit for bit:
+# NaN for NaN, and the sign of every zero.
+
+PAIRING_SPACES = BLOCK_SPACES + [
+    banach.scalar_space(),
+    # weights 1/4: a row of subnormal coordinates has the norm 0
+    banach.SpaceDescriptor("GridLr", 4, exponent=1.0),
+]
+
+
+def _same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    if a.dtype == bool or b.dtype == bool:
+        return a.dtype == b.dtype and np.array_equal(a, b)
+    return (
+        a.shape == b.shape
+        and np.array_equal(a, b, equal_nan=True)
+        and np.array_equal(np.signbit(a), np.signbit(b))
+    )
+
+
+def _general_pairing(space, X, H):
+    """The pairing by the general expressions of each kind: the extremes of
+    the sides over the norming functionals (the sup norm's ties, ell^1's
+    zero coordinates, the smooth gradient |x|^(r-1) sign(x) / |x|^(r-1)),
+    (+|h|, -|h|) at x = 0, and the sides unique within PAIR_TOL (1 + |h|)."""
+    nx = banach.norm(space, X)
+    hnorm = banach.norm(space, H)
+    w = space.weights
+    if space.sup_like:
+        plus, minus = _kernels.sup_pairing(X, H, nx, banach.TIE_REL)
+    elif space.exponent == 1.0:
+        base = _kernels.row_sum(np.sign(X) * H, w)
+        zero_part = _kernels.row_sum(np.abs(H) * (X == 0.0), w)
+        plus, minus = base + zero_part, base - zero_part
+    else:
+        r = space.exponent
+        nz = nx > 0.0
+        num = _kernels.row_sum(_kernels.abs_power(X, r - 1.0) * np.sign(X) * H, w)
+        plus = minus = np.zeros(len(X))
+        plus[nz] = num[nz] / nx[nz] ** (r - 1.0)
+    zero = nx == 0.0
+    plus, minus = np.where(zero, hnorm, plus), np.where(zero, -hnorm, minus)
+    return plus, minus, (plus - minus) <= banach.PAIR_TOL * (1.0 + hnorm)
+
+
+def _general_field(u):
+    """``norm_derivative_field(u)``'s fields and flags by the general
+    expressions: the midpoint of the sides, plus where they are unique, 0
+    at x = 0; flagged where they are not unique or |x| is near zero."""
+    X = u.values.reshape(-1, u.space.dim)
+    nx = banach.norm(u.space, X)
+    fields, flags = [], []
+    for D in _whole_finite_difference(u):
+        plus, minus, unique = _general_pairing(u.space, X, D.reshape(X.shape))
+        mid = (plus + minus) * 0.5
+        mid[unique] = plus[unique]
+        mid[nx == 0.0] = 0.0
+        fields.append(mid.reshape(u.grid.n))
+        flags.append((~unique | (nx <= banach.ZERO_TOL * (1.0 + nx))).reshape(u.grid.n))
+    return fields, flags
+
+
+@st.composite
+def pairing_points(draw, space, rows):
+    """Rows of points in ``space``: normal draws, exact zero rows and
+    coordinates, -0.0, rows of the smallest subnormal (whose norm is 0
+    under weights below 1), and, from dim 2 on, the largest coordinate
+    matched by another within TIE_REL (a tie), at its edge, or just outside
+    it."""
+    dim = space.dim
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    X = rng.normal(size=(rows, dim))
+    forms = ["plain", "zero_row", "zero", "negative_zero", "subnormal_row"] + ["tie"] * (dim > 1)
+    for i in range(rows):
+        form = draw(st.sampled_from(forms))
+        c = int(rng.integers(dim))
+        if form == "zero_row":
+            X[i] = draw(st.sampled_from([0.0, -0.0]))
+        elif form == "subnormal_row":
+            X[i] = draw(st.sampled_from([5e-324, -5e-324]))
+        elif form == "zero":
+            X[i, c] = 0.0
+        elif form == "negative_zero":
+            X[i, c] = -0.0
+        elif form == "tie":
+            X[i, 0] = draw(st.sampled_from([10.0, -10.0]))
+            f = draw(st.sampled_from([0.0, 0.5, 0.999, 1.0, 1.001, 2.0]))
+            X[i, 1 + c % (dim - 1)] = -X[i, 0] * (1.0 - f * banach.TIE_REL)
+    return X
+
+
+@st.composite
+def pairing_directions(draw, shape):
+    """Directions: normal draws with exact zeros and -0.0, and in half of
+    the batches a few infinite or NaN entries."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    H = rng.normal(size=shape)
+    H.flat[rng.integers(H.size, size=2)] = 0.0
+    H.flat[rng.integers(H.size, size=2)] = -0.0
+    if draw(st.booleans()):
+        for _ in range(draw(st.integers(1, 3))):
+            H.flat[rng.integers(H.size)] = draw(st.sampled_from([math.inf, -math.inf, math.nan]))
+    return H
+
+
+PAIRING_CASES = dict(derandomize=True, max_examples=60, deadline=None)
+
+
+@pytest.mark.parametrize("space", PAIRING_SPACES, ids=lambda s: f"{s.kind}-{s.exponent}-{s.dim}")
+@given(data=st.data())
+@settings(**PAIRING_CASES)
+def test_pairing_matches_general_expressions(space, data):
+    X = data.draw(pairing_points(space, data.draw(st.integers(1, 12))))
+    H = data.draw(pairing_directions(X.shape))
+    with np.errstate(invalid="ignore"):  # inf * 0 in the general expressions
+        got = banach.one_sided_norm_derivative_batch(space, X, H)
+        want = _general_pairing(space, X, H)
+    for g, w in zip(got, want):
+        assert _same_bits(g, w)
+    if math.isfinite(space.exponent) and space.exponent > 1.0:
+        r, nx = space.exponent, banach.norm(space, X)
+        terms, nz, den, _ = _kernels.lr_gradient(X, r, nx)
+        assert _same_bits(terms, _kernels.abs_power(X, r - 1.0) * np.sign(X))
+        assert _same_bits(den, nx[nz] ** (r - 1.0))
+
+
+@pytest.mark.parametrize("space", PAIRING_SPACES, ids=lambda s: f"{s.kind}-{s.exponent}-{s.dim}")
+@given(data=st.data())
+@settings(**PAIRING_CASES)
+def test_norm_derivative_field_matches_general_expressions(space, data):
+    # node blocks of two or three rows, or one block
+    d = data.draw(st.sampled_from([1, 2]))
+    n = data.draw(st.integers(3, 24) if d == 1 else st.integers(3, 7))
+    X = data.draw(pairing_points(space, n**d))
+    u = gridfn.GridFunction(
+        gridfn.unit_box(d), gridfn.GridSpec((n,) * d), space, X.reshape((n,) * d + (space.dim,))
+    )
+    rows = data.draw(st.sampled_from([2, 3, n]))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(_kernels, "NODE_BLOCK", rows * u.values[0].size)
+        res = calculus.norm_derivative_field(u)
+    fields, flags = _general_field(u)
+    for j in range(d):
+        assert _same_bits(res.fields[j].values[..., 0], fields[j])
+        assert _same_bits(res.flags[j], flags[j])
+
+
+@pytest.mark.parametrize("d", [1, 2])
+@pytest.mark.parametrize("n", [3, 4, 5, 33, 64, 300])
+def test_carried_windows_hold_the_realized_rows(n, d, monkeypatch):
+    # each window of a blueprint's norm pass opens with the last two rows of
+    # the window before, values and norms, and realizes and norms the rest:
+    # every window holds the rows and norms of the whole member
+    difference_rows = calculus._difference_rows
+    for bp in suite.corpus_blueprints(np.random.default_rng(n)):
+        if bp.d != d:
+            continue
+        whole = bp.realize(n)
+        norms = banach.norm(bp.space, whole.values)[..., None]
+        firsts = set()
+
+        def spy(v, first, *args):
+            want = norms if v.shape[-1] == 1 else whole.values
+            assert _same_bits(v, want[first : first + len(v)])
+            firsts.add(first)
+            return difference_rows(v, first, *args)
+
+        with monkeypatch.context() as mp:
+            mp.setattr(_kernels, "NODE_BLOCK", 3 * whole.values[0].size)
+            mp.setattr(calculus, "_difference_rows", spy)
+            got = calculus.norm_derivative_report(bp, n)
+            blocks = _kernels.node_blocks(n, whole.values[0].size)
+        assert len(firsts) == len(blocks) > (n > 3)
+        want = calculus.norm_derivative_field(whole).report
+        assert (got.rows, got.details) == (want.rows, want.details)
+
+
+@pytest.mark.parametrize("length", [1.0, 3.0, 2.0**-1040])
+@pytest.mark.parametrize("n", [3, 4, 5, 8, 33, 64, 300, 512])
+@pytest.mark.parametrize("d,order", [(1, "C"), (2, "C"), (2, "F")])
+def test_difference_rows_match_division(d, order, n, length):
+    # a power-of-two step (length 1, n a power of two) is multiplied by its
+    # reciprocal, any other step divides; so does one whose reciprocal is
+    # infinite (length 2**-1040).  Along axis 1 a C-ordered array is
+    # differenced flat, an F-ordered one through strided slices.
+    if d == 2:
+        n = min(n, 64)
+    rng = np.random.default_rng(n)
+    vals = rng.normal(size=(n,) * d + (2,))
+    vals[..., 0] = 0.0
+    vals[..., 1] *= 2.0 ** rng.integers(-1074, 1000, size=vals.shape[:-1])
+    vals = np.asarray(vals, order=order)
+    dom = gridfn.BoxDomain([0.0] * d, [length] * d)
+    u = gridfn.GridFunction(dom, gridfn.GridSpec((n,) * d), banach.SpaceDescriptor("FiniteLr", 2), vals)
+    with np.errstate(over="ignore"):
+        got = gridfn.finite_difference(u)
+        want = _whole_finite_difference(u)
+    for g, w in zip(got, want):
+        assert _same_bits(g.values, w)
+
+
+@pytest.mark.parametrize("p", [1.0, 2.0, math.inf])
+@pytest.mark.parametrize(
+    "space",
+    [
+        banach.scalar_space(),
+        banach.SpaceDescriptor("FiniteLr", 1, exponent=1.5),
+        banach.SpaceDescriptor("GridLr", 1, exponent=1.0, weights=[2.0]),
+        banach.SpaceDescriptor("GridLr", 1, exponent=3.0),
+    ],
+    ids=lambda s: f"{s.kind}-{s.exponent}-{s.weights[0]}",
+)
+def test_scalar_comparison_matches_whole_array_form(space, p):
+    # in the scalar space the comparison keeps the signed differences,
+    # whose |.| _lp takes; every other space of dim 1 norms them
+    rng = np.random.default_rng(7)
+    u = gridfn.GridFunction(gridfn.unit_box(1), gridfn.GridSpec((200,)), space, rng.normal(size=(200, 1)))
+    near = [u.like(D + 1e-3 * rng.normal(size=D.shape)) for D in _whole_finite_difference(u)]
+    flags = [rng.random(u.grid.n) < 0.3]
+    assert calculus._compare(u, near, flags).errors(p) == _whole_fd_errors(u, near, flags, p)

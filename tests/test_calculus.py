@@ -469,6 +469,14 @@ U64x4 = gridfn.from_scalar(gridfn.unit_box(2), gridfn.GridSpec((64, 4)), np.ones
         (lambda: theorems.tensor_extend(np.zeros((0, 0)), 2), "T"),
         (lambda: theorems.tensor_extend([[math.nan]], 2), "T"),
         (lambda: gridfn.BoxDomain([0.0], [math.inf]), "lo and hi"),
+        # lists that are no list, an exponent never checked, a refine level
+        # that is no count
+        (lambda: theorems.covering_counts([U16], 2.0, None), "eps_list"),
+        (lambda: theorems.covering_counts([U16], 2.0, "0.1"), "eps_list"),
+        (lambda: calculus.dq_criterion(U16, 2.0, None), "steps_list"),
+        (lambda: gridfn.shift_difference_norm(U16, 0, 1, None), "p"),
+        (lambda: suite.run_entry("w0_equivalences", 42, -1), "refine"),
+        (lambda: suite.run_entry("w0_equivalences", 42, "1"), "refine"),
     ],
     ids=[
         "extend_reflect-2.5", "extend_reflect-2.0", "extend_reflect-True",
@@ -482,6 +490,8 @@ U64x4 = gridfn.from_scalar(gridfn.unit_box(2), gridfn.GridSpec((64, 4)), np.ones
         "indicator-r-None", "holder_beta-seed", "embedding_check-seed",
         "tensor_extend-seed", "indicator-n-True", "shift-axis-5", "shift-axis-neg",
         "tensor_extend-empty", "tensor_extend-nan", "BoxDomain-inf",
+        "covering_counts-eps-None", "covering_counts-eps-str", "dq_criterion-steps-None",
+        "shift_difference_norm-p-None", "run_entry-refine-neg", "run_entry-refine-str",
     ],
 )
 def test_integer_params_raise_naming_the_param(call, name):

@@ -61,16 +61,14 @@ def test_builders_take_rng_and_their_declared_params_only():
         assert list(params) == ["rng", *entry.params], entry.name
 
 
-def test_w0_equivalences_holds_the_same_functions_on_every_level(monkeypatch):
+def test_w0_equivalences_holds_the_same_functions_on_every_level():
     # members are a sin(pi t) + (b/4) sin(2 pi t), non-members c + w sin(2 pi t),
     # with one coefficient pair per function on every level of the ladder
-    seen = []
-    check = suite.theorems.weak_w0_check
-    monkeypatch.setattr(suite.theorems, "weak_w0_check", lambda u: seen.append(u) or check(u))
-    suite.run_entry("w0_equivalences", 42, 0, {"ladder": [16, 64]})
-    assert len(seen) == 40
+    levels = suite._w0_corpus(suite.entry_rng("w0_equivalences", 42), [16, 64])
+    assert [(len(m), len(s)) for m, s in levels] == [(10, 10), (10, 10)]
     fits = []
-    for level in (seen[:20], seen[20:]):
+    for members, non_members in levels:
+        level = members + non_members
         t = (np.arange(level[0].node_count) + 0.5) / level[0].node_count
         wave = np.sin(2 * np.pi * t)
         coefs = []
@@ -82,6 +80,27 @@ def test_w0_equivalences_holds_the_same_functions_on_every_level(monkeypatch):
             coefs.append(coef)
         fits.append(np.array(coefs))
     np.testing.assert_allclose(fits[0], fits[1], rtol=0, atol=1e-12)
+
+
+def test_w0_equivalences_checks_the_verdicts_on_the_top_level_only(monkeypatch):
+    # verdict_agreement reads the top level's verdicts, boundary_decay_order
+    # the members' boundary norms on every level: nothing else is computed
+    seen = []
+    check = suite.theorems.weak_w0_check
+    monkeypatch.setattr(suite.theorems, "weak_w0_check", lambda u: seen.append(u) or check(u))
+    calls = []
+    member = suite.theorems.w0_membership
+    monkeypatch.setattr(suite.theorems, "w0_membership", lambda u: calls.append(u) or member(u))
+    rows, details = suite.run_entry("w0_equivalences", 42, 0, {"ladder": [16, 64]})
+    assert len(seen) == 20 and {u.node_count for u in seen} == {64}
+    # 10 members on the lower level, then on the top level 20 direct and
+    # 20 scalar verdicts and 3 per weak check, one per coordinate pairing
+    assert len(calls) == 10 + 20 + 20 + 3 * 20
+    top = suite._w0_corpus(suite.entry_rng("w0_equivalences", 42), [16, 64])[-1]
+    for u, want in zip(seen, top[0] + top[1]):
+        assert np.array_equal(u.values, want.values)
+    assert [(r.metric, r.value) for r in rows][0] == ("verdict_agreement", 20.0)
+    assert len(details["member_boundary_norms"]) == 2
 
 
 def test_run_entry_deterministic_and_unknown():
@@ -915,6 +934,26 @@ def test_sidecar_records_the_parent_peak(tmp_path):
     assert meta["parent_max_rss_mb"] >= max(e["max_rss_mb"] for e in meta["entries"]) > 0
     # whether this process compiled the package without writing .pyc files
     assert meta["dont_write_bytecode"] is bool(sys.flags.dont_write_bytecode)
+
+
+def test_sidecar_records_numpy_simd_targets(tmp_path, monkeypatch):
+    # report bytes move with numpy's SIMD dispatch, so the sidecar names the
+    # targets numpy was built for and those it enabled on this CPU
+    code, meta = _run_names(tmp_path, FAST, "--workers", "1")
+    assert code == cli.EXIT_OK
+    simd = np.show_config(mode="dicts")["SIMD Extensions"]
+    assert meta["simd_baseline"] == simd["baseline"]
+    assert meta["simd_dispatch"] == simd["found"]
+    assert all(isinstance(t, str) for t in meta["simd_baseline"] + meta["simd_dispatch"])
+    summary = (tmp_path / "reports" / "summary.csv").read_bytes()
+    # a numpy that records no SIMD targets gives None for both
+    config = np.show_config(mode="dicts")
+    del config["SIMD Extensions"]
+    monkeypatch.setattr(np, "show_config", lambda mode: config)
+    (tmp_path / "again").mkdir()
+    code, meta = _run_names(tmp_path / "again", FAST, "--workers", "1")
+    assert meta["simd_baseline"] is None and meta["simd_dispatch"] is None
+    assert (tmp_path / "again" / "reports" / "summary.csv").read_bytes() == summary
 
 
 def test_blas_pin_is_a_no_op_without_numpy_openblas(tmp_path, monkeypatch):
