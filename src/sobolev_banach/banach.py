@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
-from .errors import CapabilityError, DimensionMismatchError
+from .errors import CapabilityError, ContractError, DimensionMismatchError
 
 KINDS = ("FiniteLr", "SampledSup", "GridLr", "Hilbert")
 
@@ -141,11 +141,13 @@ class PairingResult:
 # ---------------------------------------------------------------------------
 
 
-def check_vec(space: SpaceDescriptor, x) -> np.ndarray:
-    """Conform x to the space (``_conform``) and check that it is all finite."""
+def check_vec(space: SpaceDescriptor, x, name: str = "x") -> np.ndarray:
+    """Conform x to the space (``_conform``); a non-finite entry raises
+    ``ContractError`` naming ``name`` and its row (over x's rows, flat)."""
     x = _conform(space, x)
-    if not np.all(np.isfinite(x)):
-        raise ValueError("vector contains non-finite entries")
+    if not np.isfinite(x).all():
+        row = int(np.flatnonzero(~np.isfinite(x))[0]) // space.dim
+        raise ContractError(f"{name} has a non-finite entry in row {row}")
     return x
 
 
@@ -182,10 +184,9 @@ def one_sided_norm_derivative_batch(space: SpaceDescriptor, X, H):
     Returns arrays ``(plus, minus, unique)`` of shape (N,).  The values are
     the extreme pairings <h, x'> over the norm-one functionals x' attaining
     the norm at x; at x = 0 they are (+|h|, -|h|).  ``unique`` is True when
-    the two sides agree within tau_pair = 1e-9 * (1 + |h|).
+    the sides agree within 1e-9 * (1 + |h|).  X and H must be finite.
     """
-    X = _conform(space, np.atleast_2d(X))
-    H = _conform(space, np.atleast_2d(H))
+    X, H = check_vec(space, np.atleast_2d(X), "X"), check_vec(space, np.atleast_2d(H), "H")
     if X.shape != H.shape:
         raise DimensionMismatchError(
             f"point/direction batches disagree: {X.shape} vs {H.shape}"
@@ -194,111 +195,67 @@ def one_sided_norm_derivative_batch(space: SpaceDescriptor, X, H):
 
 
 def _pairing_at(space: SpaceDescriptor, X, nx):
-    """``one_sided_norm_derivative_batch(space, X, .)`` for the fixed rows
-    of the 2-D array X with norms ``nx`` (from ``norm``), as a function of
-    the direction batch H.
+    """``one_sided_norm_derivative_batch(space, X, .)`` for the fixed finite
+    rows of the 2-D array X with norms ``nx`` (from ``norm``), as a function
+    ``pair(H)``; what depends on X alone is computed once, here.  The sides
+    away from x = 0, per kind:
 
-    The part that depends on X alone is computed once, here, so pairing X
-    with one direction per axis repeats none of it.  The general
-    expressions (``_general``) give (+|h|, -|h|) at x = 0, with |h| from
-    ``norm``, and call the sides unique when they agree within
-    ``PAIR_TOL * (1 + |h|)``.  For a direction batch with no infinite or
-    NaN entry, where |h| is finite and so matters only at x = 0, each kind
-    has a shortcut that gives their bits without forming |h|:
+    * sup norm: a row with one tie c (``_ties``) has the one norming
+      functional sign(x_c) e_c, so both sides are +-h_c; the rows with
+      several ties take ``_kernels.sup_pairing`` on that subset.
+    * ell^1: base +- the row sum of |h| over x's zero coordinates, with base
+      the sign pairing; with no zero coordinate in X that sum is +0 for a
+      finite h, so the sides are base + 0.0 and base.
+    * smooth Lr: one value, the gradient pairing (``_kernels.lr_gradient``).
 
-    * sup norm: the ties (the coordinates within ``TIE_REL`` of the norm,
-      as ``_kernels.sup_pairing`` finds them) are found once.  A row with
-      x != 0 and one tie c has the single norming functional sign(x_c)
-      e_c, so plus = minus = +-h_c, which is exactly the max and min of
-      ``sup_pairing`` over that one candidate, and the sides are unique.
-      The other rows (several ties, x = 0) take the general expressions on
-      that subset.
-    * ell^1 with no zero coordinate in X and every norm positive (weights
-      below 1 can round a row of subnormal coordinates to the norm 0, and
-      x = 0 is decided by the norm): the zero-coordinate part of the
-      sides is a row sum of |h| * 0 = +0 terms, which is +0.  So
-      plus = base + 0.0 and minus = base, with base the sign pairing; they
-      differ (unique fails) exactly where base is infinite or NaN.
-
-    A direction batch with a non-finite entry takes the general path, but
-    for smooth Lr with no zero row, whose sides are one value, the
-    gradient pairing (``_kernels.lr_gradient``): |h| changes nothing
-    there, and the sides are unique exactly where that value is finite (a
-    direction with a NaN, whose NaN |h| fails the test, has a NaN value).
+    At x = 0 the sides are (+|h|, -|h|); they are unique when they agree within
+    ``PAIR_TOL * (1 + |h|)``.  |h| is formed, over the whole batch (ell^r row
+    sums round by batch), only when X has a zero row, a sup row with several
+    ties or an ell^1 zero coordinate; otherwise the sides are one value (up to
+    ell^1's + 0.0) and |h| is not NaN, so they are unique where they are finite.
     """
+    zero = nx == 0.0
     if space.sup_like:
-        general = _general(space, nx, lambda H: _kernels.sup_pairing(X, H, nx, TIE_REL))
         count, at = _ties(X, nx)
-        rest = np.flatnonzero((count != 1) | ~(nx > 0.0))
-        Xr, nr = X[rest], nx[rest]
-        on_rest = _general(space, nr, lambda H: _kernels.sup_pairing(Xr, H, nr, TIE_REL))
         sgn = np.where(np.take(X, at) > 0.0, 1.0, -1.0)
+        several = np.flatnonzero(count > 1)
+        needs_h = several.size > 0
 
-        def fast(H):
+        def sides(H):
             plus = np.take(H, at)
             plus *= sgn
-            minus, unique = plus.copy(), np.ones(len(plus), dtype=bool)
-            if rest.size:
-                plus[rest], minus[rest], unique[rest] = on_rest(H[rest])
-            return plus, minus, unique
+            minus = plus.copy()
+            if needs_h:
+                plus[several], minus[several] = _kernels.sup_pairing(
+                    X[several], H[several], nx[several], TIE_REL)
+            return plus, minus
 
     elif space.exponent == 1.0:
         sgn, at_zero = np.sign(X), X == 0.0
+        needs_h = bool(at_zero.any())
 
         def sides(H):
             base = _kernels.row_sum(sgn * H, space.weights)
+            if not needs_h:
+                return base + 0.0, base
             zero_part = _kernels.row_sum(np.abs(H) * at_zero, space.weights)
             return base + zero_part, base - zero_part
 
-        general = _general(space, nx, sides)
-        if at_zero.any() or not np.all(nx > 0.0):
-            return general
-
-        def fast(H):
-            minus = _kernels.row_sum(sgn * H, space.weights)
-            plus = minus + 0.0
-            return plus, minus, np.isfinite(plus)
-
     else:
         grad = _kernels.lr_gradient(X, space.exponent, nx)
+        needs_h = False
 
         def sides(H):
             val, _ = _kernels.lr_pairing(X, H, space.exponent, space.weights, grad)
-            return val, val
+            return val, val.copy()
 
-        if not np.all(nx > 0.0):
-            return _general(space, nx, sides)
+    if not (needs_h or zero.any()):
 
         def pair(H):
-            plus, _ = sides(H)
-            return plus, plus.copy(), np.isfinite(plus)
+            plus, minus = sides(H)
+            return plus, minus, np.isfinite(plus)
 
         return pair
-
-    return lambda H: fast(H) if np.isfinite(H).all() else general(H)
-
-
-def _ties(X, nx):
-    """Per row of the 2-D array X with sup norms nx: the number of its ties
-    (the coordinates that ``_kernels.sup_pairing`` takes as norming, within
-    ``TIE_REL`` of the norm), and the flat index in X of one of them (of
-    the row's first coordinate if it has none, or of its last tie if it
-    has several).  The value axis is read column by column."""
-    tie = np.abs(X) >= (nx * (1.0 - TIE_REL))[:, None]
-    k = X.shape[1]
-    first = k * np.arange(len(X))
-    count, at = tie[:, 0].astype(np.intp), first.copy()
-    for b in range(1, k):
-        count += tie[:, b]
-        np.add(first, b, out=at, where=tie[:, b])
-    return count, at
-
-
-def _general(space: SpaceDescriptor, nx, sides):
-    """The pairing of rows with norms ``nx`` whose sides away from x = 0
-    are ``sides(H)``: (+|h|, -|h|) at x = 0, unique within
-    ``PAIR_TOL * (1 + |h|)``."""
-    zero = nx == 0.0
 
     def pair(H):
         hnorm = np.atleast_1d(norm(space, H))
@@ -309,6 +266,21 @@ def _general(space: SpaceDescriptor, nx, sides):
     return pair
 
 
+def _ties(X, nx):
+    """Per row of the finite 2-D array X with sup norms nx: the number of
+    its ties (the coordinates that ``_kernels.sup_pairing`` takes as
+    norming, within ``TIE_REL`` of the norm; at least one) and the flat
+    index in X of its last tie.  The value axis is read column by column."""
+    tie = np.abs(X) >= (nx * (1.0 - TIE_REL))[:, None]
+    k = X.shape[1]
+    first = k * np.arange(len(X))
+    count, at = tie[:, 0].astype(np.intp), first.copy()
+    for b in range(1, k):
+        count += tie[:, b]
+        np.add(first, b, out=at, where=tie[:, b])
+    return count, at
+
+
 def one_sided_norm_derivative(space: SpaceDescriptor, x, h) -> PairingResult:
     """One-sided directional derivatives of the norm at x along h.
 
@@ -316,8 +288,7 @@ def one_sided_norm_derivative(space: SpaceDescriptor, x, h) -> PairingResult:
     x' of x, the left derivative is the infimum; plus >= minus always, and
     D_h^- = -D_{-h}^+.
     """
-    x = check_vec(space, x)
-    h = check_vec(space, h)
+    x, h = check_vec(space, x, "x"), check_vec(space, h, "h")
     if x.ndim != 1 or h.ndim != 1:
         raise DimensionMismatchError("x and h must be single vectors")
     plus, minus, unique = one_sided_norm_derivative_batch(space, x[None], h[None])
@@ -328,4 +299,4 @@ def pairing_vector(space: SpaceDescriptor, functional) -> np.ndarray:
     """Coefficient vector c so that <v, functional> = sum_s c_s v_s: the
     space's weights times the functional (the plain functional, bit for
     bit, for the unweighted kinds, whose weights are ones)."""
-    return space.weights * check_vec(space, functional)
+    return space.weights * check_vec(space, functional, "functional")

@@ -38,6 +38,7 @@ from .gridfn import (
     GridSpec,
     _difference_rows,
     _lp,
+    check_finite,
     finite_difference,
     from_scalar,
     grid_centers,
@@ -309,6 +310,7 @@ def validate_lipschitz(
     node-value pairs.
 
     Raises with the witness pair when the quotient exceeds L*(1+1e-9).
+    With no sampled pair of distinct values (a constant u) it is 0.0.
     """
     X = u.values.reshape(-1, u.space.dim)
     n = X.shape[0]
@@ -321,6 +323,8 @@ def validate_lipschitz(
     nz = dx > 0.0
     ii, jj, a, b, dx = ii[nz], jj[nz], a[nz], b[nz], dx[nz]
     dy = np.asarray(banach.norm(F.target, F.apply_batch(a) - F.apply_batch(b)))
+    if dx.size == 0:
+        return 0.0
     quot = dy / dx
     worst = int(np.argmax(quot))
     qmax = float(quot[worst])
@@ -446,7 +450,7 @@ def norm_derivative_field(u: GridFunction) -> FieldResult:
     one-sided interval; exact zeros store the conventional value 0.
 
     The fields and flags are full-size arrays; ``norm_derivative_report``
-    gives the same report without them.
+    gives the same report without them.  A non-finite node is rejected.
     """
     return _norm_derivative(u, None, keep_fields=True)
 
@@ -477,19 +481,19 @@ def _norm_derivative(u, n: int | None, keep_fields: bool) -> FieldResult:
     computed once per block (``banach._pairing_at``), and no full-size
     derivative or norm array is made.
 
-    Each node's values and norm are formed once.  A window after the
-    first opens with the last two rows of the window before, which end
-    that window and begin this one: their values (a blueprint's, in the
-    reused buffer) and their norms are carried over, and only the rest of
-    the window is realized and normed.  The norms of a row are the same
-    in any batch of two or more rows, but a lone 1-D row would be normed
-    as a dot product, which rounds differently; a window with only one
-    new row is therefore normed whole, a batch of at least three rows
-    (``node_blocks`` makes no block of one row).  The midpoint
-    (plus + minus) / 2 is formed only in a block with a node whose sides
-    are not unique; elsewhere the field is plus, its value there.  The
-    values and flags go to full-size arrays when ``keep_fields``, else to
-    block buffers that each block reuses; the result then holds no fields.
+    Each node's values and norm are formed, and its values checked finite,
+    once.  A window after the first opens with the last two rows of the
+    window before, which end that window and begin this one: their values (a
+    blueprint's, in the reused buffer) and their norms are carried over, and
+    only the rest of the window is realized, checked and normed.  The norms
+    of a row are the same in any batch of two or more rows, but a lone 1-D
+    row would be normed as a dot product, which rounds differently; a window
+    with only one new row is therefore normed whole, a batch of at least
+    three rows (``node_blocks`` makes no block of one row).  The midpoint
+    (plus + minus) / 2 is formed only in a block with a node whose sides are
+    not unique; elsewhere the field is plus, its value there.  The values
+    and flags go to full-size arrays when ``keep_fields``, else to block
+    buffers that each block reuses; the result then holds no fields.
     """
     if n is None:
         domain, grid, space = u.domain, u.grid, u.space
@@ -504,6 +508,7 @@ def _norm_derivative(u, n: int | None, keep_fields: bool) -> FieldResult:
         buf, write = np.empty((longest + 2,) + grid.n[1:] + (dim,)), u.row_writer(n)
     nbuf = np.empty((longest + 2) * per_row)  # the window's norms
     comparison = _Comparison(scalar_space(), domain, grid, d, longest)
+    who = "norm_derivative_field" if keep_fields else "norm_derivative_report"
     size = math.prod(grid.n) if keep_fields else longest * per_row
     values = [np.empty(size) for _ in range(d)]
     flagged = [np.empty(size, dtype=bool) for _ in range(d)]
@@ -518,6 +523,7 @@ def _norm_derivative(u, n: int | None, keep_fields: bool) -> FieldResult:
             w = buf[: last - first]
             w[:carry] = buf[held - carry : held]
             write(first + carry, last, w[carry:])
+        check_finite(w[carry:], who, first + carry)
         if last - first - carry < 2:  # a lone 1-D row is normed as a dot product
             carry = 0
         nw = nbuf[: w.size // dim]
@@ -615,7 +621,7 @@ def stampacchia_check(u: GridFunction, w) -> Report:
     """
     if not u.space.lattice_capable:
         raise CapabilityError(f"{u.space.kind} carries no lattice order")
-    w = banach.check_vec(u.space, w)
+    w = banach.check_vec(u.space, w, "w")
     if np.any(w < 0.0):
         raise ContractError("w must be a positive element")
     U = u.values
@@ -736,10 +742,7 @@ def holder_beta(
     seed = check_count("seed", seed, least=0)
     if max_nodes is not None:
         max_nodes = check_count("max_nodes", max_nodes, least=2)
-    bad = ~np.isfinite(u.values).all(axis=-1)
-    if bad.any():
-        idx = tuple(int(k) for k in np.argwhere(bad)[0])
-        raise ValueError(f"holder_beta: non-finite value at node {idx}")
+    check_finite(u.values, "holder_beta")
     P = grid_centers(u.domain, u.grid).reshape(-1, u.domain.d)
     V = u.values.reshape(-1, u.space.dim)
     if max_nodes is not None and P.shape[0] > max_nodes:

@@ -22,7 +22,8 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, suite
-from .errors import ConfigError
+from .errors import ConfigError, field_errors, json_pointer
+from .suite import SPEC_FIELDS
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -30,64 +31,18 @@ EXIT_FAIL = 2
 
 # Declared like an entry's params, as (default, smallest, largest); None is open.
 RUN_FIELDS = {"seed": (42, 0, None), "workers": (None, 1, None)}  # default: CPUs available
-SPEC_FIELDS = {"refine": (0, 0, 3)}
 BOUNDS = dict.fromkeys(["max", "min"], (0.0, None, None))  # a require bound: any number
-
-
-def _value_errors(value, decl, at: str) -> list[str]:
-    """Each way ``value`` breaks ``decl``, as ``"<at>: <message>"``.  A default asks
-    for its type: a ladder (tuple), an integer (int; 256.0 will do) or a number."""
-    if decl is str:
-        return [] if isinstance(value, str) else [f"{at}: {value!r} is not of type 'string'"]
-    default, low, high = decl
-    if isinstance(default, tuple):
-        if not isinstance(value, list):
-            return [f"{at}: {value!r} is not of type 'array'"]
-        errors = [e for i, n in enumerate(value)
-                  for e in _value_errors(n, (0, low, high), f"{at}/{i}")]
-        if len(value) < 2:
-            return errors + [f"{at}: {value!r} is too short"]
-        if errors or len(set(value)) < len(value):
-            return errors or [f"{at}: {value!r} has non-unique elements"]
-        levels = sorted(value)  # an order fitted to closer levels is noise
-        return [f"{at}: level {b} is less than twice the level {a} below it"
-                for a, b in zip(levels, levels[1:]) if b < 2 * a]
-    kind = "number" if isinstance(default, float) else "integer"
-    if value in (math.inf, -math.inf):  # a literal such as 1e400 overflows
-        return [f"{at}: {value!r} is not a finite number"]
-    if type(value) not in (int, float) or kind == "integer" and value % 1:
-        return [f"{at}: {value!r} is not of type {kind!r}"]
-    if low is not None and value < low:
-        return [f"{at}: {value!r} is less than the minimum of {low}"]
-    if high is not None and value > high:
-        return [f"{at}: {value!r} is greater than the maximum of {high}"]
-    return []
-
-
-def _pointer(at: str, key: str) -> str:
-    """The JSON pointer of ``key`` in the object at ``at``, escaped as RFC 6901
-    asks: ``~`` as ``~0``, then ``/`` as ``~1``."""
-    return f"{at}/{key.replace('~', '~0').replace('/', '~1')}"
 
 
 def config_errors(cfg) -> list[str]:
     """Each way ``cfg`` breaks the config format, as ``"<JSON pointer>:
-    <message>"``; numbers are checked against their declarations."""
+    <message>"``; numbers are checked against their declarations
+    (``errors.field_errors``)."""
     errors = []
 
     def fields(obj, at, decls, required=(), nonempty=False) -> bool:
-        """Whether ``obj`` is an object; reports what breaks ``decls`` (None: any key)."""
-        here = at or "/"  # the pointer of the whole config
-        if not isinstance(obj, dict) or (nonempty and not obj):
-            errors.append(f"{here}: {obj!r} is not an object{' with a key' * nonempty}")
-            return False
-        errors.extend(f"{here}: {k!r} is a required property" for k in required if k not in obj)
-        for key, value in obj.items():
-            if decls is not None and key not in decls:
-                errors.append(f"{here}: {key!r} was unexpected")
-            elif decls and decls[key]:
-                errors.extend(_value_errors(value, decls[key], _pointer(at, key)))
-        return True
+        errors.extend(field_errors(obj, at, decls, required, nonempty))
+        return isinstance(obj, dict)  # only an object is read further
 
     run = {"schema_version": (1, 1, 1), "output_dir": str, "format": None, "suite": None}
     if not fields(cfg, "", run | RUN_FIELDS, ["schema_version"]):
@@ -113,7 +68,7 @@ def config_errors(cfg) -> list[str]:
         fields(spec.get("params", {}), f"{at}/params", entry.params if entry else None)
         if "require" in spec and fields(spec["require"], f"{at}/require", None, nonempty=True):
             for metric, bounds in spec["require"].items():
-                fields(bounds, _pointer(f"{at}/require", metric), BOUNDS, nonempty=True)
+                fields(bounds, json_pointer(f"{at}/require", metric), BOUNDS, nonempty=True)
     return errors
 
 

@@ -1,6 +1,8 @@
-"""Exception types shared across the package, and the checks of an
-integer or real parameter, or of a list of them, that raise them."""
+"""Exception types shared across the package, the checks of a parameter
+or a list of them that raise them, and the checks of values and objects
+against declarations that the config check and ``entry_params`` share."""
 
+import math
 import numbers
 from collections.abc import Iterable
 
@@ -63,3 +65,57 @@ def check_list(name: str, value) -> tuple:
     if isinstance(value, (str, bytes)) or not isinstance(value, Iterable):
         raise ContractError(f"{name} must be a list, got {value!r}")
     return tuple(value)
+
+
+def value_errors(value, decl, at: str) -> list[str]:
+    """Each way ``value`` breaks ``decl``, as ``"<at>: <message>"``.  A default asks
+    for its type: a ladder (list or tuple), an integer (int; 256.0 will do) or a number."""
+    if decl is str:
+        return [] if isinstance(value, str) else [f"{at}: {value!r} is not of type 'string'"]
+    default, low, high = decl
+    if isinstance(default, tuple):
+        if not isinstance(value, (list, tuple)):
+            return [f"{at}: {value!r} is not of type 'array'"]
+        errors = [e for i, n in enumerate(value)
+                  for e in value_errors(n, (0, low, high), f"{at}/{i}")]
+        if len(value) < 2:
+            return errors + [f"{at}: {value!r} is too short"]
+        if errors or len(set(value)) < len(value):
+            return errors or [f"{at}: {value!r} has non-unique elements"]
+        levels = sorted(value)  # an order fitted to closer levels is noise
+        return [f"{at}: level {b} is less than twice the level {a} below it"
+                for a, b in zip(levels, levels[1:]) if b < 2 * a]
+    kind = "number" if isinstance(default, float) else "integer"
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        return [f"{at}: {value!r} is not of type {kind!r}"]
+    if not math.isfinite(value):  # a literal such as 1e400 overflows
+        return [f"{at}: {value!r} is not a finite number"]
+    if kind == "integer" and value % 1:
+        return [f"{at}: {value!r} is not of type {kind!r}"]
+    if low is not None and value < low:
+        return [f"{at}: {value!r} is less than the minimum of {low}"]
+    if high is not None and value > high:
+        return [f"{at}: {value!r} is greater than the maximum of {high}"]
+    return []
+
+
+def json_pointer(at: str, key: str) -> str:
+    """The JSON pointer of ``key`` in the object at ``at``, escaped as RFC 6901
+    asks: ``~`` as ``~0``, then ``/`` as ``~1``."""
+    return f"{at}/{key.replace('~', '~0').replace('/', '~1')}"
+
+
+def field_errors(obj, at: str, decls, required=(), nonempty=False) -> list[str]:
+    """Each way ``obj`` at the JSON pointer ``at`` breaks being an object (with a
+    key, if ``nonempty``) with the ``required`` keys and ``decls`` (a declaration
+    per key, None for any value; ``decls`` None: any key), as ``"<at>: <message>"``."""
+    here = at or "/"  # the pointer of the whole config
+    if not isinstance(obj, dict) or (nonempty and not obj):
+        return [f"{here}: {obj!r} is not an object{' with a key' * nonempty}"]
+    errors = [f"{here}: {k!r} is a required property" for k in required if k not in obj]
+    for key, value in obj.items():
+        if decls is not None and key not in decls:
+            errors.append(f"{here}: {key!r} was unexpected")
+        elif decls and decls[key]:
+            errors.extend(value_errors(value, decls[key], json_pointer(at, key)))
+    return errors

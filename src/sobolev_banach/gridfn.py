@@ -157,12 +157,18 @@ def sample(domain: BoxDomain, grid: GridSpec, space: SpaceDescriptor, f) -> Grid
     vals = np.empty((flat.shape[0], space.dim))
     for i in range(flat.shape[0]):
         vals[i] = np.asarray(f(flat[i]), dtype=np.float64)
-    bad = ~np.isfinite(vals)
-    if bad.any():
-        i = int(np.argwhere(bad.any(axis=1))[0][0])
-        idx = tuple(int(k) for k in np.unravel_index(i, grid.n))
-        raise ValueError(f"rule produced non-finite value at node {idx}")
-    return GridFunction(domain, grid, space, vals.reshape(grid.n + (space.dim,)))
+    vals = vals.reshape(grid.n + (space.dim,))
+    check_finite(vals, "sample")
+    return GridFunction(domain, grid, space, vals)
+
+
+def check_finite(values, who: str, first: int = 0) -> None:
+    """Raise ``ContractError`` "``who``: non-finite value at node (...)" for
+    the first such node of the node array ``values``, its first index
+    counted from ``first``; the node is sought only once a flat test fails."""
+    if not np.isfinite(values).all():
+        i, *rest = np.argwhere(~np.isfinite(values).all(axis=-1))[0]
+        raise ContractError(f"{who}: non-finite value at node {(int(first + i), *map(int, rest))}")
 
 
 # ---------------------------------------------------------------------------

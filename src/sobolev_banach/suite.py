@@ -33,7 +33,7 @@ from .calculus import (
     quotient_rule_field,
     stampacchia_check,
 )
-from .errors import OrderContinuityError, check_count
+from .errors import ContractError, OrderContinuityError, check_count, field_errors, value_errors
 from .gridfn import (
     GridFunction,
     GridSpec,
@@ -69,6 +69,7 @@ class CatalogEntry:
 
 
 CATALOG: dict[str, CatalogEntry] = {}
+SPEC_FIELDS = {"refine": (0, 0, 3)}  # a spec's refine level, declared like a param
 GRID_2D = 64  # cells per axis of a 2-D member where ``n`` sizes the 1-D ones
 
 
@@ -919,9 +920,15 @@ def _norm_map_continuity(rng, n):
 def entry_params(name: str, refine: int, params: dict | None = None) -> dict:
     """The keywords entry ``name`` runs with: ``params`` with the declared
     defaults filled in and cast, ladders sorted, and every grid size
-    refined by the grid rule of ``_entry``; ``refine`` is an integer >= 0."""
+    refined by the grid rule of ``_entry``; ``refine`` is an integer >= 0.
+    What the config check would reject raises one ``ContractError`` with
+    its messages."""
     refine = check_count("refine", refine, least=0)
-    kwargs = dict(params or {})  # an undeclared key fails in the builder call
+    params = {} if params is None else params
+    errors = value_errors(refine, SPEC_FIELDS["refine"], "refine")
+    if errors := errors + field_errors(params, "params", CATALOG[name].params):
+        raise ContractError(f"{name}: " + "; ".join(errors))
+    kwargs = dict(params)
     for key, (default, _, high) in CATALOG[name].params.items():
         value = kwargs.get(key, default)  # JSON lets 256.0 stand for 256
         if isinstance(default, tuple):

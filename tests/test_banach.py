@@ -13,7 +13,7 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from sobolev_banach import _kernels, banach, gridfn, suite
-from sobolev_banach.errors import CapabilityError, DimensionMismatchError
+from sobolev_banach.errors import CapabilityError, ContractError, DimensionMismatchError
 from test_bit_equivalence import SPACES, _whole_pairing
 
 
@@ -333,14 +333,17 @@ def test_norm_triangle_and_homogeneity(case, c):
 
 
 SMOOTH_LR = [s for s in SPACES if not s.sup_like and s.exponent != 1.0]
-#: COORDS three times in four, else a NaN or an infinity
-WILD = st.one_of(COORDS, COORDS, COORDS, st.sampled_from([math.nan, math.inf, -math.inf]))
+#: COORDS three times in four, else a finite coordinate near the largest
+#: float, whose powers and sums overflow (the pairing takes finite input:
+#: test_pairing_batch_rejects_non_finite_input)
+WILD = st.one_of(COORDS, COORDS, COORDS, st.sampled_from([1.7e308, -1.7e308, 1e308, -1e308]))
 
 
 @st.composite
 def smooth_lr_batches(draw):
     """A smooth-Lr space from SPACES, a point batch and a direction batch;
-    either batch may hold NaN and +-inf, and the points may hold zero rows."""
+    either batch may hold coordinates near +-1.7e308, and the points may
+    hold zero rows."""
     space = draw(st.sampled_from(SMOOTH_LR))
     rows = draw(st.integers(1, 8))
     X, H = (draw(arrays(np.float64, (rows, space.dim), elements=draw(st.sampled_from([COORDS, WILD]))))
@@ -380,6 +383,45 @@ def test_smooth_lr_pairing_skips_direction_norms_without_zero_rows(monkeypatch):
     X[2] = 0.0  # a zero row pairs to (|h|, -|h|)
     plus, minus, _ = banach._pairing_at(space, X, _kernels_norm(space, X))(H)
     assert len(norms) == 1 and plus[2] == -minus[2] == _kernels_norm(space, H)[2]
+
+
+@pytest.mark.parametrize("space", SPACES, ids=lambda s: f"{s.kind}-{s.exponent}")
+def test_pairing_norms_directions_only_where_the_points_need_it(space, monkeypatch):
+    # |h| is formed once per call, and only for a zero row, a sup row with
+    # several ties or an ell^1 zero coordinate; X alone decides
+    rng = np.random.default_rng(3)
+    X, H = rng.normal(size=(2, 6, space.dim))
+    needs = {"zero row": (2, 0.0)}  # where and what to write into X
+    if space.sup_like:
+        needs["ties"] = ((4, slice(0, 2)), [5.0, -5.0])
+    if space.exponent == 1.0:
+        needs["zero coordinate"] = ((1, 0), 0.0)
+    norms = []
+    monkeypatch.setattr(banach, "norm", lambda sp, x: norms.append(x) or _kernels_norm(sp, x))
+    _, _, unique = banach._pairing_at(space, X, _kernels_norm(space, X))(H)
+    assert norms == [] and unique.all()
+    for what, (at, value) in needs.items():
+        Y = X.copy()
+        Y[at] = value
+        want = _whole_pairing(space, Y, H)
+        got = banach._pairing_at(space, Y, _kernels_norm(space, Y))(H)
+        assert len(norms) == 1 and norms.pop() is H, what
+        for g, w in zip(got, want):
+            assert np.array_equal(g, w), what
+
+
+@pytest.mark.parametrize("space", SPACES, ids=lambda s: f"{s.kind}-{s.exponent}")
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("name", ["X", "H"])
+def test_pairing_batch_rejects_non_finite_input(space, bad, name):
+    # finite points and directions are the pairing's input contract
+    rng = np.random.default_rng(4)
+    batch = dict(zip("XH", rng.normal(size=(2, 5, space.dim))))
+    batch[name][3, -1] = bad
+    with pytest.raises(ContractError, match=f"^{name} has a non-finite entry in row 3$"):
+        banach.one_sided_norm_derivative_batch(space, batch["X"], batch["H"])
+    with pytest.raises(ContractError, match=f"^{name.lower()} has a non-finite entry in row 0$"):
+        banach.one_sided_norm_derivative(space, batch["X"][3], batch["H"][3])
 
 
 def _kernels_norm(space, x):

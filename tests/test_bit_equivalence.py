@@ -1235,14 +1235,19 @@ def pairing_points(draw, space, rows):
 @st.composite
 def pairing_directions(draw, shape):
     """Directions: normal draws with exact zeros and -0.0, and in half of
-    the batches a few infinite or NaN entries."""
+    the batches a few finite entries near +-1.7e308, and then in half of
+    those a whole row of them, whose sides and norms can overflow (the
+    pairing takes finite input: test_pairing_batch_rejects_non_finite_input)."""
     rng = np.random.default_rng(draw(st.integers(0, 2**16)))
     H = rng.normal(size=shape)
     H.flat[rng.integers(H.size, size=2)] = 0.0
     H.flat[rng.integers(H.size, size=2)] = -0.0
+    huge = st.sampled_from([1.7e308, -1.7e308, 1e308, -1e308])
     if draw(st.booleans()):
         for _ in range(draw(st.integers(1, 3))):
-            H.flat[rng.integers(H.size)] = draw(st.sampled_from([math.inf, -math.inf, math.nan]))
+            H.flat[rng.integers(H.size)] = draw(huge)
+        if draw(st.booleans()):
+            H[rng.integers(len(H))] = draw(huge)
     return H
 
 
@@ -1255,7 +1260,7 @@ PAIRING_CASES = dict(derandomize=True, max_examples=60, deadline=None)
 def test_pairing_matches_general_expressions(space, data):
     X = data.draw(pairing_points(space, data.draw(st.integers(1, 12))))
     H = data.draw(pairing_directions(X.shape))
-    with np.errstate(invalid="ignore"):  # inf * 0 in the general expressions
+    with np.errstate(over="ignore", invalid="ignore"):  # overflowing sides
         got = banach.one_sided_norm_derivative_batch(space, X, H)
         want = _general_pairing(space, X, H)
     for g, w in zip(got, want):
@@ -1286,6 +1291,24 @@ def test_norm_derivative_field_matches_general_expressions(space, data):
     for j in range(d):
         assert _same_bits(res.fields[j].values[..., 0], fields[j])
         assert _same_bits(res.flags[j], flags[j])
+
+
+@pytest.mark.parametrize("space", PAIRING_SPACES, ids=lambda s: f"{s.kind}-{s.exponent}-{s.dim}")
+def test_overflowing_differences_stay_flagged(space):
+    # finite nodes of +-1.7e308, whose differences overflow to +-inf: the
+    # nodes they reach are flagged, the flags are the general expressions'
+    # and so are the fields elsewhere (at a flagged ell^1 node the field
+    # may be -inf where the general expressions' inf * 0 gives NaN)
+    n = 12
+    X = np.random.default_rng(5).normal(size=(n, space.dim))
+    X[5], X[6] = 1.7e308, -1.7e308
+    u = gridfn.GridFunction(gridfn.unit_box(1), gridfn.GridSpec((n,)), space, X)
+    with np.errstate(over="ignore", invalid="ignore"):
+        res = calculus.norm_derivative_field(u)
+        (field,), (flag,) = _general_field(u)
+    assert flag[4:8].all() and not flag[:4].any()
+    assert _same_bits(res.flags[0], flag)
+    assert _same_bits(res.fields[0].values[~flag, 0], field[~flag])
 
 
 @pytest.mark.parametrize("d", [1, 2])

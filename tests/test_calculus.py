@@ -111,6 +111,16 @@ def test_compose_lipschitz_leaves_out_the_boundary_ring():
     assert dict(rep.rows)["max_excess"] <= rep.details["tolerance"]
 
 
+def test_compose_lipschitz_of_a_constant_function():
+    # no sampled pair has distinct values, so the sampled quotient is 0.0
+    u = gridfn.GridFunction(BOX1, gridfn.GridSpec((8,)), HIL2, np.ones((8, 2)))
+    F = calculus.norm_lipschitz_map(HIL2)
+    assert calculus.validate_lipschitz(F, u, np.random.default_rng(0)) == 0.0
+    v, rep = calculus.compose_lipschitz(F, u, np.random.default_rng(0))
+    assert rep.passed and dict(rep.rows)["max_excess"] == 0.0
+    assert np.array_equal(v.values, np.full((8, 1), math.sqrt(2.0)))
+
+
 PROPERTIES = dict(derandomize=True, max_examples=100, deadline=None)
 LIPSCHITZ_SPACES = [
     banach.SpaceDescriptor("Hilbert", 3),
@@ -420,6 +430,29 @@ def test_holder_beta_rejects_non_finite_values(node, bad):
     u2 = gridfn.from_scalar(box2, gridfn.GridSpec((8, 8)), vals2)
     with pytest.raises(ValueError, match=r"non-finite value at node \(3, 5\)"):
         calculus.holder_beta(u2, 0.5, max_nodes=4)
+
+
+@pytest.mark.parametrize("node", [(0, 0), (3, 6), (4, 1), (7, 7)])
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_norm_pass_rejects_a_non_finite_node(node, bad, monkeypatch):
+    # windows of three rows over 8: (3, 6) is a new row, (4, 1) a row that
+    # the next window carries
+    u = gridfn.sample(gridfn.unit_box(2), gridfn.GridSpec((8, 8)), HIL2, lambda x: x)
+    u.values[node + (1,)] = bad
+    monkeypatch.setattr(calculus._kernels, "NODE_BLOCK", 3 * u.values[0].size)
+    for who, call in (("norm_derivative_field", calculus.norm_derivative_field),
+                      ("norm_derivative_report", calculus.norm_derivative_report)):
+        with pytest.raises(ContractError, match=rf"^{who}: non-finite value at node \({node[0]}, {node[1]}\)$"):
+            call(u)
+
+
+def test_norm_derivative_report_rejects_a_blueprint_with_an_infinite_amplitude():
+    rng = np.random.default_rng(6)
+    amp = rng.normal(size=(2, 2, 2))
+    amp[1, 0, 1] = np.inf
+    bp = suite.SampleBlueprint(HIL2, 2, rng.normal(size=2), amp, rng.normal(size=(2, 2, 2)))
+    with pytest.raises(ContractError, match=r"^norm_derivative_report: non-finite value at node \(0, 0\)$"):
+        calculus.norm_derivative_report(bp, 16)
 
 
 U16 = gridfn.from_scalar(BOX1, gridfn.GridSpec((16,)), np.sin(np.arange(16.0)))

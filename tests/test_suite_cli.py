@@ -9,6 +9,7 @@ import inspect
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -19,6 +20,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from sobolev_banach import cli, reports, suite
+from sobolev_banach.errors import ContractError
 
 FAST = ["stampacchia_disjointness", "extension_reflection"]
 # a few tens of milliseconds each, so that two workers both get work
@@ -702,6 +704,36 @@ def test_refine_doubles_grid_sizes_only():
         "matrices": 7}
 
 
+@pytest.mark.parametrize("name,refine,params,message", [
+    ("w0_equivalences", 0, {"ladder": [64, 64]}, "params/ladder: [64, 64] has non-unique elements"),
+    ("norm_chain_rule", 0, {"ladder": [16, 24]},
+     "params/ladder: level 24 is less than twice the level 16 below it"),
+    ("norm_gradient_bound", 0, {"n": 100000}, "params/n: 100000 is greater than the maximum of 512"),
+    ("morrey_d1", 0, {"n": 3}, "params/n: 3 is less than the minimum of 256"),
+    ("norm_chain_rule", 0, {"lader": [32, 64]}, "params: 'lader' was unexpected"),
+    ("morrey_d1", 0, {"n": "abc"}, "params/n: 'abc' is not of type 'integer'"),
+    ("morrey_d1", 5, None, "refine: 5 is greater than the maximum of 3"),
+], ids=["repeated-level", "close-levels", "n-above", "n-below", "misspelt", "n-str", "refine-5"])
+def test_library_calls_reject_what_the_config_check_rejects(name, refine, params, message):
+    # before any work, with the config check's own message
+    want = f"^{re.escape(f'{name}: {message}')}$"
+    with pytest.raises(ContractError, match=want):
+        suite.entry_params(name, refine, params)
+    with pytest.raises(ContractError, match=want):
+        suite.run_entry(name, 42, refine, params)
+    spec = {"name": name, "refine": refine} | ({"params": params} if params else {})
+    assert cli.config_errors({"schema_version": 1, "suite": [spec]}) == [f"/suite/0/{message}"]
+
+
+def test_library_calls_take_numpy_numbers_and_reject_nan():
+    # a library caller may hold its sizes as numpy numbers; NaN is no number
+    assert suite.entry_params("morrey_d1", 1, {"n": np.int64(512)}) == {"n": 1024}
+    assert suite.entry_params("norm_chain_rule", 0, {"ladder": (np.int64(64), 32)}) == {
+        "ladder": (32, 64)}
+    with pytest.raises(ContractError, match=r"^dq_criterion: params/p: nan is not a finite number$"):
+        suite.entry_params("dq_criterion", 0, {"p": math.nan})
+
+
 @given(st.lists(st.sampled_from([0.0, -0.0, 2.5, math.inf, -math.inf, math.nan])
                 | st.floats(), min_size=1, max_size=8))
 @settings(derandomize=True, max_examples=300, deadline=None)
@@ -754,7 +786,8 @@ def test_integral_floats_run_like_integers(tmp_path):
             [(out / f).read_bytes() for f in ("summary.csv", "quotient_rule.json")]
         )
     assert summaries[0] == summaries[1]
-    with pytest.raises(TypeError, match="lader"):
+    # a misspelt param is rejected by name before the builder runs
+    with pytest.raises(ContractError, match="'lader' was unexpected"):
         suite.run_entry("quotient_rule", 42, params={"lader": [64, 128]})
 
 
