@@ -78,12 +78,17 @@ def row_reduce(a, op):
 
 
 def row_sum(a, w):
-    """``a @ w``, the w-weighted sums of the rows of a, bit for bit.
+    """``a @ w``, the w-weighted sums of the rows of a, as an array of shape
+    ``a.shape[:-1]``.
 
-    A row of one term is formed as the product plus 0.0: numpy's ``@``
-    computes it as a BLAS matrix-vector product (or a dot product for a
-    lone row) that starts from +0, so it gives those bits, -0 turned to
-    +0, but costs several times more per row.
+    numpy's ``@`` computes a batch of rows as a BLAS matrix-vector product,
+    which for rows of fewer than ``SHORT_AXIS`` terms rounds a row the same
+    wherever it sits in the batch, but a lone row as a dot product, which
+    rounds differently.  A lone row is therefore summed as row 0 of a
+    two-row batch, the row stacked twice, so that a row's sum does not
+    depend on whether the row is alone.  A row of one term is formed as the
+    product plus 0.0: BLAS starts from +0, so it gives those bits, -0
+    turned to +0, but costs several times more per row.
 
     The last bits of a longer row's sum depend on the memory order of a,
     not only on its values: numpy hands BLAS a C-ordered and an F-ordered
@@ -92,11 +97,14 @@ def row_sum(a, w):
     stack, say) can therefore change the sums; a pass that blocks a
     whole-array sum keeps each block in the whole array's order.
     """
-    if a.shape[-1] != 1:
-        return a @ w
-    out = a[..., 0] * w[0]
-    out += 0.0
-    return out
+    k = a.shape[-1]
+    if k == 1:
+        out = np.multiply(a[..., 0], w[0], out=np.empty(a.shape[:-1]))
+        out += 0.0
+        return out
+    if math.prod(a.shape[:-1]) == 1:
+        return (np.stack((a.reshape(k),) * 2) @ w)[:1].reshape(a.shape[:-1])
+    return a @ w
 
 
 def node_blocks(n, width):
@@ -104,11 +112,9 @@ def node_blocks(n, width):
     most ``NODE_BLOCK`` floats, for rows of ``width`` floats.
 
     Block lengths differ by at most one row, the longest come first, and
-    every block holds at least two rows when n >= 2: numpy computes a
-    one-row ``@ w`` as a dot product, which rounds differently from the
-    same row inside a longer matrix-vector product.  A pass that runs a
-    block at a time therefore computes every row as the whole-array
-    expression does.
+    every block holds at least two rows when n >= 2, so that a block's
+    window (the block and one halo row on each side, clipped to the grid)
+    holds the three rows that a one-sided stencil at a grid edge reads.
 
     The grid passes (``SampleBlueprint.realize``, ``gridfn.mollify``,
     ``gridfn.shift_node_norms``, ``counterexamples._pos_contrast_rows``,
@@ -118,9 +124,7 @@ def node_blocks(n, width):
     take the rows to be the first-axis rows of a node array, of ``width``
     = nodes per row times the value dimension; a block of them is a
     contiguous slice of the nodes.  The norm pass and the C(K) contrast
-    read each block with one halo row on each side, clipped to the grid:
-    a window of at least three rows whenever n >= 3, so a halo row is
-    normed again in a batch of rows too.  The indicator witness writes
+    read each block with its window.  The indicator witness writes
     the rows of each lag's shift difference one block at a time
     (``counterexamples._band_node_norms``), so that its n x n path is
     never formed, and the C(K) witness takes its CK_SAMPLES sample points
@@ -142,11 +146,9 @@ def row_norms(X, r, w, out=None):
     The sup norm ``row_reduce(|x|, max)`` for r = inf (w unused), else
     ``(|x|**r @ w)**(1/r)`` with the space's weights w (shape (k,); ones
     for the unweighted kinds), written ``|x| @ w`` and ``sqrt(x*x @ w)`` at
-    r = 1 and 2, each ``@ w`` a ``row_sum``.  The elementwise terms go to
-    ``out`` (X's shape; it may be X itself) when it is given.  For rows of
-    1-3 terms ``@ ones`` gives the bits of a left-to-right sum; from 4
-    terms on a lone row, which numpy sums as a dot product, can round
-    differently from the same row in a batch (see ``node_blocks``).
+    r = 1 and 2, each ``@ w`` a ``row_sum``, whose rule says how a row's
+    sum rounds.  The elementwise terms go to ``out`` (X's shape; it may be
+    X itself) when it is given.
     """
     if r == math.inf:
         return row_reduce(np.abs(X, out=out), np.maximum)
@@ -154,7 +156,7 @@ def row_norms(X, r, w, out=None):
         return row_sum(np.abs(X, out=out), w)
     if r == 2.0:
         return np.sqrt(row_sum(np.multiply(X, X, out=out), w))
-    return row_sum(abs_power(X, r, out=out), w) ** (1.0 / r)
+    return np.power(row_sum(abs_power(X, r, out=out), w), 1.0 / r)
 
 
 def holder_max(V, P, alpha, r, w):
@@ -190,12 +192,9 @@ def holder_max(V, P, alpha, r, w):
 
     Bit identity with the scan also needs each pair's arithmetic to be the
     scan's.  Squared separations are summed axis by axis, in numpy's order
-    for a short axis (see ``row_reduce``).  OpenBLAS rounds a row of a
-    matrix-vector product the same wherever the row sits, for value
-    dimensions below 8, but numpy computes a one-row product, the scan's
-    last row (n-2, n-1), as a dot product.  So that pair is evaluated
-    alone, node n-1 against all other nodes, and the blocks cover nodes
-    0..n-2 with chunks of at least two pairs.
+    for a short axis (see ``row_reduce``), and the norms are ``row_norms``
+    of pairs in chunks, which round as the scan's rows do for value
+    dimensions below ``SHORT_AXIS`` (see ``row_sum``).
     """
     V = np.ascontiguousarray(V, dtype=np.float64)
     P = np.ascontiguousarray(P, dtype=np.float64)
@@ -236,18 +235,11 @@ def holder_max(V, P, alpha, r, w):
         dn /= dist2
         return float(dn.max())
 
-    last = V[None, n - 1 :], P[None, n - 1 :]
-    best = chunk_max(V[None, n - 2 : n - 1], P[None, n - 2 : n - 1], *last)
-    # node n-1 against every node but n-2, in pieces that each include node
-    # n-1 itself, so that every piece holds two pairs (the self pair is skipped)
-    for s in range(0, n - 2, pairs - 1):
-        cols = np.r_[s : min(s + pairs - 1, n - 2), n - 1]
-        best = max(best, chunk_max(*last, V[None, cols], P[None, cols]))
-
-    # blocks over nodes 0..n-2; the last block is filled up with copies of
-    # node n-2, which repeat pairs but add none
-    nb = -(-(n - 1) // BLOCK)
-    fill = np.minimum(np.arange(nb * BLOCK), n - 2)
+    best = 0.0
+    # blocks over all nodes; the last block is filled up with copies of
+    # node n-1, which repeat pairs but add none
+    nb = -(-n // BLOCK)
+    fill = np.minimum(np.arange(nb * BLOCK), n - 1)
     Vb, Pb = V[fill].reshape(nb, BLOCK, k), P[fill].reshape(nb, BLOCK, d)
     lo, hi = Pb.min(axis=1), Pb.max(axis=1)
     centre = 0.5 * (Vb.min(axis=1) + Vb.max(axis=1))
@@ -344,13 +336,12 @@ def lr_gradient(X, r, nx):
     return terms, nz, nx[nz] ** (r - 1.0), nx
 
 
-def lr_pairing(X, H, r, w, grad=None):
+def lr_pairing(X, H, r, w, grad):
     """Batched smooth-Lr pairing (1 < r < inf): the gradient of the weighted
     power-sum norm at each row of X applied to the row of H (0 on zero rows),
-    together with the row norms.  ``grad`` is ``lr_gradient(X, r, nx)``,
-    computed here when not given."""
+    together with the row norms.  ``grad`` is ``lr_gradient(X, r, nx)``."""
     H = np.ascontiguousarray(H, dtype=np.float64)
-    terms, nz, den, nx = lr_gradient(X, r, row_norms(X, r, w)) if grad is None else grad
+    terms, nz, den, nx = grad
     num = row_sum(terms * H, w)
     if nz.all():  # no zero row
         return np.divide(num, den, out=num), nx

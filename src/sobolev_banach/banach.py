@@ -164,9 +164,8 @@ def _conform(space: SpaceDescriptor, x) -> np.ndarray:
 def norm(space: SpaceDescriptor, x) -> np.ndarray | float:
     """Norm of x; broadcasts over leading axes of shape (..., dim).
 
-    The rows' norms are ``_kernels.row_norms``, so a block of two or more
-    rows gets the norms those rows get in the whole array (see
-    ``_kernels.node_blocks``).
+    The rows' norms are ``_kernels.row_norms``; ``_kernels.row_sum`` says
+    how their sums round.
     """
     x = _conform(space, x)
     out = _kernels.row_norms(x, space.exponent, space.weights)
@@ -209,10 +208,10 @@ def _pairing_at(space: SpaceDescriptor, X, nx):
     * smooth Lr: one value, the gradient pairing (``_kernels.lr_gradient``).
 
     At x = 0 the sides are (+|h|, -|h|); they are unique when they agree within
-    ``PAIR_TOL * (1 + |h|)``.  |h| is formed, over the whole batch (ell^r row
-    sums round by batch), only when X has a zero row, a sup row with several
-    ties or an ell^1 zero coordinate; otherwise the sides are one value (up to
-    ell^1's + 0.0) and |h| is not NaN, so they are unique where they are finite.
+    ``PAIR_TOL * (1 + |h|)``.  |h| is formed, over the whole batch, only when
+    X has a zero row, a sup row with several ties or an ell^1 zero
+    coordinate; otherwise the sides are one value (up to ell^1's + 0.0) and
+    |h| is not NaN, so they are unique where they are finite.
     """
     zero = nx == 0.0
     if space.sup_like:

@@ -485,11 +485,7 @@ def _norm_derivative(u, n: int | None, keep_fields: bool) -> FieldResult:
     once.  A window after the first opens with the last two rows of the
     window before, which end that window and begin this one: their values (a
     blueprint's, in the reused buffer) and their norms are carried over, and
-    only the rest of the window is realized, checked and normed.  The norms
-    of a row are the same in any batch of two or more rows, but a lone 1-D
-    row would be normed as a dot product, which rounds differently; a window
-    with only one new row is therefore normed whole, a batch of at least
-    three rows (``node_blocks`` makes no block of one row).  The midpoint
+    only the rest of the window is realized, checked and normed.  The midpoint
     (plus + minus) / 2 is formed only in a block with a node whose sides are
     not unique; elsewhere the field is plus, its value there.  The values
     and flags go to full-size arrays when ``keep_fields``, else to block
@@ -524,8 +520,6 @@ def _norm_derivative(u, n: int | None, keep_fields: bool) -> FieldResult:
             w[:carry] = buf[held - carry : held]
             write(first + carry, last, w[carry:])
         check_finite(w[carry:], who, first + carry)
-        if last - first - carry < 2:  # a lone 1-D row is normed as a dot product
-            carry = 0
         nw = nbuf[: w.size // dim]
         nw[: carry * per_row] = nbuf[(held - carry) * per_row : held * per_row]
         nw[carry * per_row :] = banach.norm(space, w[carry:].reshape(-1, dim))

@@ -581,10 +581,8 @@ def _aubin_lions_compact(rng, members, levels, n):
         yspaces.append(SpaceDescriptor("GridLr", m, exponent=2.0, weights=mu))
     fams = theorems.Built(levels, lambda lv: family(lv, scale))
     prof = theorems.aubin_lions_probe(fams, yspaces)
-    counts, eps = prof.rows, prof.details["eps_list"]
-    worst = max(max(c[k] for c in counts) / counts[0][k] for k in range(len(eps)))
-    rows = [_row("max_count_growth", worst, prof.details["growth_cap"])]
-    return rows, {"counts": counts, "eps": list(eps)}
+    rows = [_row("max_count_growth", prof.details["max_growth"], prof.details["growth_cap"])]
+    return rows, {"counts": prof.rows, "eps": list(prof.details["eps_list"])}
 
 
 @_entry(

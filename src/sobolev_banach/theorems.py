@@ -420,7 +420,9 @@ def aubin_lions_probe(
     whole either.
 
     rows: the greedy-net covering counts N(eps) of each level, one per eps
-    in AUBIN_LIONS_EPS.
+    in AUBIN_LIONS_EPS.  ``details["max_growth"]``, which the verdict
+    compares with the cap, is the largest ratio of a level's N(eps) to the
+    coarsest level's, over the eps.
     """
     if len(level_families) == 0:
         raise ContractError("need at least one level with at least one member")
@@ -443,21 +445,18 @@ def aubin_lions_probe(
             _certify_level(lvl, fam, y_spaces[lvl])
         counts.append(covering_counts(fam, SOBOLEV_P, AUBIN_LIONS_EPS))
         del fam
-    base = counts[0]
-    stable = all(
-        max(c[k] for c in counts) <= AUBIN_LIONS_GROWTH_CAP * base[k]
-        for k in range(len(AUBIN_LIONS_EPS))
-    )
+    growth = max(max(c[k] for c in counts) / counts[0][k] for k in range(len(AUBIN_LIONS_EPS)))
     return Report(
         name="aubin_lions_probe",
         rows=counts,
-        verdict="STABLE" if stable else "GROWING",
+        verdict="STABLE" if growth <= AUBIN_LIONS_GROWTH_CAP else "GROWING",
         details={
             "eps_list": AUBIN_LIONS_EPS,
             "member_count": size,
             "p": SOBOLEV_P,
             "certified": certify,
             "growth_cap": AUBIN_LIONS_GROWTH_CAP,
+            "max_growth": growth,
         },
     )
 

@@ -269,10 +269,27 @@ COORDS = st.one_of(
 )
 
 
+def _bits(a):
+    return np.ascontiguousarray(a).view(np.uint64)
+
+
 @st.composite
-def batches(draw, count=2):
-    """A space from SPACES and ``count`` batches of rows in it."""
-    space = draw(st.sampled_from(SPACES))
+def any_space(draw):
+    """A space of any kind and of dim 1-7, with a drawn exponent and
+    drawn weights where the kind takes them."""
+    kind, dim = draw(st.sampled_from(banach.KINDS)), draw(st.integers(1, 7))
+    exponent = draw(st.sampled_from([1.0, 2.0, 3.0, math.inf]) | st.floats(1.0, 6.0))
+    weights = None
+    if kind == "GridLr":
+        weights = draw(arrays(np.float64, dim, elements=st.floats(0.05, 4.0)))
+    return banach.SpaceDescriptor(kind, dim, exponent, weights)
+
+
+@st.composite
+def batches(draw, count=2, spaces=st.sampled_from(SPACES)):
+    """A space from ``spaces`` (SPACES by default) and ``count`` batches of
+    rows in it."""
+    space = draw(spaces)
     rows = draw(st.integers(1, 8))
     return (space,) + tuple(
         draw(arrays(np.float64, (rows, space.dim), elements=COORDS)) for _ in range(count)
@@ -295,22 +312,21 @@ def test_pairing_sides_ordered_reflected_and_bounded(case):
 
 
 def _exact_batch(space):
-    """Whether a batch pairs exactly as its single rows do: at most 3
-    unit-weight terms and no pow."""
-    return space.kind != "GridLr" and space.dim <= 3 and space.exponent in (1.0, 2.0, math.inf)
+    """Whether a batch pairs exactly as its single rows do: rows of fewer
+    than 8 terms (``_kernels.row_sum``)."""
+    return space.dim < 8
 
 
 def test_exact_batch_spaces_are_drawn():
-    # the exact (scale 0) case of the next test runs for every unweighted kind
-    assert {s.kind for s in SPACES if _exact_batch(s)} == {"FiniteLr", "SampledSup", "Hilbert"}
+    # the exact (scale 0) case of the next test runs for every kind
+    assert {s.kind for s in SPACES if _exact_batch(s)} == set(banach.KINDS)
 
 
 @given(batches())
 @settings(**PROPERTIES)
 def test_pairing_batch_matches_single_rows(case):
-    # equal up to rounding: numpy's pow and the weighted matmul may round a
-    # row differently in a batch of one than in a larger batch; with at
-    # most 3 unweighted terms and no pow, ``@ ones`` rounds every row alike
+    # equal up to rounding for rows of 8 or more terms, whose sums BLAS may
+    # round by their place in the batch; exact below that
     space, X, H = case
     plus, minus, unique = banach.one_sided_norm_derivative_batch(space, X, H)
     scale = 1e-14 * (1.0 + banach.norm(space, H))
@@ -319,6 +335,22 @@ def test_pairing_batch_matches_single_rows(case):
     for i in range(X.shape[0]):
         one = banach.one_sided_norm_derivative(space, X[i], H[i])
         assert abs(one.plus - plus[i]) <= scale[i] and abs(one.minus - minus[i]) <= scale[i]
+        assert one.unique == unique[i]
+
+
+@given(batches(spaces=any_space()))
+@settings(**PROPERTIES)
+def test_single_rows_norm_and_pair_as_in_the_batch(case):
+    # a lone row is summed as a row of a batch is, so the single-vector
+    # forms give row i of the batch forms bit for bit, for every kind,
+    # exponent and weights
+    space, X, H = case
+    nx = banach.norm(space, X)
+    plus, minus, unique = banach.one_sided_norm_derivative_batch(space, X, H)
+    for i in range(X.shape[0]):
+        one = banach.one_sided_norm_derivative(space, X[i], H[i])
+        single = np.array([banach.norm(space, X[i]), one.plus, one.minus])
+        assert np.array_equal(_bits(single), _bits(np.array([nx[i], plus[i], minus[i]])))
         assert one.unique == unique[i]
 
 
@@ -351,10 +383,6 @@ def smooth_lr_batches(draw):
     for i in draw(st.lists(st.integers(0, rows - 1), max_size=2)):
         X[i] = 0.0
     return space, X, H
-
-
-def _bits(a):
-    return np.ascontiguousarray(a).view(np.uint64)
 
 
 @given(smooth_lr_batches())

@@ -552,6 +552,10 @@ def test_holder_beta_numerators_are_banach_norms(space, d, n):
 
 
 def _whole_norm(space, x):
+    """The norm's expression over the whole array x; a lone row is summed as
+    a row of a batch is, as row 0 of the row stacked twice."""
+    if math.prod(x.shape[:-1]) == 1:
+        return _whole_norm(space, np.vstack([x.reshape(1, -1)] * 2))[:1].reshape(x.shape[:-1])
     if space.sup_like:
         return np.abs(x).max(axis=-1)
     r = space.exponent
@@ -580,7 +584,8 @@ def _whole_pairing(space, X, H):
             zero_part = (np.abs(H) * (X == 0.0)) @ w
             plus, minus, zero = base + zero_part, base - zero_part, False
         else:
-            val, nx = _kernels.lr_pairing(X, H, space.exponent, w)
+            grad = _kernels.lr_gradient(X, space.exponent, _whole_norm(space, X))
+            val, nx = _kernels.lr_pairing(X, H, space.exponent, w, grad)
             plus, minus, zero = val, val, nx == 0.0
     plus, minus = np.where(zero, hnorm, plus), np.where(zero, -hnorm, minus)
     return plus, minus, (plus - minus) <= banach.PAIR_TOL * (1.0 + hnorm)

@@ -19,11 +19,14 @@ from sobolev_banach import _kernels, banach
 
 def holder_max_ref(V, P, alpha, r, w):
     """The all-pairs scan that the branch and bound replaced, one numpy row
-    per node: its float expressions are the ones the kernel must reproduce."""
+    per node: its float expressions are the ones the kernel must reproduce.
+    The lone last row is summed as a row of a batch is, as row 0 of two."""
     n = V.shape[0]
     best = 0.0
     for i in range(n - 1):
         diff = V[i + 1 :] - V[i]
+        if i == n - 2:
+            diff = np.vstack([diff, diff])
         if r == math.inf:
             dn = np.abs(diff).max(axis=1)
         elif r == 1.0:
@@ -32,6 +35,7 @@ def holder_max_ref(V, P, alpha, r, w):
             dn = np.sqrt((diff * diff) @ w)
         else:
             dn = (np.abs(diff) ** r @ w) ** (1.0 / r)
+        dn = dn[: n - 1 - i]
         sep = P[i + 1 :] - P[i]
         dist2 = (sep * sep).sum(axis=1)
         ok = dist2 > 0.0
@@ -308,11 +312,26 @@ def test_lr_pairing_parity():
     H = rng.normal(size=(300, 4))
     w = rng.random(4) + 0.1
     for r in (1.5, 2.0, 3.0):
-        val, nx = _kernels.lr_pairing(X, H, r, w)
+        grad = _kernels.lr_gradient(X, r, _kernels.row_norms(X, r, w))
+        val, nx = _kernels.lr_pairing(X, H, r, w, grad)
         ref_val, ref_nx = lr_pairing_ref(X, H, r, w)
         assert np.allclose(val, ref_val, rtol=1e-12, atol=1e-14)
         assert np.allclose(nx, ref_nx, rtol=1e-12, atol=0.0)
         assert val[5] == 0.0 and nx[5] == 0.0
+
+
+def test_row_sum_sums_a_lone_row_as_in_a_batch():
+    # an array of shape a.shape[:-1], never a numpy scalar, with the bits
+    # the row gets in a batch
+    rng = np.random.default_rng(12)
+    for k in range(1, _kernels.SHORT_AXIS):
+        batch, w = rng.normal(size=(9, k)), rng.random(k) + 0.1
+        want = (batch @ w).view(np.uint64)
+        for i, row in enumerate(batch):
+            for shape in ((k,), (1, k), (1, 1, k)):
+                got = _kernels.row_sum(row.reshape(shape), w)
+                assert isinstance(got, np.ndarray) and got.shape == shape[:-1]
+                assert got.reshape(1).view(np.uint64) == want[i], (k, i, shape)
 
 
 def test_node_blocks_cover_rows_in_even_blocks_of_two_or_more(monkeypatch):
