@@ -317,8 +317,8 @@ def lr_gradient(X, r, nx):
     """The part of ``lr_pairing`` that depends on the rows of X alone, given
     their norms nx (``row_norms(X, r, w)``).
 
-    Returns ``(grad, nz, den, nx)``: the terms |x|^(r-1) sign(x), the mask
-    of nonzero rows, nx^(r-1) on those rows and nx.  Every pow runs on the
+    Returns ``(grad, nz, den)``: the terms |x|^(r-1) sign(x), the mask of
+    nonzero rows and nx^(r-1) on those rows.  Every pow runs on the
     arrays ``lr_pairing`` used to build per call, so a caller pairing the
     rows of X with several directions gets the same bits.
 
@@ -330,21 +330,21 @@ def lr_gradient(X, r, nx):
     r = float(r)
     nz = nx > 0.0
     if r == 2.0:
-        return X + 0.0, nz, nx[nz], nx
+        return X + 0.0, nz, nx[nz]
     terms = abs_power(X, r - 1.0)
     terms *= np.sign(X)
-    return terms, nz, nx[nz] ** (r - 1.0), nx
+    return terms, nz, nx[nz] ** (r - 1.0)
 
 
 def lr_pairing(X, H, r, w, grad):
     """Batched smooth-Lr pairing (1 < r < inf): the gradient of the weighted
-    power-sum norm at each row of X applied to the row of H (0 on zero rows),
-    together with the row norms.  ``grad`` is ``lr_gradient(X, r, nx)``."""
+    power-sum norm at each row of X applied to the row of H (0 on zero
+    rows).  ``grad`` is ``lr_gradient(X, r, nx)``."""
     H = np.ascontiguousarray(H, dtype=np.float64)
-    terms, nz, den, nx = grad
+    terms, nz, den = grad
     num = row_sum(terms * H, w)
     if nz.all():  # no zero row
-        return np.divide(num, den, out=num), nx
+        return np.divide(num, den, out=num)
     val = np.zeros(H.shape[0])
     val[nz] = num[nz] / den
-    return val, nx
+    return val

@@ -245,7 +245,7 @@ def _pairing_at(space: SpaceDescriptor, X, nx):
         needs_h = False
 
         def sides(H):
-            val, _ = _kernels.lr_pairing(X, H, space.exponent, space.weights, grad)
+            val = _kernels.lr_pairing(X, H, space.exponent, space.weights, grad)
             return val, val.copy()
 
     if not (needs_h or zero.any()):
@@ -297,5 +297,9 @@ def one_sided_norm_derivative(space: SpaceDescriptor, x, h) -> PairingResult:
 def pairing_vector(space: SpaceDescriptor, functional) -> np.ndarray:
     """Coefficient vector c so that <v, functional> = sum_s c_s v_s: the
     space's weights times the functional (the plain functional, bit for
-    bit, for the unweighted kinds, whose weights are ones)."""
-    return space.weights * check_vec(space, functional, "functional")
+    bit, for the unweighted kinds, whose weights are ones).  The functional
+    is one vector; an array of several raises ``DimensionMismatchError``."""
+    c = check_vec(space, functional, "functional")
+    if c.ndim != 1:
+        raise DimensionMismatchError(f"functional must be a single vector, got shape {c.shape}")
+    return space.weights * c

@@ -105,24 +105,12 @@ def _band_node_norms(space: SpaceDescriptor, n: int, k: int) -> np.ndarray:
 
 
 def _path_pairing(n: int, c: np.ndarray) -> np.ndarray:
-    """``gridfn.apply_functional`` of the indicator path with coefficients
-    c, the pairings of c with 1_(0,t), formed one block of path rows at a
-    time in one reused buffer, each block paired as ``@ c``.
-
-    OpenBLAS sums the rows of a matrix-vector product four at a time, and
-    the last n % 4 rows by other kernels, which round differently.  So the
-    blocks hold a multiple of four rows (at most ``NODE_BLOCK`` floats
-    where n allows), and the last block takes what is left, never a lone
-    row, which numpy would pair as a dot product: every row is summed as
-    in the whole path's product on one BLAS thread.
-    """
-    rows = max(4, _kernels.NODE_BLOCK // n // 4 * 4)
-    bounds = list(range(0, n - 1, rows)) + [n]
-    buf = np.empty((rows + 1, n))
-    i = np.arange(n)
+    """The pairings of c with 1_(0,t) at the n nodes t, which are the
+    exclusive prefix sums of c (``gridfn.apply_functional`` of the
+    indicator path with coefficients c)."""
     g = np.empty(n)
-    for a, b in zip(bounds, bounds[1:]):
-        g[a:b] = np.less(i, i[a:b, None], out=buf[: b - a]) @ c
+    g[0] = 0.0
+    np.cumsum(c[:-1], out=g[1:])
     return g
 
 
@@ -141,8 +129,8 @@ def indicator_path_witness(r: float, n: int) -> Report:
     row is the max of that lag's node norms, and the criterion's quotients
     at its steps (``DQ_STEPS``) are ``_lp`` of the same arrays, so the
     report is ``dq_criterion``'s of the whole path bit for bit.  The
-    scalar pairing path is formed one block of path rows at a time
-    (``_path_pairing``).
+    scalar pairing path is the prefix sums of the functional's
+    coefficients (``_path_pairing``).
     """
     check_exponent("r", r)
     n = check_count("n", n)

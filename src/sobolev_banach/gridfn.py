@@ -149,15 +149,21 @@ def sample(domain: BoxDomain, grid: GridSpec, space: SpaceDescriptor, f) -> Grid
     """Evaluate a rule at the cell centers.
 
     ``f`` maps a coordinate vector of length d to a value vector of length
-    space.dim.  Non-finite values are rejected with the offending
-    multi-index in the message.
+    space.dim.  A value that is not numeric or not finite raises
+    ``ContractError``, and one of another shape ``DimensionMismatchError``,
+    with the offending multi-index in the message.
     """
     centers = grid_centers(domain, grid)
-    flat = centers.reshape(-1, domain.d)
-    vals = np.empty((flat.shape[0], space.dim))
-    for i in range(flat.shape[0]):
-        vals[i] = np.asarray(f(flat[i]), dtype=np.float64)
-    vals = vals.reshape(grid.n + (space.dim,))
+    vals = np.empty(grid.n + (space.dim,))
+    for node in np.ndindex(grid.n):
+        v = f(centers[node])
+        try:
+            v = np.asarray(v, dtype=np.float64)
+        except (TypeError, ValueError):
+            raise ContractError(f"sample: non-numeric value {v!r} at node {node}") from None
+        if v.shape != (space.dim,):
+            raise DimensionMismatchError(f"sample: value of shape {v.shape} at node {node}")
+        vals[node] = v
     check_finite(vals, "sample")
     return GridFunction(domain, grid, space, vals)
 

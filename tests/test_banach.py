@@ -179,6 +179,10 @@ def test_pairing_vector_weights():
     assert np.array_equal(banach.pairing_vector(grid, f), w * f)
     flat = banach.SpaceDescriptor("FiniteLr", 4, 2.0)
     assert np.array_equal(banach.pairing_vector(flat, f), f)
+    # one vector, never a stack of them
+    for bad in (np.ones((2, 4)), np.ones((1, 4)), np.ones(3), 1.0):
+        with pytest.raises(DimensionMismatchError):
+            banach.pairing_vector(grid, bad)
 
 
 def test_descriptor_validation():

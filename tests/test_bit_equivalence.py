@@ -12,7 +12,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sobolev_banach import _kernels, banach, calculus, cli, counterexamples, gridfn, suite, theorems
+from sobolev_banach import _kernels, banach, calculus, counterexamples, gridfn, suite, theorems
+from test_kernels import holder_max_ref
 
 SPACES = [space for _, space in suite.KIND_SPECS] + [
     banach.SpaceDescriptor("FiniteLr", 3, exponent=math.inf),
@@ -208,31 +209,6 @@ def test_ck_contrast_in_three_row_blocks(monkeypatch, shape):
         assert w.details["l2_contrast_error"] == _ck_contrast_error(want)
 
 
-def _holder_scan(V, P, alpha, r, w):
-    """``_kernels.holder_max`` before its branch and bound, as it was
-    written: one numpy row per node, over all pairs."""
-    n = V.shape[0]
-    best = 0.0
-    for i in range(n - 1):
-        diff = V[i + 1 :] - V[i]
-        if r == math.inf:
-            dn = np.abs(diff).max(axis=1)
-        elif r == 1.0:
-            dn = np.abs(diff) @ w
-        elif r == 2.0:
-            dn = np.sqrt((diff * diff) @ w)
-        else:
-            dn = (np.abs(diff) ** r @ w) ** (1.0 / r)
-        sep = P[i + 1 :] - P[i]
-        dist2 = (sep * sep).sum(axis=1)
-        ok = dist2 > 0.0
-        if ok.any():
-            q = (dn[ok] / dist2[ok] ** (0.5 * alpha)).max()
-            if q > best:
-                best = float(q)
-    return best
-
-
 @pytest.mark.parametrize("refine", [0, 2])
 @pytest.mark.parametrize("kind", [name for name, _ in suite.KIND_SPECS])
 def test_holder_max_matches_scan_on_members(kind, refine):
@@ -250,7 +226,25 @@ def test_holder_max_matches_scan_on_members(kind, refine):
     sub = np.sort(rng.choice(n, size=min(n, 1024), replace=False))
     for idx in (sub, slice(None)):
         got = _kernels.holder_max(V[idx], P[idx], 0.5, r, w)
-        assert got == _holder_scan(V[idx], P[idx], 0.5, r, w)
+        assert got == holder_max_ref(V[idx], P[idx], 0.5, r, w)
+
+
+@pytest.mark.parametrize("kind", [name for name, _ in suite.KIND_SPECS])
+def test_holder_max_matches_scan_with_a_jump_at_the_last_node(kind):
+    # a jump at node n-1 can put the maximum at the last pair, the one
+    # pair that is a lone row of the scan
+    space = dict(suite.KIND_SPECS)[kind]
+    for seed in range(20):
+        rng = np.random.default_rng(seed)
+        for bp in suite.corpus_blueprints(rng):
+            if bp.d != 1 or bp.space != space:
+                continue
+            u = bp.realize(64)
+            P = gridfn.grid_centers(u.domain, u.grid).reshape(-1, 1)
+            V = u.values.reshape(-1, space.dim).copy()
+            V[-1] += 5.0 * rng.normal(size=space.dim)
+            got = _kernels.holder_max(V, P, 0.5, space.exponent, space.weights)
+            assert got == holder_max_ref(V, P, 0.5, space.exponent, space.weights), seed
 
 
 # The three Lp helpers folded into ``gridfn._lp``, as they were written.
@@ -584,8 +578,9 @@ def _whole_pairing(space, X, H):
             zero_part = (np.abs(H) * (X == 0.0)) @ w
             plus, minus, zero = base + zero_part, base - zero_part, False
         else:
-            grad = _kernels.lr_gradient(X, space.exponent, _whole_norm(space, X))
-            val, nx = _kernels.lr_pairing(X, H, space.exponent, w, grad)
+            nx = _whole_norm(space, X)
+            grad = _kernels.lr_gradient(X, space.exponent, nx)
+            val = _kernels.lr_pairing(X, H, space.exponent, w, grad)
             plus, minus, zero = val, val, nx == 0.0
     plus, minus = np.where(zero, hnorm, plus), np.where(zero, -hnorm, minus)
     return plus, minus, (plus - minus) <= banach.PAIR_TOL * (1.0 + hnorm)
@@ -988,11 +983,32 @@ def test_row_block_passes_match_whole_array_forms(kind, d, n, node_block, length
     _assert_one_row_form(res, _field_errors(u, res))
 
 
+def _prefix_pairing(c):
+    """The pairing path of the indicator path with coefficients c, as one
+    sequential sum: 0, c_0, c_0 + c_1, ..."""
+    return np.concatenate(([0.0], np.cumsum(c[:-1])))
+
+
+def _witness_coefficients(r, n):
+    """``pairing_vector`` of the functional ``indicator_path_witness``
+    pairs its path with."""
+    space = banach.SpaceDescriptor("SampledSup", n) if math.isinf(r) else (
+        banach.SpaceDescriptor("GridLr", n, exponent=r)
+    )
+    if math.isinf(r):
+        pairing = np.full(n, 1.0 / n)
+    elif r == 1.0:
+        pairing = np.ones(n)
+    else:
+        pairing = (np.arange(n) < n // 2).astype(np.float64) * (n / (n // 2)) ** (1.0 - 1.0 / r)
+    return banach.pairing_vector(space, pairing)
+
+
 def _whole_array_indicator_witness(r, n):
     """``indicator_path_witness`` on its whole n x n path: each lag's
     differences normed as one whole (n-k) x n array for its row, the
     criterion ``dq_criterion`` of the path (``shift_node_norms``), and the
-    pairing path ``apply_functional`` of it."""
+    pairing path the prefix sums of the functional's coefficients."""
     space = banach.SpaceDescriptor("SampledSup", n) if math.isinf(r) else (
         banach.SpaceDescriptor("GridLr", n, exponent=r)
     )
@@ -1007,13 +1023,8 @@ def _whole_array_indicator_witness(r, n):
         rows.append((h, measured, oracle, measured / oracle))
     crit = calculus.dq_criterion(u, gridfn.SOBOLEV_P)
     expected_slope = -1.0 if math.isinf(r) else 1.0 / r - 1.0
-    if math.isinf(r):
-        pairing = np.full(n, 1.0 / n)
-    elif r == 1.0:
-        pairing = np.ones(n)
-    else:
-        pairing = (i < n // 2).astype(np.float64) * (n / (n // 2)) ** (1.0 - 1.0 / r)
-    pair_crit = calculus.dq_criterion(gridfn.apply_functional(u, pairing), gridfn.SOBOLEV_P)
+    g = gridfn.from_scalar(u.domain, u.grid, _prefix_pairing(_witness_coefficients(r, n)))
+    pair_crit = calculus.dq_criterion(g, gridfn.SOBOLEV_P)
     if r > 1.0:
         expected = not crit.passed and abs(crit.details["slope"] - expected_slope) <= 0.05
     else:
@@ -1079,33 +1090,37 @@ def test_band_node_norms_match_path_differences(r, node_block, monkeypatch):
         assert np.array_equal(counterexamples._band_node_norms(space, n, k), want)
 
 
-@pytest.fixture
-def one_blas_thread():
-    """numpy's bundled OpenBLAS on one thread for the test, as on a forked
-    worker: a large product splits its rows between threads, and the rows
-    at a split can round differently."""
-    lib = cli._openblas()
-    if lib is None:
-        yield
-        return
-    threads = cli.blas_threads()
-    lib.scipy_openblas_set_num_threads64_(1)
-    try:
-        yield
-    finally:
-        lib.scipy_openblas_set_num_threads64_(threads)
-
-
-@pytest.mark.parametrize("node_block", [1, 200, _kernels.NODE_BLOCK])
-@pytest.mark.parametrize("n", [33, 34, 35, 36, 257, 1023])
-def test_path_pairing_matches_whole_path_product(n, node_block, one_blas_thread, monkeypatch):
-    # blocks of four rows at NODE_BLOCK = 1: the last block holds 5, 2, 3
-    # and 4 rows at n = 33-36; any coefficients, not only the witness's
+def _whole_path_product(c):
+    n = len(c)
     i = np.arange(n)
+    return (i[None, :] < i[:, None]).astype(np.float64) @ c
+
+
+@pytest.mark.parametrize("scale", [1, 200, 2**15])
+@pytest.mark.parametrize("n", [33, 34, 35, 36, 257, 300, 1023])
+def test_path_pairing_matches_whole_path_product(n, scale):
+    # integer coefficients up to scale: every partial sum is exact, so the
+    # whole product gives the same bits whatever its order of summation
+    # and its BLAS thread count (which its bits depended on from n = 683)
+    c = np.random.default_rng(n).integers(-scale, scale + 1, size=n).astype(np.float64)
+    assert np.array_equal(counterexamples._path_pairing(n, c), _whole_path_product(c))
+
+
+@pytest.mark.parametrize("n", [64 * 2**j for j in range(6)])
+@pytest.mark.parametrize("r", [1.0, math.inf])
+def test_path_pairing_matches_whole_path_product_for_the_witness(r, n):
+    # the witness's own coefficients, ones or 1/n for n a power of two:
+    # their partial sums are exact too
+    c = _witness_coefficients(r, n)
+    assert np.array_equal(counterexamples._path_pairing(n, c), _whole_path_product(c))
+
+
+@pytest.mark.parametrize("n", [33, 34, 35, 36, 257, 300, 1023])
+def test_path_pairing_is_the_prefix_sum_to_rounding(n):
     c = np.random.default_rng(n).normal(size=n)
-    want = (i[None, :] < i[:, None]).astype(np.float64) @ c
-    monkeypatch.setattr(_kernels, "NODE_BLOCK", node_block)
-    assert np.array_equal(counterexamples._path_pairing(n, c), want)
+    want = np.array([math.fsum(c[:t]) for t in range(n)])
+    got = counterexamples._path_pairing(n, c)
+    assert np.max(np.abs(got - want)) <= n * np.finfo(np.float64).eps * np.sum(np.abs(c))
 
 
 def test_c0_witness_matches_fresh_array_sweep(monkeypatch):
@@ -1272,7 +1287,7 @@ def test_pairing_matches_general_expressions(space, data):
         assert _same_bits(g, w)
     if math.isfinite(space.exponent) and space.exponent > 1.0:
         r, nx = space.exponent, banach.norm(space, X)
-        terms, nz, den, _ = _kernels.lr_gradient(X, r, nx)
+        terms, nz, den = _kernels.lr_gradient(X, r, nx)
         assert _same_bits(terms, _kernels.abs_power(X, r - 1.0) * np.sign(X))
         assert _same_bits(den, nx[nz] ** (r - 1.0))
 

@@ -2,6 +2,7 @@
 and boundary norms of vector-valued grid functions."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -76,6 +77,27 @@ def test_sample_rejects_non_finite_with_node():
 
     with pytest.raises(ValueError, match=r"\(2,\)"):
         gridfn.sample(dom, g, HIL2, bad)
+
+
+def test_sample_rejects_misshapen_values_with_node():
+    # node (1, 2) of a 4 x 4 grid has the cell center (0.375, 0.625)
+    dom = gridfn.unit_box(2)
+    g = gridfn.GridSpec((4, 4))
+    for value in (1.0, np.ones(3), np.ones((1, 2))):
+
+        def rule(x):
+            return value if tuple(x) == (0.375, 0.625) else np.ones(2)
+
+        msg = rf"value of shape {re.escape(str(np.shape(value)))} at node \(1, 2\)"
+        with pytest.raises(DimensionMismatchError, match=msg):
+            gridfn.sample(dom, g, HIL2, rule)
+    for value in ({}, "ab", [1.0, "x"]):
+
+        def rule(x):
+            return value if tuple(x) == (0.375, 0.625) else np.ones(2)
+
+        with pytest.raises(ContractError, match=r"non-numeric value .* at node \(1, 2\)"):
+            gridfn.sample(dom, g, HIL2, rule)
 
 
 def test_bochner_norm_of_constant():
@@ -249,6 +271,9 @@ def test_apply_functional_carries_quadrature_weights():
     out = gridfn.apply_functional(u, f)
     assert out.space == banach.scalar_space()
     assert np.allclose(out.values[:, 0], u.values @ (w * f), atol=1e-14)
+    for bad in (np.ones((3, 3)), np.ones((16, 3)), np.ones(2), 1.0):
+        with pytest.raises(DimensionMismatchError):
+            gridfn.apply_functional(u, bad)
 
 
 def test_gridfunction_shape_validation():

@@ -312,8 +312,8 @@ def test_lr_pairing_parity():
     H = rng.normal(size=(300, 4))
     w = rng.random(4) + 0.1
     for r in (1.5, 2.0, 3.0):
-        grad = _kernels.lr_gradient(X, r, _kernels.row_norms(X, r, w))
-        val, nx = _kernels.lr_pairing(X, H, r, w, grad)
+        nx = _kernels.row_norms(X, r, w)
+        val = _kernels.lr_pairing(X, H, r, w, _kernels.lr_gradient(X, r, nx))
         ref_val, ref_nx = lr_pairing_ref(X, H, r, w)
         assert np.allclose(val, ref_val, rtol=1e-12, atol=1e-14)
         assert np.allclose(nx, ref_nx, rtol=1e-12, atol=0.0)

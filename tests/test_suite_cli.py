@@ -876,10 +876,13 @@ def test_describe_reads_the_declarations(capsys):
             assert "params: none" in desc
 
 
+def _readme() -> str:
+    return (Path(__file__).resolve().parents[1] / "README.md").read_text("utf-8")
+
+
 def _readme_full_config(tmp_path) -> str:
     """Path of a file holding the README's full-form config."""
-    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text("utf-8")
-    block = readme.split("Full form:", 1)[1].split("```json\n", 1)[1].split("```", 1)[0]
+    block = _readme().split("Full form:", 1)[1].split("```json\n", 1)[1].split("```", 1)[0]
     path = tmp_path / "readme.json"
     path.write_text(block, encoding="utf-8")
     return str(path)
@@ -888,6 +891,15 @@ def _readme_full_config(tmp_path) -> str:
 def test_readme_full_config_loads(tmp_path):
     cfg = cli.load_config(_readme_full_config(tmp_path))
     assert any("params" in spec for spec in cfg["suite"])
+
+
+def test_readme_python_blocks_run(capsys):
+    # the library example prints the verdict of its dq_criterion first
+    blocks = re.findall(r"```python\n(.*?)```", _readme(), re.S)
+    assert blocks
+    for block in blocks:
+        exec(compile(block, "README.md", "exec"), {})
+    assert capsys.readouterr().out.startswith("BOUNDED ")
 
 
 def _count_forks(monkeypatch):
