@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
-from .errors import CapabilityError, ContractError, DimensionMismatchError
+from .errors import CapabilityError, DimensionMismatchError, check_finite, real_array
 
 KINDS = ("FiniteLr", "SampledSup", "GridLr", "Hilbert")
 
@@ -60,7 +60,7 @@ class SpaceDescriptor:
 
     def __post_init__(self):
         kind, dim, e = self.kind, self.dim, self.exponent
-        if kind not in KINDS:
+        if not isinstance(kind, str) or kind not in KINDS:
             raise CapabilityError(f"unknown space kind {kind!r}")
         if isinstance(dim, bool) or not isinstance(dim, (int, np.integer)):
             raise DimensionMismatchError(f"dim must be an integer, got {dim!r}")
@@ -74,14 +74,7 @@ class SpaceDescriptor:
         elif kind != "GridLr":
             raise CapabilityError(f"{kind} does not take weights")
         else:
-            w = np.asarray(self.weights)
-            if w.dtype.kind not in "iuf":
-                raise CapabilityError(f"weights must be numbers, got dtype {w.dtype}")
-            w = w.astype(np.float64)
-            if w.shape != (dim,):
-                raise DimensionMismatchError(
-                    f"weights must have shape ({dim},), got {w.shape}"
-                )
+            w = real_array("weights", self.weights, (dim,)).copy()  # made read-only below
             if not np.all((w > 0.0) & np.isfinite(w)):
                 raise CapabilityError("GridLr weights must be positive and finite")
         w.flags.writeable = False
@@ -141,33 +134,13 @@ class PairingResult:
 # ---------------------------------------------------------------------------
 
 
-def check_vec(space: SpaceDescriptor, x, name: str = "x") -> np.ndarray:
-    """Conform x to the space (``_conform``); a non-finite entry raises
-    ``ContractError`` naming ``name`` and its row (over x's rows, flat)."""
-    x = _conform(space, x)
-    if not np.isfinite(x).all():
-        row = int(np.flatnonzero(~np.isfinite(x))[0]) // space.dim
-        raise ContractError(f"{name} has a non-finite entry in row {row}")
-    return x
-
-
-def _conform(space: SpaceDescriptor, x) -> np.ndarray:
-    """x as a float array whose last axis is the space's dim (a scalar has none)."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape[-1:] != (space.dim,):
-        raise DimensionMismatchError(
-            f"vector has trailing shape {x.shape[-1:]}, space dim is {space.dim}"
-        )
-    return x
-
-
 def norm(space: SpaceDescriptor, x) -> np.ndarray | float:
     """Norm of x; broadcasts over leading axes of shape (..., dim).
 
     The rows' norms are ``_kernels.row_norms``; ``_kernels.row_sum`` says
     how their sums round.
     """
-    x = _conform(space, x)
+    x = real_array("x", x, (..., space.dim))
     out = _kernels.row_norms(x, space.exponent, space.weights)
     return float(out) if x.ndim == 1 else out
 
@@ -185,7 +158,8 @@ def one_sided_norm_derivative_batch(space: SpaceDescriptor, X, H):
     the norm at x; at x = 0 they are (+|h|, -|h|).  ``unique`` is True when
     the sides agree within 1e-9 * (1 + |h|).  X and H must be finite.
     """
-    X, H = check_vec(space, np.atleast_2d(X), "X"), check_vec(space, np.atleast_2d(H), "H")
+    X = check_finite("X", real_array("X", np.atleast_2d(X), (..., space.dim)))
+    H = check_finite("H", real_array("H", np.atleast_2d(H), (..., space.dim)))
     if X.shape != H.shape:
         raise DimensionMismatchError(
             f"point/direction batches disagree: {X.shape} vs {H.shape}"
@@ -287,9 +261,8 @@ def one_sided_norm_derivative(space: SpaceDescriptor, x, h) -> PairingResult:
     x' of x, the left derivative is the infimum; plus >= minus always, and
     D_h^- = -D_{-h}^+.
     """
-    x, h = check_vec(space, x, "x"), check_vec(space, h, "h")
-    if x.ndim != 1 or h.ndim != 1:
-        raise DimensionMismatchError("x and h must be single vectors")
+    x = check_finite("x", real_array("x", x, (space.dim,)))
+    h = check_finite("h", real_array("h", h, (space.dim,)))
     plus, minus, unique = one_sided_norm_derivative_batch(space, x[None], h[None])
     return PairingResult(float(plus[0]), float(minus[0]), bool(unique[0]))
 
@@ -299,7 +272,5 @@ def pairing_vector(space: SpaceDescriptor, functional) -> np.ndarray:
     space's weights times the functional (the plain functional, bit for
     bit, for the unweighted kinds, whose weights are ones).  The functional
     is one vector; an array of several raises ``DimensionMismatchError``."""
-    c = check_vec(space, functional, "functional")
-    if c.ndim != 1:
-        raise DimensionMismatchError(f"functional must be a single vector, got shape {c.shape}")
+    c = check_finite("functional", real_array("functional", functional, (space.dim,)))
     return space.weights * c

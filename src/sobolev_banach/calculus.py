@@ -29,8 +29,10 @@ from .errors import (
     OrderContinuityError,
     check_count,
     check_exponent,
+    check_finite,
     check_list,
     check_real,
+    real_array,
 )
 from .gridfn import (
     SOBOLEV_P,
@@ -38,7 +40,6 @@ from .gridfn import (
     GridSpec,
     _difference_rows,
     _lp,
-    check_finite,
     finite_difference,
     from_scalar,
     grid_centers,
@@ -274,13 +275,7 @@ class LipschitzMap:
     name: str = "F"
 
     def apply_batch(self, X: np.ndarray) -> np.ndarray:
-        out = np.asarray(self.rule(X), dtype=np.float64)
-        if out.shape != (X.shape[0], self.target.dim):
-            raise DimensionMismatchError(
-                f"{self.name} returned shape {out.shape}, "
-                f"expected {(X.shape[0], self.target.dim)}"
-            )
-        return out
+        return real_array(self.name, self.rule(X), (X.shape[0], self.target.dim))
 
 
 def norm_lipschitz_map(space: SpaceDescriptor) -> LipschitzMap:
@@ -408,7 +403,8 @@ def gateaux_chain_field(F: LipschitzMap, u: GridFunction) -> FieldResult:
     plus_fields, minus_fields, flags, gaps = [], [], [], []
     for j in range(u.domain.d):
         V = du[j].values.reshape(-1, u.space.dim)
-        plus, minus = (np.asarray(a, dtype=np.float64) for a in F.onesided_batch(X, V))
+        plus, minus = (real_array(F.name, a, (len(X), F.target.dim))
+                       for a in F.onesided_batch(X, V))
         plus_fields.append(v.like(plus.reshape(v.values.shape)))
         minus_fields.append(v.like(minus.reshape(v.values.shape)))
         gap = np.asarray(banach.norm(F.target, plus - minus))
@@ -519,7 +515,7 @@ def _norm_derivative(u, n: int | None, keep_fields: bool) -> FieldResult:
             w = buf[: last - first]
             w[:carry] = buf[held - carry : held]
             write(first + carry, last, w[carry:])
-        check_finite(w[carry:], who, first + carry)
+        check_finite(who, w[carry:], first + carry)
         nw = nbuf[: w.size // dim]
         nw[: carry * per_row] = nbuf[(held - carry) * per_row : held * per_row]
         nw[carry * per_row :] = banach.norm(space, w[carry:].reshape(-1, dim))
@@ -615,7 +611,7 @@ def stampacchia_check(u: GridFunction, w) -> Report:
     """
     if not u.space.lattice_capable:
         raise CapabilityError(f"{u.space.kind} carries no lattice order")
-    w = banach.check_vec(u.space, w, "w")
+    w = check_finite("w", real_array("w", w, (u.space.dim,)))
     if np.any(w < 0.0):
         raise ContractError("w must be a positive element")
     U = u.values
@@ -736,7 +732,7 @@ def holder_beta(
     seed = check_count("seed", seed, least=0)
     if max_nodes is not None:
         max_nodes = check_count("max_nodes", max_nodes, least=2)
-    check_finite(u.values, "holder_beta")
+    check_finite("holder_beta", u.values)
     P = grid_centers(u.domain, u.grid).reshape(-1, u.domain.d)
     V = u.values.reshape(-1, u.space.dim)
     if max_nodes is not None and P.shape[0] > max_nodes:

@@ -1,10 +1,14 @@
-"""Exception types shared across the package, the checks of a parameter
-or a list of them that raise them, and the checks of values and objects
-against declarations that the config check and ``entry_params`` share."""
+"""Exception types shared across the package, the checks of a parameter,
+a list or an array that raise them, and the checks of values and objects
+against declarations that the config check and ``entry_params`` share.
+Every array of the public API enters through ``real_array``: the spaces
+are real, so a value that is not a real number is rejected by name."""
 
 import math
 import numbers
 from collections.abc import Iterable
+
+import numpy as np
 
 
 class ContractError(ValueError):
@@ -65,6 +69,39 @@ def check_list(name: str, value) -> tuple:
     if isinstance(value, (str, bytes)) or not isinstance(value, Iterable):
         raise ContractError(f"{name} must be a list, got {value!r}")
     return tuple(value)
+
+
+def real_array(name: str, x, shape: tuple | None = None) -> np.ndarray:
+    """``x`` as float64 in its own memory order (``x`` itself if it is so).
+    Input that is no array of integers or floats (complex, bool, string,
+    object, ragged) raises ``ContractError`` naming ``name``; a shape other
+    than ``shape`` (a leading ``...`` allows any leading axes) raises
+    ``DimensionMismatchError``.  Finiteness is left to ``check_finite``."""
+    try:
+        a = np.asarray(x)
+    except ValueError:
+        raise ContractError(f"{name} must be real numbers in a regular array") from None
+    if a.dtype.kind not in "iuf":
+        raise ContractError(f"{name} must be real numbers, got dtype {a.dtype}")
+    if shape is not None:
+        lead = shape[:1] == (...,)
+        want = shape[lead:]
+        if (a.shape[a.ndim - len(want):] if lead else a.shape) != want:
+            expected = str(shape).replace("Ellipsis", "...")
+            raise DimensionMismatchError(f"{name} has shape {a.shape}, expected {expected}")
+    return a.astype(np.float64, copy=False)
+
+
+def check_finite(name: str, values, first: int = 0) -> np.ndarray:
+    """``values`` if finite, else ``ContractError`` "``name``: non-finite
+    value at node (...)" for the first such node (index over all axes but
+    the last; a single vector is node ()), its first index counted from
+    ``first``; the node is sought only once a flat test fails."""
+    if not np.isfinite(values).all():
+        node = np.argwhere(~np.isfinite(values).all(axis=-1))[0]
+        node[:1] += first
+        raise ContractError(f"{name}: non-finite value at node {tuple(map(int, node))}")
+    return values
 
 
 def value_errors(value, decl, at: str) -> list[str]:

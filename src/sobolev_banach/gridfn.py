@@ -19,6 +19,7 @@ import numpy as np
 from . import _kernels, banach
 from .banach import SpaceDescriptor, scalar_space
 from .errors import ContractError, DimensionMismatchError, GridError, check_count, check_exponent
+from .errors import check_finite, real_array
 
 #: the exponent p of W^{1,p}: every W-norm, boundary norm and theorem check
 SOBOLEV_P = 2.0
@@ -33,10 +34,10 @@ class BoxDomain:
     hi: np.ndarray
 
     def __post_init__(self):
-        lo = np.array(self.lo, dtype=np.float64, ndmin=1)
-        hi = np.array(self.hi, dtype=np.float64, ndmin=1)
-        if lo.shape != hi.shape or lo.ndim != 1:
-            raise DimensionMismatchError("lo and hi must be 1-d of equal length")
+        lo = np.array(real_array("lo", self.lo), ndmin=1)
+        hi = np.array(real_array("hi", self.hi), ndmin=1)
+        if lo.shape != hi.shape or lo.ndim != 1 or lo.size == 0:
+            raise DimensionMismatchError("lo and hi must be 1-d of equal length >= 1")
         if not (np.all(np.isfinite(lo)) and np.all(np.isfinite(hi))):
             raise GridError(f"lo and hi must be finite, got lo={lo} hi={hi}")
         if not np.all(hi > lo):
@@ -60,6 +61,7 @@ class BoxDomain:
 
 
 def unit_box(d: int) -> BoxDomain:
+    d = check_count("d", d)
     return BoxDomain(np.zeros(d), np.ones(d))
 
 
@@ -75,6 +77,8 @@ class GridSpec:
             if isinstance(k, bool) or not isinstance(k, (int, np.integer)):
                 raise GridError(f"cell counts must be integers, got {k!r}")
         n = tuple(int(k) for k in n)
+        if not n:
+            raise GridError("need at least one axis")
         if any(k < 2 for k in n):
             raise GridError(f"need at least 2 cells per axis, got {n}")
         object.__setattr__(self, "n", n)
@@ -109,13 +113,7 @@ class GridFunction:
     values: np.ndarray
 
     def __post_init__(self):
-        v = np.asarray(self.values, dtype=np.float64)
-        expected = self.grid.n + (self.space.dim,)
-        if v.shape != expected:
-            raise DimensionMismatchError(
-                f"values shape {v.shape} does not match grid+space {expected}"
-            )
-        self.values = v
+        self.values = real_array("values", self.values, self.grid.n + (self.space.dim,))
 
     @property
     def node_count(self) -> int:
@@ -127,7 +125,7 @@ class GridFunction:
 
 def from_scalar(domain: BoxDomain, grid: GridSpec, values: np.ndarray) -> GridFunction:
     """Wrap a scalar node array (shape grid.n) as a dim-1 grid function."""
-    values = np.asarray(values, dtype=np.float64)
+    values = real_array("values", values, grid.n)
     return GridFunction(domain, grid, scalar_space(), values[..., None])
 
 
@@ -149,32 +147,16 @@ def sample(domain: BoxDomain, grid: GridSpec, space: SpaceDescriptor, f) -> Grid
     """Evaluate a rule at the cell centers.
 
     ``f`` maps a coordinate vector of length d to a value vector of length
-    space.dim.  A value that is not numeric or not finite raises
+    space.dim.  A value that is not real numbers or not finite raises
     ``ContractError``, and one of another shape ``DimensionMismatchError``,
     with the offending multi-index in the message.
     """
     centers = grid_centers(domain, grid)
     vals = np.empty(grid.n + (space.dim,))
     for node in np.ndindex(grid.n):
-        v = f(centers[node])
-        try:
-            v = np.asarray(v, dtype=np.float64)
-        except (TypeError, ValueError):
-            raise ContractError(f"sample: non-numeric value {v!r} at node {node}") from None
-        if v.shape != (space.dim,):
-            raise DimensionMismatchError(f"sample: value of shape {v.shape} at node {node}")
-        vals[node] = v
-    check_finite(vals, "sample")
+        vals[node] = real_array(f"sample: value at node {node}", f(centers[node]), (space.dim,))
+    check_finite("sample", vals)
     return GridFunction(domain, grid, space, vals)
-
-
-def check_finite(values, who: str, first: int = 0) -> None:
-    """Raise ``ContractError`` "``who``: non-finite value at node (...)" for
-    the first such node of the node array ``values``, its first index
-    counted from ``first``; the node is sought only once a flat test fails."""
-    if not np.isfinite(values).all():
-        i, *rest = np.argwhere(~np.isfinite(values).all(axis=-1))[0]
-        raise ContractError(f"{who}: non-finite value at node {(int(first + i), *map(int, rest))}")
 
 
 # ---------------------------------------------------------------------------

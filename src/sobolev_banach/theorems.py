@@ -25,8 +25,10 @@ from .errors import (
     DimensionMismatchError,
     check_count,
     check_exponent,
+    check_finite,
     check_list,
     check_real,
+    real_array,
 )
 from .gridfn import (
     SOBOLEV_P,
@@ -583,13 +585,12 @@ def tensor_extend(T, h_dim: int, seed: int = 0) -> Report:
 
     rows: ("norm_scalar", |T|) and ("norm_tensor", |T x I_H|).
     """
-    T = np.asarray(T, dtype=np.float64)
+    T = real_array("T", T)
     if T.ndim != 2 or T.shape[0] != T.shape[1]:
         raise DimensionMismatchError("T must be a square matrix")
     if T.size == 0:
         raise DimensionMismatchError("T must be nonempty")
-    if not np.all(np.isfinite(T)):
-        raise ContractError("T must be finite")
+    check_finite("T", T)
     h_dim = check_count("h_dim", h_dim)
     rng = np.random.default_rng(check_count("seed", seed, least=0))
     norm_scalar = float(np.linalg.norm(T, 2))

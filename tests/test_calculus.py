@@ -461,55 +461,55 @@ U64x4 = gridfn.from_scalar(gridfn.unit_box(2), gridfn.GridSpec((64, 4)), np.ones
 
 
 @pytest.mark.parametrize(
-    "call,name",
+    "call,message",
     [
-        (lambda: gridfn.extend_reflect(U16, 2.5), "pad"),
-        (lambda: gridfn.extend_reflect(U16, 2.0), "pad"),
-        (lambda: gridfn.extend_reflect(U16, True), "pad"),
-        (lambda: theorems.reflection_extension_report(U16, 2.0), "pad"),
-        (lambda: theorems.tensor_extend(np.eye(3), 2.5), "h_dim"),
-        (lambda: theorems.tensor_extend(np.eye(3), 2.0), "h_dim"),
-        (lambda: calculus.holder_beta(U16, 0.5, max_nodes=10.5), "max_nodes"),
-        (lambda: calculus.holder_beta(U16, 0.5, max_nodes=-3), "max_nodes"),
-        (lambda: calculus.holder_beta(U16, 0.5, max_nodes=1), "max_nodes"),
-        (lambda: gridfn.shift_node_norms(U16, 0, 2.5), "steps"),
-        (lambda: calculus.dq_criterion(U16, 2.0, (1.5,)), "steps"),
-        (lambda: calculus.dq_criterion(U16, 2.0, (1, 2.0)), "steps"),
-        (lambda: calculus.dq_criterion(U16, 0.5), "p"),
+        (lambda: gridfn.extend_reflect(U16, 2.5), "pad must be"),
+        (lambda: gridfn.extend_reflect(U16, 2.0), "pad must be"),
+        (lambda: gridfn.extend_reflect(U16, True), "pad must be"),
+        (lambda: theorems.reflection_extension_report(U16, 2.0), "pad must be"),
+        (lambda: theorems.tensor_extend(np.eye(3), 2.5), "h_dim must be"),
+        (lambda: theorems.tensor_extend(np.eye(3), 2.0), "h_dim must be"),
+        (lambda: calculus.holder_beta(U16, 0.5, max_nodes=10.5), "max_nodes must be"),
+        (lambda: calculus.holder_beta(U16, 0.5, max_nodes=-3), "max_nodes must be"),
+        (lambda: calculus.holder_beta(U16, 0.5, max_nodes=1), "max_nodes must be"),
+        (lambda: gridfn.shift_node_norms(U16, 0, 2.5), "steps must be"),
+        (lambda: calculus.dq_criterion(U16, 2.0, (1.5,)), "steps must be"),
+        (lambda: calculus.dq_criterion(U16, 2.0, (1, 2.0)), "steps must be"),
+        (lambda: calculus.dq_criterion(U16, 0.5), "p must be"),
         # no step fits: the verdict would rest on no quotient, or on one axis
-        (lambda: calculus.dq_criterion(U64, 2.0, steps_list=()), "steps_list"),
-        (lambda: calculus.dq_criterion(U64, 2.0, steps_list=(64,)), "steps_list"),
-        (lambda: calculus.dq_criterion(U64x4, 2.0, steps_list=(4, 8)), "steps_list"),
+        (lambda: calculus.dq_criterion(U64, 2.0, steps_list=()), "steps_list must be"),
+        (lambda: calculus.dq_criterion(U64, 2.0, steps_list=(64,)), "steps_list must be"),
+        (lambda: calculus.dq_criterion(U64x4, 2.0, steps_list=(4, 8)), "steps_list must be"),
         # exponents that are no number
-        (lambda: calculus.dq_criterion(U16, "2"), "p"),
-        (lambda: calculus.dq_criterion(U16, None), "p"),
-        (lambda: gridfn.bochner_norm(U16, "2"), "p"),
-        (lambda: gridfn.bochner_norm(U16, None), "p"),
-        (lambda: theorems.covering_counts([U16], "2", [0.1]), "p"),
-        (lambda: theorems.covering_counts([U16], None, [0.1]), "p"),
-        (lambda: calculus.holder_beta(U16, "0.5"), "alpha"),
-        (lambda: calculus.holder_beta(U16, None), "alpha"),
-        (lambda: cx.indicator_path_witness("2", 256), "r"),
-        (lambda: cx.indicator_path_witness(None, 256), "r"),
+        (lambda: calculus.dq_criterion(U16, "2"), "p must be"),
+        (lambda: calculus.dq_criterion(U16, None), "p must be"),
+        (lambda: gridfn.bochner_norm(U16, "2"), "p must be"),
+        (lambda: gridfn.bochner_norm(U16, None), "p must be"),
+        (lambda: theorems.covering_counts([U16], "2", [0.1]), "p must be"),
+        (lambda: theorems.covering_counts([U16], None, [0.1]), "p must be"),
+        (lambda: calculus.holder_beta(U16, "0.5"), "alpha must be"),
+        (lambda: calculus.holder_beta(U16, None), "alpha must be"),
+        (lambda: cx.indicator_path_witness("2", 256), "r must be"),
+        (lambda: cx.indicator_path_witness(None, 256), "r must be"),
         # seeds below zero
-        (lambda: calculus.holder_beta(U16, 0.5, max_nodes=4, seed=-1), "seed"),
-        (lambda: theorems.embedding_check(U16, seed=-1), "seed"),
-        (lambda: theorems.tensor_extend(np.eye(3), 2, seed=-1), "seed"),
+        (lambda: calculus.holder_beta(U16, 0.5, max_nodes=4, seed=-1), "seed must be"),
+        (lambda: theorems.embedding_check(U16, seed=-1), "seed must be"),
+        (lambda: theorems.tensor_extend(np.eye(3), 2, seed=-1), "seed must be"),
         # a bool grid size, an axis out of range, an unusable operator or box
-        (lambda: cx.indicator_path_witness(2.0, True), "n"),
-        (lambda: gridfn.shift_difference_norm(U16, 5, 1, 2.0), "j"),
-        (lambda: gridfn.shift_difference_norm(U16, -1, 1, 2.0), "j"),
-        (lambda: theorems.tensor_extend(np.zeros((0, 0)), 2), "T"),
-        (lambda: theorems.tensor_extend([[math.nan]], 2), "T"),
-        (lambda: gridfn.BoxDomain([0.0], [math.inf]), "lo and hi"),
+        (lambda: cx.indicator_path_witness(2.0, True), "n must be"),
+        (lambda: gridfn.shift_difference_norm(U16, 5, 1, 2.0), "j must be"),
+        (lambda: gridfn.shift_difference_norm(U16, -1, 1, 2.0), "j must be"),
+        (lambda: theorems.tensor_extend(np.zeros((0, 0)), 2), "T must be"),
+        (lambda: theorems.tensor_extend([[math.nan]], 2), r"T: non-finite value at node \(0,\)$"),
+        (lambda: gridfn.BoxDomain([0.0], [math.inf]), "lo and hi must be"),
         # lists that are no list, an exponent never checked, a refine level
         # that is no count
-        (lambda: theorems.covering_counts([U16], 2.0, None), "eps_list"),
-        (lambda: theorems.covering_counts([U16], 2.0, "0.1"), "eps_list"),
-        (lambda: calculus.dq_criterion(U16, 2.0, None), "steps_list"),
-        (lambda: gridfn.shift_difference_norm(U16, 0, 1, None), "p"),
-        (lambda: suite.run_entry("w0_equivalences", 42, -1), "refine"),
-        (lambda: suite.run_entry("w0_equivalences", 42, "1"), "refine"),
+        (lambda: theorems.covering_counts([U16], 2.0, None), "eps_list must be"),
+        (lambda: theorems.covering_counts([U16], 2.0, "0.1"), "eps_list must be"),
+        (lambda: calculus.dq_criterion(U16, 2.0, None), "steps_list must be"),
+        (lambda: gridfn.shift_difference_norm(U16, 0, 1, None), "p must be"),
+        (lambda: suite.run_entry("w0_equivalences", 42, -1), "refine must be"),
+        (lambda: suite.run_entry("w0_equivalences", 42, "1"), "refine must be"),
     ],
     ids=[
         "extend_reflect-2.5", "extend_reflect-2.0", "extend_reflect-True",
@@ -527,13 +527,13 @@ U64x4 = gridfn.from_scalar(gridfn.unit_box(2), gridfn.GridSpec((64, 4)), np.ones
         "shift_difference_norm-p-None", "run_entry-refine-neg", "run_entry-refine-str",
     ],
 )
-def test_integer_params_raise_naming_the_param(call, name):
+def test_integer_params_raise_naming_the_param(call, message):
     # a float (even an integral one) or a bool is no count, an exponent below
     # 1, a string or None no exponent, and a negative seed, an axis outside
     # 0..d-1, an empty or non-finite operator or an infinite box no input:
     # each is rejected before any work, by its own name and with the
     # package's own error, not numpy's or Python's
-    with pytest.raises(ContractError, match=rf"^{name} must be"):
+    with pytest.raises(ContractError, match=rf"^{message}"):
         call()
 
 

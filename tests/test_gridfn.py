@@ -45,6 +45,14 @@ def test_domain_and_grid_validation():
         gridfn.BoxDomain(np.array([0.0, 0.0]), np.array([1.0]))
     with pytest.raises(GridError):
         gridfn.GridSpec((1,))
+    # a box or grid with no axis would carry grid functions on no domain
+    with pytest.raises(DimensionMismatchError, match="^lo and hi must be 1-d of equal length >= 1$"):
+        gridfn.BoxDomain([], [])
+    with pytest.raises(ContractError, match="^d must be >= 1, got 0$"):
+        gridfn.unit_box(0)
+    for n in ((), [], np.array([])):
+        with pytest.raises(GridError, match="^need at least one axis$"):
+            gridfn.GridSpec(n)
     with pytest.raises(DimensionMismatchError):
         gridfn.GridSpec((4, 4)).spacing(gridfn.unit_box(1))
 
@@ -88,15 +96,16 @@ def test_sample_rejects_misshapen_values_with_node():
         def rule(x):
             return value if tuple(x) == (0.375, 0.625) else np.ones(2)
 
-        msg = rf"value of shape {re.escape(str(np.shape(value)))} at node \(1, 2\)"
+        shape = re.escape(str(np.shape(value)))
+        msg = rf"^sample: value at node \(1, 2\) has shape {shape}, expected \(2,\)$"
         with pytest.raises(DimensionMismatchError, match=msg):
             gridfn.sample(dom, g, HIL2, rule)
-    for value in ({}, "ab", [1.0, "x"]):
+    for value in ({}, "ab", [1.0, "x"], [1j, 0.0], [True, False], [[1.0], [1.0, 2.0]]):
 
         def rule(x):
             return value if tuple(x) == (0.375, 0.625) else np.ones(2)
 
-        with pytest.raises(ContractError, match=r"non-numeric value .* at node \(1, 2\)"):
+        with pytest.raises(ContractError, match=r"^sample: value at node \(1, 2\) must be real"):
             gridfn.sample(dom, g, HIL2, rule)
 
 
