@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
-from .errors import CapabilityError, DimensionMismatchError, check_finite, real_array
+from .errors import CapabilityError, DimensionMismatchError, check_finite, check_type, real_array
 
 KINDS = ("FiniteLr", "SampledSup", "GridLr", "Hilbert")
 
@@ -66,6 +66,8 @@ class SpaceDescriptor:
             raise DimensionMismatchError(f"dim must be an integer, got {dim!r}")
         if dim < 1:
             raise DimensionMismatchError(f"dim must be >= 1, got {dim}")
+        if dim > (most := np.iinfo(np.intp).max // 8):  # no array of dim weights can exist
+            raise DimensionMismatchError(f"dim must be at most {most}, got {dim}")
         if isinstance(e, bool) or not isinstance(e, numbers.Real) or not e >= 1.0:
             raise CapabilityError(f"exponent must be a number >= 1 or inf, got {e!r}")
         e = {"Hilbert": 2.0, "SampledSup": math.inf}.get(kind, float(e))
@@ -140,7 +142,7 @@ def norm(space: SpaceDescriptor, x) -> np.ndarray | float:
     The rows' norms are ``_kernels.row_norms``; ``_kernels.row_sum`` says
     how their sums round.
     """
-    x = real_array("x", x, (..., space.dim))
+    x = real_array("x", x, (..., check_type("space", space, SpaceDescriptor).dim))
     out = _kernels.row_norms(x, space.exponent, space.weights)
     return float(out) if x.ndim == 1 else out
 
@@ -261,8 +263,9 @@ def one_sided_norm_derivative(space: SpaceDescriptor, x, h) -> PairingResult:
     x' of x, the left derivative is the infimum; plus >= minus always, and
     D_h^- = -D_{-h}^+.
     """
-    x = check_finite("x", real_array("x", x, (space.dim,)))
-    h = check_finite("h", real_array("h", h, (space.dim,)))
+    dim = check_type("space", space, SpaceDescriptor).dim
+    x = check_finite("x", real_array("x", x, (dim,)))
+    h = check_finite("h", real_array("h", h, (dim,)))
     plus, minus, unique = one_sided_norm_derivative_batch(space, x[None], h[None])
     return PairingResult(float(plus[0]), float(minus[0]), bool(unique[0]))
 

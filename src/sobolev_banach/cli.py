@@ -9,11 +9,15 @@ and per-entry resource metadata live only in a sidecar file.
 from __future__ import annotations
 
 import argparse
+import collections
 import functools
 import json
 import math
 import os
+import pickle
 import resource
+import select
+import signal
 import sys
 import time
 import traceback
@@ -145,24 +149,28 @@ def _one_blas_thread():
         lib.scipy_openblas_set_num_threads64_(1)
 
 
+def _raised(name: str, error: str) -> dict:
+    """The result of entry ``name`` when it raised or its worker died: one
+    ``raised`` row, no details, and the ``error``."""
+    return {"entry": name, "anchor": suite.CATALOG[name].anchor, "error": error,
+            "rows": [suite.Row("raised", math.nan, math.nan, False)], "details": {}}
+
+
 def _run_one(spec: dict):
     """Run one spec: an entry ``name`` with its ``seed``, and its optional
     ``refine``, ``params`` and ``require``."""
     wall0, ru0 = time.perf_counter(), resource.getrusage(resource.RUSAGE_SELF)
     name, seed = spec["name"], spec["seed"]
     refine = int(spec.get("refine", 0))  # 2.0 is a valid level
-    result = {"entry": name, "anchor": suite.CATALOG[name].anchor}
     params = None
     try:
         params = suite.entry_params(name, refine, spec.get("params"))
-        rows, details = suite.run_entry(name, seed, refine, spec.get("params"))
-        rows = _apply_require(rows, spec.get("require", {}))
+        rows, details = suite._run_checked(name, seed, params)
+        result = {"entry": name, "anchor": suite.CATALOG[name].anchor,
+                  "rows": _apply_require(rows, spec.get("require", {})), "details": details}
     except Exception as e:  # one entry's blow-up must not lose the others' reports
         traceback.print_exc()
-        result["error"] = f"{type(e).__name__}: {e}"
-        rows, details = [suite.Row("raised", math.nan, math.nan, False)], {}
-    result["rows"] = rows
-    result["details"] = details
+        result = _raised(name, f"{type(e).__name__}: {e}")
     ru = resource.getrusage(resource.RUSAGE_SELF)
     result["usage"] = {  # measured in the process that ran the entry
         "name": name,
@@ -181,9 +189,7 @@ def _run_one(spec: dict):
 
 def available_cpus() -> int:
     """CPUs this process may run on; 1 where workers cannot be forked."""
-    import multiprocessing
-
-    if "fork" not in multiprocessing.get_all_start_methods():
+    if not hasattr(os, "fork"):
         return 1
     try:
         return len(os.sched_getaffinity(0))
@@ -191,12 +197,109 @@ def available_cpus() -> int:
         return os.cpu_count() or 1
 
 
+def _serve(specs, tasks: int, results: int, inherited: list[int]):
+    """A forked worker: close the pipe ends it ``inherited`` from the
+    parent, then for each 4-byte spec index read from ``tasks`` run that
+    spec and write its result to ``results`` as an 8-byte length and a
+    pickle, until ``tasks`` ends.  It leaves through ``os._exit`` and never
+    returns into the caller's code."""
+    status = 1
+    try:
+        for fd in inherited:  # a worker that held another's task pipe would keep it open
+            os.close(fd)
+        _one_blas_thread()
+        # the parent writes one index at a time, in one write, which a pipe
+        # keeps whole; an empty read is the end of the pipe
+        while index := os.read(tasks, 4):
+            data = pickle.dumps(_run_one(specs[int.from_bytes(index, "little")]))
+            message = memoryview(len(data).to_bytes(8, "little") + data)
+            while message:
+                message = message[os.write(results, message):]
+        status = 0
+    finally:
+        os._exit(status)
+
+
+class _Worker:
+    """The parent's side of one forked worker: its pid, its task and result
+    pipes, the spec index it runs (None once it has no more), when it got
+    that spec, and the bytes of its result read so far."""
+
+    def __init__(self, specs, running: dict):
+        tasks_r, self.tasks = os.pipe()
+        self.results, results_w = os.pipe()
+        inherited = [self.tasks, self.results]
+        inherited += [fd for w in running.values() for fd in (w.tasks, w.results) if fd is not None]
+        try:
+            self.pid = os.fork()
+        except OSError:
+            for fd in (tasks_r, self.tasks, self.results, results_w):
+                os.close(fd)
+            raise
+        if self.pid == 0:
+            _serve(specs, tasks_r, results_w, inherited)
+        os.close(tasks_r)
+        os.close(results_w)
+        self.index, self.started, self.data = None, 0.0, bytearray()
+        running[self.results] = self
+
+    def give(self, todo):
+        """Hand this worker the next index of ``todo``, or, with none left,
+        close its task pipe, which ends it."""
+        if not todo:
+            self.index = None
+            os.close(self.tasks)
+            self.tasks = None
+            return
+        self.index, self.started = todo.popleft(), time.perf_counter()
+        try:
+            os.write(self.tasks, self.index.to_bytes(4, "little"))
+        except BrokenPipeError:  # it has died: its result pipe ends, and says so
+            pass
+
+    def result(self):
+        """Its result, once all of it has been read, else None."""
+        if len(self.data) < 8 or len(self.data) < 8 + int.from_bytes(self.data[:8], "little"):
+            return None
+        result, self.data = pickle.loads(self.data[8:]), bytearray()
+        return result
+
+    def reap(self, spec=None):
+        """Close its pipes and wait for it; with ``spec``, the entry it was
+        running, return that entry's result as one that died with it."""
+        for fd in (self.results, self.tasks):
+            if fd is not None:
+                os.close(fd)
+        self.results = self.tasks = None
+        _, status, ru = os.wait4(self.pid, 0)
+        if spec is None:
+            return None
+        if os.WIFSIGNALED(status):
+            how = f"killed by signal {os.WTERMSIG(status)}"
+        else:
+            how = f"exit status {os.WEXITSTATUS(status)}"
+        result = _raised(spec["name"], f"worker process died: {how}")
+        result["usage"] = {  # what the parent can tell of the entry
+            "name": spec["name"], "params": None, "pid": self.pid,
+            "wall_s": time.perf_counter() - self.started, "cpu_s": None,
+            "minor_faults": None, "max_rss_mb": ru.ru_maxrss / 1024,  # the worker's peak
+            "max_rss_rise_mb": None, "blas_threads": None,
+        }
+        return result
+
+
 def execute_suite(specs, workers: int):
     """Run ``specs``, each of which carries its own seed (``_run_one``), on
     ``workers`` forked processes, each pinned to one BLAS thread, or in this
     process, with its BLAS threads left alone, when ``workers`` is 1;
     results come back in spec order.  One call may mix entries, seeds and
-    refine levels."""
+    refine levels.
+
+    The workers live for the whole call and are handed spec indices in
+    spec order as they come free.  An entry whose worker dies gets the
+    ``raised`` row and an ``error`` naming the exit status or signal, a new
+    worker takes its place, and the other entries run on.  Should this
+    process raise, it kills and reaps every worker first."""
     # Every entry draws from numpy.random.  Imported here, before any entry
     # runs, it is charged to no entry, and forked workers inherit it; a
     # bare import of this module does not load it.
@@ -204,21 +307,38 @@ def execute_suite(specs, workers: int):
 
     if workers <= 1:
         return [_run_one(spec) for spec in specs]
-    # Imported here, so that importing this module and one-worker runs do
-    # not pay for them.
-    import multiprocessing
-    from concurrent.futures.process import ProcessPoolExecutor
-
     # Every worker pins its BLAS threads: looked up once here, the handle
     # is inherited, not loaded per worker.
     _openblas()
-    # Fork, so workers inherit the imported package (and a patched CATALOG).
-    ctx = multiprocessing.get_context("fork")
-    with ProcessPoolExecutor(
-        max_workers=workers, mp_context=ctx, initializer=_one_blas_thread
-    ) as pool:
-        futures = [pool.submit(_run_one, spec) for spec in specs]
-        return [f.result() for f in futures]
+    results, todo = [None] * len(specs), collections.deque(range(len(specs)))
+    running = {}  # result pipe -> _Worker
+    try:
+        for _ in range(min(workers, len(specs))):
+            _Worker(specs, running).give(todo)
+        while running:
+            # always read a ready pipe: a result may exceed the pipe's buffer
+            for fd in select.select(list(running), [], [])[0]:
+                w = running[fd]
+                if chunk := os.read(fd, 1 << 16):
+                    w.data += chunk
+                    if (result := w.result()) is not None:
+                        results[w.index] = result
+                        w.give(todo)
+                    continue
+                # the worker has exited; if it had an entry, it died
+                if w.index is None:
+                    w.reap()
+                else:
+                    results[w.index] = w.reap(specs[w.index])
+                del running[fd]
+                if w.index is not None and todo:
+                    _Worker(specs, running).give(todo)
+    except BaseException:
+        for w in running.values():
+            os.kill(w.pid, signal.SIGKILL)
+            w.reap()
+        raise
+    return results
 
 
 def _csv_row(row) -> str:
@@ -309,17 +429,7 @@ def cmd_run(args) -> int:
     outdir = Path(args.out or cfg.get("output_dir", "reports"))
     fmt = args.format or cfg.get("format", "json")
     started = time.time()
-    try:
-        results = execute_suite(specs, workers)
-    except RuntimeError as e:
-        # BrokenProcessPool is a RuntimeError; its module is imported only
-        # by the pool, so it is imported here only once something raised.
-        from concurrent.futures.process import BrokenProcessPool
-
-        if not isinstance(e, BrokenProcessPool):
-            raise
-        print(f"error: worker process died: {e}", file=sys.stderr)
-        return EXIT_ERROR
+    results = execute_suite(specs, workers)
     meta = {
         "started_unix": started,
         "elapsed_seconds": time.time() - started,
@@ -332,8 +442,8 @@ def cmd_run(args) -> int:
         "blas_core": blas_core(),
         "entry_count": len(results),
         "entries": [res["usage"] for res in results],
-        # this process's own peak, read once the pool has closed: its
-        # workers' peaks are in "entries"
+        # this process's own peak, read once its workers are reaped: their
+        # peaks are in "entries"
         "parent_max_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
         # without .pyc files every process compiles the package from source,
         # which raises the peaks above

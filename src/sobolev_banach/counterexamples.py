@@ -45,6 +45,8 @@ C0_TRUNCATIONS = (100, 400, 1600, 6400, 10000)
 C0_TIMES = (0.5, 1.0, 1.7, 2.3, 3.1)
 #: coordinates n <= C0_COORDS on which the coordinatewise limit is checked
 C0_COORDS = 100
+#: coordinates per block of the c_0 path's Lipschitz sweep
+C0_BLOCK = 128
 #: lags h of the C(K) positive-part quotients, on CK_SAMPLES sample points
 #: of K (fine enough for the smallest lag: 10 / CK_SAMPLES <= min h)
 CK_LAGS = (1e-1, 3e-2, 1e-2, 3e-3, 1e-3)
@@ -208,8 +210,9 @@ def indicator_path_witness(r: float, n: int) -> Report:
 
 def _path_lipschitz(ts: np.ndarray, N: int) -> float:
     """max over consecutive ts and n <= N of |sin(n t)/n - sin(n t')/n|,
-    swept over blocks of 512 coordinates so that no len(ts) x N array is
-    ever materialized (the maximum is exact, so blocking changes nothing).
+    swept over blocks of ``C0_BLOCK`` coordinates so that no len(ts) x N
+    array is ever materialized (the maximum is exact, so blocking changes
+    nothing); the witness's two block buffers are 0.6 MB each.
 
     The sweep stops at the first block whose bound 2/start is at most the
     maximum so far.  That is exact too: sin lies in [-1, 1], so from
@@ -217,7 +220,7 @@ def _path_lipschitz(ts: np.ndarray, N: int) -> float:
     difference of two of them is at most 2 fl(1/start) = fl(2/start), and
     a tie cannot raise the maximum.
     """
-    block = 512
+    block = C0_BLOCK
     # the values and their differences go to the contiguous heads of two
     # preallocated buffers: every ufunc gets contiguous operands, and
     # numpy picks its loops by layout

@@ -62,6 +62,14 @@ def check_exponent(name: str, value) -> None:
     check_real(name, value, ">= 1 or inf", lambda v: v >= 1.0)
 
 
+def check_type(name: str, value, kind: type):
+    """``value`` if it is a ``kind`` (a grid function, box, grid, space or
+    rule), else ``ContractError`` naming ``name``."""
+    if not isinstance(value, kind):
+        raise ContractError(f"{name} must be a {kind.__name__}, got {value!r}")
+    return value
+
+
 def check_list(name: str, value) -> tuple:
     """``value`` as a tuple when it is an iterable other than a string;
     anything else (None, a number, a string, which would be read one

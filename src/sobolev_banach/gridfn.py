@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,7 +20,7 @@ import numpy as np
 from . import _kernels, banach
 from .banach import SpaceDescriptor, scalar_space
 from .errors import ContractError, DimensionMismatchError, GridError, check_count, check_exponent
-from .errors import check_finite, real_array
+from .errors import check_finite, check_type, real_array
 
 #: the exponent p of W^{1,p}: every W-norm, boundary norm and theorem check
 SOBOLEV_P = 2.0
@@ -113,7 +114,11 @@ class GridFunction:
     values: np.ndarray
 
     def __post_init__(self):
-        self.values = real_array("values", self.values, self.grid.n + (self.space.dim,))
+        check_type("domain", self.domain, BoxDomain)
+        if len(check_type("grid", self.grid, GridSpec).n) != self.domain.d:
+            raise DimensionMismatchError("grid/domain dimension mismatch")
+        dim = check_type("space", self.space, SpaceDescriptor).dim
+        self.values = real_array("values", self.values, self.grid.n + (dim,))
 
     @property
     def node_count(self) -> int:
@@ -125,7 +130,7 @@ class GridFunction:
 
 def from_scalar(domain: BoxDomain, grid: GridSpec, values: np.ndarray) -> GridFunction:
     """Wrap a scalar node array (shape grid.n) as a dim-1 grid function."""
-    values = real_array("values", values, grid.n)
+    values = real_array("values", values, check_type("grid", grid, GridSpec).n)
     return GridFunction(domain, grid, scalar_space(), values[..., None])
 
 
@@ -151,6 +156,10 @@ def sample(domain: BoxDomain, grid: GridSpec, space: SpaceDescriptor, f) -> Grid
     ``ContractError``, and one of another shape ``DimensionMismatchError``,
     with the offending multi-index in the message.
     """
+    check_type("domain", domain, BoxDomain)
+    check_type("grid", grid, GridSpec)
+    check_type("space", space, SpaceDescriptor)
+    check_type("f", f, Callable)
     centers = grid_centers(domain, grid)
     vals = np.empty(grid.n + (space.dim,))
     for node in np.ndindex(grid.n):
@@ -181,6 +190,7 @@ def bochner_norm(u: GridFunction, p: float) -> float:
     By construction this is bit-identical to the scalar Bochner norm of
     ``pointwise_norm_function(u)``.
     """
+    check_type("u", u, GridFunction)
     check_exponent("p", p)
     g = pointwise_norms(u)
     vol = float(np.prod(u.grid.spacing(u.domain)))
@@ -275,7 +285,7 @@ def finite_difference(u: GridFunction) -> list[GridFunction]:
     the two boundary layers (checks that need interior accuracy mask that
     ring via :func:`interior_mask`).
     """
-    h = u.grid.spacing(u.domain)
+    h = check_type("u", u, GridFunction).grid.spacing(u.domain)
     fields = []
     for j in range(u.domain.d):
         dv = np.empty_like(u.values)
@@ -314,7 +324,7 @@ def shift_node_norms(u: GridFunction, j: int, steps: int) -> np.ndarray:
     caller that needs several reductions of one shift difference (an L^p
     norm, a max) takes them all from this one array.
     """
-    d = u.domain.d
+    d = check_type("u", u, GridFunction).domain.d
     if check_count("j", j, least=0) >= d:
         raise ContractError(f"j must be an axis below d={d}, got {j}")
     steps = check_count("steps", steps)
@@ -338,8 +348,8 @@ def shift_difference_norm(u: GridFunction, j: int, steps: int, p: float) -> floa
     of ``shift_node_norms``, with the cell volume of the full box as the
     quadrature weight."""
     check_exponent("p", p)
-    vol = float(np.prod(u.grid.spacing(u.domain)))
     g = shift_node_norms(u, j, steps)
+    vol = float(np.prod(u.grid.spacing(u.domain)))
     return _lp(g, vol, p, out=g)
 
 
@@ -356,7 +366,7 @@ def extend_reflect(u: GridFunction, pad: int) -> GridFunction:
     exact mirror image across each face plane.
     """
     pad = check_count("pad", pad)
-    if pad > min(u.grid.n):
+    if pad > min(check_type("u", u, GridFunction).grid.n):
         raise GridError(
             f"pad {pad} exceeds the grid ({min(u.grid.n)} cells on the shortest axis)"
         )
@@ -419,7 +429,7 @@ def mollify(u: GridFunction, level: int) -> GridFunction:
     stays in cache while its terms accumulate.  Every node still adds its
     terms in offset order, so each sum is the whole-array one.
     """
-    h = u.grid.spacing(u.domain)
+    h = check_type("u", u, GridFunction).grid.spacing(u.domain)
     offsets, w = mollifier_weights(h, level)
     pad = int(np.abs(offsets).max())
     ext = extend_reflect(u, pad).values
@@ -455,7 +465,7 @@ def boundary_norm(u: GridFunction) -> float:
     The trace on each face is the linear extrapolation of u from the two
     nearest node layers; the faces are taken lo then hi along each axis.
     """
-    d = u.domain.d
+    d = check_type("u", u, GridFunction).domain.d
     h = u.grid.spacing(u.domain)
     total = 0.0
     for j in range(d):
@@ -475,6 +485,6 @@ def boundary_norm(u: GridFunction) -> float:
 
 def apply_functional(u: GridFunction, functional) -> GridFunction:
     """Scalar grid function xi -> <u(xi), functional>."""
-    c = banach.pairing_vector(u.space, functional)
+    c = banach.pairing_vector(check_type("u", u, GridFunction).space, functional)
     scal = u.values @ c
     return from_scalar(u.domain, u.grid, scal)

@@ -939,6 +939,10 @@ def entry_params(name: str, refine: int, params: dict | None = None) -> dict:
 
 
 def run_entry(name: str, seed: int, refine: int = 0, params: dict | None = None):
-    kwargs = entry_params(name, refine, params)
+    return _run_checked(name, seed, entry_params(name, refine, params))
+
+
+def _run_checked(name: str, seed: int, kwargs: dict):
+    """Run entry ``name``'s builder on ``kwargs`` as ``entry_params`` made them."""
     rows, details = CATALOG[name].builder(entry_rng(name, seed), **kwargs)
     return rows, to_jsonable(details)

@@ -43,45 +43,53 @@ def _exponent():
     return st.sampled_from([1.0, 2, 3.5, math.inf] + [b for b in BAD if b is not HUGE])
 
 
-# per name: the call, and a strategy per argument.  A grid function, box,
-# grid or space argument is drawn from valid objects only: the contract is
-# about the values (arrays, numbers, counts, names and rules) they are made of.
+def _rule(value):
+    """A rule that maps every point to ``value``."""
+    return lambda x: value
+
+
+BOX1 = gridfn.unit_box(1)  # a box whose axes do not match GRID's
+# per name: the call, and a strategy per argument; a grid function, box,
+# grid, space or rule is drawn from valid objects and the bad values too
 CALLS = {
     "BoxDomain": (sb.BoxDomain, dict(lo=_value([0.0, 0.0], np.zeros(2), 0.0, [-1, 0.5]),
                                      hi=_value([1.0, 1.0], np.ones(2), 1.0, [2, 3]))),
-    "GridFunction": (lambda values: sb.GridFunction(BOX, GRID, HIL2, values),
-                     dict(values=_value(U.values, np.zeros((4, 3, 2)), np.ones((4, 3, 2), int)))),
+    "GridFunction": (sb.GridFunction, dict(
+        domain=_value(BOX, BOX1), grid=_value(GRID), space=_value(HIL2, *SPACES[1:]),
+        values=_value(U.values, np.zeros((4, 3, 2)), np.ones((4, 3, 2), int)))),
     "GridSpec": (sb.GridSpec, dict(n=_value((4, 4), 8, [3, 5], np.array([4, 4])))),
     "PairingResult": (sb.PairingResult, dict(plus=_value(1.0), minus=_value(-1.0),
                                              unique=_value(False))),
     "SpaceDescriptor": (sb.SpaceDescriptor, dict(
         kind=_value("FiniteLr", "SampledSup", "GridLr", "Hilbert"),
-        dim=_value(1, 3, np.int64(2)),
+        dim=_value(1, 3, np.int64(2), 10**30),
         exponent=_value(1.0, 2, 3.5, math.inf),
         weights=_value(None, [0.5, 0.5, 1.0], np.ones(2)))),
     "apply_functional": (sb.apply_functional, dict(
-        u=st.sampled_from(FIELDS), functional=_value([1.0, 0.0], np.array([0.5, -2.0]), [3]))),
-    "bochner_norm": (sb.bochner_norm, dict(u=st.sampled_from(FIELDS), p=_exponent())),
-    "boundary_norm": (sb.boundary_norm, dict(u=st.sampled_from(FIELDS))),
-    "extend_reflect": (sb.extend_reflect, dict(u=st.sampled_from(FIELDS),
+        u=_value(*FIELDS), functional=_value([1.0, 0.0], np.array([0.5, -2.0]), [3]))),
+    "bochner_norm": (sb.bochner_norm, dict(u=_value(*FIELDS), p=_exponent())),
+    "boundary_norm": (sb.boundary_norm, dict(u=_value(*FIELDS))),
+    "extend_reflect": (sb.extend_reflect, dict(u=_value(*FIELDS),
                                                pad=_value(1, 2, np.int64(3)))),
-    "finite_difference": (sb.finite_difference, dict(u=st.sampled_from(FIELDS))),
-    "from_scalar": (lambda values: sb.from_scalar(BOX, GRID, values),
-                    dict(values=_value(np.zeros((4, 3)), np.arange(12).reshape(4, 3)))),
+    "finite_difference": (sb.finite_difference, dict(u=_value(*FIELDS))),
+    "from_scalar": (sb.from_scalar, dict(
+        domain=_value(BOX, BOX1), grid=_value(GRID),
+        values=_value(np.zeros((4, 3)), np.arange(12).reshape(4, 3)))),
     "kernel_backend": (sb.kernel_backend, {}),
-    "mollify": (sb.mollify, dict(u=st.sampled_from(FIELDS), level=_value(1, 2, 4))),
-    "norm": (sb.norm, dict(space=st.sampled_from(SPACES),
+    "mollify": (sb.mollify, dict(u=_value(*FIELDS), level=_value(1, 2, 4))),
+    "norm": (sb.norm, dict(space=_value(*SPACES),
                            x=_value([3.0, -4.0], np.ones((3, 2)), U.values))),
     "one_sided_norm_derivative": (sb.one_sided_norm_derivative, dict(
-        space=st.sampled_from(SPACES), x=_value([1.0, 0.0], [0.0, 0.0], [3.0, -3.0]),
+        space=_value(*SPACES), x=_value([1.0, 0.0], [0.0, 0.0], [3.0, -3.0]),
         h=_value([1.0, 0.0], [0.5, -2.0], np.zeros(2)))),
-    "sample": (lambda value: sb.sample(BOX, gridfn.GridSpec((2, 3)), HIL2, lambda x: value),
-               dict(value=_value([1.0, 2.0], np.zeros(2)))),
+    "sample": (sb.sample, dict(
+        domain=_value(BOX, BOX1), grid=_value(gridfn.GridSpec((2, 3))), space=_value(HIL2),
+        f=st.one_of(_value([1.0, 2.0], np.zeros(2)).map(_rule), st.sampled_from(BAD)))),
     "scalar_space": (sb.scalar_space, {}),
     "shift_difference_norm": (sb.shift_difference_norm, dict(
-        u=st.sampled_from(FIELDS), j=_value(0, 1), steps=_value(1, 2, 3), p=_exponent())),
+        u=_value(*FIELDS), j=_value(0, 1), steps=_value(1, 2, 3), p=_exponent())),
     "unit_box": (sb.unit_box, dict(d=_value(1, 2, 3))),
-    "w_norm": (sb.w_norm, dict(u=st.sampled_from(FIELDS))),
+    "w_norm": (sb.w_norm, dict(u=_value(*FIELDS))),
 }
 API_EXAMPLES = 2000 if settings.get_current_profile_name() == "config-fuzz" else 40
 

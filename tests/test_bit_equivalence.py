@@ -109,7 +109,7 @@ def test_finite_difference_interior_matches_expression(d, n):
         assert np.array_equal(field[j].values[inner], want)
 
 
-@pytest.mark.parametrize("N", [1, 511, 512, 513, 1500, 10000])
+@pytest.mark.parametrize("N", [1, 128, 129, 511, 512, 513, 1500, 10000])
 def test_blocked_c0_lipschitz_matches_dense(N):
     ts = np.linspace(0.0, 3.0, 601)
     n = np.arange(1, N + 1)
@@ -118,7 +118,8 @@ def test_blocked_c0_lipschitz_matches_dense(N):
 
 
 def _unpruned_path_lipschitz(ts, N):
-    """``_path_lipschitz`` as it was: every block of 512 coordinates swept."""
+    """``_path_lipschitz`` before its early stop: every block of 512
+    coordinates swept."""
     lip = 0.0
     for start in range(1, N + 1, 512):
         n = np.arange(start, min(start + 512, N + 1))
@@ -151,7 +152,7 @@ C0_GRIDS = {
 }
 
 
-@pytest.mark.parametrize("N", [1, 511, 512, 513, 10000])
+@pytest.mark.parametrize("N", [1, 128, 129, 511, 512, 513, 10000])
 @pytest.mark.parametrize("grid", sorted(C0_GRIDS))
 def test_pruned_c0_lipschitz_matches_unpruned_sweep(grid, N, monkeypatch):
     ts = C0_GRIDS[grid]
@@ -159,11 +160,12 @@ def test_pruned_c0_lipschitz_matches_unpruned_sweep(grid, N, monkeypatch):
     counting = _CountingNumpy()
     monkeypatch.setattr(counterexamples, "np", counting)
     assert counterexamples._path_lipschitz(ts, N) == want
-    blocks = -(-N // 512)
+    blocks = -(-N // counterexamples.C0_BLOCK)
     if grid == "fine":
         assert counting.sines == blocks
     elif grid == "witness":
-        assert counting.sines == 1  # the pruning is not vacuous
+        # the pruning is not vacuous: the sweep stops at coordinate 513
+        assert counting.sines == min(blocks, 512 // counterexamples.C0_BLOCK)
     else:
         assert counting.sines < blocks or blocks == 1
 

@@ -108,3 +108,9 @@ def test_ck_witness_entry_peak_memory():
     # the lag quotients run over blocks of the sample points: whole, each
     # lag's five temporaries of 0.8 MB took the entry to about 5 MB
     assert _traced_peak(lambda: suite.run_entry("witness_ck_pospart", 42)) < 2.5e6
+
+
+def test_c0_witness_peak_memory():
+    # the Lipschitz sweep's two buffers hold 601 times by one block of
+    # coordinates: with blocks of 512 the witness peaked at about 5 MB
+    assert _traced_peak(cx.c0_sine_witness) < 1.5e6

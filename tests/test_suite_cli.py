@@ -10,8 +10,10 @@ import json
 import math
 import os
 import re
+import signal
 import subprocess
 import sys
+import time
 import warnings
 from pathlib import Path
 
@@ -1095,18 +1097,145 @@ def test_require_error_crosses_process_boundary(tmp_path, capsys, workers):
     assert "error" not in other and all(r["pass"] for r in other["rows"])
 
 
+def _no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _replace_builder(monkeypatch, name, builder):
+    entry = suite.CATALOG[name]
+    monkeypatch.setitem(suite.CATALOG, name, dataclasses.replace(entry, builder=builder))
+
+
 @two_cpus
 def test_dead_worker_is_reported(tmp_path, capsys, monkeypatch):
-    def die(rng, n):
-        os._exit(3)
+    # one worker exits, another is killed: their entries get the raised row,
+    # and every other entry reports as in a run where no worker died
+    names = FAST + MEDIUM
+    whole, dead = tmp_path / "whole", tmp_path / "dead"
+    whole.mkdir(), dead.mkdir()
+    code, _ = _run_names(whole, names, "--workers", "2", "--format", "both")
+    assert code == cli.EXIT_OK
+    _no_child_left()
+    _replace_builder(monkeypatch, "extension_reflection", lambda rng, **params: os._exit(3))
+    _replace_builder(monkeypatch, "aubin_lions_compact",
+                     lambda rng, **params: os.kill(os.getpid(), signal.SIGKILL))
+    code, meta = _run_names(dead, names, "--workers", "2", "--format", "both")
+    assert code == cli.EXIT_ERROR
+    _no_child_left()
+    whole, dead = whole / "reports", dead / "reports"
+    died = {"extension_reflection": "exit status 3",
+            "aubin_lions_compact": f"killed by signal {int(signal.SIGKILL)}"}
+    lines = (dead / "summary.csv").read_text().splitlines()
+    assert lines[0] == "entry,metric,value,threshold,pass"
+    for name in names:
+        if name in died:
+            assert f"{name},raised,nan,nan,false" in lines
+            report = json.loads((dead / f"{name}.json").read_text())
+            assert report["error"] == f"worker process died: {died[name]}"
+            assert (dead / f"{name}.csv").read_text() == (
+                "metric,value,threshold,pass\nraised,nan,nan,false\n")
+        else:
+            assert [l for l in lines if l.startswith(f"{name},")] == [
+                l for l in (whole / "summary.csv").read_text().splitlines()
+                if l.startswith(f"{name},")]
+            for file in (f"{name}.json", f"{name}.csv"):
+                assert (dead / file).read_bytes() == (whole / file).read_bytes()
+    err = capsys.readouterr().err
+    for name, how in died.items():
+        assert f"error: entry {name} raised worker process died: {how}\n" in err
+    entries = {e["name"]: e for e in meta["entries"]}
+    assert [e["name"] for e in meta["entries"]] == names
+    for name in died:  # run in a worker that is gone, with no sizes known
+        assert entries[name]["pid"] != os.getpid() and entries[name]["params"] is None
+        assert set(entries[name]) == SIDECAR_KEYS
+    assert len({e["pid"] for e in meta["entries"]}) >= 3  # dead workers are replaced
 
-    entry = suite.CATALOG["extension_reflection"]
-    monkeypatch.setitem(
-        suite.CATALOG, entry.name, dataclasses.replace(entry, builder=die)
+
+@two_cpus
+def test_no_worker_outlives_a_raising_parent(monkeypatch):
+    # the parent raises while both workers are busy with entries that would
+    # take a minute: it kills and reaps them before the exception leaves
+    _replace_builder(monkeypatch, "extension_reflection", lambda rng, **params: time.sleep(60))
+
+    def interrupt(signum, frame):
+        raise KeyboardInterrupt
+
+    previous = signal.signal(signal.SIGALRM, interrupt)
+    started = time.monotonic()
+    try:
+        signal.setitimer(signal.ITIMER_REAL, 0.5)  # a forked worker inherits no timer
+        with pytest.raises(KeyboardInterrupt):
+            cli.execute_suite([{"name": "extension_reflection", "seed": 42}] * 3, 2)
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+    assert time.monotonic() - started < 30
+    _no_child_left()
+
+
+@two_cpus
+def test_results_larger_than_a_pipe_buffer_arrive_whole(monkeypatch):
+    # each result is about 1.6 MB, many times a pipe's 64 KiB buffer, and
+    # both workers write theirs at once
+    def big(rng):
+        return [suite._holds("drawn", True)], {"draws": rng.random(200_000).tolist()}
+
+    monkeypatch.setitem(suite.CATALOG, "big", suite.CatalogEntry("big", "", "", big, {}))
+    specs = [{"name": "big", "seed": s} for s in range(4)]
+    results = cli.execute_suite(specs, 2)
+    assert [r["details"] for r in results] == [suite.run_entry("big", s)[1] for s in range(4)]
+    assert len({r["usage"]["pid"] for r in results}) == 2
+    _no_child_left()
+
+
+@two_cpus
+def test_failed_fork_leaves_no_worker_or_pipe(monkeypatch):
+    # the second fork fails: the first worker is killed and reaped, and
+    # every pipe the call opened is closed
+    real_fork, forks = os.fork, []
+
+    def fork():
+        forks.append(None)
+        if len(forks) > 1:
+            raise BlockingIOError("no more processes")
+        return real_fork()
+
+    monkeypatch.setattr(os, "fork", fork)
+    open_fds = set(os.listdir("/proc/self/fd"))
+    with pytest.raises(BlockingIOError):
+        cli.execute_suite([{"name": "extension_reflection", "seed": 42}] * 3, 2)
+    _no_child_left()
+    assert set(os.listdir("/proc/self/fd")) == open_fds
+
+
+@two_cpus
+def test_worker_run_imports_no_process_pool(tmp_path):
+    code = (
+        "import sys\n"
+        "from sobolev_banach import cli\n"
+        "code = cli.main(['run', sys.argv[1], '--out', sys.argv[2], '--workers', '2'])\n"
+        "print(code, sorted(m for m in sys.modules\n"
+        "                   if m.split('.')[0] in ('multiprocessing', 'concurrent')))\n"
     )
-    code, meta = _run_names(tmp_path, FAST, "--workers", "2")
-    assert code == cli.EXIT_ERROR and meta is None
-    assert "error: worker process died: " in capsys.readouterr().err
+    cfg = _write_config(tmp_path, {"schema_version": 1, "suite": [{"name": n} for n in FAST]})
+    assert _fresh_python(code, cfg, str(tmp_path / "r"))[-1] == f"{cli.EXIT_OK} []"
+
+
+def test_run_one_checks_params_once(monkeypatch):
+    calls = []
+    entry_params = suite.entry_params
+
+    def counted(*args):
+        calls.append(args)
+        return entry_params(*args)
+
+    monkeypatch.setattr(suite, "entry_params", counted)
+    result = cli._run_one({"name": "quotient_rule", "seed": 42, "refine": 1,
+                           "params": {"ladder": [32, 64]}})
+    assert len(calls) == 1
+    assert result["usage"]["params"] == {"ladder": (64, 128)}
+    assert result["rows"] == suite.run_entry("quotient_rule", 42, 1, {"ladder": [32, 64]})[0]
 
 
 @two_cpus
@@ -1116,6 +1245,7 @@ def test_forking_workers_warns_nothing(tmp_path):
         code, meta = _run_names(tmp_path, FAST, "--workers", "2")
     assert code == cli.EXIT_OK and meta["workers"] == 2
     assert not [w for w in caught if issubclass(w.category, DeprecationWarning)]
+    _no_child_left()
 
 
 # The config fuzz: an entry, params within their declarations, ladders whose
