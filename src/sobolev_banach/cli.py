@@ -20,7 +20,6 @@ import select
 import signal
 import sys
 import time
-import traceback
 from pathlib import Path
 
 import numpy as np
@@ -72,7 +71,10 @@ def config_errors(cfg) -> list[str]:
         fields(spec.get("params", {}), f"{at}/params", entry.params if entry else None)
         if "require" in spec and fields(spec["require"], f"{at}/require", None, nonempty=True):
             for metric, bounds in spec["require"].items():
-                fields(bounds, json_pointer(f"{at}/require", metric), BOUNDS, nonempty=True)
+                where = json_pointer(f"{at}/require", metric)
+                if entry and metric not in [m for m, *_ in entry.rows]:
+                    errors.append(f"{where}: {name} declares no row {metric!r}")
+                fields(bounds, where, BOUNDS, nonempty=True)
     return errors
 
 
@@ -99,16 +101,13 @@ def resolve_seed(cfg: dict, cli_seed: int | None) -> int:
 
 
 def _apply_require(rows, require: dict):
-    by_metric = {r.metric: r for r in rows}
+    values = {r.metric: r.value for r in rows}
     extra = []
     for metric, bounds in require.items():
-        if metric not in by_metric:
+        if metric not in values:
             raise ConfigError(f"require references unknown metric {metric!r}")
-        value = by_metric[metric].value
-        if "max" in bounds:
-            extra.append(suite._row(f"{metric}<=max", value, bounds["max"]))
-        if "min" in bounds:
-            extra.append(suite._row(f"{metric}>=min", value, bounds["min"], mode="ge"))
+        extra += [suite.compare(metric + op + key, values[metric], op, bounds[key])
+                  for key, op in (("max", "<="), ("min", ">=")) if key in bounds]
     return list(rows) + extra
 
 
@@ -169,6 +168,8 @@ def _run_one(spec: dict):
         result = {"entry": name, "anchor": suite.CATALOG[name].anchor,
                   "rows": _apply_require(rows, spec.get("require", {})), "details": details}
     except Exception as e:  # one entry's blow-up must not lose the others' reports
+        import traceback  # only here: the parent of forked workers runs no entry
+
         traceback.print_exc()
         result = _raised(name, f"{type(e).__name__}: {e}")
     ru = resource.getrusage(resource.RUSAGE_SELF)
@@ -481,6 +482,10 @@ def cmd_describe(args) -> int:
     print("  params:" if entry.params else "  params: none")
     for key, (default, low, high) in entry.params.items():
         print(f"    {key}: default {json.dumps(default)}, minimum {low}, maximum {high}")
+    print("  rows:")
+    for metric, direction, threshold in entry.rows:
+        bound = "measured by the run" if threshold is suite.MEASURED else repr(threshold)
+        print(f"    {metric} {direction} {bound}")
     return EXIT_OK
 
 

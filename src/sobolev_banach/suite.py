@@ -1,16 +1,17 @@
 """Named verification entries behind the command line.
 
 Every entry bundles one quantitative claim into a builder that returns
-threshold rows: (metric, value, threshold, pass).  Builders are pure
-functions of (rng, params), and only ``entry_params`` refines, so a fixed
-seed reproduces every row bit-for-bit.  Each entry is declared once, by
-``_entry`` on its builder: the anchor names the statement the entry
-exercises, and each param has a default, a smallest and a largest value,
-which the CLI's config check, ``describe`` and ``entry_params`` all read.
+a value per declared row, each compared into (metric, value, threshold,
+pass).  Builders are pure functions of (rng, params), and only
+``entry_params`` refines, so a fixed seed reproduces every row bit-for-bit.
+Each entry is declared once, by ``_entry`` on its builder: the anchor, the
+rows, and the params, which the config check, ``describe`` and
+``entry_params`` read.
 """
 from __future__ import annotations
 
 import math
+import operator
 import zlib
 from dataclasses import dataclass, replace
 from typing import Callable
@@ -64,19 +65,32 @@ class CatalogEntry:
     name: str
     anchor: str
     summary: str
-    builder: Callable[..., tuple[list[Row], dict]]
+    builder: Callable[..., tuple[dict, dict]]
     params: dict[str, tuple]
+    declared: tuple  # the rows as ``_entry`` takes them
+
+    @property
+    def rows(self) -> tuple[tuple[str, str, float | None], ...]:
+        """(metric, direction, threshold) per row; a producer's constant is read now."""
+        return tuple((m, d, t() if callable(t) else t) for m, d, t in self.declared)
 
 
 CATALOG: dict[str, CatalogEntry] = {}
 SPEC_FIELDS = {"refine": (0, 0, 3)}  # a spec's refine level, declared like a param
 GRID_2D = 64  # cells per axis of a 2-D member where ``n`` sizes the 1-D ones
+MEASURED = None  # the threshold of a row whose run measures it
+DIRECTIONS = {"<=": operator.le, ">=": operator.ge, "<": operator.lt}
+YES = (">=", 1.0)  # a yes/no row: True reads 1.0, False 0.0
 
 
-def _entry(anchor: str, summary: str, **params):
+def _entry(anchor: str, summary: str, rows: list, **params):
     """Register the decorated builder ``_<name>`` as catalog entry ``<name>``.
 
-    Each keyword declares a param as ``(default, smallest, largest accepted
+    ``rows`` declares each row as ``(metric, direction, threshold)``, and
+    the builder returns a value per metric in that order, or (value,
+    threshold) where the threshold is ``MEASURED``.  A threshold that a
+    producer's verdict shares is a function reading its constant.  Each
+    keyword declares a param as ``(default, smallest, largest accepted
     value)`` and reaches the builder as a keyword after ``rng``.  The
     default's type is the param's type: a tuple is a ladder, a float a real
     number, an int an integer.  The grid rule: ladders and every param named
@@ -87,7 +101,7 @@ def _entry(anchor: str, summary: str, **params):
 
     def register(builder):
         name = builder.__name__[1:]
-        CATALOG[name] = CatalogEntry(name, anchor, summary, builder, params)
+        CATALOG[name] = CatalogEntry(name, anchor, summary, builder, params, tuple(rows))
         return builder
 
     return register
@@ -97,12 +111,11 @@ def entry_rng(name: str, seed: int) -> np.random.Generator:
     return np.random.default_rng([seed, zlib.crc32(name.encode("utf-8"))])
 
 
-def _row(metric, value, threshold, ok=None, mode="le") -> Row:
-    value = float(value)
-    threshold = float(threshold)
-    if ok is None:
-        ok = value <= threshold if mode == "le" else value >= threshold
-    return Row(metric, value, threshold, bool(ok))
+def compare(metric: str, value, direction: str, threshold) -> Row:
+    """The row of ``metric``: ``value`` against ``threshold`` by the
+    ``direction`` ``<=``, ``>=`` or ``<``, both as the floats it prints."""
+    value, threshold = float(value), float(threshold)
+    return Row(metric, value, threshold, DIRECTIONS[direction](value, threshold))
 
 
 def _median(a) -> float:
@@ -113,11 +126,6 @@ def _median(a) -> float:
     if np.isnan(s[-1]):  # sorting puts NaNs last
         return math.nan
     return float(np.mean(s[(s.size - 1) // 2 : s.size // 2 + 1]))
-
-
-def _holds(metric, ok) -> Row:
-    """A yes/no check as a row: 1.0 (or 0.0) against the threshold 1.0."""
-    return _row(metric, 1.0 if ok else 0.0, 1.0, mode="ge")
 
 
 # ---------------------------------------------------------------------------
@@ -279,6 +287,7 @@ def _fit_order(ns, errs) -> float:
     "Discrepancy between the one-sided pairing field and the finite "
     "difference of the pointwise norm decays under refinement over a "
     "30-sample corpus spanning every space kind.",
+    [("fitted_order", ">=", 0.9), ("final_l1_err", "<", MEASURED)],
     ladder=((32, 64, 128, 256), 16, 512),
 )
 def _norm_chain_rule(rng, ladder):
@@ -290,12 +299,8 @@ def _norm_chain_rule(rng, ladder):
             # the member is realized one window of rows at a time
             total += norm_derivative_report(bp, n).details["l1_err_total"]
         errs.append(total)
-    order = _fit_order(ladder, errs)
-    rows = [
-        _row("fitted_order", order, 0.9, mode="ge"),
-        _row("final_l1_err", errs[-1], errs[0], ok=errs[-1] < errs[0]),
-    ]
-    return rows, {"ladder": list(ladder), "l1_errors": errs}
+    values = {"fitted_order": _fit_order(ladder, errs), "final_l1_err": (errs[-1], errs[0])}
+    return values, {"ladder": list(ladder), "l1_errors": errs}
 
 
 @_entry(
@@ -304,6 +309,8 @@ def _norm_chain_rule(rng, ladder):
     "Nodewise inequality with 1e-12 relative slack on interior unflagged "
     "nodes; the constant-norm circle achieves zero left side against a "
     "unit right side.",
+    [("nodewise_margin_rel", "<=", 1e-12), ("circle_lhs_max", "<=", 1e-10),
+     ("circle_rhs_gap", "<=", 0.1)],
     n=(128, 8, 512),
 )
 def _norm_gradient_bound(rng, n):
@@ -328,12 +335,9 @@ def _norm_gradient_bound(rng, n):
     dgc = finite_difference(pointwise_norm_function(circ))
     lhs_max = float(np.max(np.abs(dgc[0].values)))
     rhs_typ = _median(pointwise_norms(finite_difference(circ)[0]))
-    rows = [
-        _row("nodewise_margin_rel", worst, 1e-12),
-        _row("circle_lhs_max", lhs_max, 1e-10),
-        _row("circle_rhs_gap", abs(rhs_typ - 1.0), 0.1),
-    ]
-    return rows, {"n": n, "circle_rhs": rhs_typ}
+    values = {"nodewise_margin_rel": worst, "circle_lhs_max": lhs_max,
+              "circle_rhs_gap": abs(rhs_typ - 1.0)}
+    return values, {"n": n, "circle_rhs": rhs_typ}
 
 
 @_entry(
@@ -342,6 +346,8 @@ def _norm_gradient_bound(rng, n):
     "Absolute-value and positive-part fields match finite differences at "
     "order >= 0.9; pos = (abs + D)/2 bit-exactly off the zero set; the "
     "sup norm is rejected for lacking order continuity.",
+    [("abs_fitted_order", ">=", 0.9), ("pos_fitted_order", ">=", 0.9),
+     ("pos_half_identity_exact", *YES), ("sup_norm_rejected", *YES)],
     ladder=((32, 64, 128, 256), 32, 512),
 )
 def _lattice_chain_rules(rng, ladder):
@@ -370,13 +376,10 @@ def _lattice_chain_rules(rng, ladder):
         sup_raised = False
     except OrderContinuityError:
         sup_raised = True
-    rows = [
-        _row("abs_fitted_order", _fit_order(ladder, abs_errs), 0.9, mode="ge"),
-        _row("pos_fitted_order", _fit_order(ladder, pos_errs), 0.9, mode="ge"),
-        _holds("pos_half_identity_exact", exact),
-        _holds("sup_norm_rejected", sup_raised),
-    ]
-    return rows, {"ladder": list(ladder), "abs_errors": abs_errs, "pos_errors": pos_errs}
+    values = {"abs_fitted_order": _fit_order(ladder, abs_errs),
+              "pos_fitted_order": _fit_order(ladder, pos_errs),
+              "pos_half_identity_exact": exact, "sup_norm_rejected": sup_raised}
+    return values, {"ladder": list(ladder), "abs_errors": abs_errs, "pos_errors": pos_errs}
 
 
 @_entry(
@@ -384,6 +387,7 @@ def _lattice_chain_rules(rng, ladder):
     "derivative norm, with equality in the limit",
     "For smooth corpus members the criterion constant converges to "
     "max_j |D_j u|_p at first order and the verdict stays BOUNDED.",
+    [("c_est_fitted_order", ">=", 1.0), ("all_bounded", *YES)],
     ladder=((64, 128, 256, 512), 16, 512), p=(2.0, 1, 64),
 )
 def _dq_criterion(rng, ladder, p):
@@ -406,11 +410,8 @@ def _dq_criterion(rng, ladder, p):
             ref = max(bochner_norm(du[j], p) for j in range(u.domain.d))
             total += abs(rep.details["c_est"] - ref)
         errs.append(total)
-    rows = [
-        _row("c_est_fitted_order", _fit_order(ladder, errs), 1.0, mode="ge"),
-        _holds("all_bounded", bounded),
-    ]
-    return rows, {"ladder": list(ladder), "c_est_errors": errs}
+    values = {"c_est_fitted_order": _fit_order(ladder, errs), "all_bounded": bounded}
+    return values, {"ladder": list(ladder), "c_est_errors": errs}
 
 
 @_entry(
@@ -419,19 +420,19 @@ def _dq_criterion(rng, ladder, p):
     "The indicator path into L^2 fits slope -0.5 +/- 0.05 with verdict "
     "DIVERGENT, while the L^1 variant stays BOUNDED and scalar pairings "
     "remain Lipschitz.",
+    [("slope_gap_r2", "<=", 0.05), ("divergent_r2", *YES), ("bounded_r1", *YES),
+     ("pairing_bounded", *YES)],
     n=(256, 64, 512),
 )
 def _dq_criterion_indicator(rng, n):
     w = counterexamples.indicator_path_witness(r=2.0, n=n)
     slope = w.details["criterion_slope"]
     w1 = counterexamples.indicator_path_witness(r=1.0, n=n)
-    rows = [
-        _row("slope_gap_r2", abs(slope + 0.5), 0.05),
-        _holds("divergent_r2", w.details["criterion_verdict"] == "DIVERGENT"),
-        _holds("bounded_r1", w1.details["criterion_verdict"] == "BOUNDED"),
-        _holds("pairing_bounded", w.details["pairing_verdict"] == "BOUNDED"),
-    ]
-    return rows, {"slope": slope, "verdict": w.verdict}
+    values = {"slope_gap_r2": abs(slope + 0.5),
+              "divergent_r2": w.details["criterion_verdict"] == "DIVERGENT",
+              "bounded_r1": w1.details["criterion_verdict"] == "BOUNDED",
+              "pairing_bounded": w.details["pairing_verdict"] == "BOUNDED"}
+    return values, {"slope": slope, "verdict": w.verdict}
 
 
 def _w0_corpus(rng, ladder):
@@ -466,6 +467,7 @@ def _w0_corpus(rng, ladder):
     "constant",
     "The discrete eigenvalue on n cells matches pi^2 within 1%, and every "
     "zero-trace corpus member on n/2 cells satisfies |u'| >= pi |u| (1 - 0.01).",
+    [("eigenvalue_rel_gap", "<=", 0.01), ("min_ratio_over_constant", ">=", 0.99)],
     n=(512, 16, 4096),
 )
 def _poincare_eigenvalue(rng, n):
@@ -476,11 +478,8 @@ def _poincare_eigenvalue(rng, n):
     for u in members:
         rep = theorems.poincare_check(u)
         worst = min(worst, rep.details["ratio"])
-    rows = [
-        _row("eigenvalue_rel_gap", gap, 0.01),
-        _row("min_ratio_over_constant", worst / math.pi, 0.99, mode="ge"),
-    ]
-    return rows, {"eigenvalue": ev, "n": n, "min_ratio": worst}
+    values = {"eigenvalue_rel_gap": gap, "min_ratio_over_constant": worst / math.pi}
+    return values, {"eigenvalue": ev, "n": n, "min_ratio": worst}
 
 
 @_entry(
@@ -488,6 +487,7 @@ def _poincare_eigenvalue(rng, n):
     "pairings, and the scalar pointwise norm agree",
     "On 10 members and 10 non-members the three verdicts agree 20/20 and "
     "member boundary norms decay at order >= 1.9.",
+    [("verdict_agreement", ">=", MEASURED), ("boundary_decay_order", ">=", 1.9)],
     ladder=((64, 128, 256), 4, 512),
 )
 def _w0_equivalences(rng, ladder):
@@ -507,12 +507,9 @@ def _w0_equivalences(rng, ladder):
         weak = theorems.weak_w0_check(u).passed
         scalar = theorems.w0_membership(pointwise_norm_function(u)).passed
         agree += int(rep.passed == expect and weak == expect and scalar == expect)
-    order = _fit_order(ladder, member_boundary)
-    rows = [
-        _row("verdict_agreement", agree, total, mode="ge"),
-        _row("boundary_decay_order", order, 1.9, mode="ge"),
-    ]
-    return rows, {"ladder": list(ladder), "member_boundary_norms": member_boundary}
+    values = {"verdict_agreement": (agree, total),
+              "boundary_decay_order": _fit_order(ladder, member_boundary)}
+    return values, {"ladder": list(ladder), "member_boundary_norms": member_boundary}
 
 
 def seed_of(rng: np.random.Generator) -> int:
@@ -524,6 +521,7 @@ def seed_of(rng: np.random.Generator) -> int:
     "the W^{1,2} norm",
     "holder_beta(u, 1/2) <= |u|_W for all corpus members; the square-root "
     "profile attains its sharp Holder constant within 5%.",
+    [("worst_ratio", "<=", 1.0), ("sqrt_profile_constant_gap", "<=", 0.05)],
     n=(512, 256, 2048),
 )
 def _morrey_d1(rng, n):
@@ -540,11 +538,8 @@ def _morrey_d1(rng, n):
         dom, grid, SpaceDescriptor("Hilbert", 2), np.sqrt(t)[:, None] * x0
     )
     beta_root = holder_beta(root, 0.5)
-    rows = [
-        _row("worst_ratio", worst, 1.0),
-        _row("sqrt_profile_constant_gap", abs(beta_root - 1.0), 0.05),
-    ]
-    return rows, {"n": n, "beta_sqrt": beta_root}
+    values = {"worst_ratio": worst, "sqrt_profile_constant_gap": abs(beta_root - 1.0)}
+    return values, {"n": n, "beta_sqrt": beta_root}
 
 
 @_entry(
@@ -552,6 +547,7 @@ def _morrey_d1(rng, n):
     "covering numbers",
     "A certified family keeps N(eps) within 2x the coarsest level for "
     "eps in {0.05, 0.1, 0.2}.",
+    [("max_count_growth", "<=", lambda: theorems.AUBIN_LIONS_GROWTH_CAP)],
     members=(30, 4, 60), levels=(3, 2, 4),  # grid and value dimension double per level
     n=(128, 128, 128),  # the coarsest grid, pinned: only refine changes it
 )
@@ -581,8 +577,8 @@ def _aubin_lions_compact(rng, members, levels, n):
         yspaces.append(SpaceDescriptor("GridLr", m, exponent=2.0, weights=mu))
     fams = theorems.Built(levels, lambda lv: family(lv, scale))
     prof = theorems.aubin_lions_probe(fams, yspaces)
-    rows = [_row("max_count_growth", prof.details["max_growth"], prof.details["growth_cap"])]
-    return rows, {"counts": prof.rows, "eps": list(prof.details["eps_list"])}
+    details = {"counts": prof.rows, "eps": list(prof.details["eps_list"])}
+    return {"max_count_growth": prof.details["max_growth"]}, details
 
 
 @_entry(
@@ -590,6 +586,7 @@ def _aubin_lions_compact(rng, members, levels, n):
     "numbers grow",
     "Shrinking-bump families bounded only in L^2 grow N(0.1) by >= 4x "
     "from coarsest to finest level.",
+    [("n_eps01_growth", ">=", 4.0)],
     members=(30, 4, 120), n=(1024, 1024, 1024),  # n pinned: only refine changes it
 )
 def _aubin_lions_control(rng, members, n):
@@ -607,8 +604,8 @@ def _aubin_lions_control(rng, members, n):
 
     prof = theorems.aubin_lions_probe(theorems.Built(4, family), None)
     n01 = [c[1] for c in prof.rows]
-    rows = [_row("n_eps01_growth", n01[-1] / n01[0], 4.0, mode="ge")]
-    return rows, {"counts": prof.rows, "eps": list(prof.details["eps_list"])}
+    details = {"counts": prof.rows, "eps": list(prof.details["eps_list"])}
+    return {"n_eps01_growth": n01[-1] / n01[0]}, details
 
 
 @_entry(
@@ -616,6 +613,7 @@ def _aubin_lions_control(rng, members, n):
     "preserves the operator norm",
     "50 seeded matrices up to size 32 at p = 2: |T tensor I| = |T| within "
     "1e-8; the defining identity on elementary tensors is bit-exact.",
+    [("max_norm_gap", "<=", 1e-8), ("tensor_identity_exact", *YES)],
     matrices=(50, 1, 200),
 )
 def _tensor_extension_norms(rng, matrices):
@@ -637,28 +635,22 @@ def _tensor_extension_norms(rng, matrices):
     f = rng.integers(-6, 7, size=16).astype(np.float64)
     x = np.ldexp(1.0, rng.integers(-2, 3, size=5)) * rng.choice([-1.0, 1.0], size=5)
     exact = te.passed and bool(np.array_equal(T @ np.outer(f, x), np.outer(T @ f, x)))
-    rows = [
-        _row("max_norm_gap", worst_gap, 1e-8),
-        _holds("tensor_identity_exact", exact),
-    ]
-    return rows, {"matrices": matrices}
+    return {"max_norm_gap": worst_gap, "tensor_identity_exact": exact}, {"matrices": matrices}
 
 
-def _witness_rows(w) -> list[Row]:
+WITNESS_ROWS = [("verdict_confirms", *YES), ("worst_ratio_gap", "<=", MEASURED)]
+
+
+def _witness(w, **values):
+    """A witness builder's values: its verdict, its worst ratio gap against
+    its band, then ``values``; and its side evidence, without its prose and
+    its band."""
     band = w.details["band"]
-    return [
-        _holds("verdict_confirms", w.passed),
-        _row(
-            "worst_ratio_gap",
-            max(abs(r - 1.0) for *_, r in w.rows) if w.rows else 0.0,
-            max(band[1] - 1.0, 1.0 - band[0]),
-        ),
-    ]
-
-
-def _notes(w) -> dict:
-    """A witness's side evidence, without its prose and its band."""
-    return {k: v for k, v in w.details.items() if k not in ("interpretation", "band")}
+    gap = max(abs(r - 1.0) for *_, r in w.rows) if w.rows else 0.0
+    values = {"verdict_confirms": w.passed,
+              "worst_ratio_gap": (gap, max(band[1] - 1.0, 1.0 - band[0])), **values}
+    notes = {k: v for k, v in w.details.items() if k not in ("interpretation", "band")}
+    return values, {"notes": notes}
 
 
 @_entry(
@@ -666,20 +658,21 @@ def _notes(w) -> dict:
     "differentiable: quotients blow up like h^(1/r - 1)",
     "Measured slopes within 0.05 of 1/r - 1 for r in {2, 4, inf}; all "
     "verdicts CONFIRMS_FAILURE; scalar pairings stay Lipschitz.",
+    [row for tag in ("2", "4", "inf")
+     for row in ((f"slope_gap_r{tag}", "<=", 0.05), (f"confirms_r{tag}", *YES))],
     n=(256, 64, 512),
 )
 def _witness_indicator_path(rng, n):
-    details = {}
-    rows = []
+    values, details = {}, {}
     for r in (2.0, 4.0, math.inf):
         w = counterexamples.indicator_path_witness(r=r, n=n)
         tag = "inf" if math.isinf(r) else f"{r:g}"
         expected = -1.0 if math.isinf(r) else 1.0 / r - 1.0
         slope = w.details["criterion_slope"]
-        rows.append(_row(f"slope_gap_r{tag}", abs(slope - expected), 0.05))
-        rows.append(_holds(f"confirms_r{tag}", w.passed))
+        values[f"slope_gap_r{tag}"] = abs(slope - expected)
+        values[f"confirms_r{tag}"] = w.passed
         details[f"r{tag}"] = {"slope": slope, "verdict": w.verdict}
-    return rows, details
+    return values, details
 
 
 @_entry(
@@ -687,15 +680,12 @@ def _witness_indicator_path(rng, n):
     "derivative: the candidate (cos(nt))_n never decays",
     "Tail sups stay >= 0.99 up to N = 10^4 while every coordinate and "
     "every summable pairing is smooth.",
+    [*WITNESS_ROWS, ("min_tail_sup", ">=", 0.99), ("path_lipschitz", "<=", 1.0 + 1e-6)],
 )
 def _witness_c0_sine(rng):
     w = counterexamples.c0_sine_witness()
-    rows = _witness_rows(w)
-    rows.append(_row("min_tail_sup", min(m for _, m, *_ in w.rows), 0.99, mode="ge"))
-    rows.append(
-        _row("path_lipschitz", w.details["path_lipschitz_constant"], 1.0 + 1e-6)
-    )
-    return rows, {"notes": _notes(w)}
+    return _witness(w, min_tail_sup=min(m for _, m, *_ in w.rows),
+                    path_lipschitz=w.details["path_lipschitz_constant"])
 
 
 @_entry(
@@ -703,22 +693,21 @@ def _witness_c0_sine(rng):
     "sup norm is not order continuous",
     "Quotient distance from the candidate -1_(r>t) stays >= 0.98 at "
     "h = 1e-3; the L^2 contrast obeys the lattice rule within 5%.",
+    [*WITNESS_ROWS, ("distance_at_finest", ">=", 0.98), ("l2_contrast_error", "<=", 0.05),
+     ("sup_norm_rejected", *YES)],
 )
 def _witness_ck_pospart(rng):
     w = counterexamples.ck_pospart_witness()
-    rows = _witness_rows(w)
-    rows.append(_row("distance_at_finest", w.details["distance_at_finest"], 0.98,
-                     mode="ge"))
-    rows.append(_row("l2_contrast_error", w.details["l2_contrast_error"], 0.05))
-    rejected = w.details["sup_norm_raises_order_continuity"]
-    rows.append(_holds("sup_norm_rejected", rejected))
-    return rows, {"notes": _notes(w)}
+    return _witness(w, distance_at_finest=w.details["distance_at_finest"],
+                    l2_contrast_error=w.details["l2_contrast_error"],
+                    sup_norm_rejected=w.details["sup_norm_raises_order_continuity"])
 
 
 @_entry(
     "Lipschitz maps compose with Sobolev paths: |D_j F(u)| <= L |D_j u|",
     "Composition with the norm map and a linear contraction keeps the "
     "difference-quotient excess below the floating tolerance.",
+    [("norm_map_excess", "<=", MEASURED), ("linear_excess", "<=", MEASURED)],
     n=(256, 4, 4096),
 )
 def _lipschitz_composition(rng, n):
@@ -726,7 +715,7 @@ def _lipschitz_composition(rng, n):
     u = bp.realize(n)
     F = norm_lipschitz_map(u.space)
     _, rep = compose_lipschitz(F, u, rng=np.random.default_rng(seed_of(rng)))
-    rows = [_row("norm_map_excess", dict(rep.rows)["max_excess"], rep.details["tolerance"])]
+    values = {"norm_map_excess": (dict(rep.rows)["max_excess"], rep.details["tolerance"])}
     # a generic linear contraction between different spaces
     A = rng.normal(size=(2, u.space.dim))
     A /= np.linalg.norm(A, 2) * 1.25
@@ -735,8 +724,8 @@ def _lipschitz_composition(rng, n):
         L=0.8, name="contraction",
     )
     _, rep2 = compose_lipschitz(lin, u, rng=np.random.default_rng(seed_of(rng)))
-    rows.append(_row("linear_excess", dict(rep2.rows)["max_excess"], rep2.details["tolerance"]))
-    return rows, {"n": n}
+    values["linear_excess"] = (dict(rep2.rows)["max_excess"], rep2.details["tolerance"])
+    return values, {"n": n}
 
 
 @_entry(
@@ -744,6 +733,7 @@ def _lipschitz_composition(rng, n):
     "differences where the one-sided derivatives coincide",
     "Plus/minus fields of the norm map agree with the composed finite "
     "difference at order >= 0.9 with negligible one-sided gap.",
+    [("fd_agreement_order", ">=", 0.9), ("max_pm_gap", "<=", 1e-8)],
     ladder=((64, 128, 256), 4, 512),
 )
 def _gateaux_chain_agreement(rng, ladder):
@@ -756,17 +746,15 @@ def _gateaux_chain_agreement(rng, ladder):
         dirs = ch.report.details["directions"][0]
         errs.append(max(dirs["err_plus"], dirs["err_minus"]))
         gaps.append(dirs["pm_gap_lp"])
-    rows = [
-        _row("fd_agreement_order", _fit_order(ladder, errs), 0.9, mode="ge"),
-        _row("max_pm_gap", max(gaps), 1e-8),
-    ]
-    return rows, {"ladder": list(ladder), "errors": errs}
+    values = {"fd_agreement_order": _fit_order(ladder, errs), "max_pm_gap": max(gaps)}
+    return values, {"ladder": list(ladder), "errors": errs}
 
 
 @_entry(
     "Vector-valued embedding constants never exceed the scalar ones",
     "The L^4-vs-W^{1,2} ratio of every corpus member is bounded by the "
     "empirical scalar constant on a probe corpus.",
+    [("max_ratio_of_ratios", "<=", 1.0 + 1e-6)],
     n=(256, 4, 4096),
 )
 def _embedding_constants(rng, n):
@@ -778,8 +766,7 @@ def _embedding_constants(rng, n):
         worst = max(worst, rep.details["ratio_of_ratios"])
         if not rep.passed:
             worst = math.inf
-    rows = [_row("max_ratio_of_ratios", worst, 1.0 + 1e-6)]
-    return rows, {"n": n, "samples": len(bps)}
+    return {"max_ratio_of_ratios": worst}, {"n": n, "samples": len(bps)}
 
 
 @_entry(
@@ -787,18 +774,17 @@ def _embedding_constants(rng, n):
     "C/n uniformly over shift-bounded families",
     "Family sup errors are monotone, sit below the criterion-derived "
     "bound, and fit a decay order >= 0.9.",
+    [("uniform_bound_ok", *YES), ("sup_error_monotone", *YES), ("decay_order", ">=", 0.9)],
     n=(256, 64, 2048),
 )
 def _mollifier_uniformity(rng, n):
     bps = [bp for bp in corpus_blueprints(rng) if bp.d == 1][:3]
     fam = [bp.realize(n) for bp in bps]
     rep = theorems.mollifier_family_check(fam)
-    rows = [
-        _holds("uniform_bound_ok", rep.details["bound_ok"]),
-        _holds("sup_error_monotone", rep.details["monotone_ok"]),
-        _row("decay_order", rep.details["fitted_slope"], 0.9, mode="ge"),
-    ]
-    return rows, {"table": rep.rows, "c_family": rep.details["c_family"]}
+    values = {"uniform_bound_ok": rep.details["bound_ok"],
+              "sup_error_monotone": rep.details["monotone_ok"],
+              "decay_order": rep.details["fitted_slope"]}
+    return values, {"table": rep.rows, "c_family": rep.details["c_family"]}
 
 
 @_entry(
@@ -806,6 +792,7 @@ def _mollifier_uniformity(rng, n):
     "at most 3^d",
     "Even reflection across every face restricts back bit-exactly with "
     "controlled norm growth.",
+    [("restriction_exact", *YES), ("w_growth_vs_bound", "<=", 1.0)],
     n=(128, 4, 4096),
 )
 def _extension_reflection(rng, n):
@@ -818,11 +805,7 @@ def _extension_reflection(rng, n):
         rep = theorems.reflection_extension_report(u, pad=pad)
         worst = max(worst, dict(rep.rows)["w_norm_ratio"] / rep.details["bound"])
         all_exact &= rep.details["restriction_exact"]
-    rows = [
-        _holds("restriction_exact", all_exact),
-        _row("w_growth_vs_bound", worst, 1.0),
-    ]
-    return rows, {"n": n}
+    return {"restriction_exact": all_exact, "w_growth_vs_bound": worst}, {"n": n}
 
 
 @_entry(
@@ -830,6 +813,7 @@ def _extension_reflection(rng, n):
     "every D_j u",
     "A path vanishing on the support of w has derivative vanishing there "
     "up to the finite-difference tolerance.",
+    [("derivative_overlap", "<=", MEASURED)],
     n=(256, 4, 4096),
 )
 def _stampacchia_disjointness(rng, n):
@@ -842,17 +826,15 @@ def _stampacchia_disjointness(rng, n):
     u = GridFunction(dom, grid, space, vals)
     w = np.array([0.0, 0.0, 1.0, 2.0])
     rep = stampacchia_check(u, w)
-    rows = [
-        _row("derivative_overlap", dict(rep.rows)["derivative_max"],
-             rep.details["tolerance"]),
-    ]
-    return rows, {"n": n}
+    overlap = dict(rep.rows)["derivative_max"], rep.details["tolerance"]
+    return {"derivative_overlap": overlap}, {"n": n}
 
 
 @_entry(
     "Quotient rule for u / |u| against a capped cutoff",
     "The assembled formula field matches the finite difference of the "
     "normalized path at order >= 0.9 away from the zero set.",
+    [("fitted_order", ">=", 0.9)],
     ladder=((64, 128, 256), 8, 512),
 )
 def _quotient_rule(rng, ladder):
@@ -867,8 +849,7 @@ def _quotient_rule(rng, ladder):
         phi = from_scalar(dom, grid, _bump(s * s))
         _, res = quotient_rule_field(u, phi)
         errs.append(res.report.details["l1_err_total"])
-    rows = [_row("fitted_order", _fit_order(ladder, errs), 0.9, mode="ge")]
-    return rows, {"ladder": list(ladder), "errors": errs}
+    return {"fitted_order": _fit_order(ladder, errs)}, {"ladder": list(ladder), "errors": errs}
 
 
 @_entry(
@@ -876,6 +857,7 @@ def _quotient_rule(rng, ladder):
     "(D_j psi) u",
     "Central differences satisfy the product rule at second order for "
     "smooth data.",
+    [("fitted_order", ">=", 1.8)],
     ladder=((64, 128, 256), 16, 512),
 )
 def _product_rule(rng, ladder):
@@ -887,8 +869,7 @@ def _product_rule(rng, ladder):
         psi = from_scalar(u.domain, u.grid, 1.0 + 0.5 * np.sin(2 * np.pi * t))
         rep = product_rule_check(u, psi)
         errs.append(rep.details["err_max"])
-    rows = [_row("fitted_order", _fit_order(ladder, errs), 1.8, mode="ge")]
-    return rows, {"ladder": list(ladder), "errors": errs}
+    return {"fitted_order": _fit_order(ladder, errs)}, {"ladder": list(ladder), "errors": errs}
 
 
 @_entry(
@@ -896,6 +877,7 @@ def _product_rule(rng, ladder):
     "scalar convergence of pointwise norms",
     "Scalar W-distances track vector W-distances at order >= 0.9 along a "
     "convergent sequence bounded away from zero.",
+    [("scalar_tracking_order", ">=", lambda: theorems.NORM_MAP_ORDER_MIN)],
     n=(128, 4, 4096),
 )
 def _norm_map_continuity(rng, n):
@@ -908,11 +890,7 @@ def _norm_map_continuity(rng, n):
     pert = np.stack([np.sin(2 * np.pi * t), np.cos(np.pi * t), t], axis=-1)
     seq = [GridFunction(dom, grid, space, base + pert / 2.0**k) for k in range(1, 7)]
     rep = theorems.norm_map_continuity_check(seq, u)
-    rows = [
-        _row("scalar_tracking_order", rep.details["fitted_slope"],
-             theorems.NORM_MAP_ORDER_MIN, mode="ge"),
-    ]
-    return rows, {"pairs": rep.rows}
+    return {"scalar_tracking_order": rep.details["fitted_slope"]}, {"pairs": rep.rows}
 
 
 def entry_params(name: str, refine: int, params: dict | None = None) -> dict:
@@ -943,6 +921,17 @@ def run_entry(name: str, seed: int, refine: int = 0, params: dict | None = None)
 
 
 def _run_checked(name: str, seed: int, kwargs: dict):
-    """Run entry ``name``'s builder on ``kwargs`` as ``entry_params`` made them."""
-    rows, details = CATALOG[name].builder(entry_rng(name, seed), **kwargs)
+    """Run entry ``name``'s builder on ``kwargs`` as ``entry_params`` made
+    them, and ``compare`` its values as its rows declare them.  Unless the
+    values are for exactly the declared metrics, in their order, it raises
+    ``ContractError`` naming the entry and both lists of metrics."""
+    entry = CATALOG[name]
+    values, details = entry.builder(entry_rng(name, seed), **kwargs)
+    got, declared = list(values), [metric for metric, *_ in entry.rows]
+    if got != declared:
+        raise ContractError(f"{name}: metrics {got} are not the declared {declared}")
+    rows = []
+    for metric, direction, threshold in entry.rows:
+        value, threshold = values[metric] if threshold is MEASURED else (values[metric], threshold)
+        rows.append(compare(metric, value, direction, threshold))
     return rows, to_jsonable(details)

@@ -233,17 +233,25 @@ def test_cli_require_gate_forces_failure(tmp_path, capsys):
 
 
 def test_cli_require_unknown_metric(tmp_path, capsys):
+    # a metric the entry does not declare is rejected with the config,
+    # before any entry runs
     cfg = _write_config(
         tmp_path,
         {
             "schema_version": 1,
             "suite": [
-                {"name": "extension_reflection", "require": {"nope": {"max": 1.0}}}
+                {"name": "stampacchia_disjointness"},
+                {"name": "poincare_eigenvalue", "require": {"no_such_metric": {"max": 1.0}}},
             ],
         },
     )
-    assert cli.main(["run", cfg, "--out", str(tmp_path / "r")]) == cli.EXIT_ERROR
-    assert "unknown metric" in capsys.readouterr().err
+    out = tmp_path / "r"
+    assert cli.main(["run", cfg, "--out", str(out)]) == cli.EXIT_ERROR
+    assert capsys.readouterr().err == (
+        "error: config schema violations:\n  /suite/1/require/no_such_metric: "
+        "poincare_eigenvalue declares no row 'no_such_metric'\n"
+    )
+    assert not out.exists()
 
 
 def test_require_bound_equal_to_value_passes_max_and_min():
@@ -448,9 +456,10 @@ def test_forked_workers_inherit_numpy_random():
         "    had.append('numpy.random' in sys.modules)\n"
         "    return draw(name, seed)\n"
         "def probe(rng):\n"
-        "    return [suite._holds('inherited', had[-1])], {'pid': os.getpid()}\n"
+        "    return {'inherited': had[-1]}, {'pid': os.getpid()}\n"
         "suite.entry_rng = entry_rng\n"
-        "suite.CATALOG['probe'] = suite.CatalogEntry('probe', '', '', probe, {})\n"
+        "suite.CATALOG['probe'] = suite.CatalogEntry(\n"
+        "    'probe', '', '', probe, {}, (('inherited', *suite.YES),))\n"
         "print(('numpy.random' in sys.modules) == ('numpy.random' in alone))\n"
         "results = cli.execute_suite([{'name': 'probe', 'seed': 42}] * 4, 2)\n"
         "print(sorted({r['details']['pid'] != os.getpid() for r in results}))\n"
@@ -757,8 +766,8 @@ def test_median_matches_numpy_bit_for_bit(xs):
 
 def test_fit_order_is_nan_without_two_positive_errors():
     assert math.isnan(suite._fit_order([32, 64, 128], [0.0, 0.0, 1.0]))
-    assert not suite._row("fitted_order", suite._fit_order([32, 64], [0.0, 0.0]),
-                          0.9, mode="ge").passed
+    assert not suite.compare("fitted_order", suite._fit_order([32, 64], [0.0, 0.0]),
+                             ">=", 0.9).passed
 
 
 def test_full_catalog_passes_at_refine_3(tmp_path):
@@ -876,6 +885,31 @@ def test_describe_reads_the_declarations(capsys):
             assert line + "\n" in desc
         if not entry.params:
             assert "params: none" in desc
+        rows = desc.split("  rows:\n", 1)[1].splitlines()
+        assert len(rows) == len(entry.rows)
+        for line, (metric, direction, threshold) in zip(rows, entry.rows):
+            assert direction in suite.DIRECTIONS
+            bound = "measured by the run" if threshold is suite.MEASURED else repr(threshold)
+            assert line == f"    {metric} {direction} {bound}"
+
+
+@pytest.mark.parametrize("metrics", [
+    ["restriction_exact"],  # a metric missing
+    ["restriction_exact", "w_growth_vs_bound", "extra"],  # one not declared
+    ["w_growth_vs_bound", "restriction_exact"],  # out of order
+])
+def test_builder_returning_other_metrics_than_declared_raises(monkeypatch, metrics):
+    builder = suite.CATALOG["extension_reflection"].builder
+
+    def other(rng, n):
+        values, details = builder(rng, n)
+        return {m: values.get(m, 1.0) for m in metrics}, details
+
+    _replace_builder(monkeypatch, "extension_reflection", other)
+    with pytest.raises(ContractError) as exc:
+        suite.run_entry("extension_reflection", 42)
+    assert str(exc.value) == (f"extension_reflection: metrics {metrics} are not the declared "
+                              "['restriction_exact', 'w_growth_vs_bound']")
 
 
 def _readme() -> str:
@@ -1072,29 +1106,18 @@ def test_sidecar_records_the_params_that_ran(tmp_path):
         {"ladder": [128, 256, 512]}, {"n": 512}]
 
 
-@pytest.mark.parametrize("workers", ["1", pytest.param("2", marks=two_cpus)])
-def test_require_error_crosses_process_boundary(tmp_path, capsys, workers):
-    cfg = _write_config(
-        tmp_path,
-        {
-            "schema_version": 1,
-            "suite": [
-                {"name": "stampacchia_disjointness"},
-                {"name": "extension_reflection", "require": {"nope": {"max": 1.0}}},
-            ],
-        },
-    )
-    out = tmp_path / "r"
-    assert cli.main(["run", cfg, "--out", str(out), "--workers", workers]) == (
-        cli.EXIT_ERROR
-    )
-    message = "ConfigError: require references unknown metric 'nope'"
-    assert capsys.readouterr().err.endswith(
-        f"error: entry extension_reflection raised {message}\n"
-    )
-    assert json.loads((out / "extension_reflection.json").read_text())["error"] == message
-    other = json.loads((out / "stampacchia_disjointness.json").read_text())
-    assert "error" not in other and all(r["pass"] for r in other["rows"])
+@pytest.mark.parametrize("workers", [1, pytest.param(2, marks=two_cpus)])
+def test_require_error_crosses_process_boundary(workers):
+    # execute_suite takes specs the config check never saw: a require of a
+    # metric the entry does not declare is that entry's error
+    specs = [
+        {"name": "stampacchia_disjointness", "seed": 42},
+        {"name": "extension_reflection", "seed": 42, "require": {"nope": {"max": 1.0}}},
+    ]
+    other, failed = cli.execute_suite(specs, workers)
+    assert failed["error"] == "ConfigError: require references unknown metric 'nope'"
+    assert [(r.metric, r.passed) for r in failed["rows"]] == [("raised", False)]
+    assert "error" not in other and all(r.passed for r in other["rows"])
 
 
 def _no_child_left():
@@ -1179,9 +1202,10 @@ def test_results_larger_than_a_pipe_buffer_arrive_whole(monkeypatch):
     # each result is about 1.6 MB, many times a pipe's 64 KiB buffer, and
     # both workers write theirs at once
     def big(rng):
-        return [suite._holds("drawn", True)], {"draws": rng.random(200_000).tolist()}
+        return {"drawn": True}, {"draws": rng.random(200_000).tolist()}
 
-    monkeypatch.setitem(suite.CATALOG, "big", suite.CatalogEntry("big", "", "", big, {}))
+    entry = suite.CatalogEntry("big", "", "", big, {}, (("drawn", *suite.YES),))
+    monkeypatch.setitem(suite.CATALOG, "big", entry)
     specs = [{"name": "big", "seed": s} for s in range(4)]
     results = cli.execute_suite(specs, 2)
     assert [r["details"] for r in results] == [suite.run_entry("big", s)[1] for s in range(4)]
