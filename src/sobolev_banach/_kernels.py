@@ -297,17 +297,17 @@ def greedy_radii(D):
     return radii
 
 
-def sup_pairing(X, H, nx, tie_rel):
-    """Batched sup-norm one-sided pairing: extremes of <h, x'> over the
-    norming functionals x' of each row of X, the coordinates within
-    ``tie_rel`` of the row's norm in ``nx``.  Rows with nx = 0 are left to
-    the caller."""
-    X = np.ascontiguousarray(X, dtype=np.float64)
-    H = np.ascontiguousarray(H, dtype=np.float64)
-    tie_rel = float(tie_rel)
-    ax = np.abs(X)
-    tie = ax >= (nx * (1.0 - tie_rel))[:, None]
-    cand = np.where(X > 0.0, H, -H)
+def sup_pairing(X, H, tie):
+    """Batched sup-norm one-sided pairing: the largest and smallest of
+    sign(x_c) h_c (sign -1 at x_c = 0) over the coordinates c where the mask
+    ``tie`` (X's shape, at least one per row) holds, for each row x of X and
+    h of H.  The signs are +-1.0 formed by arithmetic: ``np.where(X > 0.0,
+    H, -H)`` gives the same bits at several times the cost, as its
+    condition changes unpredictably from value to value."""
+    cand = (X > 0.0).astype(np.float64)
+    cand *= 2.0
+    cand -= 1.0
+    cand *= H
     plus = row_reduce(np.where(tie, cand, -np.inf), np.maximum)
     minus = row_reduce(np.where(tie, cand, np.inf), np.minimum)
     return plus, minus

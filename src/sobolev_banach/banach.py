@@ -172,38 +172,31 @@ def one_sided_norm_derivative_batch(space: SpaceDescriptor, X, H):
 def _pairing_at(space: SpaceDescriptor, X, nx):
     """``one_sided_norm_derivative_batch(space, X, .)`` for the fixed finite
     rows of the 2-D array X with norms ``nx`` (from ``norm``), as a function
-    ``pair(H)``; what depends on X alone is computed once, here.  The sides
-    away from x = 0, per kind:
+    ``pair(H)``; what depends on X alone is computed once, here.  Away from
+    x = 0 the sides are the largest and smallest pairing <h, x'> over the
+    norming functionals x' of x, by one expression per kind:
 
-    * sup norm: a row with one tie c (``_ties``) has the one norming
-      functional sign(x_c) e_c, so both sides are +-h_c; the rows with
-      several ties take ``_kernels.sup_pairing`` on that subset.
+    * sup norm: the functionals are sign(x_c) e_c over the ties c of x, the
+      coordinates with |x_c| >= |x| (1 - ``TIE_REL``), so the sides are the
+      extremes of sign(x_c) h_c over them (``_kernels.sup_pairing``).
     * ell^1: base +- the row sum of |h| over x's zero coordinates, with base
-      the sign pairing; with no zero coordinate in X that sum is +0 for a
-      finite h, so the sides are base + 0.0 and base.
+      the sign pairing; where x has no zero coordinate that sum is +0 for
+      a finite h.
     * smooth Lr: one value, the gradient pairing (``_kernels.lr_gradient``).
 
     At x = 0 the sides are (+|h|, -|h|); they are unique when they agree within
     ``PAIR_TOL * (1 + |h|)``.  |h| is formed, over the whole batch, only when
     X has a zero row, a sup row with several ties or an ell^1 zero
-    coordinate; otherwise the sides are one value (up to ell^1's + 0.0) and
-    |h| is not NaN, so they are unique where they are finite.
+    coordinate; otherwise the sides of a finite h are one value (ell^1's
+    plus is that value + 0.0), so they are unique where they are finite.
     """
     zero = nx == 0.0
     if space.sup_like:
-        count, at = _ties(X, nx)
-        sgn = np.where(np.take(X, at) > 0.0, 1.0, -1.0)
-        several = np.flatnonzero(count > 1)
-        needs_h = several.size > 0
+        tie = np.abs(X) >= (nx * (1.0 - TIE_REL))[:, None]
+        needs_h = np.count_nonzero(tie) > len(X)  # every row ties at least once
 
         def sides(H):
-            plus = np.take(H, at)
-            plus *= sgn
-            minus = plus.copy()
-            if needs_h:
-                plus[several], minus[several] = _kernels.sup_pairing(
-                    X[several], H[several], nx[several], TIE_REL)
-            return plus, minus
+            return _kernels.sup_pairing(X, H, tie)
 
     elif space.exponent == 1.0:
         sgn, at_zero = np.sign(X), X == 0.0
@@ -211,8 +204,6 @@ def _pairing_at(space: SpaceDescriptor, X, nx):
 
         def sides(H):
             base = _kernels.row_sum(sgn * H, space.weights)
-            if not needs_h:
-                return base + 0.0, base
             zero_part = _kernels.row_sum(np.abs(H) * at_zero, space.weights)
             return base + zero_part, base - zero_part
 
@@ -239,21 +230,6 @@ def _pairing_at(space: SpaceDescriptor, X, nx):
         return plus, minus, (plus - minus) <= PAIR_TOL * (1.0 + hnorm)
 
     return pair
-
-
-def _ties(X, nx):
-    """Per row of the finite 2-D array X with sup norms nx: the number of
-    its ties (the coordinates that ``_kernels.sup_pairing`` takes as
-    norming, within ``TIE_REL`` of the norm; at least one) and the flat
-    index in X of its last tie.  The value axis is read column by column."""
-    tie = np.abs(X) >= (nx * (1.0 - TIE_REL))[:, None]
-    k = X.shape[1]
-    first = k * np.arange(len(X))
-    count, at = tie[:, 0].astype(np.intp), first.copy()
-    for b in range(1, k):
-        count += tie[:, b]
-        np.add(first, b, out=at, where=tie[:, b])
-    return count, at
 
 
 def one_sided_norm_derivative(space: SpaceDescriptor, x, h) -> PairingResult:

@@ -189,9 +189,8 @@ def _run_one(spec: dict):
 
 
 def available_cpus() -> int:
-    """CPUs this process may run on; 1 where workers cannot be forked."""
-    if not hasattr(os, "fork"):
-        return 1
+    """CPUs this process may run on: its affinity set, or the machine's
+    CPU count where there is no affinity call."""
     try:
         return len(os.sched_getaffinity(0))
     except AttributeError:  # no affinity call on this platform

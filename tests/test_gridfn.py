@@ -6,8 +6,9 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from sobolev_banach import banach, gridfn
+from sobolev_banach import banach, gridfn, suite
 from sobolev_banach.errors import ContractError, DimensionMismatchError, GridError
 
 
@@ -248,6 +249,65 @@ def test_mollify_smooths_and_respects_range():
     assert tv(sm.values) < 0.5 * tv(u.values)
     with pytest.raises(GridError):
         gridfn.mollify(gridfn.from_scalar(dom, gridfn.GridSpec((8,)), np.ones(8)), 32)
+
+
+# properties that hold exactly on the grid, up to rounding, in every space
+# kind of the corpus and at d = 1 and 2
+GRID_PROPERTIES = dict(derandomize=True, max_examples=20, deadline=None)
+KIND_SPACES = pytest.mark.parametrize("space", [space for _, space in suite.KIND_SPECS],
+                                      ids=[name for name, _ in suite.KIND_SPECS])
+
+
+@st.composite
+def grid_functions(draw, space, d):
+    """Grid functions in ``space`` on the unit box, on (n,)*d grids with
+    n >= 2: smooth (a sine of a linear form per coordinate) or rough
+    (independent normal nodes), scaled by 1e-3 to 1e3, with exact zeros
+    and -0.0 among the values."""
+    n = draw(st.integers(2, 24) if d == 1 else st.integers(2, 9))
+    dom, grid = gridfn.unit_box(d), gridfn.GridSpec((n,) * d)
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    if draw(st.booleans()):
+        values = rng.normal(size=grid.n + (space.dim,))
+    else:
+        form = 6.0 * rng.normal(size=(d, space.dim))
+        values = np.sin(gridfn.grid_centers(dom, grid) @ form + rng.normal(size=space.dim))
+    values *= 10.0 ** draw(st.integers(-3, 3))
+    values.flat[rng.integers(values.size, size=2)] = 0.0
+    values.flat[rng.integers(values.size, size=2)] = -0.0
+    return gridfn.GridFunction(dom, grid, space, values)
+
+
+@KIND_SPACES
+@pytest.mark.parametrize("d", [1, 2])
+@given(data=st.data())
+@settings(**GRID_PROPERTIES)
+def test_extend_reflect_restricts_to_u_bit_for_bit(space, d, data):
+    u = data.draw(grid_functions(space, d))
+    pad = data.draw(st.integers(1, min(u.grid.n)))
+    ext = gridfn.extend_reflect(u, pad)
+    assert ext.grid.n == tuple(k + 2 * pad for k in u.grid.n)
+    inner = ext.values[(slice(pad, -pad),) * d]
+    assert np.array_equal(inner, u.values)
+    assert np.array_equal(np.signbit(inner), np.signbit(u.values))
+
+
+@KIND_SPACES
+@pytest.mark.parametrize("d", [1, 2])
+@given(data=st.data())
+@settings(**GRID_PROPERTIES)
+def test_mollify_raises_no_pointwise_norm_above_the_largest(space, d, data):
+    # each output node is a convex combination of reflected samples of u,
+    # so by the triangle inequality its norm is at most the largest norm M
+    # of u.  Slack: with m offsets each coordinate's m terms round by at
+    # most about 3 m eps times the largest coordinate, which is at most dim
+    # times M over the norm of a coordinate vector in these spaces
+    u = data.draw(grid_functions(space, d))
+    level = data.draw(st.integers(1, u.grid.n[0] - 1))
+    m = len(gridfn.mollifier_weights(u.grid.spacing(u.domain), level)[1])
+    top = gridfn.pointwise_norms(u).max()
+    slack = 8.0 * (m + 2) * space.dim * np.finfo(float).eps
+    assert gridfn.pointwise_norms(gridfn.mollify(u, level)).max() <= top * (1.0 + slack)
 
 
 def test_trace_linear_extrapolation_exact_on_affine():

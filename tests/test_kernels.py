@@ -291,8 +291,9 @@ def test_sup_pairing_parity_and_zero_rows():
     X[42] = [0.3, 2.0, -0.1, 0.5, -2.0, 1.0]
     H = rng.normal(size=(300, 6))
     nx = np.abs(X).max(axis=1)
-    plus, minus = _kernels.sup_pairing(X, H, nx, 1e-12)
-    ref_plus, ref_minus = sup_pairing_ref(X, H, 1e-12)
+    tie = np.abs(X) >= (nx * (1.0 - banach.TIE_REL))[:, None]
+    plus, minus = _kernels.sup_pairing(X, H, tie)
+    ref_plus, ref_minus = sup_pairing_ref(X, H, banach.TIE_REL)
     nz = nx > 0.0
     assert np.array_equal(plus[nz], ref_plus[nz]) and np.array_equal(minus[nz], ref_minus[nz])
     # the kernel leaves zero rows to the batch, which gives them +-|h|_inf
