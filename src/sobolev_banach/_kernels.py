@@ -118,12 +118,12 @@ def node_blocks(n, width):
 
     The grid passes (``SampleBlueprint.realize``, ``gridfn.mollify``,
     ``gridfn.shift_node_norms``, ``counterexamples._pos_contrast_rows``,
-    the norms, differences and pairings of
-    ``calculus.norm_derivative_field``, and the chain-rule comparison
+    the values, differences and sides of the chain-rule pass
+    ``calculus._chain_pass``, and the chain-rule comparison
     ``calculus._Comparison``, which settles each block as they form it)
     take the rows to be the first-axis rows of a node array, of ``width``
     = nodes per row times the value dimension; a block of them is a
-    contiguous slice of the nodes.  The norm pass and the C(K) contrast
+    contiguous slice of the nodes.  The chain-rule pass and the C(K) contrast
     read each block with its window.  The indicator witness writes
     the rows of each lag's shift difference one block at a time
     (``counterexamples._band_node_norms``), so that its n x n path is
@@ -297,19 +297,20 @@ def greedy_radii(D):
     return radii
 
 
-def sup_pairing(X, H, tie):
+def sup_pairing(X, H, bound):
     """Batched sup-norm one-sided pairing: the largest and smallest of
-    sign(x_c) h_c (sign -1 at x_c = 0) over the coordinates c where the mask
-    ``tie`` (X's shape, at least one per row) holds, for each row x of X and
-    h of H.  The signs are +-1.0 formed by arithmetic: ``np.where(X > 0.0,
-    H, -H)`` gives the same bits at several times the cost, as its
-    condition changes unpredictably from value to value."""
+    sign(x_c) h_c (sign -1 at x_c = 0) over the ties c of each row x of X
+    and h of H, ``bound`` being NaN on the ties (one or more per row) and
+    -inf elsewhere: fmin/fmax with it and its negation give np.where(tie,
+    cand, -+inf)'s bits, NaN included, at half the cost.  Signs are formed
+    by arithmetic: np.where(X > 0.0, H, -H) costs several times more."""
     cand = (X > 0.0).astype(np.float64)
     cand *= 2.0
     cand -= 1.0
     cand *= H
-    plus = row_reduce(np.where(tie, cand, -np.inf), np.maximum)
-    minus = row_reduce(np.where(tie, cand, np.inf), np.minimum)
+    side = np.fmin(cand, bound)  # cand on the ties, -inf elsewhere
+    plus = row_reduce(side, np.maximum)
+    minus = row_reduce(np.fmax(cand, np.negative(bound, out=side), out=cand), np.minimum)
     return plus, minus
 
 

@@ -194,9 +194,10 @@ def _pairing_at(space: SpaceDescriptor, X, nx):
     if space.sup_like:
         tie = np.abs(X) >= (nx * (1.0 - TIE_REL))[:, None]
         needs_h = np.count_nonzero(tie) > len(X)  # every row ties at least once
+        bound = np.where(tie, np.nan, -np.inf)
 
         def sides(H):
-            return _kernels.sup_pairing(X, H, tie)
+            return _kernels.sup_pairing(X, H, bound)
 
     elif space.exponent == 1.0:
         sgn, at_zero = np.sign(X), X == 0.0

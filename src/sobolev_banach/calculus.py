@@ -7,8 +7,8 @@ Hölder seminorms) into measurable quantities on a grid, each with a report
 recording what was compared and how well it agreed.  Every chain-rule
 field is checked by one comparison, ``_Comparison``: ``l1_err[j]`` is the
 Bochner 1-norm of fields[j] - D_j(target) over the unflagged interior
-nodes, one node block at a time (``_compare`` for whole fields; the norm
-pass settles each block as it forms it, against its window's norms).  The
+nodes, one node block at a time (``_compare`` for whole fields; the one
+chain-rule pass settles each block as it forms it, against F(u)).  The
 norm, lattice and quotient rule fields report it as the rows
 ``l1_err[j]`` and ``flagged_fraction[j]`` per axis j.
 """
@@ -77,27 +77,27 @@ class FieldResult:
 
 
 class _Comparison:
-    """The comparison every chain-rule check makes: per axis j, the Bochner
-    p-norm of fields[j] - D_j(target) over the interior nodes that
-    flags[j] leaves in, one block of first-axis rows at a time.
+    """The comparison every chain-rule check makes: per field k, the Bochner
+    p-norm of fields[k] - D_j(target), j = k mod d, over the interior nodes
+    that flags[k] leaves in, one block of first-axis rows at a time.
 
     The target is a grid function of ``space`` on ``grid`` over
     ``domain``.  ``settle(blk, window, first, fields, flags)`` takes field
-    j and its flags on the rows ``blk`` (any shape that holds those nodes
+    k and its flags on the rows ``blk`` (any shape that holds those nodes
     in order), against a window of the target: its node array's rows from
     ``first`` on, which hold the rows of ``blk`` and, within the grid, one
     halo row on each side (``gridfn._difference_rows``); the whole target
     is the window at ``first`` = 0.  D_j(target) and the node norms of the
     differences run in one reused block buffer of ``rows`` first-axis
     rows.  Each block appends the norms of the nodes it keeps to one
-    array per axis, which so holds them in node order, and ``errors``
+    array per field, which so holds them in node order, and ``errors``
     runs ``_lp`` once over each array, in place (so only once).  In a
     space of dim 1, exponent 1 and weight 1 (``scalar_space``) the norm
     |x| * 1.0 + 0.0 is |x|, bit for bit, and ``_lp`` takes |.| of the
     values it sums, so there the differences are kept as they are.
     """
 
-    def __init__(self, space: SpaceDescriptor, domain, grid, axes: int, rows: int):
+    def __init__(self, space: SpaceDescriptor, domain, grid, count: int, rows: int):
         self.space, self.grid = space, grid
         self.h = grid.spacing(domain)
         self.signed = space.dim == 1 and space.exponent == 1.0 and space.weights[0] == 1.0
@@ -106,9 +106,9 @@ class _Comparison:
         # one array for all axes: glibc gave two arrays of this size back to
         # the system when freed, so each comparison faulted them in afresh
         # (about 8 000 page faults per norm_chain_rule call at refine 2)
-        self.kept = np.empty((axes, inner))
-        self.ends = [0] * axes
-        self.flagged = [0] * axes
+        self.kept = np.empty((count, inner))
+        self.ends = [0] * count
+        self.flagged = [0] * count
 
     def settle(
         self, blk: slice, window: np.ndarray, first: int,
@@ -116,16 +116,16 @@ class _Comparison:
     ):
         part = self.diff[: blk.stop - blk.start]
         inner = interior_mask(self.grid, blk)
-        for j, (f, flag) in enumerate(zip(fields, flags)):
-            _difference_rows(window, first, self.grid.n[0], self.h, j, blk, part)
+        for k, (f, flag) in enumerate(zip(fields, flags)):
+            _difference_rows(window, first, self.grid.n[0], self.h, k % len(self.h), blk, part)
             np.subtract(f.reshape(part.shape), part, out=part)
             flag = flag.reshape(inner.shape)
             norms = part[..., 0] if self.signed else banach.norm(self.space, part)
             kept = norms[inner & ~flag]
-            at = self.ends[j]
-            self.ends[j] += kept.size
-            self.kept[j][at : self.ends[j]] = kept
-            self.flagged[j] += int(np.count_nonzero(flag))
+            at = self.ends[k]
+            self.ends[k] += kept.size
+            self.kept[k][at : self.ends[k]] = kept
+            self.flagged[k] += int(np.count_nonzero(flag))
 
     def errors(self, p: float) -> list[float]:
         vol = float(np.prod(self.h))
@@ -379,6 +379,70 @@ def compose_lipschitz(
 # ---------------------------------------------------------------------------
 
 
+def _chain_pass(u, n, who: str, keep_fields: bool, target, values, at, sides: int = 1):
+    """The one pass of every chain rule D_j F(u) = F's one-sided sides along
+    D_j u, over the node blocks (``_kernels.node_blocks``) of the grid
+    function u (n None), or of the blueprint u's member at n cells per axis.
+    F is given by ``values(X)``, the rows of X mapped into ``target``, and
+    ``at(X, FX)``, which forms once per block what depends on its points
+    alone and returns ``sides(j, H, fields, flag)``: that writes the
+    ``sides`` fields along H = D_j u and the nodes left out.  Returns the
+    ``_Comparison`` of the fields (the d of one side, then of the next)
+    with D_j F(u), and the full-size fields and flags if ``keep_fields``.
+
+    A block's window is its rows and one halo row on each side, within the
+    grid; a window after the first opens with the last two rows of the one
+    before, values and F-values, and realizes (a blueprint's, into one
+    reused buffer), checks finite (``who`` names the caller) and maps only
+    the rest.  No full-size derivative or F-value array is made."""
+    domain, grid = (u.domain, u.grid) if n is None else (unit_box(u.d), GridSpec((n,) * u.d))
+    dim, tdim, d, rows = u.space.dim, target.dim, domain.d, grid.n[0]
+    per_row = math.prod(grid.n[1:])  # nodes per first-axis row
+    blocks = _kernels.node_blocks(rows, per_row * dim)
+    longest = blocks[0].stop - blocks[0].start
+    if n is None:
+        read = lambda first, last, carry, carried: u.values[first:last]
+    else:
+        buf, write = np.empty((longest + 2,) + grid.n[1:] + (dim,)), u.row_writer(n)
+
+        def read(first, last, carry, carried):
+            w = buf[: last - first]
+            w[:carry] = buf[carried - carry : carried]
+            write(first + carry, last, w[carry:])
+            return w
+
+    fbuf = np.empty(((longest + 2) * per_row, tdim))  # the window's F-values
+    comparison = _Comparison(target, domain, grid, sides * d, longest)
+    size = math.prod(grid.n) if keep_fields else longest * per_row
+    kept = [np.empty((size, tdim)) for _ in range(sides * d)]
+    flagged = [np.empty(size, dtype=bool) for _ in range(d)]
+    diff = np.empty((longest,) + grid.n[1:] + (dim,))
+    carried = 0  # rows of the window before
+    for blk in blocks:
+        first, last = max(blk.start - 1, 0), min(blk.stop + 1, rows)
+        carry = 2 if blk.start else 0  # rows first, first + 1 closed the window before
+        w = read(first, last, carry, carried)
+        check_finite(who, w[carry:], first + carry)
+        fw = fbuf[: (last - first) * per_row]
+        fw[: carry * per_row] = fbuf[(carried - carry) * per_row : carried * per_row]
+        fw[carry * per_row :] = values(w[carry:].reshape(-1, dim))
+        carried = last - first
+        own = slice(blk.start - first, blk.stop - first)  # the block's rows in w
+        block_sides = at(w[own].reshape(-1, dim), fw[own.start * per_row : own.stop * per_row])
+        part = diff[: blk.stop - blk.start]
+        nodes = slice(blk.start * per_row, blk.stop * per_row)
+        out = nodes if keep_fields else slice(0, nodes.stop - nodes.start)
+        fields, flags = [f[out] for f in kept], [f[out] for f in flagged]
+        for j in range(d):
+            _difference_rows(w, first, rows, comparison.h, j, blk, part)
+            block_sides(j, part.reshape(-1, dim), fields[j::d], flags[j])
+        comparison.settle(blk, fw.reshape(w.shape[:-1] + (tdim,)), first, fields, flags * sides)
+    if not keep_fields:
+        return comparison, [], []
+    fields = [GridFunction(domain, grid, target, f.reshape(grid.n + (tdim,))) for f in kept]
+    return comparison, fields, [f.reshape(grid.n) for f in flagged]
+
+
 def gateaux_chain_field(F: LipschitzMap, u: GridFunction) -> FieldResult:
     """Nodewise one-sided derivatives of F along the difference-quotient
     derivative directions of u, compared against the direct quotients of
@@ -394,40 +458,30 @@ def gateaux_chain_field(F: LipschitzMap, u: GridFunction) -> FieldResult:
         raise CapabilityError(f"{F.name} carries no one-sided derivative data")
     if u.space != F.source:
         raise DimensionMismatchError("u does not live in F's source space")
-    X = u.values.reshape(-1, u.space.dim)
-    du = finite_difference(u)
-    v = GridFunction(
-        u.domain, u.grid, F.target, F.apply_batch(X).reshape(u.grid.n + (F.target.dim,))
-    )
-    vol = float(np.prod(u.grid.spacing(u.domain)))
-    plus_fields, minus_fields, flags, gaps = [], [], [], []
-    for j in range(u.domain.d):
-        V = du[j].values.reshape(-1, u.space.dim)
-        plus, minus = (real_array(F.name, a, (len(X), F.target.dim))
-                       for a in F.onesided_batch(X, V))
-        plus_fields.append(v.like(plus.reshape(v.values.shape)))
-        minus_fields.append(v.like(minus.reshape(v.values.shape)))
-        gap = np.asarray(banach.norm(F.target, plus - minus))
-        unique = gap <= PAIR_TOL * (1.0 + np.asarray(banach.norm(u.space, V)))
-        flags.append(~unique.reshape(u.grid.n))
-        gaps.append(_lp(gap, vol, SOBOLEV_P))
-    err_plus = _compare(v, plus_fields, flags).errors(SOBOLEV_P)
-    err_minus = _compare(v, minus_fields, flags).errors(SOBOLEV_P)
-    table = []
-    details: dict = {"directions": {}}
-    for j in range(u.domain.d):
-        table.append((f"pm_gap_lp[{j}]", gaps[j]))
-        table.append((f"fd_err[{j}]", max(err_plus[j], err_minus[j])))
-        details["directions"][j] = {
-            "pm_gap_lp": gaps[j],
-            "nonunique_fraction": float(np.mean(flags[j])),
-            "err_plus": err_plus[j],
-            "err_minus": err_minus[j],
-        }
-    report = Report(
-        name=f"gateaux_chain[{F.name}]", rows=table, verdict="MEASURED", details=details
-    )
-    return FieldResult(fields=plus_fields, flags=flags, report=report)
+    gaps: list[list[np.ndarray]] = [[] for _ in range(u.domain.d)]
+
+    def at(X, FX):
+        def sides(j, H, fields, flag):
+            for field, side in zip(fields, F.onesided_batch(X, H)):
+                field[...] = real_array(F.name, side, (len(X), F.target.dim))
+            gap = np.asarray(banach.norm(F.target, fields[0] - fields[1]))
+            unique = gap <= PAIR_TOL * (1.0 + np.asarray(banach.norm(u.space, H)))
+            np.logical_not(unique, out=flag)
+            gaps[j].append(gap)
+
+        return sides
+
+    comparison, fields, flags = _chain_pass(u, None, "gateaux_chain_field", True, F.target,
+                                            F.apply_batch, at, sides=2)
+    errs = comparison.errors(SOBOLEV_P)
+    table, directions = [], {}
+    for j, (err_plus, err_minus) in enumerate(zip(errs, errs[u.domain.d :])):
+        gap = _lp(np.concatenate(gaps[j]), float(np.prod(comparison.h)), SOBOLEV_P)
+        table += [(f"pm_gap_lp[{j}]", gap), (f"fd_err[{j}]", max(err_plus, err_minus))]
+        directions[j] = {"pm_gap_lp": gap, "nonunique_fraction": float(np.mean(flags[j])),
+                         "err_plus": err_plus, "err_minus": err_minus}
+    report = Report(f"gateaux_chain[{F.name}]", table, "MEASURED", {"directions": directions})
+    return FieldResult(fields=fields[: u.domain.d], flags=flags, report=report)
 
 
 # ---------------------------------------------------------------------------
@@ -463,75 +517,17 @@ def norm_derivative_report(u, n: int | None = None) -> Report:
 
 
 def _norm_derivative(u, n: int | None, keep_fields: bool) -> FieldResult:
-    """One pass over the node blocks (``_kernels.node_blocks``) of the grid
-    function u (n None), read through views of its values, or of the
-    member of the blueprint u at n cells per axis, realized one window at
-    a time in one reused buffer.
+    """The chain-rule pass of the norm, with the sides of ``banach._pairing_at``."""
 
-    Per block the window is the block's first-axis rows and, within the
-    grid, one halo row on each side.  The pass norms the window; then per
-    axis it forms D_j u on the block into one reused buffer and its
-    pairing: the field values (the midpoints) and flags, which the
-    comparison (``_Comparison``) settles at once against the window's
-    norms.  So the part of the pairing that depends on the node alone is
-    computed once per block (``banach._pairing_at``), and no full-size
-    derivative or norm array is made.
-
-    Each node's values and norm are formed, and its values checked finite,
-    once.  A window after the first opens with the last two rows of the
-    window before, which end that window and begin this one: their values (a
-    blueprint's, in the reused buffer) and their norms are carried over, and
-    only the rest of the window is realized, checked and normed.  The midpoint
-    (plus + minus) / 2 is formed only in a block with a node whose sides are
-    not unique; elsewhere the field is plus, its value there.  The values
-    and flags go to full-size arrays when ``keep_fields``, else to block
-    buffers that each block reuses; the result then holds no fields.
-    """
-    if n is None:
-        domain, grid, space = u.domain, u.grid, u.space
-    else:
-        domain, grid, space = unit_box(u.d), GridSpec((n,) * u.d), u.space
-    dim, d, rows = space.dim, domain.d, grid.n[0]
-    h = grid.spacing(domain)
-    per_row = math.prod(grid.n[1:])  # nodes per first-axis row
-    blocks = _kernels.node_blocks(rows, per_row * dim)
-    longest = blocks[0].stop - blocks[0].start
-    if n is not None:
-        buf, write = np.empty((longest + 2,) + grid.n[1:] + (dim,)), u.row_writer(n)
-    nbuf = np.empty((longest + 2) * per_row)  # the window's norms
-    comparison = _Comparison(scalar_space(), domain, grid, d, longest)
-    who = "norm_derivative_field" if keep_fields else "norm_derivative_report"
-    size = math.prod(grid.n) if keep_fields else longest * per_row
-    values = [np.empty(size) for _ in range(d)]
-    flagged = [np.empty(size, dtype=bool) for _ in range(d)]
-    diff = np.empty((longest,) + grid.n[1:] + (dim,))
-    held = 0  # rows of the window before
-    for blk in blocks:
-        first, last = max(blk.start - 1, 0), min(blk.stop + 1, rows)
-        carry = 2 if blk.start else 0  # rows first, first + 1 closed the window before
-        if n is None:
-            w = u.values[first:last]
-        else:
-            w = buf[: last - first]
-            w[:carry] = buf[held - carry : held]
-            write(first + carry, last, w[carry:])
-        check_finite(who, w[carry:], first + carry)
-        nw = nbuf[: w.size // dim]
-        nw[: carry * per_row] = nbuf[(held - carry) * per_row : held * per_row]
-        nw[carry * per_row :] = banach.norm(space, w[carry:].reshape(-1, dim))
-        held = last - first
-        own = slice(blk.start - first, blk.stop - first)  # the block's rows in w
-        norms = nw[own.start * per_row : own.stop * per_row]
+    def at(X, norms):
+        norms = norms[:, 0]
         near_zero = norms <= ZERO_TOL * (1.0 + norms)
         exact_zero = np.flatnonzero(norms == 0.0)
-        pair = banach._pairing_at(space, w[own].reshape(-1, dim), norms)
-        part = diff[: blk.stop - blk.start]
-        at = slice(blk.start * per_row, blk.stop * per_row)
-        out = at if keep_fields else slice(0, at.stop - at.start)
-        for j, (value, flag) in enumerate(zip(values, flagged)):
-            _difference_rows(w, first, rows, h, j, blk, part)
-            plus, minus, unique = pair(part.reshape(-1, dim))
-            mid = value[out]  # the midpoint, plus where unique, 0 at zeros
+        pair = banach._pairing_at(u.space, X, norms)
+
+        def sides(j, H, fields, flag):
+            plus, minus, unique = pair(H)
+            mid = fields[0][:, 0]  # plus where unique, else the midpoint; 0 at zeros
             if unique.all():
                 np.copyto(mid, plus)
             else:
@@ -539,16 +535,14 @@ def _norm_derivative(u, n: int | None, keep_fields: bool) -> FieldResult:
                 mid *= 0.5
                 np.copyto(mid, plus, where=unique)
             mid[exact_zero] = 0.0
-            np.logical_or(~unique, near_zero, out=flag[out])
-        comparison.settle(
-            blk, nw.reshape(w.shape[:-1] + (1,)), first,
-            [value[out] for value in values], [flag[out] for flag in flagged],
-        )
-    report = comparison.report("norm_derivative_field", cell_volume=float(np.prod(h)))
-    if not keep_fields:
-        return FieldResult(fields=[], flags=[], report=report)
-    fields = [from_scalar(domain, grid, val.reshape(grid.n)) for val in values]
-    flags = [f.reshape(grid.n) for f in flagged]
+            np.logical_or(~unique, near_zero, out=flag)
+
+        return sides
+
+    who = "norm_derivative_field" if keep_fields else "norm_derivative_report"
+    values = lambda X: banach.norm(u.space, X)[:, None]
+    comparison, fields, flags = _chain_pass(u, n, who, keep_fields, scalar_space(), values, at)
+    report = comparison.report("norm_derivative_field", cell_volume=float(np.prod(comparison.h)))
     return FieldResult(fields=fields, flags=flags, report=report)
 
 
@@ -557,32 +551,30 @@ def _norm_derivative(u, n: int | None, keep_fields: bool) -> FieldResult:
 # ---------------------------------------------------------------------------
 
 
-def _require_order_continuous(space: SpaceDescriptor, what: str):
-    if not space.lattice_capable:
-        raise CapabilityError(f"{space.kind} carries no lattice order for {what}")
-    if not space.order_continuous:
-        raise OrderContinuityError(
-            f"{what} needs an order continuous norm; the sup norm of "
-            f"{space.kind} is the standard failure"
-        )
-
-
 def _lattice_field(u: GridFunction, kind: str) -> FieldResult:
+    """The chain-rule pass of |.| or (.)+: sign(x) h or 1_{x>0} h, flagged
+    where a coordinate is within ZERO_TOL (1 + |x|) of zero."""
     name = f"{kind}_derivative_field"
-    _require_order_continuous(u.space, name)
-    du = finite_difference(u)
-    U = u.values
-    nx = pointwise_norms(u)
-    tau = ZERO_TOL * (1.0 + nx)[..., None]
-    node_flag = np.any(np.abs(U) <= tau, axis=-1)
-    if kind == "abs":
-        target = u.like(np.abs(U))
-        fields = [u.like(np.sign(U) * D.values) for D in du]
-    else:
-        target = u.like(np.maximum(U, 0.0))
-        fields = [u.like(np.where(U > 0.0, D.values, 0.0)) for D in du]
-    flags = [node_flag] * u.domain.d
-    return FieldResult(fields, flags, _compare(target, fields, flags).report(name))
+    if not u.space.lattice_capable:
+        raise CapabilityError(f"{u.space.kind} carries no lattice order for {name}")
+    if not u.space.order_continuous:
+        raise OrderContinuityError(f"{name} needs an order continuous norm; the sup norm "
+                                   f"of {u.space.kind} is the standard failure")
+
+    def at(X, FX):
+        nx = banach.norm(u.space, X)
+        near_zero = np.any(np.abs(X) <= (ZERO_TOL * (1.0 + nx))[:, None], axis=-1)
+        gate = np.sign(X) if kind == "abs" else X > 0.0
+
+        def sides(j, H, fields, flag):
+            fields[0][...] = gate * H if kind == "abs" else np.where(gate, H, 0.0)
+            np.copyto(flag, near_zero)
+
+        return sides
+
+    values = np.abs if kind == "abs" else lambda X: np.maximum(X, 0.0)
+    comparison, fields, flags = _chain_pass(u, None, name, True, u.space, values, at)
+    return FieldResult(fields, flags, comparison.report(name))
 
 
 def abs_derivative_field(u: GridFunction) -> FieldResult:
@@ -656,11 +648,13 @@ def quotient_rule_field(
     D_j v = ((D_j u)|u| - u D_j|u|)/|u|^2 * phi + (u/|u|) D_j phi away from
     the zero set, with D_j|u| taken from norm_derivative_field; the report
     compares against the direct quotients of v off {|u| <= tau_zero} and
-    the nodes that norm_derivative_field flags.
+    the nodes that norm_derivative_field flags.  A non-finite node of u or
+    phi_hat is rejected before any work.
     """
     if phi_hat.space.dim != 1:
         raise DimensionMismatchError("phi_hat must be a scalar grid function")
-    if np.any(phi_hat.values < 0.0):
+    check_finite("u", u.values)
+    if np.any(check_finite("phi_hat", phi_hat.values) < 0.0):
         raise ContractError("phi_hat must be nonnegative")
     g = pointwise_norms(u)
     phi = np.minimum(phi_hat.values[..., 0], g)
@@ -690,9 +684,12 @@ def quotient_rule_field(
 def product_rule_check(u: GridFunction, psi: GridFunction) -> Report:
     """D_j(psi u) = (D_j psi) u + psi D_j u, compared in the Bochner 1-norm
     at interior nodes (central differences make the defect O(h) for C^1
-    scalar factors)."""
+    scalar factors).  A non-finite node of u or psi is rejected before any
+    work."""
     if psi.space.dim != 1:
         raise DimensionMismatchError("psi must be a scalar grid function")
+    check_finite("u", u.values)
+    check_finite("psi", psi.values)
     du = finite_difference(u)
     dpsi = finite_difference(psi)
     rhs = [u.like(dpsi[j].values * u.values + psi.values * du[j].values)

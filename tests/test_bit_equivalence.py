@@ -985,6 +985,98 @@ def test_row_block_passes_match_whole_array_forms(kind, d, n, node_block, length
     _assert_one_row_form(res, _field_errors(u, res))
 
 
+def _whole_lattice_field(u, kind):
+    """``abs_derivative_field`` (``kind`` "abs") or ``pos_derivative_field``
+    ("pos") as they were: whole-array fields, flags and errors."""
+    U = u.values
+    nx = np.asarray(banach.norm(u.space, U))
+    flag = np.any(np.abs(U) <= banach.ZERO_TOL * (1.0 + nx)[..., None], axis=-1)
+    du = _whole_finite_difference(u)
+    if kind == "abs":
+        target, fields = np.abs(U), [np.sign(U) * D for D in du]
+    else:
+        target, fields = np.maximum(U, 0.0), [np.where(U > 0.0, D, 0.0) for D in du]
+    flags = [flag] * u.domain.d
+    return fields, flags, _whole_fd_errors(u.like(target), [u.like(f) for f in fields], flags)
+
+
+def _whole_gateaux_field(F, u):
+    """``gateaux_chain_field`` as it was: whole-array sides and gaps, and
+    one comparison per side: its plus fields, flags, rows and details."""
+    p = gridfn.SOBOLEV_P
+    X = u.values.reshape(-1, u.space.dim)
+    shape = u.grid.n + (F.target.dim,)
+    v = gridfn.GridFunction(u.domain, u.grid, F.target, F.apply_batch(X).reshape(shape))
+    vol = float(np.prod(u.grid.spacing(u.domain)))
+    sides, flags, gaps = ([], []), [], []
+    for D in _whole_finite_difference(u):
+        V = D.reshape(X.shape)
+        plus, minus = F.onesided_batch(X, V)
+        gap = np.asarray(banach.norm(F.target, plus - minus))
+        unique = gap <= banach.PAIR_TOL * (1.0 + np.asarray(banach.norm(u.space, V)))
+        sides[0].append(v.like(plus.reshape(shape)))
+        sides[1].append(v.like(minus.reshape(shape)))
+        flags.append(~unique.reshape(u.grid.n))
+        gaps.append(gridfn._lp(gap, vol, p))
+    err_plus, err_minus = (_whole_fd_errors(v, fields, flags, p) for fields in sides)
+    rows, directions = [], {}
+    for j, gap in enumerate(gaps):
+        rows += [(f"pm_gap_lp[{j}]", gap), (f"fd_err[{j}]", max(err_plus[j], err_minus[j]))]
+        directions[j] = {"pm_gap_lp": gap, "nonunique_fraction": float(np.mean(flags[j])),
+                         "err_plus": err_plus[j], "err_minus": err_minus[j]}
+    return [f.values for f in sides[0]], flags, rows, {"directions": directions}
+
+
+def _coordinate_modulus(space):
+    """|.| coordinatewise from ``space`` to itself with its one-sided sides:
+    sign(x) h where x != 0, +-|h| at 0, so not unique where a coordinate of
+    x is 0 and h is not."""
+    return calculus.LipschitzMap(
+        rule=np.abs, source=space, target=space, L=1.0, name="modulus",
+        onesided_batch=lambda X, V: (np.where(X != 0.0, np.sign(X) * V, np.abs(V)),
+                                     np.where(X != 0.0, np.sign(X) * V, -np.abs(V))),
+    )
+
+
+@pytest.mark.parametrize("rows", [2, 3, None], ids=["blocks-of-2", "blocks-of-3", "one-block"])
+@pytest.mark.parametrize("d", [1, 2])
+@pytest.mark.parametrize("kind", [name for name, _ in suite.KIND_SPECS])
+def test_lattice_and_gateaux_fields_match_whole_array_forms(kind, d, rows, monkeypatch):
+    # seeded members with exact zero coordinates (+0.0 and -0.0) and a zero
+    # row: the fields, flags, report rows and details of the lattice rules
+    # (in the order-continuous lattice kinds) and of the Gateaux rule of the
+    # norm and of the coordinatewise modulus (in every kind), bit for bit
+    space = dict(suite.KIND_SPECS)[kind]
+    n = 23 if d == 1 else 9
+    u = _blueprint(space, d, seed=17 * d + n).realize(n)
+    flat = u.values.reshape(-1, space.dim)
+    flat[:: 5, 0] = 0.0
+    flat[2 :: 7, -1] = -0.0
+    flat[n // 2] = 0.0
+    if rows:
+        monkeypatch.setattr(_kernels, "NODE_BLOCK", rows * u.values[0].size)
+    if space.lattice_capable and space.order_continuous:
+        for kind, rule in (("abs", calculus.abs_derivative_field),
+                           ("pos", calculus.pos_derivative_field)):
+            res = rule(u)
+            fields, flags, errs = _whole_lattice_field(u, kind)
+            for j in range(d):
+                assert _same_bits(res.fields[j].values, fields[j])
+                assert _same_bits(res.flags[j], flags[j])
+            assert res.report.name == f"{kind}_derivative_field"
+            _assert_one_row_form(res, errs)
+    for F in (calculus.norm_lipschitz_map(space), _coordinate_modulus(space)):
+        res = calculus.gateaux_chain_field(F, u)
+        fields, flags, table, details = _whole_gateaux_field(F, u)
+        for j in range(d):
+            assert _same_bits(res.fields[j].values, fields[j])
+            assert _same_bits(res.flags[j], flags[j])
+        assert res.report.name == f"gateaux_chain[{F.name}]"
+        assert res.report.rows == table
+        assert res.report.details == details
+        assert F.name != "modulus" or any(f.any() for f in flags)  # the sides differ
+
+
 def _prefix_pairing(c):
     """The pairing path of the indicator path with coefficients c, as one
     sequential sum: 0, c_0, c_0 + c_1, ..."""
@@ -1193,7 +1285,7 @@ def _general_pairing(space, X, H):
     w = space.weights
     if space.sup_like:
         tie = np.abs(X) >= (nx * (1.0 - banach.TIE_REL))[:, None]
-        plus, minus = _kernels.sup_pairing(X, H, tie)
+        plus, minus = _kernels.sup_pairing(X, H, np.where(tie, np.nan, -np.inf))
     elif space.exponent == 1.0:
         base = _kernels.row_sum(np.sign(X) * H, w)
         zero_part = _kernels.row_sum(np.abs(H) * (X == 0.0), w)

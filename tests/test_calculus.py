@@ -327,6 +327,51 @@ def test_lattice_fields_flag_exact_zeros():
     assert np.allclose(ab.fields[0].values[-3:, 0], 1.0, atol=1e-12)
 
 
+LATTICE_KINDS = [space for _, space in suite.KIND_SPECS
+                 if space.lattice_capable and space.order_continuous]
+
+
+@st.composite
+def lattice_members(draw):
+    """A member of an order-continuous lattice kind at d = 1 or 2, with some
+    coordinates set to exact zeros (+0.0 or -0.0)."""
+    space = draw(st.sampled_from(LATTICE_KINDS))
+    d = draw(st.sampled_from([1, 2]))
+    n = draw(st.integers(3, 40) if d == 1 else st.integers(3, 12))
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    bp = suite.SampleBlueprint(space, d, rng.normal(size=space.dim),
+                               rng.normal(size=(space.dim, 2, d)), rng.normal(size=(space.dim, 2, d)))
+    u = bp.realize(n)
+    flat = u.values.reshape(-1)
+    flat[rng.integers(flat.size, size=draw(st.integers(0, 4)))] = draw(st.sampled_from([0.0, -0.0]))
+    return u
+
+
+@given(lattice_members())
+@settings(derandomize=True, max_examples=25, deadline=None)
+def test_lattice_fields_are_the_midpoints_of_the_coordinatewise_sides(u):
+    # the one-sided derivatives of |.| at x along h are sign(x) h where
+    # x != 0 and +-|h| at 0, those of (.)+ are h, 0 or max/min(h, 0): at a
+    # node with no zero coordinate the fields are their midpoints, bit for
+    # bit (sign bits included), as the paper's chain rule a.e. says
+    X = u.values
+    off_zero = (X != 0.0).all(axis=-1)
+    ab, po = calculus.abs_derivative_field(u), calculus.pos_derivative_field(u)
+    for j, D in enumerate(gridfn.finite_difference(u)):
+        H = D.values
+        sides = {
+            "abs": (np.where(X != 0.0, np.sign(X) * H, np.abs(H)),
+                    np.where(X != 0.0, np.sign(X) * H, -np.abs(H))),
+            "pos": (np.where(X > 0.0, H, np.where(X < 0.0, 0.0, np.maximum(H, 0.0))),
+                    np.where(X > 0.0, H, np.where(X < 0.0, 0.0, np.minimum(H, 0.0)))),
+        }
+        for kind, res in (("abs", ab), ("pos", po)):
+            plus, minus = sides[kind]
+            mid, field = ((plus + minus) * 0.5)[off_zero], res.fields[j].values[off_zero]
+            assert np.array_equal(field, mid)
+            assert np.array_equal(np.signbit(field), np.signbit(mid))
+
+
 def test_lattice_fields_need_order_continuity():
     sup = banach.SpaceDescriptor("SampledSup", 2)
     u = gridfn.GridFunction(
@@ -386,6 +431,35 @@ def test_quotient_rule_validation():
         calculus.quotient_rule_field(u, neg)
 
 
+@pytest.mark.parametrize("bad", ["u", "phi_hat"])
+def test_quotient_rule_rejects_a_non_finite_factor(bad):
+    # an all-NaN phi_hat used to give l1_err[0] = nan; each argument is
+    # checked before any work, and the error names it and its first bad node
+    u = _sample1(16, lambda x: np.array([1.0 + x[0], x[0]]))
+    phi_hat = gridfn.from_scalar(BOX1, u.grid, np.ones(16))
+    if bad == "u":
+        u.values[5, 1] = np.inf
+    else:
+        phi_hat.values[...] = np.nan
+    node = 5 if bad == "u" else 0
+    with pytest.raises(ContractError, match=rf"^{bad}: non-finite value at node \({node},\)$"):
+        calculus.quotient_rule_field(u, phi_hat)
+
+
+@pytest.mark.parametrize("bad", ["u", "psi"])
+def test_product_rule_rejects_a_non_finite_factor(bad):
+    # an all-NaN psi used to give the row (0.0625, nan)
+    u = _sample1(16, lambda x: np.array([1.0 + x[0], x[0]]))
+    psi = gridfn.from_scalar(BOX1, u.grid, np.linspace(0.0, 1.0, 16))
+    if bad == "u":
+        u.values[5, 1] = np.nan
+    else:
+        psi.values[...] = np.nan
+    node = 5 if bad == "u" else 0
+    with pytest.raises(ContractError, match=rf"^{bad}: non-finite value at node \({node},\)$"):
+        calculus.product_rule_check(u, psi)
+
+
 def test_product_rule_exact_on_affine_factors():
     n = 32
     u = _sample1(n, lambda x: np.array([x[0], 1.0]))
@@ -436,12 +510,18 @@ def test_holder_beta_rejects_non_finite_values(node, bad):
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_norm_pass_rejects_a_non_finite_node(node, bad, monkeypatch):
     # windows of three rows over 8: (3, 6) is a new row, (4, 1) a row that
-    # the next window carries
+    # the next window carries.  The lattice and Gateaux rules run the same
+    # pass (the lattice ones in a lattice space), so they reject it too
     u = gridfn.sample(gridfn.unit_box(2), gridfn.GridSpec((8, 8)), HIL2, lambda x: x)
     u.values[node + (1,)] = bad
+    lattice = gridfn.GridFunction(u.domain, u.grid, banach.SpaceDescriptor("FiniteLr", 2, 1.5), u.values)
     monkeypatch.setattr(calculus._kernels, "NODE_BLOCK", 3 * u.values[0].size)
     for who, call in (("norm_derivative_field", calculus.norm_derivative_field),
-                      ("norm_derivative_report", calculus.norm_derivative_report)):
+                      ("norm_derivative_report", calculus.norm_derivative_report),
+                      ("abs_derivative_field", lambda _: calculus.abs_derivative_field(lattice)),
+                      ("pos_derivative_field", lambda _: calculus.pos_derivative_field(lattice)),
+                      ("gateaux_chain_field",
+                       lambda u: calculus.gateaux_chain_field(calculus.norm_lipschitz_map(HIL2), u))):
         with pytest.raises(ContractError, match=rf"^{who}: non-finite value at node \({node[0]}, {node[1]}\)$"):
             call(u)
 

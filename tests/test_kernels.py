@@ -282,6 +282,19 @@ def test_greedy_radii_three_clusters():
     assert radii[2] < 0.1
 
 
+def test_sup_pairing_skips_a_nan_off_the_ties():
+    # an overflowing boundary stencil can put a NaN in a direction: off the
+    # ties it is skipped, on a tie it makes both sides NaN, as a mask of the
+    # ties with -+inf elsewhere (np.where) gives
+    X = np.array([[2.0, 1.0, -2.0], [2.0, 1.0, 0.5]])
+    H = np.array([[0.5, np.nan, -1.0], [np.nan, 3.0, 1.0]])
+    nx = np.abs(X).max(axis=1)
+    tie = np.abs(X) >= (nx * (1.0 - banach.TIE_REL))[:, None]
+    plus, minus = _kernels.sup_pairing(X, H, np.where(tie, np.nan, -np.inf))
+    assert plus[0] == 1.0 and minus[0] == 0.5
+    assert np.isnan(plus[1]) and np.isnan(minus[1])
+
+
 def test_sup_pairing_parity_and_zero_rows():
     rng = np.random.default_rng(7)
     X = rng.normal(size=(300, 6))
@@ -292,7 +305,7 @@ def test_sup_pairing_parity_and_zero_rows():
     H = rng.normal(size=(300, 6))
     nx = np.abs(X).max(axis=1)
     tie = np.abs(X) >= (nx * (1.0 - banach.TIE_REL))[:, None]
-    plus, minus = _kernels.sup_pairing(X, H, tie)
+    plus, minus = _kernels.sup_pairing(X, H, np.where(tie, np.nan, -np.inf))
     ref_plus, ref_minus = sup_pairing_ref(X, H, banach.TIE_REL)
     nz = nx > 0.0
     assert np.array_equal(plus[nz], ref_plus[nz]) and np.array_equal(minus[nz], ref_minus[nz])

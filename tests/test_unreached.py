@@ -56,3 +56,14 @@ def test_a_norm_chain_rule_run_reaches_every_one_sided_expression():
         if isinstance(n, ast.Assign) and getattr(n.targets[0], "id", None) == "zero_part"
     )
     assert not _overlaps(listed.get("banach.py", []), zero_part)
+
+
+def test_the_lattice_and_gateaux_rules_run_the_one_chain_rule_pass():
+    # lattice_chain_rules (|u| and u+) and gateaux_chain_agreement (the
+    # norm's plus and minus sides) reach every statement of the pass's
+    # per-block loop, the loop that norm_chain_rule runs too
+    _, listed = _unreached(
+        "--entry", "lattice_chain_rules", "gateaux_chain_agreement", "--refine", "0"
+    )
+    loop = next(n for n in _function("calculus.py", "_chain_pass").body if isinstance(n, ast.For))
+    assert not _overlaps(listed.get("calculus.py", []), loop)
